@@ -62,6 +62,7 @@ from .surfaces import (
     Surface,
     abk,
     arf,
+    cup_blocks,
     cup_form,
     enumerate_structures,
     integrate_cocycle,

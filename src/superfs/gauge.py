@@ -1,11 +1,15 @@
 """Finite gauge theory partition functions on closed surfaces.
 
 For each tangential family the partition function is computed two ways and
-compared: the state-sum side enumerates homomorphisms pi_1(S) -> G weighted by
+compared: the state-sum side sums over homomorphisms pi_1(S) -> G weighted by
 the integrated cocycle (and, for spin / pin-, by a sign or fourth root of
 unity built from the quadratic refinement evaluated on the pulled-back parity
 class), while the algebraic side sums (|G| / dim)^{-euler} over the
 appropriate irreducible (super)modules with indicator-powered coefficients.
+
+The state sum is an exact transfer-matrix product over the handles or
+crosscaps of the surface; `enumerate_homs` and `_hom_phases` keep the full
+grid as an oracle for small cases.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .surfaces import (
     Surface,
     abk,
     arf,
+    cup_blocks,
+    cup_form,
     enumerate_structures,
     presentation,
     quadratic_eval_many,
@@ -140,20 +146,18 @@ def enumerate_homs(pres: Presentation, group: Group, budget: float | None = None
     return np.concatenate(out, axis=0)
 
 
-def _hom_phases(homs: np.ndarray, pres: Presentation, group: Group,
-                twist: Twist) -> np.ndarray:
-    """exp(2 pi i * integral of the pulled-back cocycle), one hom per row.
-
-    Integer numerator arithmetic throughout; a single exponential at the end.
-    """
-    count = homs.shape[0]
-    cur = np.zeros(count, dtype=np.int64)
-    num = np.zeros(count, dtype=np.int64)
+def _walk(start: np.ndarray, images: np.ndarray, word, group: Group,
+          twist: Twist) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply out `word` in the twisted basis from the running products
+    `start`, reading generator idx from images[:, idx]. Returns the end
+    products and the collected cocycle numerators (integers over denom)."""
+    cur = start
+    num = np.zeros(cur.shape, dtype=np.int64)
     table = group.table
     inverses = group.inverses
     alpha = twist.alpha_num
-    for idx, exp in pres.word:
-        h = homs[:, idx]
+    for idx, exp in word:
+        h = images[:, idx]
         if exp == 1:
             num += alpha[cur, h]
             cur = table[cur, h]
@@ -161,34 +165,167 @@ def _hom_phases(homs: np.ndarray, pres: Presentation, group: Group,
             hinv = inverses[h]
             num += alpha[cur, hinv] - alpha[h, hinv]
             cur = table[cur, hinv]
+    return cur, num
+
+
+def _hom_phases(homs: np.ndarray, pres: Presentation, group: Group,
+                twist: Twist) -> np.ndarray:
+    """exp(2 pi i * integral of the pulled-back cocycle), one hom per row.
+
+    Integer numerator arithmetic throughout; a single exponential at the end.
+    """
+    cur, num = _walk(np.zeros(homs.shape[0], dtype=np.int64), homs, pres.word,
+                     group, twist)
     if np.any(cur != 0):
         raise ValidationError("an assignment does not satisfy the surface relator")
     return np.exp(2j * np.pi * (num % twist.denom) / twist.denom)
+
+
+class _StateSum:
+    """Exact transfer-matrix state sum of one theory on one surface.
+
+    The relator is one word per block of `cup_blocks` (a handle [a,b] or a
+    crosscap c^2) and the cup form is block diagonal, so the cocycle phase and
+    the refinement Q both split into one term per block. A block acts on the
+    running product x through the integer table T[x, y, k]: the number of
+    images of its generators that carry x to y with total phase exponent k mod
+    D = lcm(denom, 4), counting the cocycle (scaled to D) and the block's share
+    of (-1)^Q or i^Q. The walk over all |G|^(1 + gens) pairs (x, images) is
+    done once, graded by the parity pattern of the images; each structure's
+    block tables follow by shifting those slices in k, so all structures of a
+    surface share one walk. Counts stay exact integers; the only floating-point
+    step is the final sum of counts times D-th roots of unity.
+    """
+
+    def __init__(self, theory: TheoryData, surface: Surface,
+                 budget: float | None = None):
+        n = theory.group.order
+        self.theory = theory
+        self.surface = surface
+        self.blocks = cup_blocks(surface)
+        self.cup = cup_form(surface)
+        self.D = math.lcm(theory.twist.denom, 4)
+        self._graded: np.ndarray | None = None
+        self._tables: dict = {}
+        if not self.blocks:
+            return
+        gens = len(self.blocks[0])
+        required = (n ** (1 + gens) + n * n * self.D * 2 ** gens
+                    + len(self.blocks) * n * n * self.D ** 2)
+        limit = _budget(budget)
+        if required > limit:
+            raise BudgetExceededError(
+                f"state sum needs {required} steps, budget is {int(limit)}",
+                required=required)
+        if n ** (surface.b1 - 1) >= 2 ** 62:
+            raise BudgetExceededError(
+                f"hom counts up to {n}^{surface.b1} could overflow 64-bit integers",
+                required=n ** surface.b1)
+
+    def _walk_block(self) -> np.ndarray:
+        """graded[x, y, k, p]: images of one block's generators carrying x to y
+        with cocycle exponent k (mod D) and parity pattern p (bit i = phi of
+        generator i). Every block has the first block's word, relabelled."""
+        group, twist, D = self.theory.group, self.theory.twist, self.D
+        n = group.order
+        block = self.blocks[0]
+        gens = len(block)
+        letters = [(idx, exp) for idx, exp in presentation(self.surface).word
+                   if idx in block]
+        images = np.indices((n,) * gens, dtype=np.int64).reshape(gens, -1).T
+        patterns = 2 ** gens
+        pattern = twist.phi[images] @ (1 << np.arange(gens))
+        graded = np.empty((n, n * D * patterns), dtype=np.int64)
+        for x in range(n):
+            y, num = _walk(np.full(images.shape[0], x, dtype=np.int64), images,
+                           letters, group, twist)
+            k = num * (D // twist.denom) % D
+            graded[x] = np.bincount((y * D + k) * patterns + pattern,
+                                    minlength=n * D * patterns)
+        return graded.reshape(n, n, D, patterns)
+
+    def _table(self, block: range, structure: QuadraticRefinement | None) -> np.ndarray:
+        """T[x, y, k] of one block, with the structure's weight on that block."""
+        if self._graded is None:
+            self._graded = self._walk_block()
+        vals = None if structure is None else tuple(structure.values[i] for i in block)
+        if vals not in self._tables:
+            if vals is None:
+                self._tables[vals] = self._graded.sum(axis=3)
+            else:
+                gens = len(block)
+                bits = (np.arange(2 ** gens)[:, None] >> np.arange(gens)) & 1
+                local = QuadraticRefinement(structure.ring, vals,
+                                            self.cup[block.start:block.stop,
+                                                     block.start:block.stop])
+                shifts = quadratic_eval_many(local, bits) * (self.D // structure.ring)
+                self._tables[vals] = sum(np.roll(self._graded[..., p], int(s), axis=2)
+                                         for p, s in enumerate(shifts))
+        return self._tables[vals]
+
+    def check_structure(self, structure: QuadraticRefinement | None) -> None:
+        family = self.theory.family
+        if family in ("oriented", "unoriented"):
+            if structure is not None:
+                raise ValidationError(f"the {family} family takes no structure")
+            return
+        if structure is None:
+            raise ValidationError(f"the {family} family needs a structure")
+        ring = 2 if family == "spin" else 4
+        if structure.ring != ring:
+            raise ValidationError(
+                f"the {family} family needs a Z{ring} refinement, got Z{structure.ring}")
+        if len(structure.values) != self.surface.b1:
+            raise ValidationError(
+                f"structure has {len(structure.values)} values, {self.surface} "
+                f"needs {self.surface.b1}")
+        if not np.array_equal(structure.cup, self.cup):
+            raise ValidationError(f"structure cup form is not the one of {self.surface}")
+
+    def __call__(self, structure: QuadraticRefinement | None = None) -> tuple[complex, int]:
+        self.check_structure(structure)
+        n, D = self.theory.group.order, self.D
+        shift = (np.arange(D)[None, :] - np.arange(D)[:, None]) % D
+        counts = np.zeros((n, D), dtype=np.int64)
+        counts[0, 0] = 1  # running product e, exponent 0
+        for i, block in enumerate(self.blocks):
+            table = self._table(block, structure)
+            circ = counts[:, shift]  # circ[x, s, k] = counts[x, k - s]
+            if i < len(self.blocks) - 1:
+                counts = np.tensordot(table, circ, axes=([0, 2], [0, 1]))
+            else:
+                # last block: only y = e, in exact integers (counts may pass 2^63)
+                counts = np.tensordot(table[:, :1, :].astype(object),
+                                      circ.astype(object), axes=([0, 2], [0, 1]))
+        final = [int(c) for c in counts[0]]
+        return _root_sum(final, D) / n, sum(final)
+
+
+def _root_sum(counts: list, D: int) -> complex:
+    """sum_k counts[k] * exp(2 pi i k / D). Buckets at fourth roots of unity
+    (k a multiple of D / 4) are added exactly; the others in conjugate pairs
+    k, D - k, so a symmetric count vector gives an exactly real value."""
+    q = D // 4
+    total = complex(counts[0] - counts[2 * q], counts[q] - counts[3 * q])
+    for k in range(1, 2 * q):
+        if k % q:
+            t = 2 * math.pi * k / D
+            total += complex((counts[k] + counts[D - k]) * math.cos(t),
+                             (counts[k] - counts[D - k]) * math.sin(t))
+    return total
 
 
 def partition_lhs(theory: TheoryData, surface: Surface,
                   structure: QuadraticRefinement | None = None,
                   budget: float | None = None) -> tuple[complex, int]:
     """State-sum partition function: (1/|G|) sum over homs of the cocycle phase
-    times the structure weight. Returns (value, number of homomorphisms)."""
+    times the structure weight. Returns (value, number of homomorphisms).
+
+    Computed as an exact transfer-matrix product over the handles or
+    crosscaps; the block-table work is checked against `budget` (default
+    SUPERFS_BUDGET or 1e8) before anything is allocated."""
     theory.require_surface(surface)
-    pres = presentation(surface)
-    group = theory.group
-    homs = enumerate_homs(pres, group, budget=budget)
-    weights = _hom_phases(homs, pres, group, theory.twist)
-    if theory.family in ("spin", "pin-"):
-        if structure is None:
-            raise ValidationError(f"the {theory.family} family needs a structure")
-        pulled = theory.twist.phi[homs]
-        vals = quadratic_eval_many(structure, pulled)
-        if theory.family == "spin":
-            weights = weights * (-1.0) ** vals
-        else:
-            weights = weights * 1j ** vals
-    elif structure is not None:
-        raise ValidationError(f"the {theory.family} family takes no structure")
-    total = complex(np.sum(weights)) / group.order
-    return total, homs.shape[0]
+    return _StateSum(theory, surface, budget)(structure)
 
 
 def partition_rhs(theory: TheoryData, surface: Surface,
@@ -199,17 +336,39 @@ def partition_rhs(theory: TheoryData, surface: Surface,
 
     Returns (value, per-module terms, named invariant of the structure)."""
     theory.require_surface(surface)
-    group = theory.group
-    n = group.order
+    if theory.family in ("spin", "pin-") and structure is None:
+        raise ValidationError(f"the {theory.family} family needs a structure")
+    return _rhs_sum(theory, surface, structure, _spectrum(theory, seed, cap))
+
+
+def _spectrum(theory: TheoryData, seed: int, cap: int) -> list:
+    """What the algebraic side sums over, computed once per theory: irreps
+    (oriented), (irrep, indicator) pairs with nonzero indicator (unoriented),
+    supermodules (spin), or real supermodules with their BW classes (pin-)."""
+    algebra = TwistedGroupAlgebra(theory.group, theory.twist)
+    if theory.family == "pin-":
+        report = classify(algebra, seed=seed, cap=cap)
+        return [sup for sup in report.supermodules if sup.reality == "real"]
+    irreps = decompose_regular(algebra, seed=seed, cap=cap)
+    if theory.family == "oriented":
+        return irreps
+    if theory.family == "unoriented":
+        pairs = [(irr, ordinary_fs(irr.character, algebra)) for irr in irreps]
+        return [(irr, eps) for irr, eps in pairs if eps != 0]
+    return assemble_supermodules(irreps, algebra, seed=seed)
+
+
+def _rhs_sum(theory: TheoryData, surface: Surface,
+             structure: QuadraticRefinement | None,
+             spectrum: list) -> tuple[complex, list, tuple | None]:
+    """The algebraic side on one surface and structure, from `_spectrum`."""
+    n = theory.group.order
     e = surface.euler
-    algebra = TwistedGroupAlgebra(group, theory.twist)
     terms = []
-    invariant: tuple | None = None
+    total = 0j
 
     if theory.family == "oriented":
-        irreps = decompose_regular(algebra, seed=seed, cap=cap)
-        total = 0j
-        for irr in irreps:
+        for irr in spectrum:
             value = complex((n / irr.dim) ** (-e))
             terms.append({"dim": irr.dim, "coefficient": [1.0, 0.0],
                           "value": [value.real, value.imag]})
@@ -217,12 +376,7 @@ def partition_rhs(theory: TheoryData, surface: Surface,
         return total, terms, None
 
     if theory.family == "unoriented":
-        irreps = decompose_regular(algebra, seed=seed, cap=cap)
-        total = 0j
-        for irr in irreps:
-            eps = ordinary_fs(irr.character, algebra)
-            if eps == 0:
-                continue
+        for irr, eps in spectrum:
             coeff = eps ** surface.param
             value = complex(coeff * (n / irr.dim) ** (-e))
             terms.append({"dim": irr.dim, "indicator": eps,
@@ -231,15 +385,9 @@ def partition_rhs(theory: TheoryData, surface: Surface,
             total += value
         return total, terms, None
 
-    if structure is None:
-        raise ValidationError(f"the {theory.family} family needs a structure")
-
     if theory.family == "spin":
         invariant = ("arf", arf(structure))
-        irreps = decompose_regular(algebra, seed=seed, cap=cap)
-        sups = assemble_supermodules(irreps, algebra, seed=seed)
-        total = 0j
-        for sup in sups:
+        for sup in spectrum:
             coeff = (-1) ** (invariant[1] * sup.q_type)
             value = complex(coeff * (n / sup.qdim) ** (-e))
             terms.append({"dims": list(sup.dims), "q": sup.q_type,
@@ -250,11 +398,7 @@ def partition_rhs(theory: TheoryData, surface: Surface,
 
     # pin-: real supermodules weighted by the structure's Gauss invariant
     invariant = ("abk", abk(structure).value)
-    report = classify(algebra, seed=seed, cap=cap)
-    total = 0j
-    for sup in report.supermodules:
-        if sup.reality != "real":
-            continue
+    for sup in spectrum:
         coeff = eighth_root(sup.bw * invariant[1])
         value = coeff * (n / sup.qdim) ** (-e)
         terms.append({"dims": list(sup.dims), "q": sup.q_type, "bw": sup.bw,
@@ -302,11 +446,14 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
             surface, theory.family)
         if not jobs:
             raise ValidationError("no structures supplied")
+    state_sum = _StateSum(theory, surface, budget)
+    for structure in jobs:
+        state_sum.check_structure(structure)
+    spectrum = _spectrum(theory, seed, cap)
     reports = []
     for structure in jobs:
-        lhs, count = partition_lhs(theory, surface, structure, budget=budget)
-        rhs, terms, invariant = partition_rhs(theory, surface, structure,
-                                              seed=seed, cap=cap)
+        lhs, count = state_sum(structure)
+        rhs, terms, invariant = _rhs_sum(theory, surface, structure, spectrum)
         reports.append(PartitionReport(
             family=theory.family, surface=surface, structure=structure,
             lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), hom_count=count,

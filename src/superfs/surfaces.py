@@ -33,6 +33,7 @@ __all__ = [
     "parse_surface",
     "Presentation",
     "presentation",
+    "cup_blocks",
     "cup_form",
     "QuadraticRefinement",
     "refinement",
@@ -144,15 +145,21 @@ def presentation(surface: Surface) -> Presentation:
     return Presentation(k, tuple(word), tuple(labels))
 
 
+def cup_blocks(surface: Surface) -> list[range]:
+    """Generator ranges of the diagonal blocks of `cup_form`, in relator order:
+    one handle (a_i, b_i) or one crosscap c_i per block. The relator word is the
+    concatenation of one word per block, the same word up to relabelling."""
+    size = 2 if surface.is_orientable else 1
+    return [range(size * i, size * (i + 1)) for i in range(surface.param)]
+
+
 def cup_form(surface: Surface) -> np.ndarray:
     """Mod-2 intersection matrix on the presentation basis of H_1(S; Z2)."""
     b = surface.b1
     m = np.zeros((b, b), dtype=np.int64)
-    if surface.is_orientable:
-        for i in range(surface.param):
-            m[2 * i, 2 * i + 1] = m[2 * i + 1, 2 * i] = 1
-    else:
-        np.fill_diagonal(m, 1)
+    block = [[0, 1], [1, 0]] if surface.is_orientable else [[1]]
+    for r in cup_blocks(surface):
+        m[r.start:r.stop, r.start:r.stop] = block
     return m
 
 

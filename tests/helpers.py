@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,6 +55,52 @@ def brute_force_homs(table: np.ndarray, inverses: np.ndarray, word,
         if cur == 0:
             hits.append(assign)
     return hits
+
+
+def brute_force_partition(table: np.ndarray, inverses: np.ndarray,
+                          alpha_num: np.ndarray, denom: int, phi: np.ndarray, word,
+                          n_generators: int, values=None, cup=None,
+                          ring: int = 2) -> tuple[complex, int]:
+    """(1/|G|) sum over every relator-satisfying assignment of its phase, by
+    full scan; returns (value, number of such assignments).
+
+    The phase is the cocycle collected letter by letter along the word (an
+    inverse letter h^-1 adds alpha(cur, h^-1) - alpha(h, h^-1)), plus Q / ring
+    when a refinement is given: Q(x) = sum_i values_i x_i
+    + (1 if ring == 2 else 2) sum_{i<j} cup_ij x_i x_j (mod ring), where x is
+    the parity of each generator's image.
+    """
+    n = table.shape[0]
+    table, inverses, alpha, phi = (np.asarray(a).tolist()
+                                   for a in (table, inverses, alpha_num, phi))
+    cross = 1 if ring == 2 else 2
+    total = 0j
+    count = 0
+    for assign in itertools.product(range(n), repeat=n_generators):
+        cur = 0
+        num = 0
+        for idx, exp in word:
+            h = assign[idx]
+            if exp == 1:
+                num += alpha[cur][h]
+                cur = table[cur][h]
+            else:
+                hinv = inverses[h]
+                num += alpha[cur][hinv] - alpha[h][hinv]
+                cur = table[cur][hinv]
+        if cur != 0:
+            continue
+        count += 1
+        phase = Fraction(num, denom)
+        if values is not None:
+            x = [phi[a] for a in assign]
+            q = sum(v * xi for v, xi in zip(values, x))
+            q += cross * sum(int(cup[i][j]) * x[i] * x[j]
+                             for i in range(n_generators)
+                             for j in range(i + 1, n_generators))
+            phase += Fraction(q % ring, ring)
+        total += cmath.exp(2j * math.pi * float(phase % 1))
+    return total / n, count
 
 
 def brute_force_z2_cocycles(table: np.ndarray) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 """Partition-function crosschecks and homomorphism enumeration."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,20 +16,26 @@ from superfs import (
     crosscheck,
     cyclic,
     enumerate_homs,
+    enumerate_structures,
+    group_from_permutations,
     group_from_table,
+    h2_representatives,
     nonorientable,
     orientable,
     partition_lhs,
+    partition_rhs,
     presentation,
     product_group,
+    refinement,
     report_from_dict,
     report_to_dict,
     validate_twist,
     z2_homomorphisms,
 )
 from superfs.gauge import _hom_phases
+from superfs.surfaces import QuadraticRefinement
 
-from helpers import brute_force_homs
+from helpers import brute_force_homs, brute_force_partition
 
 
 def test_theory_family_validation():
@@ -235,3 +242,166 @@ def test_crosscheck_rejects_structures_for_oriented():
     from superfs import refinement
     with pytest.raises(ValidationError, match="structures"):
         crosscheck(th, orientable(1), structures=[refinement(orientable(1), [0, 0])])
+
+
+# ---------------------------------------------- transfer-matrix state sum
+
+def _with_grading(name, index=1):
+    group = catalog_group(name)
+    return group, Twist.zero(group.order).with_phi(z2_homomorphisms(group)[index])
+
+
+def _oracle_theories():
+    """(label, group, twist, families) for the brute-force LHS comparison."""
+    z2, s3, d4, q8 = (catalog_group(name) for name in ("z2", "s3", "d4", "q8"))
+    z3xz3 = product_group(cyclic(3), cyclic(3))
+    rational = validate_twist(z3xz3, Twist.from_fractions(
+        [0] * 9, [[Fraction((x // 3) * (y % 3), 3) for y in range(9)]
+                  for x in range(9)]))
+    d4_alpha = h2_representatives(d4)[1]
+    return [
+        ("z2", z2, Twist.zero(2), ("oriented", "unoriented")),
+        ("cl1", *clifford_twist(1), ("spin", "pin-")),
+        ("cl2", *clifford_twist(2), ("spin", "pin-")),
+        ("s3", s3, Twist.zero(6), ("oriented", "unoriented")),
+        ("s3-sign", *_with_grading("s3"), ("spin", "pin-")),
+        ("d4-alpha", d4, d4_alpha, ("oriented", "unoriented")),
+        ("d4-graded", d4, validate_twist(d4, d4_alpha.with_phi(
+            z2_homomorphisms(d4)[2])), ("spin", "pin-")),
+        ("q8", q8, Twist.zero(8), ("oriented", "unoriented")),
+        ("q8-graded", *_with_grading("q8"), ("spin", "pin-")),
+        ("z3xz3-rational", z3xz3, rational, ("oriented",)),
+    ]
+
+
+ORACLE_CASES = [(label, family) for label, _, _, families in _oracle_theories()
+                for family in families]
+
+
+@pytest.mark.parametrize("label,family", ORACLE_CASES,
+                         ids=[f"{label}-{family}" for label, family in ORACLE_CASES])
+def test_partition_lhs_matches_brute_force(label, family):
+    group, twist = next((g, t) for name, g, t, _ in _oracle_theories() if name == label)
+    theory = TheoryData(group, twist, family)
+    if family in ("oriented", "spin"):
+        surfaces = [orientable(g) for g in (0, 1, 2)]
+    else:
+        surfaces = [nonorientable(k) for k in (1, 2, 3)]
+    for surface in surfaces:
+        pres = presentation(surface)
+        if family in ("spin", "pin-"):
+            structures = enumerate_structures(surface, family)
+        else:
+            structures = [None]
+        for q in structures:
+            z, count = partition_lhs(theory, surface, q)
+            kwargs = {} if q is None else {"values": q.values, "cup": q.cup,
+                                           "ring": q.ring}
+            z_ref, count_ref = brute_force_partition(
+                group.table, group.inverses, twist.alpha_num, twist.denom,
+                twist.phi, pres.word, pres.n_generators, **kwargs)
+            assert count == count_ref, (surface, q)
+            assert abs(z - z_ref) < 1e-12 * max(1.0, abs(z_ref)), (surface, q, z, z_ref)
+
+
+def _symmetric4():
+    return group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+
+
+S4_DEGREES = (1, 1, 2, 3, 3)  # every S4 irrep is real: indicator 1
+
+
+def test_state_sum_scales_past_the_grid(monkeypatch):
+    monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
+    g = _symmetric4()
+    n = g.order
+    start = time.perf_counter()
+    z, count = partition_lhs(TheoryData(g, Twist.zero(n), "oriented"), orientable(4))
+    # Mednykh: #Hom(pi_1 of genus g, G) = |G| sum_chi (|G| / chi(1))^(2g - 2)
+    assert count == n * sum((n // d) ** 6 for d in S4_DEGREES) == 9_257_189_376
+    assert z == count / n
+    z, count = partition_lhs(TheoryData(g, Twist.zero(n), "unoriented"),
+                             nonorientable(7))
+    # Frobenius-Schur: #{x_1^2 ... x_k^2 = e} = |G|^(k-1) sum_chi nu^k chi(1)^(2-k)
+    expected = n ** 6 * sum(Fraction(1, d ** 5) for d in S4_DEGREES)
+    assert expected.denominator == 1 and count == expected.numerator
+    assert z == count / n
+    assert time.perf_counter() - start < 1.0
+    # the grid refuses both at the default budget
+    with pytest.raises(BudgetExceededError):
+        enumerate_homs(presentation(orientable(4)), g)
+
+
+def test_state_sum_budget_and_overflow_guards(monkeypatch):
+    g = catalog_group("a4")
+    th = TheoryData(g, Twist.zero(12), "oriented")
+    with pytest.raises(BudgetExceededError, match="budget") as err:
+        partition_lhs(th, orientable(2), budget=1000)
+    # walk 12^3, graded table 12^2 * 4 * 2^2, two block products 12^2 * 4^2
+    assert err.value.required == 12 ** 3 + 144 * 16 + 2 * 144 * 16
+    monkeypatch.setenv("SUPERFS_BUDGET", "100")
+    with pytest.raises(BudgetExceededError):
+        partition_lhs(th, orientable(1))
+    monkeypatch.delenv("SUPERFS_BUDGET")
+    z2 = TheoryData(cyclic(2), Twist.zero(2), "unoriented")
+    with pytest.raises(BudgetExceededError, match="overflow"):
+        partition_lhs(z2, nonorientable(63))
+    # every assignment of Z2 satisfies the relator: 2^62 homs, counted exactly
+    z, count = partition_lhs(z2, nonorientable(62))
+    assert count == 2 ** 62 and z == 2.0 ** 61
+    # 3^40 homs pass 2^63; the last block is contracted in exact integers
+    z3 = TheoryData(cyclic(3), Twist.zero(3), "oriented")
+    assert partition_lhs(z3, orientable(20))[1] == 3 ** 40
+
+
+def test_state_sum_rejects_mismatched_structures():
+    g, t = clifford_twist(1)
+    spin = TheoryData(g, t, "spin")
+    with pytest.raises(ValidationError, match="values"):
+        partition_lhs(spin, orientable(1), refinement(orientable(2), [0, 0, 0, 0]))
+    bad_cup = QuadraticRefinement(2, (0, 0), np.eye(2, dtype=np.int64))
+    with pytest.raises(ValidationError, match="cup form"):
+        partition_lhs(spin, orientable(1), bad_cup)
+    with pytest.raises(ValidationError, match="Z2 refinement"):
+        partition_lhs(spin, orientable(1), refinement(orientable(1), [0, 0], ring=4))
+    pin = TheoryData(g, t, "pin-")
+    with pytest.raises(ValidationError, match="Z4 refinement"):
+        partition_lhs(pin, nonorientable(1),
+                      refinement(nonorientable(1), [1], ring=2, validate=False))
+    with pytest.raises(ValidationError, match="values"):
+        crosscheck(pin, nonorientable(1), structures=[refinement(nonorientable(2), [1, 1])])
+
+
+def test_state_sum_fourth_roots_are_exact():
+    # buckets at fourth roots of unity are summed as integers, so sign and
+    # fourth-root theories give exact dyadic values (a float sum over homs
+    # leaves ~1e-16 residues here)
+    g, t = clifford_twist(2)
+    for r in crosscheck(TheoryData(g, t, "spin"), orientable(2)):
+        assert r.lhs == 4 and r.verdict == "PASS"
+    for r in crosscheck(TheoryData(g, t, "pin-"), nonorientable(3)):
+        assert r.lhs in (2j, -2j) and r.verdict == "PASS"
+
+
+def test_crosscheck_decomposes_once_per_theory(monkeypatch):
+    import superfs.gauge as gauge
+    import superfs.superalg as superalg
+
+    calls = []
+    original = superalg.decompose_regular
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "decompose_regular", counting)
+    monkeypatch.setattr(superalg, "decompose_regular", counting)
+    g, t = clifford_twist(1)
+    for family, surface in (("spin", orientable(2)), ("pin-", nonorientable(3))):
+        calls.clear()
+        theory = TheoryData(g, t, family)
+        reports = crosscheck(theory, surface, seed=5)
+        assert len(reports) == 2 ** surface.b1 and len(calls) == 1
+        for r in reports:
+            rhs, terms, invariant = partition_rhs(theory, surface, r.structure, seed=5)
+            assert (rhs, terms, invariant) == (r.rhs, r.rhs_terms, r.invariant)
