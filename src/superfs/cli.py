@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from .errors import (
     DecompositionError,
     SnapError,
     ValidationError,
+    budget_limit,
 )
 from .gauge import FAMILIES, TheoryData, crosscheck, report_to_dict
 from .groups import Group, load_group
@@ -30,6 +30,7 @@ from .twists import (
     Twist,
     clifford_twist,
     h2_representatives,
+    parse_alpha,
     validate_twist,
     z2_homomorphisms,
 )
@@ -70,32 +71,29 @@ def _resolve_phi(value: str, group: Group) -> np.ndarray:
     return phi
 
 
-def _resolve_alpha(value: str, group: Group) -> list[list[Fraction]]:
+def _resolve_twist(group: Group, phi_arg: str, alpha_arg: str) -> Twist:
+    """The twist named on the command line, not yet validated."""
     n = group.order
-    if value == "zero":
-        return [[Fraction(0)] * n for _ in range(n)]
-    record = _read_json(value)
+    phi = _resolve_phi(phi_arg, group)
+    if alpha_arg == "zero":
+        return Twist(phi=phi, alpha_num=np.zeros((n, n), dtype=np.int64), denom=1)
+    record = _read_json(alpha_arg)
     alpha = record.get("alpha") if isinstance(record, dict) else record
     if alpha is None:
-        raise ValidationError(f"{value}: no 'alpha' field")
-    try:
-        rows = [[Fraction(str(x)) for x in row] for row in alpha]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational in alpha: {exc}") from exc
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValidationError(f"alpha must be {n}x{n}")
-    for row in rows:
-        for x in row:
-            if not 0 <= x < 1:
-                raise ValidationError(f"alpha value {x} outside [0, 1)")
-    return rows
+        raise ValidationError(f"{alpha_arg}: no 'alpha' field")
+    num, den = parse_alpha(alpha, n)
+    return Twist(phi=phi, alpha_num=num, denom=den)
 
 
-def _make_twist(group: Group, phi_arg: str, alpha_arg: str) -> Twist:
-    phi = _resolve_phi(phi_arg, group)
-    alpha = _resolve_alpha(alpha_arg, group)
-    twist = Twist.from_fractions(phi, alpha)
-    return validate_twist(group, twist)
+def _clifford_budget(rank: int) -> None:
+    """Refuse a Clifford rank whose |G|^3 = 8^rank decomposition work exceeds
+    SUPERFS_BUDGET, before any table is allocated."""
+    required = 8 ** rank
+    limit = budget_limit()
+    if required > limit:
+        raise BudgetExceededError(
+            f"--clifford {rank} needs |G|^3 = {required} steps, budget is {int(limit)}",
+            required=required)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -138,15 +136,16 @@ def cmd_classify(args) -> int:
     if args.clifford is not None:
         if args.group is not None:
             raise ValidationError("--clifford already fixes the group; drop --group")
+        _clifford_budget(args.clifford)
         group, twist = clifford_twist(args.clifford)
         cap = max(args.cap, group.order)
     else:
         if args.group is None:
             raise ValidationError("classify needs --group or --clifford")
         group = _resolve_group(args.group)
-        twist = _make_twist(group, args.phi, args.alpha)
+        twist = validate_twist(group, _resolve_twist(group, args.phi, args.alpha))
         cap = args.cap
-    algebra = TwistedGroupAlgebra(group, twist)
+    algebra = TwistedGroupAlgebra(group, twist, validate=False)
     report = classify(algebra, seed=args.seed, cap=cap)
     data = classification_to_dict(report)
     _emit(data, args.json, _classification_lines(data))
@@ -156,10 +155,11 @@ def cmd_classify(args) -> int:
 # ------------------------------------------------------------------ verify
 
 def _clifford_ladder(args) -> int:
+    _clifford_budget(args.clifford)
     rows = []
     for n in range(1, args.clifford + 1):
         group, twist = clifford_twist(n)
-        algebra = TwistedGroupAlgebra(group, twist)
+        algebra = TwistedGroupAlgebra(group, twist, validate=False)
         report = classify(algebra, seed=args.seed, cap=max(args.cap, group.order))
         sups = report.supermodules
         expected = n % 8
@@ -186,8 +186,7 @@ def _sweep_cases(group: Group, args) -> tuple[list, list]:
     if args.sweep_h2:
         alphas = h2_representatives(group)
     else:
-        alphas = [Twist.from_fractions(np.zeros(group.order, dtype=np.int64),
-                                       _resolve_alpha(args.alpha, group))]
+        alphas = [_resolve_twist(group, "zero", args.alpha)]
     return phis, alphas
 
 
@@ -273,7 +272,7 @@ def _parse_structure(args, surface, family):
 
 def cmd_partition(args) -> int:
     group = _resolve_group(args.group)
-    twist = _make_twist(group, args.phi, args.alpha)
+    twist = _resolve_twist(group, args.phi, args.alpha)
     theory = TheoryData(group=group, twist=twist, family=args.family)
     surface = parse_surface(args.surface)
     structures = _parse_structure(args, surface, args.family)

@@ -1,8 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types and the work budget shared across the package."""
 
 from __future__ import annotations
 
-__all__ = ["ValidationError", "BudgetExceededError", "DecompositionError", "SnapError"]
+import os
+
+__all__ = ["ValidationError", "BudgetExceededError", "DecompositionError", "SnapError",
+           "DEFAULT_BUDGET", "budget_limit"]
+
+DEFAULT_BUDGET = 100_000_000
+
+
+def budget_limit(budget: float | None = None) -> float:
+    """`budget` if given, else SUPERFS_BUDGET, else DEFAULT_BUDGET."""
+    if budget is not None:
+        return float(budget)
+    env = os.environ.get("SUPERFS_BUDGET")
+    return float(env) if env else float(DEFAULT_BUDGET)
 
 
 class ValidationError(ValueError):

@@ -15,12 +15,11 @@ grid as an oracle for small cases.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, budget_limit
 from .groups import Group
 from .superalg import (
     TwistedGroupAlgebra,
@@ -42,7 +41,7 @@ from .surfaces import (
     presentation,
     quadratic_eval_many,
 )
-from .twists import Twist
+from .twists import Twist, validate_twist
 
 __all__ = [
     "TheoryData",
@@ -58,12 +57,14 @@ __all__ = [
 ]
 
 FAMILIES = ("oriented", "unoriented", "spin", "pin-")
-DEFAULT_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
 class TheoryData:
-    """A finite group with a compatible twist for one tangential family."""
+    """A finite group with a compatible twist for one tangential family.
+
+    The twist is validated (and normalized at the identity) on construction,
+    so every later computation on the theory can skip that check."""
 
     group: Group
     twist: Twist
@@ -79,6 +80,7 @@ class TheoryData:
         if self.family in ("unoriented", "pin-") and not self.twist.is_z2:
             raise ValidationError(
                 f"the {self.family} family needs a sign-valued cocycle")
+        object.__setattr__(self, "twist", validate_twist(self.group, self.twist))
 
     def surface_compatible(self, surface: Surface) -> bool:
         if self.family in ("oriented", "spin"):
@@ -92,13 +94,6 @@ class TheoryData:
                 f"the {self.family} family lives on {side} surfaces, not {surface}")
 
 
-def _budget(budget: float | None) -> float:
-    if budget is not None:
-        return float(budget)
-    env = os.environ.get("SUPERFS_BUDGET")
-    return float(env) if env else float(DEFAULT_BUDGET)
-
-
 def enumerate_homs(pres: Presentation, group: Group, budget: float | None = None,
                    first: int | None = None) -> np.ndarray:
     """All generator assignments satisfying the relator, as an (N, m) array in
@@ -109,7 +104,7 @@ def enumerate_homs(pres: Presentation, group: Group, budget: float | None = None
     is checked against `budget` (default SUPERFS_BUDGET or 1e8) before any
     allocation.
     """
-    limit = _budget(budget)
+    limit = budget_limit(budget)
     m = pres.n_generators
     n = group.order
     if m == 0:
@@ -212,7 +207,7 @@ class _StateSum:
         gens = len(self.blocks[0])
         required = (n ** (1 + gens) + n * n * self.D * 2 ** gens
                     + len(self.blocks) * n * n * self.D ** 2)
-        limit = _budget(budget)
+        limit = budget_limit(budget)
         if required > limit:
             raise BudgetExceededError(
                 f"state sum needs {required} steps, budget is {int(limit)}",
@@ -263,27 +258,8 @@ class _StateSum:
                                          for p, s in enumerate(shifts))
         return self._tables[vals]
 
-    def check_structure(self, structure: QuadraticRefinement | None) -> None:
-        family = self.theory.family
-        if family in ("oriented", "unoriented"):
-            if structure is not None:
-                raise ValidationError(f"the {family} family takes no structure")
-            return
-        if structure is None:
-            raise ValidationError(f"the {family} family needs a structure")
-        ring = 2 if family == "spin" else 4
-        if structure.ring != ring:
-            raise ValidationError(
-                f"the {family} family needs a Z{ring} refinement, got Z{structure.ring}")
-        if len(structure.values) != self.surface.b1:
-            raise ValidationError(
-                f"structure has {len(structure.values)} values, {self.surface} "
-                f"needs {self.surface.b1}")
-        if not np.array_equal(structure.cup, self.cup):
-            raise ValidationError(f"structure cup form is not the one of {self.surface}")
-
     def __call__(self, structure: QuadraticRefinement | None = None) -> tuple[complex, int]:
-        self.check_structure(structure)
+        _check_structure(self.theory.family, self.surface, self.cup, structure)
         n, D = self.theory.group.order, self.D
         shift = (np.arange(D)[None, :] - np.arange(D)[:, None]) % D
         counts = np.zeros((n, D), dtype=np.int64)
@@ -299,6 +275,28 @@ class _StateSum:
                                       circ.astype(object), axes=([0, 2], [0, 1]))
         final = [int(c) for c in counts[0]]
         return _root_sum(final, D) / n, sum(final)
+
+
+def _check_structure(family: str, surface: Surface, cup: np.ndarray,
+                     structure: QuadraticRefinement | None) -> None:
+    """A structure is required for spin / pin- (of the right ring, length and
+    cup form `cup` of `surface`) and refused for oriented / unoriented."""
+    if family in ("oriented", "unoriented"):
+        if structure is not None:
+            raise ValidationError(f"the {family} family takes no structure")
+        return
+    if structure is None:
+        raise ValidationError(f"the {family} family needs a structure")
+    ring = 2 if family == "spin" else 4
+    if structure.ring != ring:
+        raise ValidationError(
+            f"the {family} family needs a Z{ring} refinement, got Z{structure.ring}")
+    if len(structure.values) != surface.b1:
+        raise ValidationError(
+            f"structure has {len(structure.values)} values, {surface} "
+            f"needs {surface.b1}")
+    if not np.array_equal(structure.cup, cup):
+        raise ValidationError(f"structure cup form is not the one of {surface}")
 
 
 def _root_sum(counts: list, D: int) -> complex:
@@ -336,8 +334,7 @@ def partition_rhs(theory: TheoryData, surface: Surface,
 
     Returns (value, per-module terms, named invariant of the structure)."""
     theory.require_surface(surface)
-    if theory.family in ("spin", "pin-") and structure is None:
-        raise ValidationError(f"the {theory.family} family needs a structure")
+    _check_structure(theory.family, surface, cup_form(surface), structure)
     return _rhs_sum(theory, surface, structure, _spectrum(theory, seed, cap))
 
 
@@ -345,7 +342,7 @@ def _spectrum(theory: TheoryData, seed: int, cap: int) -> list:
     """What the algebraic side sums over, computed once per theory: irreps
     (oriented), (irrep, indicator) pairs with nonzero indicator (unoriented),
     supermodules (spin), or real supermodules with their BW classes (pin-)."""
-    algebra = TwistedGroupAlgebra(theory.group, theory.twist)
+    algebra = TwistedGroupAlgebra(theory.group, theory.twist, validate=False)
     if theory.family == "pin-":
         report = classify(algebra, seed=seed, cap=cap)
         return [sup for sup in report.supermodules if sup.reality == "real"]
@@ -448,7 +445,7 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
             raise ValidationError("no structures supplied")
     state_sum = _StateSum(theory, surface, budget)
     for structure in jobs:
-        state_sum.check_structure(structure)
+        _check_structure(theory.family, surface, state_sum.cup, structure)
     spectrum = _spectrum(theory, seed, cap)
     reports = []
     for structure in jobs:

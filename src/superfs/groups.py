@@ -32,61 +32,97 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Group:
-    """A finite group: |G|, Cayley table, inverses, optional element names."""
+    """A finite group: |G|, Cayley table, inverses, optional element names.
+
+    `generators` is a list S from which right multiplication reaches every
+    element starting at the identity; validators check identities on S only.
+    """
 
     order: int
     table: np.ndarray
     inverses: np.ndarray
+    generators: np.ndarray
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.table.setflags(write=False)
         self.inverses.setflags(write=False)
+        self.generators.setflags(write=False)
 
     @property
     def identity(self) -> int:
         return 0
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
 
-    def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+def _generating_set(table: np.ndarray) -> np.ndarray:
+    """Greedy S such that right multiplication by S reaches every element from 0.
 
-    def element_name(self, g: int) -> str:
-        if self.names is not None:
-            return self.names[g]
-        return str(g)
+    Each new generator is the first element not yet reached. The search then
+    right-multiplies the elements reached before by the new generator only,
+    and each newly reached element by all of S, so every (element, generator)
+    pair is visited once: O(|G| |S|). For a group the reached set is a
+    subgroup, so each generator at least doubles it and |S| <= log2 |G|.
+    """
+    n = table.shape[0]
+    reached = [False] * n
+    reached[0] = True
+    count = 1
+    gens: list[int] = []
+    cols: list[list[int]] = []   # cols[j][x] = x * gens[j]
+    while count < n:
+        s = reached.index(False)
+        gens.append(s)
+        col = table[:, s].tolist()
+        cols.append(col)
+        frontier = [col[x] for x in range(n) if reached[x]]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                if not reached[y]:
+                    reached[y] = True
+                    count += 1
+                    nxt.extend(c[y] for c in cols)
+            frontier = nxt
+    return np.array(gens, dtype=np.int64)
 
 
 def _find_identity(table: np.ndarray) -> int:
-    n = table.shape[0]
-    ar = np.arange(n)
-    for e in range(n):
-        if np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar):
-            return e
-    raise ValidationError("table has no two-sided identity element")
+    ar = np.arange(table.shape[0])
+    both = (table == ar).all(axis=1) & (table == ar[:, None]).all(axis=0)
+    if not both.any():
+        raise ValidationError("table has no two-sided identity element")
+    return int(np.argmax(both))
 
 
 def _check_latin(table: np.ndarray) -> None:
     n = table.shape[0]
     ar = np.arange(n)
-    for g in range(n):
-        if not np.array_equal(np.sort(table[g]), ar):
-            raise ValidationError(f"row {g} is not a permutation of 0..{n - 1}")
-        if not np.array_equal(np.sort(table[:, g]), ar):
-            raise ValidationError(f"column {g} is not a permutation of 0..{n - 1}")
+    rows = np.flatnonzero((np.sort(table, axis=1) != ar).any(axis=1))
+    cols = np.flatnonzero((np.sort(table, axis=0) != ar[:, None]).any(axis=0))
+    row = int(rows[0]) if rows.size else n
+    col = int(cols[0]) if cols.size else n
+    if row < n and row <= col:
+        raise ValidationError(f"row {row} is not a permutation of 0..{n - 1}")
+    if col < n:
+        raise ValidationError(f"column {col} is not a permutation of 0..{n - 1}")
 
 
-def _check_associative(table: np.ndarray) -> None:
-    # chunk over the first factor so memory stays at order^2 per step
-    n = table.shape[0]
-    for g in range(n):
-        left = table[table[g], :]
-        right = table[g, table]
-        if not np.array_equal(left, right):
-            h, k = map(int, np.argwhere(left != right)[0])
+def _check_associative(table: np.ndarray, gens: np.ndarray) -> None:
+    """(gh)k = g(hk) for k in S proves it for every k: if it holds for k' and
+    s in S, then (gh)(k's) = ((gh)k')s = (g(hk'))s = g((hk')s) = g(h(k's))."""
+    for k in map(int, gens):
+        times_k = table[:, k]
+        bad = times_k[table] != table[:, times_k]   # (g*h)*k vs g*(h*k)
+        if bad.any():
+            g, h = map(int, np.argwhere(bad)[0])
             raise ValidationError(f"associativity fails at ({g}*{h})*{k} != {g}*({h}*{k})")
+
+
+def _check_phi(group: Group, phi: np.ndarray) -> None:
+    bad = (phi[:, None] + phi[None, :] - phi[group.table]) % 2
+    if bad.any():
+        g, h = map(int, np.argwhere(bad)[0])
+        raise ValidationError(f"phi is not a homomorphism to Z2: fails at ({g}, {h})")
 
 
 def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
@@ -109,15 +145,14 @@ def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
         t = m[t[np.ix_(m, m)]]
         if names is not None:
             names = [names[m[i]] for i in range(n)]
-    _check_associative(t)
-    inv = np.empty(n, dtype=np.int64)
-    for g in range(n):
-        h = int(np.argwhere(t[g] == 0)[0, 0])
-        if t[h, g] != 0:
-            raise ValidationError(f"element {g} has no two-sided inverse")
-        inv[g] = h
+    gens = _generating_set(t)
+    _check_associative(t, gens)
+    inv = np.argmax(t == 0, axis=1)
+    bad = np.flatnonzero(t[inv, np.arange(n)] != 0)
+    if bad.size:
+        raise ValidationError(f"element {int(bad[0])} has no two-sided inverse")
     nm = tuple(str(x) for x in names) if names is not None else None
-    return Group(order=n, table=t, inverses=inv, names=nm)
+    return Group(order=n, table=t, inverses=inv, generators=gens, names=nm)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -221,10 +256,7 @@ def even_subgroup(group: Group, phi: Sequence[int] | np.ndarray,
     n = group.order
     if phi.shape != (n,):
         raise ValidationError(f"phi must have length {n}")
-    hom = (phi[:, None] + phi[None, :] - phi[group.table]) % 2
-    if hom.any():
-        g, h = map(int, np.argwhere(hom)[0])
-        raise ValidationError(f"phi is not a homomorphism: fails at ({g}, {h})")
+    _check_phi(group, phi)
     elements = np.flatnonzero(phi == 0)
     positions = -np.ones(n, dtype=np.int64)
     positions[elements] = np.arange(len(elements))

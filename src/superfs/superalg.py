@@ -2,11 +2,14 @@
 
 C[G]_{phi,alpha} has basis e_g with e_g e_h = omega(g, h) e_{gh}, where
 omega = exp(2 pi i alpha), and is Z2-graded by phi. The regular representation
-is split into irreducible blocks by averaging random Hermitian matrices into
-the commutant; blocks are paired under the parity twist into supermodules of
-type M (q = 0) or Q (q = 1). For sign-valued twists, each real supermodule is
-pinned to one of the eight real graded division classes through a *-fixed
-special element u with u^2 = +-1, and the super Frobenius-Schur indicator
+is split into irreducible blocks by the eigenspaces of a random Hermitian
+element H = X + X^dagger of its commutant, where X = sum_k x_k R_k is a random
+combination of the twisted right multiplications R_k e_h = omega(h, k) e_{hk}
+(O(|G|^2) to build). Blocks are paired under the parity twist into
+supermodules of type M (q = 0) or Q (q = 1). For sign-valued twists, each real
+supermodule is pinned to one of the eight real graded division classes through
+a *-fixed special element u with u^2 = +-1, and the super Frobenius-Schur
+indicator
 
     S(rho) = (1 / (sqrt(2)^q |G|)) sum_g i^{phi(g)} (-1)^{alpha(g,g)} chi(g^2)
 
@@ -111,20 +114,10 @@ class TwistedGroupAlgebra:
                 "* is an algebra map only when the structure constants are real")
         return np.conj(a)
 
-    def left_regular(self, g: int) -> np.ndarray:
-        m = np.zeros((self.order, self.order), dtype=complex)
-        m[self.group.table[g], np.arange(self.order)] = self.phases[g]
-        return m
-
-    # row/column tricks: act by L_g or L_g^dagger without materializing it
+    # row trick: act by L_g e_h = omega(g, h) e_{gh} without materializing it
     def _left_apply(self, g: int, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         out[self.group.table[g]] = self.phases[g][:, None] * x
-        return out
-
-    def _right_apply_dagger(self, g: int, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        out[:, self.group.table[g]] = x * self.phases[g].conj()[None, :]
         return out
 
 
@@ -227,29 +220,35 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
                       cluster_tol: float = 1e-8, max_rounds: int = 8) -> list[UngradedIrrep]:
     """Split the twisted regular representation into ungraded irreducibles.
 
-    Random Hermitian matrices are averaged over twisted conjugation to land in
-    the commutant; eigenspace splitting recurses until the character norm
-    certifies irreducibility. Deterministic for a fixed seed. Returns one
-    representative per isomorphism class (characters separate classes) with
-    multiplicity bookkeeping.
+    The twisted right multiplications R_k e_h = omega(h, k) e_{hk} commute
+    with the left regular action and span its commutant. At the root, a
+    random H = X + X^dagger with X = sum_k x_k R_k is a generic Hermitian
+    element of that commutant, so its eigenspaces are submodules (almost
+    surely one copy of an irreducible each); it costs O(|G|^2) to build. A
+    block whose character norm is above 1 is split again by averaging a
+    random Hermitian matrix over the block's action. Deterministic for a
+    fixed seed. Returns one representative per isomorphism class (characters
+    separate classes) with multiplicity bookkeeping.
     """
     n = algebra.order
     if n > cap:
         raise ValidationError(f"group order {n} exceeds the configured cap {cap}")
     rng = np.random.default_rng(seed)
     table = algebra.group.table
-    leaves: list[tuple[np.ndarray, np.ndarray]] = []  # (matrices, character)
+    phases = algebra.phases
+    elements = np.arange(n)
+    leaves: list[tuple[np.ndarray, np.ndarray]] = []  # (basis, character)
 
-    def root_character() -> np.ndarray:
-        chi = np.zeros(n, dtype=complex)
-        chi[0] = float(n)
-        return chi
+    def root_commutant() -> np.ndarray:
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        big = np.zeros((n, n), dtype=complex)
+        big[table, elements[:, None]] = x * phases  # column h of R_k is e_{hk}
+        return big + big.conj().T
 
-    def root_average(x: np.ndarray) -> np.ndarray:
-        acc = np.zeros((n, n), dtype=complex)
-        for g in range(n):
-            acc += algebra._right_apply_dagger(g, algebra._left_apply(g, x))
-        return acc / n
+    def character(q: np.ndarray) -> np.ndarray:
+        # chi(g) = tr(Q^dagger L_g Q) = sum_h omega(g, h) P[h, gh] with P = Q Q^dagger
+        p = q @ q.conj().T
+        return np.sum(phases * p[elements[None, :], table], axis=1)
 
     def child_matrices(q: np.ndarray) -> np.ndarray:
         d = q.shape[1]
@@ -263,25 +262,22 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
         if depth > 32:
             raise DecompositionError("recursion depth exceeded; re-seed and retry")
         if q is None:
-            chi = root_character()
-            d = n
+            chi = np.zeros(n, dtype=complex)
+            chi[0] = float(n)
         else:
-            mats = child_matrices(q)
-            chi = np.trace(mats, axis1=1, axis2=2)
-            d = q.shape[1]
+            chi = character(q)
         norm = float(np.real(np.vdot(chi, chi))) / n
         if norm < 1 + 1e-6:
             if norm < 1 - 1e-6:
                 raise DecompositionError(f"character norm {norm} below 1")
-            if q is None:
-                mats = child_matrices(np.eye(n, dtype=complex))
-            leaves.append((mats, chi))
+            leaves.append((np.eye(n, dtype=complex) if q is None else q, chi))
             return
+        mats = None if q is None else child_matrices(q)
         for _ in range(max_rounds):
-            x = _random_hermitian(rng, d)
             if q is None:
-                t = root_average(x)
+                t = root_commutant()
             else:
+                x = _random_hermitian(rng, q.shape[1])
                 t = np.einsum("gij,jk,glk->il", mats, x, mats.conj()) / n
             eigvals, vecs = np.linalg.eigh(t)
             clusters = _cluster(eigvals, cluster_tol)
@@ -296,17 +292,17 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
 
     process(None)
 
-    # deduplicate by character
+    # deduplicate by character; only the first leaf of a class is materialized
     classes: list[UngradedIrrep] = []
-    for mats, chi in leaves:
+    for q, chi in leaves:
         found = None
         for irr in classes:
             if np.max(np.abs(irr.character - chi)) < 1e-6:
                 found = irr
                 break
         if found is None:
-            classes.append(UngradedIrrep(matrices=mats, character=chi,
-                                         dim=mats.shape[1], multiplicity=1))
+            classes.append(UngradedIrrep(matrices=child_matrices(q), character=chi,
+                                         dim=q.shape[1], multiplicity=1))
         else:
             found.multiplicity += 1
     total = sum(irr.dim * irr.multiplicity for irr in classes)

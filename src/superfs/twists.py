@@ -9,15 +9,15 @@ case (values in {0, 1/2}).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .groups import Group
+from .groups import Group, _check_phi
 
 __all__ = [
     "Twist",
@@ -30,6 +30,7 @@ __all__ = [
     "z2_homomorphisms",
     "h2_representatives",
     "twist_to_dict",
+    "parse_alpha",
     "twist_from_dict",
     "load_twist",
     "save_twist",
@@ -55,7 +56,7 @@ class Twist:
         # reduce to lowest common terms so Z2-ness is detectable
         g = den
         for v in np.unique(num):
-            g = gcd(g, int(v))
+            g = math.gcd(g, int(v))
         if g > 1:
             num = num // g
             den = den // g
@@ -108,30 +109,46 @@ class Twist:
 
     @classmethod
     def from_fractions(cls, phi: Sequence[int], alpha: Sequence[Sequence[Fraction]]) -> "Twist":
-        fr = [[Fraction(x) for x in row] for row in alpha]
-        den = 1
-        for row in fr:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-        num = np.array([[int(x * den) for x in row] for row in fr], dtype=np.int64)
-        return cls(phi=np.asarray(phi), alpha_num=num, denom=den)
+        rows = [list(row) for row in alpha]
+        values, codes = _distinct([x for row in rows for x in row])
+        num, den = _over_common_denominator([Fraction(x) for x in values], codes)
+        return cls(phi=np.asarray(phi), alpha_num=num.reshape(len(rows), -1), denom=den)
 
 
-def _check_phi(group: Group, phi: np.ndarray) -> None:
-    bad = (phi[:, None] + phi[None, :] - phi[group.table]) % 2
-    if bad.any():
-        g, h = map(int, np.argwhere(bad)[0])
-        raise ValidationError(f"phi is not a homomorphism to Z2: fails at ({g}, {h})")
+def _distinct(entries: list) -> tuple[list, np.ndarray]:
+    """Distinct entries in order of first occurrence, and each entry's index
+    among them."""
+    index: dict = {}
+    codes = np.array([index.setdefault(x, len(index)) for x in entries], dtype=np.int64)
+    return list(index), codes
+
+
+def _over_common_denominator(values: list[Fraction],
+                             codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Numerators of values[codes] over the least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    if den >= 2 ** 62:
+        raise ValidationError(f"alpha has common denominator {den}, beyond 64-bit range")
+    lookup = np.array([v.numerator * (den // v.denominator) for v in values],
+                      dtype=np.int64)
+    return lookup[codes], den
 
 
 def _check_cocycle(group: Group, num: np.ndarray, den: int) -> None:
+    """The 2-cocycle identity for k in {e} + S proves it for every k.
+
+    Read it as associativity (e_g e_h) e_k = e_g (e_h e_k) of the twisted
+    products e_g e_h = omega(g, h) e_gh; the induction of groups._check_associative
+    then carries it from k' and s in S to k's. The base case k = e is the
+    identity alpha(gh, e) = alpha(h, e), i.e. alpha(., e) is constant.
+    """
     table = group.table
-    for g in range(group.order):
-        lhs = num[g][:, None] + num[table[g], :]
-        rhs = num[:, :] + num[g, table]
-        bad = (lhs - rhs) % den
+    for k in [0, *map(int, group.generators)]:
+        col = num[:, k]
+        # alpha(g,h) + alpha(gh,k) - alpha(h,k) - alpha(g,hk)
+        bad = (num + col[table] - col[None, :] - num[:, table[:, k]]) % den
         if bad.any():
-            h, k = map(int, np.argwhere(bad)[0])
+            g, h = map(int, np.argwhere(bad)[0])
             raise ValidationError(
                 f"alpha violates the 2-cocycle identity at (g, h, k) = ({g}, {h}, {k})")
 
@@ -174,7 +191,7 @@ def shift_by_coboundary(group: Group, twist: Twist, beta_num: np.ndarray,
                         den: int | None = None) -> Twist:
     """Shift alpha by the coboundary of beta (beta given over `den`, default twist.denom)."""
     den = twist.denom if den is None else int(den)
-    lcm = twist.denom * den // gcd(twist.denom, den)
+    lcm = twist.denom * den // math.gcd(twist.denom, den)
     num = twist.alpha_num * (lcm // twist.denom)
     db = coboundary(group, np.asarray(beta_num) * (lcm // den), lcm)
     shifted = Twist(phi=twist.phi, alpha_num=(num + db) % lcm, denom=lcm)
@@ -380,18 +397,38 @@ def twist_to_dict(twist: Twist) -> dict:
     return {"phi": twist.phi.tolist(), "alpha": alpha}
 
 
+def parse_alpha(alpha, order: int | None = None) -> tuple[np.ndarray, int]:
+    """Exact numerators and their common denominator for an order x order
+    table (square when order is None) of rationals in [0, 1), given as strings
+    such as "1/2" or as integers.
+
+    Each distinct entry is parsed and range-checked once; the table is then
+    mapped to numerators through a lookup array.
+    """
+    try:
+        entries = [str(x) for row in alpha for x in row]
+    except TypeError as exc:
+        raise ValidationError("alpha must be a table of rationals") from exc
+    keys, codes = _distinct(entries)
+    try:
+        values = [Fraction(k) for k in keys]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad rational in alpha: {exc}") from exc
+    n = len(alpha) if order is None else order
+    if len(alpha) != n or any(len(row) != n for row in alpha):
+        raise ValidationError(f"alpha must be {n}x{n}")
+    for x in values:
+        if not 0 <= x < 1:
+            raise ValidationError(f"alpha value {x} outside [0, 1)")
+    num, den = _over_common_denominator(values, codes)
+    return num.reshape(n, n), den
+
+
 def twist_from_dict(d: dict) -> Twist:
     if "phi" not in d or "alpha" not in d:
         raise ValidationError("twist record needs 'phi' and 'alpha' fields")
-    try:
-        alpha = [[Fraction(str(x)) for x in row] for row in d["alpha"]]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational in alpha: {exc}") from exc
-    for row in alpha:
-        for x in row:
-            if not 0 <= x < 1:
-                raise ValidationError(f"alpha value {x} outside [0, 1)")
-    return Twist.from_fractions(d["phi"], alpha)
+    num, den = parse_alpha(d["alpha"])
+    return Twist(phi=np.asarray(d["phi"]), alpha_num=num, denom=den)
 
 
 def load_twist(path: str) -> Twist:

@@ -135,3 +135,21 @@ def z2_coboundaries(table: np.ndarray) -> list[np.ndarray]:
         b = np.array((0,) + bits, dtype=np.int64)
         out.append((b[:, None] + b[None, :] - b[table]) % 2)
     return out
+
+
+def associativity_failures(table) -> list[tuple[int, int, int]]:
+    """Every (g, h, k) with (gh)k != g(hk), by a full |G|^3 scan."""
+    t = np.asarray(table).tolist()
+    n = len(t)
+    return [(g, h, k) for g in range(n) for h in range(n) for k in range(n)
+            if t[t[g][h]][k] != t[g][t[h][k]]]
+
+
+def cocycle_failures(table, alpha_num, denom: int) -> list[tuple[int, int, int]]:
+    """Every (g, h, k) where alpha(g,h) + alpha(gh,k) != alpha(h,k) + alpha(g,hk)
+    mod denom, by a full |G|^3 scan."""
+    t = np.asarray(table).tolist()
+    a = np.asarray(alpha_num).tolist()
+    n = len(t)
+    return [(g, h, k) for g in range(n) for h in range(n) for k in range(n)
+            if (a[g][h] + a[t[g][h]][k] - a[h][k] - a[g][t[h][k]]) % denom]

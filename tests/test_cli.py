@@ -254,3 +254,57 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_exit_2_bad_rational_and_shape_in_alpha_file(tmp_path, capsys):
+    alpha = tmp_path / "alpha.json"
+    for entries, message in (([["0", "1/0"], ["0", "0"]], "bad rational in alpha"),
+                             ([["0", "x"], ["0", "0"]], "bad rational in alpha"),
+                             ([["0", "0"], ["0", "3/2"]], "alpha value 3/2 outside"),
+                             ([["0", "0", "0"], ["0", "0"]], "alpha must be 2x2")):
+        alpha.write_text(json.dumps({"alpha": entries}))
+        code, _, err = run(capsys, "classify", "--group", "z2", "--alpha", str(alpha))
+        assert code == 2 and message in err
+
+
+def test_clifford_rank_checked_against_budget(monkeypatch, capsys):
+    assert run(capsys, "verify", "--clifford", "2")[0] == 0
+
+    def refuse(n):
+        raise AssertionError(f"clifford_twist({n}) ran before the budget check")
+
+    monkeypatch.setattr("superfs.cli.clifford_twist", refuse)
+    for command in ("classify", "verify"):
+        code, _, err = run(capsys, command, "--clifford", "40")
+        assert code == 2 and "budget" in err
+    monkeypatch.setenv("SUPERFS_BUDGET", "500")  # 8^3 = 512
+    code, _, err = run(capsys, "verify", "--clifford", "3")
+    assert code == 2 and "budget" in err
+
+
+def test_each_theory_validated_once(tmp_path, monkeypatch, capsys):
+    import superfs.cli
+    import superfs.gauge
+    import superfs.superalg
+    import superfs.twists
+
+    calls = []
+    original = superfs.twists.validate_twist
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (superfs.cli, superfs.gauge, superfs.superalg, superfs.twists):
+        monkeypatch.setattr(module, "validate_twist", counting)
+    group, twist = clifford_twist(2)
+    gpath, tpath = tmp_path / "g.json", tmp_path / "t.json"
+    save_group(group, str(gpath))
+    save_twist(twist, str(tpath))
+    for argv in (["classify", "--group", str(gpath), "--phi", str(tpath),
+                  "--alpha", str(tpath)],
+                 ["partition", "--group", str(gpath), "--phi", str(tpath),
+                  "--alpha", str(tpath), "--family", "spin", "--surface", "orientable:1"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv

@@ -206,6 +206,39 @@ def test_partition_lhs_structure_flag_consistency():
         partition_lhs(th, orientable(1), refinement(orientable(1), [0, 0]))
 
 
+def test_partition_rhs_rejects_structures_it_would_ignore():
+    s3 = catalog_group("s3")
+    oriented = TheoryData(s3, Twist.zero(6), "oriented")
+    torus_structure = refinement(orientable(1), [0, 1])
+    for side in (partition_lhs, partition_rhs):
+        with pytest.raises(ValidationError, match="no structure"):
+            side(oriented, orientable(1), torus_structure)
+    with pytest.raises(ValidationError, match="no structure"):
+        crosscheck(oriented, orientable(1), structures=[torus_structure])
+    unoriented = TheoryData(s3, Twist.zero(6), "unoriented")
+    pin = refinement(nonorientable(1), [1], ring=4)
+    for side in (partition_lhs, partition_rhs):
+        with pytest.raises(ValidationError, match="no structure"):
+            side(unoriented, nonorientable(1), pin)
+    # spin / pin- right-hand sides check the structure like the left-hand side
+    g, t = clifford_twist(1)
+    with pytest.raises(ValidationError, match="values"):
+        partition_rhs(TheoryData(g, t, "spin"), orientable(1),
+                      refinement(orientable(2), [0, 0, 0, 0]))
+
+
+def test_theory_twist_validated_on_construction():
+    g = cyclic(2)
+    with pytest.raises(ValidationError, match="cocycle"):
+        TheoryData(g, Twist(phi=np.zeros(2, dtype=np.int64),
+                            alpha_num=np.array([[0, 0], [1, 0]]), denom=2), "oriented")
+    # a constant cocycle is normalized, and both sides see the normalized twist
+    th = TheoryData(g, Twist(phi=np.zeros(2, dtype=np.int64),
+                             alpha_num=np.ones((2, 2), dtype=np.int64), denom=2), "oriented")
+    assert th.twist.alpha_is_trivial and th.twist.identity_shift == Fraction(1, 2)
+    assert crosscheck(th, orientable(1))[0].verdict == "PASS"
+
+
 def test_relabeling_invariance():
     # conjugating the multiplication table by a permutation fixes Z
     g = catalog_group("s3")

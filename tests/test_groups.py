@@ -1,12 +1,16 @@
 """Group construction, validation, and serialization."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from superfs import (
+    CATALOG_NAMES,
     ValidationError,
     build_group,
     catalog_group,
+    clifford_twist,
     cyclic,
     even_subgroup,
     group_from_dict,
@@ -17,9 +21,14 @@ from superfs import (
     product_group,
     save_group,
 )
-from superfs.groups import Group
+from superfs.groups import Group, _generating_set
 
-from helpers import close_under_product, compose_perms, element_orders
+from helpers import (
+    associativity_failures,
+    close_under_product,
+    compose_perms,
+    element_orders,
+)
 
 # a Latin square with two-sided identity 0 that is not associative:
 # (1*1)*2 = 2 but 1*(1*2) = 4
@@ -162,3 +171,110 @@ def test_group_arrays_read_only():
     g = cyclic(3)
     with pytest.raises(ValueError):
         g.table[0, 0] = 1
+
+
+# ---------------------------------------------------------------------------
+# generator-based associativity check against the full |G|^3 oracle
+
+S4_GENERATORS = [[1, 0, 2, 3], [1, 2, 3, 0]]
+
+
+def relabelled(table: np.ndarray, seed: int, perm=None) -> np.ndarray:
+    """The same group with element x renamed perm[x]; by default elements
+    1..n-1 are permuted at random and the identity stays at 0."""
+    n = table.shape[0]
+    if perm is None:
+        perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+    perm = np.asarray(perm)
+    back = np.argsort(perm)
+    return perm[table[np.ix_(back, back)]]
+
+
+@functools.lru_cache(maxsize=None)
+def validation_groups() -> dict:
+    s4 = group_from_permutations(S4_GENERATORS)
+    q8 = catalog_group("q8")
+    tables = {name: catalog_group(name).table for name in CATALOG_NAMES}
+    tables.update({
+        "s4": s4.table,
+        "s4xz2": product_group(s4, cyclic(2)).table,
+        "clifford6-relabelled": relabelled(clifford_twist(6)[0].table, 3),
+        "z2xq8": product_group(cyclic(2), q8).table,
+    })
+    return tables
+
+
+def reaches_all(table: np.ndarray, gens) -> bool:
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for s in gens:
+            y = int(table[x, s])
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == table.shape[0]
+
+
+def accepts(table) -> bool:
+    try:
+        group_from_table(table)
+    except ValidationError:
+        return False
+    return True
+
+
+def test_generating_set_reaches_every_element_and_is_small():
+    for name, table in validation_groups().items():
+        g = group_from_table(table)
+        n = g.order
+        assert reaches_all(g.table, g.generators), name
+        assert len(g.generators) <= max(1, int(np.log2(n))), name
+        assert associativity_failures(g.table) == [], name
+    # relabelling the identity to 0 happens before S is computed
+    g = group_from_table(relabelled(catalog_group("s3").table, 0, [2, 0, 1, 3, 4, 5]))
+    assert reaches_all(g.table, g.generators)
+
+
+def test_associativity_check_agrees_with_full_scan_on_groups():
+    for name, table in validation_groups().items():
+        assert accepts(table) and associativity_failures(table) == [], name
+
+
+def test_associativity_check_agrees_on_non_associative_latin_square():
+    assert associativity_failures(NONASSOC_5)
+    assert not accepts(NONASSOC_5)
+
+
+def swap_outside_generators(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Swap an intercalate (a 2x2 subsquare [[a, b], [b, a]] off the identity
+    row and column) whose two columns both lie outside the corrupted table's
+    own generating set S; the result is a Latin square with identity 0."""
+    n = table.shape[0]
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                for c2 in range(c1 + 1, n):
+                    if (table[r1, c1] != table[r2, c2]
+                            or table[r1, c2] != table[r2, c1]):
+                        continue
+                    bad = table.copy()
+                    bad[[r1, r1, r2, r2], [c1, c2, c1, c2]] = bad[[r1, r1, r2, r2],
+                                                                  [c2, c1, c2, c1]]
+                    gens = _generating_set(bad)
+                    if c1 not in gens and c2 not in gens:
+                        return bad, gens
+    raise AssertionError("no intercalate outside the generating set")
+
+
+@pytest.mark.parametrize("name", ["d4", "q8", "a4", "s4", "z2xq8"])
+def test_associativity_check_catches_corruption_outside_generators(name):
+    bad, gens = swap_outside_generators(validation_groups()[name])
+    failures = associativity_failures(bad)
+    assert any(k not in gens for _, _, k in failures)
+    with pytest.raises(ValidationError, match="associativity fails") as err:
+        group_from_table(bad)
+    # the witness k comes from S: the induction over S covers every other k
+    k = int(str(err.value).split("*(")[1].split("*")[1].rstrip(")"))
+    assert k in gens
+    assert any(f[2] == k for f in failures)

@@ -101,6 +101,40 @@ def test_decompose_deterministic():
         assert np.array_equal(x.matrices, y.matrices)
 
 
+def test_decompose_characters_match_block_traces():
+    # leaf characters come from the projector Q Q^dagger; they must equal the
+    # traces of the materialized blocks, and each block must be exact
+    g6, t6 = clifford_twist(6)
+    s3 = catalog_group("s3")
+    z3xz3 = product_group(cyclic(3), cyclic(3))
+    a = [[Fraction((i // 3) * (j % 3) % 3, 3) for j in range(9)] for i in range(9)]
+    for alg in (TwistedGroupAlgebra(g6, t6), TwistedGroupAlgebra(s3),
+                TwistedGroupAlgebra(z3xz3, Twist.from_fractions([0] * 9, a))):
+        for irr in decompose_regular(alg, seed=2):
+            traces = np.trace(irr.matrices, axis1=1, axis2=2)
+            assert np.max(np.abs(traces - irr.character)) < 1e-10
+            products = np.einsum("gij,hjk->ghik", irr.matrices, irr.matrices)
+            want = alg.phases[:, :, None, None] * irr.matrices[alg.group.table]
+            assert np.max(np.abs(products - want)) < 1e-10
+
+
+def test_decompose_materializes_one_leaf_per_class(monkeypatch):
+    # Clifford(4) is M_4(C): four copies of one irrep, only the first is built
+    g, t = clifford_twist(4)
+    alg = TwistedGroupAlgebra(g, t)
+    calls = []
+    original = TwistedGroupAlgebra._left_apply
+
+    def counting(self, h, x):
+        calls.append(h)
+        return original(self, h, x)
+
+    monkeypatch.setattr(TwistedGroupAlgebra, "_left_apply", counting)
+    (irr,) = decompose_regular(alg, seed=1)
+    assert (irr.dim, irr.multiplicity) == (4, 4)
+    assert len(calls) == g.order
+
+
 def test_decompose_cap():
     g = catalog_group("a4")
     with pytest.raises(ValidationError, match="cap"):

@@ -1,11 +1,13 @@
 """Cocycle validation, coboundaries, combination, and GF(2) cohomology."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from superfs import (
+    CATALOG_NAMES,
     Twist,
     ValidationError,
     catalog_group,
@@ -13,8 +15,12 @@ from superfs import (
     coboundary,
     combine_twists,
     cyclic,
+    group_from_permutations,
+    group_from_table,
     h2_representatives,
     load_twist,
+    parse_alpha,
+    product_group,
     save_twist,
     shift_by_coboundary,
     twist_from_dict,
@@ -23,7 +29,7 @@ from superfs import (
     z2_homomorphisms,
 )
 
-from helpers import brute_force_z2_cocycles, z2_coboundaries
+from helpers import brute_force_z2_cocycles, cocycle_failures, z2_coboundaries
 
 HOM_COUNTS = {"z2": 2, "z3": 1, "z4": 2, "z2xz2": 4, "z6": 2, "s3": 2,
               "d4": 4, "q8": 4, "z2xz2xz2": 8, "a4": 1}
@@ -182,3 +188,169 @@ def test_twist_from_dict_rejects_bad_rational():
         twist_from_dict({"phi": [0, 0], "alpha": [["x", "0"], ["0", "0"]]})
     with pytest.raises(ValidationError, match="outside"):
         twist_from_dict({"phi": [0, 0], "alpha": [["3/2", "0"], ["0", "0"]]})
+
+
+# ---------------------------------------------------------------------------
+# generator-based cocycle check against the full |G|^3 oracle
+
+def relabelled(group, twist, seed):
+    """The same theory with elements 1..n-1 permuted (identity kept at 0)."""
+    n = group.order
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+    back = np.argsort(perm)
+    table = perm[group.table[np.ix_(back, back)]]
+    return group_from_table(table), Twist(phi=twist.phi[back],
+                                          alpha_num=twist.alpha_num[np.ix_(back, back)],
+                                          denom=twist.denom)
+
+
+@functools.lru_cache(maxsize=None)
+def validation_theories() -> dict:
+    """Valid twists: every H^2 class of every catalog group, S4 and S4xZ2 with
+    the sign grading, a relabelled Clifford(6), Z2xQ8 with the cross term of
+    its grading, and the rational cocycle a.b'/3 on Z3xZ3."""
+    out = {}
+    for name in CATALOG_NAMES:
+        g = catalog_group(name)
+        for i, t in enumerate(h2_representatives(g)):
+            out[f"{name}/h2-{i}"] = (g, t)
+    s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+    sign = validate_twist(s4, Twist.zero(24).with_phi(z2_homomorphisms(s4)[1]))
+    out["s4"] = (s4, sign)
+    out["s4xz2"] = combine_twists((s4, sign), clifford_twist(1))
+    out["clifford6-relabelled"] = relabelled(*clifford_twist(6), seed=5)
+    q8 = catalog_group("q8")
+    out["z2xq8"] = combine_twists(
+        clifford_twist(1), (q8, Twist.zero(8).with_phi(z2_homomorphisms(q8)[1])))
+    z3xz3 = product_group(cyclic(3), cyclic(3))
+    x = np.arange(9)
+    out["z3xz3-rational"] = (z3xz3, Twist(phi=np.zeros(9, dtype=np.int64),
+                                          alpha_num=(x[:, None] // 3) * (x[None, :] % 3),
+                                          denom=3))
+    return out
+
+
+def accepts(group, twist) -> bool:
+    try:
+        validate_twist(group, twist)
+    except ValidationError:
+        return False
+    return True
+
+
+def test_cocycle_check_agrees_with_full_scan_on_valid_twists():
+    for name, (g, t) in validation_theories().items():
+        assert cocycle_failures(g.table, t.alpha_num, t.denom) == [], name
+        assert accepts(g, t), name
+
+
+@pytest.mark.parametrize("name", ["d4/h2-7", "q8/h2-3", "z2xz2xz2/h2-63", "s4xz2",
+                                  "clifford6-relabelled", "z2xq8", "z3xz3-rational"])
+def test_cocycle_check_agrees_on_single_entry_corruptions(name):
+    g, t = validation_theories()[name]
+    assert t.denom in (2, 3)
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        gi, hi = map(int, rng.integers(0, g.order, size=2))
+        for delta in range(1, t.denom):
+            bad = t.alpha_num.copy()
+            bad[gi, hi] = (bad[gi, hi] + delta) % t.denom
+            corrupted = Twist(phi=t.phi, alpha_num=bad, denom=t.denom)
+            failures = cocycle_failures(g.table, bad, t.denom)
+            assert failures, (name, gi, hi)
+            assert accepts(g, corrupted) == (not failures), (name, gi, hi)
+
+
+@pytest.mark.parametrize("name", ["z2xz2/h2-0", "d4/h2-0", "z2xz2xz2/h2-0", "s4",
+                                  "z2xq8", "clifford6-relabelled", "z3xz3-rational"])
+def test_cocycle_check_catches_failures_only_at_the_last_generator(name):
+    # with H generated by S minus its last element, adding [g = x][h not in H]
+    # to a cocycle keeps it normalized and keeps the identity at every k in H
+    # (so at e and the other generators); it fails only at k outside H
+    g, t = validation_theories()[name]
+    gens = [int(s) for s in g.generators]
+    assert len(gens) >= 2
+    inside = {0}
+    frontier = [0]
+    while frontier:
+        frontier = [int(g.table[x, s]) for x in frontier for s in gens[:-1]
+                    if int(g.table[x, s]) not in inside]
+        inside.update(frontier)
+    assert gens[-1] not in inside
+    den = max(t.denom, 2)
+    outside = np.array([h not in inside for h in range(g.order)], dtype=np.int64)
+    rows = range(1, g.order, max(1, g.order // 16))
+    broken = 0
+    for x in rows:
+        bump = np.zeros((g.order, g.order), dtype=np.int64)
+        bump[x] = outside * (den // 2 if den % 2 == 0 else 1)
+        alpha = (t.alpha_num * (den // t.denom) + bump) % den
+        failures = cocycle_failures(g.table, alpha, den)
+        assert all(k not in inside for _, _, k in failures)
+        assert accepts(g, Twist(phi=t.phi, alpha_num=alpha, denom=den)) == (not failures)
+        broken += bool(failures)
+    assert broken >= len(rows) // 2
+
+
+def test_cocycle_check_rejects_nonconstant_identity_column():
+    # the identity at k = e forces alpha(., e) to be constant
+    g = cyclic(4)
+    bad = np.zeros((4, 4), dtype=np.int64)
+    bad[2, 0] = 1
+    assert cocycle_failures(g.table, bad, 2)
+    with pytest.raises(ValidationError, match="cocycle"):
+        validate_twist(g, Twist(phi=np.zeros(4, dtype=np.int64), alpha_num=bad, denom=2))
+
+
+# ---------------------------------------------------------------------------
+# the one exact alpha parser
+
+def test_parse_alpha_matches_exact_fraction_arithmetic():
+    rng = np.random.default_rng(3)
+    n = 12
+    dens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16]
+    table = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            d = int(rng.choice(dens))
+            a = int(rng.integers(0, d))
+            scale = int(rng.integers(1, 4))  # unreduced spellings such as 2/4
+            row.append(str(a * scale) if d == 1 else f"{a * scale}/{d * scale}")
+        table.append(row)
+    fractions = [[Fraction(x) for x in row] for row in table]
+    assert len({x for row in table for x in row}) > 50
+    den = 1
+    for row in fractions:
+        for x in row:
+            den = den * x.denominator // np.gcd(den, x.denominator)
+    expected = Twist(phi=np.zeros(n, dtype=np.int64),
+                     alpha_num=np.array([[int(x * den) for x in row] for row in fractions]),
+                     denom=int(den))
+    num, got_den = parse_alpha(table, n)
+    got = Twist(phi=np.zeros(n, dtype=np.int64), alpha_num=num, denom=got_den)
+    assert got.denom == expected.denom
+    assert np.array_equal(got.alpha_num, expected.alpha_num)
+    from_fractions = Twist.from_fractions([0] * n, fractions)
+    assert np.array_equal(from_fractions.alpha_num, expected.alpha_num)
+    assert from_fractions.denom == expected.denom
+    # integers are read like their decimal strings
+    num, d = parse_alpha([[0, "1/2"], ["1/2", 0]])
+    assert d == 2 and num.tolist() == [[0, 1], [1, 0]]
+
+
+def test_parse_alpha_errors():
+    with pytest.raises(ValidationError, match="bad rational in alpha"):
+        parse_alpha([["0", "1/0"], ["0", "0"]], 2)
+    with pytest.raises(ValidationError, match="bad rational in alpha"):
+        parse_alpha([["0", "half"], ["0", "0"]], 2)
+    with pytest.raises(ValidationError, match=r"alpha value 3/2 outside \[0, 1\)"):
+        parse_alpha([["0", "3/2"], ["0", "0"]], 2)
+    with pytest.raises(ValidationError, match=r"alpha value -1/2 outside"):
+        parse_alpha([["0", "0"], ["-1/2", "0"]], 2)
+    with pytest.raises(ValidationError, match="alpha must be 3x3"):
+        parse_alpha([["0", "0"], ["0", "0"]], 3)
+    with pytest.raises(ValidationError, match="table"):
+        parse_alpha([0, 1], 2)
+    with pytest.raises(ValidationError, match="64-bit"):
+        parse_alpha([["0", f"1/{2 ** 31}"], [f"1/{2 ** 31 + 1}", "0"]], 2)
