@@ -81,7 +81,6 @@ from .twists import (
     coboundary,
     h2_representatives,
     load_twist,
-    parse_alpha,
     save_twist,
     shift_by_coboundary,
     trivial_group,

@@ -30,7 +30,6 @@ from .twists import (
     Twist,
     clifford_twist,
     h2_representatives,
-    parse_alpha,
     validate_twist,
     z2_homomorphisms,
 )
@@ -73,16 +72,14 @@ def _resolve_phi(value: str, group: Group) -> np.ndarray:
 
 def _resolve_twist(group: Group, phi_arg: str, alpha_arg: str) -> Twist:
     """The twist named on the command line, not yet validated."""
-    n = group.order
     phi = _resolve_phi(phi_arg, group)
     if alpha_arg == "zero":
-        return Twist(phi=phi, alpha_num=np.zeros((n, n), dtype=np.int64), denom=1)
+        return Twist.zero(group.order).with_phi(phi)
     record = _read_json(alpha_arg)
     alpha = record.get("alpha") if isinstance(record, dict) else record
     if alpha is None:
         raise ValidationError(f"{alpha_arg}: no 'alpha' field")
-    num, den = parse_alpha(alpha, n)
-    return Twist(phi=phi, alpha_num=num, denom=den)
+    return Twist.from_fractions(phi, alpha, strict=True)
 
 
 def _clifford_budget(rank: int) -> None:

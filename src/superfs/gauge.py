@@ -74,13 +74,13 @@ class TheoryData:
         if self.family not in FAMILIES:
             raise ValidationError(
                 f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}")
+        object.__setattr__(self, "twist", validate_twist(self.group, self.twist))
         if self.family in ("oriented", "unoriented") and not self.twist.phi_is_trivial:
             raise ValidationError(
                 f"the {self.family} family has no fermion parity; phi must vanish")
         if self.family in ("unoriented", "pin-") and not self.twist.is_z2:
             raise ValidationError(
                 f"the {self.family} family needs a sign-valued cocycle")
-        object.__setattr__(self, "twist", validate_twist(self.group, self.twist))
 
     def surface_compatible(self, surface: Surface) -> bool:
         if self.family in ("oriented", "spin"):

@@ -30,7 +30,6 @@ __all__ = [
     "z2_homomorphisms",
     "h2_representatives",
     "twist_to_dict",
-    "parse_alpha",
     "twist_from_dict",
     "load_twist",
     "save_twist",
@@ -108,30 +107,42 @@ class Twist:
                    alpha_num=np.zeros((order, order), dtype=np.int64), denom=1)
 
     @classmethod
-    def from_fractions(cls, phi: Sequence[int], alpha: Sequence[Sequence[Fraction]]) -> "Twist":
-        rows = [list(row) for row in alpha]
-        values, codes = _distinct([x for row in rows for x in row])
-        num, den = _over_common_denominator([Fraction(x) for x in values], codes)
-        return cls(phi=np.asarray(phi), alpha_num=num.reshape(len(rows), -1), denom=den)
+    def from_fractions(cls, phi: Sequence[int], alpha: Sequence[Sequence[Fraction]], *,
+                       strict: bool = False) -> "Twist":
+        """The twist with grading phi and alpha given as an n x n table (n = len(phi))
+        of rationals: Fractions, integers or strings such as "1/2". Values are
+        read mod 1; with strict=True, as for twist files, a value outside
+        [0, 1) is refused.
 
-
-def _distinct(entries: list) -> tuple[list, np.ndarray]:
-    """Distinct entries in order of first occurrence, and each entry's index
-    among them."""
-    index: dict = {}
-    codes = np.array([index.setdefault(x, len(index)) for x in entries], dtype=np.int64)
-    return list(index), codes
-
-
-def _over_common_denominator(values: list[Fraction],
-                             codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Numerators of values[codes] over the least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    if den >= 2 ** 62:
-        raise ValidationError(f"alpha has common denominator {den}, beyond 64-bit range")
-    lookup = np.array([v.numerator * (den // v.denominator) for v in values],
-                      dtype=np.int64)
-    return lookup[codes], den
+        This is the one alpha parser. Each distinct entry is parsed (and
+        range-checked) once; the table is then mapped to integer numerators
+        over the common denominator through a lookup array.
+        """
+        phi = np.asarray(phi)
+        if phi.ndim != 1:
+            raise ValidationError(f"phi must be a vector, got shape {phi.shape}")
+        n = phi.shape[0]
+        try:
+            entries = [str(x) for row in alpha for x in row]
+        except TypeError as exc:
+            raise ValidationError("alpha must be a table of rationals") from exc
+        index: dict[str, int] = {}
+        codes = np.array([index.setdefault(x, len(index)) for x in entries], dtype=np.int64)
+        try:
+            values = [Fraction(x) for x in index]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational in alpha: {exc}") from exc
+        if len(alpha) != n or any(len(row) != n for row in alpha):
+            raise ValidationError(f"alpha must be {n}x{n}")
+        for x in values:
+            if strict and not 0 <= x < 1:
+                raise ValidationError(f"alpha value {x} outside [0, 1)")
+        den = math.lcm(*(x.denominator for x in values))
+        if den >= 2 ** 62:
+            raise ValidationError(f"alpha has common denominator {den}, beyond 64-bit range")
+        lookup = np.array([x.numerator * (den // x.denominator) for x in values],
+                          dtype=np.int64)
+        return cls(phi=phi, alpha_num=lookup[codes].reshape(n, n), denom=den)
 
 
 def _check_cocycle(group: Group, num: np.ndarray, den: int) -> None:
@@ -397,38 +408,10 @@ def twist_to_dict(twist: Twist) -> dict:
     return {"phi": twist.phi.tolist(), "alpha": alpha}
 
 
-def parse_alpha(alpha, order: int | None = None) -> tuple[np.ndarray, int]:
-    """Exact numerators and their common denominator for an order x order
-    table (square when order is None) of rationals in [0, 1), given as strings
-    such as "1/2" or as integers.
-
-    Each distinct entry is parsed and range-checked once; the table is then
-    mapped to numerators through a lookup array.
-    """
-    try:
-        entries = [str(x) for row in alpha for x in row]
-    except TypeError as exc:
-        raise ValidationError("alpha must be a table of rationals") from exc
-    keys, codes = _distinct(entries)
-    try:
-        values = [Fraction(k) for k in keys]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational in alpha: {exc}") from exc
-    n = len(alpha) if order is None else order
-    if len(alpha) != n or any(len(row) != n for row in alpha):
-        raise ValidationError(f"alpha must be {n}x{n}")
-    for x in values:
-        if not 0 <= x < 1:
-            raise ValidationError(f"alpha value {x} outside [0, 1)")
-    num, den = _over_common_denominator(values, codes)
-    return num.reshape(n, n), den
-
-
 def twist_from_dict(d: dict) -> Twist:
     if "phi" not in d or "alpha" not in d:
         raise ValidationError("twist record needs 'phi' and 'alpha' fields")
-    num, den = parse_alpha(d["alpha"])
-    return Twist(phi=np.asarray(d["phi"]), alpha_num=num, denom=den)
+    return Twist.from_fractions(d["phi"], d["alpha"], strict=True)
 
 
 def load_twist(path: str) -> Twist:

@@ -137,6 +137,17 @@ def z2_coboundaries(table: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def relabelling(n: int, seed: int) -> np.ndarray:
+    """A seeded random permutation of 0..n-1 that keeps the identity 0 fixed."""
+    return np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+
+
+def relabelled(table, perm) -> np.ndarray:
+    """The multiplication table with element x renamed perm[x]."""
+    back = np.argsort(perm)
+    return perm[np.asarray(table)[np.ix_(back, back)]]
+
+
 def associativity_failures(table) -> list[tuple[int, int, int]]:
     """Every (g, h, k) with (gh)k != g(hk), by a full |G|^3 scan."""
     t = np.asarray(table).tolist()

@@ -308,3 +308,34 @@ def test_each_theory_validated_once(tmp_path, monkeypatch, capsys):
         calls.clear()
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == 1, argv
+
+
+def test_partition_checks_the_family_on_the_normalized_twist(tmp_path, capsys):
+    # constant 1/4 is a cocycle on Z2; normalizing it at the identity leaves
+    # alpha(u, u) = 1/2, a sign-valued twist that the unoriented family takes
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps({"alpha": [["1/4", "1/4"], ["1/4", "1/4"]]}))
+    code, data, _ = run_json(capsys, "partition", "--group", "z2", "--alpha", str(alpha),
+                             "--family", "unoriented", "--surface", "nonorientable:2")
+    assert code == 0 and data["all_pass"]
+    # a broken cocycle is reported as such, not as a ring mismatch
+    alpha.write_text(json.dumps({"alpha": [["0", "0", "0"], ["0", "1/3", "0"],
+                                           ["0", "0", "0"]]}))
+    code, _, err = run(capsys, "partition", "--group", "z3", "--alpha", str(alpha),
+                       "--family", "unoriented", "--surface", "nonorientable:2")
+    assert code == 2 and "2-cocycle" in err
+
+
+def test_alpha_files_are_parsed_by_from_fractions(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = Twist.__dict__["from_fractions"].__func__
+
+    def counting(cls, phi, alpha, **kwargs):
+        calls.append(len(alpha))
+        return original(cls, phi, alpha, **kwargs)
+
+    monkeypatch.setattr(Twist, "from_fractions", classmethod(counting))
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps({"alpha": [["0", "0"], ["0", "1/2"]]}))
+    assert run(capsys, "classify", "--group", "z2", "--alpha", str(alpha))[0] == 0
+    assert calls == [2]

@@ -19,7 +19,6 @@ from superfs import (
     group_from_table,
     h2_representatives,
     load_twist,
-    parse_alpha,
     product_group,
     save_twist,
     shift_by_coboundary,
@@ -29,7 +28,13 @@ from superfs import (
     z2_homomorphisms,
 )
 
-from helpers import brute_force_z2_cocycles, cocycle_failures, z2_coboundaries
+from helpers import (
+    brute_force_z2_cocycles,
+    cocycle_failures,
+    relabelled,
+    relabelling,
+    z2_coboundaries,
+)
 
 HOM_COUNTS = {"z2": 2, "z3": 1, "z4": 2, "z2xz2": 4, "z6": 2, "s3": 2,
               "d4": 4, "q8": 4, "z2xz2xz2": 8, "a4": 1}
@@ -193,15 +198,13 @@ def test_twist_from_dict_rejects_bad_rational():
 # ---------------------------------------------------------------------------
 # generator-based cocycle check against the full |G|^3 oracle
 
-def relabelled(group, twist, seed):
+def relabelled_theory(group, twist, seed):
     """The same theory with elements 1..n-1 permuted (identity kept at 0)."""
-    n = group.order
-    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+    perm = relabelling(group.order, seed)
     back = np.argsort(perm)
-    table = perm[group.table[np.ix_(back, back)]]
-    return group_from_table(table), Twist(phi=twist.phi[back],
-                                          alpha_num=twist.alpha_num[np.ix_(back, back)],
-                                          denom=twist.denom)
+    return group_from_table(relabelled(group.table, perm)), Twist(
+        phi=twist.phi[back], alpha_num=twist.alpha_num[np.ix_(back, back)],
+        denom=twist.denom)
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,7 +221,7 @@ def validation_theories() -> dict:
     sign = validate_twist(s4, Twist.zero(24).with_phi(z2_homomorphisms(s4)[1]))
     out["s4"] = (s4, sign)
     out["s4xz2"] = combine_twists((s4, sign), clifford_twist(1))
-    out["clifford6-relabelled"] = relabelled(*clifford_twist(6), seed=5)
+    out["clifford6-relabelled"] = relabelled_theory(*clifford_twist(6), seed=5)
     q8 = catalog_group("q8")
     out["z2xq8"] = combine_twists(
         clifford_twist(1), (q8, Twist.zero(8).with_phi(z2_homomorphisms(q8)[1])))
@@ -305,7 +308,7 @@ def test_cocycle_check_rejects_nonconstant_identity_column():
 # ---------------------------------------------------------------------------
 # the one exact alpha parser
 
-def test_parse_alpha_matches_exact_fraction_arithmetic():
+def test_from_fractions_matches_exact_fraction_arithmetic():
     rng = np.random.default_rng(3)
     n = 12
     dens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16]
@@ -327,30 +330,33 @@ def test_parse_alpha_matches_exact_fraction_arithmetic():
     expected = Twist(phi=np.zeros(n, dtype=np.int64),
                      alpha_num=np.array([[int(x * den) for x in row] for row in fractions]),
                      denom=int(den))
-    num, got_den = parse_alpha(table, n)
-    got = Twist(phi=np.zeros(n, dtype=np.int64), alpha_num=num, denom=got_den)
-    assert got.denom == expected.denom
-    assert np.array_equal(got.alpha_num, expected.alpha_num)
-    from_fractions = Twist.from_fractions([0] * n, fractions)
-    assert np.array_equal(from_fractions.alpha_num, expected.alpha_num)
-    assert from_fractions.denom == expected.denom
+    for alpha in (table, fractions):
+        got = Twist.from_fractions([0] * n, alpha)
+        assert got.denom == expected.denom
+        assert np.array_equal(got.alpha_num, expected.alpha_num)
+    assert twist_from_dict({"phi": [0] * n, "alpha": table}).denom == expected.denom
     # integers are read like their decimal strings
-    num, d = parse_alpha([[0, "1/2"], ["1/2", 0]])
-    assert d == 2 and num.tolist() == [[0, 1], [1, 0]]
+    got = Twist.from_fractions([0, 0], [[0, "1/2"], [Fraction(1, 2), 0]])
+    assert got.denom == 2 and got.alpha_num.tolist() == [[0, 1], [1, 0]]
 
 
-def test_parse_alpha_errors():
+def test_from_fractions_errors():
     with pytest.raises(ValidationError, match="bad rational in alpha"):
-        parse_alpha([["0", "1/0"], ["0", "0"]], 2)
+        Twist.from_fractions([0, 0], [["0", "1/0"], ["0", "0"]])
     with pytest.raises(ValidationError, match="bad rational in alpha"):
-        parse_alpha([["0", "half"], ["0", "0"]], 2)
+        Twist.from_fractions([0, 0], [["0", "half"], ["0", "0"]])
     with pytest.raises(ValidationError, match=r"alpha value 3/2 outside \[0, 1\)"):
-        parse_alpha([["0", "3/2"], ["0", "0"]], 2)
+        Twist.from_fractions([0, 0], [["0", "3/2"], ["0", "0"]], strict=True)
     with pytest.raises(ValidationError, match=r"alpha value -1/2 outside"):
-        parse_alpha([["0", "0"], ["-1/2", "0"]], 2)
+        Twist.from_fractions([0, 0], [["0", "0"], [Fraction(-1, 2), "0"]], strict=True)
+    # without strict, values are read mod 1
+    t = Twist.from_fractions([0, 0], [["0", "3/2"], [Fraction(-1, 2), "1"]])
+    assert t.denom == 2 and t.alpha_num.tolist() == [[0, 1], [1, 0]]
     with pytest.raises(ValidationError, match="alpha must be 3x3"):
-        parse_alpha([["0", "0"], ["0", "0"]], 3)
+        Twist.from_fractions([0, 0, 0], [["0", "0"], ["0", "0"]])
     with pytest.raises(ValidationError, match="table"):
-        parse_alpha([0, 1], 2)
+        Twist.from_fractions([0, 0], [0, 1])
+    with pytest.raises(ValidationError, match="phi must be a vector"):
+        Twist.from_fractions(0, [["0"]])
     with pytest.raises(ValidationError, match="64-bit"):
-        parse_alpha([["0", f"1/{2 ** 31}"], [f"1/{2 ** 31 + 1}", "0"]], 2)
+        Twist.from_fractions([0, 0], [["0", f"1/{2 ** 31}"], [f"1/{2 ** 31 + 1}", "0"]])
