@@ -53,7 +53,6 @@ from .superalg import (
     snapped_string,
     special_element,
     super_fs,
-    verify_main_theorem,
 )
 from .surfaces import (
     ABKResult,
@@ -79,6 +78,7 @@ from .twists import (
     clifford_twist,
     combine_twists,
     coboundary,
+    h2_basis,
     h2_representatives,
     load_twist,
     save_twist,
@@ -87,6 +87,7 @@ from .twists import (
     twist_from_dict,
     twist_to_dict,
     validate_twist,
+    z2_hom_basis,
     z2_homomorphisms,
 )
 

@@ -15,22 +15,26 @@ from .errors import (
     DecompositionError,
     SnapError,
     ValidationError,
-    budget_limit,
+    check_budget,
 )
 from .gauge import FAMILIES, TheoryData, crosscheck, report_to_dict
 from .groups import Group, load_group
 from .superalg import (
     TwistedGroupAlgebra,
     classification_to_dict,
+    check_cap,
     classify,
+    decompose_regular,
     snapped_string,
 )
 from .surfaces import parse_surface, refinement
 from .twists import (
     Twist,
     clifford_twist,
+    h2_basis,
     h2_representatives,
     validate_twist,
+    z2_hom_basis,
     z2_homomorphisms,
 )
 
@@ -64,6 +68,8 @@ def _resolve_phi(value: str, group: Group) -> np.ndarray:
     phi = record.get("phi") if isinstance(record, dict) else record
     if phi is None:
         raise ValidationError(f"{value}: no 'phi' field")
+    if not isinstance(phi, list) or any(type(x) is not int or x not in (0, 1) for x in phi):
+        raise ValidationError(f"{value}: phi must be a list of 0/1 integers")
     phi = np.asarray(phi, dtype=np.int64)
     if phi.shape != (n,):
         raise ValidationError(f"phi must have length {n}, got {phi.shape}")
@@ -85,12 +91,7 @@ def _resolve_twist(group: Group, phi_arg: str, alpha_arg: str) -> Twist:
 def _clifford_budget(rank: int) -> None:
     """Refuse a Clifford rank whose |G|^3 = 8^rank decomposition work exceeds
     SUPERFS_BUDGET, before any table is allocated."""
-    required = 8 ** rank
-    limit = budget_limit()
-    if required > limit:
-        raise BudgetExceededError(
-            f"--clifford {rank} needs |G|^3 = {required} steps, budget is {int(limit)}",
-            required=required)
+    check_budget(8 ** rank, f"--clifford {rank} needs |G|^3 = {8 ** rank} steps")
 
 
 def _fmt_complex(z: complex) -> str:
@@ -175,42 +176,63 @@ def _clifford_ladder(args) -> int:
     return 0 if all_ok else 1
 
 
-def _sweep_cases(group: Group, args) -> tuple[list, list]:
-    if args.sweep_phi:
-        phis = z2_homomorphisms(group)
+def _sweep_bases(group: Group, args) -> tuple:
+    """The GF(2) bases of Hom(G, Z2) (under --sweep-phi) and of H^2(G, Z2)
+    (under --sweep-h2) that a sweep enumerates; None where not swept."""
+    homs = z2_hom_basis(group) if args.sweep_phi else None
+    classes = h2_basis(group) if args.sweep_h2 else None
+    return homs, classes
+
+
+def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
+    """One row per (phi, alpha) case, in (phi_index, alpha_index) order.
+
+    The ungraded decomposition depends on alpha but not on phi, so each alpha
+    is validated and decomposed once and its irreps are shared by every phi.
+    The phis are homomorphisms by construction (z2_homomorphisms), or the one
+    phi named on the command line, which is validated with the first alpha.
+    """
+    homs, classes = bases
+    if homs is not None:
+        phis = z2_homomorphisms(group, homs)
     else:
         phis = [_resolve_phi(args.phi, group)]
-    if args.sweep_h2:
-        alphas = h2_representatives(group)
+    if classes is not None:
+        alphas = h2_representatives(group, classes)
     else:
         alphas = [_resolve_twist(group, "zero", args.alpha)]
-    return phis, alphas
+    rows = []
+    for ai, base in enumerate(alphas):
+        twist = validate_twist(group, base.with_phi(phis[0]))
+        irreps = decompose_regular(TwistedGroupAlgebra(group, twist, validate=False),
+                                   seed=args.seed, cap=args.cap)
+        for pi, phi in enumerate(phis):
+            algebra = TwistedGroupAlgebra(group, twist.with_phi(phi), validate=False)
+            report = classify(algebra, seed=args.seed, cap=args.cap, irreps=irreps)
+            rows.append({
+                "group": name, "order": group.order,
+                "phi_index": pi, "alpha_index": ai,
+                "phi_trivial": bool(np.all(phi == 0)),
+                "supermodules": len(report.supermodules),
+                "bw_classes": [s.bw for s in report.supermodules],
+                "verdict": "PASS" if report.all_pass else "FAIL",
+            })
+    return sorted(rows, key=lambda r: (r["phi_index"], r["alpha_index"]))
 
 
 def _run_sweep(named_groups: list, args) -> int:
-    jobs = []
-    for name, group in named_groups:
-        phis, alphas = _sweep_cases(group, args)
-        jobs.append((name, group, phis, alphas))
-    total = sum(len(p) * len(a) for _, _, p, a in jobs)
+    """Refuse a group above --cap, then a sweep of more than --max-cases
+    (|Hom(G, Z2)| 2^{dim H^2} per group, counted from the bases), before any
+    class is built; each basis is solved once and enumerated from."""
+    for _, group in named_groups:
+        check_cap(group.order, args.cap)
+    bases = [_sweep_bases(group, args) for _, group in named_groups]
+    total = sum(2 ** sum(len(b) for b in pair if b is not None) for pair in bases)
     if total > args.max_cases:
         raise ValidationError(
             f"sweep has {total} cases, over the --max-cases limit {args.max_cases}")
-    rows = []
-    for name, group, phis, alphas in jobs:
-        for pi, phi in enumerate(phis):
-            for ai, base in enumerate(alphas):
-                twist = validate_twist(group, base.with_phi(phi))
-                algebra = TwistedGroupAlgebra(group, twist, validate=False)
-                report = classify(algebra, seed=args.seed, cap=args.cap)
-                rows.append({
-                    "group": name, "order": group.order,
-                    "phi_index": pi, "alpha_index": ai,
-                    "phi_trivial": bool(np.all(phi == 0)),
-                    "supermodules": len(report.supermodules),
-                    "bw_classes": [s.bw for s in report.supermodules],
-                    "verdict": "PASS" if report.all_pass else "FAIL",
-                })
+    rows = [row for (name, group), pair in zip(named_groups, bases)
+            for row in _sweep_group(name, group, pair, args)]
     all_ok = all(r["verdict"] == "PASS" for r in rows)
     lines = [f"group={r['group']} phi={r['phi_index']} alpha={r['alpha_index']} "
              f"supermodules={r['supermodules']} "

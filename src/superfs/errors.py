@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 __all__ = ["ValidationError", "BudgetExceededError", "DecompositionError", "SnapError",
-           "DEFAULT_BUDGET", "budget_limit"]
+           "DEFAULT_BUDGET", "budget_limit", "check_budget"]
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -16,6 +16,14 @@ def budget_limit(budget: float | None = None) -> float:
         return float(budget)
     env = os.environ.get("SUPERFS_BUDGET")
     return float(env) if env else float(DEFAULT_BUDGET)
+
+
+def check_budget(required: int, what: str, budget: float | None = None) -> None:
+    """Raise BudgetExceededError("<what>, budget is <limit>") when `required`
+    exceeds budget_limit(budget); call it before the work is allocated."""
+    limit = budget_limit(budget)
+    if required > limit:
+        raise BudgetExceededError(f"{what}, budget is {int(limit)}", required=required)
 
 
 class ValidationError(ValueError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, budget_limit
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, check_budget
 from .groups import Group
 from .superalg import (
     TwistedGroupAlgebra,
@@ -104,16 +104,12 @@ def enumerate_homs(pres: Presentation, group: Group, budget: float | None = None
     is checked against `budget` (default SUPERFS_BUDGET or 1e8) before any
     allocation.
     """
-    limit = budget_limit(budget)
     m = pres.n_generators
     n = group.order
     if m == 0:
         return np.zeros((1, 0), dtype=np.int64)
     required = n ** (m - 1) if first is not None else n ** m
-    if required > limit:
-        raise BudgetExceededError(
-            f"enumeration needs {required} candidates, budget is {int(limit)}",
-            required=required)
+    check_budget(required, f"enumeration needs {required} candidates", budget)
     table = group.table
     inverses = group.inverses
     firsts = range(n) if first is None else [int(first)]
@@ -207,11 +203,7 @@ class _StateSum:
         gens = len(self.blocks[0])
         required = (n ** (1 + gens) + n * n * self.D * 2 ** gens
                     + len(self.blocks) * n * n * self.D ** 2)
-        limit = budget_limit(budget)
-        if required > limit:
-            raise BudgetExceededError(
-                f"state sum needs {required} steps, budget is {int(limit)}",
-                required=required)
+        check_budget(required, f"state sum needs {required} steps", budget)
         if n ** (surface.b1 - 1) >= 2 ** 62:
             raise BudgetExceededError(
                 f"hom counts up to {n}^{surface.b1} could overflow 64-bit integers",

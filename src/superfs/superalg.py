@@ -43,8 +43,8 @@ __all__ = [
     "super_fs",
     "bw_from_parts",
     "bw_class",
+    "check_cap",
     "classify",
-    "verify_main_theorem",
     "snap_indicator",
     "snap_eighth_root",
     "eighth_root",
@@ -216,6 +216,12 @@ def _cluster(eigvals: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
+def check_cap(order: int, cap: int) -> None:
+    """Refuse a group order above the decomposition cap (ValidationError)."""
+    if order > cap:
+        raise ValidationError(f"group order {order} exceeds the configured cap {cap}")
+
+
 def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
                       cluster_tol: float = 1e-8, max_rounds: int = 8) -> list[UngradedIrrep]:
     """Split the twisted regular representation into ungraded irreducibles.
@@ -231,8 +237,7 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     separate classes) with multiplicity bookkeeping.
     """
     n = algebra.order
-    if n > cap:
-        raise ValidationError(f"group order {n} exceeds the configured cap {cap}")
+    check_cap(n, cap)
     rng = np.random.default_rng(seed)
     table = algebra.group.table
     phases = algebra.phases
@@ -599,7 +604,8 @@ class ClassificationReport:
 
 
 def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
-             tol: float = 1e-6) -> ClassificationReport:
+             tol: float = 1e-6, *,
+             irreps: list[UngradedIrrep] | None = None) -> ClassificationReport:
     """Decompose, assemble supermodules, and verify the indicator identities.
 
     Per supermodule: reality, the ordinary indicator of the even restriction,
@@ -608,10 +614,15 @@ def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
     checks: snapped indicator against the class, the Gow identity, and the
     even/odd regrouping of the defining sum. Never raises on a failed check;
     failures are recorded in the report.
+
+    The ungraded decomposition depends on the group and alpha but not on phi,
+    so callers classifying one alpha under several gradings may pass
+    `irreps = decompose_regular(algebra, seed, cap)` once and share it.
     """
     if not algebra.is_z2:
         raise ValidationError("classification requires a sign-valued twist")
-    irreps = decompose_regular(algebra, seed=seed, cap=cap)
+    if irreps is None:
+        irreps = decompose_regular(algebra, seed=seed, cap=cap)
     sups = assemble_supermodules(irreps, algebra, seed=seed)
     group = algebra.group
     sub = even_subgroup(group, algebra.twist.phi, twist=algebra.twist)
@@ -666,13 +677,6 @@ def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
                                 alpha_is_trivial=algebra.twist.alpha_is_trivial,
                                 seed=seed, supermodules=sups, dim_sum=dim_sum,
                                 dim_sum_ok=dim_ok, all_pass=all_ok and dim_ok)
-
-
-def verify_main_theorem(algebra: TwistedGroupAlgebra, seed: int = 0,
-                        cap: int = 96) -> ClassificationReport:
-    """Classify and record, per supermodule, whether the snapped indicator
-    matches its Z8 class and both indicator identities hold."""
-    return classify(algebra, seed=seed, cap=cap)
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_budget
 from .groups import Group, _check_phi
 
 __all__ = [
@@ -27,7 +27,9 @@ __all__ = [
     "combine_twists",
     "clifford_twist",
     "trivial_group",
+    "z2_hom_basis",
     "z2_homomorphisms",
+    "h2_basis",
     "h2_representatives",
     "twist_to_dict",
     "twist_from_dict",
@@ -261,7 +263,7 @@ def clifford_twist(n: int) -> tuple[Group, Twist]:
 # GF(2) linear algebra: homomorphisms to Z2 and H^2(G, Z2) representatives.
 
 def _gf2_rref(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    m = rows.copy().astype(np.uint8)
+    m = rows.astype(np.uint8)  # a copy
     pivots: list[int] = []
     r = 0
     for c in range(m.shape[1]):
@@ -285,7 +287,8 @@ def _gf2_nullspace(rows: np.ndarray, ncols: int) -> np.ndarray:
     if rows.shape[0] == 0:
         return np.eye(ncols, dtype=np.uint8)
     rref, pivots = _gf2_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = np.zeros((len(free), ncols), dtype=np.uint8)
     for i, c in enumerate(free):
         basis[i, c] = 1
@@ -323,55 +326,85 @@ class _Gf2Span:
         return True
 
 
-def z2_homomorphisms(group: Group) -> list[np.ndarray]:
-    """All homomorphisms G -> Z2 as 0/1 vectors, trivial one first."""
-    n = group.order
-    rows = np.zeros((n * n, n), dtype=np.uint8)
-    pairs = np.indices((n, n)).reshape(2, -1)
-    idx = np.arange(n * n)
-    np.add.at(rows, (idx, pairs[0]), 1)
-    np.add.at(rows, (idx, pairs[1]), 1)
-    np.add.at(rows, (idx, group.table.reshape(-1)), 1)
-    rows %= 2
-    rows = np.unique(rows[rows.any(axis=1)], axis=0)
-    basis = _gf2_nullspace(rows, n)
+def _span_combinations(basis: list[np.ndarray], length: int) -> list[np.ndarray]:
+    """Every GF(2) combination of the basis vectors, in bitmask order."""
     out = []
-    for mask in range(1 << basis.shape[0]):
-        v = np.zeros(n, dtype=np.uint8)
-        for b in range(basis.shape[0]):
+    for mask in range(1 << len(basis)):
+        v = np.zeros(length, dtype=np.uint8)
+        for b, row in enumerate(basis):
             if mask >> b & 1:
-                v ^= basis[b]
-        out.append(v.astype(np.int64))
+                v ^= row
+        out.append(v)
+    return out
+
+
+def z2_hom_basis(group: Group) -> np.ndarray:
+    """A GF(2) basis of Hom(G, Z2), one 0/1 row per basis vector.
+
+    Solves phi(gs) = phi(g) + phi(s) for every g and s in S, plus the pin
+    phi(e) = 0 (the only equation left when S is empty, for the trivial
+    group). By induction on k = k's this gives phi(gk) = phi(g) + phi(k) for
+    every k: |G| |S| + 1 equations instead of |G|^2.
+    """
+    n = group.order
+    gens = group.generators
+    g_idx, s_idx = np.indices((n, gens.size)).reshape(2, -1)
+    rows = np.zeros((g_idx.size + 1, n), dtype=np.uint8)
+    eq = np.arange(g_idx.size)
+    np.add.at(rows, (eq, g_idx), 1)
+    np.add.at(rows, (eq, gens[s_idx]), 1)
+    np.add.at(rows, (eq, group.table[g_idx, gens[s_idx]]), 1)
+    rows %= 2
+    rows[-1, 0] = 1  # phi(e) = 0
+    return _gf2_nullspace(rows[rows.any(axis=1)], n)
+
+
+def z2_homomorphisms(group: Group, basis: np.ndarray | None = None) -> list[np.ndarray]:
+    """All homomorphisms G -> Z2 as 0/1 vectors, trivial one first.
+
+    `basis` is z2_hom_basis(group), solved here when not given.
+    """
+    if basis is None:
+        basis = z2_hom_basis(group)
+    out = [v.astype(np.int64) for v in _span_combinations(list(basis), group.order)]
     out.sort(key=lambda v: tuple(v))
     return out
 
 
-def h2_representatives(group: Group) -> list[Twist]:
-    """One normalized sign-valued cocycle per class of H^2(G, Z2).
+def h2_basis(group: Group) -> list[np.ndarray]:
+    """Flattened |G| x |G| cocycles whose classes form a GF(2) basis of H^2(G, Z2).
 
-    Solves the cocycle identity over GF(2) on |G|^2 unknowns (with the identity
-    row/column pinned to zero) and quotients by the span of the coboundaries
-    d(beta)(g,h) = beta(g) + beta(h) + beta(gh), beta(e) = 0. Returned twists
-    carry trivial phi; use Twist.with_phi to attach a grading.
+    Solves the cocycle identity for k in S only, with the identity row and
+    column pinned to zero: |G|^2 |S| equations instead of |G|^3. The pins give
+    the identity at k = e, and the induction of _check_cocycle carries it from
+    k' and s in S to k's, so the solution space (hence its RREF and the basis)
+    is the one of the full system. The quotient by the span of the
+    coboundaries d(beta)(g,h) = beta(g) + beta(h) + beta(gh), beta(e) = 0, is
+    taken greedily. The equation matrix is checked against the work budget
+    before it is allocated.
     """
     n = group.order
     ncols = n * n
+    gens = group.generators
+    nrows = ncols * gens.size + 2 * n
+    check_budget(nrows * ncols, f"H^2 of a group of order {n} needs a {nrows} x {ncols} "
+                 f"GF(2) system ({nrows * ncols} entries)")
     table = group.table
-    g_idx, h_idx, k_idx = np.indices((n, n, n)).reshape(3, -1)
+    g_idx, h_idx, s_idx = np.indices((n, n, gens.size)).reshape(3, -1)
+    k_idx = gens[s_idx]
     gh = table[g_idx, h_idx]
     hk = table[h_idx, k_idx]
-    rows = np.zeros((g_idx.size, ncols), dtype=np.uint8)
+    rows = np.zeros((nrows, ncols), dtype=np.uint8)
     eq = np.arange(g_idx.size)
     np.add.at(rows, (eq, g_idx * n + h_idx), 1)
     np.add.at(rows, (eq, gh * n + k_idx), 1)
     np.add.at(rows, (eq, h_idx * n + k_idx), 1)
     np.add.at(rows, (eq, g_idx * n + hk), 1)
     rows %= 2
-    norm = np.zeros((2 * n, ncols), dtype=np.uint8)
-    for g in range(n):
-        norm[g, 0 * n + g] = 1
-        norm[n + g, g * n + 0] = 1
-    rows = np.unique(np.vstack([rows[rows.any(axis=1)], norm]), axis=0)
+    pins = np.arange(n)
+    rows[g_idx.size + pins, pins] = 1          # alpha(e, g) = 0
+    rows[g_idx.size + n + pins, pins * n] = 1  # alpha(g, e) = 0
+    rows = rows[rows.any(axis=1)]
     cocycles = _gf2_nullspace(rows, ncols)
 
     span = _Gf2Span(ncols)
@@ -386,17 +419,28 @@ def h2_representatives(group: Group) -> list[Twist]:
         if w.any():
             span.insert(w)
             quotient.append(w)
+    return quotient
 
-    reps = []
-    for mask in range(1 << len(quotient)):
-        v = np.zeros(ncols, dtype=np.uint8)
-        for b in range(len(quotient)):
-            if mask >> b & 1:
-                v ^= quotient[b]
-        t = Twist(phi=np.zeros(n, dtype=np.int64),
-                  alpha_num=v.reshape(n, n).astype(np.int64), denom=2)
-        reps.append(validate_twist(group, t))
-    return reps
+
+def h2_representatives(group: Group, basis: list[np.ndarray] | None = None) -> list[Twist]:
+    """One normalized sign-valued cocycle per class of H^2(G, Z2).
+
+    The classes are the GF(2) combinations of `basis` (h2_basis(group), solved
+    here when not given), the zero class first. Returned twists carry trivial
+    phi; use Twist.with_phi to attach a grading. The |H^2| |G|^2 table entries
+    are checked against the work budget before any class is built.
+    """
+    n = group.order
+    if basis is None:
+        basis = h2_basis(group)
+    classes = 2 ** len(basis)
+    check_budget(classes * n * n, f"H^2 of a group of order {n} has {classes} classes "
+                 f"({classes * n * n} table entries)")
+    zero_phi = np.zeros(n, dtype=np.int64)
+    return [validate_twist(group, Twist(phi=zero_phi,
+                                        alpha_num=v.reshape(n, n).astype(np.int64),
+                                        denom=2))
+            for v in _span_combinations(basis, n * n)]
 
 
 # ---------------------------------------------------------------------------

@@ -164,3 +164,70 @@ def cocycle_failures(table, alpha_num, denom: int) -> list[tuple[int, int, int]]
     n = len(t)
     return [(g, h, k) for g in range(n) for h in range(n) for k in range(n)
             if (a[g][h] + a[t[g][h]][k] - a[h][k] - a[g][t[h][k]]) % denom]
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of rows given as Python-int bitsets."""
+    basis: dict[int, int] = {}  # leading bit -> row
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+def _z2_cocycle_bit(n: int):
+    """Bitset position of the unknown alpha(g, h); the identity row and column
+    of a normalized cocycle are zero and get no bit."""
+    def bit(g, h):
+        return 1 << (g * n + h) if g and h else 0
+    return bit
+
+
+def _z2_coboundaries(t) -> list[int]:
+    """d(beta)(g, h) = beta(g) + beta(h) + beta(gh) for each beta supported on
+    one element b != e, as bitsets."""
+    n = len(t)
+    bit = _z2_cocycle_bit(n)
+    rows = []
+    for b in range(1, n):
+        row = 0
+        for g in range(1, n):
+            for h in range(1, n):
+                if ((g == b) + (h == b) + (t[g][h] == b)) % 2:
+                    row ^= bit(g, h)
+        rows.append(row)
+    return rows
+
+
+def h2_z2_dimension(table) -> int:
+    """dim H^2(G, Z2) from all |G|^3 cocycle equations, by GF(2) rank.
+
+    The unknowns are alpha(g, h) for g, h != e, one bit each. dim H^2 is the
+    dimension of the cocycle space, (|G|-1)^2 minus the rank of the equations,
+    less the rank of the coboundaries of the maps beta with beta(e) = 0.
+    """
+    t = np.asarray(table).tolist()
+    n = len(t)
+    bit = _z2_cocycle_bit(n)
+    equations = {bit(g, h) ^ bit(t[g][h], k) ^ bit(h, k) ^ bit(g, t[h][k])
+                 for g in range(n) for h in range(n) for k in range(n)}
+    return (n - 1) ** 2 - gf2_rank(equations) - gf2_rank(_z2_coboundaries(t))
+
+
+def is_z2_coboundary(table, alpha) -> bool:
+    """Whether a normalized 0/1 table alpha is the coboundary of some beta."""
+    t = np.asarray(table).tolist()
+    a = np.asarray(alpha).tolist()
+    n = len(t)
+    bit = _z2_cocycle_bit(n)
+    target = 0
+    for g in range(n):
+        for h in range(n):
+            if a[g][h] % 2:
+                target ^= bit(g, h)
+    rows = _z2_coboundaries(t)
+    return gf2_rank(rows + [target]) == gf2_rank(rows)

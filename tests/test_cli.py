@@ -339,3 +339,90 @@ def test_alpha_files_are_parsed_by_from_fractions(tmp_path, monkeypatch, capsys)
     alpha.write_text(json.dumps({"alpha": [["0", "0"], ["0", "1/2"]]}))
     assert run(capsys, "classify", "--group", "z2", "--alpha", str(alpha))[0] == 0
     assert calls == [2]
+
+
+def test_exit_2_phi_entries_must_be_0_or_1(tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    for entries in (["a", 0], [0.5, 0], [True, 0], [2, 0], [0, -1], [[0], [1]], "01"):
+        phi.write_text(json.dumps({"phi": entries}))
+        code, out, err = run(capsys, "classify", "--group", "z2", "--phi", str(phi))
+        assert code == 2 and "list of 0/1 integers" in err and out == ""
+
+
+def test_sweep_refused_by_max_cases_before_any_class(tmp_path, monkeypatch, capsys):
+    import superfs.cli
+    import superfs.twists
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class was built before the --max-cases check")
+
+    group, _ = clifford_twist(5)  # 32 homomorphisms x 2^15 classes
+    path = tmp_path / "z2^5.json"
+    save_group(group, str(path))
+    for module in (superfs.cli, superfs.twists):
+        monkeypatch.setattr(module, "validate_twist", refuse)
+    code, _, err = run(capsys, "verify", "--group", str(path),
+                       "--sweep-phi", "--sweep-h2")
+    assert code == 2 and "sweep has 1048576 cases" in err
+
+
+def test_sweep_checks_cap_and_h2_budget_first(monkeypatch, capsys):
+    import superfs.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("H^2 or decomposition work ran before the check")
+
+    with monkeypatch.context() as m:
+        for name in ("h2_basis", "h2_representatives", "decompose_regular"):
+            m.setattr(superfs.cli, name, refuse)
+        code, _, err = run(capsys, "sweep", "--groups", "z2,d4", "--cap", "4")
+        assert code == 2 and "order 8 exceeds the configured cap 4" in err
+    monkeypatch.setenv("SUPERFS_BUDGET", "1000")
+    code, _, err = run(capsys, "verify", "--group", "d4", "--sweep-h2")
+    assert code == 2 and "budget" in err
+
+
+def test_verify_sweep_on_the_trivial_group(tmp_path, capsys):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"table": [[0]]}))
+    code, data, _ = run_json(capsys, "verify", "--group", str(path),
+                             "--sweep-phi", "--sweep-h2")
+    assert code == 0 and data["all_pass"]
+    assert [(c["phi_index"], c["alpha_index"]) for c in data["cases"]] == [(0, 0)]
+
+
+def test_sweep_decomposes_once_per_cocycle_class(monkeypatch, capsys):
+    import superfs.cli
+    import superfs.superalg
+    from superfs import (TwistedGroupAlgebra, classify, h2_representatives,
+                         validate_twist, z2_homomorphisms)
+
+    calls = []
+    original = superfs.superalg.decompose_regular
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        for module in (superfs.cli, superfs.superalg):
+            m.setattr(module, "decompose_regular", counting)
+        code, data, _ = run_json(capsys, "sweep", "--groups", "d4,q8", "--seed", "3")
+    assert code == 0
+    assert len(calls) == 8 + 4  # |H^2| per group, not |Hom| x |H^2| = 32 + 16
+    expected = []
+    for name in ("d4", "q8"):
+        group = catalog_group(name)
+        for pi, phi in enumerate(z2_homomorphisms(group)):
+            for ai, base in enumerate(h2_representatives(group)):
+                twist = validate_twist(group, base.with_phi(phi))
+                report = classify(TwistedGroupAlgebra(group, twist), seed=3)
+                expected.append({
+                    "group": name, "order": group.order,
+                    "phi_index": pi, "alpha_index": ai,
+                    "phi_trivial": not phi.any(),
+                    "supermodules": len(report.supermodules),
+                    "bw_classes": [s.bw for s in report.supermodules],
+                    "verdict": "PASS" if report.all_pass else "FAIL",
+                })
+    assert data["cases"] == expected

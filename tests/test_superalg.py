@@ -30,7 +30,6 @@ from superfs import (
     special_element,
     super_fs,
     validate_twist,
-    verify_main_theorem,
     z2_homomorphisms,
 )
 from superfs.superalg import BW_TABLE, bw_from_parts
@@ -338,8 +337,8 @@ def test_classify_requires_sign_valued():
         classify(alg)
 
 
-def test_verify_main_theorem_alias():
-    rep = verify_main_theorem(TwistedGroupAlgebra(cyclic(2)))
+def test_classify_records_all_three_checks():
+    rep = classify(TwistedGroupAlgebra(cyclic(2)))
     assert rep.all_pass
     for s in rep.supermodules:
         assert s.checks == {"theorem": True, "gow_identity": True,

@@ -8,6 +8,7 @@ import pytest
 
 from superfs import (
     CATALOG_NAMES,
+    BudgetExceededError,
     Twist,
     ValidationError,
     catalog_group,
@@ -22,6 +23,7 @@ from superfs import (
     product_group,
     save_twist,
     shift_by_coboundary,
+    trivial_group,
     twist_from_dict,
     twist_to_dict,
     validate_twist,
@@ -31,6 +33,8 @@ from superfs import (
 from helpers import (
     brute_force_z2_cocycles,
     cocycle_failures,
+    h2_z2_dimension,
+    is_z2_coboundary,
     relabelled,
     relabelling,
     z2_coboundaries,
@@ -134,6 +138,14 @@ def test_hom_counts(name):
     assert not homs[0].any()  # trivial map first
     for phi in homs:  # each really is a homomorphism
         assert np.all((phi[:, None] + phi[None, :]) % 2 == phi[g.table])
+
+
+def test_trivial_group_has_one_hom_and_one_class():
+    for g in (cyclic(1), trivial_group()):
+        assert g.generators.size == 0
+        homs = z2_homomorphisms(g)
+        assert len(homs) == 1 and not homs[0].any()
+        assert len(h2_representatives(g)) == 1
 
 
 @pytest.mark.parametrize("name", sorted(H2_COUNTS))
@@ -360,3 +372,53 @@ def test_from_fractions_errors():
         Twist.from_fractions(0, [["0"]])
     with pytest.raises(ValidationError, match="64-bit"):
         Twist.from_fractions([0, 0], [["0", f"1/{2 ** 31}"], [f"1/{2 ** 31 + 1}", "0"]])
+
+
+# ---------------------------------------------------------------------------
+# H^2 from the generating set against the full |G|^3 GF(2) rank
+
+def symmetric4():
+    return group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+
+
+@pytest.mark.parametrize("name", ["d4", "q8", "a4", "z2xz2xz2", "s4"])
+def test_h2_dimension_matches_full_system_rank(name):
+    g = symmetric4() if name == "s4" else catalog_group(name)
+    g = group_from_table(relabelled(g.table, relabelling(g.order, seed=len(name))))
+    assert len(h2_representatives(g)) == 2 ** h2_z2_dimension(g.table)
+
+
+def test_h2_of_s4_gives_four_distinct_classes_of_cocycles():
+    g = symmetric4()
+    reps = h2_representatives(g)
+    assert len(reps) == 4
+    assert not reps[0].alpha_num.any()
+    signs = [t.alpha_num * (2 // t.denom) % 2 for t in reps]
+    for a in signs:
+        assert cocycle_failures(g.table, a, 2) == []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert not is_z2_coboundary(g.table, signs[i] + signs[j])
+
+
+def test_h2_of_s4_times_z2_follows_kunneth():
+    # H^2(S4 x Z2) = H^2(S4) + H^1(S4) x H^1(Z2) + H^2(Z2): dimensions 2 + 1 + 1
+    g = product_group(symmetric4(), cyclic(2))
+    assert len(h2_representatives(g)) == 16
+
+
+def test_h2_equations_checked_against_budget(monkeypatch):
+    g = catalog_group("d4")  # (64 |S| + 16) x 64 equation entries
+    monkeypatch.setenv("SUPERFS_BUDGET", "1000")
+    with pytest.raises(BudgetExceededError, match="H\\^2 of a group of order 8"):
+        h2_representatives(g)
+    monkeypatch.setenv("SUPERFS_BUDGET", "100000")
+    assert len(h2_representatives(g)) == 8
+
+
+def test_h2_classes_checked_against_budget(monkeypatch):
+    group, _ = clifford_twist(5)
+    # the 5184 x 1024 equations fit; 2^15 classes of 1024 entries each do not
+    monkeypatch.setenv("SUPERFS_BUDGET", "10000000")
+    with pytest.raises(BudgetExceededError, match="32768 classes"):
+        h2_representatives(group)
