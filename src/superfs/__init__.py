@@ -25,7 +25,6 @@ from .groups import (
     Group,
     build_group,
     even_subgroup,
-    group_from_dict,
     group_from_permutations,
     group_from_table,
     group_to_dict,
@@ -34,13 +33,11 @@ from .groups import (
     save_group,
 )
 from .superalg import (
-    AlgebraElement,
     ClassificationReport,
     Supermodule,
     TwistedGroupAlgebra,
     UngradedIrrep,
     assemble_supermodules,
-    bw_class,
     bw_from_parts,
     classification_to_dict,
     classify,

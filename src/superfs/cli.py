@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
     check_budget,
 )
-from .gauge import FAMILIES, TheoryData, crosscheck, report_to_dict
+from .gauge import _FAMILY, FAMILIES, TheoryData, crosscheck, report_to_dict
 from .groups import Group, load_group
 from .superalg import (
     TwistedGroupAlgebra,
@@ -269,7 +269,12 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------- partition
 
 def _parse_structure(args, surface, family):
-    if family in ("oriented", "unoriented"):
+    """The one structure named by --spin / --pin, or None (no structure for
+    oriented / unoriented; every structure under --all-structures or by
+    default). Values must lie in 0..ring-1 (refinement checks their parity),
+    so none is silently read modulo the ring."""
+    ring = _FAMILY[family].ring
+    if ring is None:
         if args.spin or args.pin or args.all_structures:
             raise ValidationError(f"the {family} family takes no structure flags")
         return None
@@ -284,7 +289,9 @@ def _parse_structure(args, surface, family):
             values = [int(x) for x in text.split(",")] if text != "-" else []
         except ValueError as exc:
             raise ValidationError(f"bad structure values {text!r}") from exc
-        ring = 2 if family == "spin" else 4
+        if any(not 0 <= v < ring for v in values):
+            raise ValidationError(
+                f"{flag} values must lie in 0..{ring - 1}, got {text!r}")
         return [refinement(surface, values, ring=ring)]
     return None  # crosscheck enumerates all structures
 

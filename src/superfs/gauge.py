@@ -15,6 +15,7 @@ grid as an oracle for small cases.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,16 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
-FAMILIES = ("oriented", "unoriented", "spin", "pin-")
+# family -> surfaces orientable?, structure ring (None: no structure), may phi
+# be nonzero?, must alpha be sign-valued?
+_Family = namedtuple("_Family", ["orientable", "ring", "graded", "sign_valued"])
+_FAMILY = {
+    "oriented": _Family(True, None, False, False),
+    "unoriented": _Family(False, None, False, True),
+    "spin": _Family(True, 2, True, False),
+    "pin-": _Family(False, 4, True, True),
+}
+FAMILIES = tuple(_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -71,70 +81,45 @@ class TheoryData:
     family: str
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        rules = _FAMILY.get(self.family)
+        if rules is None:
             raise ValidationError(
                 f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}")
         object.__setattr__(self, "twist", validate_twist(self.group, self.twist))
-        if self.family in ("oriented", "unoriented") and not self.twist.phi_is_trivial:
+        if not rules.graded and not self.twist.phi_is_trivial:
             raise ValidationError(
                 f"the {self.family} family has no fermion parity; phi must vanish")
-        if self.family in ("unoriented", "pin-") and not self.twist.is_z2:
+        if rules.sign_valued and not self.twist.is_z2:
             raise ValidationError(
                 f"the {self.family} family needs a sign-valued cocycle")
 
-    def surface_compatible(self, surface: Surface) -> bool:
-        if self.family in ("oriented", "spin"):
-            return surface.is_orientable
-        return not surface.is_orientable
-
     def require_surface(self, surface: Surface) -> None:
-        if not self.surface_compatible(surface):
-            side = "orientable" if self.family in ("oriented", "spin") else "nonorientable"
+        orientable = _FAMILY[self.family].orientable
+        if surface.is_orientable != orientable:
+            side = "orientable" if orientable else "nonorientable"
             raise ValidationError(
                 f"the {self.family} family lives on {side} surfaces, not {surface}")
 
 
-def enumerate_homs(pres: Presentation, group: Group, budget: float | None = None,
-                   first: int | None = None) -> np.ndarray:
+def enumerate_homs(pres: Presentation, group: Group,
+                   budget: float | None = None) -> np.ndarray:
     """All generator assignments satisfying the relator, as an (N, m) array in
     lexicographic order.
 
-    `first` restricts to assignments with the given image of the first
-    generator (a partition hook for splitting big enumerations). The grid size
-    is checked against `budget` (default SUPERFS_BUDGET or 1e8) before any
-    allocation.
+    The grid size is checked against `budget` (default SUPERFS_BUDGET or 1e8)
+    before any allocation.
     """
     m = pres.n_generators
     n = group.order
     if m == 0:
         return np.zeros((1, 0), dtype=np.int64)
-    required = n ** (m - 1) if first is not None else n ** m
-    check_budget(required, f"enumeration needs {required} candidates", budget)
-    table = group.table
-    inverses = group.inverses
-    firsts = range(n) if first is None else [int(first)]
-    chunk = n ** (m - 1)
-    if m > 1:
-        grid = np.indices((n,) * (m - 1), dtype=np.int64).reshape(m - 1, chunk)
-    else:
-        grid = np.zeros((0, 1), dtype=np.int64)
-    out = []
-    for f in firsts:
-        if not 0 <= f < n:
-            raise ValidationError(f"first-generator image {f} outside the group")
-        cur = np.zeros(chunk, dtype=np.int64)
-        for idx, exp in pres.word:
-            h = np.full(chunk, f, dtype=np.int64) if idx == 0 else grid[idx - 1]
-            if exp == -1:
-                h = inverses[h]
-            cur = table[cur, h]
-        keep = np.flatnonzero(cur == 0)
-        rows = np.empty((keep.size, m), dtype=np.int64)
-        rows[:, 0] = f
-        if m > 1:
-            rows[:, 1:] = grid[:, keep].T
-        out.append(rows)
-    return np.concatenate(out, axis=0)
+    check_budget(n ** m, f"enumeration needs {n ** m} candidates", budget)
+    grid = np.indices((n,) * m, dtype=np.int64).reshape(m, -1)
+    cur = np.zeros(grid.shape[1], dtype=np.int64)
+    for idx, exp in pres.word:
+        h = grid[idx] if exp == 1 else group.inverses[grid[idx]]
+        cur = group.table[cur, h]
+    return grid[:, cur == 0].T
 
 
 def _walk(start: np.ndarray, images: np.ndarray, word, group: Group,
@@ -271,15 +256,16 @@ class _StateSum:
 
 def _check_structure(family: str, surface: Surface, cup: np.ndarray,
                      structure: QuadraticRefinement | None) -> None:
-    """A structure is required for spin / pin- (of the right ring, length and
-    cup form `cup` of `surface`) and refused for oriented / unoriented."""
-    if family in ("oriented", "unoriented"):
+    """A structure is required for spin / pin- (of the family's ring, and of
+    the length and cup form `cup` of `surface`) and refused for oriented /
+    unoriented."""
+    ring = _FAMILY[family].ring
+    if ring is None:
         if structure is not None:
-            raise ValidationError(f"the {family} family takes no structure")
+            raise ValidationError(f"the {family} family takes no structures")
         return
     if structure is None:
         raise ValidationError(f"the {family} family needs a structure")
-    ring = 2 if family == "spin" else 4
     if structure.ring != ring:
         raise ValidationError(
             f"the {family} family needs a Z{ring} refinement, got Z{structure.ring}")
@@ -331,67 +317,53 @@ def partition_rhs(theory: TheoryData, surface: Surface,
 
 
 def _spectrum(theory: TheoryData, seed: int, cap: int) -> list:
-    """What the algebraic side sums over, computed once per theory: irreps
-    (oriented), (irrep, indicator) pairs with nonzero indicator (unoriented),
-    supermodules (spin), or real supermodules with their BW classes (pin-)."""
+    """What the algebraic side sums over, computed once per theory: one row
+    (term fields, qdim, k8) per irreducible (super)module, whose coefficient
+    is zeta_8^(k8 * m) with m the structure invariant (Arf or ABK) or, with
+    no structure, the crosscap count. Rows are irreps (oriented, k8 = 0),
+    irreps with nonzero indicator eps (unoriented, k8 = 4 [eps = -1]),
+    supermodules (spin, k8 = 4 q), or real supermodules (pin-, k8 = bw)."""
     algebra = TwistedGroupAlgebra(theory.group, theory.twist, validate=False)
     if theory.family == "pin-":
         report = classify(algebra, seed=seed, cap=cap)
-        return [sup for sup in report.supermodules if sup.reality == "real"]
+        return [({"dims": list(sup.dims), "q": sup.q_type, "bw": sup.bw},
+                 sup.qdim, sup.bw)
+                for sup in report.supermodules if sup.reality == "real"]
     irreps = decompose_regular(algebra, seed=seed, cap=cap)
     if theory.family == "oriented":
-        return irreps
+        return [({"dim": irr.dim}, irr.dim, 0) for irr in irreps]
     if theory.family == "unoriented":
         pairs = [(irr, ordinary_fs(irr.character, algebra)) for irr in irreps]
-        return [(irr, eps) for irr, eps in pairs if eps != 0]
-    return assemble_supermodules(irreps, algebra, seed=seed)
+        return [({"dim": irr.dim, "indicator": eps}, irr.dim, 4 * (eps == -1))
+                for irr, eps in pairs if eps != 0]
+    return [({"dims": list(sup.dims), "q": sup.q_type}, sup.qdim, 4 * sup.q_type)
+            for sup in assemble_supermodules(irreps, algebra, seed=seed)]
+
+
+# zeta_8^k, exact at the fourth roots of unity (no -0.0 parts)
+_ZETA8 = (1 + 0j, eighth_root(1), 1j, eighth_root(3),
+          -1 + 0j, eighth_root(5), complex(0, -1), eighth_root(7))
 
 
 def _rhs_sum(theory: TheoryData, surface: Surface,
              structure: QuadraticRefinement | None,
              spectrum: list) -> tuple[complex, list, tuple | None]:
-    """The algebraic side on one surface and structure, from `_spectrum`."""
+    """The algebraic side on one surface and structure, from `_spectrum`:
+    sum of zeta_8^(k8 * m) (|G| / qdim)^(-euler) over its rows."""
+    if structure is None:
+        invariant = None
+        m = surface.param
+    else:
+        invariant = (("arf", arf(structure)) if structure.ring == 2
+                     else ("abk", abk(structure).value))
+        m = invariant[1]
     n = theory.group.order
-    e = surface.euler
     terms = []
     total = 0j
-
-    if theory.family == "oriented":
-        for irr in spectrum:
-            value = complex((n / irr.dim) ** (-e))
-            terms.append({"dim": irr.dim, "coefficient": [1.0, 0.0],
-                          "value": [value.real, value.imag]})
-            total += value
-        return total, terms, None
-
-    if theory.family == "unoriented":
-        for irr, eps in spectrum:
-            coeff = eps ** surface.param
-            value = complex(coeff * (n / irr.dim) ** (-e))
-            terms.append({"dim": irr.dim, "indicator": eps,
-                          "coefficient": [float(coeff), 0.0],
-                          "value": [value.real, value.imag]})
-            total += value
-        return total, terms, None
-
-    if theory.family == "spin":
-        invariant = ("arf", arf(structure))
-        for sup in spectrum:
-            coeff = (-1) ** (invariant[1] * sup.q_type)
-            value = complex(coeff * (n / sup.qdim) ** (-e))
-            terms.append({"dims": list(sup.dims), "q": sup.q_type,
-                          "coefficient": [float(coeff), 0.0],
-                          "value": [value.real, value.imag]})
-            total += value
-        return total, terms, invariant
-
-    # pin-: real supermodules weighted by the structure's Gauss invariant
-    invariant = ("abk", abk(structure).value)
-    for sup in spectrum:
-        coeff = eighth_root(sup.bw * invariant[1])
-        value = coeff * (n / sup.qdim) ** (-e)
-        terms.append({"dims": list(sup.dims), "q": sup.q_type, "bw": sup.bw,
-                      "coefficient": [coeff.real, coeff.imag],
+    for fields, qdim, k8 in spectrum:
+        coeff = _ZETA8[k8 * m % 8]
+        value = coeff * (n / qdim) ** (-surface.euler)
+        terms.append({**fields, "coefficient": [coeff.real, coeff.imag],
                       "value": [value.real, value.imag]})
         total += value
     return total, terms, invariant
@@ -426,15 +398,14 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
     them by default); for oriented / unoriented a single report.
     """
     theory.require_surface(surface)
-    if theory.family in ("oriented", "unoriented"):
-        if structures:
-            raise ValidationError(f"the {theory.family} family takes no structures")
+    if structures is not None:
+        jobs = list(structures)
+    elif _FAMILY[theory.family].ring is None:
         jobs = [None]
     else:
-        jobs = list(structures) if structures is not None else enumerate_structures(
-            surface, theory.family)
-        if not jobs:
-            raise ValidationError("no structures supplied")
+        jobs = enumerate_structures(surface, theory.family)
+    if not jobs:
+        raise ValidationError("no structures supplied")
     state_sum = _StateSum(theory, surface, budget)
     for structure in jobs:
         _check_structure(theory.family, surface, state_sum.cup, structure)
@@ -472,8 +443,7 @@ def report_from_dict(data: dict) -> PartitionReport:
     surface = parse_surface(data["surface"])
     structure = None
     if data.get("structure") is not None:
-        ring = 2 if surface.is_orientable else 4
-        structure = refinement(surface, data["structure"], ring=ring)
+        structure = refinement(surface, data["structure"])
     invariant = None
     if data.get("invariant"):
         invariant = (data["invariant"]["name"], data["invariant"]["value"])

@@ -24,7 +24,6 @@ __all__ = [
     "product_group",
     "even_subgroup",
     "group_to_dict",
-    "group_from_dict",
     "load_group",
     "save_group",
 ]
@@ -278,10 +277,6 @@ def group_to_dict(group: Group) -> dict:
     if group.names is not None:
         d["names"] = list(group.names)
     return d
-
-
-def group_from_dict(d: dict) -> Group:
-    return build_group(d)
 
 
 def load_group(path: str) -> Group:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .twists import Twist, validate_twist
 
 __all__ = [
     "TwistedGroupAlgebra",
-    "AlgebraElement",
     "UngradedIrrep",
     "Supermodule",
     "ClassificationReport",
@@ -42,7 +40,6 @@ __all__ = [
     "gow_indicator",
     "super_fs",
     "bw_from_parts",
-    "bw_class",
     "check_cap",
     "classify",
     "snap_indicator",
@@ -88,70 +85,11 @@ class TwistedGroupAlgebra:
             raise ValidationError("diagonal signs need a sign-valued twist")
         return np.real(np.diagonal(self.phases)).round().astype(np.int64)
 
-    def element(self, coeffs: Sequence[complex] | np.ndarray) -> "AlgebraElement":
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (self.order,):
-            raise ValidationError(f"coefficient vector must have length {self.order}")
-        return AlgebraElement(self, c)
-
-    def basis(self, g: int) -> "AlgebraElement":
-        c = np.zeros(self.order, dtype=complex)
-        c[g] = 1.0
-        return AlgebraElement(self, c)
-
-    def unit(self) -> "AlgebraElement":
-        return self.basis(0)
-
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.order, dtype=complex)
-        np.add.at(out, self.group.table, np.outer(a, b) * self.phases)
-        return out
-
-    def star(self, a: np.ndarray) -> np.ndarray:
-        """The conjugate-linear automorphism fixing each e_g (Z2 twists only)."""
-        if not self.is_z2:
-            raise ValidationError(
-                "* is an algebra map only when the structure constants are real")
-        return np.conj(a)
-
     # row trick: act by L_g e_h = omega(g, h) e_{gh} without materializing it
     def _left_apply(self, g: int, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         out[self.group.table[g]] = self.phases[g][:, None] * x
         return out
-
-
-class AlgebraElement:
-    """An element sum_g c_g e_g of a twisted group algebra."""
-
-    def __init__(self, algebra: TwistedGroupAlgebra, coeffs: np.ndarray):
-        self.algebra = algebra
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            if other.algebra is not self.algebra:
-                raise ValidationError("cannot multiply elements of different algebras")
-            return AlgebraElement(self.algebra, self.algebra.multiply(self.coeffs, other.coeffs))
-        return AlgebraElement(self.algebra, self.coeffs * other)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, self.coeffs * scalar)
-
-    def __add__(self, other: "AlgebraElement"):
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AlgebraElement"):
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def star(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.algebra.star(self.coeffs))
-
-    def allclose(self, other: "AlgebraElement", tol: float = 1e-8) -> bool:
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) < tol)
-
-    def __repr__(self):
-        return f"AlgebraElement({self.coeffs!r})"
 
 
 @dataclass
@@ -185,7 +123,7 @@ class Supermodule:
     s_ordinary: int | None = None
     eta_gow: int | None = None
     u_sign: int | None = None
-    u_element: AlgebraElement | None = None
+    u_element: np.ndarray | None = None
     fs_raw: complex | None = None
     fs_k: int | None = None
     bw: int | str | None = None
@@ -318,7 +256,7 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
             raise DecompositionError(
                 f"irrep of dim {irr.dim} appeared {irr.multiplicity} times in the regular "
                 "representation; expected multiplicity equal to its dimension")
-        _verify_irrep(algebra, irr, rng)
+        _verify_irrep(algebra, irr)
     classes.sort(key=lambda irr: (irr.dim,
                                   tuple(np.round(irr.character.real, 8)),
                                   tuple(np.round(irr.character.imag, 8))))
@@ -326,20 +264,22 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
 
 
 def _verify_irrep(algebra: TwistedGroupAlgebra, irr: UngradedIrrep,
-                  rng: np.random.Generator, samples: int = 64, tol: float = 1e-8) -> None:
-    n = algebra.order
+                  tol: float = 1e-8) -> None:
+    """Every M(g) is unitary and M(g) M(s) = omega(g, s) M(gs) for every g and
+    every s in {e} + S, one batched product per s. Exhaustive: a product rule
+    that holds at h and at every s in S holds at hs (by the cocycle identity),
+    and every element is a product of generators."""
     mats = irr.matrices
-    eye = np.eye(irr.dim)
-    for g in rng.choice(n, size=min(n, 16), replace=False):
-        if np.max(np.abs(mats[g] @ mats[g].conj().T - eye)) > tol:
-            raise DecompositionError(f"block for element {g} is not unitary")
-    gs = rng.integers(0, n, size=samples)
-    hs = rng.integers(0, n, size=samples)
-    for g, h in zip(gs, hs):
-        lhs = mats[g] @ mats[h]
-        rhs = algebra.phases[g, h] * mats[algebra.group.table[g, h]]
-        if np.max(np.abs(lhs - rhs)) > tol:
-            raise DecompositionError(f"product rule fails at ({g}, {h})")
+    group = algebra.group
+    gram = mats @ mats.conj().transpose(0, 2, 1)
+    bad = np.flatnonzero(np.max(np.abs(gram - np.eye(irr.dim)), axis=(1, 2)) > tol)
+    if bad.size:
+        raise DecompositionError(f"block for element {bad[0]} is not unitary")
+    for s in [group.identity, *group.generators.tolist()]:
+        want = algebra.phases[:, s, None, None] * mats[group.table[:, s]]
+        bad = np.flatnonzero(np.max(np.abs(mats @ mats[s] - want), axis=(1, 2)) > tol)
+        if bad.size:
+            raise DecompositionError(f"product rule fails at ({bad[0]}, {s})")
 
 
 def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlgebra,
@@ -453,8 +393,10 @@ def _check_grading(sup: Supermodule, odd: np.ndarray, tol: float = 1e-8) -> None
 
 
 def special_element(algebra: TwistedGroupAlgebra, sup: Supermodule,
-                    irreps: list[UngradedIrrep]) -> tuple[AlgebraElement, int]:
-    """The *-fixed element with u^2 = +-1 supported on the supermodule's summand.
+                    irreps: list[UngradedIrrep]) -> tuple[np.ndarray, int]:
+    """The *-fixed element u = sum_g u_g e_g with u^2 = +-1 supported on the
+    supermodule's summand, returned as its real coefficient vector (u_g) with
+    the sign of u^2.
 
     Found by a linear solve matching the target matrix on the constituent
     blocks and zero on every other block, then rescaled so that u* = u; the
@@ -486,7 +428,7 @@ def special_element(algebra: TwistedGroupAlgebra, sup: Supermodule,
     coeffs = coeffs * cmath.exp(1j * cmath.phase(lam) / 2)
     if np.max(np.abs(coeffs.imag)) > 1e-8 * max(1.0, np.max(np.abs(coeffs))):
         raise DecompositionError("*-fixed special element should have real coefficients")
-    coeffs = coeffs.real.astype(complex)
+    coeffs = coeffs.real
     acted = np.einsum("g,gij->ij", coeffs, sup.matrices)
     square = acted @ acted
     nu = np.trace(square).real / sup.dim
@@ -500,7 +442,7 @@ def special_element(algebra: TwistedGroupAlgebra, sup: Supermodule,
     stray = np.max(np.abs(coeffs[~parity])) if (~parity).any() else 0.0
     if stray > 1e-8 * max(1.0, np.max(np.abs(coeffs))):
         raise DecompositionError("special element has support of the wrong parity")
-    return algebra.element(coeffs), sign
+    return coeffs, sign
 
 
 def snap_indicator(x: complex | float, tol: float = 1e-6) -> int:
@@ -577,15 +519,6 @@ def bw_from_parts(q: int, u_sign: int, division: str) -> int:
     if key not in BW_TABLE:
         raise ValidationError(f"no real graded division class for {key}")
     return BW_TABLE[key]
-
-
-def bw_class(sup: Supermodule) -> int | str:
-    if sup.reality is None:
-        raise ValidationError("supermodule has not been classified yet")
-    if sup.reality == "complex":
-        return "complex"
-    assert sup.bw is not None
-    return sup.bw
 
 
 @dataclass

@@ -208,6 +208,19 @@ def test_exit_2_structure_flag_misuse(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family, surface, flag, values", [
+    ("spin", "orientable:1", "--spin", "0,2"),
+    ("pin-", "nonorientable:1", "--pin", "5"),
+    ("pin-", "nonorientable:1", "--pin", "-1"),
+    ("pin-", "nonorientable:1", "--pin", "2"),
+])
+def test_exit_2_structure_value_out_of_range(capsys, family, surface, flag, values):
+    # values are refused, not read modulo the ring (0,2 would run as 0,0)
+    code, out, err = run(capsys, "partition", "--group", "z2", "--phi", "id",
+                         "--family", family, "--surface", surface, flag, values)
+    assert code == 2 and out == "" and "error" in err
+
+
 def test_exit_2_budget_env(monkeypatch, capsys):
     monkeypatch.setenv("SUPERFS_BUDGET", "10")
     code, out, err = run(capsys, "partition", "--group", "s3",

@@ -13,7 +13,6 @@ from superfs import (
     clifford_twist,
     cyclic,
     even_subgroup,
-    group_from_dict,
     group_from_permutations,
     group_from_table,
     group_to_dict,
@@ -159,7 +158,7 @@ def test_json_roundtrip(tmp_path):
     g2 = load_group(str(path))
     assert np.array_equal(g.table, g2.table)
     assert g2.names == g.names
-    assert group_from_dict(group_to_dict(g)).order == 8
+    assert build_group(group_to_dict(g)).order == 8
 
 
 def test_load_group_bad_json(tmp_path):

@@ -1,11 +1,13 @@
 """Twisted algebra arithmetic, decomposition, supermodules, and indicators."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from superfs import (
+    DecompositionError,
     SnapError,
     Twist,
     TwistedGroupAlgebra,
@@ -32,7 +34,7 @@ from superfs import (
     validate_twist,
     z2_homomorphisms,
 )
-from superfs.superalg import BW_TABLE, bw_from_parts
+from superfs.superalg import BW_TABLE, _verify_irrep, bw_from_parts
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -43,34 +45,65 @@ def z4_parity():
     return Twist.from_fractions([0, 1, 0, 1], [[0] * 4] * 4)
 
 
+def multiply(alg, a, b):
+    """sum_{g,h} a_g b_h omega(g, h) e_{gh}, from the group table and phases."""
+    out = np.zeros(alg.order, dtype=complex)
+    np.add.at(out, alg.group.table, np.outer(a, b) * alg.phases)
+    return out
+
+
 def test_multiply_matches_group_law():
     g = catalog_group("s3")
     alg = TwistedGroupAlgebra(g)
-    a, b = alg.basis(1), alg.basis(2)
-    prod = a * b
-    expect = np.zeros(6)
-    expect[g.table[1, 2]] = 1
-    assert np.allclose(prod.coeffs, expect)
-    assert np.allclose(((a + b) * alg.unit()).coeffs, a.coeffs + b.coeffs)
+    assert np.array_equal(alg.phases, np.ones((6, 6)))
+    e = np.eye(6)
+    assert np.allclose(multiply(alg, e[1] + e[2], e[0]), e[1] + e[2])
+    for x in range(6):
+        for y in range(6):
+            assert np.allclose(multiply(alg, e[x], e[y]), e[g.table[x, y]])
 
 
 def test_multiply_twisted_signs():
     g, t = clifford_twist(2)
     alg = TwistedGroupAlgebra(g, t)
-    e1, e2 = alg.basis(1), alg.basis(2)
-    assert np.allclose((e1 * e2).coeffs + (e2 * e1).coeffs, 0)
-    assert np.allclose((e1 * e1).coeffs, alg.unit().coeffs)
+    assert np.isclose(alg.phases[1, 2], -alg.phases[2, 1])
+    e = np.eye(4)
+    assert np.allclose(multiply(alg, e[1], e[2]) + multiply(alg, e[2], e[1]), 0)
+    assert np.allclose(multiply(alg, e[1], e[1]), e[0])
 
 
 def test_star_requires_sign_valued():
+    # conjugating coefficients is an algebra map only for real structure
+    # constants, so the *-fixed special element needs a sign-valued twist
     g = cyclic(3)
     a = [[Fraction((i * j) % 3, 3) for j in range(3)] for i in range(3)]
     alg = TwistedGroupAlgebra(g, Twist.from_fractions([0] * 3, a))
-    with pytest.raises(ValidationError, match="real"):
-        alg.basis(1).star()
-    alg2 = TwistedGroupAlgebra(g)
-    x = alg2.element([1j, 2, 0])
-    assert np.allclose(x.star().coeffs, [-1j, 2, 0])
+    irreps = decompose_regular(alg)
+    sups = assemble_supermodules(irreps, alg)
+    with pytest.raises(ValidationError, match="sign-valued"):
+        special_element(alg, sups[0], irreps)
+    with pytest.raises(ValidationError, match="sign-valued"):
+        alg.diagonal_signs()
+
+
+def test_verify_irrep_checks_every_element():
+    # unitarity of every block and the product rule at every (g, s), s in
+    # {e} + S, cover the whole group; corrupt an element outside S
+    g, t = clifford_twist(4)
+    alg = TwistedGroupAlgebra(g, t)
+    (irr,) = decompose_regular(alg)
+    _verify_irrep(alg, irr)
+    k = next(x for x in range(1, g.order) if x not in set(g.generators.tolist()))
+
+    def corrupted(scale):
+        mats = irr.matrices.copy()
+        mats[k] = scale * mats[k]
+        return dataclasses.replace(irr, matrices=mats)
+
+    with pytest.raises(DecompositionError, match="product rule"):
+        _verify_irrep(alg, corrupted(-1))
+    with pytest.raises(DecompositionError, match="not unitary"):
+        _verify_irrep(alg, corrupted(1 + 1e-6))
 
 
 def test_decompose_group_algebra_dimensions():
@@ -199,7 +232,7 @@ def test_special_element_clifford1():
     sups = assemble_supermodules(irreps, alg)
     u, sign = special_element(alg, sups[0], irreps)
     assert sign == 1
-    assert abs(u.coeffs[0]) < 1e-10 and abs(abs(u.coeffs[1]) - 1) < 1e-10
+    assert abs(u[0]) < 1e-10 and abs(abs(u[1]) - 1) < 1e-10
 
 
 def test_special_element_clifford2():
@@ -211,9 +244,9 @@ def test_special_element_clifford2():
     assert sign == -1
     expect = np.zeros(4)
     expect[3] = 1
-    assert np.max(np.abs(np.abs(u.coeffs) - expect)) < 1e-10
+    assert np.max(np.abs(np.abs(u) - expect)) < 1e-10
     # u is even and *-fixed
-    assert np.max(np.abs(u.coeffs.imag)) < 1e-10
+    assert np.isrealobj(u)
     assert t.phi[3] == 0
 
 
@@ -225,7 +258,7 @@ def test_special_element_trivial_rep_is_averaging_idempotent():
     triv = next(s for s in sups if np.max(np.abs(s.character - 1)) < 1e-8)
     u, sign = special_element(alg, triv, irreps)
     assert sign == 1
-    assert np.allclose(u.coeffs, np.full(6, 1 / 6))
+    assert np.allclose(u, np.full(6, 1 / 6))
 
 
 def test_special_element_rejects_complex():
