@@ -1,0 +1,178 @@
+"""Scaling curves of `classify`: wall time per stage and peak memory against |G|.
+
+    python scripts/scaling.py --label change
+    python scripts/scaling.py --src ../parent-checkout --label parent
+
+Each point runs in a fresh interpreter that imports `superfs` from
+`<src>/src`, so the peak resident memory it reports belongs to that point
+alone. Two families are measured:
+
+- `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..10 (|G| = 16..1024);
+- `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..10.
+
+A point times five stages: validation (`group_from_table` and
+`validate_twist` on the raw table and cocycle), `decompose_regular`,
+`assemble_supermodules`, `special_element` (summed over the real
+supermodules) and the rest of `classify`. It runs the whole classification
+three times in its interpreter and reports the median of each stage, and the
+total of the first, cold run (BLAS start-up included) on its own. The
+script also times the CLI command `classify --clifford 10 --cap 2000 --json`
+end to end in three more fresh processes. Every child runs with
+SUPERFS_BUDGET raised to 1e10, since the default budget refuses
+`--clifford 10`; the variable is set for the children only. Results are
+merged into `BENCH_scaling.json` under `--label`, so one file holds the runs
+of several commits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BUDGET = "1e10"
+RANKS = range(4, 11)
+CLI_ARGS = ["classify", "--clifford", "10", "--cap", "2000", "--json"]
+
+
+def _tables(family: str, rank: int):
+    """Raw multiplication table, grading and cocycle numerators of a point."""
+    import numpy as np
+    from superfs import clifford_twist
+
+    n = 1 << rank
+    idx = np.arange(n)
+    if family == "clifford":
+        _, twist = clifford_twist(rank)
+        return idx[:, None] ^ idx[None, :], twist.phi, twist.alpha_num, twist.denom
+    return idx[:, None] ^ idx[None, :], idx & 1, np.zeros((n, n), dtype=np.int64), 1
+
+
+def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
+    """Stage times and peak memory of a classification (run in a child)."""
+    import resource
+    import statistics
+
+    from superfs import Twist, TwistedGroupAlgebra, group_from_table, superalg
+
+    table, phi, alpha_num, denom = _tables(family, rank)
+    totals: dict = {}
+
+    def timed(name):
+        inner = getattr(superalg, name)
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                totals[name] += time.perf_counter() - start
+        return wrapper
+
+    names = ("assemble_supermodules", "special_element")
+    for name in names:   # classify looks both up in its module at call time
+        setattr(superalg, name, timed(name))
+
+    runs = []
+    for _ in range(repeats):
+        totals.update(dict.fromkeys(names, 0.0))
+        start = time.perf_counter()
+        group = group_from_table(table)
+        algebra = TwistedGroupAlgebra(group, Twist(phi=phi, alpha_num=alpha_num,
+                                                   denom=denom))
+        validated = time.perf_counter()
+        irreps = superalg.decompose_regular(algebra, seed=0, cap=group.order)
+        decomposed = time.perf_counter()
+        report = superalg.classify(algebra, seed=0, cap=group.order, irreps=irreps)
+        done = time.perf_counter()
+        runs.append({
+            "validation": validated - start,
+            "decompose_regular": decomposed - validated,
+            **totals,
+            "rest_of_classify": (done - decomposed) - sum(totals.values()),
+            "total": done - start,
+        })
+    median = {k: round(statistics.median(r[k] for r in runs), 4) for k in runs[0]}
+    return {"family": family, "rank": rank, "order": group.order,
+            "total_s": median.pop("total"), "stages_s": median,
+            "cold_total_s": round(runs[0]["total"], 4),
+            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "supermodules": len(report.supermodules), "all_pass": report.all_pass}
+
+
+def _run_child(argv: list, src: Path, capture: bool) -> tuple[float, float, str]:
+    """Run one fresh interpreter; return its wall time, its own peak RSS in
+    MiB and its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(src / "src"), "SUPERFS_BUDGET": BUDGET}
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *argv], cwd=src, env=env,
+                            stdout=subprocess.PIPE if capture else subprocess.DEVNULL)
+    out = proc.stdout.read().decode() if capture else ""
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} exited with {proc.returncode}")
+    return wall, usage.ru_maxrss / 1024, out
+
+
+def _src_digest(src: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((src / "src" / "superfs").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def main(argv: list | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT,
+                        help="checkout whose src/ is measured (default: this one)")
+    parser.add_argument("--label", required=True, help="key of this run in the output")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scaling.json")
+    parser.add_argument("--point", nargs=2, metavar=("FAMILY", "RANK"),
+                        help=argparse.SUPPRESS)   # child mode: print one point
+    args = parser.parse_args(argv)
+    if args.point:
+        print(json.dumps(measure_point(args.point[0], int(args.point[1]))))
+        return
+
+    src = args.src.resolve()
+    points = []
+    for family in ("clifford", "z2-graded"):
+        for rank in RANKS:
+            _, _, out = _run_child([str(Path(__file__).resolve()), "--src", str(src),
+                                    "--label", args.label, "--point", family, str(rank)],
+                                   src, capture=True)
+            points.append(json.loads(out))
+            print(json.dumps(points[-1]), file=sys.stderr)
+    cli = [_run_child(["-m", "superfs", *CLI_ARGS], src, capture=False)[:2]
+           for _ in range(3)]
+    import statistics
+
+    import numpy as np
+
+    run = {"src_digest": _src_digest(src),
+           "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "machine": platform.machine()},
+           "points": points,
+           "cli": {"argv": ["superfs", *CLI_ARGS], "SUPERFS_BUDGET": BUDGET,
+                   "wall_s": [round(wall, 3) for wall, _ in cli],
+                   "median_wall_s": round(statistics.median(w for w, _ in cli), 3),
+                   "peak_rss_mib": [round(rss, 1) for _, rss in cli]}}
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data["about"] = ("classify stage times (median of 3, seconds) and peak RSS (MiB) per "
+                     "group order; written by scripts/scaling.py")
+    data.setdefault("runs", {})[args.label] = run
+    args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(json.dumps(run["cli"]), file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -271,8 +271,8 @@ def cmd_sweep(args) -> int:
 def _parse_structure(args, surface, family):
     """The one structure named by --spin / --pin, or None (no structure for
     oriented / unoriented; every structure under --all-structures or by
-    default). Values must lie in 0..ring-1 (refinement checks their parity),
-    so none is silently read modulo the ring."""
+    default). `refinement` refuses values outside 0..ring-1 and checks their
+    parity."""
     ring = _FAMILY[family].ring
     if ring is None:
         if args.spin or args.pin or args.all_structures:
@@ -289,9 +289,6 @@ def _parse_structure(args, surface, family):
             values = [int(x) for x in text.split(",")] if text != "-" else []
         except ValueError as exc:
             raise ValidationError(f"bad structure values {text!r}") from exc
-        if any(not 0 <= v < ring for v in values):
-            raise ValidationError(
-                f"{flag} values must lie in 0..{ring - 1}, got {text!r}")
         return [refinement(surface, values, ring=ring)]
     return None  # crosscheck enumerates all structures
 

@@ -85,12 +85,6 @@ class TwistedGroupAlgebra:
             raise ValidationError("diagonal signs need a sign-valued twist")
         return np.real(np.diagonal(self.phases)).round().astype(np.int64)
 
-    # row trick: act by L_g e_h = omega(g, h) e_{gh} without materializing it
-    def _left_apply(self, g: int, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        out[self.group.table[g]] = self.phases[g][:, None] * x
-        return out
-
 
 @dataclass
 class UngradedIrrep:
@@ -160,6 +154,45 @@ def check_cap(order: int, cap: int) -> None:
         raise ValidationError(f"group order {order} exceeds the configured cap {cap}")
 
 
+# entries of the (g, |G|, d) slab that _block_matrices gathers at a time; a
+# fixed cap keeps the gather from adding to the peak memory of large blocks
+_GATHER_ENTRIES = 1 << 15
+
+
+def _block_matrices(algebra: TwistedGroupAlgebra, q: np.ndarray) -> np.ndarray:
+    """M(g) = Q^dagger L_g Q for every g, where L_g e_h = omega(g, h) e_{gh}
+    and the columns of Q span a submodule of the regular representation.
+
+    Row gh of L_g Q is omega(g, h) Q[h], so M(g) = A_g^T Q with
+    A_g[h] = conj(Q[gh]) omega(g, h): one gather of conj(Q) along row g of the
+    table. A is built for a chunk of g at a time and multiplied by Q in one
+    batched product, O(|G|^2 d^2) in all.
+    """
+    n, d = q.shape
+    qc = q.conj()
+    mats = np.empty((n, d, d), dtype=complex)
+    step = max(1, _GATHER_ENTRIES // (n * d))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        a = qc[algebra.group.table[rows]] * algebra.phases[rows, :, None]
+        mats[rows] = a.transpose(0, 2, 1) @ q
+    return mats
+
+
+def _average(mats: np.ndarray, x: np.ndarray,
+             weights: np.ndarray | None = None) -> np.ndarray:
+    """(1/|G|) sum_g w_g M(g) X M(g)^dagger, contracted pairwise in O(|G| d^3)."""
+    y = mats @ x
+    if weights is not None:
+        y *= weights[:, None, None]
+    return np.tensordot(y, mats.conj(), axes=([0, 2], [0, 2])) / mats.shape[0]
+
+
+def _rotate(mats: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U^dagger M(g) U for every g, one batched product."""
+    return u.conj().T @ mats @ u
+
+
 def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
                       cluster_tol: float = 1e-8, max_rounds: int = 8) -> list[UngradedIrrep]:
     """Split the twisted regular representation into ungraded irreducibles.
@@ -170,9 +203,10 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     element of that commutant, so its eigenspaces are submodules (almost
     surely one copy of an irreducible each); it costs O(|G|^2) to build. A
     block whose character norm is above 1 is split again by averaging a
-    random Hermitian matrix over the block's action. Deterministic for a
-    fixed seed. Returns one representative per isomorphism class (characters
-    separate classes) with multiplicity bookkeeping.
+    random Hermitian matrix over the block's action, a pairwise contraction
+    of O(|G| d^3). Deterministic for a fixed seed. Returns one representative
+    per isomorphism class (characters separate classes) with multiplicity
+    bookkeeping.
     """
     n = algebra.order
     check_cap(n, cap)
@@ -193,14 +227,6 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
         p = q @ q.conj().T
         return np.sum(phases * p[elements[None, :], table], axis=1)
 
-    def child_matrices(q: np.ndarray) -> np.ndarray:
-        d = q.shape[1]
-        mats = np.empty((n, d, d), dtype=complex)
-        qh = q.conj().T
-        for g in range(n):
-            mats[g] = qh @ algebra._left_apply(g, q)
-        return mats
-
     def process(q: np.ndarray | None, depth: int = 0) -> None:
         if depth > 32:
             raise DecompositionError("recursion depth exceeded; re-seed and retry")
@@ -215,13 +241,13 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
                 raise DecompositionError(f"character norm {norm} below 1")
             leaves.append((np.eye(n, dtype=complex) if q is None else q, chi))
             return
-        mats = None if q is None else child_matrices(q)
+        mats = None if q is None else _block_matrices(algebra, q)
         for _ in range(max_rounds):
             if q is None:
                 t = root_commutant()
             else:
                 x = _random_hermitian(rng, q.shape[1])
-                t = np.einsum("gij,jk,glk->il", mats, x, mats.conj()) / n
+                t = _average(mats, x)
             eigvals, vecs = np.linalg.eigh(t)
             clusters = _cluster(eigvals, cluster_tol)
             if len(clusters) < 2:
@@ -235,19 +261,19 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
 
     process(None)
 
-    # deduplicate by character; only the first leaf of a class is materialized
+    # deduplicate by character, joining the first class within 1e-6; only the
+    # first leaf of a class is materialized
+    chars = np.array([chi for _, chi in leaves])
+    firsts: list[int] = []   # the first leaf of each class
     classes: list[UngradedIrrep] = []
-    for q, chi in leaves:
-        found = None
-        for irr in classes:
-            if np.max(np.abs(irr.character - chi)) < 1e-6:
-                found = irr
-                break
-        if found is None:
-            classes.append(UngradedIrrep(matrices=child_matrices(q), character=chi,
-                                         dim=q.shape[1], multiplicity=1))
+    for i, (q, chi) in enumerate(leaves):
+        hit = np.flatnonzero(np.max(np.abs(chars[firsts] - chi), axis=1) < 1e-6)
+        if hit.size:
+            classes[hit[0]].multiplicity += 1
         else:
-            found.multiplicity += 1
+            firsts.append(i)
+            classes.append(UngradedIrrep(matrices=_block_matrices(algebra, q),
+                                         character=chi, dim=q.shape[1], multiplicity=1))
     total = sum(irr.dim * irr.multiplicity for irr in classes)
     if total != n:
         raise DecompositionError(f"block dimensions sum to {total}, expected {n}")
@@ -292,18 +318,16 @@ def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlge
     off-diagonally.
     """
     rng = np.random.default_rng(seed ^ 0x5F5)
-    n = algebra.order
     signs = np.where(algebra.twist.phi == 1, -1.0, 1.0)
     odd = algebra.twist.phi == 1
-    chars = [irr.character for irr in irreps]
+    chars = np.array([irr.character for irr in irreps])
 
     def partner(i: int) -> int:
-        target = signs * chars[i]
-        for j, chj in enumerate(chars):
-            if np.max(np.abs(chj - target)) < 1e-6:
-                return j
-        raise DecompositionError(
-            f"no parity partner for irrep {i}; upstream decomposition is incomplete")
+        hit = np.flatnonzero(np.max(np.abs(chars - signs * chars[i]), axis=1) < 1e-6)
+        if hit.size == 0:
+            raise DecompositionError(
+                f"no parity partner for irrep {i}; upstream decomposition is incomplete")
+        return int(hit[0])
 
     sups: list[Supermodule] = []
     done: set[int] = set()
@@ -313,27 +337,24 @@ def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlge
         j = partner(i)
         if j == i:
             done.add(i)
-            sups.append(_fixed_point_supermodule(irreps[i], i, signs, odd, rng,
-                                                 max_rounds))
+            sups.append(_fixed_point_supermodule(irreps[i], i, signs, rng, max_rounds))
         else:
             done.update((i, j))
             a, b = (i, j) if i < j else (j, i)
-            sups.append(_orbit_supermodule(irreps[a], a, b, odd, n))
+            sups.append(_orbit_supermodule(irreps[a], a, b, odd))
     for sup in sups:
         _check_grading(sup, odd)
     return sups
 
 
 def _fixed_point_supermodule(irr: UngradedIrrep, index: int, signs: np.ndarray,
-                             odd: np.ndarray, rng: np.random.Generator,
-                             max_rounds: int) -> Supermodule:
+                             rng: np.random.Generator, max_rounds: int) -> Supermodule:
     mats = irr.matrices
     d = irr.dim
-    n = mats.shape[0]
     p = None
     for _ in range(max_rounds):
         x = _random_hermitian(rng, d)
-        u = np.einsum("g,gij,jk,glk->il", signs, mats, x, mats.conj()) / n
+        u = _average(mats, x, signs)
         smin = np.linalg.svd(u, compute_uv=False)[-1]
         if smin > 1e-6 * max(1.0, np.linalg.norm(u, 2)):
             lam = np.trace(u @ u) / d
@@ -354,7 +375,7 @@ def _fixed_point_supermodule(irr: UngradedIrrep, index: int, signs: np.ndarray,
     if np.max(np.abs(np.abs(eigvals) - 1)) > 1e-8:
         raise DecompositionError("parity intertwiner eigenvalues are not +-1")
     u_basis = vecs[:, order]
-    rotated = np.einsum("ai,gab,bj->gij", u_basis.conj(), mats, u_basis)
+    rotated = _rotate(mats, u_basis)
     d0 = int(np.sum(eigvals > 0))
     grading = np.concatenate([np.ones(d0), -np.ones(d - d0)])
     return Supermodule(q_type=0, dims=(d0, d - d0), matrices=rotated, grading=grading,
@@ -363,16 +384,12 @@ def _fixed_point_supermodule(irr: UngradedIrrep, index: int, signs: np.ndarray,
 
 
 def _orbit_supermodule(irr: UngradedIrrep, index: int, partner_index: int,
-                       odd: np.ndarray, n: int) -> Supermodule:
+                       odd: np.ndarray) -> Supermodule:
     d = irr.dim
-    big = np.zeros((n, 2 * d, 2 * d), dtype=complex)
-    for g in range(n):
-        if odd[g]:
-            big[g, :d, d:] = irr.matrices[g]
-            big[g, d:, :d] = irr.matrices[g]
-        else:
-            big[g, :d, :d] = irr.matrices[g]
-            big[g, d:, d:] = irr.matrices[g]
+    even = ~odd
+    big = np.zeros((odd.size, 2 * d, 2 * d), dtype=complex)
+    big[even, :d, :d] = big[even, d:, d:] = irr.matrices[even]
+    big[odd, :d, d:] = big[odd, d:, :d] = irr.matrices[odd]
     grading = np.concatenate([np.ones(d), -np.ones(d)])
     character = np.trace(big, axis1=1, axis2=2)
     eye = np.eye(d, dtype=complex)
@@ -382,14 +399,20 @@ def _orbit_supermodule(irr: UngradedIrrep, index: int, partner_index: int,
 
 
 def _check_grading(sup: Supermodule, odd: np.ndarray, tol: float = 1e-8) -> None:
-    p = sup.grading
-    for g in range(sup.matrices.shape[0]):
-        want = -sup.matrices[g] if odd[g] else sup.matrices[g]
-        got = p[:, None] * sup.matrices[g] * p[None, :]
-        if np.max(np.abs(got - want)) > tol:
+    """P M(g) P = (-1)^{phi(g)} M(g) and chi(g) = 0 for odd g, checked for
+    every g in one batch; the first failing element is reported."""
+    # P M(g) P -/+ M(g) is 0 or 2 M(g) entrywise: 2 M(g) exactly on the blocks
+    # that the parity of g must leave empty (the off-diagonal ones when g is even)
+    off = np.not_equal.outer(sup.grading, sup.grading)
+    stray = np.where(off != odd[:, None, None], np.abs(sup.matrices), 0.0)
+    ungraded = 2 * np.max(stray, axis=(1, 2)) > tol
+    nonzero = odd & (np.abs(sup.character) > tol)
+    bad = np.flatnonzero(ungraded | nonzero)
+    if bad.size:
+        g = int(bad[0])
+        if ungraded[g]:
             raise DecompositionError(f"grading consistency fails on element {g}")
-        if odd[g] and abs(sup.character[g]) > tol:
-            raise DecompositionError(f"character of a supermodule must vanish on odd {g}")
+        raise DecompositionError(f"character of a supermodule must vanish on odd {g}")
 
 
 def special_element(algebra: TwistedGroupAlgebra, sup: Supermodule,
@@ -488,16 +511,11 @@ def gow_indicator(chi0: np.ndarray, sub: EvenSubgroup,
     """
     if sub.index == 1:
         return 0
-    signs = algebra.diagonal_signs()
-    total = 0.0 + 0.0j
-    for g in range(algebra.order):
-        if sub.positions[g] >= 0:
-            continue
-        sq = algebra.group.table[g, g]
-        pos = int(sub.positions[sq])
-        if pos < 0:
-            raise ValidationError("square of an odd element escaped the even subgroup")
-        total += signs[g] * chi0[pos]
+    odd = np.flatnonzero(sub.positions < 0)
+    pos = sub.positions[algebra.group.table[odd, odd]]
+    if (pos < 0).any():
+        raise ValidationError("square of an odd element escaped the even subgroup")
+    total = np.sum(algebra.diagonal_signs()[odd] * chi0[pos])
     return snap_indicator(total / sub.group.order)
 
 
@@ -570,8 +588,7 @@ def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
         chi = sup.character
         sup.reality = "real" if np.max(np.abs(np.conj(chi) - chi)) < tol else "complex"
         d0 = sup.dims[0]
-        sup.chi0 = np.array([np.trace(sup.matrices[g][:d0, :d0])
-                             for g in sub.elements])
+        sup.chi0 = np.trace(sup.matrices[sub.elements, :d0, :d0], axis1=1, axis2=2)
         sup.s_ordinary = ordinary_fs(sup.chi0, sub_algebra)
         sup.eta_gow = gow_indicator(sup.chi0, sub, algebra)
         sup.fs_raw = super_fs(sup, algebra)

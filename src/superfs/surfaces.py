@@ -183,13 +183,20 @@ class QuadraticRefinement:
 
 def refinement(surface: Surface, values: Sequence[int], ring: int | None = None,
                validate: bool = True) -> QuadraticRefinement:
+    """The refinement with the given values on the basis generators.
+
+    Values must lie in 0..ring-1, whatever `validate` says, so none is read
+    modulo the ring; `validate` adds the ring and parity checks."""
     if ring is None:
         ring = 2 if surface.is_orientable else 4
     cup = cup_form(surface)
-    vals = tuple(int(v) % ring for v in values)
+    vals = tuple(int(v) for v in values)
     if len(vals) != surface.b1:
         raise ValidationError(
             f"need {surface.b1} basis values for {surface}, got {len(vals)}")
+    outside = [v for v in vals if not 0 <= v < ring]
+    if outside:
+        raise ValidationError(f"structure value {outside[0]} outside 0..{ring - 1}")
     if validate:
         if ring not in (2, 4):
             raise ValidationError("refinement ring must be 2 or 4")

@@ -231,3 +231,26 @@ def is_z2_coboundary(table, alpha) -> bool:
                 target ^= bit(g, h)
     rows = _z2_coboundaries(t)
     return gf2_rank(rows + [target]) == gf2_rank(rows)
+
+
+def block_matrices_by_element(table, phases, q) -> np.ndarray:
+    """Q^dagger L_g Q for one g at a time, where L_g e_h = omega(g, h) e_{gh}
+    sends row h of Q, times omega(g, h), to row gh."""
+    qh = np.asarray(q).conj().T
+    out = []
+    for g in range(len(table)):
+        lq = np.empty_like(q)
+        lq[table[g]] = phases[g][:, None] * q
+        out.append(qh @ lq)
+    return np.array(out)
+
+
+def average_by_einsum(mats, x, weights=None) -> np.ndarray:
+    """(1/|G|) sum_g w_g M(g) X M(g)^dagger as one 4-index einsum, |G| d^4."""
+    w = np.ones(len(mats)) if weights is None else weights
+    return np.einsum("g,gij,jk,glk->il", w, mats, x, np.conj(mats)) / len(mats)
+
+
+def rotate_by_einsum(mats, u) -> np.ndarray:
+    """U^dagger M(g) U for every g as one einsum."""
+    return np.einsum("ai,gab,bj->gij", np.conj(u), mats, u)

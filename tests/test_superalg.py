@@ -22,6 +22,8 @@ from superfs import (
     decompose_regular,
     eighth_root,
     gow_indicator,
+    group_from_permutations,
+    group_from_table,
     h2_representatives,
     ordinary_fs,
     product_group,
@@ -34,7 +36,11 @@ from superfs import (
     validate_twist,
     z2_homomorphisms,
 )
-from superfs.superalg import BW_TABLE, _verify_irrep, bw_from_parts
+from superfs import superalg
+from superfs.superalg import BW_TABLE, _check_grading, _verify_irrep, bw_from_parts
+
+from helpers import (average_by_einsum, block_matrices_by_element, relabelled, relabelling,
+                     rotate_by_einsum)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -155,16 +161,115 @@ def test_decompose_materializes_one_leaf_per_class(monkeypatch):
     g, t = clifford_twist(4)
     alg = TwistedGroupAlgebra(g, t)
     calls = []
-    original = TwistedGroupAlgebra._left_apply
+    original = superalg._block_matrices
 
-    def counting(self, h, x):
-        calls.append(h)
-        return original(self, h, x)
+    def counting(algebra, q):
+        calls.append(q.shape)
+        return original(algebra, q)
 
-    monkeypatch.setattr(TwistedGroupAlgebra, "_left_apply", counting)
+    monkeypatch.setattr(superalg, "_block_matrices", counting)
     (irr,) = decompose_regular(alg, seed=1)
     assert (irr.dim, irr.multiplicity) == (4, 4)
-    assert len(calls) == g.order
+    assert len(calls) == 1
+
+
+def _kernel_algebra(name):
+    if name.startswith("clifford"):
+        return TwistedGroupAlgebra(*clifford_twist(int(name[-1])))
+    if name == "s4-sign":
+        s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+        return TwistedGroupAlgebra(s4, Twist.zero(24).with_phi(z2_homomorphisms(s4)[1]))
+    if name == "z2xq8":
+        g = product_group(cyclic(2), catalog_group("q8"))
+        return TwistedGroupAlgebra(g, Twist.zero(16).with_phi(np.arange(16) // 8))
+    # D4 with a nontrivial cocycle and grading, element x renamed perm[x]
+    d4 = catalog_group("d4")
+    twist = h2_representatives(d4)[-1].with_phi(z2_homomorphisms(d4)[1])
+    perm = relabelling(8, 5)
+    back = np.argsort(perm)
+    return TwistedGroupAlgebra(
+        group_from_table(relabelled(d4.table, perm)),
+        Twist(phi=twist.phi[back], alpha_num=twist.alpha_num[np.ix_(back, back)],
+              denom=twist.denom))
+
+
+KERNEL_ALGEBRAS = ["clifford4", "clifford5", "clifford6", "s4-sign", "z2xq8",
+                   "d4-relabelled"]
+
+
+def _isometry(rng, n, d):
+    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_block_matrices_match_per_element_oracle(monkeypatch, name, chunk):
+    # chunk = 5 gathers five elements at a time, with a shorter last chunk
+    alg = _kernel_algebra(name)
+    n = alg.order
+    rng = np.random.default_rng(1)
+    for d in (1, 3, 6):
+        if chunk is not None:
+            monkeypatch.setattr(superalg, "_GATHER_ENTRIES", chunk * n * d)
+        q = _isometry(rng, n, d)
+        want = block_matrices_by_element(alg.group.table, alg.phases, q)
+        assert np.max(np.abs(superalg._block_matrices(alg, q) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+def test_averages_and_rotation_match_einsum_oracle(name):
+    alg = _kernel_algebra(name)
+    rng = np.random.default_rng(2)
+    signs = np.where(alg.twist.phi == 1, -1.0, 1.0)
+    blocks = [irr.matrices for irr in decompose_regular(alg, seed=3)]
+    blocks.append(superalg._block_matrices(alg, _isometry(rng, alg.order, 6)))
+    for mats in blocks:
+        d = mats.shape[1]
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = x + x.conj().T
+        for weights in (None, signs):
+            got = superalg._average(mats, x, weights)
+            assert np.max(np.abs(got - average_by_einsum(mats, x, weights))) < 1e-12
+        u = _isometry(rng, d, d)
+        assert np.max(np.abs(superalg._rotate(mats, u) - rotate_by_einsum(mats, u))) < 1e-12
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_check_grading_reports_the_first_bad_element(rank):
+    # Clifford(3) has one q = 1 supermodule, Clifford(4) one q = 0; both (2, 2)
+    alg = TwistedGroupAlgebra(*clifford_twist(rank))
+    (sup,) = assemble_supermodules(decompose_regular(alg), alg)
+    odd = alg.twist.phi == 1
+    d0 = sup.dims[0]
+    assert sup.dims == (d0, d0)
+    odds = np.flatnonzero(odd)
+    g1, g2 = int(odds[1]), int(odds[-1])
+    even = int(np.flatnonzero(~odd)[-1])
+
+    def corrupt(*elements, character=()):
+        mats = sup.matrices.copy()
+        for g in elements:   # swap the row halves: off-diagonal blocks go diagonal
+            mats[g] = np.roll(mats[g], d0, axis=0)
+        chi = sup.character.copy()
+        chi[list(character)] = 0.5
+        return dataclasses.replace(sup, matrices=mats, character=chi)
+
+    _check_grading(sup, odd)
+    flipped = sup.matrices.copy()
+    flipped[g1, :d0, d0:] *= -1   # a sign flip keeps the block pattern: still graded
+    _check_grading(dataclasses.replace(sup, matrices=flipped), odd)
+    for bad, first in (((g2, g1), g1), ((even,), even), ((g2, even), min(g2, even))):
+        with pytest.raises(DecompositionError,
+                           match=f"^grading consistency fails on element {first}$"):
+            _check_grading(corrupt(*bad), odd)
+    with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
+        _check_grading(corrupt(character=(g2, g1)), odd)
+    with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
+        _check_grading(corrupt(g2, character=(g1,)), odd)
+    for character in ((g2,), (g1,)):   # at one element the grading is reported
+        with pytest.raises(DecompositionError, match=f"fails on element {g1}$"):
+            _check_grading(corrupt(g1, character=character), odd)
 
 
 def test_decompose_cap():

@@ -72,6 +72,18 @@ def test_refinement_validation():
         refinement(orientable(1), [0])
 
 
+@pytest.mark.parametrize("surface, values", [
+    (orientable(1), [0, 2]),
+    (nonorientable(1), [5]),
+    (nonorientable(1), [-1]),
+])
+@pytest.mark.parametrize("validate", [True, False])
+def test_refinement_refuses_values_outside_the_ring(surface, values, validate):
+    # not read modulo the ring: [0, 2] would be (0, 0), [5] and [-1] (1,) and (3,)
+    with pytest.raises(ValidationError, match="outside"):
+        refinement(surface, values, validate=validate)
+
+
 def test_quadratic_eval_torus():
     q = refinement(orientable(1), [0, 1])
     # Q(x) = q . x + x1 x2
