@@ -6,10 +6,11 @@ is split into irreducible blocks by the eigenspaces of a random Hermitian
 element H = X + X^dagger of its commutant, where X = sum_k x_k R_k is a random
 combination of the twisted right multiplications R_k e_h = omega(h, k) e_{hk}
 (O(|G|^2) to build). Blocks are paired under the parity twist into
-supermodules of type M (q = 0) or Q (q = 1). For sign-valued twists, each real
-supermodule is pinned to one of the eight real graded division classes through
-a *-fixed special element u with u^2 = +-1, and the super Frobenius-Schur
-indicator
+supermodules of type M (q = 0) or Q (q = 1), each known by its character and
+supercharacter alone; no module matrices are assembled. For sign-valued
+twists, each real supermodule is pinned to one of the eight real graded
+division classes through a *-fixed special element u with u^2 = +-1, read off
+in closed form from those characters, and the super Frobenius-Schur indicator
 
     S(rho) = (1 / (sqrt(2)^q |G|)) sum_g i^{phi(g)} (-1)^{alpha(g,g)} chi(g^2)
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,30 +99,36 @@ class UngradedIrrep:
 
 @dataclass
 class Supermodule:
-    """An irreducible supermodule, grading rotated to diag(+1..., -1...).
+    """An irreducible supermodule rho, known by its character tr rho(g) and
+    supercharacter tr(Gamma rho(g)), Gamma the grading.
 
-    Structural fields are set by assemble_supermodules; the invariant fields
-    (reality, indicators, special-element sign, BW class, checks) are filled
-    in by classify.
+    Type M (q = 0) is a parity-fixed irrep M graded by its parity intertwiner
+    P, so the supercharacter is tr(P M(g)); type Q (q = 1) is V + V with odd
+    elements acting off-diagonally, so the character is (1 + (-1)^phi) chi_V
+    and the supercharacter is 0. The even part has character
+    (chi + str) / 2 on G0. The invariant fields (reality, indicators,
+    special-element sign, BW class, checks) are filled in by classify.
     """
 
     q_type: int
-    dims: tuple[int, int]
-    matrices: np.ndarray
-    grading: np.ndarray
     character: np.ndarray
+    supercharacter: np.ndarray
     constituents: tuple[int, ...]
-    solve_targets: dict = field(repr=False, default_factory=dict)
     reality: str | None = None
     chi0: np.ndarray | None = None
     s_ordinary: int | None = None
     eta_gow: int | None = None
     u_sign: int | None = None
-    u_element: np.ndarray | None = None
     fs_raw: complex | None = None
     fs_k: int | None = None
     bw: int | str | None = None
     checks: dict | None = None
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        """Dimensions of the even and odd parts, (chi(e) +- str(e)) / 2."""
+        chi, sch = self.character[0].real, self.supercharacter[0].real
+        return round((chi + sch) / 2), round((chi - sch) / 2)
 
     @property
     def dim(self) -> int:
@@ -186,11 +193,6 @@ def _average(mats: np.ndarray, x: np.ndarray,
     if weights is not None:
         y *= weights[:, None, None]
     return np.tensordot(y, mats.conj(), axes=([0, 2], [0, 2])) / mats.shape[0]
-
-
-def _rotate(mats: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U^dagger M(g) U for every g, one batched product."""
-    return u.conj().T @ mats @ u
 
 
 def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
@@ -315,7 +317,7 @@ def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlge
     chi^sigma(g) = (-1)^{phi(g)} chi(g). A fixed point gives a type-M (q = 0)
     supermodule graded by the normalized intertwiner; a two-element orbit gives
     a type-Q (q = 1) supermodule on V + V with odd elements acting
-    off-diagonally.
+    off-diagonally. Each is kept as its character and supercharacter.
     """
     rng = np.random.default_rng(seed ^ 0x5F5)
     signs = np.where(algebra.twist.phi == 1, -1.0, 1.0)
@@ -335,22 +337,29 @@ def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlge
         if i in done:
             continue
         j = partner(i)
+        done.update((i, j))
         if j == i:
-            done.add(i)
-            sups.append(_fixed_point_supermodule(irreps[i], i, signs, rng, max_rounds))
+            mats = irreps[i].matrices
+            p = _parity_intertwiner(mats, signs, rng, max_rounds)
+            sup = Supermodule(0, irreps[i].character.copy(),
+                              np.einsum("ij,gji->g", p, mats), (i,))
+            _check_parity(sup.character, odd, mats, p)
         else:
-            done.update((i, j))
-            a, b = (i, j) if i < j else (j, i)
-            sups.append(_orbit_supermodule(irreps[a], a, b, odd))
-    for sup in sups:
-        _check_grading(sup, odd)
+            a, b = sorted((i, j))
+            # the trace of V + V: 2 tr M_V(g) on even g, 0 on odd g
+            character = (1 + signs) * np.trace(irreps[a].matrices, axis1=1, axis2=2)
+            sup = Supermodule(1, character, np.zeros_like(character), (a, b))
+            _check_parity(character, odd)
+        sups.append(sup)
     return sups
 
 
-def _fixed_point_supermodule(irr: UngradedIrrep, index: int, signs: np.ndarray,
-                             rng: np.random.Generator, max_rounds: int) -> Supermodule:
-    mats = irr.matrices
-    d = irr.dim
+def _parity_intertwiner(mats: np.ndarray, signs: np.ndarray, rng: np.random.Generator,
+                        max_rounds: int) -> np.ndarray:
+    """The Hermitian P with P^2 = 1 and P M(g) P = (-1)^{phi(g)} M(g) for a
+    parity-fixed irrep M, as the normalized sign-weighted average of a random
+    Hermitian matrix over M; unique up to sign, which is fixed by tr P >= 0."""
+    d = mats.shape[1]
     p = None
     for _ in range(max_rounds):
         x = _random_hermitian(rng, d)
@@ -370,43 +379,24 @@ def _fixed_point_supermodule(irr: UngradedIrrep, index: int, signs: np.ndarray,
     # none the even part must be the whole module
     if np.trace(p).real < -1e-8:
         p = -p
-    eigvals, vecs = np.linalg.eigh(p)
-    order = np.argsort(-eigvals)
-    if np.max(np.abs(np.abs(eigvals) - 1)) > 1e-8:
+    if np.max(np.abs(np.abs(np.linalg.eigvalsh(p)) - 1)) > 1e-8:
         raise DecompositionError("parity intertwiner eigenvalues are not +-1")
-    u_basis = vecs[:, order]
-    rotated = _rotate(mats, u_basis)
-    d0 = int(np.sum(eigvals > 0))
-    grading = np.concatenate([np.ones(d0), -np.ones(d - d0)])
-    return Supermodule(q_type=0, dims=(d0, d - d0), matrices=rotated, grading=grading,
-                       character=irr.character.copy(), constituents=(index,),
-                       solve_targets={index: p})
+    return p
 
 
-def _orbit_supermodule(irr: UngradedIrrep, index: int, partner_index: int,
-                       odd: np.ndarray) -> Supermodule:
-    d = irr.dim
-    even = ~odd
-    big = np.zeros((odd.size, 2 * d, 2 * d), dtype=complex)
-    big[even, :d, :d] = big[even, d:, d:] = irr.matrices[even]
-    big[odd, :d, d:] = big[odd, d:, :d] = irr.matrices[odd]
-    grading = np.concatenate([np.ones(d), -np.ones(d)])
-    character = np.trace(big, axis1=1, axis2=2)
-    eye = np.eye(d, dtype=complex)
-    return Supermodule(q_type=1, dims=(d, d), matrices=big, grading=grading,
-                       character=character, constituents=(index, partner_index),
-                       solve_targets={index: eye, partner_index: -eye})
-
-
-def _check_grading(sup: Supermodule, odd: np.ndarray, tol: float = 1e-8) -> None:
-    """P M(g) P = (-1)^{phi(g)} M(g) and chi(g) = 0 for odd g, checked for
-    every g in one batch; the first failing element is reported."""
-    # P M(g) P -/+ M(g) is 0 or 2 M(g) entrywise: 2 M(g) exactly on the blocks
-    # that the parity of g must leave empty (the off-diagonal ones when g is even)
-    off = np.not_equal.outer(sup.grading, sup.grading)
-    stray = np.where(off != odd[:, None, None], np.abs(sup.matrices), 0.0)
-    ungraded = 2 * np.max(stray, axis=(1, 2)) > tol
-    nonzero = odd & (np.abs(sup.character) > tol)
+def _check_parity(character: np.ndarray, odd: np.ndarray, mats: np.ndarray | None = None,
+                  p: np.ndarray | None = None, tol: float = 1e-8) -> None:
+    """||P M(g) - (-1)^{phi(g)} M(g) P||_F <= tol for every g (type M, given
+    P) and chi(g) = 0 for every odd g, in one batch; the first failing element
+    is reported, the grading first at one element. In P's eigenbasis the
+    residual is 2 M(g) on the blocks the parity of g must leave empty, and its
+    Frobenius norm, invariant under the rotation, bounds every such entry.
+    """
+    ungraded = np.zeros(odd.size, dtype=bool)
+    if p is not None:
+        signs = np.where(odd, -1.0, 1.0)[:, None, None]
+        ungraded = np.linalg.norm(p @ mats - signs * (mats @ p), axis=(1, 2)) > tol
+    nonzero = odd & (np.abs(character) > tol)
     bad = np.flatnonzero(ungraded | nonzero)
     if bad.size:
         g = int(bad[0])
@@ -421,29 +411,26 @@ def special_element(algebra: TwistedGroupAlgebra, sup: Supermodule,
     supermodule's summand, returned as its real coefficient vector (u_g) with
     the sign of u^2.
 
-    Found by a linear solve matching the target matrix on the constituent
-    blocks and zero on every other block, then rescaled so that u* = u; the
-    sign of u^2 is the second two-fold division of the real classification.
+    u acts as T on the constituent irreps and as zero on every other irrep:
+    T = P for q = 0, and T = +1 on V, -1 on its partner V^sigma for q = 1.
+    Twisted Schur orthogonality of the unitary irreps,
+    (d/|G|) sum_g M(g)_ij conj(M'(g)_kl) = delta_{MM'} delta_ik delta_jl,
+    inverts this exactly, with no linear system and so no residual to check:
+    u_g = (d/|G|) conj(tau(g)), tau(g) = sum_M tr(T_M^dagger M(g)). For q = 0
+    tau is the supercharacter; for q = 1, tau = chi_V - (-1)^phi chi_V is
+    2 chi_V on odd g and 0 on even g. u is rescaled so that u* = u; the sign
+    of u^2, checked on the d x d constituent block, is the second two-fold
+    division of the real classification.
     """
     if not algebra.is_z2:
         raise ValidationError("special elements need a sign-valued twist")
     chi = sup.character
     if np.max(np.abs(np.conj(chi) - chi)) > 1e-6:
         raise ValidationError("complex supermodule has no *-fixed special element")
-    n = algebra.order
-    rows = np.concatenate(
-        [irr.matrices.transpose(1, 2, 0).reshape(irr.dim * irr.dim, n) for irr in irreps],
-        axis=0)
-    rhs = np.zeros(n, dtype=complex)
-    offset = 0
-    for r, irr in enumerate(irreps):
-        block = irr.dim * irr.dim
-        if r in sup.solve_targets:
-            rhs[offset:offset + block] = sup.solve_targets[r].reshape(-1)
-        offset += block
-    coeffs = np.linalg.solve(rows, rhs)
-    if np.max(np.abs(rows @ coeffs - rhs)) > 1e-8 * max(1.0, np.max(np.abs(rhs))):
-        raise DecompositionError("special-element solve left a large residual")
+    irr = irreps[sup.constituents[0]]
+    odd = algebra.twist.phi == 1
+    tau = sup.supercharacter if sup.q_type == 0 else np.where(odd, 2 * irr.character, 0)
+    coeffs = (irr.dim / algebra.order) * np.conj(tau)
     k = int(np.argmax(np.abs(coeffs)))
     lam = np.conj(coeffs[k]) / coeffs[k]
     if np.max(np.abs(np.conj(coeffs) - lam * coeffs)) > 1e-6 * np.max(np.abs(coeffs)):
@@ -452,16 +439,16 @@ def special_element(algebra: TwistedGroupAlgebra, sup: Supermodule,
     if np.max(np.abs(coeffs.imag)) > 1e-8 * max(1.0, np.max(np.abs(coeffs))):
         raise DecompositionError("*-fixed special element should have real coefficients")
     coeffs = coeffs.real
-    acted = np.einsum("g,gij->ij", coeffs, sup.matrices)
+    acted = np.tensordot(coeffs, irr.matrices, axes=1)
     square = acted @ acted
-    nu = np.trace(square).real / sup.dim
-    if np.max(np.abs(square - nu * np.eye(sup.dim))) > 1e-8 * max(1.0, abs(nu)):
+    nu = np.trace(square).real / irr.dim
+    if np.max(np.abs(square - nu * np.eye(irr.dim))) > 1e-8 * max(1.0, abs(nu)):
         raise DecompositionError("special element square is not scalar on its block")
     sign = snap_indicator(nu)
     if sign == 0:
         raise SnapError(f"special element square {nu} is not +-1")
     # u lives in the even part for q = 0 and in the odd part for q = 1
-    parity = algebra.twist.phi == (1 if sup.q_type == 1 else 0)
+    parity = odd if sup.q_type == 1 else ~odd
     stray = np.max(np.abs(coeffs[~parity])) if (~parity).any() else 0.0
     if stray > 1e-8 * max(1.0, np.max(np.abs(coeffs))):
         raise DecompositionError("special element has support of the wrong parity")
@@ -587,15 +574,14 @@ def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
     for sup in sups:
         chi = sup.character
         sup.reality = "real" if np.max(np.abs(np.conj(chi) - chi)) < tol else "complex"
-        d0 = sup.dims[0]
-        sup.chi0 = np.trace(sup.matrices[sub.elements, :d0, :d0], axis1=1, axis2=2)
+        sup.chi0 = ((chi + sup.supercharacter) / 2)[sub.elements]
         sup.s_ordinary = ordinary_fs(sup.chi0, sub_algebra)
         sup.eta_gow = gow_indicator(sup.chi0, sub, algebra)
         sup.fs_raw = super_fs(sup, algebra)
         sup.fs_k = snap_eighth_root(sup.fs_raw, tol)
 
         if sup.reality == "real":
-            sup.u_element, sup.u_sign = special_element(algebra, sup, irreps)
+            sup.u_sign = special_element(algebra, sup, irreps)[1]
             if sup.q_type == 0:
                 division = "R" if ordinary_fs(chi, algebra) == 1 else "H"
             else:

@@ -254,3 +254,64 @@ def average_by_einsum(mats, x, weights=None) -> np.ndarray:
 def rotate_by_einsum(mats, u) -> np.ndarray:
     """U^dagger M(g) U for every g as one einsum."""
     return np.einsum("ai,gab,bj->gij", np.conj(u), mats, u)
+
+
+def parity_intertwiner_by_average(mats, signs, rng) -> np.ndarray:
+    """The P with P^2 = 1, P M(g) P = (-1)^phi(g) M(g) and tr P >= 0 of a
+    parity-fixed irrep, as the sign-weighted average of one random Hermitian
+    matrix, normalized. By Schur's lemma it is unique up to sign, and the sign
+    is free when tr P = 0."""
+    d = mats.shape[1]
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = average_by_einsum(mats, x + x.conj().T, signs)
+    p = a / np.sqrt(np.trace(a @ a) / d)
+    return -p if np.trace(p).real < 0 else p
+
+
+def graded_module(mats, odd, p=None) -> tuple[np.ndarray, np.ndarray]:
+    """The module matrices and grading diagonal of a supermodule: a type-M
+    irrep rotated into the eigenbasis of its intertwiner p, eigenvalue +1
+    first; for type Q (p None), V + V with even elements acting diagonally and
+    odd elements off-diagonally."""
+    if p is None:
+        n, d, _ = mats.shape
+        big = np.zeros((n, 2 * d, 2 * d), dtype=complex)
+        for g in range(n):
+            if odd[g]:
+                big[g, :d, d:] = big[g, d:, :d] = mats[g]
+            else:
+                big[g, :d, :d] = big[g, d:, d:] = mats[g]
+        return big, np.concatenate([np.ones(d), -np.ones(d)])
+    eigvals, vecs = np.linalg.eigh(p)
+    order = np.argsort(-eigvals)
+    return rotate_by_einsum(mats, vecs[:, order]), np.sign(eigvals[order])
+
+
+def module_characters(big, grading, even) -> tuple[np.ndarray, np.ndarray]:
+    """(chi0, supercharacter): the trace of the top-left (even) block on the
+    even elements, and sum_i grading_i M(g)_ii."""
+    d0 = int(np.sum(grading > 0))
+    chi0 = np.trace(big[even, :d0, :d0], axis1=1, axis2=2)
+    return chi0, np.einsum("gii,i->g", big, grading)
+
+
+def special_element_by_solve(blocks, targets, module) -> tuple[np.ndarray, int]:
+    """The *-fixed u with sum_g u_g M_r(g) = T_r on every irrep r (T_r = targets[r]
+    or 0), by one dense |G| x |G| solve, rescaled so that u* = u; returns it
+    with the sign of u^2 on the assembled module."""
+    n = len(blocks[0])
+    rows = np.concatenate([m.transpose(1, 2, 0).reshape(-1, n) for m in blocks])
+    rhs = np.concatenate([np.reshape(targets[r], -1) if r in targets
+                          else np.zeros(m.shape[1] ** 2) for r, m in enumerate(blocks)])
+    coeffs = np.linalg.solve(rows, rhs)
+    assert np.max(np.abs(rows @ coeffs - rhs)) < 1e-8
+    k = int(np.argmax(np.abs(coeffs)))
+    coeffs = coeffs * cmath.exp(1j * cmath.phase(np.conj(coeffs[k]) / coeffs[k]) / 2)
+    assert np.max(np.abs(coeffs.imag)) < 1e-8
+    acted = np.einsum("g,gij->ij", coeffs.real, module)
+    square = acted @ acted
+    nu = np.trace(square).real / len(square)
+    assert np.max(np.abs(square - nu * np.eye(len(square)))) < 1e-8
+    sign = int(round(nu))
+    assert sign in (-1, 1) and abs(nu - sign) < 1e-6
+    return coeffs.real, sign

@@ -99,10 +99,6 @@ def test_criterion_02():
     assert not bad
 
 
-def _super_char(sup):
-    return np.einsum("gii,i->g", sup.matrices, sup.grading)
-
-
 def _tensor_products_multiplicative(ga, ta, gb, tb):
     """Match each supermodule pair with its factor in the combined algebra and
     compare indicators. Returns (#pairs checked, list of failures)."""
@@ -114,7 +110,7 @@ def _tensor_products_multiplicative(ga, ta, gb, tb):
     failures = []
     pairs = 0
     for sa in ra.supermodules:
-        stra = _super_char(sa)
+        stra = sa.supercharacter
         for sb in rb.supermodules:
             pairs += 1
             cand = np.empty(gc.order, dtype=complex)

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import importlib.util
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,17 @@ def test_package_reexports_public_names():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(superfs, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_benchmark_span_targets_resolve():
+    # bench/spans.py wraps each (module, dotted attribute) of TARGETS when the
+    # benchmark runs with --trace 1; a renamed or deleted target breaks it
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, attribute, _ in spans.TARGETS:
+        target = reduce(getattr, attribute.split("."),
+                        importlib.import_module(f"superfs.{module}"))
+        assert callable(target), (module, attribute)

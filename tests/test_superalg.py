@@ -1,12 +1,16 @@
 """Twisted algebra arithmetic, decomposition, supermodules, and indicators."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superfs import (
+    CATALOG_NAMES,
     DecompositionError,
     SnapError,
     Twist,
@@ -37,10 +41,11 @@ from superfs import (
     z2_homomorphisms,
 )
 from superfs import superalg
-from superfs.superalg import BW_TABLE, _check_grading, _verify_irrep, bw_from_parts
+from superfs.superalg import BW_TABLE, _check_parity, _verify_irrep, bw_from_parts
 
-from helpers import (average_by_einsum, block_matrices_by_element, relabelled, relabelling,
-                     rotate_by_einsum)
+from helpers import (average_by_einsum, block_matrices_by_element, graded_module,
+                     module_characters, parity_intertwiner_by_average, relabelled, relabelling,
+                     special_element_by_solve)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -182,13 +187,17 @@ def _kernel_algebra(name):
     if name == "z2xq8":
         g = product_group(cyclic(2), catalog_group("q8"))
         return TwistedGroupAlgebra(g, Twist.zero(16).with_phi(np.arange(16) // 8))
-    # D4 with a nontrivial cocycle and grading, element x renamed perm[x]
+    # D4 with a nontrivial cocycle and grading, relabelled
     d4 = catalog_group("d4")
     twist = h2_representatives(d4)[-1].with_phi(z2_homomorphisms(d4)[1])
-    perm = relabelling(8, 5)
+    return _relabelled_algebra(d4, twist, relabelling(8, 5))
+
+
+def _relabelled_algebra(group, twist, perm):
+    """The algebra of (group, twist) with element x renamed perm[x]."""
     back = np.argsort(perm)
     return TwistedGroupAlgebra(
-        group_from_table(relabelled(d4.table, perm)),
+        group_from_table(relabelled(group.table, perm)),
         Twist(phi=twist.phi[back], alpha_num=twist.alpha_num[np.ix_(back, back)],
               denom=twist.denom))
 
@@ -231,45 +240,104 @@ def test_averages_and_rotation_match_einsum_oracle(name):
         for weights in (None, signs):
             got = superalg._average(mats, x, weights)
             assert np.max(np.abs(got - average_by_einsum(mats, x, weights))) < 1e-12
-        u = _isometry(rng, d, d)
-        assert np.max(np.abs(superalg._rotate(mats, u) - rotate_by_einsum(mats, u))) < 1e-12
 
 
 @pytest.mark.parametrize("rank", [3, 4])
 def test_check_grading_reports_the_first_bad_element(rank):
-    # Clifford(3) has one q = 1 supermodule, Clifford(4) one q = 0; both (2, 2)
+    # Clifford(3) has one q = 1 supermodule, checked by its character alone;
+    # Clifford(4) one q = 0, checked with the parity intertwiner P of its irrep
     alg = TwistedGroupAlgebra(*clifford_twist(rank))
-    (sup,) = assemble_supermodules(decompose_regular(alg), alg)
+    irreps = decompose_regular(alg)
+    (sup,) = assemble_supermodules(irreps, alg)
     odd = alg.twist.phi == 1
-    d0 = sup.dims[0]
-    assert sup.dims == (d0, d0)
+    assert sup.dims == (2, 2) and sup.q_type == 4 - rank
     odds = np.flatnonzero(odd)
     g1, g2 = int(odds[1]), int(odds[-1])
     even = int(np.flatnonzero(~odd)[-1])
+    mats = p = None
+    if sup.q_type == 0:
+        mats = irreps[0].matrices
+        p = superalg._parity_intertwiner(mats, np.where(odd, -1.0, 1.0),
+                                         np.random.default_rng(0), 8)
 
-    def corrupt(*elements, character=()):
-        mats = sup.matrices.copy()
-        for g in elements:   # swap the row halves: off-diagonal blocks go diagonal
-            mats[g] = np.roll(mats[g], d0, axis=0)
+    def check(*elements, character=(), times_p=None):
+        m = None if mats is None else mats.copy()
+        for g in elements:   # an odd factor flips the parity of M(g)
+            m[g] = mats[int(odds[0])] @ m[g]
+        if times_p is not None:   # P M(g) keeps the parity of M(g): still graded
+            m[times_p] = p @ m[times_p]
         chi = sup.character.copy()
         chi[list(character)] = 0.5
-        return dataclasses.replace(sup, matrices=mats, character=chi)
+        _check_parity(chi, odd, m, p)
 
-    _check_grading(sup, odd)
-    flipped = sup.matrices.copy()
-    flipped[g1, :d0, d0:] *= -1   # a sign flip keeps the block pattern: still graded
-    _check_grading(dataclasses.replace(sup, matrices=flipped), odd)
+    check()
+    with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
+        check(character=(g2, g1))
+    if p is None:
+        return
+    check(times_p=g1)
     for bad, first in (((g2, g1), g1), ((even,), even), ((g2, even), min(g2, even))):
         with pytest.raises(DecompositionError,
                            match=f"^grading consistency fails on element {first}$"):
-            _check_grading(corrupt(*bad), odd)
+            check(*bad)
     with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
-        _check_grading(corrupt(character=(g2, g1)), odd)
-    with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
-        _check_grading(corrupt(g2, character=(g1,)), odd)
+        check(g2, character=(g1,))
     for character in ((g2,), (g1,)):   # at one element the grading is reported
         with pytest.raises(DecompositionError, match=f"fails on element {g1}$"):
-            _check_grading(corrupt(g1, character=character), odd)
+            check(g1, character=character)
+
+
+def _oracle_algebras():
+    """Every catalog group and S4 under every grading and H^2 class (seed 3),
+    and Clifford(1-8) (seed 5)."""
+    s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+    for group in [*map(catalog_group, CATALOG_NAMES), s4]:
+        for phi in z2_homomorphisms(group):
+            for base in h2_representatives(group):
+                twist = validate_twist(group, base.with_phi(phi))
+                yield TwistedGroupAlgebra(group, twist, validate=False), 3
+    for rank in range(1, 9):
+        yield TwistedGroupAlgebra(*clifford_twist(rank)), 5
+
+
+def test_supermodules_match_the_matrix_oracle():
+    # the assembled module matrices and the |G| x |G| solve of tests/helpers
+    # against the character-level supermodules and closed-form special element
+    rng = np.random.default_rng(0)
+    real = 0
+    for alg, seed in _oracle_algebras():
+        irreps = decompose_regular(alg, seed=seed, cap=alg.order)
+        report = classify(alg, seed=seed, cap=alg.order, irreps=irreps)
+        assert report.all_pass
+        odd = alg.twist.phi == 1
+        even = np.flatnonzero(~odd)
+        blocks = [irr.matrices for irr in irreps]
+        for sup in report.supermodules:
+            i = sup.constituents[0]
+            if sup.q_type == 0:
+                p = parity_intertwiner_by_average(blocks[i], np.where(odd, -1.0, 1.0), rng)
+                # P is unique up to sign, and the sign is free when tr P = 0
+                _, supchar = module_characters(*graded_module(blocks[i], odd, p), even)
+                if np.real(np.vdot(supchar, sup.supercharacter)) < 0:
+                    p = -p
+                targets = {i: p}
+            else:
+                p = None
+                eye = np.eye(irreps[i].dim)
+                targets = {i: eye, sup.constituents[1]: -eye}
+            module, grading = graded_module(blocks[i], odd, p)
+            chi0, supchar = module_characters(module, grading, even)
+            assert sup.dims == (np.sum(grading > 0), np.sum(grading < 0))
+            assert np.max(np.abs(supchar - sup.supercharacter)) < 1e-10
+            assert np.max(np.abs(chi0 - sup.chi0)) < 1e-10
+            if sup.reality != "real":
+                continue
+            real += 1
+            u, sign = special_element(alg, sup, irreps)
+            want, want_sign = special_element_by_solve(blocks, targets, module)
+            assert min(np.max(np.abs(u - want)), np.max(np.abs(u + want))) < 1e-10
+            assert sup.u_sign == sign == want_sign
+    assert real == 676
 
 
 def test_decompose_cap():
@@ -305,18 +373,24 @@ def test_heisenberg_cocycle_single_irrep():
 def test_assemble_pairs_by_parity():
     g, t = clifford_twist(1)
     alg = TwistedGroupAlgebra(g, t)
-    sups = assemble_supermodules(decompose_regular(alg), alg)
+    irreps = decompose_regular(alg)
+    sups = assemble_supermodules(irreps, alg)
     assert len(sups) == 1 and sups[0].q_type == 1 and sups[0].dims == (1, 1)
-    # odd element acts off-diagonally
-    m = sups[0].matrices[1]
-    assert m[0, 0] == 0 and m[1, 1] == 0
-    assert abs(m[0, 1]) == pytest.approx(1)
+    assert sups[0].constituents == (0, 1)
+    # the odd element acts off-diagonally on V + V: no trace, no supertrace,
+    # though it acts on V by a unit scalar
+    assert np.max(np.abs(sups[0].character - [2, 0])) < 1e-12
+    assert not sups[0].supercharacter.any()
+    assert abs(irreps[0].character[1]) == pytest.approx(1)
 
     g2 = catalog_group("s3")
     alg2 = TwistedGroupAlgebra(g2)
     sups2 = assemble_supermodules(decompose_regular(alg2), alg2)
     assert sorted(s.dim for s in sups2) == [1, 1, 2]
     assert all(s.q_type == 0 and s.dims[1] == 0 for s in sups2)
+    # with no odd elements the grading is the identity
+    for s in sups2:
+        assert np.max(np.abs(s.supercharacter - s.character)) < 1e-12
 
 
 def test_supermodule_characters_vanish_on_odd():
@@ -519,6 +593,36 @@ def test_classification_coboundary_invariant():
         t2 = shift_by_coboundary(g, t, beta, 2)
         rep = classify(TwistedGroupAlgebra(g, t2, validate=False))
         assert sorted((s.dims, str(s.bw)) for s in rep.supermodules) == sig0
+
+
+def _classification_signature(report):
+    """What relabelling and re-seeding must leave unchanged: the multiset of
+    (dims, q, reality, snapped S_super, bw, u_sign) of the supermodules."""
+    return sorted((s.dims, s.q_type, s.reality, snapped_string(s.fs_k), str(s.bw),
+                   str(s.u_sign)) for s in report.supermodules)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_classifications(name):
+    """(group, twist, signature at seed 0) for every grading and H^2 class."""
+    group = catalog_group(name)
+    out = []
+    for phi in z2_homomorphisms(group):
+        for base in h2_representatives(group):
+            twist = validate_twist(group, base.with_phi(phi))
+            report = classify(TwistedGroupAlgebra(group, twist, validate=False))
+            assert report.all_pass
+            out.append((group, twist, _classification_signature(report)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "q8", "a4"])
+@settings(max_examples=3, deadline=None)
+@given(label_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 3))
+def test_classification_invariant_under_relabelling_and_seed(name, label_seed, seed):
+    for group, twist, expected in _reference_classifications(name):
+        other = _relabelled_algebra(group, twist, relabelling(group.order, label_seed))
+        assert _classification_signature(classify(other, seed=seed)) == expected
 
 
 def test_dimension_accounting_across_twists():
