@@ -72,6 +72,7 @@ from .surfaces import (
 )
 from .twists import (
     Twist,
+    clifford_ladder,
     clifford_twist,
     combine_twists,
     coboundary,

@@ -30,6 +30,7 @@ from .superalg import (
 from .surfaces import parse_surface, refinement
 from .twists import (
     Twist,
+    clifford_ladder,
     clifford_twist,
     h2_basis,
     h2_representatives,
@@ -153,10 +154,11 @@ def cmd_classify(args) -> int:
 # ------------------------------------------------------------------ verify
 
 def _clifford_ladder(args) -> int:
+    if args.clifford < 1:
+        raise ValidationError(f"--clifford N needs N >= 1, got {args.clifford}")
     _clifford_budget(args.clifford)
     rows = []
-    for n in range(1, args.clifford + 1):
-        group, twist = clifford_twist(n)
+    for n, (group, twist) in enumerate(clifford_ladder(args.clifford), start=1):
         algebra = TwistedGroupAlgebra(group, twist, validate=False)
         report = classify(algebra, seed=args.seed, cap=max(args.cap, group.order))
         sups = report.supermodules
@@ -323,8 +325,19 @@ def cmd_partition(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer, as numpy's generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    p.add_argument("--seed", type=_seed, default=0, help="PRNG seed (nonnegative)")
     p.add_argument("--cap", type=int, default=96,
                    help="largest group order to decompose (default 96)")
     p.add_argument("--json", action="store_true", help="machine-readable output")

@@ -333,9 +333,9 @@ def _spectrum(theory: TheoryData, seed: int, cap: int) -> list:
     if theory.family == "oriented":
         return [({"dim": irr.dim}, irr.dim, 0) for irr in irreps]
     if theory.family == "unoriented":
-        pairs = [(irr, ordinary_fs(irr.character, algebra)) for irr in irreps]
+        indicators = ordinary_fs(np.array([irr.character for irr in irreps]), algebra)
         return [({"dim": irr.dim, "indicator": eps}, irr.dim, 4 * (eps == -1))
-                for irr, eps in pairs if eps != 0]
+                for irr, eps in zip(irreps, indicators) if eps != 0]
     return [({"dims": list(sup.dims), "q": sup.q_type}, sup.qdim, 4 * sup.q_type)
             for sup in assemble_supermodules(irreps, algebra, seed=seed)]
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, SnapError, ValidationError
-from .groups import EvenSubgroup, Group, even_subgroup
+from .groups import Group, _check_phi
 from .twists import Twist, validate_twist
 
 __all__ = [
@@ -264,7 +264,8 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     process(None)
 
     # deduplicate by character, joining the first class within 1e-6; only the
-    # first leaf of a class is materialized
+    # first leaf of a class is materialized. A one-dimensional block M(g) is
+    # the 1 x 1 matrix chi(g) itself, so it needs no gather
     chars = np.array([chi for _, chi in leaves])
     firsts: list[int] = []   # the first leaf of each class
     classes: list[UngradedIrrep] = []
@@ -274,8 +275,10 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
             classes[hit[0]].multiplicity += 1
         else:
             firsts.append(i)
-            classes.append(UngradedIrrep(matrices=_block_matrices(algebra, q),
-                                         character=chi, dim=q.shape[1], multiplicity=1))
+            d = q.shape[1]
+            mats = chi.reshape(n, 1, 1).copy() if d == 1 else _block_matrices(algebra, q)
+            classes.append(UngradedIrrep(matrices=mats, character=chi, dim=d,
+                                         multiplicity=1))
     total = sum(irr.dim * irr.multiplicity for irr in classes)
     if total != n:
         raise DecompositionError(f"block dimensions sum to {total}, expected {n}")
@@ -323,13 +326,16 @@ def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlge
     signs = np.where(algebra.twist.phi == 1, -1.0, 1.0)
     odd = algebra.twist.phi == 1
     chars = np.array([irr.character for irr in irreps])
+    # the characters are orthonormal, so |<chi_j, chi_i^sigma>| is 1 at the
+    # partner of i and 0 elsewhere: its column maximum is the only candidate
+    candidates = np.argmax(np.abs(chars.conj() @ (signs * chars).T), axis=0)
 
     def partner(i: int) -> int:
-        hit = np.flatnonzero(np.max(np.abs(chars - signs * chars[i]), axis=1) < 1e-6)
-        if hit.size == 0:
+        j = int(candidates[i])
+        if np.max(np.abs(chars[j] - signs * chars[i])) >= 1e-6:
             raise DecompositionError(
                 f"no parity partner for irrep {i}; upstream decomposition is incomplete")
-        return int(hit[0])
+        return j
 
     sups: list[Supermodule] = []
     done: set[int] = set()
@@ -364,8 +370,8 @@ def _parity_intertwiner(mats: np.ndarray, signs: np.ndarray, rng: np.random.Gene
     for _ in range(max_rounds):
         x = _random_hermitian(rng, d)
         u = _average(mats, x, signs)
-        smin = np.linalg.svd(u, compute_uv=False)[-1]
-        if smin > 1e-6 * max(1.0, np.linalg.norm(u, 2)):
+        sv = np.linalg.svd(u, compute_uv=False)   # descending: 2-norm first
+        if sv[-1] > 1e-6 * max(1.0, sv[0]):
             lam = np.trace(u @ u) / d
             if np.max(np.abs(u @ u - lam * np.eye(d))) > 1e-8 * max(1.0, abs(lam)):
                 raise DecompositionError("parity intertwiner does not square to a scalar")
@@ -482,40 +488,71 @@ def snapped_string(k: int | None) -> str:
     return "0" if k is None else f"e^{{2·pi·i·{k}/8}}"
 
 
-def ordinary_fs(character: np.ndarray, algebra: TwistedGroupAlgebra) -> int:
-    """Twisted Frobenius-Schur indicator (1/|G|) sum_g (-1)^{alpha(g,g)} chi(g^2)."""
-    signs = algebra.diagonal_signs()
-    squares = algebra.group.table[np.arange(algebra.order), np.arange(algebra.order)]
-    val = np.sum(signs * np.asarray(character)[squares]) / algebra.order
-    return snap_indicator(val)
+def _gather(characters: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """characters[..., elements] with each row contiguous, so that a sum over
+    the last axis is numpy's pairwise sum per row, the same floats as for one
+    vector (fancy indexing on the last axis would lay the stack out by
+    column and sum it sequentially)."""
+    return np.take(np.asarray(characters), elements, axis=-1)
 
 
-def gow_indicator(chi0: np.ndarray, sub: EvenSubgroup,
-                  algebra: TwistedGroupAlgebra) -> int:
-    """(1/|G0|) sum over odd g of (-1)^{alpha(g,g)} chi0(g^2); 0 when phi is trivial.
+def _snap_each(values: np.ndarray) -> int | list[int]:
+    """snap_indicator on one value, or on each value of a vector in order."""
+    if values.ndim == 0:
+        return snap_indicator(values)
+    return [snap_indicator(v) for v in values]
 
-    chi0 is indexed by subgroup position; squares of odd elements are even.
+
+def ordinary_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra,
+                mask: np.ndarray | None = None) -> int | list[int]:
+    """Twisted Frobenius-Schur indicator (1/|H|) sum_{g in H} (-1)^{alpha(g,g)}
+    chi(g^2), snapped to {-1, 0, +1}, over H = G or over the subgroup H that
+    a boolean mask on G selects (chi is then read on H only).
+
+    `characters` is indexed by G: one vector, giving an int, or a (k, |G|)
+    stack, giving one int per row in one pass.
     """
-    if sub.index == 1:
-        return 0
-    odd = np.flatnonzero(sub.positions < 0)
-    pos = sub.positions[algebra.group.table[odd, odd]]
-    if (pos < 0).any():
+    signs = algebra.diagonal_signs()
+    squares = np.diagonal(algebra.group.table)
+    if mask is not None:
+        signs, squares = signs[mask], squares[mask]
+    val = np.sum(signs * _gather(characters, squares), axis=-1) / squares.size
+    return _snap_each(val)
+
+
+def gow_indicator(chi0: np.ndarray, algebra: TwistedGroupAlgebra) -> int | list[int]:
+    """(1/|G0|) sum over odd g of (-1)^{alpha(g,g)} chi0(g^2), snapped; 0 when
+    phi is trivial.
+
+    G0 = ker phi is the mask phi = 0; chi0 is indexed by G (one vector or a
+    (k, |G|) stack, as for ordinary_fs) and read on G0 only, since squares of
+    odd elements are even.
+    """
+    chi0 = np.asarray(chi0)
+    odd = algebra.twist.phi == 1
+    if not odd.any():
+        return 0 if chi0.ndim == 1 else [0] * len(chi0)
+    squares = np.diagonal(algebra.group.table)[odd]
+    if odd[squares].any():
         raise ValidationError("square of an odd element escaped the even subgroup")
-    total = np.sum(algebra.diagonal_signs()[odd] * chi0[pos])
-    return snap_indicator(total / sub.group.order)
+    total = np.sum(algebra.diagonal_signs()[odd] * _gather(chi0, squares), axis=-1)
+    return _snap_each(total / (odd.size - int(np.count_nonzero(odd))))
 
 
-def super_fs(sup: Supermodule, algebra: TwistedGroupAlgebra) -> complex:
-    """Raw super Frobenius-Schur indicator of a supermodule (before snapping)."""
+def super_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra,
+             q_type: int | np.ndarray) -> complex | np.ndarray:
+    """Raw super Frobenius-Schur indicator (before snapping) of supermodules
+    with the given characters, indexed by G, and q: one vector and one q,
+    giving a complex, or a (k, |G|) stack and one q per row, giving k values.
+    """
     if not algebra.is_z2:
         raise ValidationError("the super indicator needs a sign-valued twist")
     n = algebra.order
     signs = algebra.diagonal_signs()
-    phi = algebra.twist.phi
-    squares = algebra.group.table[np.arange(n), np.arange(n)]
-    total = np.sum((1j ** phi) * signs * sup.character[squares])
-    return complex(total / (math.sqrt(2) ** sup.q_type * n))
+    squares = np.diagonal(algebra.group.table)
+    total = np.sum((1j ** algebra.twist.phi) * signs * _gather(characters, squares), axis=-1)
+    val = total / (math.sqrt(2) ** np.asarray(q_type) * n)
+    return complex(val) if val.ndim == 0 else val
 
 
 def bw_from_parts(q: int, u_sign: int, division: str) -> int:
@@ -553,6 +590,10 @@ def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
     even/odd regrouping of the defining sum. Never raises on a failed check;
     failures are recorded in the report.
 
+    Each indicator is evaluated once per call, over the (k, |G|) stack of the
+    k supermodule characters, with the even subgroup G0 read as the mask
+    phi = 0 of G; only the special element is found per supermodule.
+
     The ungraded decomposition depends on the group and alpha but not on phi,
     so callers classifying one alpha under several gradings may pass
     `irreps = decompose_regular(algebra, seed, cap)` once and share it.
@@ -562,28 +603,36 @@ def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
     if irreps is None:
         irreps = decompose_regular(algebra, seed=seed, cap=cap)
     sups = assemble_supermodules(irreps, algebra, seed=seed)
-    group = algebra.group
-    sub = even_subgroup(group, algebra.twist.phi, twist=algebra.twist)
-    sub_algebra = TwistedGroupAlgebra(sub.group, sub.twist, validate=False)
     n = algebra.order
-    signs = algebra.diagonal_signs()
-    even_mask = algebra.twist.phi == 0
-    squares = group.table[np.arange(n), np.arange(n)]
+    phi = algebra.twist.phi
+    _check_phi(algebra.group, phi)   # ker phi is then the even subgroup G0
+    even = phi == 0
+    chars = np.array([sup.character for sup in sups])
+    chi0 = (chars + np.array([sup.supercharacter for sup in sups])) / 2
+    q_types = np.array([sup.q_type for sup in sups])
+    real = np.max(np.abs(np.conj(chars) - chars), axis=1) < tol
+    s_ordinary = ordinary_fs(chi0, algebra, even)
+    eta_gow = gow_indicator(chi0, algebra)
+    fs_raw = super_fs(chars, algebra, q_types)
+    # the division of a real q = 0 supermodule is the indicator of its character
+    division_fs = iter(ordinary_fs(chars[real & (q_types == 0)], algebra))
+    weighted = algebra.diagonal_signs() * _gather(chars, np.diagonal(algebra.group.table))
+    even_sums = np.sum(weighted[:, even], axis=1) / n
+    full_sums = np.sum(weighted, axis=1) / n
 
     all_ok = True
-    for sup in sups:
-        chi = sup.character
-        sup.reality = "real" if np.max(np.abs(np.conj(chi) - chi)) < tol else "complex"
-        sup.chi0 = ((chi + sup.supercharacter) / 2)[sub.elements]
-        sup.s_ordinary = ordinary_fs(sup.chi0, sub_algebra)
-        sup.eta_gow = gow_indicator(sup.chi0, sub, algebra)
-        sup.fs_raw = super_fs(sup, algebra)
+    for i, sup in enumerate(sups):
+        sup.reality = "real" if real[i] else "complex"
+        sup.chi0 = chi0[i, even]
+        sup.s_ordinary = s_ordinary[i]
+        sup.eta_gow = eta_gow[i]
+        sup.fs_raw = complex(fs_raw[i])
         sup.fs_k = snap_eighth_root(sup.fs_raw, tol)
 
         if sup.reality == "real":
             sup.u_sign = special_element(algebra, sup, irreps)[1]
             if sup.q_type == 0:
-                division = "R" if ordinary_fs(chi, algebra) == 1 else "H"
+                division = "R" if next(division_fs) == 1 else "H"
             else:
                 if sup.s_ordinary == 0:
                     raise SnapError("even restriction of a real q=1 supermodule "
@@ -598,8 +647,7 @@ def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
 
         scale = math.sqrt(2) ** sup.q_type
         gow_ok = abs(sup.fs_raw - (sup.s_ordinary + 1j * sup.eta_gow) / scale) < tol
-        even_sum = np.sum(signs[even_mask] * chi[squares[even_mask]]) / n
-        full_sum = np.sum(signs * chi[squares]) / n
+        even_sum, full_sum = even_sums[i], full_sums[i]
         rewrite = (even_sum + 1j * (full_sum - even_sum)) / scale
         rewrite_ok = abs(sup.fs_raw - rewrite) < tol
         sup.checks = {"theorem": theorem_ok, "gow_identity": gow_ok,

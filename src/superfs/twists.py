@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "coboundary",
     "shift_by_coboundary",
     "combine_twists",
+    "clifford_ladder",
     "clifford_twist",
     "trivial_group",
     "z2_hom_basis",
@@ -242,6 +243,20 @@ def combine_twists(gt: tuple[Group, Twist], ht: tuple[Group, Twist]) -> tuple[Gr
     return prod, validate_twist(prod, combined)
 
 
+def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
+    """The rank-k Clifford twists on (Z2)^k for k = 1..n, each built from the
+    last by one combine_twists with the rank-1 twist."""
+    from .groups import group_from_table
+    z2 = group_from_table([[0, 1], [1, 0]], names=["e", "u"])
+    rank_one = (z2, Twist(phi=np.array([0, 1]),
+                          alpha_num=np.zeros((2, 2), dtype=np.int64), denom=1))
+    rung = rank_one
+    for k in range(1, n + 1):
+        if k > 1:
+            rung = combine_twists(rung, rank_one)
+        yield rung
+
+
 def clifford_twist(n: int) -> tuple[Group, Twist]:
     """The rank-n Clifford twist on (Z2)^n; n = 0 is the trivial theory."""
     if n < 0:
@@ -249,14 +264,9 @@ def clifford_twist(n: int) -> tuple[Group, Twist]:
     if n == 0:
         g = trivial_group()
         return g, Twist.zero(1)
-    from .groups import group_from_table
-    z2 = group_from_table([[0, 1], [1, 0]], names=["e", "u"])
-    seed = (z2, Twist(phi=np.array([0, 1]), alpha_num=np.zeros((2, 2), dtype=np.int64),
-                      denom=1))
-    out = seed
-    for _ in range(n - 1):
-        out = combine_twists(out, seed)
-    return out
+    for rung in clifford_ladder(n):
+        pass
+    return rung
 
 
 # ---------------------------------------------------------------------------

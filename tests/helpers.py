@@ -315,3 +315,41 @@ def special_element_by_solve(blocks, targets, module) -> tuple[np.ndarray, int]:
     sign = int(round(nu))
     assert sign in (-1, 1) and abs(nu - sign) < 1e-6
     return coeffs.real, sign
+
+
+def even_part(table, phi) -> tuple[list[int], list[list[int]]]:
+    """G0 = ker phi as a group of its own: its elements (parent indices, in
+    order) and its multiplication table in subgroup positions."""
+    elements = [g for g in range(len(table)) if phi[g] == 0]
+    position = {g: i for i, g in enumerate(elements)}
+    return elements, [[position[int(table[a][b])] for b in elements] for a in elements]
+
+
+def indicators_by_supermodule(table, phi, alpha_num, denom: int, character,
+                              supercharacter, q: int) -> tuple[complex, complex, complex]:
+    """The raw (ordinary indicator of the even part, Gow's indicator, super
+    indicator) of one supermodule of a sign-valued twist, element by element:
+    chi0 = (chi + str) / 2 on G0 and its indicator on G0's own table, Gow's
+    (1/|G0|) sum over odd g of (-1)^{alpha(g,g)} chi0(g^2), and
+    (1 / (sqrt(2)^q |G|)) sum_g i^{phi(g)} (-1)^{alpha(g,g)} chi(g^2)."""
+    n = len(table)
+    elements, sub = even_part(table, phi)
+    m = len(elements)
+    sign = []
+    for g in range(n):
+        assert (2 * int(alpha_num[g][g])) % denom == 0, "twist is not sign-valued"
+        sign.append(1 - 2 * ((2 * int(alpha_num[g][g]) // denom) % 2))
+    chi0 = [(character[g] + supercharacter[g]) / 2 for g in elements]
+    s_even = sum(sign[elements[i]] * chi0[sub[i][i]] for i in range(m)) / m
+    where = {g: i for i, g in enumerate(elements)}
+    gow = sum(sign[g] * chi0[where[int(table[g][g])]] for g in range(n) if phi[g]) / m
+    s_super = sum(1j ** int(phi[g]) * sign[g] * character[int(table[g][g])]
+                  for g in range(n)) / (math.sqrt(2) ** q * n)
+    return complex(s_even), complex(gow), complex(s_super)
+
+
+def nearest(value: complex, allowed) -> object:
+    """The allowed value within 1e-6 of value (asserted to exist)."""
+    hits = [a for a, z in allowed if abs(value - z) < 1e-6]
+    assert len(hits) == 1, f"{value} is not within 1e-6 of exactly one allowed value"
+    return hits[0]

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superfs import (
@@ -77,6 +78,55 @@ def test_verify_clifford_ladder(capsys):
             f"e^{{2·pi·i·{row['n'] % 8}/8}}".replace("e^{2·pi·i·0/8}", "e^{2·pi·i·0/8}")
     assert data["ladder"][7]["S_super"] == "e^{2·pi·i·0/8}"
     assert data["all_pass"] is True
+
+
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_verify_clifford_refuses_rank_below_one(capsys, rank):
+    code, out, err = run(capsys, "verify", "--clifford", rank)
+    assert code == 2 and out == ""
+    assert f"--clifford N needs N >= 1, got {rank}" in err
+
+
+def test_clifford_ladder_builds_each_rung_from_the_last(monkeypatch, capsys):
+    import superfs.cli
+    import superfs.twists
+
+    combined, seen = [], []
+    original_combine, original_classify = superfs.twists.combine_twists, superfs.cli.classify
+
+    def combine(*args):
+        combined.append(1)
+        return original_combine(*args)
+
+    def recording(algebra, **kwargs):
+        seen.append((algebra.group, algebra.twist))
+        return original_classify(algebra, **kwargs)
+
+    monkeypatch.setattr(superfs.twists, "combine_twists", combine)
+    monkeypatch.setattr(superfs.cli, "classify", recording)
+    code, data, _ = run_json(capsys, "verify", "--clifford", "6")
+    assert code == 0 and data["all_pass"]
+    assert len(combined) == 5   # one per rung after the first, not 0 + 1 + ... + 5
+    assert len(seen) == 6
+    for n, (group, twist) in enumerate(seen, start=1):
+        want_group, want_twist = clifford_twist(n)
+        assert np.array_equal(group.table, want_group.table)
+        assert np.array_equal(twist.phi, want_twist.phi)
+        assert np.array_equal(twist.alpha_num, want_twist.alpha_num)
+        assert twist.denom == want_twist.denom
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "z2"],
+    ["verify", "--clifford", "2"],
+    ["sweep", "--groups", "z2"],
+    ["partition", "--group", "z2", "--surface", "orientable:1"],
+])
+def test_negative_seed_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
 
 
 def test_verify_d4_full_sweep(tmp_path, capsys):

@@ -44,7 +44,8 @@ from superfs import superalg
 from superfs.superalg import BW_TABLE, _check_parity, _verify_irrep, bw_from_parts
 
 from helpers import (average_by_einsum, block_matrices_by_element, graded_module,
-                     module_characters, parity_intertwiner_by_average, relabelled, relabelling,
+                     indicators_by_supermodule, module_characters, nearest,
+                     parity_intertwiner_by_average, relabelled, relabelling,
                      special_element_by_solve)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -176,6 +177,32 @@ def test_decompose_materializes_one_leaf_per_class(monkeypatch):
     (irr,) = decompose_regular(alg, seed=1)
     assert (irr.dim, irr.multiplicity) == (4, 4)
     assert len(calls) == 1
+
+
+def test_one_dimensional_blocks_are_the_character(monkeypatch):
+    # a one-dimensional class takes chi(g) as its 1 x 1 block with no gather:
+    # the block of the line it spans, conj(chi) / sqrt(|G|). Z2 x Z4 x Z4
+    # untwisted, and under the first nontrivial H^2(G, Z2) class whose
+    # irreps stay one-dimensional (its cocycle is symmetric)
+    g = product_group(product_group(cyclic(2), cyclic(4)), cyclic(4))
+    original = superalg._block_matrices
+    calls = []
+    monkeypatch.setattr(superalg, "_block_matrices",
+                        lambda algebra, q: calls.append(q.shape) or original(algebra, q))
+    checked = 0
+    for twist in h2_representatives(g):
+        alg = TwistedGroupAlgebra(g, twist)
+        irreps = decompose_regular(alg, seed=2)
+        if any(irr.dim > 1 for irr in irreps):
+            continue
+        assert len(irreps) == 32 and not calls
+        for irr in irreps:
+            q = np.conj(irr.character)[:, None] / np.sqrt(alg.order)
+            assert np.max(np.abs(original(alg, q) - irr.matrices)) < 1e-12
+        checked += 1
+        if twist.alpha_num.any():
+            break
+    assert checked == 2
 
 
 def _kernel_algebra(name):
@@ -340,6 +367,31 @@ def test_supermodules_match_the_matrix_oracle():
     assert real == 676
 
 
+def test_batched_indicators_match_the_per_supermodule_oracle():
+    # classify evaluates every indicator once over the stacked characters with
+    # G0 as a mask; tests/helpers builds G0's own table and sums element by
+    # element for each supermodule
+    signs = [(1, 1), (0, 0), (-1, -1)]
+    roots = [(None, 0), *((k, eighth_root(k)) for k in range(8))]
+    supermodules = 0
+    for alg, seed in _oracle_algebras():
+        report = classify(alg, seed=seed, cap=alg.order)
+        assert report.all_pass
+        table, phi = alg.group.table, alg.twist.phi
+        for sup in report.supermodules:
+            s_even, gow, s_super = indicators_by_supermodule(
+                table, phi, alg.twist.alpha_num, alg.twist.denom, sup.character,
+                sup.supercharacter, sup.q_type)
+            assert sup.s_ordinary == nearest(s_even, signs)
+            assert sup.eta_gow == nearest(gow, signs)
+            assert abs(sup.fs_raw - s_super) < 1e-12
+            k = nearest(s_super, roots)
+            assert sup.fs_k == k
+            assert sup.bw == ("complex" if sup.reality == "complex" else k)
+            supermodules += 1
+    assert supermodules == 1242
+
+
 def test_decompose_cap():
     g = catalog_group("a4")
     with pytest.raises(ValidationError, match="cap"):
@@ -391,6 +443,17 @@ def test_assemble_pairs_by_parity():
     # with no odd elements the grading is the identity
     for s in sups2:
         assert np.max(np.abs(s.supercharacter - s.character)) < 1e-12
+
+
+def test_missing_parity_partner_raises():
+    # Clifford(1) has two one-dimensional irreps, each the other's parity
+    # partner; without the second the first has none
+    g, t = clifford_twist(1)
+    alg = TwistedGroupAlgebra(g, t)
+    irreps = decompose_regular(alg)
+    assert len(irreps) == 2
+    with pytest.raises(DecompositionError, match="^no parity partner for irrep 0;"):
+        assemble_supermodules(irreps[:1], alg)
 
 
 def test_supermodule_characters_vanish_on_odd():
@@ -462,27 +525,68 @@ def test_ordinary_fs_values():
 
 
 def test_gow_indicator_direct():
-    from superfs.groups import even_subgroup
-
     g = cyclic(4)
     t = validate_twist(g, z4_parity())
     alg = TwistedGroupAlgebra(g, t, validate=False)
-    sub = even_subgroup(g, t.phi, twist=t)
-    # even subgroup is {0, 2} = Z2; its characters are (1,1) and (1,-1)
-    # odd elements 1, 3 square to 2
-    assert gow_indicator(np.array([1.0, 1.0]), sub, alg) == 1
-    assert gow_indicator(np.array([1.0, -1.0]), sub, alg) == -1
+    # the even subgroup is the mask phi = 0, {0, 2} = Z2; characters are read
+    # on it only, so the odd entries are junk: (1, 1) and (1, -1) on {0, 2}.
+    # Odd elements 1, 3 square to 2
+    assert gow_indicator(np.array([1.0, 7.0, 1.0, 7.0]), alg) == 1
+    assert gow_indicator(np.array([1.0, 7.0, -1.0, 7.0]), alg) == -1
+    # a stack gives one value per row
+    assert gow_indicator(np.array([[1.0, 0, 1.0, 0], [1.0, 0, -1.0, 0]]), alg) == [1, -1]
     # trivial grading: eta = 0 by convention
-    sub0 = even_subgroup(g, np.zeros(4, dtype=np.int64), twist=Twist.zero(4))
-    assert gow_indicator(np.ones(4), sub0, TwistedGroupAlgebra(g)) == 0
+    assert gow_indicator(np.ones(4), TwistedGroupAlgebra(g)) == 0
+    assert gow_indicator(np.ones((3, 4)), TwistedGroupAlgebra(g)) == [0, 0, 0]
+
+
+def test_gow_indicator_refuses_an_odd_square():
+    # phi = (0, 1, 1, 0) on Z4 is no homomorphism: the odd element 1 squares
+    # to the odd element 2
+    g = cyclic(4)
+    alg = TwistedGroupAlgebra(g, Twist.zero(4).with_phi(np.array([0, 1, 1, 0])),
+                              validate=False)
+    with pytest.raises(ValidationError, match="square of an odd element escaped"):
+        gow_indicator(np.ones(4), alg)
+
+
+def test_classify_refuses_a_grading_that_is_no_homomorphism():
+    # Clifford(2) x Z2 has two 2-dimensional irreps, with characters 2 and
+    # +-2 at the central element 1 = (e, c) and 0 elsewhere. phi = 1 at 1 only
+    # swaps them, so they assemble into one type-Q supermodule, and only
+    # classify's own check on phi refuses the grading
+    g, t = combine_twists(clifford_twist(2), (cyclic(2), Twist.zero(2)))
+    phi = np.zeros(8, dtype=np.int64)
+    phi[1] = 1
+    alg = TwistedGroupAlgebra(g, t.with_phi(phi), validate=False)
+    sups = assemble_supermodules(decompose_regular(alg), alg)
+    assert [s.q_type for s in sups] == [1]
+    with pytest.raises(ValidationError,
+                       match=r"^phi is not a homomorphism to Z2: fails at \(1, 2\)$"):
+        classify(alg)
+
+
+def test_ordinary_fs_on_a_mask_reads_the_subgroup_only():
+    g = cyclic(4)
+    alg = TwistedGroupAlgebra(g, validate_twist(g, z4_parity()), validate=False)
+    even = alg.twist.phi == 0
+    # {0, 2} = Z2 with characters (1, 1) and (1, -1): both real, indicator 1
+    assert ordinary_fs(np.array([[1.0, 5.0, 1.0, 5.0], [1.0, 5.0, -1.0, 5.0]]),
+                       alg, even) == [1, 1]
+    # on all of Z4 the sign character's square is trivial, the others' not
+    chars = np.array([[1, 1j ** k, (-1) ** k, (-1j) ** k] for k in range(4)])
+    assert ordinary_fs(chars, TwistedGroupAlgebra(g)) == [1, 0, 1, 0]
 
 
 def test_super_fs_clifford1():
     g, t = clifford_twist(1)
     alg = TwistedGroupAlgebra(g, t)
     sups = assemble_supermodules(decompose_regular(alg), alg)
-    val = super_fs(sups[0], alg)
+    val = super_fs(sups[0].character, alg, sups[0].q_type)
     assert abs(val - eighth_root(1)) < 1e-9
+    # a stack of the same character gives the same value per row
+    vals = super_fs(np.array([sups[0].character] * 2), alg, np.array([1, 1]))
+    assert vals.shape == (2,) and np.all(vals == val)
 
 
 def test_snapping_helpers():
