@@ -7,7 +7,7 @@ Each point runs in a fresh interpreter that imports `superfs` from
 `<src>/src`, so the peak resident memory it reports belongs to that point
 alone. Two families are measured:
 
-- `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..10 (|G| = 16..1024);
+- `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..11 (|G| = 16..2048);
 - `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..10.
 
 A point times five stages: validation (`group_from_table` and
@@ -38,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET = "1e10"
-RANKS = range(4, 11)
+RANKS = {"clifford": range(4, 12), "z2-graded": range(4, 11)}
 CLI_ARGS = ["classify", "--clifford", "10", "--cap", "2000", "--json"]
 
 
@@ -145,8 +145,8 @@ def main(argv: list | None = None) -> None:
 
     src = args.src.resolve()
     points = []
-    for family in ("clifford", "z2-graded"):
-        for rank in RANKS:
+    for family, ranks in RANKS.items():
+        for rank in ranks:
             _, _, out = _run_child([str(Path(__file__).resolve()), "--src", str(src),
                                     "--label", args.label, "--point", family, str(rank)],
                                    src, capture=True)

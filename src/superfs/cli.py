@@ -190,7 +190,8 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     """One row per (phi, alpha) case, in (phi_index, alpha_index) order.
 
     The ungraded decomposition depends on alpha but not on phi, so each alpha
-    is validated and decomposed once and its irreps are shared by every phi.
+    is validated and decomposed once, and its reduced table, phases and irreps
+    are shared by every phi.
     The phis are homomorphisms by construction (z2_homomorphisms), or the one
     phi named on the command line, which is validated with the first alpha.
     """
@@ -206,11 +207,11 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     rows = []
     for ai, base in enumerate(alphas):
         twist = validate_twist(group, base.with_phi(phis[0]))
-        irreps = decompose_regular(TwistedGroupAlgebra(group, twist, validate=False),
-                                   seed=args.seed, cap=args.cap)
+        algebra = TwistedGroupAlgebra(group, twist, validate=False)
+        irreps = decompose_regular(algebra, seed=args.seed, cap=args.cap)
         for pi, phi in enumerate(phis):
-            algebra = TwistedGroupAlgebra(group, twist.with_phi(phi), validate=False)
-            report = classify(algebra, seed=args.seed, cap=args.cap, irreps=irreps)
+            report = classify(algebra.with_phi(phi), seed=args.seed, cap=args.cap,
+                              irreps=irreps)
             rows.append({
                 "group": name, "order": group.order,
                 "phi_index": pi, "alpha_index": ai,

@@ -35,18 +35,26 @@ class Group:
 
     `generators` is a list S from which right multiplication reaches every
     element starting at the identity; validators check identities on S only.
+    `words` is a breadth-first word tree over S: one level per word length,
+    each a triple (elements, parents, steps) of arrays with
+    element = parent * generators[step], so that a quantity known at e and
+    on S can be carried to every element, one level at a time.
     """
 
     order: int
     table: np.ndarray
     inverses: np.ndarray
     generators: np.ndarray
+    words: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.table.setflags(write=False)
         self.inverses.setflags(write=False)
         self.generators.setflags(write=False)
+        for level in self.words:
+            for arr in level:
+                arr.setflags(write=False)
 
     @property
     def identity(self) -> int:
@@ -83,6 +91,28 @@ def _generating_set(table: np.ndarray) -> np.ndarray:
                     nxt.extend(c[y] for c in cols)
             frontier = nxt
     return np.array(gens, dtype=np.int64)
+
+
+def _word_levels(table: np.ndarray, gens: np.ndarray) -> tuple:
+    """The breadth-first word tree of Group.words: level k holds the elements
+    of word length k in S, each with the parent it is first reached from
+    (in frontier order, then generator order) and that generator's position
+    in S. One gather of the frontier's |S| right multiples per level:
+    O(|G| |S|) in all."""
+    seen = np.zeros(table.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    levels = []
+    while True:
+        reached = table[frontier[:, None], gens].ravel()
+        fresh, first = np.unique(reached, return_index=True)
+        keep = ~seen[fresh]
+        if not keep.any():
+            return tuple(levels)
+        fresh, first = fresh[keep], first[keep]
+        seen[fresh] = True
+        levels.append((fresh, frontier[first // gens.size], first % gens.size))
+        frontier = fresh
 
 
 def _find_identity(table: np.ndarray) -> int:
@@ -151,7 +181,8 @@ def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
     if bad.size:
         raise ValidationError(f"element {int(bad[0])} has no two-sided inverse")
     nm = tuple(str(x) for x in names) if names is not None else None
-    return Group(order=n, table=t, inverses=inv, generators=gens, names=nm)
+    return Group(order=n, table=t, inverses=inv, generators=gens,
+                 words=_word_levels(t, gens), names=nm)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -5,12 +5,17 @@ omega = exp(2 pi i alpha), and is Z2-graded by phi. The regular representation
 is split into irreducible blocks by the eigenspaces of a random Hermitian
 element H = X + X^dagger of its commutant, where X = sum_k x_k R_k is a random
 combination of the twisted right multiplications R_k e_h = omega(h, k) e_{hk}
-(O(|G|^2) to build). Blocks are paired under the parity twist into
-supermodules of type M (q = 0) or Q (q = 1), each known by its character and
-supercharacter alone; no module matrices are assembled. For sign-valued
-twists, each real supermodule is pinned to one of the eight real graded
-division classes through a *-fixed special element u with u^2 = +-1, read off
-in closed form from those characters, and the super Frobenius-Schur indicator
+(O(|G|^2) to build). The action M(g) = Q^dagger L_g Q on a block with
+orthonormal basis Q is generated from A_s = Q^dagger L_s Q on a generating set
+S alone, M(ps) = M(p) A_s / omega(p, s) along a word tree. This is exact
+because span Q is L_s-invariant exactly when A_s is unitary, which is checked
+for every s, and invariance under S carries to every g by induction over S.
+Blocks are paired under the parity twist into supermodules of type M (q = 0)
+or Q (q = 1), each known by its character and supercharacter alone; no module
+matrices are assembled. For sign-valued twists, each real supermodule is
+pinned to one of the eight real graded division classes through a *-fixed
+special element u with u^2 = +-1, read off in closed form from those
+characters, and the super Frobenius-Schur indicator
 
     S(rho) = (1 / (sqrt(2)^q |G|)) sum_g i^{phi(g)} (-1)^{alpha(g,g)} chi(g^2)
 
@@ -20,7 +25,10 @@ is verified to land on exp(2 pi i bw / 8) for that class (or 0 when complex).
 from __future__ import annotations
 
 import cmath
+import copy
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +87,13 @@ class TwistedGroupAlgebra:
     @property
     def is_z2(self) -> bool:
         return self.twist.is_z2
+
+    def with_phi(self, phi: np.ndarray) -> TwistedGroupAlgebra:
+        """This algebra graded by phi instead, sharing its group and phases;
+        phi is not validated."""
+        algebra = copy.copy(self)
+        algebra.twist = self.twist.with_phi(phi)
+        return algebra
 
     def diagonal_signs(self) -> np.ndarray:
         """(-1)^{alpha(g, g)} for sign-valued twists."""
@@ -161,29 +176,69 @@ def check_cap(order: int, cap: int) -> None:
         raise ValidationError(f"group order {order} exceeds the configured cap {cap}")
 
 
-# entries of the (g, |G|, d) slab that _block_matrices gathers at a time; a
-# fixed cap keeps the gather from adding to the peak memory of large blocks
+# entries of the (|S| + 1, |G|, D) slabs and (|G|, D, D) blocks that
+# _submodule_blocks handles at a time (and of the block stacks that
+# _verify_irrep checks at a time); a fixed cap keeps the batching from adding
+# to the peak memory of large blocks
 _GATHER_ENTRIES = 1 << 15
 
 
-def _block_matrices(algebra: TwistedGroupAlgebra, q: np.ndarray) -> np.ndarray:
-    """M(g) = Q^dagger L_g Q for every g, where L_g e_h = omega(g, h) e_{gh}
-    and the columns of Q span a submodule of the regular representation.
+def _submodule_blocks(algebra: TwistedGroupAlgebra,
+                      bases: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(Q, M) for each basis Q (|G| x D, one D for all) of a submodule of the
+    regular representation, in order, with M(g) = Q^dagger L_g Q for every g
+    and L_g e_h = omega(g, h) e_{gh}.
 
-    Row gh of L_g Q is omega(g, h) Q[h], so M(g) = A_g^T Q with
-    A_g[h] = conj(Q[gh]) omega(g, h): one gather of conj(Q) along row g of the
-    table. A is built for a chunk of g at a time and multiplied by Q in one
-    batched product, O(|G|^2 d^2) in all.
+    Row sh of L_s Q is omega(s, h) Q[h], so A_s = Q^dagger L_s Q is
+    sum_h conj(Q[sh]) omega(s, h) Q[h]: one gather of (|S| + 1) |G| D
+    entries for s in {e} + S. As L_p L_s = omega(p, s) L_{ps}, the blocks then
+    follow along the group's word tree, M(e) = A_e and
+    M(ps) = M(p) A_s / omega(p, s), one batched product per level:
+    O(|G| |S| D^2 + |G| D^3) per basis, against O(|G|^2 D^2) to gather
+    every M(g).
+
+    Soundness. Q has orthonormal columns (A_e = omega(e, e) Q^dagger Q checks
+    it), so ||A_s x|| = ||Q Q^dagger L_s Q x|| <= ||L_s Q x|| = ||x||, with
+    equality iff L_s Q x stays in span Q: span Q is L_s-invariant iff A_s is
+    unitary. Invariance under S carries to every g = ps by induction over the
+    word length, and then Q^dagger L_p L_s Q = M(p) A_s, so the generated
+    M(g) equal Q^dagger L_g Q. Every A_s is checked unitary within 1e-8, at
+    |S| D^3 per basis; a basis that fails raises DecompositionError.
+
+    The bases go through as many at a time as fit in _GATHER_ENTRIES (at
+    least one), counting both their gather and their blocks, each chunk with
+    one gather and one batched product per level.
     """
-    n, d = q.shape
-    qc = q.conj()
-    mats = np.empty((n, d, d), dtype=complex)
-    step = max(1, _GATHER_ENTRIES // (n * d))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        a = qc[algebra.group.table[rows]] * algebra.phases[rows, :, None]
-        mats[rows] = a.transpose(0, 2, 1) @ q
-    return mats
+    group = algebra.group
+    n = algebra.order
+    steps = np.concatenate(([group.identity], group.generators))
+    rows = group.table[steps]                  # row j: steps[j] h for every h
+    omegas = algebra.phases[steps][:, :, None]
+    levels = [(elements, parents, position + 1,
+               algebra.phases[parents, group.generators[position]][:, None, None])
+              for elements, parents, position in group.words]
+    pending = iter(bases)
+    for first in pending:
+        d = first.shape[1]
+        size = max(1, _GATHER_ENTRIES // (n * d * max(steps.size, d)))
+        q = np.array([first, *itertools.islice(pending, size - 1)])
+        a = q.conj()[:, rows]
+        a *= omegas
+        a = a.swapaxes(-1, -2) @ q[:, None]
+        drift = np.abs(a @ a.conj().swapaxes(-1, -2) - np.eye(d))
+        if drift.max() > 1e-8:
+            j, s = np.argwhere(drift.max(axis=(-2, -1)) > 1e-8)[0]
+            raise DecompositionError(
+                f"basis does not span a submodule: its block at {steps[s]} is not "
+                f"unitary (off by {drift[j, s].max():.2e})")
+        mats = np.empty((len(q), n, d, d), dtype=complex)
+        mats[:, group.identity] = a[:, 0]
+        for elements, parents, position, omega in levels:
+            mats[:, elements] = mats[:, parents] @ a[:, position] / omega
+        # a kept block should not hold its chunk's other blocks alive
+        for basis, blocks in zip(q, mats):
+            yield basis, blocks if len(mats) == 1 else blocks.copy()
+        del q, a, mats, basis, blocks   # let this chunk go before the next gather
 
 
 def _average(mats: np.ndarray, x: np.ndarray,
@@ -203,12 +258,26 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     with the left regular action and span its commutant. At the root, a
     random H = X + X^dagger with X = sum_k x_k R_k is a generic Hermitian
     element of that commutant, so its eigenspaces are submodules (almost
-    surely one copy of an irreducible each); it costs O(|G|^2) to build. A
-    block whose character norm is above 1 is split again by averaging a
-    random Hermitian matrix over the block's action, a pairwise contraction
-    of O(|G| d^3). Deterministic for a fixed seed. Returns one representative
-    per isomorphism class (characters separate classes) with multiplicity
-    bookkeeping.
+    surely one copy of an irreducible each); it costs O(|G|^2) to build.
+
+    Every other node is a submodule with orthonormal basis Q, and its blocks
+    M(g) = Q^dagger L_g Q come from the generators alone (_submodule_blocks):
+    A_s = Q^dagger L_s Q for s in {e} + S, then M(ps) = M(p) A_s / omega(p, s)
+    along the word tree. This is sound because span Q is L_s-invariant
+    exactly when A_s is unitary, which is checked for every s and every node
+    (DecompositionError otherwise); invariance under S carries to every g by
+    induction over S, and the generated M(g) then equal Q^dagger L_g Q. The
+    character is chi(g) = tr M(g). A block whose character norm is above 1
+    is split again by averaging a random Hermitian matrix over its action, a
+    pairwise contraction of O(|G| d^3). The children of one split that share
+    a dimension are generated together and processed in eigenvalue order.
+
+    Leaves are grouped into classes by character: a leaf joins the first
+    class whose character is within 1e-6 everywhere. Classes are screened on
+    chi over {e} + S first (a full match implies a match there), and only the
+    first leaf of a class keeps its blocks. Deterministic for a fixed seed.
+    Returns one representative per isomorphism class with multiplicity
+    bookkeeping, each verified by _verify_irrep.
     """
     n = algebra.order
     check_cap(n, cap)
@@ -216,7 +285,9 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     table = algebra.group.table
     phases = algebra.phases
     elements = np.arange(n)
-    leaves: list[tuple[np.ndarray, np.ndarray]] = []  # (basis, character)
+    screen_at = np.concatenate(([algebra.group.identity], algebra.group.generators))
+    screen = np.empty((n, screen_at.size), dtype=complex)   # chi on {e} + S per class
+    classes: list[UngradedIrrep] = []
 
     def root_commutant() -> np.ndarray:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -224,26 +295,31 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
         big[table, elements[:, None]] = x * phases  # column h of R_k is e_{hk}
         return big + big.conj().T
 
-    def character(q: np.ndarray) -> np.ndarray:
-        # chi(g) = tr(Q^dagger L_g Q) = sum_h omega(g, h) P[h, gh] with P = Q Q^dagger
-        p = q @ q.conj().T
-        return np.sum(phases * p[elements[None, :], table], axis=1)
+    def leaf(mats: np.ndarray, chi: np.ndarray) -> None:
+        key = chi[screen_at]
+        near = np.abs(screen[:len(classes)] - key).max(axis=1) < 1e-6
+        for k in near.nonzero()[0]:
+            if np.abs(classes[k].character - chi).max() < 1e-6:
+                classes[k].multiplicity += 1
+                return
+        screen[len(classes)] = key
+        classes.append(UngradedIrrep(matrices=mats, character=chi, dim=mats.shape[1],
+                                     multiplicity=1))
 
-    def process(q: np.ndarray | None, depth: int = 0) -> None:
-        if depth > 32:
-            raise DecompositionError("recursion depth exceeded; re-seed and retry")
-        if q is None:
+    def process(q: np.ndarray | None, mats: np.ndarray | None, depth: int) -> None:
+        if q is None:   # the regular representation
             chi = np.zeros(n, dtype=complex)
             chi[0] = float(n)
         else:
-            chi = character(q)
+            chi = mats.trace(axis1=1, axis2=2)
         norm = float(np.real(np.vdot(chi, chi))) / n
         if norm < 1 + 1e-6:
             if norm < 1 - 1e-6:
                 raise DecompositionError(f"character norm {norm} below 1")
-            leaves.append((np.eye(n, dtype=complex) if q is None else q, chi))
+            leaf(chi.reshape(1, 1, 1) if q is None else mats, chi)
             return
-        mats = None if q is None else _block_matrices(algebra, q)
+        if depth >= 32:   # its children would lie deeper than 32
+            raise DecompositionError("recursion depth exceeded; re-seed and retry")
         for _ in range(max_rounds):
             if q is None:
                 t = root_commutant()
@@ -254,31 +330,20 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
             clusters = _cluster(eigvals, cluster_tol)
             if len(clusters) < 2:
                 continue
+            streams: dict = {}
             for c in clusters:
-                basis = vecs[:, c]
-                process(basis if q is None else q @ basis, depth + 1)
+                d = c.size
+                if d not in streams:   # every cluster of this dimension, in order
+                    streams[d] = _submodule_blocks(algebra, (
+                        vecs[:, b] if q is None else q @ vecs[:, b]
+                        for b in clusters if b.size == d))
+                process(*next(streams[d]), depth + 1)
             return
         raise DecompositionError(
             "eigenvalue clustering stayed ambiguous at tolerance; re-seed and retry")
 
-    process(None)
+    process(None, None, 0)
 
-    # deduplicate by character, joining the first class within 1e-6; only the
-    # first leaf of a class is materialized. A one-dimensional block M(g) is
-    # the 1 x 1 matrix chi(g) itself, so it needs no gather
-    chars = np.array([chi for _, chi in leaves])
-    firsts: list[int] = []   # the first leaf of each class
-    classes: list[UngradedIrrep] = []
-    for i, (q, chi) in enumerate(leaves):
-        hit = np.flatnonzero(np.max(np.abs(chars[firsts] - chi), axis=1) < 1e-6)
-        if hit.size:
-            classes[hit[0]].multiplicity += 1
-        else:
-            firsts.append(i)
-            d = q.shape[1]
-            mats = chi.reshape(n, 1, 1).copy() if d == 1 else _block_matrices(algebra, q)
-            classes.append(UngradedIrrep(matrices=mats, character=chi, dim=d,
-                                         multiplicity=1))
     total = sum(irr.dim * irr.multiplicity for irr in classes)
     if total != n:
         raise DecompositionError(f"block dimensions sum to {total}, expected {n}")
@@ -287,30 +352,54 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
             raise DecompositionError(
                 f"irrep of dim {irr.dim} appeared {irr.multiplicity} times in the regular "
                 "representation; expected multiplicity equal to its dimension")
-        _verify_irrep(algebra, irr)
-    classes.sort(key=lambda irr: (irr.dim,
-                                  tuple(np.round(irr.character.real, 8)),
-                                  tuple(np.round(irr.character.imag, 8))))
-    return classes
+    for d in dict.fromkeys(irr.dim for irr in classes):
+        _verify_irrep(algebra, *(irr for irr in classes if irr.dim == d))
+    # sort by (dim, rounded real parts, rounded imaginary parts), compared
+    # lexicographically as tuples would be, in one stable lexsort (its last
+    # key is the primary one)
+    chars = np.array([irr.character for irr in classes])
+    keys = np.concatenate(([[irr.dim for irr in classes]], np.round(chars.real, 8).T,
+                           np.round(chars.imag, 8).T))
+    return [classes[i] for i in np.lexsort(keys[::-1])]
 
 
-def _verify_irrep(algebra: TwistedGroupAlgebra, irr: UngradedIrrep,
+def _verify_irrep(algebra: TwistedGroupAlgebra, *irreps: UngradedIrrep,
                   tol: float = 1e-8) -> None:
     """Every M(g) is unitary and M(g) M(s) = omega(g, s) M(gs) for every g and
     every s in {e} + S, one batched product per s. Exhaustive: a product rule
     that holds at h and at every s in S holds at hs (by the cocycle identity),
-    and every element is a product of generators."""
-    mats = irr.matrices
+    and every element is a product of generators.
+
+    The irreps share one dimension and are checked stacked, as many at a
+    time as fit in _GATHER_ENTRIES; the error raised is the one checking them
+    one by one would raise first: the first failing irrep, unitarity before
+    the product rule, s in order, then the first element.
+    """
     group = algebra.group
-    gram = mats @ mats.conj().transpose(0, 2, 1)
-    bad = np.flatnonzero(np.max(np.abs(gram - np.eye(irr.dim)), axis=(1, 2)) > tol)
-    if bad.size:
-        raise DecompositionError(f"block for element {bad[0]} is not unitary")
-    for s in [group.identity, *group.generators.tolist()]:
-        want = algebra.phases[:, s, None, None] * mats[group.table[:, s]]
-        bad = np.flatnonzero(np.max(np.abs(mats @ mats[s] - want), axis=(1, 2)) > tol)
+    n, d = algebra.order, irreps[0].dim
+    steps = [group.identity, *group.generators.tolist()]
+    size = max(1, _GATHER_ENTRIES // (n * d * d))
+    for start in range(0, len(irreps), size):
+        chunk = irreps[start:start + size]
+        mats = (chunk[0].matrices[None] if len(chunk) == 1
+                else np.array([irr.matrices for irr in chunk]))
+        gram = mats @ mats.conj().swapaxes(-1, -2)
+        gram -= np.eye(d)
+        faults = [np.abs(gram).max(axis=(-2, -1)) > tol]
+        del gram
+        rows = mats.reshape(len(chunk), n * d, d)   # every M(g) of an irrep, stacked
+        for s in steps:
+            got = (rows @ mats[:, s]).reshape(mats.shape)   # M(g) M(s), one product
+            want = mats[:, group.table[:, s]]
+            want *= algebra.phases[:, s, None, None]
+            got -= want
+            faults.append(np.abs(got).max(axis=(-2, -1)) > tol)
+        bad = np.argwhere(np.stack(faults, axis=1))   # (irrep, check, element), C order
         if bad.size:
-            raise DecompositionError(f"product rule fails at ({bad[0]}, {s})")
+            _, check, g = map(int, bad[0])
+            if check == 0:
+                raise DecompositionError(f"block for element {g} is not unitary")
+            raise DecompositionError(f"product rule fails at ({g}, {steps[check - 1]})")
 
 
 def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlgebra,

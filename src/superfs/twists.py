@@ -8,6 +8,7 @@ case (values in {0, 1/2}).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -39,6 +40,13 @@ __all__ = [
 ]
 
 
+def _grading(phi: Sequence[int] | np.ndarray) -> np.ndarray:
+    """phi read mod 2 as a read-only int64 vector."""
+    phi = np.asarray(phi, dtype=np.int64) % 2
+    phi.setflags(write=False)
+    return phi
+
+
 @dataclass(frozen=True)
 class Twist:
     """(phi, alpha) on a group of a given order; alpha = alpha_num / denom mod 1."""
@@ -49,7 +57,7 @@ class Twist:
     identity_shift: Fraction = Fraction(0)
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.int64) % 2
+        phi = _grading(self.phi)
         num = np.asarray(self.alpha_num, dtype=np.int64)
         den = int(self.denom)
         if den <= 0:
@@ -62,7 +70,6 @@ class Twist:
         if g > 1:
             num = num // g
             den = den // g
-        phi.setflags(write=False)
         num.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "alpha_num", num)
@@ -96,7 +103,12 @@ class Twist:
         return np.exp(2j * np.pi * self.alpha_num / self.denom)
 
     def with_phi(self, phi: Sequence[int] | np.ndarray) -> "Twist":
-        return Twist(phi=np.asarray(phi), alpha_num=self.alpha_num, denom=self.denom)
+        """The same alpha under the grading phi, with identity_shift 0. alpha
+        is already reduced, so it is shared as it stands, not reduced again."""
+        twist = copy.copy(self)
+        object.__setattr__(twist, "phi", _grading(phi))
+        object.__setattr__(twist, "identity_shift", Fraction(0))
+        return twist
 
     def restricted(self, elements: np.ndarray) -> "Twist":
         idx = np.asarray(elements, dtype=np.int64)

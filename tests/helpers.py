@@ -245,6 +245,30 @@ def block_matrices_by_element(table, phases, q) -> np.ndarray:
     return np.array(out)
 
 
+def projector_character(table, phases, q) -> np.ndarray:
+    """chi(g) = tr(Q^dagger L_g Q) = sum_h omega(g, h) P[h, gh] with the
+    projector P = Q Q^dagger onto span Q, |G|^2 D in all."""
+    table = np.asarray(table)
+    p = np.asarray(q) @ np.asarray(q).conj().T
+    return np.sum(np.asarray(phases) * p[np.arange(len(table))[None, :], table], axis=1)
+
+
+def regular_submodules(table, phases, rng, tol=1e-8) -> list[np.ndarray]:
+    """Orthonormal bases of the eigenspaces of a random Hermitian element of
+    the right-regular commutant, spanned by R_k e_h = omega(h, k) e_{hk}:
+    submodules of the left regular representation, one copy of an
+    irreducible each (almost surely). Eigenvalues within tol are merged."""
+    n = len(table)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    big = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for h in range(n):
+            big[table[h][k], h] += x[k] * phases[h][k]
+    vals, vecs = np.linalg.eigh(big + big.conj().T)
+    cuts = [0] + [i for i in range(1, n) if vals[i] - vals[i - 1] > tol] + [n]
+    return [vecs[:, a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 def average_by_einsum(mats, x, weights=None) -> np.ndarray:
     """(1/|G|) sum_g w_g M(g) X M(g)^dagger as one 4-index einsum, |G| d^4."""
     w = np.ones(len(mats)) if weights is None else weights

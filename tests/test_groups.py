@@ -227,6 +227,30 @@ def test_generating_set_reaches_every_element_and_is_small():
     assert reaches_all(g.table, g.generators)
 
 
+def test_word_tree_reaches_every_element_once_by_word_length():
+    # level k of Group.words holds the elements at distance k from e in the
+    # right Cayley graph of S, each reached as parent * generators[step]
+    for name, table in validation_groups().items():
+        g = group_from_table(table)
+        distance, frontier = {0: 0}, [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in g.generators:
+                    y = int(g.table[x, s])
+                    if y not in distance:
+                        distance[y] = distance[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        placed = [0]
+        for length, (elements, parents, steps) in enumerate(g.words, start=1):
+            assert np.array_equal(g.table[parents, g.generators[steps]], elements), name
+            assert all(distance[int(x)] == length for x in elements), name
+            placed.extend(elements.tolist())
+        assert sorted(placed) == list(range(g.order)), name
+    assert group_from_table([[0]]).words == ()
+
+
 def test_associativity_check_agrees_with_full_scan_on_groups():
     for name, table in validation_groups().items():
         assert accepts(table) and associativity_failures(table) == [], name

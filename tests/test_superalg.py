@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +46,8 @@ from superfs.superalg import BW_TABLE, _check_parity, _verify_irrep, bw_from_par
 
 from helpers import (average_by_einsum, block_matrices_by_element, graded_module,
                      indicators_by_supermodule, module_characters, nearest,
-                     parity_intertwiner_by_average, relabelled, relabelling,
+                     parity_intertwiner_by_average, projector_character,
+                     regular_submodules, relabelled, relabelling,
                      special_element_by_solve)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -118,6 +120,34 @@ def test_verify_irrep_checks_every_element():
         _verify_irrep(alg, corrupted(1 + 1e-6))
 
 
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_verify_irrep_reports_the_first_failing_irrep_of_a_stack(monkeypatch, chunk):
+    # irreps of one dimension are checked stacked (chunk = 1: one at a time);
+    # the error is the one the first failing irrep raises on its own, even
+    # when a later one fails a check that comes earlier
+    alg = TwistedGroupAlgebra(catalog_group("d4"))
+    irreps = [irr for irr in decompose_regular(alg) if irr.dim == 1]
+    assert len(irreps) == 4
+    if chunk is not None:
+        monkeypatch.setattr(superalg, "_GATHER_ENTRIES", chunk * alg.order)
+    _verify_irrep(alg, *irreps)
+
+    def corrupted(irr, k, scale):
+        mats = irr.matrices.copy()
+        mats[k] = scale * mats[k]
+        return dataclasses.replace(irr, matrices=mats)
+
+    flipped = corrupted(irreps[1], 5, -1)
+    stretched = corrupted(irreps[2], 3, 1 + 1e-6)
+    with pytest.raises(DecompositionError, match="product rule") as alone:
+        _verify_irrep(alg, flipped)
+    with pytest.raises(DecompositionError, match="product rule") as stacked:
+        _verify_irrep(alg, irreps[0], flipped, stretched, irreps[3])
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(DecompositionError, match="element 3 is not unitary"):
+        _verify_irrep(alg, irreps[0], stretched, flipped)
+
+
 def test_decompose_group_algebra_dimensions():
     assert [i.dim for i in decompose_regular(TwistedGroupAlgebra(cyclic(2)))] == [1, 1]
     dims = [i.dim for i in decompose_regular(TwistedGroupAlgebra(catalog_group("s3")))]
@@ -146,8 +176,8 @@ def test_decompose_deterministic():
 
 
 def test_decompose_characters_match_block_traces():
-    # leaf characters come from the projector Q Q^dagger; they must equal the
-    # traces of the materialized blocks, and each block must be exact
+    # class characters must equal the traces of the materialized blocks, and
+    # each block must be exact
     g6, t6 = clifford_twist(6)
     s3 = catalog_group("s3")
     z3xz3 = product_group(cyclic(3), cyclic(3))
@@ -163,32 +193,45 @@ def test_decompose_characters_match_block_traces():
 
 
 def test_decompose_materializes_one_leaf_per_class(monkeypatch):
-    # Clifford(4) is M_4(C): four copies of one irrep, only the first is built
+    # Clifford(4) is M_4(C): four copies of one irrep. The blocks of each
+    # leaf are generated once, and only the first copy keeps them
     g, t = clifford_twist(4)
     alg = TwistedGroupAlgebra(g, t)
-    calls = []
-    original = superalg._block_matrices
+    generated = []
+    original = superalg._submodule_blocks
 
-    def counting(algebra, q):
-        calls.append(q.shape)
-        return original(algebra, q)
+    def counting(algebra, bases):
+        for q, blocks in original(algebra, bases):
+            generated.append(weakref.ref(blocks))
+            yield q, blocks
 
-    monkeypatch.setattr(superalg, "_block_matrices", counting)
+    monkeypatch.setattr(superalg, "_submodule_blocks", counting)
     (irr,) = decompose_regular(alg, seed=1)
     assert (irr.dim, irr.multiplicity) == (4, 4)
-    assert len(calls) == 1
+    assert len(generated) == 4
+    alive = [ref() for ref in generated if ref() is not None]
+    assert len(alive) == 1 and alive[0] is irr.matrices
 
 
 def test_one_dimensional_blocks_are_the_character(monkeypatch):
-    # a one-dimensional class takes chi(g) as its 1 x 1 block with no gather:
-    # the block of the line it spans, conj(chi) / sqrt(|G|). Z2 x Z4 x Z4
-    # untwisted, and under the first nontrivial H^2(G, Z2) class whose
-    # irreps stay one-dimensional (its cocycle is symmetric)
+    # a one-dimensional class has chi(g) as its 1 x 1 block, generated from
+    # lines alone: the block of the line it spans, conj(chi) / sqrt(|G|).
+    # Z2 x Z4 x Z4 untwisted, and under the first nontrivial H^2(G, Z2) class
+    # whose irreps stay one-dimensional (its cocycle is symmetric)
     g = product_group(product_group(cyclic(2), cyclic(4)), cyclic(4))
-    original = superalg._block_matrices
-    calls = []
-    monkeypatch.setattr(superalg, "_block_matrices",
-                        lambda algebra, q: calls.append(q.shape) or original(algebra, q))
+    generate = superalg._submodule_blocks
+    calls = []   # bases wider than a line whose blocks were generated
+
+    def recording(algebra, bases):
+        for q, blocks in generate(algebra, bases):
+            if q.shape[1] > 1:
+                calls.append(q.shape)
+            yield q, blocks
+
+    def original(algebra, q):
+        return next(generate(algebra, [q]))[1]
+
+    monkeypatch.setattr(superalg, "_submodule_blocks", recording)
     checked = 0
     for twist in h2_representatives(g):
         alg = TwistedGroupAlgebra(g, twist)
@@ -238,19 +281,105 @@ def _isometry(rng, n, d):
     return np.linalg.qr(z)[0]
 
 
+def _generated(alg, bases):
+    """The blocks _submodule_blocks generates for each basis, grouped by
+    dimension, with each basis handed back unchanged and in order."""
+    out = {}
+    for d in sorted({q.shape[1] for q in bases}):
+        group = [q for q in bases if q.shape[1] == d]
+        pairs = list(superalg._submodule_blocks(alg, group))
+        assert len(pairs) == len(group)
+        for q, (basis, blocks) in zip(group, pairs):
+            assert np.array_equal(basis, q)
+            out[id(q)] = blocks
+    return [out[id(q)] for q in bases]
+
+
 @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
 @pytest.mark.parametrize("chunk", [None, 5])
 def test_block_matrices_match_per_element_oracle(monkeypatch, name, chunk):
-    # chunk = 5 gathers five elements at a time, with a shorter last chunk
+    # true submodules: the leaves of a root split and the sums of two
+    # neighbouring leaves; chunk = 5 generates five bases at a time, with a
+    # shorter last chunk
     alg = _kernel_algebra(name)
-    n = alg.order
-    rng = np.random.default_rng(1)
-    for d in (1, 3, 6):
+    n, steps = alg.order, alg.group.generators.size + 1
+    leaves = regular_submodules(alg.group.table, alg.phases, np.random.default_rng(1))
+    sums = [np.hstack(pair) for pair in zip(leaves[::2], leaves[1::2])]
+    for bases in (leaves, sums):
         if chunk is not None:
-            monkeypatch.setattr(superalg, "_GATHER_ENTRIES", chunk * n * d)
-        q = _isometry(rng, n, d)
-        want = block_matrices_by_element(alg.group.table, alg.phases, q)
-        assert np.max(np.abs(superalg._block_matrices(alg, q) - want)) < 1e-12
+            monkeypatch.setattr(superalg, "_GATHER_ENTRIES",
+                                chunk * steps * n * bases[0].shape[1])
+        for q, blocks in zip(bases, _generated(alg, bases)):
+            want = block_matrices_by_element(alg.group.table, alg.phases, q)
+            assert np.max(np.abs(blocks - want)) < 1e-12
+
+
+def _z2_power_graded(k):
+    """The untwisted (Z2)^k graded by its first bit."""
+    idx = np.arange(1 << k)
+    return TwistedGroupAlgebra(group_from_table(idx[:, None] ^ idx[None, :]),
+                               Twist(phi=idx & 1, alpha_num=np.zeros((1 << k,) * 2,
+                                                                     dtype=np.int64), denom=1))
+
+
+def _projector_algebras(family):
+    if family == "catalog":
+        for name in CATALOG_NAMES:
+            g = catalog_group(name)
+            for twist in h2_representatives(g):
+                yield TwistedGroupAlgebra(g, twist)
+    elif family == "s4":
+        s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+        for twist in h2_representatives(s4):
+            yield TwistedGroupAlgebra(s4, twist)
+    elif family == "d4-relabelled":
+        yield _kernel_algebra("d4-relabelled")
+    elif family == "clifford":
+        for rank in range(1, 9):
+            yield TwistedGroupAlgebra(*clifford_twist(rank))
+    else:
+        yield _z2_power_graded(7)
+
+
+@pytest.mark.parametrize("family", ["catalog", "s4", "d4-relabelled", "clifford",
+                                    "z2^7-graded"])
+def test_generated_blocks_and_characters_match_projector_oracle(family):
+    # the blocks generated along the word tree against Q^dagger L_g Q element
+    # by element, their traces against the projector character
+    # sum_h omega(g, h) P[h, gh], and the class characters of
+    # decompose_regular against the projector characters of the leaves
+    rng = np.random.default_rng(4)
+    count = 0
+    for alg in _projector_algebras(family):
+        table, phases = alg.group.table, alg.phases
+        leaves = regular_submodules(table, phases, rng)
+        chars = np.array([projector_character(table, phases, q) for q in leaves])
+        for q, chi, blocks in zip(leaves, chars, _generated(alg, leaves)):
+            assert np.max(np.abs(blocks - block_matrices_by_element(table, phases, q))) < 1e-12
+            assert np.max(np.abs(np.trace(blocks, axis1=1, axis2=2) - chi)) < 1e-12
+        irreps = decompose_regular(alg, seed=5, cap=alg.order)
+        gaps = np.max(np.abs(chars[:, None] - np.array([i.character for i in irreps])), axis=2)
+        assert np.max(np.min(gaps, axis=0)) < 1e-12   # every class is some leaf
+        assert np.max(np.min(gaps, axis=1)) < 1e-12   # every leaf is some class
+        count += 1
+    assert count == {"catalog": 95, "s4": 4, "d4-relabelled": 1, "clifford": 8,
+                     "z2^7-graded": 1}[family]
+
+
+def test_generated_blocks_refuse_a_basis_tilted_out_of_its_submodule():
+    # tilting one column of a leaf by 1e-3 towards a random direction leaves
+    # its blocks at the generators 1e-6 from unitary, far above 1e-8
+    alg = TwistedGroupAlgebra(*clifford_twist(4))
+    rng = np.random.default_rng(6)
+    q = regular_submodules(alg.group.table, alg.phases, rng)[0]
+    r = rng.standard_normal(alg.order) + 1j * rng.standard_normal(alg.order)
+    r -= q @ (q.conj().T @ r)
+    tilted = q.copy()
+    tilted[:, 0] = np.cos(1e-3) * q[:, 0] + np.sin(1e-3) * r / np.linalg.norm(r)
+    assert np.max(np.abs(tilted.conj().T @ tilted - np.eye(4))) < 1e-12
+    list(superalg._submodule_blocks(alg, [q]))
+    with pytest.raises(DecompositionError, match="does not span a submodule"):
+        list(superalg._submodule_blocks(alg, [q, tilted]))
 
 
 @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
@@ -259,7 +388,8 @@ def test_averages_and_rotation_match_einsum_oracle(name):
     rng = np.random.default_rng(2)
     signs = np.where(alg.twist.phi == 1, -1.0, 1.0)
     blocks = [irr.matrices for irr in decompose_regular(alg, seed=3)]
-    blocks.append(superalg._block_matrices(alg, _isometry(rng, alg.order, 6)))
+    blocks.append(block_matrices_by_element(alg.group.table, alg.phases,
+                                            _isometry(rng, alg.order, 6)))
     for mats in blocks:
         d = mats.shape[1]
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

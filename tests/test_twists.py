@@ -188,6 +188,20 @@ def test_restricted_twist():
     assert sub.alpha_fraction(1, 1) == t.alpha_fraction(3, 3)
 
 
+def test_with_phi_shares_the_reduced_alpha():
+    # a regrading reads phi mod 2 and keeps alpha as it stands, without
+    # reducing it again; like a fresh twist, it carries no identity shift
+    g = catalog_group("d4")
+    shifted = validate_twist(g, Twist(phi=np.zeros(8), alpha_num=np.full((8, 8), 2),
+                                      denom=4))
+    assert shifted.identity_shift == Fraction(1, 2)
+    phi = z2_homomorphisms(g)[1]
+    t = shifted.with_phi(phi + 2)
+    assert t.alpha_num is shifted.alpha_num and t.denom == shifted.denom == 2
+    assert np.array_equal(t.phi, phi) and not t.phi.flags.writeable
+    assert t.identity_shift == 0 and list(shifted.phi) == [0] * 8
+
+
 def test_json_roundtrip(tmp_path):
     g = catalog_group("q8")
     t = validate_twist(g, h2_representatives(g)[1].with_phi(z2_homomorphisms(g)[1]))
