@@ -5,15 +5,20 @@
 
 Each point runs in a fresh interpreter that imports `superfs` from
 `<src>/src`, so the peak resident memory it reports belongs to that point
-alone. Two families are measured:
+alone. Three families are measured:
 
 - `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..11 (|G| = 16..2048);
-- `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..10.
+- `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..10;
+- `gradings`: the Clifford cocycle class on (Z2)^k under every one of its
+  m = 2^k gradings, k = 3..8, all classified from one decomposition: by one
+  `classify_gradings` call, or, in a checkout that predates it, by m
+  `classify` calls.
 
 A point times five stages: validation (`group_from_table` and
 `validate_twist` on the raw table and cocycle), `decompose_regular`,
-`assemble_supermodules`, `special_element` (summed over the real
-supermodules) and the rest of `classify`. It runs the whole classification
+`assemble_supermodules`, `special_element` (each summed over its calls: one
+per classification, or one per real supermodule before they were batched)
+and the rest of the classification. It runs the whole classification
 three times in its interpreter and reports the median of each stage, and the
 total of the first, cold run (BLAS start-up included) on its own. The
 script also times the CLI command `classify --clifford 10 --cap 2000 --json`
@@ -38,7 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET = "1e10"
-RANKS = {"clifford": range(4, 12), "z2-graded": range(4, 11)}
+RANKS = {"clifford": range(4, 12), "z2-graded": range(4, 11), "gradings": range(3, 9)}
 CLI_ARGS = ["classify", "--clifford", "10", "--cap", "2000", "--json"]
 
 
@@ -49,7 +54,7 @@ def _tables(family: str, rank: int):
 
     n = 1 << rank
     idx = np.arange(n)
-    if family == "clifford":
+    if family in ("clifford", "gradings"):
         _, twist = clifford_twist(rank)
         return idx[:, None] ^ idx[None, :], twist.phi, twist.alpha_num, twist.denom
     return idx[:, None] ^ idx[None, :], idx & 1, np.zeros((n, n), dtype=np.int64), 1
@@ -60,9 +65,12 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
     import resource
     import statistics
 
-    from superfs import Twist, TwistedGroupAlgebra, group_from_table, superalg
+    import numpy as np
+
+    from superfs import Twist, TwistedGroupAlgebra, group_from_table, superalg, z2_homomorphisms
 
     table, phi, alpha_num, denom = _tables(family, rank)
+    phis = np.array(z2_homomorphisms(group_from_table(table))) if family == "gradings" else None
     totals: dict = {}
 
     def timed(name):
@@ -90,7 +98,14 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
         validated = time.perf_counter()
         irreps = superalg.decompose_regular(algebra, seed=0, cap=group.order)
         decomposed = time.perf_counter()
-        report = superalg.classify(algebra, seed=0, cap=group.order, irreps=irreps)
+        if phis is None:
+            reports = [superalg.classify(algebra, seed=0, cap=group.order, irreps=irreps)]
+        elif hasattr(superalg, "classify_gradings"):
+            reports = superalg.classify_gradings(algebra, phis, seed=0, cap=group.order,
+                                                 irreps=irreps)
+        else:   # a checkout before classify_gradings: one classify per grading
+            reports = [superalg.classify(algebra.with_phi(p), seed=0, cap=group.order,
+                                         irreps=irreps) for p in phis]
         done = time.perf_counter()
         runs.append({
             "validation": validated - start,
@@ -104,7 +119,9 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
             "total_s": median.pop("total"), "stages_s": median,
             "cold_total_s": round(runs[0]["total"], 4),
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-            "supermodules": len(report.supermodules), "all_pass": report.all_pass}
+            "gradings": len(reports),
+            "supermodules": sum(len(report.supermodules) for report in reports),
+            "all_pass": all(report.all_pass for report in reports)}
 
 
 def _run_child(argv: list, src: Path, capture: bool) -> tuple[float, float, str]:

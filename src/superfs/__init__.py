@@ -17,7 +17,6 @@ from .gauge import (
     enumerate_homs,
     partition_lhs,
     partition_rhs,
-    report_from_dict,
     report_to_dict,
 )
 from .groups import (
@@ -41,6 +40,7 @@ from .superalg import (
     bw_from_parts,
     classification_to_dict,
     classify,
+    classify_gradings,
     decompose_regular,
     eighth_root,
     gow_indicator,
@@ -61,12 +61,10 @@ from .surfaces import (
     cup_blocks,
     cup_form,
     enumerate_structures,
-    integrate_cocycle,
     nonorientable,
     orientable,
     parse_surface,
     presentation,
-    quadratic_eval,
     quadratic_eval_many,
     refinement,
 )

@@ -24,6 +24,7 @@ from .superalg import (
     classification_to_dict,
     check_cap,
     classify,
+    classify_gradings,
     decompose_regular,
     snapped_string,
 )
@@ -190,8 +191,8 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     """One row per (phi, alpha) case, in (phi_index, alpha_index) order.
 
     The ungraded decomposition depends on alpha but not on phi, so each alpha
-    is validated and decomposed once, and its reduced table, phases and irreps
-    are shared by every phi.
+    is validated and decomposed once, and every phi is classified from its
+    reduced table, phases and irreps in one classify_gradings pass.
     The phis are homomorphisms by construction (z2_homomorphisms), or the one
     phi named on the command line, which is validated with the first alpha.
     """
@@ -209,9 +210,9 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
         twist = validate_twist(group, base.with_phi(phis[0]))
         algebra = TwistedGroupAlgebra(group, twist, validate=False)
         irreps = decompose_regular(algebra, seed=args.seed, cap=args.cap)
-        for pi, phi in enumerate(phis):
-            report = classify(algebra.with_phi(phi), seed=args.seed, cap=args.cap,
-                              irreps=irreps)
+        reports = classify_gradings(algebra, np.array(phis), seed=args.seed, cap=args.cap,
+                                    irreps=irreps)
+        for pi, (phi, report) in enumerate(zip(phis, reports)):
             rows.append({
                 "group": name, "order": group.order,
                 "phi_index": pi, "alpha_index": ai,

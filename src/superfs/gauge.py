@@ -53,7 +53,6 @@ __all__ = [
     "crosscheck",
     "PartitionReport",
     "report_to_dict",
-    "report_from_dict",
     "DEFAULT_BUDGET",
 ]
 
@@ -337,7 +336,7 @@ def _spectrum(theory: TheoryData, seed: int, cap: int) -> list:
         return [({"dim": irr.dim, "indicator": eps}, irr.dim, 4 * (eps == -1))
                 for irr, eps in zip(irreps, indicators) if eps != 0]
     return [({"dims": list(sup.dims), "q": sup.q_type}, sup.qdim, 4 * sup.q_type)
-            for sup in assemble_supermodules(irreps, algebra, seed=seed)]
+            for sup in assemble_supermodules(irreps, algebra)]
 
 
 # zeta_8^k, exact at the fourth roots of unity (no -0.0 parts)
@@ -436,20 +435,3 @@ def report_to_dict(report: PartitionReport) -> dict:
         "verdict": report.verdict,
     }
 
-
-def report_from_dict(data: dict) -> PartitionReport:
-    from .surfaces import parse_surface, refinement
-
-    surface = parse_surface(data["surface"])
-    structure = None
-    if data.get("structure") is not None:
-        structure = refinement(surface, data["structure"])
-    invariant = None
-    if data.get("invariant"):
-        invariant = (data["invariant"]["name"], data["invariant"]["value"])
-    return PartitionReport(
-        family=data["family"], surface=surface, structure=structure,
-        lhs=complex(*data["lhs"]), rhs=complex(*data["rhs"]),
-        abs_diff=float(data["abs_diff"]), hom_count=int(data["hom_count"]),
-        rhs_terms=data.get("rhs_terms", []), invariant=invariant,
-        verdict=data["verdict"])

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_budget
 
 __all__ = [
     "Group",
@@ -253,8 +253,11 @@ def build_group(record: dict) -> Group:
 
 
 def product_group(g: Group, h: Group) -> Group:
-    """Direct product G x H with index (a, b) -> a*|H| + b."""
+    """Direct product G x H with index (a, b) -> a*|H| + b. Its |G|^2 |H|^2
+    table entries are checked against SUPERFS_BUDGET first."""
     ng, nh = g.order, h.order
+    check_budget((ng * nh) ** 2, f"the product of groups of orders {ng} and {nh} needs a "
+                 f"{ng * nh} x {ng * nh} table")
     table = (g.table[:, None, :, None] * nh + h.table[None, :, None, :]).reshape(
         ng * nh, ng * nh)
     names = None

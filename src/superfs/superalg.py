@@ -10,12 +10,16 @@ orthonormal basis Q is generated from A_s = Q^dagger L_s Q on a generating set
 S alone, M(ps) = M(p) A_s / omega(p, s) along a word tree. This is exact
 because span Q is L_s-invariant exactly when A_s is unitary, which is checked
 for every s, and invariance under S carries to every g by induction over S.
+
+The ungraded decomposition depends on alpha only, so every grading phi of one
+cocycle class is classified from it in one batched pass (classify_gradings).
 Blocks are paired under the parity twist into supermodules of type M (q = 0)
 or Q (q = 1), each known by its character and supercharacter alone; no module
-matrices are assembled. For sign-valued twists, each real supermodule is
-pinned to one of the eight real graded division classes through a *-fixed
-special element u with u^2 = +-1, read off in closed form from those
-characters, and the super Frobenius-Schur indicator
+matrices are assembled. The parity intertwiner P of a type-M irrep is read off
+a projection with no random draw. For sign-valued twists, each real
+supermodule is pinned to one of the eight real graded division classes
+through a *-fixed special element u with u^2 = +-1, read off in closed form
+from those characters, and the super Frobenius-Schur indicator
 
     S(rho) = (1 / (sqrt(2)^q |G|)) sum_g i^{phi(g)} (-1)^{alpha(g,g)} chi(g^2)
 
@@ -25,7 +29,6 @@ is verified to land on exp(2 pi i bw / 8) for that class (or 0 when complex).
 from __future__ import annotations
 
 import cmath
-import copy
 import itertools
 import math
 from collections.abc import Iterable, Iterator
@@ -51,6 +54,7 @@ __all__ = [
     "bw_from_parts",
     "check_cap",
     "classify",
+    "classify_gradings",
     "snap_indicator",
     "snap_eighth_root",
     "eighth_root",
@@ -88,13 +92,6 @@ class TwistedGroupAlgebra:
     def is_z2(self) -> bool:
         return self.twist.is_z2
 
-    def with_phi(self, phi: np.ndarray) -> TwistedGroupAlgebra:
-        """This algebra graded by phi instead, sharing its group and phases;
-        phi is not validated."""
-        algebra = copy.copy(self)
-        algebra.twist = self.twist.with_phi(phi)
-        return algebra
-
     def diagonal_signs(self) -> np.ndarray:
         """(-1)^{alpha(g, g)} for sign-valued twists."""
         if not self.is_z2:
@@ -121,14 +118,17 @@ class Supermodule:
     P, so the supercharacter is tr(P M(g)); type Q (q = 1) is V + V with odd
     elements acting off-diagonally, so the character is (1 + (-1)^phi) chi_V
     and the supercharacter is 0. The even part has character
-    (chi + str) / 2 on G0. The invariant fields (reality, indicators,
-    special-element sign, BW class, checks) are filled in by classify.
+    (chi + str) / 2 on G0. `row` is the grading's row in the stack of
+    gradings it was assembled under (0 for the algebra's own). The invariant
+    fields (reality, indicators, special-element sign, BW class, checks) are
+    filled in by classify.
     """
 
     q_type: int
     character: np.ndarray
     supercharacter: np.ndarray
     constituents: tuple[int, ...]
+    row: int = 0
     reality: str | None = None
     chi0: np.ndarray | None = None
     s_ordinary: int | None = None
@@ -241,13 +241,9 @@ def _submodule_blocks(algebra: TwistedGroupAlgebra,
         del q, a, mats, basis, blocks   # let this chunk go before the next gather
 
 
-def _average(mats: np.ndarray, x: np.ndarray,
-             weights: np.ndarray | None = None) -> np.ndarray:
-    """(1/|G|) sum_g w_g M(g) X M(g)^dagger, contracted pairwise in O(|G| d^3)."""
-    y = mats @ x
-    if weights is not None:
-        y *= weights[:, None, None]
-    return np.tensordot(y, mats.conj(), axes=([0, 2], [0, 2])) / mats.shape[0]
+def _average(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(1/|G|) sum_g M(g) X M(g)^dagger, contracted pairwise in O(|G| d^3)."""
+    return np.tensordot(mats @ x, mats.conj(), axes=([0, 2], [0, 2])) / mats.shape[0]
 
 
 def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
@@ -394,86 +390,126 @@ def _verify_irrep(algebra: TwistedGroupAlgebra, *irreps: UngradedIrrep,
             want *= algebra.phases[:, s, None, None]
             got -= want
             faults.append(np.abs(got).max(axis=(-2, -1)) > tol)
-        bad = np.argwhere(np.stack(faults, axis=1))   # (irrep, check, element), C order
-        if bad.size:
-            _, check, g = map(int, bad[0])
+        faults = np.stack(faults, axis=1)   # (irrep, check, element)
+        if faults.any():
+            _, check, g = map(int, np.argwhere(faults)[0])   # the first in C order
             if check == 0:
                 raise DecompositionError(f"block for element {g} is not unitary")
             raise DecompositionError(f"product rule fails at ({g}, {steps[check - 1]})")
 
 
-def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlgebra,
-                          seed: int = 0, max_rounds: int = 8) -> list[Supermodule]:
-    """Pair ungraded irreducibles under the parity twist into supermodules.
+def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlgebra, *,
+                          phis: np.ndarray | None = None) -> list[Supermodule]:
+    """Pair ungraded irreducibles under the parity twist into supermodules,
+    under every row of `phis` (an (m, |G|) stack of gradings sharing the
+    algebra's alpha; default its own phi), in (row, first constituent) order.
 
     chi^sigma(g) = (-1)^{phi(g)} chi(g). A fixed point gives a type-M (q = 0)
-    supermodule graded by the normalized intertwiner; a two-element orbit gives
-    a type-Q (q = 1) supermodule on V + V with odd elements acting
-    off-diagonally. Each is kept as its character and supercharacter.
-    """
-    rng = np.random.default_rng(seed ^ 0x5F5)
-    signs = np.where(algebra.twist.phi == 1, -1.0, 1.0)
-    odd = algebra.twist.phi == 1
-    chars = np.array([irr.character for irr in irreps])
-    # the characters are orthonormal, so |<chi_j, chi_i^sigma>| is 1 at the
-    # partner of i and 0 elsewhere: its column maximum is the only candidate
-    candidates = np.argmax(np.abs(chars.conj() @ (signs * chars).T), axis=0)
+    supermodule graded by its parity intertwiner P (_parity_intertwiners), with
+    supercharacter tr(P M(g)); a two-element orbit gives a type-Q (q = 1)
+    supermodule on V + V with odd elements acting off-diagonally. Each is kept
+    as its character and supercharacter.
 
-    def partner(i: int) -> int:
-        j = int(candidates[i])
-        if np.max(np.abs(chars[j] - signs * chars[i])) >= 1e-6:
-            raise DecompositionError(
-                f"no parity partner for irrep {i}; upstream decomposition is incomplete")
-        return j
+    Every stage runs once over all rows, in stacks of at most _GATHER_ENTRIES
+    entries: the partner search over every (row, irrep), the intertwiners of
+    every type-M (row, irrep) grouped by dimension, and the grading checks. A
+    failing stage raises the message of its first failing row and irrep.
+    """
+    n = algebra.order
+    phis = algebra.twist.phi[None] if phis is None else np.asarray(phis)
+    signs = np.where(phis == 1, -1.0, 1.0)
+    chars = np.array([irr.character for irr in irreps])
+    dual = chars.conj().T
+    k = len(irreps)
+    # the characters are orthonormal, so |<chi_j, chi_i^sigma>| is 1 at the
+    # partner of i and 0 elsewhere: its maximum over j is the only candidate,
+    # confirmed by the max-abs rule for every (row, i)
+    partners = np.empty(len(phis) * k, dtype=np.int64)
+    step = max(1, _GATHER_ENTRIES // n)
+    for start in range(0, partners.size, step):
+        r, i = np.divmod(np.arange(start, min(start + step, partners.size)), k)
+        twisted = signs[r] * chars[i]
+        found = np.argmax(np.abs(twisted @ dual), axis=1)
+        bad = np.flatnonzero(np.max(np.abs(chars[found] - twisted), axis=1) >= 1e-6)
+        if bad.size:
+            raise DecompositionError(f"no parity partner for irrep {i[bad[0]]}; "
+                                     "upstream decomposition is incomplete")
+        partners[start:start + step] = found
+    partners = partners.reshape(len(phis), k)
 
     sups: list[Supermodule] = []
-    done: set[int] = set()
-    for i in range(len(irreps)):
-        if i in done:
-            continue
-        j = partner(i)
-        done.update((i, j))
-        if j == i:
-            mats = irreps[i].matrices
-            p = _parity_intertwiner(mats, signs, rng, max_rounds)
-            sup = Supermodule(0, irreps[i].character.copy(),
-                              np.einsum("ij,gji->g", p, mats), (i,))
-            _check_parity(sup.character, odd, mats, p)
-        else:
-            a, b = sorted((i, j))
-            # the trace of V + V: 2 tr M_V(g) on even g, 0 on odd g
-            character = (1 + signs) * np.trace(irreps[a].matrices, axis1=1, axis2=2)
-            sup = Supermodule(1, character, np.zeros_like(character), (a, b))
-            _check_parity(character, odd)
-        sups.append(sup)
+    fixed: dict[int, list[int]] = {}   # dimension -> positions of the type-M supermodules
+    for r, row in enumerate(partners):
+        for i in np.flatnonzero(row >= np.arange(k)).tolist():
+            j = int(row[i])
+            if j == i:
+                fixed.setdefault(irreps[i].dim, []).append(len(sups))
+                sups.append(Supermodule(0, chars[i].copy(), None, (i,), r))
+            else:
+                # the trace of V + V: 2 tr M_V(g) on even g, 0 on odd g
+                character = (1 + signs[r]) * chars[i]
+                sups.append(Supermodule(1, character, np.zeros_like(character), (i, j), r))
+    paired = [sup for sup in sups if sup.q_type == 1]
+    for start in range(0, len(paired), step):
+        part = paired[start:start + step]
+        _check_parity(np.array([sup.character for sup in part]),
+                      phis[[sup.row for sup in part]] == 1)
+    for d, positions in fixed.items():
+        size = max(1, _GATHER_ENTRIES // (n * d * d))
+        for start in range(0, len(positions), size):
+            part = [sups[pos] for pos in positions[start:start + size]]
+            mats = (irreps[part[0].constituents[0]].matrices[None] if len(part) == 1 else
+                    np.array([irreps[sup.constituents[0]].matrices for sup in part]))
+            rows = [sup.row for sup in part]
+            p = _parity_intertwiners(mats, signs[rows])
+            supercharacters = np.einsum("cij,cgji->cg", p, mats)
+            _check_parity(np.array([sup.character for sup in part]), phis[rows] == 1,
+                          mats, p)
+            for sup, supercharacter in zip(part, supercharacters):
+                sup.supercharacter = supercharacter
     return sups
 
 
-def _parity_intertwiner(mats: np.ndarray, signs: np.ndarray, rng: np.random.Generator,
-                        max_rounds: int) -> np.ndarray:
-    """The Hermitian P with P^2 = 1 and P M(g) P = (-1)^{phi(g)} M(g) for a
-    parity-fixed irrep M, as the normalized sign-weighted average of a random
-    Hermitian matrix over M; unique up to sign, which is fixed by tr P >= 0."""
-    d = mats.shape[1]
-    p = None
-    for _ in range(max_rounds):
-        x = _random_hermitian(rng, d)
-        u = _average(mats, x, signs)
-        sv = np.linalg.svd(u, compute_uv=False)   # descending: 2-norm first
-        if sv[-1] > 1e-6 * max(1.0, sv[0]):
-            lam = np.trace(u @ u) / d
-            if np.max(np.abs(u @ u - lam * np.eye(d))) > 1e-8 * max(1.0, abs(lam)):
-                raise DecompositionError("parity intertwiner does not square to a scalar")
-            p = u / np.sqrt(complex(lam))
-            break
-    if p is None:
-        raise DecompositionError("could not build an invertible parity intertwiner; re-seed")
-    if np.max(np.abs(p - p.conj().T)) > 1e-8:
+def _parity_intertwiners(mats: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The parity intertwiner of each of a stack of parity-fixed irreps
+    (mats (c, |G|, d, d), signs (c, |G|) the (-1)^phi of each): the Hermitian
+    P with P^2 = 1, P M(g) P = (-1)^{phi(g)} M(g) and tr P >= 0.
+
+    Phi(X) = (1/|G|) sum_g (-1)^{phi(g)} M(g) X M(g)^dagger is, by Schur's
+    lemma, the Hilbert-Schmidt projection onto span{P}, so
+    Phi(E_{0j}) = P_{j0} P / d. Column 0 of the unitary P has unit norm, so
+    some j has |P_{j0}| >= 1/sqrt(d). All d candidates come from one product
+    (s M[:, :, 0])^T conj(M) per stack, O(|G| d^3) each, and the largest in
+    Frobenius norm is normalized; no random draw is needed. The candidate is
+    then checked invertible, P^2 scalar, P Hermitian and its eigenvalues +-1.
+
+    The sign of P is free, and no output depends on it. With no odd element
+    tr P >= 0 fixes P = 1. With odd elements tr P = 0, so the even and odd
+    halves psi_0 and psi_1 both have dimension d/2; conjugation by e_x for an
+    odd x is a real *-automorphism of the even part that swaps them, so
+    S_ordinary is the same for both, eta_Gow is then fixed by the Gow
+    identity, and the special element u -> -u keeps u^2.
+    """
+    c, n, d, _ = mats.shape
+    left = (signs[:, :, None] * mats[:, :, :, 0]).swapaxes(1, 2)   # (c, d, |G|)
+    # candidates[:, a, b, j] = Phi(E_{0j})[a, b]
+    candidates = (left @ mats.conj().reshape(c, n, d * d)).reshape(c, d, d, d) / n
+    best = np.argmax(np.sum(np.abs(candidates) ** 2, axis=(1, 2)), axis=1)
+    u = candidates[np.arange(c), :, :, best]
+    sv = np.linalg.svd(u, compute_uv=False)   # descending: 2-norm first
+    if np.any(sv[:, -1] <= 1e-6 * np.maximum(1.0, sv[:, 0])):
+        raise DecompositionError("could not build an invertible parity intertwiner")
+    square = u @ u
+    lam = np.trace(square, axis1=1, axis2=2) / d
+    drift = np.max(np.abs(square - lam[:, None, None] * np.eye(d)), axis=(1, 2))
+    if np.any(drift > 1e-8 * np.maximum(1.0, np.abs(lam))):
+        raise DecompositionError("parity intertwiner does not square to a scalar")
+    p = u / np.sqrt(lam)[:, None, None]
+    if np.max(np.abs(p - p.conj().swapaxes(1, 2))) > 1e-8:
         raise DecompositionError("normalized parity intertwiner is not Hermitian")
     # P is defined up to sign; tr P = 0 whenever odd elements exist, and with
     # none the even part must be the whole module
-    if np.trace(p).real < -1e-8:
-        p = -p
+    p[np.trace(p, axis1=1, axis2=2).real < -1e-8] *= -1
     if np.max(np.abs(np.abs(np.linalg.eigvalsh(p)) - 1)) > 1e-8:
         raise DecompositionError("parity intertwiner eigenvalues are not +-1")
     return p
@@ -486,25 +522,33 @@ def _check_parity(character: np.ndarray, odd: np.ndarray, mats: np.ndarray | Non
     is reported, the grading first at one element. In P's eigenbasis the
     residual is 2 M(g) on the blocks the parity of g must leave empty, and its
     Frobenius norm, invariant under the rotation, bounds every such entry.
+
+    One supermodule is (character, odd) of shape (|G|,) with mats (|G|, d, d)
+    and p (d, d); a stack adds one leading axis to each, and the first failing
+    supermodule of the stack is reported.
     """
-    ungraded = np.zeros(odd.size, dtype=bool)
+    ungraded = np.zeros(odd.shape, dtype=bool)
     if p is not None:
-        signs = np.where(odd, -1.0, 1.0)[:, None, None]
-        ungraded = np.linalg.norm(p @ mats - signs * (mats @ p), axis=(1, 2)) > tol
+        p = p[..., None, :, :]
+        signs = np.where(odd, -1.0, 1.0)[..., None, None]
+        ungraded = np.linalg.norm(p @ mats - signs * (mats @ p), axis=(-2, -1)) > tol
     nonzero = odd & (np.abs(character) > tol)
-    bad = np.flatnonzero(ungraded | nonzero)
+    bad = np.argwhere(ungraded | nonzero)
     if bad.size:
-        g = int(bad[0])
-        if ungraded[g]:
+        first = tuple(bad[0])
+        g = int(first[-1])
+        if ungraded[first]:
             raise DecompositionError(f"grading consistency fails on element {g}")
         raise DecompositionError(f"character of a supermodule must vanish on odd {g}")
 
 
-def special_element(algebra: TwistedGroupAlgebra, sup: Supermodule,
-                    irreps: list[UngradedIrrep]) -> tuple[np.ndarray, int]:
-    """The *-fixed element u = sum_g u_g e_g with u^2 = +-1 supported on the
-    supermodule's summand, returned as its real coefficient vector (u_g) with
-    the sign of u^2.
+def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
+                    irreps: list[UngradedIrrep], *,
+                    phis: np.ndarray | None = None) -> list[tuple[np.ndarray, int]]:
+    """For each real supermodule, the *-fixed element u = sum_g u_g e_g with
+    u^2 = +-1 supported on its summand, returned as its real coefficient
+    vector (u_g) with the sign of u^2. A supermodule is graded by row
+    `sup.row` of `phis` (default: the algebra's own phi).
 
     u acts as T on the constituent irreps and as zero on every other irrep:
     T = P for q = 0, and T = +1 on V, -1 on its partner V^sigma for q = 1.
@@ -516,38 +560,64 @@ def special_element(algebra: TwistedGroupAlgebra, sup: Supermodule,
     2 chi_V on odd g and 0 on even g. u is rescaled so that u* = u; the sign
     of u^2, checked on the d x d constituent block, is the second two-fold
     division of the real classification.
+
+    The supermodules are handled in stacks of one constituent dimension, at
+    most _GATHER_ENTRIES entries each; a failing check raises the message of
+    the first supermodule of the stack that fails it.
     """
     if not algebra.is_z2:
         raise ValidationError("special elements need a sign-valued twist")
-    chi = sup.character
-    if np.max(np.abs(np.conj(chi) - chi)) > 1e-6:
-        raise ValidationError("complex supermodule has no *-fixed special element")
-    irr = irreps[sup.constituents[0]]
-    odd = algebra.twist.phi == 1
-    tau = sup.supercharacter if sup.q_type == 0 else np.where(odd, 2 * irr.character, 0)
-    coeffs = (irr.dim / algebra.order) * np.conj(tau)
-    k = int(np.argmax(np.abs(coeffs)))
-    lam = np.conj(coeffs[k]) / coeffs[k]
-    if np.max(np.abs(np.conj(coeffs) - lam * coeffs)) > 1e-6 * np.max(np.abs(coeffs)):
-        raise DecompositionError("special element is not a *-eigenvector; summand not real")
-    coeffs = coeffs * cmath.exp(1j * cmath.phase(lam) / 2)
-    if np.max(np.abs(coeffs.imag)) > 1e-8 * max(1.0, np.max(np.abs(coeffs))):
-        raise DecompositionError("*-fixed special element should have real coefficients")
-    coeffs = coeffs.real
-    acted = np.tensordot(coeffs, irr.matrices, axes=1)
-    square = acted @ acted
-    nu = np.trace(square).real / irr.dim
-    if np.max(np.abs(square - nu * np.eye(irr.dim))) > 1e-8 * max(1.0, abs(nu)):
-        raise DecompositionError("special element square is not scalar on its block")
-    sign = snap_indicator(nu)
-    if sign == 0:
-        raise SnapError(f"special element square {nu} is not +-1")
-    # u lives in the even part for q = 0 and in the odd part for q = 1
-    parity = odd if sup.q_type == 1 else ~odd
-    stray = np.max(np.abs(coeffs[~parity])) if (~parity).any() else 0.0
-    if stray > 1e-8 * max(1.0, np.max(np.abs(coeffs))):
-        raise DecompositionError("special element has support of the wrong parity")
-    return coeffs, sign
+    n = algebra.order
+    phis = algebra.twist.phi[None] if phis is None else np.asarray(phis)
+    for sup in sups:
+        if np.max(np.abs(np.conj(sup.character) - sup.character)) > 1e-6:
+            raise ValidationError("complex supermodule has no *-fixed special element")
+    out: list = [None] * len(sups)
+    by_dim: dict[int, list[int]] = {}
+    for pos, sup in enumerate(sups):
+        by_dim.setdefault(irreps[sup.constituents[0]].dim, []).append(pos)
+    for d, positions in by_dim.items():
+        size = max(1, _GATHER_ENTRIES // (n * d * d))
+        for start in range(0, len(positions), size):
+            part = [sups[pos] for pos in positions[start:start + size]]
+            blocks = [irreps[sup.constituents[0]] for sup in part]
+            odd = phis[[sup.row for sup in part]] == 1
+            q1 = np.array([sup.q_type == 1 for sup in part])
+            tau = np.where(q1[:, None],
+                           np.where(odd, 2 * np.array([irr.character for irr in blocks]), 0),
+                           np.array([sup.supercharacter for sup in part]))
+            coeffs = (d / n) * np.conj(tau)
+            top = np.max(np.abs(coeffs), axis=1)
+            peak = coeffs[np.arange(len(part)), np.argmax(np.abs(coeffs), axis=1)]
+            lam = (np.conj(peak) / peak)[:, None]
+            if np.any(np.max(np.abs(np.conj(coeffs) - lam * coeffs), axis=1) > 1e-6 * top):
+                raise DecompositionError(
+                    "special element is not a *-eigenvector; summand not real")
+            coeffs = coeffs * np.exp(1j * np.angle(lam) / 2)
+            scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
+            if np.any(np.max(np.abs(coeffs.imag), axis=1) > 1e-8 * scale):
+                raise DecompositionError(
+                    "*-fixed special element should have real coefficients")
+            coeffs = coeffs.real
+            mats = (blocks[0].matrices[None] if len(part) == 1
+                    else np.array([irr.matrices for irr in blocks]))
+            acted = (coeffs[:, None] @ mats.reshape(len(part), n, d * d)).reshape(-1, d, d)
+            square = acted @ acted
+            nu = np.trace(square, axis1=1, axis2=2).real / d
+            drift = np.max(np.abs(square - nu[:, None, None] * np.eye(d)), axis=(1, 2))
+            if np.any(drift > 1e-8 * np.maximum(1.0, np.abs(nu))):
+                raise DecompositionError("special element square is not scalar on its block")
+            signs = _snap_each(nu)
+            if 0 in signs:
+                raise SnapError(f"special element square {nu[signs.index(0)]} is not +-1")
+            # u lives in the even part for q = 0 and in the odd part for q = 1
+            stray = np.max(np.abs(np.where(odd == q1[:, None], 0, coeffs)), axis=1)
+            scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
+            if np.any(stray > 1e-8 * scale):
+                raise DecompositionError("special element has support of the wrong parity")
+            for pos, u, sign in zip(positions[start:start + size], coeffs, signs):
+                out[pos] = (u, sign)
+    return out
 
 
 def snap_indicator(x: complex | float, tol: float = 1e-6) -> int:
@@ -599,47 +669,52 @@ def ordinary_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra,
     a boolean mask on G selects (chi is then read on H only).
 
     `characters` is indexed by G: one vector, giving an int, or a (k, |G|)
-    stack, giving one int per row in one pass.
+    stack, giving one int per row in one pass; a stack may take one mask per
+    row, as a (k, |G|) stack of masks.
     """
-    signs = algebra.diagonal_signs()
     squares = np.diagonal(algebra.group.table)
-    if mask is not None:
-        signs, squares = signs[mask], squares[mask]
-    val = np.sum(signs * _gather(characters, squares), axis=-1) / squares.size
-    return _snap_each(val)
+    weighted = algebra.diagonal_signs() * _gather(characters, squares)
+    if mask is None:
+        return _snap_each(np.sum(weighted, axis=-1) / squares.size)
+    total = np.sum(np.where(mask, weighted, 0), axis=-1)
+    return _snap_each(total / np.count_nonzero(mask, axis=-1))
 
 
-def gow_indicator(chi0: np.ndarray, algebra: TwistedGroupAlgebra) -> int | list[int]:
+def gow_indicator(chi0: np.ndarray, algebra: TwistedGroupAlgebra,
+                  phi: np.ndarray | None = None) -> int | list[int]:
     """(1/|G0|) sum over odd g of (-1)^{alpha(g,g)} chi0(g^2), snapped; 0 when
     phi is trivial.
 
     G0 = ker phi is the mask phi = 0; chi0 is indexed by G (one vector or a
     (k, |G|) stack, as for ordinary_fs) and read on G0 only, since squares of
-    odd elements are even.
+    odd elements are even. phi is the algebra's grading unless given; a
+    (k, |G|) stack of gradings grades each row of chi0 by its own.
     """
     chi0 = np.asarray(chi0)
-    odd = algebra.twist.phi == 1
-    if not odd.any():
-        return 0 if chi0.ndim == 1 else [0] * len(chi0)
-    squares = np.diagonal(algebra.group.table)[odd]
-    if odd[squares].any():
+    odd = (algebra.twist.phi if phi is None else np.asarray(phi)) == 1
+    squares = np.diagonal(algebra.group.table)
+    if (odd & odd[..., squares]).any():
         raise ValidationError("square of an odd element escaped the even subgroup")
-    total = np.sum(algebra.diagonal_signs()[odd] * _gather(chi0, squares), axis=-1)
-    return _snap_each(total / (odd.size - int(np.count_nonzero(odd))))
+    weighted = algebra.diagonal_signs() * _gather(chi0, squares)
+    total = np.sum(np.where(odd, weighted, 0), axis=-1)
+    return _snap_each(total / (squares.size - np.count_nonzero(odd, axis=-1)))
 
 
 def super_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra,
-             q_type: int | np.ndarray) -> complex | np.ndarray:
+             q_type: int | np.ndarray, phi: np.ndarray | None = None) -> complex | np.ndarray:
     """Raw super Frobenius-Schur indicator (before snapping) of supermodules
     with the given characters, indexed by G, and q: one vector and one q,
     giving a complex, or a (k, |G|) stack and one q per row, giving k values.
+    phi is the algebra's grading unless given; a (k, |G|) stack of gradings
+    grades each row by its own, with the same per-row sum.
     """
     if not algebra.is_z2:
         raise ValidationError("the super indicator needs a sign-valued twist")
     n = algebra.order
+    phi = algebra.twist.phi if phi is None else phi
     signs = algebra.diagonal_signs()
     squares = np.diagonal(algebra.group.table)
-    total = np.sum((1j ** algebra.twist.phi) * signs * _gather(characters, squares), axis=-1)
+    total = np.sum((1j ** phi) * signs * _gather(characters, squares), axis=-1)
     val = total / (math.sqrt(2) ** np.asarray(q_type) * n)
     return complex(val) if val.ndim == 0 else val
 
@@ -667,89 +742,127 @@ class ClassificationReport:
     all_pass: bool
 
 
-def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
-             tol: float = 1e-6, *,
-             irreps: list[UngradedIrrep] | None = None) -> ClassificationReport:
-    """Decompose, assemble supermodules, and verify the indicator identities.
+def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int = 0,
+                      cap: int = 96, tol: float = 1e-6, *,
+                      irreps: list[UngradedIrrep] | None = None) -> list[ClassificationReport]:
+    """Classify the algebra under every row of `phis`, an (m, |G|) stack of
+    gradings that share its alpha, in one batched pass: one report per row,
+    in order.
 
     Per supermodule: reality, the ordinary indicator of the even restriction,
     the Gow indicator, the super indicator (raw and snapped), the special
     element's sign, the BW class from the three two-fold divisions, and three
     checks: snapped indicator against the class, the Gow identity, and the
     even/odd regrouping of the defining sum. Never raises on a failed check;
-    failures are recorded in the report.
-
-    Each indicator is evaluated once per call, over the (k, |G|) stack of the
-    k supermodule characters, with the even subgroup G0 read as the mask
-    phi = 0 of G; only the special element is found per supermodule.
+    failures are recorded in the reports.
 
     The ungraded decomposition depends on the group and alpha but not on phi,
-    so callers classifying one alpha under several gradings may pass
-    `irreps = decompose_regular(algebra, seed, cap)` once and share it.
+    so it is computed once (or passed in as `irreps`) and shared by every
+    row. Each later stage then runs once for all rows: the supermodules of
+    every row (assemble_supermodules), the special elements of every real one
+    (special_element), and each indicator over one stack of every supermodule
+    character, in stacks of at most _GATHER_ENTRIES entries, with the even
+    subgroup G0 of each row read as its mask phi = 0. Every sum is taken per
+    supermodule, so S_super.raw is the same float as for one grading alone;
+    the per-row masks change summation order only in values that are snapped
+    or compared with a tolerance. A failing stage raises the error of its
+    first failing supermodule.
     """
     if not algebra.is_z2:
         raise ValidationError("classification requires a sign-valued twist")
+    phis = np.asarray(phis)
     if irreps is None:
         irreps = decompose_regular(algebra, seed=seed, cap=cap)
-    sups = assemble_supermodules(irreps, algebra, seed=seed)
+    sups = assemble_supermodules(irreps, algebra, phis=phis)
+    for phi in phis:
+        _check_phi(algebra.group, phi)   # ker phi is then the even subgroup G0
     n = algebra.order
-    phi = algebra.twist.phi
-    _check_phi(algebra.group, phi)   # ker phi is then the even subgroup G0
-    even = phi == 0
-    chars = np.array([sup.character for sup in sups])
-    chi0 = (chars + np.array([sup.supercharacter for sup in sups])) / 2
-    q_types = np.array([sup.q_type for sup in sups])
-    real = np.max(np.abs(np.conj(chars) - chars), axis=1) < tol
-    s_ordinary = ordinary_fs(chi0, algebra, even)
-    eta_gow = gow_indicator(chi0, algebra)
-    fs_raw = super_fs(chars, algebra, q_types)
-    # the division of a real q = 0 supermodule is the indicator of its character
-    division_fs = iter(ordinary_fs(chars[real & (q_types == 0)], algebra))
-    weighted = algebra.diagonal_signs() * _gather(chars, np.diagonal(algebra.group.table))
-    even_sums = np.sum(weighted[:, even], axis=1) / n
-    full_sums = np.sum(weighted, axis=1) / n
+    squares = np.diagonal(algebra.group.table)
+    diagonal_signs = algebra.diagonal_signs()
+    rows = np.array([sup.row for sup in sups], dtype=np.int64)
+    q_types = np.array([sup.q_type for sup in sups], dtype=np.int64)
+    scales = math.sqrt(2) ** q_types
+    real = np.empty(len(sups), dtype=bool)
+    s_ordinary, eta_gow, division = (np.zeros(len(sups), dtype=np.int64) for _ in range(3))
+    fs_raw, rewrite = np.empty(len(sups), dtype=complex), np.empty(len(sups), dtype=complex)
+    step = max(1, _GATHER_ENTRIES // n)
+    for start in range(0, len(sups), step):
+        part = slice(start, start + step)
+        phi = phis[rows[part]]
+        even = phi == 0
+        chars = np.array([sup.character for sup in sups[part]])
+        chi0 = (chars + np.array([sup.supercharacter for sup in sups[part]])) / 2
+        real[part] = np.max(np.abs(np.conj(chars) - chars), axis=1) < tol
+        s_ordinary[part] = ordinary_fs(chi0, algebra, even)
+        eta_gow[part] = gow_indicator(chi0, algebra, phi)
+        fs_raw[part] = super_fs(chars, algebra, q_types[part], phi)
+        weighted = diagonal_signs * _gather(chars, squares)
+        even_sums = np.sum(np.where(even, weighted, 0), axis=1) / n
+        full_sums = np.sum(weighted, axis=1) / n
+        rewrite[part] = (even_sums + 1j * (full_sums - even_sums)) / scales[part]
+        # the division of a real q = 0 supermodule is the indicator of its
+        # character, full_sums snapped
+        pick = np.flatnonzero(real[part] & (q_types[part] == 0))
+        division[start + pick] = _snap_each(full_sums[pick])
+        for sup, values, mask in zip(sups[part], chi0, even):
+            sup.chi0 = values[mask]
+    reals = [sup for sup, is_real in zip(sups, real) if is_real]
+    u_signs = iter(sign for _, sign in special_element(algebra, reals, irreps, phis=phis))
 
-    all_ok = True
+    passed = [True] * len(phis)
     for i, sup in enumerate(sups):
         sup.reality = "real" if real[i] else "complex"
-        sup.chi0 = chi0[i, even]
-        sup.s_ordinary = s_ordinary[i]
-        sup.eta_gow = eta_gow[i]
+        sup.s_ordinary = int(s_ordinary[i])
+        sup.eta_gow = int(eta_gow[i])
         sup.fs_raw = complex(fs_raw[i])
         sup.fs_k = snap_eighth_root(sup.fs_raw, tol)
-
-        if sup.reality == "real":
-            sup.u_sign = special_element(algebra, sup, irreps)[1]
+        if real[i]:
+            sup.u_sign = next(u_signs)
             if sup.q_type == 0:
-                division = "R" if next(division_fs) == 1 else "H"
+                kind = "R" if division[i] == 1 else "H"
             else:
                 if sup.s_ordinary == 0:
                     raise SnapError("even restriction of a real q=1 supermodule "
                                     "has vanishing indicator")
-                division = "R" if sup.s_ordinary == 1 else "H"
-            sup.bw = bw_from_parts(sup.q_type, sup.u_sign, division)
+                kind = "R" if sup.s_ordinary == 1 else "H"
+            sup.bw = bw_from_parts(sup.q_type, sup.u_sign, kind)
             theorem_ok = (sup.fs_k is not None
                           and abs(sup.fs_raw - eighth_root(sup.bw)) < tol)
         else:
             sup.bw = "complex"
             theorem_ok = sup.fs_k is None
-
-        scale = math.sqrt(2) ** sup.q_type
-        gow_ok = abs(sup.fs_raw - (sup.s_ordinary + 1j * sup.eta_gow) / scale) < tol
-        even_sum, full_sum = even_sums[i], full_sums[i]
-        rewrite = (even_sum + 1j * (full_sum - even_sum)) / scale
-        rewrite_ok = abs(sup.fs_raw - rewrite) < tol
+        gow_ok = abs(sup.fs_raw - (sup.s_ordinary + 1j * sup.eta_gow) / scales[i]) < tol
+        rewrite_ok = abs(sup.fs_raw - rewrite[i]) < tol
         sup.checks = {"theorem": theorem_ok, "gow_identity": gow_ok,
                       "rewrite_identity": rewrite_ok}
-        all_ok = all_ok and theorem_ok and gow_ok and rewrite_ok
+        passed[sup.row] = passed[sup.row] and theorem_ok and gow_ok and rewrite_ok
 
-    dim_sum = sum(sup.dim ** 2 / 2 ** sup.q_type for sup in sups)
-    dim_ok = abs(dim_sum - n) < tol
-    return ClassificationReport(order=n, phi=tuple(int(x) for x in algebra.twist.phi),
-                                alpha_ring=algebra.twist.ring,
-                                alpha_is_trivial=algebra.twist.alpha_is_trivial,
-                                seed=seed, supermodules=sups, dim_sum=dim_sum,
-                                dim_sum_ok=dim_ok, all_pass=all_ok and dim_ok)
+    by_row: list[list[Supermodule]] = [[] for _ in phis]
+    for sup in sups:
+        by_row[sup.row].append(sup)
+    reports = []
+    for phi, row, ok in zip(phis, by_row, passed):
+        dim_sum = sum(sup.dim ** 2 / 2 ** sup.q_type for sup in row)
+        dim_ok = abs(dim_sum - n) < tol
+        reports.append(ClassificationReport(
+            order=n, phi=tuple(int(x) for x in phi), alpha_ring=algebra.twist.ring,
+            alpha_is_trivial=algebra.twist.alpha_is_trivial, seed=seed, supermodules=row,
+            dim_sum=dim_sum, dim_sum_ok=dim_ok, all_pass=ok and dim_ok))
+    return reports
+
+
+def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
+             tol: float = 1e-6, *,
+             irreps: list[UngradedIrrep] | None = None) -> ClassificationReport:
+    """Decompose, assemble supermodules, and verify the indicator identities
+    under the algebra's own grading: the one-row call of classify_gradings,
+    which describes the report. Callers classifying one alpha under several
+    gradings should call classify_gradings once instead, or pass
+    `irreps = decompose_regular(algebra, seed, cap)` to share the
+    decomposition.
+    """
+    return classify_gradings(algebra, algebra.twist.phi[None], seed, cap, tol,
+                             irreps=irreps)[0]
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:

@@ -1,14 +1,11 @@
-"""Closed surfaces: standard presentations, quadratic refinements, exact
-cocycle integration.
+"""Closed surfaces: standard presentations and quadratic refinements.
 
 An orientable surface of genus g has one relator [a_1,b_1]...[a_g,b_g]; a
 nonorientable one of crosscap number k has c_1^2...c_k^2. Spin structures on
 the former are Z2-valued quadratic refinements of the mod-2 intersection form
 (Arf invariant in Z2), pin- structures on the latter are Z4-valued refinements
 (Arf-Brown-Kervaire invariant in Z8); both invariants are recomputed from
-Gauss sums as a crosscheck. A cocycle pulled back along a homomorphism
-integrates over the fundamental class to the exact rational phase collected
-while evaluating the relator word in the twisted algebra.
+Gauss sums as a crosscheck.
 """
 
 from __future__ import annotations
@@ -17,14 +14,11 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SnapError, ValidationError
-from .groups import Group
-from .twists import Twist
 
 __all__ = [
     "Surface",
@@ -37,13 +31,11 @@ __all__ = [
     "cup_form",
     "QuadraticRefinement",
     "refinement",
-    "quadratic_eval",
     "quadratic_eval_many",
     "arf",
     "abk",
     "ABKResult",
     "enumerate_structures",
-    "integrate_cocycle",
 ]
 
 ABKResult = namedtuple("ABKResult", ["value", "gauss_sum"])
@@ -119,14 +111,6 @@ class Presentation:
     n_generators: int
     word: tuple
     labels: tuple
-
-    def word_string(self) -> str:
-        if not self.word:
-            return "1"
-        bits = []
-        for idx, exp in self.word:
-            bits.append(self.labels[idx] if exp == 1 else self.labels[idx] + "^-1")
-        return " ".join(bits)
 
 
 def presentation(surface: Surface) -> Presentation:
@@ -212,11 +196,6 @@ def refinement(surface: Surface, values: Sequence[int], ring: int | None = None,
     return QuadraticRefinement(ring=ring, values=vals, cup=cup)
 
 
-def quadratic_eval(q: QuadraticRefinement, x: Sequence[int]) -> int:
-    """Evaluate the refinement on a mod-2 homology class given as a 0/1 vector."""
-    return int(quadratic_eval_many(q, np.asarray(x, dtype=np.int64)[None, :])[0])
-
-
 def quadratic_eval_many(q: QuadraticRefinement, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64) % 2
     if xs.ndim != 2 or xs.shape[1] != len(q.values):
@@ -287,35 +266,3 @@ def enumerate_structures(surface: Surface, kind: str) -> list:
         out.append(refinement(surface, vals, ring=ring))
     return out
 
-
-def integrate_cocycle(assignment: Sequence[int], pres: Presentation, group: Group,
-                      twist: Twist) -> Fraction:
-    """Exact value in Q/Z of a cocycle integrated over the surface.
-
-    The generator assignment must satisfy the relator; the phase is collected
-    by multiplying out the relator word in the twisted basis (an inverse
-    letter e_h^{-1} = omega(h, h^{-1})^{-1} e_{h^{-1}} contributes its
-    normalization correction).
-    """
-    if len(assignment) != pres.n_generators:
-        raise ValidationError(
-            f"assignment has {len(assignment)} entries, presentation needs "
-            f"{pres.n_generators}")
-    images = [int(a) for a in assignment]
-    for a in images:
-        if not 0 <= a < group.order:
-            raise ValidationError(f"generator image {a} outside the group")
-    g = group.identity
-    phase = Fraction(0)
-    for idx, exp in pres.word:
-        h = images[idx]
-        if exp == 1:
-            phase += twist.alpha_fraction(g, h)
-            g = int(group.table[g, h])
-        else:
-            hinv = int(group.inverses[h])
-            phase += twist.alpha_fraction(g, hinv) - twist.alpha_fraction(h, hinv)
-            g = int(group.table[g, hinv])
-    if g != group.identity:
-        raise ValidationError("assignment does not satisfy the surface relator")
-    return phase % 1

@@ -239,11 +239,15 @@ def combine_twists(gt: tuple[Group, Twist], ht: tuple[Group, Twist]) -> tuple[Gr
     """Stack two sign-valued twisted groups on the product group.
 
     phi adds; alpha picks up the cross term phi(g1) phi'(h2) so the two twisted
-    algebras supercommute inside the combined one.
+    algebras supercommute inside the combined one. Its |G|^2 |H|^2 table
+    entries are checked against SUPERFS_BUDGET first.
     """
     from .groups import product_group
     g, tg = gt
     h, th = ht
+    n = g.order * h.order
+    check_budget(n * n, f"combining twists on groups of orders {g.order} and {h.order} "
+                 f"needs {n} x {n} tables")
     ag = _as_denominator_two(tg)
     ah = _as_denominator_two(th)
     ng, nh = g.order, h.order
@@ -257,8 +261,11 @@ def combine_twists(gt: tuple[Group, Twist], ht: tuple[Group, Twist]) -> tuple[Gr
 
 def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
     """The rank-k Clifford twists on (Z2)^k for k = 1..n, each built from the
-    last by one combine_twists with the rank-1 twist."""
+    last by one combine_twists with the rank-1 twist. The 4^n table entries
+    of the last rung are checked against SUPERFS_BUDGET before any rung is
+    built."""
     from .groups import group_from_table
+    check_budget(4 ** n, f"the rank-{n} Clifford twist needs a {2 ** n} x {2 ** n} table")
     z2 = group_from_table([[0, 1], [1, 0]], names=["e", "u"])
     rank_one = (z2, Twist(phi=np.array([0, 1]),
                           alpha_num=np.zeros((2, 2), dtype=np.int64), denom=1))
@@ -270,7 +277,9 @@ def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
 
 
 def clifford_twist(n: int) -> tuple[Group, Twist]:
-    """The rank-n Clifford twist on (Z2)^n; n = 0 is the trivial theory."""
+    """The rank-n Clifford twist on (Z2)^n; n = 0 is the trivial theory. Its
+    4^n table entries are checked against SUPERFS_BUDGET first
+    (clifford_ladder)."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
     if n == 0:

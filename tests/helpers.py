@@ -103,6 +103,33 @@ def brute_force_partition(table: np.ndarray, inverses: np.ndarray,
     return total / n, count
 
 
+def integrate_cocycle(assignment, word, n_generators: int, table, inverses,
+                      alpha_num, denom: int) -> Fraction:
+    """Exact value in Q/Z of a cocycle integrated over a surface: the phase
+    collected while multiplying out the relator word on the generator images
+    in the twisted basis. An inverse letter h^-1 adds
+    alpha(cur, h^-1) - alpha(h, h^-1), the normalization of
+    e_h^-1 = omega(h, h^-1)^-1 e_{h^-1}. The images must satisfy the relator
+    (ValueError otherwise)."""
+    table, inverses, alpha = (np.asarray(a).tolist() for a in (table, inverses, alpha_num))
+    if len(assignment) != n_generators:
+        raise ValueError(f"assignment has {len(assignment)} entries, presentation "
+                         f"needs {n_generators}")
+    cur, num = 0, 0
+    for idx, exp in word:
+        h = int(assignment[idx])
+        if exp == 1:
+            num += alpha[cur][h]
+            cur = table[cur][h]
+        else:
+            hinv = inverses[h]
+            num += alpha[cur][hinv] - alpha[h][hinv]
+            cur = table[cur][hinv]
+    if cur != 0:
+        raise ValueError("assignment does not satisfy the surface relator")
+    return Fraction(num, denom) % 1
+
+
 def brute_force_z2_cocycles(table: np.ndarray) -> list[np.ndarray]:
     """All normalized sign-valued two-cocycles on a tiny group, by full scan."""
     n = table.shape[0]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import weakref
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from superfs import (
     catalog_group,
     classification_to_dict,
     classify,
+    classify_gradings,
     clifford_twist,
     combine_twists,
     cyclic,
@@ -95,7 +97,7 @@ def test_star_requires_sign_valued():
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
     with pytest.raises(ValidationError, match="sign-valued"):
-        special_element(alg, sups[0], irreps)
+        special_element(alg, [sups[0]], irreps)
     with pytest.raises(ValidationError, match="sign-valued"):
         alg.diagonal_signs()
 
@@ -386,7 +388,6 @@ def test_generated_blocks_refuse_a_basis_tilted_out_of_its_submodule():
 def test_averages_and_rotation_match_einsum_oracle(name):
     alg = _kernel_algebra(name)
     rng = np.random.default_rng(2)
-    signs = np.where(alg.twist.phi == 1, -1.0, 1.0)
     blocks = [irr.matrices for irr in decompose_regular(alg, seed=3)]
     blocks.append(block_matrices_by_element(alg.group.table, alg.phases,
                                             _isometry(rng, alg.order, 6)))
@@ -394,9 +395,8 @@ def test_averages_and_rotation_match_einsum_oracle(name):
         d = mats.shape[1]
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         x = x + x.conj().T
-        for weights in (None, signs):
-            got = superalg._average(mats, x, weights)
-            assert np.max(np.abs(got - average_by_einsum(mats, x, weights))) < 1e-12
+        got = superalg._average(mats, x)
+        assert np.max(np.abs(got - average_by_einsum(mats, x))) < 1e-12
 
 
 @pytest.mark.parametrize("rank", [3, 4])
@@ -414,8 +414,7 @@ def test_check_grading_reports_the_first_bad_element(rank):
     mats = p = None
     if sup.q_type == 0:
         mats = irreps[0].matrices
-        p = superalg._parity_intertwiner(mats, np.where(odd, -1.0, 1.0),
-                                         np.random.default_rng(0), 8)
+        p = superalg._parity_intertwiners(mats[None], np.where(odd, -1.0, 1.0)[None])[0]
 
     def check(*elements, character=(), times_p=None):
         m = None if mats is None else mats.copy()
@@ -490,11 +489,102 @@ def test_supermodules_match_the_matrix_oracle():
             if sup.reality != "real":
                 continue
             real += 1
-            u, sign = special_element(alg, sup, irreps)
+            u, sign = special_element(alg, [sup], irreps)[0]
             want, want_sign = special_element_by_solve(blocks, targets, module)
             assert min(np.max(np.abs(u - want)), np.max(np.abs(u + want))) < 1e-10
             assert sup.u_sign == sign == want_sign
     assert real == 676
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_classes(seed):
+    """(group, H^2 class, algebra, every grading, irreps at seed) for every
+    catalog group and S4 and every H^2 class."""
+    s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+    out = []
+    for group in [*map(catalog_group, CATALOG_NAMES), s4]:
+        phis = np.array(z2_homomorphisms(group))
+        for base in h2_representatives(group):
+            alg = TwistedGroupAlgebra(group, validate_twist(group, base.with_phi(phis[0])),
+                                      validate=False)
+            out.append((group, base, alg, phis, decompose_regular(alg, seed=seed)))
+    return tuple(out)
+
+
+def _dicts(reports):
+    """The reports as their --json text, so that equality is byte equality."""
+    return [json.dumps(classification_to_dict(r), sort_keys=True) for r in reports]
+
+
+@functools.lru_cache(maxsize=None)
+def _per_row_dicts(seed):
+    """classify under one grading at a time, sharing the decomposition."""
+    out = []
+    for group, base, _, phis, irreps in _sweep_classes(seed):
+        reports = [classify(TwistedGroupAlgebra(group, validate_twist(group, base.with_phi(phi)),
+                                                validate=False), seed=seed, irreps=irreps)
+                   for phi in phis]
+        assert all(r.all_pass for r in reports)
+        out.append(_dicts(reports))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_classify_gradings_matches_classify_row_by_row(seed):
+    # every grading of a cocycle class in one batched pass gives the same
+    # report, byte for byte, as classifying each grading alone
+    cases = 0
+    for (_, _, alg, phis, irreps), want in zip(_sweep_classes(seed), _per_row_dicts(seed)):
+        assert _dicts(classify_gradings(alg, phis, seed=seed, irreps=irreps)) == want
+        cases += len(want)
+    assert cases == 619
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_the_sign_of_the_parity_intertwiner_is_free(monkeypatch, seed):
+    # P is fixed up to sign, and with odd elements tr P = 0 leaves the sign
+    # free: negating every such P changes no report
+    original = superalg._parity_intertwiners
+    negated = []
+
+    def flipped(mats, signs):
+        p = original(mats, signs)
+        free = (signs < 0).any(axis=1)
+        p[free] *= -1
+        negated.append(int(free.sum()))
+        return p
+
+    monkeypatch.setattr(superalg, "_parity_intertwiners", flipped)
+    for (_, _, alg, phis, irreps), want in zip(_sweep_classes(seed), _per_row_dicts(seed)):
+        assert _dicts(classify_gradings(alg, phis, seed=seed, irreps=irreps)) == want
+    assert sum(negated) == 386
+
+
+def test_classify_gradings_is_the_same_in_stacks_of_one(monkeypatch):
+    # with _GATHER_ENTRIES at 1 every stage handles one row, irrep or
+    # supermodule at a time
+    classes = [c for c in _sweep_classes(0) if c[0].order in (8, 12)]
+    want = [_dicts(classify_gradings(alg, phis, irreps=irreps))
+            for _, _, alg, phis, irreps in classes]
+    monkeypatch.setattr(superalg, "_GATHER_ENTRIES", 1)
+    got = [_dicts(classify_gradings(alg, phis, irreps=irreps))
+           for _, _, alg, phis, irreps in classes]
+    assert got == want and len(classes) > 10
+
+
+def test_parity_intertwiner_needs_no_random_draw():
+    # P is read off the projection Phi(E_0j) = P_j0 P / d, the same for every
+    # call, and matches the normalized average of a random Hermitian matrix
+    # up to sign; under the trivial grading it is the identity
+    alg = TwistedGroupAlgebra(*clifford_twist(6))
+    (irr,) = decompose_regular(alg)
+    signs = np.where(alg.twist.phi == 1, -1.0, 1.0)
+    p = superalg._parity_intertwiners(irr.matrices[None], signs[None])[0]
+    assert np.array_equal(p, superalg._parity_intertwiners(irr.matrices[None], signs[None])[0])
+    want = parity_intertwiner_by_average(irr.matrices, signs, np.random.default_rng(1))
+    assert min(np.max(np.abs(p - want)), np.max(np.abs(p + want))) < 1e-10
+    ones = superalg._parity_intertwiners(irr.matrices[None], np.ones((1, alg.order)))[0]
+    assert np.max(np.abs(ones - np.eye(irr.dim))) < 1e-12
 
 
 def test_batched_indicators_match_the_per_supermodule_oracle():
@@ -602,7 +692,7 @@ def test_special_element_clifford1():
     alg = TwistedGroupAlgebra(g, t)
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
-    u, sign = special_element(alg, sups[0], irreps)
+    u, sign = special_element(alg, [sups[0]], irreps)[0]
     assert sign == 1
     assert abs(u[0]) < 1e-10 and abs(abs(u[1]) - 1) < 1e-10
 
@@ -612,7 +702,7 @@ def test_special_element_clifford2():
     alg = TwistedGroupAlgebra(g, t)
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
-    u, sign = special_element(alg, sups[0], irreps)
+    u, sign = special_element(alg, [sups[0]], irreps)[0]
     assert sign == -1
     expect = np.zeros(4)
     expect[3] = 1
@@ -628,7 +718,7 @@ def test_special_element_trivial_rep_is_averaging_idempotent():
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
     triv = next(s for s in sups if np.max(np.abs(s.character - 1)) < 1e-8)
-    u, sign = special_element(alg, triv, irreps)
+    u, sign = special_element(alg, [triv], irreps)[0]
     assert sign == 1
     assert np.allclose(u, np.full(6, 1 / 6))
 
@@ -641,7 +731,7 @@ def test_special_element_rejects_complex():
     cx = next(s for s in sups
               if np.max(np.abs(np.conj(s.character) - s.character)) > 1e-6)
     with pytest.raises(ValidationError, match="complex"):
-        special_element(alg, cx, irreps)
+        special_element(alg, [cx], irreps)[0]
 
 
 def test_ordinary_fs_values():

@@ -436,3 +436,26 @@ def test_h2_classes_checked_against_budget(monkeypatch):
     monkeypatch.setenv("SUPERFS_BUDGET", "10000000")
     with pytest.raises(BudgetExceededError, match="32768 classes"):
         h2_representatives(group)
+
+
+def test_library_builders_check_their_tables_against_budget(monkeypatch):
+    # clifford_twist, combine_twists and product_group refuse a table of more
+    # than SUPERFS_BUDGET entries before they build anything
+    import superfs.groups
+
+    built = []
+    original = superfs.groups.group_from_table
+    monkeypatch.setattr(superfs.groups, "group_from_table",
+                        lambda *a, **k: built.append(1) or original(*a, **k))
+    monkeypatch.setenv("SUPERFS_BUDGET", "1e4")
+    with pytest.raises(BudgetExceededError, match=r"rank-8 Clifford twist needs a 256 x 256"):
+        clifford_twist(8)
+    assert not built   # not even the rank-1 rung
+    assert clifford_twist(6)[0].order == 64   # 4096 entries fit
+    built.clear()
+    g, t = clifford_twist(4)
+    with pytest.raises(BudgetExceededError, match="combining twists"):
+        combine_twists((g, t), (g, t))
+    with pytest.raises(BudgetExceededError, match="product of groups of orders 16 and 16"):
+        product_group(g, g)
+    assert len(built) == 4   # the rungs of clifford_twist(4) only
