@@ -1,32 +1,40 @@
-"""Scaling curves of `classify`: wall time per stage and peak memory against |G|.
+"""Scaling curves of `classify` and `h2_basis`: wall time per stage and peak
+memory against |G|.
 
     python scripts/scaling.py --label change
     python scripts/scaling.py --src ../parent-checkout --label parent
+    python scripts/scaling.py --families h2 --label h2-change
 
 Each point runs in a fresh interpreter that imports `superfs` from
 `<src>/src`, so the peak resident memory it reports belongs to that point
-alone. Three families are measured:
+alone. Four families are measured (`--families` picks some of them):
 
 - `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..11 (|G| = 16..2048);
 - `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..10;
 - `gradings`: the Clifford cocycle class on (Z2)^k under every one of its
   m = 2^k gradings, k = 3..8, all classified from one decomposition: by one
   `classify_gradings` call, or, in a checkout that predates it, by m
-  `classify` calls.
+  `classify` calls;
+- `h2`: `h2_basis` alone on (Z2)^k, k = 2..6, S4, S4 x Z2 and S4 x Z2 x Z2
+  (|G| = 4..96), each group built from its table or permutations in the
+  child. These children run at the default SUPERFS_BUDGET, so a point the
+  measured checkout refuses is recorded as refused, with its message.
 
-A point times five stages: validation (`group_from_table` and
+A classify point times five stages: validation (`group_from_table` and
 `validate_twist` on the raw table and cocycle), `decompose_regular`,
 `assemble_supermodules`, `special_element` (each summed over its calls: one
 per classification, or one per real supermodule before they were batched)
 and the rest of the classification. It runs the whole classification
 three times in its interpreter and reports the median of each stage, and the
-total of the first, cold run (BLAS start-up included) on its own. The
-script also times the CLI command `classify --clifford 10 --cap 2000 --json`
-end to end in three more fresh processes. Every child runs with
-SUPERFS_BUDGET raised to 1e10, since the default budget refuses
-`--clifford 10`; the variable is set for the children only. Results are
-merged into `BENCH_scaling.json` under `--label`, so one file holds the runs
-of several commits.
+total of the first, cold run (BLAS start-up included) on its own. An `h2`
+point reports the median of three `h2_basis` calls and the first call on its
+own. With the `clifford` family the script also times the CLI command
+`classify --clifford 10 --cap 2000 --json` end to end in three more fresh
+processes. Every child outside the `h2` family runs with SUPERFS_BUDGET
+raised to 1e10, since the default budget refuses `--clifford 10`; the
+variable is set for the children only. Results are merged into
+`BENCH_scaling.json` under `--label`, so one file holds the runs of several
+commits.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET = "1e10"
-RANKS = {"clifford": range(4, 12), "z2-graded": range(4, 11), "gradings": range(3, 9)}
+RANKS = {"clifford": range(4, 12), "z2-graded": range(4, 11), "gradings": range(3, 9),
+         "h2": ("z2^2", "z2^3", "z2^4", "z2^5", "z2^6", "s4", "s4xz2", "s4xz2xz2")}
 CLI_ARGS = ["classify", "--clifford", "10", "--cap", "2000", "--json"]
 
 
@@ -124,10 +133,52 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
             "all_pass": all(report.all_pass for report in reports)}
 
 
-def _run_child(argv: list, src: Path, capture: bool) -> tuple[float, float, str]:
+def _h2_group(name: str):
+    """An `h2` point's group: (Z2)^k from its XOR table, S4 from a
+    transposition and a 4-cycle, and its products with Z2."""
+    import numpy as np
+    from superfs import cyclic, group_from_permutations, group_from_table, product_group
+
+    if name.startswith("z2^"):
+        idx = np.arange(1 << int(name[3:]))
+        return group_from_table(idx[:, None] ^ idx[None, :])
+    group = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+    for _ in range(name.count("xz2")):
+        group = product_group(group, cyclic(2))
+    return group
+
+
+def measure_h2(name: str, repeats: int = 3) -> dict:
+    """Wall time and peak memory of h2_basis on one group (run in a child)."""
+    import resource
+    import statistics
+
+    from superfs import BudgetExceededError, h2_basis
+
+    group = _h2_group(name)
+    point = {"family": "h2", "group": name, "order": group.order,
+             "generators": int(group.generators.size)}
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        try:
+            basis = h2_basis(group)
+        except BudgetExceededError as exc:
+            return {**point, "refused": str(exc)}
+        times.append(time.perf_counter() - start)
+    return {**point, "h2_dim": len(basis),
+            "h2_basis_s": round(statistics.median(times), 4),
+            "cold_h2_basis_s": round(times[0], 4),
+            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def _run_child(argv: list, src: Path, capture: bool,
+               budget: str | None = BUDGET) -> tuple[float, float, str]:
     """Run one fresh interpreter; return its wall time, its own peak RSS in
-    MiB and its stdout."""
-    env = {**os.environ, "PYTHONPATH": str(src / "src"), "SUPERFS_BUDGET": BUDGET}
+    MiB and its stdout. SUPERFS_BUDGET is `budget`, or unset when None."""
+    env = {**os.environ, "PYTHONPATH": str(src / "src"), "SUPERFS_BUDGET": budget}
+    if budget is None:
+        del env["SUPERFS_BUDGET"]
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], cwd=src, env=env,
                             stdout=subprocess.PIPE if capture else subprocess.DEVNULL)
@@ -153,24 +204,31 @@ def main(argv: list | None = None) -> None:
                         help="checkout whose src/ is measured (default: this one)")
     parser.add_argument("--label", required=True, help="key of this run in the output")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scaling.json")
+    parser.add_argument("--families", default=",".join(RANKS),
+                        help="comma-separated families to measure (default: all)")
     parser.add_argument("--point", nargs=2, metavar=("FAMILY", "RANK"),
                         help=argparse.SUPPRESS)   # child mode: print one point
     args = parser.parse_args(argv)
     if args.point:
-        print(json.dumps(measure_point(args.point[0], int(args.point[1]))))
+        family, rank = args.point
+        point = measure_h2(rank) if family == "h2" else measure_point(family, int(rank))
+        print(json.dumps(point))
         return
 
+    families = [f for f in args.families.split(",") if f]
+    unknown = sorted(set(families) - set(RANKS))
+    if unknown:
+        parser.error(f"unknown families {unknown}; choose from {', '.join(RANKS)}")
     src = args.src.resolve()
     points = []
-    for family, ranks in RANKS.items():
-        for rank in ranks:
+    for family in families:
+        for rank in RANKS[family]:
             _, _, out = _run_child([str(Path(__file__).resolve()), "--src", str(src),
                                     "--label", args.label, "--point", family, str(rank)],
-                                   src, capture=True)
+                                   src, capture=True,
+                                   budget=None if family == "h2" else BUDGET)
             points.append(json.loads(out))
             print(json.dumps(points[-1]), file=sys.stderr)
-    cli = [_run_child(["-m", "superfs", *CLI_ARGS], src, capture=False)[:2]
-           for _ in range(3)]
     import statistics
 
     import numpy as np
@@ -178,17 +236,20 @@ def main(argv: list | None = None) -> None:
     run = {"src_digest": _src_digest(src),
            "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "machine": platform.machine()},
-           "points": points,
-           "cli": {"argv": ["superfs", *CLI_ARGS], "SUPERFS_BUDGET": BUDGET,
-                   "wall_s": [round(wall, 3) for wall, _ in cli],
-                   "median_wall_s": round(statistics.median(w for w, _ in cli), 3),
-                   "peak_rss_mib": [round(rss, 1) for _, rss in cli]}}
+           "points": points}
+    if "clifford" in families:
+        cli = [_run_child(["-m", "superfs", *CLI_ARGS], src, capture=False)[:2]
+               for _ in range(3)]
+        run["cli"] = {"argv": ["superfs", *CLI_ARGS], "SUPERFS_BUDGET": BUDGET,
+                      "wall_s": [round(wall, 3) for wall, _ in cli],
+                      "median_wall_s": round(statistics.median(w for w, _ in cli), 3),
+                      "peak_rss_mib": [round(rss, 1) for _, rss in cli]}
+        print(json.dumps(run["cli"]), file=sys.stderr)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data["about"] = ("classify stage times (median of 3, seconds) and peak RSS (MiB) per "
-                     "group order; written by scripts/scaling.py")
+    data["about"] = ("classify stage times (median of 3, seconds), h2_basis times and peak "
+                     "RSS (MiB) per group order; written by scripts/scaling.py")
     data.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(json.dumps(run["cli"]), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .errors import (
     check_budget,
 )
 from .gauge import _FAMILY, FAMILIES, TheoryData, crosscheck, report_to_dict
-from .groups import Group, load_group
+from .groups import Group, _check_phi, load_group
 from .superalg import (
     TwistedGroupAlgebra,
     classification_to_dict,
@@ -193,8 +193,10 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     The ungraded decomposition depends on alpha but not on phi, so each alpha
     is validated and decomposed once, and every phi is classified from its
     reduced table, phases and irreps in one classify_gradings pass.
-    The phis are homomorphisms by construction (z2_homomorphisms), or the one
-    phi named on the command line, which is validated with the first alpha.
+    Each case is checked once: the phis are homomorphisms by construction
+    (z2_homomorphisms) and the classes are validated by h2_representatives;
+    a phi named on the command line is checked as a homomorphism, and an
+    alpha named there is validated with it.
     """
     homs, classes = bases
     if homs is not None:
@@ -203,11 +205,14 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
         phis = [_resolve_phi(args.phi, group)]
     if classes is not None:
         alphas = h2_representatives(group, classes)
+        if homs is None:
+            _check_phi(group, phis[0])
     else:
-        alphas = [_resolve_twist(group, "zero", args.alpha)]
+        alphas = [validate_twist(group, _resolve_twist(group, "zero", args.alpha)
+                                 .with_phi(phis[0]))]
     rows = []
     for ai, base in enumerate(alphas):
-        twist = validate_twist(group, base.with_phi(phis[0]))
+        twist = base.with_phi(phis[0])
         algebra = TwistedGroupAlgebra(group, twist, validate=False)
         irreps = decompose_regular(algebra, seed=args.seed, cap=args.cap)
         reports = classify_gradings(algebra, np.array(phis), seed=args.seed, cap=args.cap,

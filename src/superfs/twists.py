@@ -293,39 +293,81 @@ def clifford_twist(n: int) -> tuple[Group, Twist]:
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra: homomorphisms to Z2 and H^2(G, Z2) representatives.
 
-def _gf2_rref(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    m = rows.astype(np.uint8)  # a copy
+def _words(ncols: int) -> int:
+    return -(-ncols // 64)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(m, ncols) 0/1 rows as (m, ceil(ncols / 64)) uint64 words; column c is
+    bit c % 64 of word c // 64."""
+    m, ncols = bits.shape
+    out = np.zeros((m, 8 * _words(ncols)), dtype=np.uint8)
+    out[:, :(ncols + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _unpack(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """The inverse of _pack: (m, ncols) uint8 0/1 rows."""
+    return np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         count=ncols, bitorder="little")
+
+
+def _gf2_echelon(rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form over GF(2) of packed rows: its nonzero rows and
+    their pivot columns, in increasing order.
+
+    Zero rows are dropped first (duplicates are not: sorting them out costs
+    more than eliminating them). Below row r every column left of the last
+    pivot is zero, so the next pivot is the lowest set bit of the OR of one
+    word of rows r onwards, and a word with no bit left there is passed once:
+    each step reads one word column, and only the rows that hold the pivot
+    bit are XORed.
+    """
+    rows = rows[rows.any(axis=1)]
     pivots: list[int] = []
-    r = 0
-    for c in range(m.shape[1]):
-        hit = np.flatnonzero(m[r:, c])
-        if hit.size == 0:
+    r = word = 0
+    while r < rows.shape[0] and word < rows.shape[1]:
+        rest = int(np.bitwise_or.reduce(rows[r:, word]))
+        if rest == 0:
+            word += 1
             continue
-        p = r + int(hit[0])
+        bit = (rest & -rest).bit_length() - 1
+        hit = (rows[:, word] >> np.uint64(bit) & np.uint64(1)).astype(bool)
+        p = r + int(np.argmax(hit[r:]))
         if p != r:
-            m[[r, p]] = m[[p, r]]
-        others = np.flatnonzero(m[:, c])
-        others = others[others != r]
-        m[others] ^= m[r]
-        pivots.append(c)
+            rows[[r, p]] = rows[[p, r]]
+            hit[[r, p]] = hit[[p, r]]
+        hit[r] = False
+        rows[hit] ^= rows[r]
+        pivots.append(64 * word + bit)
         r += 1
-        if r == m.shape[0]:
-            break
-    return m[:r], pivots
+    return rows[:r], pivots
 
 
-def _gf2_nullspace(rows: np.ndarray, ncols: int) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return np.eye(ncols, dtype=np.uint8)
-    rref, pivots = _gf2_rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for r, p in enumerate(pivots):
-            basis[i, p] = rref[r, c]
+def _gf2_null_space(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """A basis of the vectors x in GF(2)^ncols with row . x = 0 for every packed
+    row, as (k, ncols) 0/1 rows: one per free column of the echelon form."""
+    rref, pivots = _gf2_echelon(rows)
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    basis = np.zeros((free.size, ncols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = _unpack(rref, ncols)[:, free].T
     return basis
+
+
+def _right_to_left_rref(vectors: np.ndarray) -> np.ndarray:
+    """The one basis of the row space of `vectors` that is in reduced
+    row-echelon form when the columns are read right to left, ordered by its
+    leading (rightmost nonzero) column, ascending.
+
+    This names a basis by its space alone. It is also the basis the
+    free-column construction gives for a null space read left to right: the
+    vector of free column c is supported on c and on pivot columns left of c,
+    so c leads it and no other vector of the basis meets c.
+    """
+    ncols = vectors.shape[1]
+    rref, _ = _gf2_echelon(_pack(np.ascontiguousarray(vectors[:, ::-1])))
+    return np.ascontiguousarray(_unpack(rref, ncols)[::-1, ::-1])
 
 
 class _Gf2Span:
@@ -369,25 +411,56 @@ def _span_combinations(basis: list[np.ndarray], length: int) -> list[np.ndarray]
     return out
 
 
+def _unknowns(count: int) -> np.ndarray:
+    """Packed linear forms of `count` unknowns: row i is the unit vector e_i."""
+    unit = np.zeros((count, _words(count)), dtype=np.uint64)
+    i = np.arange(count)
+    unit[i, i // 64] = np.uint64(1) << (i % 64).astype(np.uint64)
+    return unit
+
+
+def _spread_hom(group: Group, values: np.ndarray) -> np.ndarray:
+    """phi(k) for every k from values[j] = phi(s_j), by phi(ps) = phi(p) + phi(s)
+    along Group.words; trailing axes of `values` are carried along."""
+    phi = np.zeros((group.order,) + values.shape[1:], dtype=values.dtype)
+    for elements, parents, steps in group.words:
+        phi[elements] = phi[parents] ^ values[steps]
+    return phi
+
+
+def _spread_cocycle(group: Group, cols: np.ndarray) -> np.ndarray:
+    """alpha(g, k) for every g and k from cols[g, j] = alpha(g, s_j), with
+    alpha(g, e) = 0; trailing axes of `cols` are carried along.
+
+    The first level of Group.words is S itself. Each deeper element ps takes
+    alpha(g, ps) = alpha(g, p) + alpha(gp, s) + alpha(p, s), which is the
+    cocycle identity at (g, p, s).
+    """
+    n = group.order
+    alpha = np.zeros((n, n) + cols.shape[2:], dtype=cols.dtype)
+    alpha[:, group.generators] = cols
+    for elements, parents, steps in group.words[1:]:
+        alpha[:, elements] = (alpha[:, parents] ^ cols[group.table[:, parents], steps]
+                              ^ cols[parents, steps])
+    return alpha
+
+
 def z2_hom_basis(group: Group) -> np.ndarray:
     """A GF(2) basis of Hom(G, Z2), one 0/1 row per basis vector.
 
-    Solves phi(gs) = phi(g) + phi(s) for every g and s in S, plus the pin
-    phi(e) = 0 (the only equation left when S is empty, for the trivial
-    group). By induction on k = k's this gives phi(gk) = phi(g) + phi(k) for
-    every k: |G| |S| + 1 equations instead of |G|^2.
+    The unknowns are phi(s) for s in S. They are spread along Group.words by
+    phi(ps) = phi(p) + phi(s), with phi(e) = 0, and the result is a
+    homomorphism exactly when phi(gs) = phi(g) + phi(s) for every g and s in
+    S (by induction on k = k's this gives phi(gk) = phi(g) + phi(k) for every
+    k): |G| |S| equations in |S| unknowns. The basis is the one of
+    _right_to_left_rref, so it does not depend on how the space was solved.
     """
     n = group.order
     gens = group.generators
-    g_idx, s_idx = np.indices((n, gens.size)).reshape(2, -1)
-    rows = np.zeros((g_idx.size + 1, n), dtype=np.uint8)
-    eq = np.arange(g_idx.size)
-    np.add.at(rows, (eq, g_idx), 1)
-    np.add.at(rows, (eq, gens[s_idx]), 1)
-    np.add.at(rows, (eq, group.table[g_idx, gens[s_idx]]), 1)
-    rows %= 2
-    rows[-1, 0] = 1  # phi(e) = 0
-    return _gf2_nullspace(rows[rows.any(axis=1)], n)
+    coef = _spread_hom(group, _unknowns(gens.size))  # phi(k) as a packed form
+    eqs = coef[:, None] ^ coef[gens][None, :] ^ coef[group.table[:, gens]]
+    null = _gf2_null_space(eqs.reshape(n * gens.size, coef.shape[1]), gens.size)
+    return _right_to_left_rref(_spread_hom(group, null.T).T)
 
 
 def z2_homomorphisms(group: Group, basis: np.ndarray | None = None) -> list[np.ndarray]:
@@ -405,38 +478,52 @@ def z2_homomorphisms(group: Group, basis: np.ndarray | None = None) -> list[np.n
 def h2_basis(group: Group) -> list[np.ndarray]:
     """Flattened |G| x |G| cocycles whose classes form a GF(2) basis of H^2(G, Z2).
 
-    Solves the cocycle identity for k in S only, with the identity row and
-    column pinned to zero: |G|^2 |S| equations instead of |G|^3. The pins give
-    the identity at k = e, and the induction of _check_cocycle carries it from
-    k' and s in S to k's, so the solution space (hence its RREF and the basis)
-    is the one of the full system. The quotient by the span of the
-    coboundaries d(beta)(g,h) = beta(g) + beta(h) + beta(gh), beta(e) = 0, is
-    taken greedily. The equation matrix is checked against the work budget
-    before it is allocated.
+    The unknowns are the generator columns alpha(g, s), g in G, s in S:
+    |G| |S| of them. _spread_cocycle carries them to the whole table by the
+    cocycle identity at (g, p, s), so every normalized cocycle is the spread
+    of its own generator columns, and the spread is injective. A spread table
+    has alpha(g, e) = 0, hence the identity at k = e, and the induction of
+    _check_cocycle carries the identity from k' and s in S to k's; so it is a
+    normalized cocycle exactly when the identity holds at every (g, h, s) and
+    alpha(e, h) = 0 for every h. Those |G|^2 |S| + |G| equations are
+    eliminated on bit-packed rows, and the null space is Z^2 in the new
+    coordinates.
+
+    The null vectors are spread to tables and named by _right_to_left_rref,
+    the basis that the free columns of the full |G|^2-unknown system give;
+    the quotient by the span of the coboundaries
+    d(beta)(g,h) = beta(g) + beta(h) + beta(gh), beta(e) = 0, is then taken
+    greedily. The bytes of the packed coefficient table, the equation rows
+    (and the eliminator's copy of them) and the expanded cocycles (at most
+    |G| |S| of them, and the quotient span over them) are checked against
+    the work budget before anything is allocated.
     """
     n = group.order
     ncols = n * n
     gens = group.generators
-    nrows = ncols * gens.size + 2 * n
-    check_budget(nrows * ncols, f"H^2 of a group of order {n} needs a {nrows} x {ncols} "
-                 f"GF(2) system ({nrows * ncols} entries)")
+    nvars = n * gens.size
+    words = _words(nvars)
+    coef_bytes = 8 * ncols * words
+    eq_bytes = 2 * 8 * (ncols * gens.size + n) * words
+    cocycle_bytes = 2 * nvars * ncols
+    total = coef_bytes + eq_bytes + cocycle_bytes
+    check_budget(total, f"H^2 of a group of order {n} needs {total} bytes ({coef_bytes} "
+                 f"for the packed coefficients, {eq_bytes} for the packed equations, "
+                 f"{cocycle_bytes} for the expanded cocycles)")
     table = group.table
-    g_idx, h_idx, s_idx = np.indices((n, n, gens.size)).reshape(3, -1)
-    k_idx = gens[s_idx]
-    gh = table[g_idx, h_idx]
-    hk = table[h_idx, k_idx]
-    rows = np.zeros((nrows, ncols), dtype=np.uint8)
-    eq = np.arange(g_idx.size)
-    np.add.at(rows, (eq, g_idx * n + h_idx), 1)
-    np.add.at(rows, (eq, gh * n + k_idx), 1)
-    np.add.at(rows, (eq, h_idx * n + k_idx), 1)
-    np.add.at(rows, (eq, g_idx * n + hk), 1)
-    rows %= 2
-    pins = np.arange(n)
-    rows[g_idx.size + pins, pins] = 1          # alpha(e, g) = 0
-    rows[g_idx.size + n + pins, pins * n] = 1  # alpha(g, e) = 0
-    rows = rows[rows.any(axis=1)]
-    cocycles = _gf2_nullspace(rows, ncols)
+    # coef[g, k]: alpha(g, k) as a packed linear form in the unknowns
+    coef = _spread_cocycle(group, _unknowns(nvars).reshape(n, gens.size, words))
+    eqs = np.empty((ncols * gens.size + n, words), dtype=np.uint64)
+    for j, s in enumerate(gens):
+        # alpha(g, h) + alpha(gh, s) + alpha(h, s) + alpha(g, hs) = 0
+        eqs[j * ncols:(j + 1) * ncols] = (coef ^ coef[table, s] ^ coef[None, :, s]
+                                          ^ coef[:, table[:, s]]).reshape(ncols, words)
+    eqs[ncols * gens.size:] = coef[0]  # alpha(e, h) = 0
+    null = _gf2_null_space(eqs, nvars)
+    del coef, eqs
+    k = null.shape[0]
+    cocycles = _spread_cocycle(group, null.T.reshape(n, gens.size, k))
+    cocycles = _right_to_left_rref(cocycles.reshape(ncols, k).T)
 
     span = _Gf2Span(ncols)
     for b in range(1, n):

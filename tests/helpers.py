@@ -404,3 +404,95 @@ def nearest(value: complex, allowed) -> object:
     hits = [a for a, z in allowed if abs(value - z) < 1e-6]
     assert len(hits) == 1, f"{value} is not within 1e-6 of exactly one allowed value"
     return hits[0]
+
+
+def _dense_gf2_nullspace(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """One null vector per free column of the reduced row-echelon form of the
+    uint8 0/1 rows (columns read left to right), free columns ascending."""
+    m = rows.astype(np.uint8)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == m.shape[0]:
+            break
+        hit = np.flatnonzero(m[r:, c])
+        if hit.size == 0:
+            continue
+        p = r + int(hit[0])
+        m[[r, p]] = m[[p, r]]
+        others = np.flatnonzero(m[:, c])
+        m[others[others != r]] ^= m[r]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    basis = np.zeros((len(free), ncols), dtype=np.uint8)
+    for i, c in enumerate(free):
+        basis[i, c] = 1
+        for row, p in enumerate(pivots):
+            basis[i, p] = m[row, c]
+    return basis
+
+
+def dense_z2_hom_basis(table, gens) -> np.ndarray:
+    """Hom(G, Z2) from the |G| |S| + 1 dense equations phi(gs) = phi(g) + phi(s)
+    for s in gens, plus phi(e) = 0, one unknown per element."""
+    t = np.asarray(table)
+    n = t.shape[0]
+    rows = np.zeros((n * len(gens) + 1, n), dtype=np.uint8)
+    for i, (g, s) in enumerate((g, s) for g in range(n) for s in gens):
+        for x in (g, s, t[g, s]):
+            rows[i, x] ^= 1
+    rows[-1, 0] = 1
+    return _dense_gf2_nullspace(rows[rows.any(axis=1)], n)
+
+
+def dense_h2_basis(table, gens) -> list[np.ndarray]:
+    """H^2(G, Z2) basis from the dense system: one unknown per alpha(g, h), the
+    cocycle identity at every (g, h, s) for s in gens, and the identity row
+    and column pinned to zero; the null space is read off its free columns
+    and reduced greedily modulo the coboundaries of the maps beta(e) = 0."""
+    t = np.asarray(table)
+    n = t.shape[0]
+    g, h, s = np.indices((n, n, len(gens))).reshape(3, -1)
+    k = np.asarray(gens, dtype=np.int64)[s]
+    eq = np.arange(g.size)
+    rows = np.zeros((g.size + 2 * n, n * n), dtype=np.uint8)
+    for col in (g * n + h, t[g, h] * n + k, h * n + k, g * n + t[h, k]):
+        np.add.at(rows, (eq, col), 1)
+    rows %= 2
+    rows[g.size + np.arange(n), np.arange(n)] = 1          # alpha(e, x) = 0
+    rows[g.size + n + np.arange(n), np.arange(n) * n] = 1  # alpha(x, e) = 0
+    cocycles = _dense_gf2_nullspace(rows[rows.any(axis=1)], n * n)
+
+    span_rows: list[np.ndarray] = []   # fully reduced, with their pivots
+    span_pivots: list[int] = []
+
+    def reduce(v):
+        v = v.copy()
+        for row, p in zip(span_rows, span_pivots):
+            if v[p]:
+                v ^= row
+        return v
+
+    def insert(v):
+        v = reduce(v)   # a copy: later inserts must not change a returned vector
+        p = int(np.flatnonzero(v)[0])
+        for row in span_rows:
+            if row[p]:
+                row ^= v
+        span_rows.append(v)
+        span_pivots.append(p)
+
+    for b in range(1, n):
+        is_b = (np.arange(n) == b).astype(np.uint8)
+        db = ((is_b[:, None] + is_b[None, :] + (t == b)) % 2).astype(np.uint8)
+        w = reduce(db.reshape(-1))
+        if w.any():
+            insert(w)
+    quotient = []
+    for v in cocycles:
+        w = reduce(v)
+        if w.any():
+            insert(w)
+            quotient.append(w)
+    return quotient

@@ -501,3 +501,32 @@ def test_sweep_decomposes_once_per_cocycle_class(monkeypatch, capsys):
                     "verdict": "PASS" if report.all_pass else "FAIL",
                 })
     assert data["cases"] == expected
+
+
+def test_sweep_validates_each_cocycle_class_once(tmp_path, monkeypatch, capsys):
+    import superfs.cli
+    import superfs.twists
+
+    calls = []
+    original = superfs.twists.validate_twist
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (superfs.cli, superfs.twists):
+        monkeypatch.setattr(module, "validate_twist", counting)
+    code, data, _ = run_json(capsys, "sweep", "--groups", "d4,q8")
+    assert code == 0 and len(data["cases"]) == 32 + 16
+    assert len(calls) == 8 + 4  # one full check per H^2 class
+    # a phi or alpha named on the command line is still checked before use
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"phi": [1, 0, 0, 0, 0, 0, 0, 0]}))
+    code, out, err = run(capsys, "verify", "--group", "d4", "--sweep-h2", "--phi", str(phi))
+    assert code == 2 and out == ""
+    assert "phi is not a homomorphism to Z2: fails at (0, 0)" in err
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps({"alpha": [["0", "0"], ["1/2", "0"]]}))
+    calls.clear()
+    code, _, err = run(capsys, "verify", "--group", "z2", "--alpha", str(alpha))
+    assert code == 2 and "2-cocycle identity" in err and len(calls) == 1

@@ -18,6 +18,7 @@ from superfs import (
     cyclic,
     group_from_permutations,
     group_from_table,
+    h2_basis,
     h2_representatives,
     load_twist,
     product_group,
@@ -27,12 +28,15 @@ from superfs import (
     twist_from_dict,
     twist_to_dict,
     validate_twist,
+    z2_hom_basis,
     z2_homomorphisms,
 )
 
 from helpers import (
     brute_force_z2_cocycles,
     cocycle_failures,
+    dense_h2_basis,
+    dense_z2_hom_basis,
     h2_z2_dimension,
     is_z2_coboundary,
     relabelled,
@@ -422,7 +426,7 @@ def test_h2_of_s4_times_z2_follows_kunneth():
 
 
 def test_h2_equations_checked_against_budget(monkeypatch):
-    g = catalog_group("d4")  # (64 |S| + 16) x 64 equation entries
+    g = catalog_group("d4")  # 4736 bytes of packed coefficients, equations and cocycles
     monkeypatch.setenv("SUPERFS_BUDGET", "1000")
     with pytest.raises(BudgetExceededError, match="H\\^2 of a group of order 8"):
         h2_representatives(g)
@@ -459,3 +463,63 @@ def test_library_builders_check_their_tables_against_budget(monkeypatch):
     with pytest.raises(BudgetExceededError, match="product of groups of orders 16 and 16"):
         product_group(g, g)
     assert len(built) == 4   # the rungs of clifford_twist(4) only
+
+
+def oracle_group(name: str):
+    """The groups on which the GF(2) bases are compared with the dense oracle."""
+    s4 = symmetric4()
+    builders = {
+        "s4": lambda: s4,
+        "trivial": trivial_group,
+        "d4xz2": lambda: product_group(catalog_group("d4"), cyclic(2)),
+        "q8xz2": lambda: product_group(catalog_group("q8"), cyclic(2)),
+        "z4xz4": lambda: product_group(cyclic(4), cyclic(4)),
+        "z2^4": lambda: product_group(catalog_group("z2xz2"), catalog_group("z2xz2")),
+        "d8": lambda: group_from_permutations([[1, 2, 3, 4, 5, 6, 7, 0],
+                                               [7, 6, 5, 4, 3, 2, 1, 0]]),
+        "a4xz2": lambda: product_group(catalog_group("a4"), cyclic(2)),
+        "s4xz2": lambda: product_group(s4, cyclic(2)),
+    }
+    return builders[name]() if name in builders else catalog_group(name)
+
+
+ORACLE_GROUPS = [*CATALOG_NAMES, "s4", "trivial", "d4xz2", "q8xz2", "z4xz4", "z2^4", "d8",
+                 "a4xz2", "s4xz2"]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3, 7])
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_gf2_bases_match_the_dense_oracle(name, seed):
+    # the generator-column system gives the very basis vectors, in the same
+    # order, as the dense |G|^2-unknown system, also on relabelled tables
+    g = oracle_group(name)
+    if seed is not None:
+        g = group_from_table(relabelled(g.table, relabelling(g.order, seed)))
+    got = [(v.dtype, v.shape, v.tobytes()) for v in h2_basis(g)]
+    assert got == [(v.dtype, v.shape, v.tobytes())
+                   for v in dense_h2_basis(g.table, g.generators)]
+    homs, want = z2_hom_basis(g), dense_z2_hom_basis(g.table, g.generators)
+    assert (homs.dtype, homs.shape, homs.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_h2_basis_checked_against_budget_in_bytes(monkeypatch):
+    # the packed coefficients, packed equations and expanded cocycles of S4
+    # take about 79 kB; no table is spread before the check
+    import superfs.twists
+
+    monkeypatch.setattr(superfs.twists, "_spread_cocycle", lambda *a: pytest.fail("spread"))
+    monkeypatch.setenv("SUPERFS_BUDGET", "10000")
+    with pytest.raises(BudgetExceededError, match="H\\^2 of a group of order 24 needs"):
+        h2_basis(symmetric4())
+
+
+def test_h2_of_order_96_fits_the_default_budget(monkeypatch):
+    # the dense system needed 341 508 096 entries for S4 x Z2 x Z2; by Kunneth
+    # H^2 = H^2(V4) + H^1(S4) x H^1(V4) + H^2(S4) has dimension 3 + 2 + 2
+    monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
+    g = product_group(product_group(symmetric4(), cyclic(2)), cyclic(2))
+    basis = h2_basis(g)
+    assert g.order == 96 and len(basis) == 7
+    zero = np.zeros(g.order, dtype=np.int64)
+    for v in basis:
+        validate_twist(g, Twist(phi=zero, alpha_num=v.reshape(g.order, g.order), denom=2))
