@@ -3,11 +3,10 @@ memory against |G|.
 
     python scripts/scaling.py --label change
     python scripts/scaling.py --src ../parent-checkout --label parent
-    python scripts/scaling.py --families h2 --label h2-change
 
 Each point runs in a fresh interpreter that imports `superfs` from
 `<src>/src`, so the peak resident memory it reports belongs to that point
-alone. Four families are measured (`--families` picks some of them):
+alone. Four families are measured:
 
 - `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..11 (|G| = 16..2048);
 - `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..10;
@@ -17,7 +16,7 @@ alone. Four families are measured (`--families` picks some of them):
   `classify` calls;
 - `h2`: `h2_basis` alone on (Z2)^k, k = 2..6, S4, S4 x Z2 and S4 x Z2 x Z2
   (|G| = 4..96), each group built from its table or permutations in the
-  child. These children run at the default SUPERFS_BUDGET, so a point the
+  child. These points run at the default SUPERFS_BUDGET, so a point the
   measured checkout refuses is recorded as refused, with its message.
 
 A classify point times five stages: validation (`group_from_table` and
@@ -28,11 +27,11 @@ and the rest of the classification. It runs the whole classification
 three times in its interpreter and reports the median of each stage, and the
 total of the first, cold run (BLAS start-up included) on its own. An `h2`
 point reports the median of three `h2_basis` calls and the first call on its
-own. With the `clifford` family the script also times the CLI command
+own. The script also times the CLI command
 `classify --clifford 10 --cap 2000 --json` end to end in three more fresh
-processes. Every child outside the `h2` family runs with SUPERFS_BUDGET
-raised to 1e10, since the default budget refuses `--clifford 10`; the
-variable is set for the children only. Results are merged into
+processes. Every other child runs with SUPERFS_BUDGET raised to 1e10, since
+the default budget refuses `--clifford 10`; the variable is set for the
+children only. Results are merged into
 `BENCH_scaling.json` under `--label`, so one file holds the runs of several
 commits.
 """
@@ -155,6 +154,7 @@ def measure_h2(name: str, repeats: int = 3) -> dict:
 
     from superfs import BudgetExceededError, h2_basis
 
+    os.environ.pop("SUPERFS_BUDGET", None)   # h2 points run at the default budget
     group = _h2_group(name)
     point = {"family": "h2", "group": name, "order": group.order,
              "generators": int(group.generators.size)}
@@ -172,13 +172,10 @@ def measure_h2(name: str, repeats: int = 3) -> dict:
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
-def _run_child(argv: list, src: Path, capture: bool,
-               budget: str | None = BUDGET) -> tuple[float, float, str]:
+def _run_child(argv: list, src: Path, capture: bool) -> tuple[float, float, str]:
     """Run one fresh interpreter; return its wall time, its own peak RSS in
-    MiB and its stdout. SUPERFS_BUDGET is `budget`, or unset when None."""
-    env = {**os.environ, "PYTHONPATH": str(src / "src"), "SUPERFS_BUDGET": budget}
-    if budget is None:
-        del env["SUPERFS_BUDGET"]
+    MiB and its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(src / "src"), "SUPERFS_BUDGET": BUDGET}
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], cwd=src, env=env,
                             stdout=subprocess.PIPE if capture else subprocess.DEVNULL)
@@ -204,8 +201,6 @@ def main(argv: list | None = None) -> None:
                         help="checkout whose src/ is measured (default: this one)")
     parser.add_argument("--label", required=True, help="key of this run in the output")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scaling.json")
-    parser.add_argument("--families", default=",".join(RANKS),
-                        help="comma-separated families to measure (default: all)")
     parser.add_argument("--point", nargs=2, metavar=("FAMILY", "RANK"),
                         help=argparse.SUPPRESS)   # child mode: print one point
     args = parser.parse_args(argv)
@@ -215,20 +210,17 @@ def main(argv: list | None = None) -> None:
         print(json.dumps(point))
         return
 
-    families = [f for f in args.families.split(",") if f]
-    unknown = sorted(set(families) - set(RANKS))
-    if unknown:
-        parser.error(f"unknown families {unknown}; choose from {', '.join(RANKS)}")
     src = args.src.resolve()
     points = []
-    for family in families:
-        for rank in RANKS[family]:
+    for family, ranks in RANKS.items():
+        for rank in ranks:
             _, _, out = _run_child([str(Path(__file__).resolve()), "--src", str(src),
                                     "--label", args.label, "--point", family, str(rank)],
-                                   src, capture=True,
-                                   budget=None if family == "h2" else BUDGET)
+                                   src, capture=True)
             points.append(json.loads(out))
             print(json.dumps(points[-1]), file=sys.stderr)
+    cli = [_run_child(["-m", "superfs", *CLI_ARGS], src, capture=False)[:2]
+           for _ in range(3)]
     import statistics
 
     import numpy as np
@@ -236,20 +228,17 @@ def main(argv: list | None = None) -> None:
     run = {"src_digest": _src_digest(src),
            "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "machine": platform.machine()},
-           "points": points}
-    if "clifford" in families:
-        cli = [_run_child(["-m", "superfs", *CLI_ARGS], src, capture=False)[:2]
-               for _ in range(3)]
-        run["cli"] = {"argv": ["superfs", *CLI_ARGS], "SUPERFS_BUDGET": BUDGET,
-                      "wall_s": [round(wall, 3) for wall, _ in cli],
-                      "median_wall_s": round(statistics.median(w for w, _ in cli), 3),
-                      "peak_rss_mib": [round(rss, 1) for _, rss in cli]}
-        print(json.dumps(run["cli"]), file=sys.stderr)
+           "points": points,
+           "cli": {"argv": ["superfs", *CLI_ARGS], "SUPERFS_BUDGET": BUDGET,
+                   "wall_s": [round(wall, 3) for wall, _ in cli],
+                   "median_wall_s": round(statistics.median(w for w, _ in cli), 3),
+                   "peak_rss_mib": [round(rss, 1) for _, rss in cli]}}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["about"] = ("classify stage times (median of 3, seconds), h2_basis times and peak "
                      "RSS (MiB) per group order; written by scripts/scaling.py")
     data.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(json.dumps(run["cli"]), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -64,9 +64,7 @@ class Twist:
             raise ValidationError("denominator must be positive")
         num = num % den
         # reduce to lowest common terms so Z2-ness is detectable
-        g = den
-        for v in np.unique(num):
-            g = math.gcd(g, int(v))
+        g = int(np.gcd.reduce(num, axis=None, initial=den))
         if g > 1:
             num = num // g
             den = den // g
@@ -348,7 +346,9 @@ def _gf2_null_space(rows: np.ndarray, ncols: int) -> np.ndarray:
     """A basis of the vectors x in GF(2)^ncols with row . x = 0 for every packed
     row, as (k, ncols) 0/1 rows: one per free column of the echelon form."""
     rref, pivots = _gf2_echelon(rows)
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, ncols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = _unpack(rref, ncols)[:, free].T

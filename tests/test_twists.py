@@ -523,3 +523,24 @@ def test_h2_of_order_96_fits_the_default_budget(monkeypatch):
     zero = np.zeros(g.order, dtype=np.int64)
     for v in basis:
         validate_twist(g, Twist(phi=zero, alpha_num=v.reshape(g.order, g.order), denom=2))
+
+
+def test_h2_basis_and_twists_import_nothing_on_first_use():
+    # a one-shot sweep runs in a fresh interpreter, so a module imported on
+    # first use (numpy.ma, behind np.unique and np.setdiff1d) is paid per run
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from superfs import Twist, cyclic, h2_basis, product_group, validate_twist\n"
+        "g = product_group(cyclic(2), cyclic(2))\n"
+        "before = set(sys.modules)\n"
+        "for v in h2_basis(g):\n"
+        "    validate_twist(g, Twist(phi=np.zeros(4, dtype=np.int64),\n"
+        "                            alpha_num=v.reshape(4, 4), denom=2))\n"
+        "print(sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
