@@ -20,10 +20,13 @@ alone. Four families are measured:
   measured checkout refuses is recorded as refused, with its message.
 
 A classify point times five stages: validation (`group_from_table` and
-`validate_twist` on the raw table and cocycle), `decompose_regular`,
-`assemble_supermodules`, `special_element` (each summed over its calls: one
-per classification, or one per real supermodule before they were batched)
-and the rest of the classification. It runs the whole classification
+`validate_twist` on the raw table and cocycle), `decompose_regular` (the
+character table from the centre; the regular-representation split in a
+checkout that predates it), `assemble_supermodules`, `special_element` (each
+summed over its calls: one per classification, or one per real supermodule
+before they were batched) and the rest of the classification, and records
+`r`, the number of irreducibles (equal to the number of alpha-regular
+classes). It runs the whole classification
 three times in its interpreter and reports the median of each stage, and the
 total of the first, cold run (BLAS start-up included) on its own. An `h2`
 point reports the median of three `h2_basis` calls and the first call on its
@@ -128,6 +131,7 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
             "cold_total_s": round(runs[0]["total"], 4),
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             "gradings": len(reports),
+            "r": len(irreps),
             "supermodules": sum(len(report.supermodules) for report in reports),
             "all_pass": all(report.all_pass for report in reports)}
 

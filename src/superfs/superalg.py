@@ -1,25 +1,20 @@
 """Twisted group superalgebras and their supermodule classification.
 
 C[G]_{phi,alpha} has basis e_g with e_g e_h = omega(g, h) e_{gh}, where
-omega = exp(2 pi i alpha), and is Z2-graded by phi. The regular representation
-is split into irreducible blocks by the eigenspaces of a random Hermitian
-element H = X + X^dagger of its commutant, where X = sum_k x_k R_k is a random
-combination of the twisted right multiplications R_k e_h = omega(h, k) e_{hk}
-(O(|G|^2) to build). The action M(g) = Q^dagger L_g Q on a block with
-orthonormal basis Q is generated from A_s = Q^dagger L_s Q on a generating set
-S alone, M(ps) = M(p) A_s / omega(p, s) along a word tree. This is exact
-because span Q is L_s-invariant exactly when A_s is unitary, which is checked
-for every s, and invariance under S carries to every g by induction over S.
-
-The ungraded decomposition depends on alpha only, so every grading phi of one
-cocycle class is classified from it in one batched pass (classify_gradings).
-Blocks are paired under the parity twist into supermodules of type M (q = 0)
-or Q (q = 1), each known by its character and supercharacter alone; no module
-matrices are assembled. The parity intertwiner P of a type-M irrep is read off
-a projection with no random draw. For sign-valued twists, each real
-supermodule is pinned to one of the eight real graded division classes
-through a *-fixed special element u with u^2 = +-1, read off in closed form
-from those characters, and the super Frobenius-Schur indicator
+omega = exp(2 pi i alpha), and is Z2-graded by phi. Everything classify
+reports is a function of characters, and no module matrix is built. The
+ungraded character table comes from the centre: one Hermitian eigensolve on
+the span of the alpha-regular class sums gives the primitive central
+idempotents E_i = (d_i / |G|) sum_g conj(chi_i(g)) e_g (decompose_regular).
+It depends on alpha only, so every grading phi of one cocycle class is
+classified from it in one batched pass (classify_gradings). Irreducibles are
+paired under the parity twist into supermodules of type M (q = 0) or Q
+(q = 1), each known by its character and supercharacter; a type-M
+supercharacter is read off the character by the projection onto the parity
+intertwiner. For sign-valued twists, each real supermodule is pinned to one
+of the eight real graded division classes through a *-fixed special element
+u with u^2 = +-1, in closed form from those characters, and the super
+Frobenius-Schur indicator
 
     S(rho) = (1 / (sqrt(2)^q |G|)) sum_g i^{phi(g)} (-1)^{alpha(g,g)} chi(g^2)
 
@@ -29,9 +24,8 @@ is verified to land on exp(2 pi i bw / 8) for that class (or 0 when complex).
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +92,37 @@ class TwistedGroupAlgebra:
             raise ValidationError("diagonal signs need a sign-valued twist")
         return np.real(np.diagonal(self.phases)).round().astype(np.int64)
 
+    @functools.cached_property
+    def conjugation(self) -> tuple[np.ndarray, np.ndarray]:
+        """(conj, turns), both |G| x |G|: conj[x, g] = x g x^-1, and turns[x, g]
+        in [0, denom) the numerator of
+        lambda(x, g) = alpha(x, g) + alpha(xg, x^-1) - alpha(x, x^-1), so that
+        e_x e_g e_x^-1 = omega^lambda(x, g) e_{xgx^-1} (e_x^-1 is
+        e_{x^-1} / omega(x, x^-1) for a normalized alpha). Exact integers,
+        computed once per algebra."""
+        table, inverses = self.group.table, self.group.inverses
+        alpha = self.twist.alpha_num
+        conj = table[table, inverses[:, None]]
+        turns = alpha + alpha[table, inverses[:, None]]
+        turns -= alpha[np.arange(self.order), inverses][:, None]
+        turns %= self.twist.denom
+        conj.setflags(write=False)
+        turns.setflags(write=False)
+        return conj, turns
+
+    def omega(self, turns: np.ndarray) -> np.ndarray:
+        """omega^turns for integer turns: exp(2 pi i k / denom), computed as
+        Twist.phases computes it, looked up at k = turns mod denom."""
+        denom = self.twist.denom
+        return np.exp(2j * np.pi * np.arange(denom) / denom)[turns % denom]
+
 
 @dataclass
 class UngradedIrrep:
-    """An irreducible module of the underlying ungraded twisted algebra."""
+    """An irreducible module of the underlying ungraded twisted algebra, known
+    by its character; it occurs `multiplicity` = dim times in the regular
+    representation."""
 
-    matrices: np.ndarray   # shape (|G|, d, d), unitary
     character: np.ndarray  # shape (|G|,)
     dim: int
     multiplicity: int
@@ -154,248 +173,195 @@ class Supermodule:
         return self.dim / math.sqrt(2) ** self.q_type
 
 
-def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (x + x.conj().T) / 2
-
-
-def _cluster(eigvals: np.ndarray, tol: float) -> list[np.ndarray]:
-    order = np.argsort(eigvals)
-    clusters = [[order[0]]]
-    for i in order[1:]:
-        if eigvals[i] - eigvals[clusters[-1][-1]] <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return [np.array(c) for c in clusters]
-
-
 def check_cap(order: int, cap: int) -> None:
     """Refuse a group order above the decomposition cap (ValidationError)."""
     if order > cap:
         raise ValidationError(f"group order {order} exceeds the configured cap {cap}")
 
 
-# entries of the (|S| + 1, |G|, D) slabs and (|G|, D, D) blocks that
-# _submodule_blocks handles at a time (and of the block stacks that
-# _verify_irrep checks at a time); a fixed cap keeps the batching from adding
-# to the peak memory of large blocks
+# entries of the stacks that one batched step gathers at a time (partner
+# search, supercharacters, special elements, indicators); a fixed cap keeps
+# the batching from adding to the peak memory of large groups
 _GATHER_ENTRIES = 1 << 15
-
-
-def _submodule_blocks(algebra: TwistedGroupAlgebra,
-                      bases: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(Q, M) for each basis Q (|G| x D, one D for all) of a submodule of the
-    regular representation, in order, with M(g) = Q^dagger L_g Q for every g
-    and L_g e_h = omega(g, h) e_{gh}.
-
-    Row sh of L_s Q is omega(s, h) Q[h], so A_s = Q^dagger L_s Q is
-    sum_h conj(Q[sh]) omega(s, h) Q[h]: one gather of (|S| + 1) |G| D
-    entries for s in {e} + S. As L_p L_s = omega(p, s) L_{ps}, the blocks then
-    follow along the group's word tree, M(e) = A_e and
-    M(ps) = M(p) A_s / omega(p, s), one batched product per level:
-    O(|G| |S| D^2 + |G| D^3) per basis, against O(|G|^2 D^2) to gather
-    every M(g).
-
-    Soundness. Q has orthonormal columns (A_e = omega(e, e) Q^dagger Q checks
-    it), so ||A_s x|| = ||Q Q^dagger L_s Q x|| <= ||L_s Q x|| = ||x||, with
-    equality iff L_s Q x stays in span Q: span Q is L_s-invariant iff A_s is
-    unitary. Invariance under S carries to every g = ps by induction over the
-    word length, and then Q^dagger L_p L_s Q = M(p) A_s, so the generated
-    M(g) equal Q^dagger L_g Q. Every A_s is checked unitary within 1e-8, at
-    |S| D^3 per basis; a basis that fails raises DecompositionError.
-
-    The bases go through as many at a time as fit in _GATHER_ENTRIES (at
-    least one), counting both their gather and their blocks, each chunk with
-    one gather and one batched product per level.
-    """
-    group = algebra.group
-    n = algebra.order
-    steps = np.concatenate(([group.identity], group.generators))
-    rows = group.table[steps]                  # row j: steps[j] h for every h
-    omegas = algebra.phases[steps][:, :, None]
-    levels = [(elements, parents, position + 1,
-               algebra.phases[parents, group.generators[position]][:, None, None])
-              for elements, parents, position in group.words]
-    pending = iter(bases)
-    for first in pending:
-        d = first.shape[1]
-        size = max(1, _GATHER_ENTRIES // (n * d * max(steps.size, d)))
-        q = np.array([first, *itertools.islice(pending, size - 1)])
-        a = q.conj()[:, rows]
-        a *= omegas
-        a = a.swapaxes(-1, -2) @ q[:, None]
-        drift = np.abs(a @ a.conj().swapaxes(-1, -2) - np.eye(d))
-        if drift.max() > 1e-8:
-            j, s = np.argwhere(drift.max(axis=(-2, -1)) > 1e-8)[0]
-            raise DecompositionError(
-                f"basis does not span a submodule: its block at {steps[s]} is not "
-                f"unitary (off by {drift[j, s].max():.2e})")
-        mats = np.empty((len(q), n, d, d), dtype=complex)
-        mats[:, group.identity] = a[:, 0]
-        for elements, parents, position, omega in levels:
-            mats[:, elements] = mats[:, parents] @ a[:, position] / omega
-        # a kept block should not hold its chunk's other blocks alive
-        for basis, blocks in zip(q, mats):
-            yield basis, blocks if len(mats) == 1 else blocks.copy()
-        del q, a, mats, basis, blocks   # let this chunk go before the next gather
-
-
-def _average(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(1/|G|) sum_g M(g) X M(g)^dagger, contracted pairwise in O(|G| d^3)."""
-    return np.tensordot(mats @ x, mats.conj(), axes=([0, 2], [0, 2])) / mats.shape[0]
 
 
 def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
                       cluster_tol: float = 1e-8, max_rounds: int = 8) -> list[UngradedIrrep]:
-    """Split the twisted regular representation into ungraded irreducibles.
+    """The irreducible characters of the ungraded twisted algebra, read off
+    its centre (the projective Burnside-Dixon-Schneider method).
 
-    The twisted right multiplications R_k e_h = omega(h, k) e_{hk} commute
-    with the left regular action and span its commutant. At the root, a
-    random H = X + X^dagger with X = sum_k x_k R_k is a generic Hermitian
-    element of that commutant, so its eigenspaces are submodules (almost
-    surely one copy of an irreducible each); it costs O(|G|^2) to build.
+    With lambda from algebra.conjugation, g is alpha-regular when
+    lambda(x, g) = 0 for every x in its centralizer (exact, on the integer
+    numerators). The class sums f_K = sum_{y in K} omega^c(y) e_y over the
+    regular classes, c(y) = lambda(x, g_K) for y = x g_K x^-1 and g_K the
+    least element of K, are checked central and span the centre; every
+    character vanishes off them. On the orthonormal basis b_K = f_K / sqrt|K|,
+    left multiplication by z = sum_K x_K b_K is the r x r matrix B with
+    B[L, M] = sqrt|L| (z b_M)(g_L): |G| r products and one segmented sum.
+    Every class matrix commutes with H = B + B^dagger, so when H has a simple
+    spectrum (min gap above cluster_tol, for a seeded random x redrawn up to
+    max_rounds times) its eigenvectors v_i are the normalized primitive
+    central idempotents E_i = (d_i / |G|) sum_g conj(chi_i(g)) e_g, up to
+    phase; E_i = conj(v_ie) v_i on this basis. One first-order correction
+    against the matrix of sum_i i E_i, rebuilt from the group, whose spectrum
+    0, 1, ..., r - 1 is evenly spaced, then fixes the v_i to float accuracy
+    even where the random spectrum had near-collisions.
 
-    Every other node is a submodule with orthonormal basis Q, and its blocks
-    M(g) = Q^dagger L_g Q come from the generators alone (_submodule_blocks):
-    A_s = Q^dagger L_s Q for s in {e} + S, then M(ps) = M(p) A_s / omega(p, s)
-    along the word tree. This is sound because span Q is L_s-invariant
-    exactly when A_s is unitary, which is checked for every s and every node
-    (DecompositionError otherwise); invariance under S carries to every g by
-    induction over S, and the generated M(g) then equal Q^dagger L_g Q. The
-    character is chi(g) = tr M(g). A block whose character norm is above 1
-    is split again by averaging a random Hermitian matrix over its action, a
-    pairwise contraction of O(|G| d^3). The children of one split that share
-    a dimension are generated together and processed in eigenvalue order.
+    Certificate: that spectrum is simple and the Davis-Kahan bound
+    ||H v_i - mu_i v_i|| / gap is at most 1e-8, which covers every class
+    matrix at once; the d_i = |v_ie| sqrt|G| are integers (within 1e-6) with
+    sum d_i^2 = |G|; chi_i(g_K) = d_i conj(v_iK / v_ie) / sqrt|K| (and
+    omega^-c(y) chi_i(g_K) on K) has rows of norm 1 within 1e-8, orthogonal
+    within 2e-8 by the certificate. A failure raises DecompositionError. The
+    construction assumes a 2-cocycle, which validate_twist proves
+    (TwistedGroupAlgebra runs it unless validate=False); the centrality and
+    integrality checks refuse most tables that are not one, but prove nothing
+    about them.
 
-    Leaves are grouped into classes by character: a leaf joins the first
-    class whose character is within 1e-6 everywhere. Classes are screened on
-    chi over {e} + S first (a full match implies a match there), and only the
-    first leaf of a class keeps its blocks. Deterministic for a fixed seed.
-    Returns one representative per isomorphism class with multiplicity
-    bookkeeping, each verified by _verify_irrep.
+    Returns one UngradedIrrep per irreducible, sorted by (dim, rounded real
+    parts, rounded imaginary parts of the character); deterministic for a
+    fixed seed. O(|G|^2) for the classes, O(|G| r) per matrix and O(r^3) for
+    the eigensolve.
     """
     n = algebra.order
     check_cap(n, cap)
     rng = np.random.default_rng(seed)
-    table = algebra.group.table
-    phases = algebra.phases
+    group = algebra.group
+    conj, turns = algebra.conjugation
     elements = np.arange(n)
-    screen_at = np.concatenate(([algebra.group.identity], algebra.group.generators))
-    screen = np.empty((n, screen_at.size), dtype=complex)   # chi on {e} + S per class
-    classes: list[UngradedIrrep] = []
+    least = conj.min(axis=0)
+    regular = ~np.any((conj == elements) & (turns != 0), axis=0)
+    reps = np.flatnonzero(regular & (least == elements))   # g_K, ascending: e first
+    r = reps.size
+    phase = np.zeros(n, dtype=np.int64)
+    phase[conj[:, reps]] = turns[:, reps]
+    if np.any(((turns + phase - phase[conj]) % algebra.twist.denom != 0) & regular):
+        raise DecompositionError("a class sum is not central; alpha fails the cocycle "
+                                 "identity")
+    ys = np.flatnonzero(regular)
+    ys = ys[np.argsort(least[ys], kind="stable")]      # each class contiguous
+    starts = np.searchsorted(least[ys], reps)
+    sizes = np.diff(starts, append=ys.size)
+    root, cls = np.sqrt(sizes), np.repeat(np.arange(r), sizes)
+    coeff = algebra.omega(phase[ys])                  # f_K = sum_{y in K} coeff_y e_y
+    quotients = group.table[reps[:, None], group.inverses[ys]]   # g_L y^-1
+    weights = algebra.phases[quotients, ys]
+    weights *= coeff
 
-    def root_commutant() -> np.ndarray:
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        big = np.zeros((n, n), dtype=complex)
-        big[table, elements[:, None]] = x * phases  # column h of R_k is e_{hk}
-        return big + big.conj().T
+    def hermitian(x: np.ndarray) -> np.ndarray:
+        """H = B + B^dagger for z = sum_K x_K b_K."""
+        z = np.zeros(n, dtype=complex)
+        z[ys] = (x / root)[cls] * coeff
+        terms = z[quotients]
+        terms *= weights
+        b = np.add.reduceat(terms, starts, axis=1)
+        del terms
+        b *= root[:, None]
+        b /= root
+        b += b.conj().T
+        return b
 
-    def leaf(mats: np.ndarray, chi: np.ndarray) -> None:
-        key = chi[screen_at]
-        near = np.abs(screen[:len(classes)] - key).max(axis=1) < 1e-6
-        for k in near.nonzero()[0]:
-            if np.abs(classes[k].character - chi).max() < 1e-6:
-                classes[k].multiplicity += 1
-                return
-        screen[len(classes)] = key
-        classes.append(UngradedIrrep(matrices=mats, character=chi, dim=mats.shape[1],
-                                     multiplicity=1))
+    def min_gap(values: np.ndarray) -> float:
+        return np.min(np.diff(np.sort(values)), initial=np.inf)
 
-    def process(q: np.ndarray | None, mats: np.ndarray | None, depth: int) -> None:
-        if q is None:   # the regular representation
-            chi = np.zeros(n, dtype=complex)
-            chi[0] = float(n)
-        else:
-            chi = mats.trace(axis1=1, axis2=2)
-        norm = float(np.real(np.vdot(chi, chi))) / n
-        if norm < 1 + 1e-6:
-            if norm < 1 - 1e-6:
-                raise DecompositionError(f"character norm {norm} below 1")
-            leaf(chi.reshape(1, 1, 1) if q is None else mats, chi)
-            return
-        if depth >= 32:   # its children would lie deeper than 32
-            raise DecompositionError("recursion depth exceeded; re-seed and retry")
-        for _ in range(max_rounds):
-            if q is None:
-                t = root_commutant()
-            else:
-                x = _random_hermitian(rng, q.shape[1])
-                t = _average(mats, x)
-            eigvals, vecs = np.linalg.eigh(t)
-            clusters = _cluster(eigvals, cluster_tol)
-            if len(clusters) < 2:
-                continue
-            streams: dict = {}
-            for c in clusters:
-                d = c.size
-                if d not in streams:   # every cluster of this dimension, in order
-                    streams[d] = _submodule_blocks(algebra, (
-                        vecs[:, b] if q is None else q @ vecs[:, b]
-                        for b in clusters if b.size == d))
-                process(*next(streams[d]), depth + 1)
-            return
+    for _ in range(max_rounds):
+        values, vecs = np.linalg.eigh(hermitian(rng.standard_normal(r)
+                                                + 1j * rng.standard_normal(r)))
+        if min_gap(values) > cluster_tol:
+            break
+    else:
         raise DecompositionError(
             "eigenvalue clustering stayed ambiguous at tolerance; re-seed and retry")
-
-    process(None, None, 0)
-
-    total = sum(irr.dim * irr.multiplicity for irr in classes)
-    if total != n:
-        raise DecompositionError(f"block dimensions sum to {total}, expected {n}")
-    for irr in classes:
-        if irr.multiplicity != irr.dim:
-            raise DecompositionError(
-                f"irrep of dim {irr.dim} appeared {irr.multiplicity} times in the regular "
-                "representation; expected multiplicity equal to its dimension")
-    for d in dict.fromkeys(irr.dim for irr in classes):
-        _verify_irrep(algebra, *(irr for irr in classes if irr.dim == d))
+    h = hermitian(vecs @ (np.arange(r) * vecs[0].conj()))
+    # each r x r or r x |G| array goes as soon as it is used up: at r = |G|
+    # they, not the eigensolve, would set the peak memory
+    del quotients, weights
+    hv = h @ vecs
+    del h
+    correction = vecs.conj().T @ hv
+    values = correction.diagonal().real.copy()
+    if not min_gap(values) > cluster_tol:   # also refuses NaN
+        raise DecompositionError("the spectrum to polish against is not simple")
+    split = values - values[:, None]
+    np.fill_diagonal(split, np.inf)
+    correction /= split
+    del split
+    vecs += vecs @ correction
+    hv += hv @ correction
+    del correction
+    values = np.einsum("ki,ki->i", vecs.conj(), hv).real
+    hv -= vecs * values
+    gap, bound = min_gap(values), np.linalg.norm(hv, axis=0).max()
+    del hv
+    if not (gap > cluster_tol and bound <= 1e-8 * gap):
+        raise DecompositionError(f"central idempotents not certified: gap {gap:.2e}, "
+                                 f"residual {bound:.2e}")
+    lead = vecs[0].copy()
+    exact = np.abs(lead) * math.sqrt(n)
+    dims = np.rint(exact)
+    off = np.abs(exact - dims)
+    if not off.max() <= 1e-6:
+        raise DecompositionError(f"irreducible dimension {exact[np.argmax(off)]} is not an "
+                                 "integer")
+    if int(np.sum(dims ** 2)) != n:
+        raise DecompositionError(f"squared dimensions sum to {int(np.sum(dims ** 2))}, "
+                                 f"expected {n}")
+    vecs /= lead
+    table = vecs.conj().T                                # chi_i(g_K), after the scales
+    del vecs
+    table *= dims[:, None]
+    table /= root
+    # rows of norm (1/|G|) sum_g |chi_i(g)|^2 = 1; two rows are orthogonal
+    # within 2e-8 since each v_i lies within 1e-8 of its exact eigenvector,
+    # and eigenvectors of distinct eigenvalues are orthogonal
+    drift = np.abs(np.sum(np.abs(table) ** 2 * root ** 2, axis=1) / n - 1).max()
+    if not drift <= 1e-8:
+        raise DecompositionError(f"character rows are not normalized (off by {drift:.2e})")
+    chars = np.zeros((r, n), dtype=complex)
+    chars[:, ys] = table[:, cls] * coeff.conj()
+    del table
+    dims = dims.astype(np.int64)
     # sort by (dim, rounded real parts, rounded imaginary parts), compared
     # lexicographically as tuples would be, in one stable lexsort (its last
     # key is the primary one)
-    chars = np.array([irr.character for irr in classes])
-    keys = np.concatenate(([[irr.dim for irr in classes]], np.round(chars.real, 8).T,
-                           np.round(chars.imag, 8).T))
-    return [classes[i] for i in np.lexsort(keys[::-1])]
+    keys = np.concatenate(([dims], np.round(chars.real, 8).T, np.round(chars.imag, 8).T))
+    return [UngradedIrrep(character=chars[i], dim=int(dims[i]), multiplicity=int(dims[i]))
+            for i in np.lexsort(keys[::-1])]
 
 
-def _verify_irrep(algebra: TwistedGroupAlgebra, *irreps: UngradedIrrep,
-                  tol: float = 1e-8) -> None:
-    """Every M(g) is unitary and M(g) M(s) = omega(g, s) M(gs) for every g and
-    every s in {e} + S, one batched product per s. Exhaustive: a product rule
-    that holds at h and at every s in S holds at hs (by the cocycle identity),
-    and every element is a product of generators.
+def _parity_partners(chars: np.ndarray, signs: np.ndarray, screen: np.ndarray) -> np.ndarray:
+    """The partner j of every (row, irrep i), chi_j = (-1)^phi chi_i within
+    1e-6 everywhere, as a (rows, k) array; signs is the (rows, |G|) stack of
+    (-1)^phi.
 
-    The irreps share one dimension and are checked stacked, as many at a
-    time as fit in _GATHER_ENTRIES; the error raised is the one checking them
-    one by one would raise first: the first failing irrep, unitarity before
-    the product rule, s in order, then the first element.
+    The candidates are screened on one key per character, sum_s w_s chi(s)
+    over s in screen = {e} + S with fixed unit weights w_s: a match within
+    1e-6 at every s moves the key by less than 1e-6 |screen|, so the screen
+    keeps every true partner. Every candidate is confirmed on the whole
+    vector, and the first confirmed one is the partner (characters are
+    orthonormal, so there is at most one): O(k^2 + k |S|) to screen and
+    O(k |G|) per candidate to confirm per row, against O(k^2 |G|) for
+    comparing every pair. No partner for some (row, i) raises the error of
+    the first such pair.
     """
-    group = algebra.group
-    n, d = algebra.order, irreps[0].dim
-    steps = [group.identity, *group.generators.tolist()]
-    size = max(1, _GATHER_ENTRIES // (n * d * d))
-    for start in range(0, len(irreps), size):
-        chunk = irreps[start:start + size]
-        mats = (chunk[0].matrices[None] if len(chunk) == 1
-                else np.array([irr.matrices for irr in chunk]))
-        gram = mats @ mats.conj().swapaxes(-1, -2)
-        gram -= np.eye(d)
-        faults = [np.abs(gram).max(axis=(-2, -1)) > tol]
-        del gram
-        rows = mats.reshape(len(chunk), n * d, d)   # every M(g) of an irrep, stacked
-        for s in steps:
-            got = (rows @ mats[:, s]).reshape(mats.shape)   # M(g) M(s), one product
-            want = mats[:, group.table[:, s]]
-            want *= algebra.phases[:, s, None, None]
-            got -= want
-            faults.append(np.abs(got).max(axis=(-2, -1)) > tol)
-        faults = np.stack(faults, axis=1)   # (irrep, check, element)
-        if faults.any():
-            _, check, g = map(int, np.argwhere(faults)[0])   # the first in C order
-            if check == 0:
-                raise DecompositionError(f"block for element {g} is not unitary")
-            raise DecompositionError(f"product rule fails at ({g}, {steps[check - 1]})")
+    k, n = chars.shape
+    weights = np.exp(1j * np.arange(screen.size))
+    keys = chars[:, screen] @ weights
+    width = 1e-6 * screen.size
+    partners = np.empty(len(signs) * k, dtype=np.int64)
+    step = max(1, _GATHER_ENTRIES // max(n, k))
+    for start in range(0, partners.size, step):
+        r, i = np.divmod(np.arange(start, min(start + step, partners.size)), k)
+        twisted = signs[r] * chars[i]
+        p, j = np.nonzero(np.abs((twisted[:, screen] @ weights)[:, None] - keys) < width)
+        ok = np.max(np.abs(chars[j] - twisted[p]), axis=1) < 1e-6
+        matched, first = np.unique(p[ok], return_index=True)
+        if matched.size < r.size:
+            missing = np.flatnonzero(np.isin(np.arange(r.size), matched, invert=True))[0]
+            raise DecompositionError(f"no parity partner for irrep {i[missing]}; "
+                                     "upstream decomposition is incomplete")
+        partners[start:start + step] = j[ok][first]
+    return partners.reshape(len(signs), k)
 
 
 def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlgebra, *,
@@ -404,142 +370,147 @@ def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlge
     under every row of `phis` (an (m, |G|) stack of gradings sharing the
     algebra's alpha; default its own phi), in (row, first constituent) order.
 
-    chi^sigma(g) = (-1)^{phi(g)} chi(g). A fixed point gives a type-M (q = 0)
-    supermodule graded by its parity intertwiner P (_parity_intertwiners), with
-    supercharacter tr(P M(g)); a two-element orbit gives a type-Q (q = 1)
-    supermodule on V + V with odd elements acting off-diagonally. Each is kept
-    as its character and supercharacter.
-
-    Every stage runs once over all rows, in stacks of at most _GATHER_ENTRIES
-    entries: the partner search over every (row, irrep), the intertwiners of
-    every type-M (row, irrep) grouped by dimension, and the grading checks. A
-    failing stage raises the message of its first failing row and irrep.
+    chi^sigma(g) = (-1)^{phi(g)} chi(g) (_parity_partners). A fixed point
+    gives a type-M (q = 0) supermodule graded by its parity intertwiner P,
+    with supercharacter str(g) = tr(P M(g)): chi itself when the row has no
+    odd element (P = 1), and otherwise read off chi by _supercharacters. A
+    two-element orbit gives a type-Q (q = 1) supermodule on V + V with odd
+    elements acting off-diagonally. Each stage runs once over all rows, in
+    stacks of at most _GATHER_ENTRIES entries, and raises the message of its
+    first failing row and irrep.
     """
     n = algebra.order
     phis = algebra.twist.phi[None] if phis is None else np.asarray(phis)
     signs = np.where(phis == 1, -1.0, 1.0)
     chars = np.array([irr.character for irr in irreps])
-    dual = chars.conj().T
     k = len(irreps)
-    # the characters are orthonormal, so |<chi_j, chi_i^sigma>| is 1 at the
-    # partner of i and 0 elsewhere: its maximum over j is the only candidate,
-    # confirmed by the max-abs rule for every (row, i)
-    partners = np.empty(len(phis) * k, dtype=np.int64)
-    step = max(1, _GATHER_ENTRIES // n)
-    for start in range(0, partners.size, step):
-        r, i = np.divmod(np.arange(start, min(start + step, partners.size)), k)
-        twisted = signs[r] * chars[i]
-        found = np.argmax(np.abs(twisted @ dual), axis=1)
-        bad = np.flatnonzero(np.max(np.abs(chars[found] - twisted), axis=1) >= 1e-6)
-        if bad.size:
-            raise DecompositionError(f"no parity partner for irrep {i[bad[0]]}; "
-                                     "upstream decomposition is incomplete")
-        partners[start:start + step] = found
-    partners = partners.reshape(len(phis), k)
+    screen = np.concatenate(([algebra.group.identity], algebra.group.generators))
+    partners = _parity_partners(chars, signs, screen)
 
     sups: list[Supermodule] = []
-    fixed: dict[int, list[int]] = {}   # dimension -> positions of the type-M supermodules
+    graded: list[int] = []   # positions of the type-M supermodules of rows with odd elements
     for r, row in enumerate(partners):
         for i in np.flatnonzero(row >= np.arange(k)).tolist():
             j = int(row[i])
             if j == i:
-                fixed.setdefault(irreps[i].dim, []).append(len(sups))
-                sups.append(Supermodule(0, chars[i].copy(), None, (i,), r))
+                if phis[r].any():
+                    graded.append(len(sups))
+                sups.append(Supermodule(0, chars[i].copy(), chars[i].copy(), (i,), r))
             else:
                 # the trace of V + V: 2 tr M_V(g) on even g, 0 on odd g
                 character = (1 + signs[r]) * chars[i]
                 sups.append(Supermodule(1, character, np.zeros_like(character), (i, j), r))
     paired = [sup for sup in sups if sup.q_type == 1]
+    step = max(1, _GATHER_ENTRIES // n)
     for start in range(0, len(paired), step):
         part = paired[start:start + step]
         _check_parity(np.array([sup.character for sup in part]),
                       phis[[sup.row for sup in part]] == 1)
-    for d, positions in fixed.items():
-        size = max(1, _GATHER_ENTRIES // (n * d * d))
-        for start in range(0, len(positions), size):
-            part = [sups[pos] for pos in positions[start:start + size]]
-            mats = (irreps[part[0].constituents[0]].matrices[None] if len(part) == 1 else
-                    np.array([irreps[sup.constituents[0]].matrices for sup in part]))
-            rows = [sup.row for sup in part]
-            p = _parity_intertwiners(mats, signs[rows])
-            supercharacters = np.einsum("cij,cgji->cg", p, mats)
-            _check_parity(np.array([sup.character for sup in part]), phis[rows] == 1,
-                          mats, p)
-            for sup, supercharacter in zip(part, supercharacters):
-                sup.supercharacter = supercharacter
+    if graded:
+        part = [sups[pos] for pos in graded]
+        rows = [sup.row for sup in part]
+        dims = np.array([irreps[sup.constituents[0]].dim for sup in part])
+        character = np.array([sup.character for sup in part])
+        supercharacters = _supercharacters(algebra, character, dims, phis[rows] == 1)
+        for sup, supercharacter in zip(part, supercharacters):
+            sup.supercharacter = supercharacter
     return sups
 
 
-def _parity_intertwiners(mats: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """The parity intertwiner of each of a stack of parity-fixed irreps
-    (mats (c, |G|, d, d), signs (c, |G|) the (-1)^phi of each): the Hermitian
-    P with P^2 = 1, P M(g) P = (-1)^{phi(g)} M(g) and tr P >= 0.
+def _supercharacters(algebra: TwistedGroupAlgebra, chars: np.ndarray, dims: np.ndarray,
+                     odd: np.ndarray) -> np.ndarray:
+    """The supercharacters str(g) = tr(P M(g)) of a stack of parity-fixed
+    irreducibles (chars (c, |G|), dims (c,), odd (c, |G|) the mask phi = 1 of
+    gradings with an odd element), up to the free sign of P.
 
     Phi(X) = (1/|G|) sum_g (-1)^{phi(g)} M(g) X M(g)^dagger is, by Schur's
-    lemma, the Hilbert-Schmidt projection onto span{P}, so
-    Phi(E_{0j}) = P_{j0} P / d. Column 0 of the unitary P has unit norm, so
-    some j has |P_{j0}| >= 1/sqrt(d). All d candidates come from one product
-    (s M[:, :, 0])^T conj(M) per stack, O(|G| d^3) each, and the largest in
-    Frobenius norm is normalized; no random draw is needed. The candidate is
-    then checked invertible, P^2 scalar, P Hermitian and its eigenvalues +-1.
+    lemma, the projection tr(P X) P / d onto span{P}. Tracing Phi(M(h))
+    against M(k), with M(g) M(h) M(g)^-1 = omega^lambda(g, h) M(ghg^-1):
 
-    The sign of P is free, and no output depends on it. With no odd element
-    tr P >= 0 fixes P = 1. With odd elements tr P = 0, so the even and odd
-    halves psi_0 and psi_1 both have dimension d/2; conjugation by e_x for an
-    odd x is a real *-automorphism of the even part that swaps them, so
-    S_ordinary is the same for both, eta_Gow is then fixed by the Gow
-    identity, and the special element u -> -u keeps u^2.
+        str(h) str(k) = (d/|G|) sum_g (-1)^{phi(g)} omega^lambda(g, h)
+                        omega(ghg^-1, k) chi(ghg^-1 k).
+
+    One |G|^2 gather gives str(h)^2 at every h, a second one str(h*) str(k)
+    at every k for the h* with the largest |str(h*)^2| (at least 1, the mean
+    of |str|^2), and str(h*) = sqrt(str(h*)^2) picks the sign; no output
+    depends on it (README). The stack goes through in chunks of at most
+    _GATHER_ENTRIES gathered entries, each checked by _check_supercharacters.
     """
-    c, n, d, _ = mats.shape
-    left = (signs[:, :, None] * mats[:, :, :, 0]).swapaxes(1, 2)   # (c, d, |G|)
-    # candidates[:, a, b, j] = Phi(E_{0j})[a, b]
-    candidates = (left @ mats.conj().reshape(c, n, d * d)).reshape(c, d, d, d) / n
-    best = np.argmax(np.sum(np.abs(candidates) ** 2, axis=(1, 2)), axis=1)
-    u = candidates[np.arange(c), :, :, best]
-    sv = np.linalg.svd(u, compute_uv=False)   # descending: 2-norm first
-    if np.any(sv[:, -1] <= 1e-6 * np.maximum(1.0, sv[:, 0])):
-        raise DecompositionError("could not build an invertible parity intertwiner")
-    square = u @ u
-    lam = np.trace(square, axis1=1, axis2=2) / d
-    drift = np.max(np.abs(square - lam[:, None, None] * np.eye(d)), axis=(1, 2))
-    if np.any(drift > 1e-8 * np.maximum(1.0, np.abs(lam))):
-        raise DecompositionError("parity intertwiner does not square to a scalar")
-    p = u / np.sqrt(lam)[:, None, None]
-    if np.max(np.abs(p - p.conj().swapaxes(1, 2))) > 1e-8:
-        raise DecompositionError("normalized parity intertwiner is not Hermitian")
-    # P is defined up to sign; tr P = 0 whenever odd elements exist, and with
-    # none the even part must be the whole module
-    p[np.trace(p, axis1=1, axis2=2).real < -1e-8] *= -1
-    if np.max(np.abs(np.abs(np.linalg.eigvalsh(p)) - 1)) > 1e-8:
-        raise DecompositionError("parity intertwiner eigenvalues are not +-1")
-    return p
+    conj, turns = algebra.conjugation
+    table = algebra.group.table
+    c, n = chars.shape
+    elements = np.arange(n)
+    # (g, h) -> g h g^-1 h and omega^lambda(g, h) omega(ghg^-1, h)
+    square_at = table[conj, elements]
+    square_phase = algebra.omega(turns) * algebra.phases[conj, elements]
+    supercharacters = np.empty((c, n), dtype=complex)
+    step = max(1, _GATHER_ENTRIES // (n * n))
+    gathered = np.empty((min(step, c), n, n), dtype=complex)
+    for start in range(0, c, step):
+        part = slice(start, start + step)
+        chi, sign = chars[part], np.where(odd[part], -1.0, 1.0)[:, None]
+        size = len(chi)
+        shift = (np.arange(size) * n)[:, None, None]   # row offsets into chi
+        scale = (dims[part] / n)[:, None]
+        buffer = gathered[:size]
+        np.take(chi, square_at + shift, out=buffer)
+        buffer *= square_phase
+        squares = scale * (sign @ buffer)[:, 0]
+        best = np.argmax(np.abs(squares), axis=1)
+        moved = conj[:, best].T                      # (c, g): g h* g^-1
+        np.take(chi, table[moved] + shift, out=buffer)
+        buffer *= algebra.phases[moved]
+        products = (sign * algebra.omega(turns[:, best].T)[:, None] @ buffer)[:, 0]
+        top = np.sqrt(squares[np.arange(size), best])
+        supercharacters[part] = scale * products / top[:, None]
+        _check_supercharacters(algebra, chi, odd[part], supercharacters[part], squares,
+                               dims[part])
+    return supercharacters
 
 
-def _check_parity(character: np.ndarray, odd: np.ndarray, mats: np.ndarray | None = None,
-                  p: np.ndarray | None = None, tol: float = 1e-8) -> None:
-    """||P M(g) - (-1)^{phi(g)} M(g) P||_F <= tol for every g (type M, given
-    P) and chi(g) = 0 for every odd g, in one batch; the first failing element
-    is reported, the grading first at one element. In P's eigenbasis the
-    residual is 2 M(g) on the blocks the parity of g must leave empty, and its
-    Frobenius norm, invariant under the rotation, bounds every such entry.
-
-    One supermodule is (character, odd) of shape (|G|,) with mats (|G|, d, d)
-    and p (d, d); a stack adds one leading axis to each, and the first failing
-    supermodule of the stack is reported.
-    """
-    ungraded = np.zeros(odd.shape, dtype=bool)
-    if p is not None:
-        p = p[..., None, :, :]
-        signs = np.where(odd, -1.0, 1.0)[..., None, None]
-        ungraded = np.linalg.norm(p @ mats - signs * (mats @ p), axis=(-2, -1)) > tol
-    nonzero = odd & (np.abs(character) > tol)
-    bad = np.argwhere(ungraded | nonzero)
+def _check_parity(character: np.ndarray, odd: np.ndarray, tol: float = 1e-8) -> None:
+    """chi(g) = 0 for every odd g, over a stack of supermodule characters
+    (character and the mask odd = (phi == 1) of shape (c, |G|)); the first
+    failing supermodule is reported, at its first such element."""
+    bad = np.argwhere(odd & (np.abs(character) > tol))
     if bad.size:
-        first = tuple(bad[0])
-        g = int(first[-1])
-        if ungraded[first]:
-            raise DecompositionError(f"grading consistency fails on element {g}")
-        raise DecompositionError(f"character of a supermodule must vanish on odd {g}")
+        raise DecompositionError(f"character of a supermodule must vanish on odd {bad[0, 1]}")
+
+
+def _check_supercharacters(algebra: TwistedGroupAlgebra, character: np.ndarray,
+                           odd: np.ndarray, supercharacter: np.ndarray,
+                           squares: np.ndarray, dims: np.ndarray, tol: float = 1e-8) -> None:
+    """Checks of a stack of type-M supercharacters read off their characters
+    (odd the mask phi = 1, with an odd element in each row), in this order:
+    |str(h)^2 - squares(h)| <= tol max(1, d^2) at every h (the diagonal of
+    the rank-one form str was read from); str = 0 on odd g; the twisted class
+    rule str(s h s^-1) = (-1)^{phi(s)} omega^-lambda(s, h) str(h) for s in S,
+    within tol max(1, d), which a sign wrong on part of a conjugacy class
+    breaks; and norm 1 over G0, within 1e-6, for both halves (chi +- str)/2.
+    The first failing supermodule is reported, at its first failing element.
+    """
+    conj, turns = algebra.conjugation
+    gens = algebra.group.generators
+    twisted = np.where(odd[:, gens, None], -1.0, 1.0) * algebra.omega(-turns[gens])
+    norms = np.stack([np.sum(np.where(odd, 0, np.abs(character + sign * supercharacter) ** 2),
+                             axis=1) for sign in (1, -1)], axis=1)
+    norms /= 4 * np.count_nonzero(~odd, axis=1)[:, None]
+    faults = [np.abs(supercharacter ** 2 - squares) > tol * np.maximum(1.0, dims ** 2)[:, None],
+              odd & (np.abs(supercharacter) > tol),
+              np.any(np.abs(supercharacter[:, conj[gens]] - twisted * supercharacter[:, None])
+                     > tol * np.maximum(1.0, dims)[:, None, None], axis=1),
+              np.abs(norms - 1) > 1e-6]
+    failing = np.logical_or.reduce([fault.any(axis=1) for fault in faults])
+    if not failing.any():
+        return
+    first = int(np.argmax(failing))
+    messages = ["supercharacter square fails at element {}",
+                "supercharacter must vanish on odd {}",
+                "supercharacter is not a twisted class function at element {}",
+                "even part of a type-M supermodule is not irreducible"]
+    for message, fault in zip(messages, faults):
+        if fault[first].any():
+            raise DecompositionError(message.format(int(np.argmax(fault[first]))))
 
 
 def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
@@ -554,69 +525,74 @@ def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
     T = P for q = 0, and T = +1 on V, -1 on its partner V^sigma for q = 1.
     Twisted Schur orthogonality of the unitary irreps,
     (d/|G|) sum_g M(g)_ij conj(M'(g)_kl) = delta_{MM'} delta_ik delta_jl,
-    inverts this exactly, with no linear system and so no residual to check:
-    u_g = (d/|G|) conj(tau(g)), tau(g) = sum_M tr(T_M^dagger M(g)). For q = 0
-    tau is the supercharacter; for q = 1, tau = chi_V - (-1)^phi chi_V is
-    2 chi_V on odd g and 0 on even g. u is rescaled so that u* = u; the sign
-    of u^2, checked on the d x d constituent block, is the second two-fold
-    division of the real classification.
+    inverts this exactly: u_g = (d/|G|) conj(tau(g)),
+    tau(g) = sum_M tr(T_M^dagger M(g)), the supercharacter for q = 0 and
+    chi_V - (-1)^phi chi_V (2 chi_V on odd g, 0 on even g) for q = 1. u is
+    rescaled so that u* = u.
 
-    The supermodules are handled in stacks of one constituent dimension, at
-    most _GATHER_ENTRIES entries each; a failing check raises the message of
-    the first supermodule of the stack that fails it.
+    u*u = nu sum_c E_c over the constituents c, E_c = (d/|G|) conj(chi_c):
+    the sign nu of u^2, the second two-fold division of the real
+    classification, is its coefficient at e over sum_c d^2 / |G|. For q = 0
+    under a grading with an odd element u is not central (T = P), so the
+    twisted convolution u*u is formed at every element (one bincount over
+    the Cayley table) and checked within 1e-8 of its largest coefficient.
+    Otherwise u = t (E_V -+ E_V') is central and u*u = t^2 sum_c E_c by the
+    orthogonality of the central idempotents. Stacks of at most
+    _GATHER_ENTRIES entries; a failing check raises the message of the first
+    supermodule that fails it.
     """
     if not algebra.is_z2:
         raise ValidationError("special elements need a sign-valued twist")
     n = algebra.order
+    group = algebra.group
     phis = algebra.twist.phi[None] if phis is None else np.asarray(phis)
     for sup in sups:
         if np.max(np.abs(np.conj(sup.character) - sup.character)) > 1e-6:
             raise ValidationError("complex supermodule has no *-fixed special element")
-    out: list = [None] * len(sups)
-    by_dim: dict[int, list[int]] = {}
-    for pos, sup in enumerate(sups):
-        by_dim.setdefault(irreps[sup.constituents[0]].dim, []).append(pos)
-    for d, positions in by_dim.items():
-        size = max(1, _GATHER_ENTRIES // (n * d * d))
-        for start in range(0, len(positions), size):
-            part = [sups[pos] for pos in positions[start:start + size]]
-            blocks = [irreps[sup.constituents[0]] for sup in part]
-            odd = phis[[sup.row for sup in part]] == 1
-            q1 = np.array([sup.q_type == 1 for sup in part])
-            tau = np.where(q1[:, None],
-                           np.where(odd, 2 * np.array([irr.character for irr in blocks]), 0),
-                           np.array([sup.supercharacter for sup in part]))
-            coeffs = (d / n) * np.conj(tau)
-            top = np.max(np.abs(coeffs), axis=1)
-            peak = coeffs[np.arange(len(part)), np.argmax(np.abs(coeffs), axis=1)]
-            lam = (np.conj(peak) / peak)[:, None]
-            if np.any(np.max(np.abs(np.conj(coeffs) - lam * coeffs), axis=1) > 1e-6 * top):
-                raise DecompositionError(
-                    "special element is not a *-eigenvector; summand not real")
-            coeffs = coeffs * np.exp(1j * np.angle(lam) / 2)
-            scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
-            if np.any(np.max(np.abs(coeffs.imag), axis=1) > 1e-8 * scale):
-                raise DecompositionError(
-                    "*-fixed special element should have real coefficients")
-            coeffs = coeffs.real
-            mats = (blocks[0].matrices[None] if len(part) == 1
-                    else np.array([irr.matrices for irr in blocks]))
-            acted = (coeffs[:, None] @ mats.reshape(len(part), n, d * d)).reshape(-1, d, d)
-            square = acted @ acted
-            nu = np.trace(square, axis1=1, axis2=2).real / d
-            drift = np.max(np.abs(square - nu[:, None, None] * np.eye(d)), axis=(1, 2))
-            if np.any(drift > 1e-8 * np.maximum(1.0, np.abs(nu))):
-                raise DecompositionError("special element square is not scalar on its block")
-            signs = _snap_each(nu)
-            if 0 in signs:
-                raise SnapError(f"special element square {nu[signs.index(0)]} is not +-1")
-            # u lives in the even part for q = 0 and in the odd part for q = 1
-            stray = np.max(np.abs(np.where(odd == q1[:, None], 0, coeffs)), axis=1)
-            scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
-            if np.any(stray > 1e-8 * scale):
-                raise DecompositionError("special element has support of the wrong parity")
-            for pos, u, sign in zip(positions[start:start + size], coeffs, signs):
-                out[pos] = (u, sign)
+    phases = algebra.phases.real
+    inverse_phases = phases[np.arange(n), group.inverses]
+    out: list = []
+    step = max(1, _GATHER_ENTRIES // n)
+    for start in range(0, len(sups), step):
+        part = sups[start:start + step]
+        dims = np.array([irreps[sup.constituents[0]].dim for sup in part])
+        odd = phis[[sup.row for sup in part]] == 1
+        q1 = np.array([sup.q_type == 1 for sup in part])
+        tau = np.where(q1[:, None],
+                       np.where(odd, 2 * np.array([irreps[sup.constituents[0]].character
+                                                   for sup in part]), 0),
+                       np.array([sup.supercharacter for sup in part]))
+        coeffs = (dims / n)[:, None] * np.conj(tau)
+        top = np.max(np.abs(coeffs), axis=1)
+        peak = coeffs[np.arange(len(part)), np.argmax(np.abs(coeffs), axis=1)]
+        lam = (np.conj(peak) / peak)[:, None]
+        if np.any(np.max(np.abs(np.conj(coeffs) - lam * coeffs), axis=1) > 1e-6 * top):
+            raise DecompositionError(
+                "special element is not a *-eigenvector; summand not real")
+        coeffs = coeffs * np.exp(1j * np.angle(lam) / 2)
+        scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
+        if np.any(np.max(np.abs(coeffs.imag), axis=1) > 1e-8 * scale):
+            raise DecompositionError(
+                "*-fixed special element should have real coefficients")
+        coeffs = coeffs.real
+        at_e = np.sum(coeffs * coeffs[:, group.inverses] * inverse_phases, axis=1)
+        nu = at_e * n / ((1 + q1) * dims ** 2)
+        for p in np.flatnonzero(~q1 & odd.any(axis=1)).tolist():
+            square = np.bincount(group.table.ravel(),
+                                 (np.outer(coeffs[p], coeffs[p]) * phases).ravel(), n)
+            want = nu[p] * (dims[p] / n) * part[p].character.real
+            if np.max(np.abs(square - want)) > 1e-8 * np.max(np.abs(want)):
+                raise DecompositionError("special element square is not a multiple of "
+                                         "its summand's unit")
+        signs = _snap_each(nu)
+        if 0 in signs:
+            raise SnapError(f"special element square {nu[signs.index(0)]} is not +-1")
+        # u lives in the even part for q = 0 and in the odd part for q = 1
+        stray = np.max(np.abs(np.where(odd == q1[:, None], 0, coeffs)), axis=1)
+        scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
+        if np.any(stray > 1e-8 * scale):
+            raise DecompositionError("special element has support of the wrong parity")
+        out.extend(zip(coeffs, signs))
     return out
 
 

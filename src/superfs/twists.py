@@ -545,15 +545,17 @@ def h2_representatives(group: Group, basis: list[np.ndarray] | None = None) -> l
 
     The classes are the GF(2) combinations of `basis` (h2_basis(group), solved
     here when not given), the zero class first. Returned twists carry trivial
-    phi; use Twist.with_phi to attach a grading. The |H^2| |G|^2 table entries
-    are checked against the work budget before any class is built.
+    phi; use Twist.with_phi to attach a grading. The 8 |H^2| |G|^2 bytes of
+    their int64 tables, all held at once, are checked against the work budget
+    before any class is built.
     """
     n = group.order
     if basis is None:
         basis = h2_basis(group)
     classes = 2 ** len(basis)
-    check_budget(classes * n * n, f"H^2 of a group of order {n} has {classes} classes "
-                 f"({classes * n * n} table entries)")
+    tables = 8 * classes * n * n
+    check_budget(tables, f"H^2 of a group of order {n} has {classes} classes "
+                 f"({tables} bytes of class tables)")
     zero_phi = np.zeros(n, dtype=np.int64)
     return [validate_twist(group, Twist(phi=zero_phi,
                                         alpha_num=v.reshape(n, n).astype(np.int64),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -496,3 +497,274 @@ def dense_h2_basis(table, gens) -> list[np.ndarray]:
             insert(w)
             quotient.append(w)
     return quotient
+
+
+# ---------------------------------------------------------------------------
+# The regular-representation oracle: the twisted regular representation split
+# into irreducible blocks, each known by its matrices M(g) = Q^dagger L_g Q.
+# It reads only the group table, generators and word tree and the phases of
+# an algebra, and raises OracleError when a check fails.
+
+class OracleError(RuntimeError):
+    """A check of the regular-representation oracle failed."""
+
+
+@dataclass
+class BlockIrrep:
+    """An irreducible block of the regular representation and its character."""
+
+    matrices: np.ndarray   # shape (|G|, d, d), unitary
+    character: np.ndarray  # shape (|G|,)
+    dim: int
+    multiplicity: int
+
+
+# entries of the (|S| + 1, |G|, D) slabs and (|G|, D, D) blocks handled at a
+# time by submodule_blocks, and of the block stacks verify_irrep checks at a
+# time
+GATHER_ENTRIES = 1 << 15
+
+
+def submodule_blocks(algebra, bases):
+    """(Q, M) for each basis Q (|G| x D, one D for all) of a submodule of the
+    regular representation, in order, with M(g) = Q^dagger L_g Q for every g
+    and L_g e_h = omega(g, h) e_{gh}.
+
+    A_s = Q^dagger L_s Q = sum_h conj(Q[sh]) omega(s, h) Q[h] for s in
+    {e} + S, then M(ps) = M(p) A_s / omega(p, s) along the group's word tree.
+    span Q is L_s-invariant iff A_s is unitary, which is checked within 1e-8
+    for every s (invariance under S carries to every g by induction over the
+    word length). The bases go through as many at a time as fit in
+    GATHER_ENTRIES (at least one).
+    """
+    group = algebra.group
+    n = algebra.order
+    steps = np.concatenate(([group.identity], group.generators))
+    rows = group.table[steps]
+    omegas = algebra.phases[steps][:, :, None]
+    levels = [(elements, parents, position + 1,
+               algebra.phases[parents, group.generators[position]][:, None, None])
+              for elements, parents, position in group.words]
+    pending = iter(bases)
+    for first in pending:
+        d = first.shape[1]
+        size = max(1, GATHER_ENTRIES // (n * d * max(steps.size, d)))
+        q = np.array([first, *itertools.islice(pending, size - 1)])
+        a = q.conj()[:, rows]
+        a *= omegas
+        a = a.swapaxes(-1, -2) @ q[:, None]
+        drift = np.abs(a @ a.conj().swapaxes(-1, -2) - np.eye(d))
+        if drift.max() > 1e-8:
+            j, s = np.argwhere(drift.max(axis=(-2, -1)) > 1e-8)[0]
+            raise OracleError(
+                f"basis does not span a submodule: its block at {steps[s]} is not "
+                f"unitary (off by {drift[j, s].max():.2e})")
+        mats = np.empty((len(q), n, d, d), dtype=complex)
+        mats[:, group.identity] = a[:, 0]
+        for elements, parents, position, omega in levels:
+            mats[:, elements] = mats[:, parents] @ a[:, position] / omega
+        # a kept block should not hold its chunk's other blocks alive
+        for basis, blocks in zip(q, mats):
+            yield basis, blocks if len(mats) == 1 else blocks.copy()
+        del q, a, mats, basis, blocks   # let this chunk go before the next gather
+
+
+def average(mats, x) -> np.ndarray:
+    """(1/|G|) sum_g M(g) X M(g)^dagger, contracted pairwise in O(|G| d^3)."""
+    return np.tensordot(mats @ x, mats.conj(), axes=([0, 2], [0, 2])) / mats.shape[0]
+
+
+def _cluster(eigvals, tol) -> list[np.ndarray]:
+    order = np.argsort(eigvals)
+    clusters = [[order[0]]]
+    for i in order[1:]:
+        if eigvals[i] - eigvals[clusters[-1][-1]] <= tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return [np.array(c) for c in clusters]
+
+
+def split_regular(algebra, seed: int = 0, cluster_tol: float = 1e-8,
+                  max_rounds: int = 8) -> list[BlockIrrep]:
+    """The twisted regular representation split into irreducible blocks.
+
+    The root is split by the eigenspaces of a random H = X + X^dagger with
+    X = sum_k x_k R_k, R_k e_h = omega(h, k) e_{hk} the twisted right
+    multiplications, which span the commutant of the left action. Every other
+    node is a submodule with its blocks from submodule_blocks; a block whose
+    character norm is above 1 is split again by averaging a random Hermitian
+    matrix over its action. A leaf joins the first class whose character is
+    within 1e-6 everywhere (screened on chi over {e} + S first), and only the
+    first leaf of a class keeps its blocks. Returns one block per class with
+    its multiplicity, each verified by verify_irrep, sorted by (dim, rounded
+    real parts, rounded imaginary parts of the character).
+    """
+    n = algebra.order
+    rng = np.random.default_rng(seed)
+    table = algebra.group.table
+    phases = algebra.phases
+    elements = np.arange(n)
+    screen_at = np.concatenate(([algebra.group.identity], algebra.group.generators))
+    screen = np.empty((n, screen_at.size), dtype=complex)   # chi on {e} + S per class
+    classes: list[BlockIrrep] = []
+
+    def root_commutant() -> np.ndarray:
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        big = np.zeros((n, n), dtype=complex)
+        big[table, elements[:, None]] = x * phases  # column h of R_k is e_{hk}
+        return big + big.conj().T
+
+    def leaf(mats, chi) -> None:
+        key = chi[screen_at]
+        near = np.abs(screen[:len(classes)] - key).max(axis=1) < 1e-6
+        for k in near.nonzero()[0]:
+            if np.abs(classes[k].character - chi).max() < 1e-6:
+                classes[k].multiplicity += 1
+                return
+        screen[len(classes)] = key
+        classes.append(BlockIrrep(matrices=mats, character=chi, dim=mats.shape[1],
+                                  multiplicity=1))
+
+    def process(q, mats, depth) -> None:
+        if q is None:   # the regular representation
+            chi = np.zeros(n, dtype=complex)
+            chi[0] = float(n)
+        else:
+            chi = mats.trace(axis1=1, axis2=2)
+        norm = float(np.real(np.vdot(chi, chi))) / n
+        if norm < 1 + 1e-6:
+            if norm < 1 - 1e-6:
+                raise OracleError(f"character norm {norm} below 1")
+            leaf(chi.reshape(1, 1, 1) if q is None else mats, chi)
+            return
+        if depth >= 32:
+            raise OracleError("recursion depth exceeded")
+        for _ in range(max_rounds):
+            if q is None:
+                t = root_commutant()
+            else:
+                x = rng.standard_normal((q.shape[1],) * 2) \
+                    + 1j * rng.standard_normal((q.shape[1],) * 2)
+                t = average(mats, (x + x.conj().T) / 2)
+            eigvals, vecs = np.linalg.eigh(t)
+            clusters = _cluster(eigvals, cluster_tol)
+            if len(clusters) < 2:
+                continue
+            streams: dict = {}
+            for c in clusters:
+                d = c.size
+                if d not in streams:   # every cluster of this dimension, in order
+                    streams[d] = submodule_blocks(algebra, (
+                        vecs[:, b] if q is None else q @ vecs[:, b]
+                        for b in clusters if b.size == d))
+                process(*next(streams[d]), depth + 1)
+            return
+        raise OracleError("eigenvalue clustering stayed ambiguous at tolerance")
+
+    process(None, None, 0)
+    total = sum(irr.dim * irr.multiplicity for irr in classes)
+    if total != n:
+        raise OracleError(f"block dimensions sum to {total}, expected {n}")
+    for irr in classes:
+        if irr.multiplicity != irr.dim:
+            raise OracleError(f"irrep of dim {irr.dim} appeared {irr.multiplicity} times")
+    for d in dict.fromkeys(irr.dim for irr in classes):
+        verify_irrep(algebra, *(irr for irr in classes if irr.dim == d))
+    chars = np.array([irr.character for irr in classes])
+    keys = np.concatenate(([[irr.dim for irr in classes]], np.round(chars.real, 8).T,
+                           np.round(chars.imag, 8).T))
+    return [classes[i] for i in np.lexsort(keys[::-1])]
+
+
+def verify_irrep(algebra, *irreps, tol: float = 1e-8) -> None:
+    """Every M(g) is unitary and M(g) M(s) = omega(g, s) M(gs) for every g and
+    every s in {e} + S, one batched product per s. Exhaustive: a product rule
+    that holds at h and at every s in S holds at hs (by the cocycle identity),
+    and every element is a product of generators.
+
+    The irreps share one dimension and are checked stacked, as many at a
+    time as fit in GATHER_ENTRIES; the error raised is the one checking them
+    one by one would raise first: the first failing irrep, unitarity before
+    the product rule, s in order, then the first element.
+    """
+    group = algebra.group
+    n, d = algebra.order, irreps[0].dim
+    steps = [group.identity, *group.generators.tolist()]
+    size = max(1, GATHER_ENTRIES // (n * d * d))
+    for start in range(0, len(irreps), size):
+        chunk = irreps[start:start + size]
+        mats = np.array([irr.matrices for irr in chunk])
+        gram = mats @ mats.conj().swapaxes(-1, -2)
+        gram -= np.eye(d)
+        faults = [np.abs(gram).max(axis=(-2, -1)) > tol]
+        rows = mats.reshape(len(chunk), n * d, d)   # every M(g) of an irrep, stacked
+        for s in steps:
+            got = (rows @ mats[:, s]).reshape(mats.shape)   # M(g) M(s), one product
+            want = mats[:, group.table[:, s]]
+            want *= algebra.phases[:, s, None, None]
+            got -= want
+            faults.append(np.abs(got).max(axis=(-2, -1)) > tol)
+        faults = np.stack(faults, axis=1)   # (irrep, check, element)
+        if faults.any():
+            _, check, g = map(int, np.argwhere(faults)[0])   # the first in C order
+            if check == 0:
+                raise OracleError(f"block for element {g} is not unitary")
+            raise OracleError(f"product rule fails at ({g}, {steps[check - 1]})")
+
+
+def parity_intertwiners(mats, signs) -> np.ndarray:
+    """The parity intertwiner of each of a stack of parity-fixed irreps
+    (mats (c, |G|, d, d), signs (c, |G|) the (-1)^phi of each): the Hermitian
+    P with P^2 = 1, P M(g) P = (-1)^{phi(g)} M(g) and tr P >= 0.
+
+    Phi(X) = (1/|G|) sum_g (-1)^{phi(g)} M(g) X M(g)^dagger is the
+    Hilbert-Schmidt projection onto span{P}, so Phi(E_{0j}) = P_{j0} P / d;
+    the largest of the d candidates in Frobenius norm is normalized, with no
+    random draw, then checked invertible, P^2 scalar, P Hermitian and its
+    eigenvalues +-1.
+    """
+    c, n, d, _ = mats.shape
+    left = (signs[:, :, None] * mats[:, :, :, 0]).swapaxes(1, 2)   # (c, d, |G|)
+    # candidates[:, a, b, j] = Phi(E_{0j})[a, b]
+    candidates = (left @ mats.conj().reshape(c, n, d * d)).reshape(c, d, d, d) / n
+    best = np.argmax(np.sum(np.abs(candidates) ** 2, axis=(1, 2)), axis=1)
+    u = candidates[np.arange(c), :, :, best]
+    sv = np.linalg.svd(u, compute_uv=False)   # descending: 2-norm first
+    if np.any(sv[:, -1] <= 1e-6 * np.maximum(1.0, sv[:, 0])):
+        raise OracleError("could not build an invertible parity intertwiner")
+    square = u @ u
+    lam = np.trace(square, axis1=1, axis2=2) / d
+    drift = np.max(np.abs(square - lam[:, None, None] * np.eye(d)), axis=(1, 2))
+    if np.any(drift > 1e-8 * np.maximum(1.0, np.abs(lam))):
+        raise OracleError("parity intertwiner does not square to a scalar")
+    p = u / np.sqrt(lam)[:, None, None]
+    if np.max(np.abs(p - p.conj().swapaxes(1, 2))) > 1e-8:
+        raise OracleError("normalized parity intertwiner is not Hermitian")
+    p[np.trace(p, axis1=1, axis2=2).real < -1e-8] *= -1
+    if np.max(np.abs(np.abs(np.linalg.eigvalsh(p)) - 1)) > 1e-8:
+        raise OracleError("parity intertwiner eigenvalues are not +-1")
+    return p
+
+
+def check_parity(character, odd, mats=None, p=None, tol: float = 1e-8) -> None:
+    """||P M(g) - (-1)^{phi(g)} M(g) P||_F <= tol for every g (type M, given
+    P) and chi(g) = 0 for every odd g, in one batch; the first failing element
+    is reported, the grading first at one element. One supermodule is
+    (character, odd) of shape (|G|,) with mats (|G|, d, d) and p (d, d); a
+    stack adds one leading axis to each, and the first failing supermodule of
+    the stack is reported.
+    """
+    ungraded = np.zeros(odd.shape, dtype=bool)
+    if p is not None:
+        p = p[..., None, :, :]
+        signs = np.where(odd, -1.0, 1.0)[..., None, None]
+        ungraded = np.linalg.norm(p @ mats - signs * (mats @ p), axis=(-2, -1)) > tol
+    nonzero = odd & (np.abs(character) > tol)
+    bad = np.argwhere(ungraded | nonzero)
+    if bad.size:
+        first = tuple(bad[0])
+        g = int(first[-1])
+        if ungraded[first]:
+            raise OracleError(f"grading consistency fails on element {g}")
+        raise OracleError(f"character of a supermodule must vanish on odd {g}")

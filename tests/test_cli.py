@@ -445,6 +445,19 @@ def test_sweep_checks_cap_and_h2_budget_first(monkeypatch, capsys):
     assert code == 2 and "budget" in err
 
 
+def test_h2_class_tables_are_charged_in_bytes(monkeypatch, capsys):
+    # (Z2)^3 has 2^6 classes of 64 int64 entries: 4096 entries but 32768
+    # bytes. Its h2_basis needs 6784 bytes, so a budget of 10^4 admits the
+    # solve and the entry count, and refuses the class tables
+    monkeypatch.setenv("SUPERFS_BUDGET", "10000")
+    code, _, err = run(capsys, "verify", "--group", "z2xz2xz2", "--sweep-h2")
+    assert code == 2
+    assert "64 classes (32768 bytes of class tables), budget is 10000" in err
+    monkeypatch.setenv("SUPERFS_BUDGET", "40000")
+    code, _, _ = run(capsys, "verify", "--group", "z2xz2xz2", "--sweep-h2")
+    assert code == 0
+
+
 def test_verify_sweep_on_the_trivial_group(tmp_path, capsys):
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps({"table": [[0]]}))

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,13 +45,14 @@ from superfs import (
     z2_homomorphisms,
 )
 from superfs import superalg
-from superfs.superalg import BW_TABLE, _check_parity, _verify_irrep, bw_from_parts
+from superfs.superalg import BW_TABLE, _check_parity, bw_from_parts
 
-from helpers import (average_by_einsum, block_matrices_by_element, graded_module,
-                     indicators_by_supermodule, module_characters, nearest,
-                     parity_intertwiner_by_average, projector_character,
-                     regular_submodules, relabelled, relabelling,
-                     special_element_by_solve)
+import helpers
+from helpers import (OracleError, average, average_by_einsum, block_matrices_by_element,
+                     check_parity, graded_module, indicators_by_supermodule,
+                     module_characters, nearest, parity_intertwiner_by_average,
+                     parity_intertwiners, projector_character, regular_submodules, relabelled,
+                     relabelling, special_element_by_solve, split_regular, verify_irrep)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -107,8 +109,8 @@ def test_verify_irrep_checks_every_element():
     # {e} + S, cover the whole group; corrupt an element outside S
     g, t = clifford_twist(4)
     alg = TwistedGroupAlgebra(g, t)
-    (irr,) = decompose_regular(alg)
-    _verify_irrep(alg, irr)
+    (irr,) = split_regular(alg)
+    verify_irrep(alg, irr)
     k = next(x for x in range(1, g.order) if x not in set(g.generators.tolist()))
 
     def corrupted(scale):
@@ -116,10 +118,10 @@ def test_verify_irrep_checks_every_element():
         mats[k] = scale * mats[k]
         return dataclasses.replace(irr, matrices=mats)
 
-    with pytest.raises(DecompositionError, match="product rule"):
-        _verify_irrep(alg, corrupted(-1))
-    with pytest.raises(DecompositionError, match="not unitary"):
-        _verify_irrep(alg, corrupted(1 + 1e-6))
+    with pytest.raises(OracleError, match="product rule"):
+        verify_irrep(alg, corrupted(-1))
+    with pytest.raises(OracleError, match="not unitary"):
+        verify_irrep(alg, corrupted(1 + 1e-6))
 
 
 @pytest.mark.parametrize("chunk", [None, 1])
@@ -128,11 +130,11 @@ def test_verify_irrep_reports_the_first_failing_irrep_of_a_stack(monkeypatch, ch
     # the error is the one the first failing irrep raises on its own, even
     # when a later one fails a check that comes earlier
     alg = TwistedGroupAlgebra(catalog_group("d4"))
-    irreps = [irr for irr in decompose_regular(alg) if irr.dim == 1]
+    irreps = [irr for irr in split_regular(alg) if irr.dim == 1]
     assert len(irreps) == 4
     if chunk is not None:
-        monkeypatch.setattr(superalg, "_GATHER_ENTRIES", chunk * alg.order)
-    _verify_irrep(alg, *irreps)
+        monkeypatch.setattr(helpers, "GATHER_ENTRIES", chunk * alg.order)
+    verify_irrep(alg, *irreps)
 
     def corrupted(irr, k, scale):
         mats = irr.matrices.copy()
@@ -141,13 +143,13 @@ def test_verify_irrep_reports_the_first_failing_irrep_of_a_stack(monkeypatch, ch
 
     flipped = corrupted(irreps[1], 5, -1)
     stretched = corrupted(irreps[2], 3, 1 + 1e-6)
-    with pytest.raises(DecompositionError, match="product rule") as alone:
-        _verify_irrep(alg, flipped)
-    with pytest.raises(DecompositionError, match="product rule") as stacked:
-        _verify_irrep(alg, irreps[0], flipped, stretched, irreps[3])
+    with pytest.raises(OracleError, match="product rule") as alone:
+        verify_irrep(alg, flipped)
+    with pytest.raises(OracleError, match="product rule") as stacked:
+        verify_irrep(alg, irreps[0], flipped, stretched, irreps[3])
     assert str(stacked.value) == str(alone.value)
-    with pytest.raises(DecompositionError, match="element 3 is not unitary"):
-        _verify_irrep(alg, irreps[0], stretched, flipped)
+    with pytest.raises(OracleError, match="element 3 is not unitary"):
+        verify_irrep(alg, irreps[0], stretched, flipped)
 
 
 def test_decompose_group_algebra_dimensions():
@@ -174,21 +176,24 @@ def test_decompose_deterministic():
     b = decompose_regular(TwistedGroupAlgebra(g, t), seed=5)
     assert len(a) == len(b)
     for x, y in zip(a, b):
-        assert np.array_equal(x.matrices, y.matrices)
+        assert x.dim == y.dim and np.array_equal(x.character, y.character)
 
 
 def test_decompose_characters_match_block_traces():
-    # class characters must equal the traces of the materialized blocks, and
-    # each block must be exact
+    # the class-table characters must equal the traces of the oracle's
+    # blocks, and each block must be exact
     g6, t6 = clifford_twist(6)
     s3 = catalog_group("s3")
     z3xz3 = product_group(cyclic(3), cyclic(3))
     a = [[Fraction((i // 3) * (j % 3) % 3, 3) for j in range(9)] for i in range(9)]
     for alg in (TwistedGroupAlgebra(g6, t6), TwistedGroupAlgebra(s3),
                 TwistedGroupAlgebra(z3xz3, Twist.from_fractions([0] * 9, a))):
-        for irr in decompose_regular(alg, seed=2):
+        irreps = decompose_regular(alg, seed=2)
+        oracle = split_regular(alg, seed=2)
+        assert [irr.dim for irr in irreps] == [irr.dim for irr in oracle]
+        for mine, irr in zip(irreps, oracle):
             traces = np.trace(irr.matrices, axis1=1, axis2=2)
-            assert np.max(np.abs(traces - irr.character)) < 1e-10
+            assert np.max(np.abs(traces - mine.character)) < 1e-10
             products = np.einsum("gij,hjk->ghik", irr.matrices, irr.matrices)
             want = alg.phases[:, :, None, None] * irr.matrices[alg.group.table]
             assert np.max(np.abs(products - want)) < 1e-10
@@ -200,15 +205,15 @@ def test_decompose_materializes_one_leaf_per_class(monkeypatch):
     g, t = clifford_twist(4)
     alg = TwistedGroupAlgebra(g, t)
     generated = []
-    original = superalg._submodule_blocks
+    original = helpers.submodule_blocks
 
     def counting(algebra, bases):
         for q, blocks in original(algebra, bases):
             generated.append(weakref.ref(blocks))
             yield q, blocks
 
-    monkeypatch.setattr(superalg, "_submodule_blocks", counting)
-    (irr,) = decompose_regular(alg, seed=1)
+    monkeypatch.setattr(helpers, "submodule_blocks", counting)
+    (irr,) = split_regular(alg, seed=1)
     assert (irr.dim, irr.multiplicity) == (4, 4)
     assert len(generated) == 4
     alive = [ref() for ref in generated if ref() is not None]
@@ -221,7 +226,7 @@ def test_one_dimensional_blocks_are_the_character(monkeypatch):
     # Z2 x Z4 x Z4 untwisted, and under the first nontrivial H^2(G, Z2) class
     # whose irreps stay one-dimensional (its cocycle is symmetric)
     g = product_group(product_group(cyclic(2), cyclic(4)), cyclic(4))
-    generate = superalg._submodule_blocks
+    generate = helpers.submodule_blocks
     calls = []   # bases wider than a line whose blocks were generated
 
     def recording(algebra, bases):
@@ -233,11 +238,11 @@ def test_one_dimensional_blocks_are_the_character(monkeypatch):
     def original(algebra, q):
         return next(generate(algebra, [q]))[1]
 
-    monkeypatch.setattr(superalg, "_submodule_blocks", recording)
+    monkeypatch.setattr(helpers, "submodule_blocks", recording)
     checked = 0
     for twist in h2_representatives(g):
         alg = TwistedGroupAlgebra(g, twist)
-        irreps = decompose_regular(alg, seed=2)
+        irreps = split_regular(alg, seed=2)
         if any(irr.dim > 1 for irr in irreps):
             continue
         assert len(irreps) == 32 and not calls
@@ -284,12 +289,12 @@ def _isometry(rng, n, d):
 
 
 def _generated(alg, bases):
-    """The blocks _submodule_blocks generates for each basis, grouped by
+    """The blocks helpers.submodule_blocks generates for each basis, grouped by
     dimension, with each basis handed back unchanged and in order."""
     out = {}
     for d in sorted({q.shape[1] for q in bases}):
         group = [q for q in bases if q.shape[1] == d]
-        pairs = list(superalg._submodule_blocks(alg, group))
+        pairs = list(helpers.submodule_blocks(alg, group))
         assert len(pairs) == len(group)
         for q, (basis, blocks) in zip(group, pairs):
             assert np.array_equal(basis, q)
@@ -309,7 +314,7 @@ def test_block_matrices_match_per_element_oracle(monkeypatch, name, chunk):
     sums = [np.hstack(pair) for pair in zip(leaves[::2], leaves[1::2])]
     for bases in (leaves, sums):
         if chunk is not None:
-            monkeypatch.setattr(superalg, "_GATHER_ENTRIES",
+            monkeypatch.setattr(helpers, "GATHER_ENTRIES",
                                 chunk * steps * n * bases[0].shape[1])
         for q, blocks in zip(bases, _generated(alg, bases)):
             want = block_matrices_by_element(alg.group.table, alg.phases, q)
@@ -368,6 +373,144 @@ def test_generated_blocks_and_characters_match_projector_oracle(family):
                      "z2^7-graded": 1}[family]
 
 
+def _a4xz3_bilinear():
+    """A4 x Z3 under alpha(g, h) = chi(g) t(h) / 3, chi: A4 -> Z3 the
+    abelianization and t the Z3 coordinate: (a, 1) with a a double
+    transposition is alpha-regular, and conjugation by a 3-cycle gives its
+    class sum the phase exp(2 pi i / 3)."""
+    a4 = catalog_group("a4")
+    klein = [g for g in range(12) if a4.table[g, g] == 0]   # e and the double transpositions
+    three = next(g for g in range(12) if g not in klein)
+    powers = [0, three, a4.table[three, three]]
+    chi = [next(k for k in range(3) if a4.table[a4.inverses[powers[k]], g] in klein)
+           for g in range(12)]
+    group = product_group(a4, cyclic(3))
+    alpha = np.outer(np.repeat(chi, 3), np.tile(np.arange(3), 12)) % 3
+    return TwistedGroupAlgebra(group, Twist(phi=np.zeros(36, dtype=np.int64),
+                                            alpha_num=alpha, denom=3))
+
+
+def _class_table_algebras():
+    """Every catalog group and S4 under every H^2 class, Clifford(1-9), the
+    graded (Z2)^7, and A4 x Z3 under a cocycle of order 3 whose class sums
+    carry complex phases."""
+    yield from _projector_algebras("catalog")
+    yield from _projector_algebras("s4")
+    for rank in range(1, 10):
+        yield TwistedGroupAlgebra(*clifford_twist(rank))
+    yield _z2_power_graded(7)
+    yield _a4xz3_bilinear()
+
+
+def test_class_table_characters_match_the_split_oracle():
+    # the characters from the centre against the traces of the irreducible
+    # blocks the regular-representation oracle splits off, in the same order
+    count = 0
+    for alg in _class_table_algebras():
+        irreps = decompose_regular(alg, cap=alg.order)
+        oracle = split_regular(alg)
+        assert [(i.dim, i.multiplicity) for i in irreps] == \
+            [(i.dim, i.multiplicity) for i in oracle]
+        got = np.array([irr.character for irr in irreps])
+        want = np.array([irr.character for irr in oracle])
+        assert np.max(np.abs(got - want)) < 1e-12
+        count += 1
+    assert count == 95 + 4 + 9 + 1 + 1
+
+
+def test_decompose_regular_refuses_a_flipped_alpha_entry():
+    # flipping one entry of the untwisted S4 table breaks the cocycle
+    # identity, which every class-sum construction assumes; each of the 529
+    # flips off the identity row and column is refused (a class sum that is
+    # not central, or central idempotents that fail their certificate)
+    s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+    zero = np.zeros(24, dtype=np.int64)
+    refused = 0
+    for a in range(1, 24):
+        for b in range(1, 24):
+            num = np.zeros((24, 24), dtype=np.int64)
+            num[a, b] = 1
+            alg = TwistedGroupAlgebra(s4, Twist(phi=zero, alpha_num=num, denom=2),
+                                      validate=False)
+            with pytest.raises(DecompositionError):
+                decompose_regular(alg)
+            refused += 1
+    assert refused == 529
+    with pytest.raises(ValidationError, match="2-cocycle identity"):
+        TwistedGroupAlgebra(s4, Twist(phi=zero, alpha_num=num, denom=2))
+
+
+def test_decompose_regular_refuses_a_spectrum_clustered_through_max_rounds(monkeypatch):
+    # a cluster tolerance above every gap leaves each round's spectrum
+    # ambiguous: max_rounds eigensolves, then DecompositionError
+    alg = TwistedGroupAlgebra(catalog_group("s3"))
+    solves = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: solves.append(1) or original(h))
+    with pytest.raises(DecompositionError, match="clustering stayed ambiguous"):
+        decompose_regular(alg, cluster_tol=1e3, max_rounds=3)
+    assert len(solves) == 3
+    assert [irr.dim for irr in decompose_regular(alg, max_rounds=1)] == [1, 1, 2]
+
+
+def _graded_type_m():
+    """The type-M supermodules of S4 x Q8 under the grading sign + kernel of
+    k and the bilinear cocycle of its two homomorphisms: (algebra,
+    supermodules, characters, odd masks, dimensions)."""
+    s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+    group = product_group(s4, catalog_group("q8"))
+    homs = z2_homomorphisms(group)
+    alpha = np.outer(homs[1], homs[2]) % 2
+    twist = validate_twist(group, Twist(phi=(homs[1] + homs[2]) % 2, alpha_num=alpha,
+                                        denom=2))
+    alg = TwistedGroupAlgebra(group, twist, validate=False)
+    irreps = decompose_regular(alg, cap=alg.order)
+    sups = [s for s in assemble_supermodules(irreps, alg) if s.q_type == 0]
+    odd = np.array([alg.twist.phi == 1] * len(sups))
+    chars = np.array([s.character for s in sups])
+    dims = np.array([irreps[s.constituents[0]].dim for s in sups])
+    return alg, sups, chars, odd, dims
+
+
+def test_a_supercharacter_with_one_wrong_sign_is_refused():
+    # negating str at one element keeps str^2, and a sign wrong on part of a
+    # conjugacy class breaks the twisted class-function rule
+    alg, sups, chars, odd, dims = _graded_type_m()
+    strs = np.array([s.supercharacter for s in sups])
+    assert len(sups) > 1 and odd.any(axis=1).all()
+    squares = strs ** 2   # what _supercharacters reads off the characters
+    superalg._check_supercharacters(alg, chars, odd, strs, squares, dims)
+    # the whole supercharacter negated is the free sign: still accepted
+    superalg._check_supercharacters(alg, chars, odd, -strs, squares, dims)
+    conj = alg.conjugation[0]
+    p, h = next((p, h) for p, s in enumerate(strs) for h in np.flatnonzero(np.abs(s) > 0.5)
+                if np.unique(conj[:, h]).size > 1)
+    wrong = strs.copy()
+    wrong[p, h] *= -1
+    with pytest.raises(DecompositionError, match="not a twisted class function"):
+        superalg._check_supercharacters(alg, chars, odd, wrong, squares, dims)
+    # a supercharacter off by a factor at one element fails its square
+    wrong = strs.copy()
+    wrong[p, h] *= 1j
+    with pytest.raises(DecompositionError, match=f"square fails at element {h}$"):
+        superalg._check_supercharacters(alg, chars, odd, wrong, squares, dims)
+
+
+def test_parity_partners_confirm_past_a_screen_collision():
+    # characters 0 and 3, and 1 and 2, agree on the screen {e} + S = {0, 1}
+    # but not elsewhere: where the first candidate fails its confirmation on
+    # the whole vector, the next one is taken; with no full match the first
+    # unmatched irrep is named
+    screen = np.array([0, 1])
+    chars = np.array([[1, 1, 1, 1], [1, -1, 2, 3], [1, -1, -1, -1], [1, 1, -2, -3]],
+                     dtype=complex)
+    signs = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
+    partners = superalg._parity_partners(chars, signs, screen)
+    assert partners.tolist() == [[2, 3, 0, 1], [0, 1, 2, 3]]
+    with pytest.raises(DecompositionError, match="^no parity partner for irrep 0;"):
+        superalg._parity_partners(chars[:2], signs[:1], screen)
+
+
 def test_generated_blocks_refuse_a_basis_tilted_out_of_its_submodule():
     # tilting one column of a leaf by 1e-3 towards a random direction leaves
     # its blocks at the generators 1e-6 from unitary, far above 1e-8
@@ -379,23 +522,23 @@ def test_generated_blocks_refuse_a_basis_tilted_out_of_its_submodule():
     tilted = q.copy()
     tilted[:, 0] = np.cos(1e-3) * q[:, 0] + np.sin(1e-3) * r / np.linalg.norm(r)
     assert np.max(np.abs(tilted.conj().T @ tilted - np.eye(4))) < 1e-12
-    list(superalg._submodule_blocks(alg, [q]))
-    with pytest.raises(DecompositionError, match="does not span a submodule"):
-        list(superalg._submodule_blocks(alg, [q, tilted]))
+    list(helpers.submodule_blocks(alg, [q]))
+    with pytest.raises(OracleError, match="does not span a submodule"):
+        list(helpers.submodule_blocks(alg, [q, tilted]))
 
 
 @pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
 def test_averages_and_rotation_match_einsum_oracle(name):
     alg = _kernel_algebra(name)
     rng = np.random.default_rng(2)
-    blocks = [irr.matrices for irr in decompose_regular(alg, seed=3)]
+    blocks = [irr.matrices for irr in split_regular(alg, seed=3)]
     blocks.append(block_matrices_by_element(alg.group.table, alg.phases,
                                             _isometry(rng, alg.order, 6)))
     for mats in blocks:
         d = mats.shape[1]
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         x = x + x.conj().T
-        got = superalg._average(mats, x)
+        got = average(mats, x)
         assert np.max(np.abs(got - average_by_einsum(mats, x))) < 1e-12
 
 
@@ -404,8 +547,7 @@ def test_check_grading_reports_the_first_bad_element(rank):
     # Clifford(3) has one q = 1 supermodule, checked by its character alone;
     # Clifford(4) one q = 0, checked with the parity intertwiner P of its irrep
     alg = TwistedGroupAlgebra(*clifford_twist(rank))
-    irreps = decompose_regular(alg)
-    (sup,) = assemble_supermodules(irreps, alg)
+    (sup,) = assemble_supermodules(decompose_regular(alg), alg)
     odd = alg.twist.phi == 1
     assert sup.dims == (2, 2) and sup.q_type == 4 - rank
     odds = np.flatnonzero(odd)
@@ -413,8 +555,8 @@ def test_check_grading_reports_the_first_bad_element(rank):
     even = int(np.flatnonzero(~odd)[-1])
     mats = p = None
     if sup.q_type == 0:
-        mats = irreps[0].matrices
-        p = superalg._parity_intertwiners(mats[None], np.where(odd, -1.0, 1.0)[None])[0]
+        mats = split_regular(alg)[0].matrices
+        p = parity_intertwiners(mats[None], np.where(odd, -1.0, 1.0)[None])[0]
 
     def check(*elements, character=(), times_p=None):
         m = None if mats is None else mats.copy()
@@ -424,22 +566,26 @@ def test_check_grading_reports_the_first_bad_element(rank):
             m[times_p] = p @ m[times_p]
         chi = sup.character.copy()
         chi[list(character)] = 0.5
-        _check_parity(chi, odd, m, p)
+        check_parity(chi, odd, m, p)
 
     check()
-    with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
+    with pytest.raises(OracleError, match=f"must vanish on odd {g1}$"):
         check(character=(g2, g1))
+    chi = sup.character.copy()
+    chi[[g2, g1]] = 0.5   # the library's own check of a stack of characters agrees
+    with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
+        _check_parity(np.array([sup.character, chi]), np.array([odd, odd]))
     if p is None:
         return
     check(times_p=g1)
     for bad, first in (((g2, g1), g1), ((even,), even), ((g2, even), min(g2, even))):
-        with pytest.raises(DecompositionError,
+        with pytest.raises(OracleError,
                            match=f"^grading consistency fails on element {first}$"):
             check(*bad)
-    with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
+    with pytest.raises(OracleError, match=f"must vanish on odd {g1}$"):
         check(g2, character=(g1,))
     for character in ((g2,), (g1,)):   # at one element the grading is reported
-        with pytest.raises(DecompositionError, match=f"fails on element {g1}$"):
+        with pytest.raises(OracleError, match=f"fails on element {g1}$"):
             check(g1, character=character)
 
 
@@ -457,8 +603,10 @@ def _oracle_algebras():
 
 
 def test_supermodules_match_the_matrix_oracle():
-    # the assembled module matrices and the |G| x |G| solve of tests/helpers
-    # against the character-level supermodules and closed-form special element
+    # the module matrices of the regular-representation oracle, assembled,
+    # and the |G| x |G| solve of tests/helpers against the class-table
+    # characters, the supercharacters read off them (up to the free sign of
+    # P) and the closed-form special element
     rng = np.random.default_rng(0)
     real = 0
     for alg, seed in _oracle_algebras():
@@ -467,7 +615,11 @@ def test_supermodules_match_the_matrix_oracle():
         assert report.all_pass
         odd = alg.twist.phi == 1
         even = np.flatnonzero(~odd)
-        blocks = [irr.matrices for irr in irreps]
+        oracle = split_regular(alg, seed=seed)
+        assert [irr.dim for irr in oracle] == [irr.dim for irr in irreps]
+        for mine, irr in zip(irreps, oracle):
+            assert np.max(np.abs(mine.character - irr.character)) < 1e-12
+        blocks = [irr.matrices for irr in oracle]
         for sup in report.supermodules:
             i = sup.constituents[0]
             if sup.q_type == 0:
@@ -543,18 +695,17 @@ def test_classify_gradings_matches_classify_row_by_row(seed):
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_the_sign_of_the_parity_intertwiner_is_free(monkeypatch, seed):
     # P is fixed up to sign, and with odd elements tr P = 0 leaves the sign
-    # free: negating every such P changes no report
-    original = superalg._parity_intertwiners
+    # free: negating every supercharacter read off a character (those of the
+    # type-M supermodules of rows with an odd element) changes no report
+    original = superalg._supercharacters
     negated = []
 
-    def flipped(mats, signs):
-        p = original(mats, signs)
-        free = (signs < 0).any(axis=1)
-        p[free] *= -1
-        negated.append(int(free.sum()))
-        return p
+    def flipped(algebra, chars, dims, odd):
+        assert odd.any(axis=1).all()
+        negated.append(len(chars))
+        return -original(algebra, chars, dims, odd)
 
-    monkeypatch.setattr(superalg, "_parity_intertwiners", flipped)
+    monkeypatch.setattr(superalg, "_supercharacters", flipped)
     for (_, _, alg, phis, irreps), want in zip(_sweep_classes(seed), _per_row_dicts(seed)):
         assert _dicts(classify_gradings(alg, phis, seed=seed, irreps=irreps)) == want
     assert sum(negated) == 386
@@ -577,13 +728,13 @@ def test_parity_intertwiner_needs_no_random_draw():
     # call, and matches the normalized average of a random Hermitian matrix
     # up to sign; under the trivial grading it is the identity
     alg = TwistedGroupAlgebra(*clifford_twist(6))
-    (irr,) = decompose_regular(alg)
+    (irr,) = split_regular(alg)
     signs = np.where(alg.twist.phi == 1, -1.0, 1.0)
-    p = superalg._parity_intertwiners(irr.matrices[None], signs[None])[0]
-    assert np.array_equal(p, superalg._parity_intertwiners(irr.matrices[None], signs[None])[0])
+    p = parity_intertwiners(irr.matrices[None], signs[None])[0]
+    assert np.array_equal(p, parity_intertwiners(irr.matrices[None], signs[None])[0])
     want = parity_intertwiner_by_average(irr.matrices, signs, np.random.default_rng(1))
     assert min(np.max(np.abs(p - want)), np.max(np.abs(p + want))) < 1e-10
-    ones = superalg._parity_intertwiners(irr.matrices[None], np.ones((1, alg.order)))[0]
+    ones = parity_intertwiners(irr.matrices[None], np.ones((1, alg.order)))[0]
     assert np.max(np.abs(ones - np.eye(irr.dim))) < 1e-12
 
 
@@ -956,3 +1107,56 @@ def test_dimension_accounting_across_twists():
             t = validate_twist(g, Twist.zero(g.order).with_phi(phi))
             rep = classify(TwistedGroupAlgebra(g, t, validate=False))
             assert rep.dim_sum == g.order
+
+
+def _invariant_dict(report, back=None):
+    """classification_to_dict with phi read in the original labels (back
+    maps each original element to its relabelled one), alpha_is_trivial
+    dropped (it describes the table, not its class), the supermodules as a
+    sorted multiset, and S_super.raw split off, in the same order."""
+    data = classification_to_dict(report)
+    if back is not None:
+        data["phi"] = [data["phi"][x] for x in back]
+    del data["alpha_is_trivial"]
+    sups = []
+    for sup in data.pop("supermodules"):
+        raw = sup["S_super"].pop("raw")
+        sups.append((json.dumps(sup, sort_keys=True), raw))
+    sups.sort(key=lambda pair: pair[0])
+    data["supermodules"] = [text for text, _ in sups]
+    return data, np.array([raw for _, raw in sups])
+
+
+@settings(max_examples=25, deadline=None)
+@given(degree=st.integers(2, 5), data=st.data(), label_seed=st.integers(0, 2 ** 32 - 1),
+       picks=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)))
+def test_random_permutation_groups_against_the_oracle(degree, data, label_seed, picks):
+    # two random permutations of degree <= 5 generate a group of order <= 48,
+    # taken under a random H^2 class and a random grading: the class-table
+    # characters equal the regular-representation oracle's, and the
+    # classification is unchanged by relabelling and by a random coboundary
+    # shift, up to S_super.raw moving by at most 1e-12
+    perms = data.draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=2))
+    group = group_from_permutations([list(p) for p in perms])
+    hypothesis.assume(group.order <= 48)
+    classes = h2_representatives(group)
+    phis = z2_homomorphisms(group)
+    twist = validate_twist(group, classes[picks[0] % len(classes)]
+                           .with_phi(phis[picks[1] % len(phis)]))
+    alg = TwistedGroupAlgebra(group, twist, validate=False)
+    irreps = decompose_regular(alg)
+    oracle = split_regular(alg)
+    assert [irr.dim for irr in irreps] == [irr.dim for irr in oracle]
+    assert np.max(np.abs(np.array([irr.character for irr in irreps])
+                         - np.array([irr.character for irr in oracle]))) < 1e-12
+    want, raw = _invariant_dict(classify(alg, irreps=irreps))
+
+    perm = relabelling(group.order, label_seed)
+    got, moved = _invariant_dict(classify(_relabelled_algebra(group, twist, perm)), perm)
+    assert got == want and np.max(np.abs(moved - raw), initial=0) <= 1e-12
+    beta = np.random.default_rng(label_seed).integers(0, 2, group.order)
+    beta[0] = 0
+    shifted = TwistedGroupAlgebra(group, shift_by_coboundary(group, twist, beta, 2),
+                                  validate=False)
+    got, moved = _invariant_dict(classify(shifted))
+    assert got == want and np.max(np.abs(moved - raw), initial=0) <= 1e-12
