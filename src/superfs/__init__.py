@@ -26,10 +26,8 @@ from .groups import (
     even_subgroup,
     group_from_permutations,
     group_from_table,
-    group_to_dict,
     load_group,
     product_group,
-    save_group,
 )
 from .superalg import (
     ClassificationReport,
@@ -76,12 +74,8 @@ from .twists import (
     coboundary,
     h2_basis,
     h2_representatives,
-    load_twist,
-    save_twist,
     shift_by_coboundary,
     trivial_group,
-    twist_from_dict,
-    twist_to_dict,
     validate_twist,
     z2_hom_basis,
     z2_homomorphisms,

@@ -18,7 +18,7 @@ from .errors import (
     check_budget,
 )
 from .gauge import _FAMILY, FAMILIES, TheoryData, crosscheck, report_to_dict
-from .groups import Group, _check_phi, load_group
+from .groups import Group, load_group
 from .superalg import (
     TwistedGroupAlgebra,
     classification_to_dict,
@@ -35,7 +35,6 @@ from .twists import (
     clifford_twist,
     h2_basis,
     h2_representatives,
-    validate_twist,
     z2_hom_basis,
     z2_homomorphisms,
 )
@@ -143,9 +142,9 @@ def cmd_classify(args) -> int:
         if args.group is None:
             raise ValidationError("classify needs --group or --clifford")
         group = _resolve_group(args.group)
-        twist = validate_twist(group, _resolve_twist(group, args.phi, args.alpha))
+        twist = _resolve_twist(group, args.phi, args.alpha)
         cap = args.cap
-    algebra = TwistedGroupAlgebra(group, twist, validate=False)
+    algebra = TwistedGroupAlgebra(group, twist)
     report = classify(algebra, seed=args.seed, cap=cap)
     data = classification_to_dict(report)
     _emit(data, args.json, _classification_lines(data))
@@ -160,7 +159,7 @@ def _clifford_ladder(args) -> int:
     _clifford_budget(args.clifford)
     rows = []
     for n, (group, twist) in enumerate(clifford_ladder(args.clifford), start=1):
-        algebra = TwistedGroupAlgebra(group, twist, validate=False)
+        algebra = TwistedGroupAlgebra(group, twist)
         report = classify(algebra, seed=args.seed, cap=max(args.cap, group.order))
         sups = report.supermodules
         expected = n % 8
@@ -193,10 +192,11 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     The ungraded decomposition depends on alpha but not on phi, so each alpha
     is validated and decomposed once, and every phi is classified from its
     reduced table, phases and irreps in one classify_gradings pass.
-    Each case is checked once: the phis are homomorphisms by construction
-    (z2_homomorphisms) and the classes are validated by h2_representatives;
-    a phi named on the command line is checked as a homomorphism, and an
-    alpha named there is validated with it.
+    Each cocycle is proved once: the classes by h2_representatives, which
+    records the proof on each twist, and an alpha named on the command line
+    when its algebra is built. The first phi is checked as a grading when it
+    is attached (Twist.with_phi on a checked class, or validate_twist); the
+    others are homomorphisms by construction (z2_homomorphisms).
     """
     homs, classes = bases
     if homs is not None:
@@ -205,15 +205,11 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
         phis = [_resolve_phi(args.phi, group)]
     if classes is not None:
         alphas = h2_representatives(group, classes)
-        if homs is None:
-            _check_phi(group, phis[0])
     else:
-        alphas = [validate_twist(group, _resolve_twist(group, "zero", args.alpha)
-                                 .with_phi(phis[0]))]
+        alphas = [_resolve_twist(group, "zero", args.alpha)]
     rows = []
     for ai, base in enumerate(alphas):
-        twist = base.with_phi(phis[0])
-        algebra = TwistedGroupAlgebra(group, twist, validate=False)
+        algebra = TwistedGroupAlgebra(group, base.with_phi(phis[0]))
         irreps = decompose_regular(algebra, seed=args.seed, cap=args.cap)
         reports = classify_gradings(algebra, np.array(phis), seed=args.seed, cap=args.cap,
                                     irreps=irreps)

@@ -8,8 +8,8 @@ class), while the algebraic side sums (|G| / dim)^{-euler} over the
 appropriate irreducible (super)modules with indicator-powered coefficients.
 
 The state sum is an exact transfer-matrix product over the handles or
-crosscaps of the surface; `enumerate_homs` and `_hom_phases` keep the full
-grid as an oracle for small cases.
+crosscaps of the surface; `enumerate_homs` lists the full grid of
+homomorphisms for small cases.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ FAMILIES = tuple(_FAMILY)
 class TheoryData:
     """A finite group with a compatible twist for one tangential family.
 
-    The twist is validated (and normalized at the identity) on construction,
-    so every later computation on the theory can skip that check."""
+    The twist is validated (and normalized at the identity) on construction;
+    it records the proof, so the theory's algebra does not prove it again."""
 
     group: Group
     twist: Twist
@@ -141,19 +141,6 @@ def _walk(start: np.ndarray, images: np.ndarray, word, group: Group,
             num += alpha[cur, hinv] - alpha[h, hinv]
             cur = table[cur, hinv]
     return cur, num
-
-
-def _hom_phases(homs: np.ndarray, pres: Presentation, group: Group,
-                twist: Twist) -> np.ndarray:
-    """exp(2 pi i * integral of the pulled-back cocycle), one hom per row.
-
-    Integer numerator arithmetic throughout; a single exponential at the end.
-    """
-    cur, num = _walk(np.zeros(homs.shape[0], dtype=np.int64), homs, pres.word,
-                     group, twist)
-    if np.any(cur != 0):
-        raise ValidationError("an assignment does not satisfy the surface relator")
-    return np.exp(2j * np.pi * (num % twist.denom) / twist.denom)
 
 
 class _StateSum:
@@ -322,7 +309,7 @@ def _spectrum(theory: TheoryData, seed: int, cap: int) -> list:
     no structure, the crosscap count. Rows are irreps (oriented, k8 = 0),
     irreps with nonzero indicator eps (unoriented, k8 = 4 [eps = -1]),
     supermodules (spin, k8 = 4 q), or real supermodules (pin-, k8 = bw)."""
-    algebra = TwistedGroupAlgebra(theory.group, theory.twist, validate=False)
+    algebra = TwistedGroupAlgebra(theory.group, theory.twist)
     if theory.family == "pin-":
         report = classify(algebra, seed=seed, cap=cap)
         return [({"dims": list(sup.dims), "q": sup.q_type, "bw": sup.bw},

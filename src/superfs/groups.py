@@ -23,9 +23,7 @@ __all__ = [
     "group_from_permutations",
     "product_group",
     "even_subgroup",
-    "group_to_dict",
     "load_group",
-    "save_group",
 ]
 
 
@@ -275,15 +273,13 @@ class EvenSubgroup:
     elements: np.ndarray          # parent indices, identity first
     positions: np.ndarray         # parent index -> subgroup index (-1 outside)
     index: int                    # 1 or 2
-    twist: object | None = None   # restricted twist when one was supplied
 
     def __post_init__(self):
         self.elements.setflags(write=False)
         self.positions.setflags(write=False)
 
 
-def even_subgroup(group: Group, phi: Sequence[int] | np.ndarray,
-                  twist=None) -> EvenSubgroup:
+def even_subgroup(group: Group, phi: Sequence[int] | np.ndarray) -> EvenSubgroup:
     """Kernel of phi: G -> Z2 with the multiplication table restricted to it."""
     phi = np.asarray(phi, dtype=np.int64) % 2
     n = group.order
@@ -300,17 +296,8 @@ def even_subgroup(group: Group, phi: Sequence[int] | np.ndarray,
     if group.names is not None:
         names = [group.names[int(g)] for g in elements]
     sub = group_from_table(sub_table, names=names)
-    restricted = twist.restricted(elements) if twist is not None else None
     return EvenSubgroup(parent=group, group=sub, elements=elements,
-                        positions=positions, index=(2 if len(elements) < n else 1),
-                        twist=restricted)
-
-
-def group_to_dict(group: Group) -> dict:
-    d = {"order": group.order, "table": group.table.tolist()}
-    if group.names is not None:
-        d["names"] = list(group.names)
-    return d
+                        positions=positions, index=(2 if len(elements) < n else 1))
 
 
 def load_group(path: str) -> Group:
@@ -321,8 +308,3 @@ def load_group(path: str) -> Group:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     return build_group(record)
 
-
-def save_group(group: Group, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(group_to_dict(group), f, indent=1)
-        f.write("\n")

@@ -69,26 +69,22 @@ BW_TABLE = {
 
 
 class TwistedGroupAlgebra:
-    """C[G]_{phi,alpha} with unit phases omega = exp(2 pi i alpha)."""
+    """C[G]_{phi,alpha} with unit phases omega = exp(2 pi i alpha). The twist
+    (zero unless given) is validated on the group when the algebra is built;
+    validate_twist returns at once for a twist already checked on that Group
+    object."""
 
-    def __init__(self, group: Group, twist: Twist | None = None, validate: bool = True):
-        if twist is None:
-            twist = Twist.zero(group.order)
-        if validate:
-            twist = validate_twist(group, twist)
+    def __init__(self, group: Group, twist: Twist | None = None):
+        twist = validate_twist(group, Twist.zero(group.order) if twist is None else twist)
         self.group = group
         self.twist = twist
         self.order = group.order
         self.phases = twist.phases()
         self.phases.setflags(write=False)
 
-    @property
-    def is_z2(self) -> bool:
-        return self.twist.is_z2
-
     def diagonal_signs(self) -> np.ndarray:
         """(-1)^{alpha(g, g)} for sign-valued twists."""
-        if not self.is_z2:
+        if not self.twist.is_z2:
             raise ValidationError("diagonal signs need a sign-valued twist")
         return np.real(np.diagonal(self.phases)).round().astype(np.int64)
 
@@ -120,12 +116,10 @@ class TwistedGroupAlgebra:
 @dataclass
 class UngradedIrrep:
     """An irreducible module of the underlying ungraded twisted algebra, known
-    by its character; it occurs `multiplicity` = dim times in the regular
-    representation."""
+    by its character; it occurs dim times in the regular representation."""
 
     character: np.ndarray  # shape (|G|,)
     dim: int
-    multiplicity: int
 
 
 @dataclass
@@ -149,7 +143,6 @@ class Supermodule:
     constituents: tuple[int, ...]
     row: int = 0
     reality: str | None = None
-    chi0: np.ndarray | None = None
     s_ordinary: int | None = None
     eta_gow: int | None = None
     u_sign: int | None = None
@@ -213,9 +206,9 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     sum d_i^2 = |G|; chi_i(g_K) = d_i conj(v_iK / v_ie) / sqrt|K| (and
     omega^-c(y) chi_i(g_K) on K) has rows of norm 1 within 1e-8, orthogonal
     within 2e-8 by the certificate. A failure raises DecompositionError. The
-    construction assumes a 2-cocycle, which validate_twist proves
-    (TwistedGroupAlgebra runs it unless validate=False); the centrality and
-    integrality checks refuse most tables that are not one, but prove nothing
+    construction assumes a 2-cocycle, which validate_twist proves when the
+    algebra is built; the centrality and integrality checks are a second line
+    of defence that refuses most tables that are not one, but proves nothing
     about them.
 
     Returns one UngradedIrrep per irreducible, sorted by (dim, rounded real
@@ -325,7 +318,7 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     # lexicographically as tuples would be, in one stable lexsort (its last
     # key is the primary one)
     keys = np.concatenate(([dims], np.round(chars.real, 8).T, np.round(chars.imag, 8).T))
-    return [UngradedIrrep(character=chars[i], dim=int(dims[i]), multiplicity=int(dims[i]))
+    return [UngradedIrrep(character=chars[i], dim=int(dims[i]))
             for i in np.lexsort(keys[::-1])]
 
 
@@ -541,7 +534,7 @@ def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
     _GATHER_ENTRIES entries; a failing check raises the message of the first
     supermodule that fails it.
     """
-    if not algebra.is_z2:
+    if not algebra.twist.is_z2:
         raise ValidationError("special elements need a sign-valued twist")
     n = algebra.order
     group = algebra.group
@@ -684,7 +677,7 @@ def super_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra,
     phi is the algebra's grading unless given; a (k, |G|) stack of gradings
     grades each row by its own, with the same per-row sum.
     """
-    if not algebra.is_z2:
+    if not algebra.twist.is_z2:
         raise ValidationError("the super indicator needs a sign-valued twist")
     n = algebra.order
     phi = algebra.twist.phi if phi is None else phi
@@ -744,7 +737,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
     or compared with a tolerance. A failing stage raises the error of its
     first failing supermodule.
     """
-    if not algebra.is_z2:
+    if not algebra.twist.is_z2:
         raise ValidationError("classification requires a sign-valued twist")
     phis = np.asarray(phis)
     if irreps is None:
@@ -780,8 +773,6 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
         # character, full_sums snapped
         pick = np.flatnonzero(real[part] & (q_types[part] == 0))
         division[start + pick] = _snap_each(full_sums[pick])
-        for sup, values, mask in zip(sups[part], chi0, even):
-            sup.chi0 = values[mask]
     reals = [sup for sup, is_real in zip(sups, real) if is_real]
     u_signs = iter(sign for _, sign in special_element(algebra, reals, irreps, phis=phis))
 

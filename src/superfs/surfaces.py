@@ -66,11 +66,6 @@ class Surface:
         return 2 - 2 * self.param if self.is_orientable else 2 - self.param
 
     @property
-    def o_class(self) -> int:
-        """Euler characteristic mod 2."""
-        return self.euler % 2
-
-    @property
     def b1(self) -> int:
         """dim H_1 with Z2 coefficients."""
         return 2 * self.param if self.is_orientable else self.param
@@ -165,12 +160,13 @@ class QuadraticRefinement:
         return ",".join(str(v) for v in self.values)
 
 
-def refinement(surface: Surface, values: Sequence[int], ring: int | None = None,
-               validate: bool = True) -> QuadraticRefinement:
+def refinement(surface: Surface, values: Sequence[int],
+               ring: int | None = None) -> QuadraticRefinement:
     """The refinement with the given values on the basis generators.
 
-    Values must lie in 0..ring-1, whatever `validate` says, so none is read
-    modulo the ring; `validate` adds the ring and parity checks."""
+    Values must lie in 0..ring-1, so none is read modulo the ring; the ring
+    must be 2 (on an even form) or 4, and each Z4 value must have the parity
+    of its generator's self-intersection."""
     if ring is None:
         ring = 2 if surface.is_orientable else 4
     cup = cup_form(surface)
@@ -181,18 +177,17 @@ def refinement(surface: Surface, values: Sequence[int], ring: int | None = None,
     outside = [v for v in vals if not 0 <= v < ring]
     if outside:
         raise ValidationError(f"structure value {outside[0]} outside 0..{ring - 1}")
-    if validate:
-        if ring not in (2, 4):
-            raise ValidationError("refinement ring must be 2 or 4")
-        if ring == 2 and np.any(np.diagonal(cup) != 0):
-            raise ValidationError(
-                "a Z2 refinement needs an even intersection form; use ring 4")
-        if ring == 4:
-            for i, v in enumerate(vals):
-                if v % 2 != cup[i, i] % 2:
-                    raise ValidationError(
-                        f"value {v} at generator {i} has the wrong parity for "
-                        f"self-intersection {cup[i, i]}")
+    if ring not in (2, 4):
+        raise ValidationError("refinement ring must be 2 or 4")
+    if ring == 2 and np.any(np.diagonal(cup) != 0):
+        raise ValidationError(
+            "a Z2 refinement needs an even intersection form; use ring 4")
+    if ring == 4:
+        for i, v in enumerate(vals):
+            if v % 2 != cup[i, i] % 2:
+                raise ValidationError(
+                    f"value {v} at generator {i} has the wrong parity for "
+                    f"self-intersection {cup[i, i]}")
     return QuadraticRefinement(ring=ring, values=vals, cup=cup)
 
 

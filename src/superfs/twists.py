@@ -9,9 +9,8 @@ case (values in {0, 1/2}).
 from __future__ import annotations
 
 import copy
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -33,10 +32,6 @@ __all__ = [
     "z2_homomorphisms",
     "h2_basis",
     "h2_representatives",
-    "twist_to_dict",
-    "twist_from_dict",
-    "load_twist",
-    "save_twist",
 ]
 
 
@@ -49,12 +44,17 @@ def _grading(phi: Sequence[int] | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Twist:
-    """(phi, alpha) on a group of a given order; alpha = alpha_num / denom mod 1."""
+    """(phi, alpha) on a group of a given order; alpha = alpha_num / denom mod 1.
+
+    `checked_on` is the Group object validate_twist proved this twist on, or
+    None; only validate_twist sets it, and with_phi keeps it. The arrays are
+    read-only, so the record cannot go stale.
+    """
 
     phi: np.ndarray
     alpha_num: np.ndarray
     denom: int
-    identity_shift: Fraction = Fraction(0)
+    checked_on: Group | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         phi = _grading(self.phi)
@@ -93,26 +93,20 @@ class Twist:
     def alpha_is_trivial(self) -> bool:
         return not self.alpha_num.any()
 
-    def alpha_fraction(self, g: int, h: int) -> Fraction:
-        return Fraction(int(self.alpha_num[g, h]), self.denom)
-
     def phases(self) -> np.ndarray:
         """Unit phases omega(g, h) = exp(2 pi i alpha(g, h))."""
         return np.exp(2j * np.pi * self.alpha_num / self.denom)
 
     def with_phi(self, phi: Sequence[int] | np.ndarray) -> "Twist":
-        """The same alpha under the grading phi, with identity_shift 0. alpha
-        is already reduced, so it is shared as it stands, not reduced again."""
+        """The same alpha under the grading phi. alpha is already reduced, so
+        it is shared as it stands, not reduced again. On a checked twist phi
+        is checked as a grading of the same group, and the record is kept."""
+        phi = _grading(phi)
+        if self.checked_on is not None:
+            _check_grading(self.checked_on, phi)
         twist = copy.copy(self)
-        object.__setattr__(twist, "phi", _grading(phi))
-        object.__setattr__(twist, "identity_shift", Fraction(0))
+        object.__setattr__(twist, "phi", phi)
         return twist
-
-    def restricted(self, elements: np.ndarray) -> "Twist":
-        idx = np.asarray(elements, dtype=np.int64)
-        return Twist(phi=self.phi[idx],
-                     alpha_num=self.alpha_num[np.ix_(idx, idx)],
-                     denom=self.denom)
 
     @classmethod
     def zero(cls, order: int) -> "Twist":
@@ -177,32 +171,43 @@ def _check_cocycle(group: Group, num: np.ndarray, den: int) -> None:
                 f"alpha violates the 2-cocycle identity at (g, h, k) = ({g}, {h}, {k})")
 
 
+def _check_grading(group: Group, phi: np.ndarray) -> None:
+    """phi is a homomorphism G -> Z2 given as a vector of length |G|."""
+    n = group.order
+    if phi.shape != (n,):
+        raise ValidationError(f"phi must have length {n}, got {phi.shape}")
+    _check_phi(group, phi)
+
+
 def validate_twist(group: Group, twist: Twist) -> Twist:
-    """Check shapes, phi, and the cocycle identity; normalize alpha at the identity.
+    """Check shapes, phi, and the cocycle identity; normalize alpha at the
+    identity. The returned twist records `group` in its checked_on field, and
+    a twist already recorded for this very Group object (compared with `is`:
+    two groups of one order are different groups) is returned at once.
 
     A cocycle with alpha(e, e) = c != 0 is shifted by the coboundary of the map
-    supported at e, which removes the constant; the removed constant is reported
-    in the returned twist's identity_shift field.
+    supported at e, which removes the constant.
     """
+    if twist.checked_on is group:
+        return twist
     n = group.order
-    if twist.phi.shape != (n,):
-        raise ValidationError(f"phi must have length {n}, got {twist.phi.shape}")
     if twist.alpha_num.shape != (n, n):
         raise ValidationError(f"alpha must be {n}x{n}, got {twist.alpha_num.shape}")
-    _check_phi(group, twist.phi)
+    _check_grading(group, twist.phi)
     _check_cocycle(group, twist.alpha_num, twist.denom)
     c = int(twist.alpha_num[0, 0])
     if c == 0:
         if twist.alpha_num[0].any() or twist.alpha_num[:, 0].any():
             raise ValidationError("cocycle is inconsistent on the identity row/column")
-        return twist
-    beta = np.zeros(n, dtype=np.int64)
-    beta[0] = (-c) % twist.denom
-    shifted = (twist.alpha_num + coboundary(group, beta, twist.denom)) % twist.denom
-    if shifted[0].any() or shifted[:, 0].any():
-        raise ValidationError("normalization failed; cocycle identity was inconsistent")
-    return Twist(phi=twist.phi, alpha_num=shifted, denom=twist.denom,
-                 identity_shift=Fraction(c, twist.denom))
+    else:
+        beta = np.zeros(n, dtype=np.int64)
+        beta[0] = (-c) % twist.denom
+        shifted = (twist.alpha_num + coboundary(group, beta, twist.denom)) % twist.denom
+        if shifted[0].any() or shifted[:, 0].any():
+            raise ValidationError("normalization failed; cocycle identity was inconsistent")
+        twist = Twist(phi=twist.phi, alpha_num=shifted, denom=twist.denom)
+    object.__setattr__(twist, "checked_on", group)
+    return twist
 
 
 def coboundary(group: Group, beta_num: np.ndarray, den: int) -> np.ndarray:
@@ -544,10 +549,10 @@ def h2_representatives(group: Group, basis: list[np.ndarray] | None = None) -> l
     """One normalized sign-valued cocycle per class of H^2(G, Z2).
 
     The classes are the GF(2) combinations of `basis` (h2_basis(group), solved
-    here when not given), the zero class first. Returned twists carry trivial
-    phi; use Twist.with_phi to attach a grading. The 8 |H^2| |G|^2 bytes of
-    their int64 tables, all held at once, are checked against the work budget
-    before any class is built.
+    here when not given), the zero class first. Returned twists are checked
+    on `group` and carry trivial phi; Twist.with_phi attaches a grading and
+    checks it. The 8 |H^2| |G|^2 bytes of their int64 tables, all held at
+    once, are checked against the work budget before any class is built.
     """
     n = group.order
     if basis is None:
@@ -561,33 +566,3 @@ def h2_representatives(group: Group, basis: list[np.ndarray] | None = None) -> l
                                         alpha_num=v.reshape(n, n).astype(np.int64),
                                         denom=2))
             for v in _span_combinations(basis, n * n)]
-
-
-# ---------------------------------------------------------------------------
-# Serialization: {"phi": [0, 1, ...], "alpha": [["0", "1/2", ...], ...]}
-
-def twist_to_dict(twist: Twist) -> dict:
-    alpha = [[str(twist.alpha_fraction(g, h)) for h in range(twist.order)]
-             for g in range(twist.order)]
-    return {"phi": twist.phi.tolist(), "alpha": alpha}
-
-
-def twist_from_dict(d: dict) -> Twist:
-    if "phi" not in d or "alpha" not in d:
-        raise ValidationError("twist record needs 'phi' and 'alpha' fields")
-    return Twist.from_fractions(d["phi"], d["alpha"], strict=True)
-
-
-def load_twist(path: str) -> Twist:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            record = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return twist_from_dict(record)
-
-
-def save_twist(twist: Twist, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(twist_to_dict(twist), f, indent=1)
-        f.write("\n")

@@ -1,4 +1,7 @@
-"""Shared pytest plumbing: collect acceptance verdict lines for the summary."""
+"""Shared pytest plumbing: collect acceptance verdict lines for the summary,
+and count cocycle proofs."""
+
+import pytest
 
 verdict_lines = []
 
@@ -7,6 +10,20 @@ def record_verdict(number: int, ok: bool, detail: str) -> None:
     line = f"[criterion {number}] {'PASS' if ok else 'FAIL'} — {detail}"
     verdict_lines.append(line)
     print(line)
+
+
+@pytest.fixture
+def cocycle_proofs(monkeypatch) -> list:
+    """A list that gains one entry per run of the cocycle check, the proof
+    validate_twist makes (it returns at once for a twist already proved on
+    the same Group object)."""
+    import superfs.twists
+
+    calls = []
+    original = superfs.twists._check_cocycle
+    monkeypatch.setattr(superfs.twists, "_check_cocycle",
+                        lambda *args: calls.append(1) or original(*args))
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -48,8 +48,7 @@ def catalog_sweep():
             for phi in z2_homomorphisms(group):
                 for base in h2_representatives(group):
                     twist = validate_twist(group, base.with_phi(phi))
-                    report = classify(TwistedGroupAlgebra(group, twist,
-                                                          validate=False), seed=0)
+                    report = classify(TwistedGroupAlgebra(group, twist), seed=0)
                     cases.append((name, phi, report))
         _SWEEP_CACHE = cases
     return _SWEEP_CACHE
@@ -103,9 +102,9 @@ def _tensor_products_multiplicative(ga, ta, gb, tb):
     """Match each supermodule pair with its factor in the combined algebra and
     compare indicators. Returns (#pairs checked, list of failures)."""
     gc, tc = combine_twists((ga, ta), (gb, tb))
-    ra = classify(TwistedGroupAlgebra(ga, ta, validate=False))
-    rb = classify(TwistedGroupAlgebra(gb, tb, validate=False))
-    rc = classify(TwistedGroupAlgebra(gc, tc, validate=False))
+    ra = classify(TwistedGroupAlgebra(ga, ta))
+    rb = classify(TwistedGroupAlgebra(gb, tb))
+    rc = classify(TwistedGroupAlgebra(gc, tc))
     nh = gb.order
     failures = []
     pairs = 0
@@ -219,7 +218,7 @@ def test_criterion_07():
         twist = Twist.zero(group.order)
         r = crosscheck(TheoryData(group, twist, "unoriented"), nonorientable(1))[0]
         involutions = int(np.sum(np.diag(group.table) == 0))
-        report = classify(TwistedGroupAlgebra(group, twist, validate=False))
+        report = classify(TwistedGroupAlgebra(group, twist))
         fs_sum = sum(s.s_ordinary * s.dims[0] for s in report.supermodules)
         scaled = r.lhs * group.order
         if (r.verdict != "PASS" or abs(scaled - involutions) > 1e-6
@@ -339,7 +338,7 @@ def test_criterion_10():
     checked = 0
     for name, group, twist, family, surface in theories:
         if twist.is_z2:
-            base_report = classify(TwistedGroupAlgebra(group, twist, validate=False))
+            base_report = classify(TwistedGroupAlgebra(group, twist))
             base_sig = sorted((s.fs_k if s.fs_k is not None else -1, str(s.bw))
                               for s in base_report.supermodules)
             if base_report.dim_sum != group.order:
@@ -352,8 +351,7 @@ def test_criterion_10():
             beta[0] = 0
             shifted = shift_by_coboundary(group, twist, beta)
             if twist.is_z2:
-                report = classify(TwistedGroupAlgebra(group, shifted,
-                                                      validate=False))
+                report = classify(TwistedGroupAlgebra(group, shifted))
                 sig = sorted((s.fs_k if s.fs_k is not None else -1, str(s.bw))
                              for s in report.supermodules)
                 if sig != base_sig:

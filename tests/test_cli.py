@@ -11,8 +11,6 @@ from superfs import (
     Twist,
     catalog_group,
     clifford_twist,
-    save_group,
-    save_twist,
 )
 from superfs.cli import main
 
@@ -28,10 +26,22 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def group_file(tmp_path, name):
-    path = tmp_path / f"{name}.json"
-    save_group(catalog_group(name), str(path))
+def write_group(path, group):
+    """A group file holding the table of `group`."""
+    path.write_text(json.dumps({"table": group.table.tolist()}))
     return str(path)
+
+
+def write_twist(path, twist):
+    """A twist file holding phi and alpha as exact rationals, as read by both
+    --phi and --alpha."""
+    alpha = [[str(Fraction(int(x), twist.denom)) for x in row] for row in twist.alpha_num]
+    path.write_text(json.dumps({"phi": twist.phi.tolist(), "alpha": alpha}))
+    return str(path)
+
+
+def group_file(tmp_path, name):
+    return write_group(tmp_path / f"{name}.json", catalog_group(name))
 
 
 def test_classify_z2_parity_is_first_clifford(tmp_path, capsys):
@@ -174,9 +184,7 @@ def test_partition_s3_torus(tmp_path, capsys):
 
 
 def test_partition_pin_minus_projective_plane(tmp_path, capsys):
-    path = tmp_path / "z2.json"
-    save_group(catalog_group("z2"), str(path))
-    code, data, _ = run_json(capsys, "partition", "--group", str(path),
+    code, data, _ = run_json(capsys, "partition", "--group", group_file(tmp_path, "z2"),
                              "--phi", "id", "--family", "pin-",
                              "--surface", "nonorientable:1", "--all-structures")
     assert code == 0
@@ -291,11 +299,10 @@ def test_exit_2_bad_phi_and_alpha_files(tmp_path, capsys):
 
 def test_twist_files_roundtrip_through_cli(tmp_path, capsys):
     group, twist = clifford_twist(2)
-    gpath, tpath = tmp_path / "g.json", tmp_path / "t.json"
-    save_group(group, str(gpath))
-    save_twist(twist, str(tpath))
-    code, data, _ = run_json(capsys, "classify", "--group", str(gpath),
-                             "--phi", str(tpath), "--alpha", str(tpath))
+    gpath = write_group(tmp_path / "g.json", group)
+    tpath = write_twist(tmp_path / "t.json", twist)
+    code, data, _ = run_json(capsys, "classify", "--group", gpath,
+                             "--phi", tpath, "--alpha", tpath)
     assert code == 0
     (sup,) = data["supermodules"]
     assert sup["bw_class"] == 2 and sup["q"] == 0
@@ -345,32 +352,16 @@ def test_clifford_rank_checked_against_budget(monkeypatch, capsys):
     assert code == 2 and "budget" in err
 
 
-def test_each_theory_validated_once(tmp_path, monkeypatch, capsys):
-    import superfs.cli
-    import superfs.gauge
-    import superfs.superalg
-    import superfs.twists
-
-    calls = []
-    original = superfs.twists.validate_twist
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in (superfs.cli, superfs.gauge, superfs.superalg, superfs.twists):
-        monkeypatch.setattr(module, "validate_twist", counting)
+def test_each_theory_validated_once(tmp_path, cocycle_proofs, capsys):
     group, twist = clifford_twist(2)
-    gpath, tpath = tmp_path / "g.json", tmp_path / "t.json"
-    save_group(group, str(gpath))
-    save_twist(twist, str(tpath))
-    for argv in (["classify", "--group", str(gpath), "--phi", str(tpath),
-                  "--alpha", str(tpath)],
-                 ["partition", "--group", str(gpath), "--phi", str(tpath),
-                  "--alpha", str(tpath), "--family", "spin", "--surface", "orientable:1"]):
-        calls.clear()
+    gpath = write_group(tmp_path / "g.json", group)
+    tpath = write_twist(tmp_path / "t.json", twist)
+    theory = ["--group", gpath, "--phi", tpath, "--alpha", tpath]
+    for argv in (["classify", *theory], ["verify", *theory],
+                 ["partition", *theory, "--family", "spin", "--surface", "orientable:1"]):
+        cocycle_proofs.clear()
         assert run(capsys, *argv)[0] == 0
-        assert len(calls) == 1, argv
+        assert len(cocycle_proofs) == 1, argv
 
 
 def test_partition_checks_the_family_on_the_normalized_twist(tmp_path, capsys):
@@ -413,18 +404,17 @@ def test_exit_2_phi_entries_must_be_0_or_1(tmp_path, capsys):
 
 
 def test_sweep_refused_by_max_cases_before_any_class(tmp_path, monkeypatch, capsys):
-    import superfs.cli
+    import superfs.superalg
     import superfs.twists
 
     def refuse(*args, **kwargs):
         raise AssertionError("a class was built before the --max-cases check")
 
     group, _ = clifford_twist(5)  # 32 homomorphisms x 2^15 classes
-    path = tmp_path / "z2^5.json"
-    save_group(group, str(path))
-    for module in (superfs.cli, superfs.twists):
+    path = write_group(tmp_path / "z2^5.json", group)
+    for module in (superfs.superalg, superfs.twists):
         monkeypatch.setattr(module, "validate_twist", refuse)
-    code, _, err = run(capsys, "verify", "--group", str(path),
+    code, _, err = run(capsys, "verify", "--group", path,
                        "--sweep-phi", "--sweep-h2")
     assert code == 2 and "sweep has 1048576 cases" in err
 
@@ -516,22 +506,10 @@ def test_sweep_decomposes_once_per_cocycle_class(monkeypatch, capsys):
     assert data["cases"] == expected
 
 
-def test_sweep_validates_each_cocycle_class_once(tmp_path, monkeypatch, capsys):
-    import superfs.cli
-    import superfs.twists
-
-    calls = []
-    original = superfs.twists.validate_twist
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in (superfs.cli, superfs.twists):
-        monkeypatch.setattr(module, "validate_twist", counting)
+def test_sweep_validates_each_cocycle_class_once(tmp_path, cocycle_proofs, capsys):
     code, data, _ = run_json(capsys, "sweep", "--groups", "d4,q8")
     assert code == 0 and len(data["cases"]) == 32 + 16
-    assert len(calls) == 8 + 4  # one full check per H^2 class
+    assert len(cocycle_proofs) == 8 + 4  # one full check per H^2 class
     # a phi or alpha named on the command line is still checked before use
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps({"phi": [1, 0, 0, 0, 0, 0, 0, 0]}))
@@ -540,6 +518,6 @@ def test_sweep_validates_each_cocycle_class_once(tmp_path, monkeypatch, capsys):
     assert "phi is not a homomorphism to Z2: fails at (0, 0)" in err
     alpha = tmp_path / "alpha.json"
     alpha.write_text(json.dumps({"alpha": [["0", "0"], ["1/2", "0"]]}))
-    calls.clear()
+    cocycle_proofs.clear()
     code, _, err = run(capsys, "verify", "--group", "z2", "--alpha", str(alpha))
-    assert code == 2 and "2-cocycle identity" in err and len(calls) == 1
+    assert code == 2 and "2-cocycle identity" in err and len(cocycle_proofs) == 1

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -46,3 +47,27 @@ def test_benchmark_span_targets_resolve():
         target = reduce(getattr, attribute.split("."),
                         importlib.import_module(f"superfs.{module}"))
         assert callable(target), (module, attribute)
+
+
+def _resolves(name: str, owners: list) -> bool:
+    for owner in owners:
+        try:
+            reduce(getattr, name.split("."), owner)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def test_readme_entry_points_resolve():
+    # every backticked ASCII identifier in README's "Key entry points" list
+    # (dotted names through getattr) resolves on superfs or one of its
+    # modules, so the docs cannot name a deleted function
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("Key entry points:", 1)[1].strip().split("\n\n", 1)[0]
+    names = [span for span in re.findall(r"`([^`]+)`", section)
+             if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", span, flags=re.ASCII)]
+    assert len(names) >= 30
+    owners = [superfs, *(importlib.import_module(f"superfs.{m}") for m in MODULES)]
+    assert [name for name in names if not _resolves(name, owners)] == []

@@ -18,6 +18,7 @@ from superfs import (
     catalog_group,
     clifford_twist,
     crosscheck,
+    cup_form,
     cyclic,
     enumerate_homs,
     enumerate_structures,
@@ -35,10 +36,10 @@ from superfs import (
     validate_twist,
     z2_homomorphisms,
 )
-from superfs.gauge import _hom_phases
 from superfs.surfaces import QuadraticRefinement
 
-from helpers import brute_force_homs, brute_force_partition, relabelled, relabelling
+from helpers import (brute_force_homs, brute_force_partition, integrate_cocycle, relabelled,
+                     relabelling)
 
 
 def test_theory_family_validation():
@@ -147,7 +148,7 @@ def test_projective_plane_nontrivial_alpha():
     r = crosscheck(th, nonorientable(1))[0]
     assert r.verdict == "PASS"
     # direct two-sided oracle: (1/4) sum over g^2=e of (-1)^{alpha(g,g)}
-    diag = [t.alpha_fraction(i, i) for i in range(4)]
+    diag = [Fraction(int(t.alpha_num[i, i]), t.denom) for i in range(4)]
     lhs_oracle = sum((-1.0) ** (2 * float(d)) * 0 + np.exp(2j * np.pi * float(d))
                      for i, d in enumerate(diag) if g.table[i, i] == 0) / 4
     assert r.lhs == pytest.approx(lhs_oracle)
@@ -187,7 +188,9 @@ def test_pin_minus_average_projects_onto_even_holonomy():
     pres = presentation(nonorientable(2))
     homs = enumerate_homs(pres, g)
     keep = np.all(t.phi[homs] == 0, axis=1)
-    restricted = np.sum(_hom_phases(homs[keep], pres, g, t)) / g.order
+    restricted = sum(np.exp(2j * np.pi * float(integrate_cocycle(
+        hom, pres.word, pres.n_generators, g.table, g.inverses, t.alpha_num, t.denom)))
+        for hom in homs[keep]) / g.order
     assert avg == pytest.approx(restricted)
 
 
@@ -231,7 +234,7 @@ def test_theory_twist_validated_on_construction():
     # a constant cocycle is normalized, and both sides see the normalized twist
     th = TheoryData(g, Twist(phi=np.zeros(2, dtype=np.int64),
                              alpha_num=np.ones((2, 2), dtype=np.int64), denom=2), "oriented")
-    assert th.twist.alpha_is_trivial and th.twist.identity_shift == Fraction(1, 2)
+    assert th.twist.alpha_is_trivial and th.twist.checked_on is g
     assert crosscheck(th, orientable(1))[0].verdict == "PASS"
 
 
@@ -396,7 +399,7 @@ def test_state_sum_rejects_mismatched_structures():
     pin = TheoryData(g, t, "pin-")
     with pytest.raises(ValidationError, match="Z4 refinement"):
         partition_lhs(pin, nonorientable(1),
-                      refinement(nonorientable(1), [1], ring=2, validate=False))
+                      QuadraticRefinement(2, (1,), cup_form(nonorientable(1))))
     with pytest.raises(ValidationError, match="values"):
         crosscheck(pin, nonorientable(1), structures=[refinement(nonorientable(2), [1, 1])])
 

@@ -1,6 +1,7 @@
 """Group construction, validation, and serialization."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -15,10 +16,8 @@ from superfs import (
     even_subgroup,
     group_from_permutations,
     group_from_table,
-    group_to_dict,
     load_group,
     product_group,
-    save_group,
 )
 from superfs.groups import Group, _generating_set
 
@@ -153,12 +152,13 @@ def test_build_group_generator_form():
 
 def test_json_roundtrip(tmp_path):
     g = catalog_group("d4")
+    record = {"order": g.order, "table": g.table.tolist(), "names": list(g.names)}
     path = tmp_path / "d4.json"
-    save_group(g, str(path))
+    path.write_text(json.dumps(record))
     g2 = load_group(str(path))
     assert np.array_equal(g.table, g2.table)
     assert g2.names == g.names
-    assert build_group(group_to_dict(g)).order == 8
+    assert build_group(record).order == 8
 
 
 def test_load_group_bad_json(tmp_path):

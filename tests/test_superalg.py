@@ -409,8 +409,7 @@ def test_class_table_characters_match_the_split_oracle():
     for alg in _class_table_algebras():
         irreps = decompose_regular(alg, cap=alg.order)
         oracle = split_regular(alg)
-        assert [(i.dim, i.multiplicity) for i in irreps] == \
-            [(i.dim, i.multiplicity) for i in oracle]
+        assert [i.dim for i in irreps] == [i.dim for i in oracle]
         got = np.array([irr.character for irr in irreps])
         want = np.array([irr.character for irr in oracle])
         assert np.max(np.abs(got - want)) < 1e-12
@@ -418,26 +417,48 @@ def test_class_table_characters_match_the_split_oracle():
     assert count == 95 + 4 + 9 + 1 + 1
 
 
-def test_decompose_regular_refuses_a_flipped_alpha_entry():
+def test_decompose_regular_refuses_a_flipped_alpha_entry(monkeypatch):
     # flipping one entry of the untwisted S4 table breaks the cocycle
-    # identity, which every class-sum construction assumes; each of the 529
-    # flips off the identity row and column is refused (a class sum that is
-    # not central, or central idempotents that fail their certificate)
+    # identity, which every class-sum construction assumes; with the
+    # algebra's validation bypassed, each of the 529 flips off the identity
+    # row and column is still refused by decompose_regular's own checks (a
+    # class sum that is not central, or central idempotents that fail their
+    # certificate)
     s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
     zero = np.zeros(24, dtype=np.int64)
     refused = 0
-    for a in range(1, 24):
-        for b in range(1, 24):
-            num = np.zeros((24, 24), dtype=np.int64)
-            num[a, b] = 1
-            alg = TwistedGroupAlgebra(s4, Twist(phi=zero, alpha_num=num, denom=2),
-                                      validate=False)
-            with pytest.raises(DecompositionError):
-                decompose_regular(alg)
-            refused += 1
+    with monkeypatch.context() as m:
+        m.setattr(superalg, "validate_twist", lambda group, twist: twist)
+        for a in range(1, 24):
+            for b in range(1, 24):
+                num = np.zeros((24, 24), dtype=np.int64)
+                num[a, b] = 1
+                alg = TwistedGroupAlgebra(s4, Twist(phi=zero, alpha_num=num, denom=2))
+                with pytest.raises(DecompositionError):
+                    decompose_regular(alg)
+                refused += 1
     assert refused == 529
     with pytest.raises(ValidationError, match="2-cocycle identity"):
         TwistedGroupAlgebra(s4, Twist(phi=zero, alpha_num=num, denom=2))
+
+
+def test_every_flipped_entry_of_an_h2_table_is_refused_when_the_algebra_is_built():
+    # the single-entry flips of S4's four H^2 class tables, off the identity
+    # row and column: none is a cocycle, and 144 of them pass
+    # decompose_regular's own checks; building the algebra proves the
+    # cocycle identity and refuses all 4 x 23^2 of them
+    s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+    classes = h2_representatives(s4)
+    refused = 0
+    for base in classes:
+        for a in range(1, 24):
+            for b in range(1, 24):
+                num = base.alpha_num * (2 // base.denom)
+                num[a, b] ^= 1
+                with pytest.raises(ValidationError, match="2-cocycle identity"):
+                    TwistedGroupAlgebra(s4, Twist(phi=base.phi, alpha_num=num, denom=2))
+                refused += 1
+    assert len(classes) == 4 and refused == 2116
 
 
 def test_decompose_regular_refuses_a_spectrum_clustered_through_max_rounds(monkeypatch):
@@ -463,7 +484,7 @@ def _graded_type_m():
     alpha = np.outer(homs[1], homs[2]) % 2
     twist = validate_twist(group, Twist(phi=(homs[1] + homs[2]) % 2, alpha_num=alpha,
                                         denom=2))
-    alg = TwistedGroupAlgebra(group, twist, validate=False)
+    alg = TwistedGroupAlgebra(group, twist)
     irreps = decompose_regular(alg, cap=alg.order)
     sups = [s for s in assemble_supermodules(irreps, alg) if s.q_type == 0]
     odd = np.array([alg.twist.phi == 1] * len(sups))
@@ -597,7 +618,7 @@ def _oracle_algebras():
         for phi in z2_homomorphisms(group):
             for base in h2_representatives(group):
                 twist = validate_twist(group, base.with_phi(phi))
-                yield TwistedGroupAlgebra(group, twist, validate=False), 3
+                yield TwistedGroupAlgebra(group, twist), 3
     for rank in range(1, 9):
         yield TwistedGroupAlgebra(*clifford_twist(rank)), 5
 
@@ -637,7 +658,8 @@ def test_supermodules_match_the_matrix_oracle():
             chi0, supchar = module_characters(module, grading, even)
             assert sup.dims == (np.sum(grading > 0), np.sum(grading < 0))
             assert np.max(np.abs(supchar - sup.supercharacter)) < 1e-10
-            assert np.max(np.abs(chi0 - sup.chi0)) < 1e-10
+            even_character = (sup.character + sup.supercharacter) / 2
+            assert np.max(np.abs(chi0 - even_character[even])) < 1e-10
             if sup.reality != "real":
                 continue
             real += 1
@@ -657,8 +679,7 @@ def _sweep_classes(seed):
     for group in [*map(catalog_group, CATALOG_NAMES), s4]:
         phis = np.array(z2_homomorphisms(group))
         for base in h2_representatives(group):
-            alg = TwistedGroupAlgebra(group, validate_twist(group, base.with_phi(phis[0])),
-                                      validate=False)
+            alg = TwistedGroupAlgebra(group, base.with_phi(phis[0]))
             out.append((group, base, alg, phis, decompose_regular(alg, seed=seed)))
     return tuple(out)
 
@@ -673,8 +694,8 @@ def _per_row_dicts(seed):
     """classify under one grading at a time, sharing the decomposition."""
     out = []
     for group, base, _, phis, irreps in _sweep_classes(seed):
-        reports = [classify(TwistedGroupAlgebra(group, validate_twist(group, base.with_phi(phi)),
-                                                validate=False), seed=seed, irreps=irreps)
+        reports = [classify(TwistedGroupAlgebra(group, base.with_phi(phi)), seed=seed,
+                            irreps=irreps)
                    for phi in phis]
         assert all(r.all_pass for r in reports)
         out.append(_dicts(reports))
@@ -790,7 +811,7 @@ def test_heisenberg_cocycle_single_irrep():
     a = [[Fraction((i // 3) * (j % 3) % 3, 3) for j in range(9)] for i in range(9)]
     alg = TwistedGroupAlgebra(g, Twist.from_fractions([0] * 9, a))
     irreps = decompose_regular(alg)
-    assert [(i.dim, i.multiplicity) for i in irreps] == [(3, 3)]
+    assert [i.dim for i in irreps] == [3]
 
 
 def test_assemble_pairs_by_parity():
@@ -831,7 +852,7 @@ def test_supermodule_characters_vanish_on_odd():
     g = catalog_group("d4")
     phi = z2_homomorphisms(g)[1]
     t = validate_twist(g, Twist.zero(8).with_phi(phi))
-    alg = TwistedGroupAlgebra(g, t, validate=False)
+    alg = TwistedGroupAlgebra(g, t)
     sups = assemble_supermodules(decompose_regular(alg), alg)
     for s in sups:
         assert np.max(np.abs(s.character[phi == 1])) < 1e-8
@@ -898,7 +919,7 @@ def test_ordinary_fs_values():
 def test_gow_indicator_direct():
     g = cyclic(4)
     t = validate_twist(g, z4_parity())
-    alg = TwistedGroupAlgebra(g, t, validate=False)
+    alg = TwistedGroupAlgebra(g, t)
     # the even subgroup is the mask phi = 0, {0, 2} = Z2; characters are read
     # on it only, so the odd entries are junk: (1, 1) and (1, -1) on {0, 2}.
     # Odd elements 1, 3 square to 2
@@ -914,11 +935,9 @@ def test_gow_indicator_direct():
 def test_gow_indicator_refuses_an_odd_square():
     # phi = (0, 1, 1, 0) on Z4 is no homomorphism: the odd element 1 squares
     # to the odd element 2
-    g = cyclic(4)
-    alg = TwistedGroupAlgebra(g, Twist.zero(4).with_phi(np.array([0, 1, 1, 0])),
-                              validate=False)
+    alg = TwistedGroupAlgebra(cyclic(4))
     with pytest.raises(ValidationError, match="square of an odd element escaped"):
-        gow_indicator(np.ones(4), alg)
+        gow_indicator(np.ones(4), alg, phi=np.array([0, 1, 1, 0]))
 
 
 def test_classify_refuses_a_grading_that_is_no_homomorphism():
@@ -929,17 +948,17 @@ def test_classify_refuses_a_grading_that_is_no_homomorphism():
     g, t = combine_twists(clifford_twist(2), (cyclic(2), Twist.zero(2)))
     phi = np.zeros(8, dtype=np.int64)
     phi[1] = 1
-    alg = TwistedGroupAlgebra(g, t.with_phi(phi), validate=False)
-    sups = assemble_supermodules(decompose_regular(alg), alg)
+    alg = TwistedGroupAlgebra(g, t)
+    sups = assemble_supermodules(decompose_regular(alg), alg, phis=phi[None])
     assert [s.q_type for s in sups] == [1]
     with pytest.raises(ValidationError,
                        match=r"^phi is not a homomorphism to Z2: fails at \(1, 2\)$"):
-        classify(alg)
+        classify_gradings(alg, phi[None])
 
 
 def test_ordinary_fs_on_a_mask_reads_the_subgroup_only():
     g = cyclic(4)
-    alg = TwistedGroupAlgebra(g, validate_twist(g, z4_parity()), validate=False)
+    alg = TwistedGroupAlgebra(g, validate_twist(g, z4_parity()))
     even = alg.twist.phi == 0
     # {0, 2} = Z2 with characters (1, 1) and (1, -1): both real, indicator 1
     assert ordinary_fs(np.array([[1.0, 5.0, 1.0, 5.0], [1.0, 5.0, -1.0, 5.0]]),
@@ -1059,14 +1078,14 @@ def test_indicator_multiplicative_cl1_cl1():
 def test_classification_coboundary_invariant():
     g = catalog_group("q8")
     t = validate_twist(g, h2_representatives(g)[2].with_phi(z2_homomorphisms(g)[1]))
-    base = classify(TwistedGroupAlgebra(g, t, validate=False))
+    base = classify(TwistedGroupAlgebra(g, t))
     sig0 = sorted((s.dims, str(s.bw)) for s in base.supermodules)
     rng = np.random.default_rng(11)
     for _ in range(3):
         beta = rng.integers(0, 2, 8)
         beta[0] = 0
         t2 = shift_by_coboundary(g, t, beta, 2)
-        rep = classify(TwistedGroupAlgebra(g, t2, validate=False))
+        rep = classify(TwistedGroupAlgebra(g, t2))
         assert sorted((s.dims, str(s.bw)) for s in rep.supermodules) == sig0
 
 
@@ -1085,7 +1104,7 @@ def _reference_classifications(name):
     for phi in z2_homomorphisms(group):
         for base in h2_representatives(group):
             twist = validate_twist(group, base.with_phi(phi))
-            report = classify(TwistedGroupAlgebra(group, twist, validate=False))
+            report = classify(TwistedGroupAlgebra(group, twist))
             assert report.all_pass
             out.append((group, twist, _classification_signature(report)))
     return out
@@ -1105,7 +1124,7 @@ def test_dimension_accounting_across_twists():
         g = catalog_group(name)
         for phi in z2_homomorphisms(g):
             t = validate_twist(g, Twist.zero(g.order).with_phi(phi))
-            rep = classify(TwistedGroupAlgebra(g, t, validate=False))
+            rep = classify(TwistedGroupAlgebra(g, t))
             assert rep.dim_sum == g.order
 
 
@@ -1143,7 +1162,7 @@ def test_random_permutation_groups_against_the_oracle(degree, data, label_seed, 
     phis = z2_homomorphisms(group)
     twist = validate_twist(group, classes[picks[0] % len(classes)]
                            .with_phi(phis[picks[1] % len(phis)]))
-    alg = TwistedGroupAlgebra(group, twist, validate=False)
+    alg = TwistedGroupAlgebra(group, twist)
     irreps = decompose_regular(alg)
     oracle = split_regular(alg)
     assert [irr.dim for irr in irreps] == [irr.dim for irr in oracle]
@@ -1156,7 +1175,6 @@ def test_random_permutation_groups_against_the_oracle(degree, data, label_seed, 
     assert got == want and np.max(np.abs(moved - raw), initial=0) <= 1e-12
     beta = np.random.default_rng(label_seed).integers(0, 2, group.order)
     beta[0] = 0
-    shifted = TwistedGroupAlgebra(group, shift_by_coboundary(group, twist, beta, 2),
-                                  validate=False)
+    shifted = TwistedGroupAlgebra(group, shift_by_coboundary(group, twist, beta, 2))
     got, moved = _invariant_dict(classify(shifted))
     assert got == want and np.max(np.abs(moved - raw), initial=0) <= 1e-12

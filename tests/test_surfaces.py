@@ -27,15 +27,16 @@ from superfs import (
     shift_by_coboundary,
     validate_twist,
 )
+from superfs.surfaces import QuadraticRefinement
 
 from helpers import integrate_cocycle
 
 
 def test_surface_invariants():
     t = orientable(1)
-    assert (t.euler, t.b1, t.o_class, t.is_orientable) == (0, 2, 0, True)
+    assert (t.euler, t.b1, t.is_orientable) == (0, 2, True)
     k = nonorientable(3)
-    assert (k.euler, k.b1, k.o_class, k.is_orientable) == (-1, 3, 1, False)
+    assert (k.euler, k.b1, k.is_orientable) == (-1, 3, False)
     assert orientable(0).euler == 2
     with pytest.raises(ValidationError):
         nonorientable(0)
@@ -78,11 +79,13 @@ def test_refinement_validation():
     (nonorientable(1), [5]),
     (nonorientable(1), [-1]),
 ])
-@pytest.mark.parametrize("validate", [True, False])
-def test_refinement_refuses_values_outside_the_ring(surface, values, validate):
-    # not read modulo the ring: [0, 2] would be (0, 0), [5] and [-1] (1,) and (3,)
+@pytest.mark.parametrize("ring_given", [True, False])
+def test_refinement_refuses_values_outside_the_ring(surface, values, ring_given):
+    # not read modulo the ring, whether it is given or the surface's default:
+    # [0, 2] would be (0, 0), [5] and [-1] (1,) and (3,)
+    ring = (2 if surface.is_orientable else 4) if ring_given else None
     with pytest.raises(ValidationError, match="outside"):
-        refinement(surface, values, validate=validate)
+        refinement(surface, values, ring=ring)
 
 
 def test_quadratic_eval_torus():
@@ -122,8 +125,9 @@ def test_abk_projective_plane_and_klein():
 
 
 def test_abk_detects_non_refinement():
-    # wrong parity sneaks past with validate=False and breaks the Gauss sum
-    bad = refinement(nonorientable(1), [0], validate=False)
+    # a value of the wrong parity, which refinement refuses, breaks the
+    # Gauss sum
+    bad = QuadraticRefinement(4, (0,), cup_form(nonorientable(1)))
     with pytest.raises(SnapError, match="magnitude"):
         abk(bad)
 
@@ -168,7 +172,7 @@ def test_integrate_torus_antisymmetrization():
 def test_integrate_projective_plane_diagonal():
     g, t = heisenberg_z2()
     pres = presentation(nonorientable(1))
-    assert _integrate([3], pres, g, t) == t.alpha_fraction(3, 3)
+    assert _integrate([3], pres, g, t) == Fraction(int(t.alpha_num[3, 3]), t.denom)
     assert _integrate([1], pres, g, t) == 0
 
 

@@ -10,6 +10,7 @@ from superfs import (
     CATALOG_NAMES,
     BudgetExceededError,
     Twist,
+    TwistedGroupAlgebra,
     ValidationError,
     catalog_group,
     clifford_twist,
@@ -20,13 +21,9 @@ from superfs import (
     group_from_table,
     h2_basis,
     h2_representatives,
-    load_twist,
     product_group,
-    save_twist,
     shift_by_coboundary,
     trivial_group,
-    twist_from_dict,
-    twist_to_dict,
     validate_twist,
     z2_hom_basis,
     z2_homomorphisms,
@@ -79,7 +76,8 @@ def test_normalization_shift_recorded():
     out = validate_twist(g, t)
     assert out.alpha_num[0, 0] == 0
     assert np.all(out.alpha_num[0, :] == 0) and np.all(out.alpha_num[:, 0] == 0)
-    assert out.identity_shift == Fraction(1, 2)
+    # removing the constant 1/2 leaves the zero cocycle, proved on g
+    assert out.alpha_is_trivial and out.checked_on is g and t.checked_on is None
 
 
 def test_coboundary_is_cocycle_and_shifts_validate():
@@ -91,7 +89,7 @@ def test_coboundary_is_cocycle_and_shifts_validate():
         db = coboundary(g, beta, 2)
         t = validate_twist(g, Twist(phi=np.zeros(g.order, dtype=np.int64),
                                     alpha_num=db, denom=2))
-        assert t.identity_shift == 0
+        assert np.array_equal(t.alpha_num, db)   # normalized already: no shift
     base = h2_representatives(g)[3]
     shifted = shift_by_coboundary(g, base, rng.integers(0, 2, g.order), 2)
     assert shifted.denom in (1, 2)
@@ -103,8 +101,8 @@ def test_combine_cross_term_values():
     assert gh.order == 4
     assert list(th.phi) == [0, 1, 1, 0]
     # index (a, b) -> 2a + b; cross term phi(a1) phi(b2)
-    assert th.alpha_fraction(2, 1) == Fraction(1, 2)  # (1,0)*(0,1)
-    assert th.alpha_fraction(1, 2) == 0               # (0,1)*(1,0)
+    assert Fraction(int(th.alpha_num[2, 1]), th.denom) == Fraction(1, 2)  # (1,0)*(0,1)
+    assert th.alpha_num[1, 2] == 0                                        # (0,1)*(1,0)
 
 
 def test_combine_anticommutation():
@@ -185,44 +183,57 @@ def test_h2_representatives_pairwise_non_cohomologous():
         seen.add(key)
 
 
-def test_restricted_twist():
-    g, t = clifford_twist(2)
-    sub = t.restricted(np.array([0, 3]))
-    assert list(sub.phi) == [0, 0]
-    assert sub.alpha_fraction(1, 1) == t.alpha_fraction(3, 3)
-
-
 def test_with_phi_shares_the_reduced_alpha():
     # a regrading reads phi mod 2 and keeps alpha as it stands, without
-    # reducing it again; like a fresh twist, it carries no identity shift
+    # reducing it again; the regraded twist keeps the record of its proof
     g = catalog_group("d4")
     shifted = validate_twist(g, Twist(phi=np.zeros(8), alpha_num=np.full((8, 8), 2),
                                       denom=4))
-    assert shifted.identity_shift == Fraction(1, 2)
     phi = z2_homomorphisms(g)[1]
     t = shifted.with_phi(phi + 2)
     assert t.alpha_num is shifted.alpha_num and t.denom == shifted.denom == 2
     assert np.array_equal(t.phi, phi) and not t.phi.flags.writeable
-    assert t.identity_shift == 0 and list(shifted.phi) == [0] * 8
+    assert t.checked_on is shifted.checked_on is g and list(shifted.phi) == [0] * 8
 
 
-def test_json_roundtrip(tmp_path):
-    g = catalog_group("q8")
-    t = validate_twist(g, h2_representatives(g)[1].with_phi(z2_homomorphisms(g)[1]))
-    path = tmp_path / "twist.json"
-    save_twist(t, str(path))
-    t2 = load_twist(str(path))
-    assert np.array_equal(t.phi, t2.phi)
-    assert t.denom == t2.denom
-    assert np.array_equal(t.alpha_num, t2.alpha_num)
-    assert twist_from_dict(twist_to_dict(t)).is_z2
+def test_a_twist_is_proved_once_per_group_object(cocycle_proofs):
+    z4 = catalog_group("z4")
+    t = validate_twist(z4, h2_representatives(z4)[1])
+    assert t.checked_on is z4 and len(cocycle_proofs) == 2   # in h2_representatives, not again
+    assert validate_twist(z4, t) is t and len(cocycle_proofs) == 2
+    # an equal group is another Group object: proved again
+    assert validate_twist(catalog_group("z4"), t).checked_on is not z4
+    assert len(cocycle_proofs) == 3
+    # the record is not a constructor field
+    with pytest.raises(TypeError, match="checked_on"):
+        Twist(phi=t.phi, alpha_num=t.alpha_num, denom=t.denom, checked_on=z4)
 
 
-def test_twist_from_dict_rejects_bad_rational():
-    with pytest.raises(ValidationError, match="rational"):
-        twist_from_dict({"phi": [0, 0], "alpha": [["x", "0"], ["0", "0"]]})
-    with pytest.raises(ValidationError, match="outside"):
-        twist_from_dict({"phi": [0, 0], "alpha": [["3/2", "0"], ["0", "0"]]})
+def test_a_twist_checked_on_z4_is_validated_again_on_z2xz2():
+    # the nontrivial class of Z4 (the carry cocycle) is no cocycle on Z2 x Z2,
+    # a group of the same order
+    z4, v4 = catalog_group("z4"), catalog_group("z2xz2")
+    t = h2_representatives(z4)[1]
+    assert t.checked_on is z4
+    with pytest.raises(ValidationError, match="2-cocycle identity"):
+        validate_twist(v4, t)
+    with pytest.raises(ValidationError, match="2-cocycle identity"):
+        TwistedGroupAlgebra(v4, t.with_phi(np.zeros(4)))
+    assert t.checked_on is z4   # a failed proof leaves the record alone
+
+
+def test_with_phi_on_a_checked_twist_checks_the_grading():
+    g = catalog_group("d4")
+    t = h2_representatives(g)[1]
+    with pytest.raises(ValidationError, match=r"^phi must have length 8, got \(3,\)$"):
+        t.with_phi([0, 1, 1])
+    with pytest.raises(ValidationError,
+                       match=r"^phi is not a homomorphism to Z2: fails at \(0, 0\)$"):
+        t.with_phi([1, 0, 0, 0, 0, 0, 0, 0])
+    for phi in z2_homomorphisms(g):
+        assert t.with_phi(phi).checked_on is g
+    # an unchecked twist is checked when it is validated, not before
+    assert Twist.zero(8).with_phi([0, 1, 1]).checked_on is None
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +375,7 @@ def test_from_fractions_matches_exact_fraction_arithmetic():
         got = Twist.from_fractions([0] * n, alpha)
         assert got.denom == expected.denom
         assert np.array_equal(got.alpha_num, expected.alpha_num)
-    assert twist_from_dict({"phi": [0] * n, "alpha": table}).denom == expected.denom
+    assert Twist.from_fractions([0] * n, table, strict=True).denom == expected.denom
     # integers are read like their decimal strings
     got = Twist.from_fractions([0, 0], [[0, "1/2"], [Fraction(1, 2), 0]])
     assert got.denom == 2 and got.alpha_num.tolist() == [[0, 1], [1, 0]]
