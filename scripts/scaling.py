@@ -11,9 +11,8 @@ alone. Four families are measured:
 - `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..11 (|G| = 16..2048);
 - `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..10;
 - `gradings`: the Clifford cocycle class on (Z2)^k under every one of its
-  m = 2^k gradings, k = 3..8, all classified from one decomposition: by one
-  `classify_gradings` call, or, in a checkout that predates it, by m
-  `classify` calls;
+  m = 2^k gradings, k = 3..8, all classified from one decomposition by one
+  `classify_gradings` call;
 - `h2`: `h2_basis` alone on (Z2)^k, k = 2..6, S4, S4 x Z2 and S4 x Z2 x Z2
   (|G| = 4..96), each group built from its table or permutations in the
   child. These points run at the default SUPERFS_BUDGET, so a point the
@@ -22,9 +21,11 @@ alone. Four families are measured:
 A classify point times five stages: validation (`group_from_table` and
 `validate_twist` on the raw table and cocycle), `decompose_regular` (the
 character table from the centre; the regular-representation split in a
-checkout that predates it), `assemble_supermodules`, `special_element` (each
-summed over its calls: one per classification, or one per real supermodule
-before they were batched) and the rest of the classification, and records
+checkout that predates it), `assemble_supermodules` and `special_element`
+(these three timed by wrapping them in `superalg`, where the classification
+looks them up, each summed over its calls: one per classification, or one
+per real supermodule before they were batched), and the rest of the
+classification, and records
 `r`, the number of irreducibles (equal to the number of alpha-regular
 classes). It runs the whole classification
 three times in its interpreter and reports the median of each stage, and the
@@ -83,6 +84,7 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
     table, phi, alpha_num, denom = _tables(family, rank)
     phis = np.array(z2_homomorphisms(group_from_table(table))) if family == "gradings" else None
     totals: dict = {}
+    irreps: list = []
 
     def timed(name):
         inner = getattr(superalg, name)
@@ -90,13 +92,16 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
             try:
-                return inner(*args, **kwargs)
+                result = inner(*args, **kwargs)
             finally:
                 totals[name] += time.perf_counter() - start
+            if name == "decompose_regular":
+                irreps[:] = result
+            return result
         return wrapper
 
-    names = ("assemble_supermodules", "special_element")
-    for name in names:   # classify looks both up in its module at call time
+    names = ("decompose_regular", "assemble_supermodules", "special_element")
+    for name in names:   # classify looks each up in its module at call time
         setattr(superalg, name, timed(name))
 
     runs = []
@@ -107,22 +112,15 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
         algebra = TwistedGroupAlgebra(group, Twist(phi=phi, alpha_num=alpha_num,
                                                    denom=denom))
         validated = time.perf_counter()
-        irreps = superalg.decompose_regular(algebra, seed=0, cap=group.order)
-        decomposed = time.perf_counter()
         if phis is None:
-            reports = [superalg.classify(algebra, seed=0, cap=group.order, irreps=irreps)]
-        elif hasattr(superalg, "classify_gradings"):
-            reports = superalg.classify_gradings(algebra, phis, seed=0, cap=group.order,
-                                                 irreps=irreps)
-        else:   # a checkout before classify_gradings: one classify per grading
-            reports = [superalg.classify(algebra.with_phi(p), seed=0, cap=group.order,
-                                         irreps=irreps) for p in phis]
+            reports = [superalg.classify(algebra, seed=0, cap=group.order)]
+        else:
+            reports = superalg.classify_gradings(algebra, phis, seed=0, cap=group.order)
         done = time.perf_counter()
         runs.append({
             "validation": validated - start,
-            "decompose_regular": decomposed - validated,
             **totals,
-            "rest_of_classify": (done - decomposed) - sum(totals.values()),
+            "rest_of_classify": (done - validated) - sum(totals.values()),
             "total": done - start,
         })
     median = {k: round(statistics.median(r[k] for r in runs), 4) for k in runs[0]}

@@ -50,7 +50,6 @@ from .superalg import (
     super_fs,
 )
 from .surfaces import (
-    ABKResult,
     Presentation,
     QuadraticRefinement,
     Surface,

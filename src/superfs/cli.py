@@ -25,7 +25,6 @@ from .superalg import (
     check_cap,
     classify,
     classify_gradings,
-    decompose_regular,
     snapped_string,
 )
 from .surfaces import parse_surface, refinement
@@ -56,9 +55,10 @@ def _read_json(path: str):
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _resolve_phi(value: str, group: Group) -> np.ndarray:
+def _resolve_phi(value: str | None, group: Group) -> np.ndarray:
+    """The grading named by --phi; not given reads as 'zero'."""
     n = group.order
-    if value == "zero":
+    if value is None or value == "zero":
         return np.zeros(n, dtype=np.int64)
     if value == "id":
         if n != 2:
@@ -77,16 +77,30 @@ def _resolve_phi(value: str, group: Group) -> np.ndarray:
     return phi
 
 
-def _resolve_twist(group: Group, phi_arg: str, alpha_arg: str) -> Twist:
-    """The twist named on the command line, not yet validated."""
+def _resolve_twist(group: Group, phi_arg: str | None, alpha_arg: str | None) -> Twist:
+    """The twist named on the command line, not yet validated; --phi or
+    --alpha not given reads as 'zero'."""
     phi = _resolve_phi(phi_arg, group)
-    if alpha_arg == "zero":
+    if alpha_arg is None or alpha_arg == "zero":
         return Twist.zero(group.order).with_phi(phi)
     record = _read_json(alpha_arg)
     alpha = record.get("alpha") if isinstance(record, dict) else record
     if alpha is None:
         raise ValidationError(f"{alpha_arg}: no 'alpha' field")
-    return Twist.from_fractions(phi, alpha, strict=True)
+    return Twist.from_fractions(phi, alpha)
+
+
+def _refuse_with_clifford(args) -> None:
+    """--clifford fixes the group and its twist, and under verify runs the
+    ladder, not a sweep: refuse the flags it would otherwise ignore."""
+    for flag, attr, what in (("--group", "group", "group"), ("--phi", "phi", "grading"),
+                             ("--alpha", "alpha", "cocycle")):
+        if getattr(args, attr) is not None:
+            raise ValidationError(f"--clifford already fixes the {what}; drop {flag}")
+    for flag, attr in (("--sweep-phi", "sweep_phi"), ("--sweep-h2", "sweep_h2")):
+        if getattr(args, attr, False):
+            raise ValidationError(f"--clifford runs the Clifford ladder, not a sweep; "
+                                  f"drop {flag}")
 
 
 def _clifford_budget(rank: int) -> None:
@@ -133,8 +147,7 @@ def _classification_lines(data: dict) -> list[str]:
 
 def cmd_classify(args) -> int:
     if args.clifford is not None:
-        if args.group is not None:
-            raise ValidationError("--clifford already fixes the group; drop --group")
+        _refuse_with_clifford(args)
         _clifford_budget(args.clifford)
         group, twist = clifford_twist(args.clifford)
         cap = max(args.cap, group.order)
@@ -190,8 +203,8 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     """One row per (phi, alpha) case, in (phi_index, alpha_index) order.
 
     The ungraded decomposition depends on alpha but not on phi, so each alpha
-    is validated and decomposed once, and every phi is classified from its
-    reduced table, phases and irreps in one classify_gradings pass.
+    is validated once, and every phi is classified from its reduced table,
+    phases and one decomposition in one classify_gradings pass.
     Each cocycle is proved once: the classes by h2_representatives, which
     records the proof on each twist, and an alpha named on the command line
     when its algebra is built. The first phi is checked as a grading when it
@@ -210,9 +223,7 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     rows = []
     for ai, base in enumerate(alphas):
         algebra = TwistedGroupAlgebra(group, base.with_phi(phis[0]))
-        irreps = decompose_regular(algebra, seed=args.seed, cap=args.cap)
-        reports = classify_gradings(algebra, np.array(phis), seed=args.seed, cap=args.cap,
-                                    irreps=irreps)
+        reports = classify_gradings(algebra, np.array(phis), seed=args.seed, cap=args.cap)
         for pi, (phi, report) in enumerate(zip(phis, reports)):
             rows.append({
                 "group": name, "order": group.order,
@@ -250,6 +261,7 @@ def _run_sweep(named_groups: list, args) -> int:
 
 def cmd_verify(args) -> int:
     if args.clifford is not None:
+        _refuse_with_clifford(args)
         return _clifford_ladder(args)
     if args.group is None:
         raise ValidationError("verify needs --group or --clifford")
@@ -294,7 +306,7 @@ def _parse_structure(args, surface, family):
             values = [int(x) for x in text.split(",")] if text != "-" else []
         except ValueError as exc:
             raise ValidationError(f"bad structure values {text!r}") from exc
-        return [refinement(surface, values, ring=ring)]
+        return [refinement(surface, values)]
     return None  # crosscheck enumerates all structures
 
 
@@ -303,6 +315,7 @@ def cmd_partition(args) -> int:
     twist = _resolve_twist(group, args.phi, args.alpha)
     theory = TheoryData(group=group, twist=twist, family=args.family)
     surface = parse_surface(args.surface)
+    theory.require_surface(surface)
     structures = _parse_structure(args, surface, args.family)
     reports = crosscheck(theory, surface, structures=structures,
                          seed=args.seed, cap=args.cap)
@@ -349,10 +362,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_theory(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", help="group JSON file or catalog name "
                    f"({', '.join(CATALOG_NAMES)})")
-    p.add_argument("--phi", default="zero",
-                   help="parity grading: 'zero', 'id' (order-2 groups), or a JSON file")
-    p.add_argument("--alpha", default="zero",
-                   help="cocycle: 'zero' or a JSON file with exact rationals")
+    p.add_argument("--phi",
+                   help="parity grading: 'zero' (default), 'id' (order-2 groups), or a "
+                   "JSON file")
+    p.add_argument("--alpha",
+                   help="cocycle: 'zero' (default) or a JSON file with exact rationals")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,23 +5,17 @@ from __future__ import annotations
 import os
 
 __all__ = ["ValidationError", "BudgetExceededError", "DecompositionError", "SnapError",
-           "DEFAULT_BUDGET", "budget_limit", "check_budget"]
+           "DEFAULT_BUDGET", "check_budget"]
 
 DEFAULT_BUDGET = 100_000_000
 
 
-def budget_limit(budget: float | None = None) -> float:
-    """`budget` if given, else SUPERFS_BUDGET, else DEFAULT_BUDGET."""
-    if budget is not None:
-        return float(budget)
-    env = os.environ.get("SUPERFS_BUDGET")
-    return float(env) if env else float(DEFAULT_BUDGET)
-
-
-def check_budget(required: int, what: str, budget: float | None = None) -> None:
+def check_budget(required: int, what: str) -> None:
     """Raise BudgetExceededError("<what>, budget is <limit>") when `required`
-    exceeds budget_limit(budget); call it before the work is allocated."""
-    limit = budget_limit(budget)
+    exceeds the work budget, SUPERFS_BUDGET if set, else DEFAULT_BUDGET; call
+    it before the work is allocated."""
+    env = os.environ.get("SUPERFS_BUDGET")
+    limit = float(env) if env else float(DEFAULT_BUDGET)
     if required > limit:
         raise BudgetExceededError(f"{what}, budget is {int(limit)}", required=required)
 

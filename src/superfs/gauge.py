@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, check_budget
+from .errors import BudgetExceededError, ValidationError, check_budget
 from .groups import Group
 from .superalg import (
     TwistedGroupAlgebra,
@@ -53,7 +53,6 @@ __all__ = [
     "crosscheck",
     "PartitionReport",
     "report_to_dict",
-    "DEFAULT_BUDGET",
 ]
 
 # family -> surfaces orientable?, structure ring (None: no structure), may phi
@@ -100,19 +99,17 @@ class TheoryData:
                 f"the {self.family} family lives on {side} surfaces, not {surface}")
 
 
-def enumerate_homs(pres: Presentation, group: Group,
-                   budget: float | None = None) -> np.ndarray:
+def enumerate_homs(pres: Presentation, group: Group) -> np.ndarray:
     """All generator assignments satisfying the relator, as an (N, m) array in
     lexicographic order.
 
-    The grid size is checked against `budget` (default SUPERFS_BUDGET or 1e8)
-    before any allocation.
+    The grid size is checked against the work budget before any allocation.
     """
     m = pres.n_generators
     n = group.order
     if m == 0:
         return np.zeros((1, 0), dtype=np.int64)
-    check_budget(n ** m, f"enumeration needs {n ** m} candidates", budget)
+    check_budget(n ** m, f"enumeration needs {n ** m} candidates")
     grid = np.indices((n,) * m, dtype=np.int64).reshape(m, -1)
     cur = np.zeros(grid.shape[1], dtype=np.int64)
     for idx, exp in pres.word:
@@ -159,8 +156,7 @@ class _StateSum:
     step is the final sum of counts times D-th roots of unity.
     """
 
-    def __init__(self, theory: TheoryData, surface: Surface,
-                 budget: float | None = None):
+    def __init__(self, theory: TheoryData, surface: Surface):
         n = theory.group.order
         self.theory = theory
         self.surface = surface
@@ -174,7 +170,7 @@ class _StateSum:
         gens = len(self.blocks[0])
         required = (n ** (1 + gens) + n * n * self.D * 2 ** gens
                     + len(self.blocks) * n * n * self.D ** 2)
-        check_budget(required, f"state sum needs {required} steps", budget)
+        check_budget(required, f"state sum needs {required} steps")
         if n ** (surface.b1 - 1) >= 2 ** 62:
             raise BudgetExceededError(
                 f"hom counts up to {n}^{surface.b1} could overflow 64-bit integers",
@@ -278,16 +274,15 @@ def _root_sum(counts: list, D: int) -> complex:
 
 
 def partition_lhs(theory: TheoryData, surface: Surface,
-                  structure: QuadraticRefinement | None = None,
-                  budget: float | None = None) -> tuple[complex, int]:
+                  structure: QuadraticRefinement | None = None) -> tuple[complex, int]:
     """State-sum partition function: (1/|G|) sum over homs of the cocycle phase
     times the structure weight. Returns (value, number of homomorphisms).
 
     Computed as an exact transfer-matrix product over the handles or
-    crosscaps; the block-table work is checked against `budget` (default
-    SUPERFS_BUDGET or 1e8) before anything is allocated."""
+    crosscaps; the block-table work is checked against the work budget
+    before anything is allocated."""
     theory.require_surface(surface)
-    return _StateSum(theory, surface, budget)(structure)
+    return _StateSum(theory, surface)(structure)
 
 
 def partition_rhs(theory: TheoryData, surface: Surface,
@@ -341,7 +336,7 @@ def _rhs_sum(theory: TheoryData, surface: Surface,
         m = surface.param
     else:
         invariant = (("arf", arf(structure)) if structure.ring == 2
-                     else ("abk", abk(structure).value))
+                     else ("abk", abk(structure)))
         m = invariant[1]
     n = theory.group.order
     terms = []
@@ -371,13 +366,12 @@ class PartitionReport:
     verdict: str
 
 
-def _verdict(lhs: complex, rhs: complex, tol: float = 1e-6) -> str:
-    return "PASS" if abs(lhs - rhs) < tol * max(1.0, abs(rhs)) else "FAIL"
+def _verdict(lhs: complex, rhs: complex) -> str:
+    return "PASS" if abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs)) else "FAIL"
 
 
 def crosscheck(theory: TheoryData, surface: Surface, structures=None,
-               seed: int = 0, cap: int = 96,
-               budget: float | None = None) -> list:
+               seed: int = 0, cap: int = 96) -> list:
     """Compare both computations of the partition function.
 
     For spin / pin- families this yields one report per structure (all of
@@ -389,10 +383,10 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
     elif _FAMILY[theory.family].ring is None:
         jobs = [None]
     else:
-        jobs = enumerate_structures(surface, theory.family)
+        jobs = enumerate_structures(surface)
     if not jobs:
         raise ValidationError("no structures supplied")
-    state_sum = _StateSum(theory, surface, budget)
+    state_sum = _StateSum(theory, surface)
     for structure in jobs:
         _check_structure(theory.family, surface, state_sum.cup, structure)
     spectrum = _spectrum(theory, seed, cap)

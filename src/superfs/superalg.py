@@ -177,9 +177,18 @@ def check_cap(order: int, cap: int) -> None:
 # the batching from adding to the peak memory of large groups
 _GATHER_ENTRIES = 1 << 15
 
+# decompose_regular: the smallest eigenvalue gap that counts as a simple
+# spectrum, and how many random central elements it draws to get one
+_CLUSTER_TOL = 1e-8
+_MAX_ROUNDS = 8
 
-def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
-                      cluster_tol: float = 1e-8, max_rounds: int = 8) -> list[UngradedIrrep]:
+# how far an indicator may lie from the exact value it is snapped to, and the
+# tolerance of classify's checks
+_SNAP_TOL = 1e-6
+
+
+def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0,
+                      cap: int = 96) -> list[UngradedIrrep]:
     """The irreducible characters of the ungraded twisted algebra, read off
     its centre (the projective Burnside-Dixon-Schneider method).
 
@@ -192,11 +201,12 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     left multiplication by z = sum_K x_K b_K is the r x r matrix B with
     B[L, M] = sqrt|L| (z b_M)(g_L): |G| r products and one segmented sum.
     Every class matrix commutes with H = B + B^dagger, so when H has a simple
-    spectrum (min gap above cluster_tol, for a seeded random x redrawn up to
-    max_rounds times) its eigenvectors v_i are the normalized primitive
-    central idempotents E_i = (d_i / |G|) sum_g conj(chi_i(g)) e_g, up to
-    phase; E_i = conj(v_ie) v_i on this basis. One first-order correction
-    against the matrix of sum_i i E_i, rebuilt from the group, whose spectrum
+    spectrum (min gap above _CLUSTER_TOL = 1e-8, for a seeded random x
+    redrawn up to _MAX_ROUNDS = 8 times) its eigenvectors v_i are the
+    normalized primitive central idempotents
+    E_i = (d_i / |G|) sum_g conj(chi_i(g)) e_g, up to phase;
+    E_i = conj(v_ie) v_i on this basis. One first-order correction against
+    the matrix of sum_i i E_i, rebuilt from the group, whose spectrum
     0, 1, ..., r - 1 is evenly spaced, then fixes the v_i to float accuracy
     even where the random spectrum had near-collisions.
 
@@ -257,10 +267,10 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     def min_gap(values: np.ndarray) -> float:
         return np.min(np.diff(np.sort(values)), initial=np.inf)
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         values, vecs = np.linalg.eigh(hermitian(rng.standard_normal(r)
                                                 + 1j * rng.standard_normal(r)))
-        if min_gap(values) > cluster_tol:
+        if min_gap(values) > _CLUSTER_TOL:
             break
     else:
         raise DecompositionError(
@@ -273,7 +283,7 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     del h
     correction = vecs.conj().T @ hv
     values = correction.diagonal().real.copy()
-    if not min_gap(values) > cluster_tol:   # also refuses NaN
+    if not min_gap(values) > _CLUSTER_TOL:   # also refuses NaN
         raise DecompositionError("the spectrum to polish against is not simple")
     split = values - values[:, None]
     np.fill_diagonal(split, np.inf)
@@ -286,7 +296,7 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96
     hv -= vecs * values
     gap, bound = min_gap(values), np.linalg.norm(hv, axis=0).max()
     del hv
-    if not (gap > cluster_tol and bound <= 1e-8 * gap):
+    if not (gap > _CLUSTER_TOL and bound <= 1e-8 * gap):
         raise DecompositionError(f"central idempotents not certified: gap {gap:.2e}, "
                                  f"residual {bound:.2e}")
     lead = vecs[0].copy()
@@ -461,27 +471,29 @@ def _supercharacters(algebra: TwistedGroupAlgebra, chars: np.ndarray, dims: np.n
     return supercharacters
 
 
-def _check_parity(character: np.ndarray, odd: np.ndarray, tol: float = 1e-8) -> None:
+def _check_parity(character: np.ndarray, odd: np.ndarray) -> None:
     """chi(g) = 0 for every odd g, over a stack of supermodule characters
     (character and the mask odd = (phi == 1) of shape (c, |G|)); the first
     failing supermodule is reported, at its first such element."""
-    bad = np.argwhere(odd & (np.abs(character) > tol))
+    bad = np.argwhere(odd & (np.abs(character) > 1e-8))
     if bad.size:
         raise DecompositionError(f"character of a supermodule must vanish on odd {bad[0, 1]}")
 
 
 def _check_supercharacters(algebra: TwistedGroupAlgebra, character: np.ndarray,
                            odd: np.ndarray, supercharacter: np.ndarray,
-                           squares: np.ndarray, dims: np.ndarray, tol: float = 1e-8) -> None:
+                           squares: np.ndarray, dims: np.ndarray) -> None:
     """Checks of a stack of type-M supercharacters read off their characters
     (odd the mask phi = 1, with an odd element in each row), in this order:
     |str(h)^2 - squares(h)| <= tol max(1, d^2) at every h (the diagonal of
-    the rank-one form str was read from); str = 0 on odd g; the twisted class
-    rule str(s h s^-1) = (-1)^{phi(s)} omega^-lambda(s, h) str(h) for s in S,
-    within tol max(1, d), which a sign wrong on part of a conjugacy class
-    breaks; and norm 1 over G0, within 1e-6, for both halves (chi +- str)/2.
-    The first failing supermodule is reported, at its first failing element.
+    the rank-one form str was read from); str = 0 on odd g, within tol; the
+    twisted class rule str(s h s^-1) = (-1)^{phi(s)} omega^-lambda(s, h)
+    str(h) for s in S, within tol max(1, d), which a sign wrong on part of a
+    conjugacy class breaks; and norm 1 over G0, within 1e-6, for both halves
+    (chi +- str)/2; tol is 1e-8. The first failing supermodule is reported,
+    at its first failing element.
     """
+    tol = 1e-8
     conj, turns = algebra.conjugation
     gens = algebra.group.generators
     twisted = np.where(odd[:, gens, None], -1.0, 1.0) * algebra.omega(-turns[gens])
@@ -589,27 +601,28 @@ def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
     return out
 
 
-def snap_indicator(x: complex | float, tol: float = 1e-6) -> int:
-    """Snap a value to {-1, 0, +1}."""
+def snap_indicator(x: complex | float) -> int:
+    """Snap a value within _SNAP_TOL of -1, 0 or +1 to it."""
     x = complex(x)
     for target in (-1, 0, 1):
-        if abs(x - target) < tol:
+        if abs(x - target) < _SNAP_TOL:
             return target
-    raise SnapError(f"value {x} is not within {tol} of -1, 0, or +1")
+    raise SnapError(f"value {x} is not within {_SNAP_TOL} of -1, 0, or +1")
 
 
 def eighth_root(k: int) -> complex:
     return cmath.exp(2j * cmath.pi * k / 8)
 
 
-def snap_eighth_root(z: complex, tol: float = 1e-6) -> int | None:
-    """Snap to 0 (returned as None) or to the exponent k of e^{2 pi i k/8}."""
-    if abs(z) < tol:
+def snap_eighth_root(z: complex) -> int | None:
+    """Snap to 0 (returned as None) or to the exponent k of e^{2 pi i k/8},
+    within _SNAP_TOL."""
+    if abs(z) < _SNAP_TOL:
         return None
     for k in range(8):
-        if abs(z - eighth_root(k)) < tol:
+        if abs(z - eighth_root(k)) < _SNAP_TOL:
             return k
-    raise SnapError(f"value {z} is not within {tol} of 0 or any eighth root of unity")
+    raise SnapError(f"value {z} is not within {_SNAP_TOL} of 0 or any eighth root of unity")
 
 
 def snapped_string(k: int | None) -> str:
@@ -617,75 +630,66 @@ def snapped_string(k: int | None) -> str:
 
 
 def _gather(characters: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """characters[..., elements] with each row contiguous, so that a sum over
+    """characters[:, elements] with each row contiguous, so that a sum over
     the last axis is numpy's pairwise sum per row, the same floats as for one
-    vector (fancy indexing on the last axis would lay the stack out by
+    row alone (fancy indexing on the last axis would lay the stack out by
     column and sum it sequentially)."""
-    return np.take(np.asarray(characters), elements, axis=-1)
+    return np.take(characters, elements, axis=-1)
 
 
-def _snap_each(values: np.ndarray) -> int | list[int]:
-    """snap_indicator on one value, or on each value of a vector in order."""
-    if values.ndim == 0:
-        return snap_indicator(values)
+def _snap_each(values: np.ndarray) -> list[int]:
+    """snap_indicator on each value of a vector, in order."""
     return [snap_indicator(v) for v in values]
 
 
 def ordinary_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra,
-                mask: np.ndarray | None = None) -> int | list[int]:
+                mask: np.ndarray | None = None) -> list[int]:
     """Twisted Frobenius-Schur indicator (1/|H|) sum_{g in H} (-1)^{alpha(g,g)}
-    chi(g^2), snapped to {-1, 0, +1}, over H = G or over the subgroup H that
-    a boolean mask on G selects (chi is then read on H only).
-
-    `characters` is indexed by G: one vector, giving an int, or a (k, |G|)
-    stack, giving one int per row in one pass; a stack may take one mask per
-    row, as a (k, |G|) stack of masks.
+    chi(g^2), snapped to {-1, 0, +1}, of each row of a (k, |G|) stack of
+    characters indexed by G: one int per row, in one pass. H is G, or the
+    subgroup that row's mask selects in a (k, |G|) stack of boolean masks on
+    G (chi is then read on H only).
     """
     squares = np.diagonal(algebra.group.table)
     weighted = algebra.diagonal_signs() * _gather(characters, squares)
     if mask is None:
-        return _snap_each(np.sum(weighted, axis=-1) / squares.size)
-    total = np.sum(np.where(mask, weighted, 0), axis=-1)
-    return _snap_each(total / np.count_nonzero(mask, axis=-1))
+        return _snap_each(np.sum(weighted, axis=1) / squares.size)
+    total = np.sum(np.where(mask, weighted, 0), axis=1)
+    return _snap_each(total / np.count_nonzero(mask, axis=1))
 
 
 def gow_indicator(chi0: np.ndarray, algebra: TwistedGroupAlgebra,
-                  phi: np.ndarray | None = None) -> int | list[int]:
-    """(1/|G0|) sum over odd g of (-1)^{alpha(g,g)} chi0(g^2), snapped; 0 when
-    phi is trivial.
+                  phis: np.ndarray) -> list[int]:
+    """(1/|G0|) sum over odd g of (-1)^{alpha(g,g)} chi0(g^2), snapped, of each
+    row of a (k, |G|) stack chi0 under the grading in the same row of the
+    (k, |G|) stack phis; 0 when that grading is trivial.
 
-    G0 = ker phi is the mask phi = 0; chi0 is indexed by G (one vector or a
-    (k, |G|) stack, as for ordinary_fs) and read on G0 only, since squares of
-    odd elements are even. phi is the algebra's grading unless given; a
-    (k, |G|) stack of gradings grades each row of chi0 by its own.
+    G0 = ker phi is the mask phi = 0; chi0 is indexed by G and read on G0
+    only, since squares of odd elements are even.
     """
-    chi0 = np.asarray(chi0)
-    odd = (algebra.twist.phi if phi is None else np.asarray(phi)) == 1
+    odd = phis == 1
     squares = np.diagonal(algebra.group.table)
-    if (odd & odd[..., squares]).any():
+    if (odd & odd[:, squares]).any():
         raise ValidationError("square of an odd element escaped the even subgroup")
     weighted = algebra.diagonal_signs() * _gather(chi0, squares)
-    total = np.sum(np.where(odd, weighted, 0), axis=-1)
-    return _snap_each(total / (squares.size - np.count_nonzero(odd, axis=-1)))
+    total = np.sum(np.where(odd, weighted, 0), axis=1)
+    return _snap_each(total / (squares.size - np.count_nonzero(odd, axis=1)))
 
 
 def super_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra,
-             q_type: int | np.ndarray, phi: np.ndarray | None = None) -> complex | np.ndarray:
-    """Raw super Frobenius-Schur indicator (before snapping) of supermodules
-    with the given characters, indexed by G, and q: one vector and one q,
-    giving a complex, or a (k, |G|) stack and one q per row, giving k values.
-    phi is the algebra's grading unless given; a (k, |G|) stack of gradings
-    grades each row by its own, with the same per-row sum.
+             q_types: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Raw super Frobenius-Schur indicator (before snapping) of each row of a
+    (k, |G|) stack of supermodule characters indexed by G, with one q and one
+    grading (a row of the (k, |G|) stack phis) per row: k complex values,
+    each the same per-row sum as for that row alone.
     """
     if not algebra.twist.is_z2:
         raise ValidationError("the super indicator needs a sign-valued twist")
     n = algebra.order
-    phi = algebra.twist.phi if phi is None else phi
     signs = algebra.diagonal_signs()
     squares = np.diagonal(algebra.group.table)
-    total = np.sum((1j ** phi) * signs * _gather(characters, squares), axis=-1)
-    val = total / (math.sqrt(2) ** np.asarray(q_type) * n)
-    return complex(val) if val.ndim == 0 else val
+    total = np.sum((1j ** phis) * signs * _gather(characters, squares), axis=1)
+    return total / (math.sqrt(2) ** q_types * n)
 
 
 def bw_from_parts(q: int, u_sign: int, division: str) -> int:
@@ -712,8 +716,7 @@ class ClassificationReport:
 
 
 def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int = 0,
-                      cap: int = 96, tol: float = 1e-6, *,
-                      irreps: list[UngradedIrrep] | None = None) -> list[ClassificationReport]:
+                      cap: int = 96) -> list[ClassificationReport]:
     """Classify the algebra under every row of `phis`, an (m, |G|) stack of
     gradings that share its alpha, in one batched pass: one report per row,
     in order.
@@ -722,26 +725,25 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
     the Gow indicator, the super indicator (raw and snapped), the special
     element's sign, the BW class from the three two-fold divisions, and three
     checks: snapped indicator against the class, the Gow identity, and the
-    even/odd regrouping of the defining sum. Never raises on a failed check;
-    failures are recorded in the reports.
+    even/odd regrouping of the defining sum, each within _SNAP_TOL. Never
+    raises on a failed check; failures are recorded in the reports.
 
     The ungraded decomposition depends on the group and alpha but not on phi,
-    so it is computed once (or passed in as `irreps`) and shared by every
-    row. Each later stage then runs once for all rows: the supermodules of
-    every row (assemble_supermodules), the special elements of every real one
-    (special_element), and each indicator over one stack of every supermodule
-    character, in stacks of at most _GATHER_ENTRIES entries, with the even
-    subgroup G0 of each row read as its mask phi = 0. Every sum is taken per
-    supermodule, so S_super.raw is the same float as for one grading alone;
-    the per-row masks change summation order only in values that are snapped
-    or compared with a tolerance. A failing stage raises the error of its
+    so it is computed once (decompose_regular at `seed` and `cap`) and shared
+    by every row. Each later stage then runs once for all rows: the
+    supermodules of every row (assemble_supermodules), the special elements
+    of every real one (special_element), and each indicator over one stack of
+    every supermodule character, in stacks of at most _GATHER_ENTRIES
+    entries, with the even subgroup G0 of each row read as its mask phi = 0.
+    Every sum is taken per supermodule, so S_super.raw is the same float as
+    for one grading alone; the per-row masks change summation order only in
+    values that are snapped or compared with a tolerance. A failing stage raises the error of its
     first failing supermodule.
     """
     if not algebra.twist.is_z2:
         raise ValidationError("classification requires a sign-valued twist")
     phis = np.asarray(phis)
-    if irreps is None:
-        irreps = decompose_regular(algebra, seed=seed, cap=cap)
+    irreps = decompose_regular(algebra, seed=seed, cap=cap)
     sups = assemble_supermodules(irreps, algebra, phis=phis)
     for phi in phis:
         _check_phi(algebra.group, phi)   # ker phi is then the even subgroup G0
@@ -761,7 +763,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
         even = phi == 0
         chars = np.array([sup.character for sup in sups[part]])
         chi0 = (chars + np.array([sup.supercharacter for sup in sups[part]])) / 2
-        real[part] = np.max(np.abs(np.conj(chars) - chars), axis=1) < tol
+        real[part] = np.max(np.abs(np.conj(chars) - chars), axis=1) < _SNAP_TOL
         s_ordinary[part] = ordinary_fs(chi0, algebra, even)
         eta_gow[part] = gow_indicator(chi0, algebra, phi)
         fs_raw[part] = super_fs(chars, algebra, q_types[part], phi)
@@ -782,7 +784,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
         sup.s_ordinary = int(s_ordinary[i])
         sup.eta_gow = int(eta_gow[i])
         sup.fs_raw = complex(fs_raw[i])
-        sup.fs_k = snap_eighth_root(sup.fs_raw, tol)
+        sup.fs_k = snap_eighth_root(sup.fs_raw)
         if real[i]:
             sup.u_sign = next(u_signs)
             if sup.q_type == 0:
@@ -794,12 +796,12 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
                 kind = "R" if sup.s_ordinary == 1 else "H"
             sup.bw = bw_from_parts(sup.q_type, sup.u_sign, kind)
             theorem_ok = (sup.fs_k is not None
-                          and abs(sup.fs_raw - eighth_root(sup.bw)) < tol)
+                          and abs(sup.fs_raw - eighth_root(sup.bw)) < _SNAP_TOL)
         else:
             sup.bw = "complex"
             theorem_ok = sup.fs_k is None
-        gow_ok = abs(sup.fs_raw - (sup.s_ordinary + 1j * sup.eta_gow) / scales[i]) < tol
-        rewrite_ok = abs(sup.fs_raw - rewrite[i]) < tol
+        gow_ok = abs(sup.fs_raw - (sup.s_ordinary + 1j * sup.eta_gow) / scales[i]) < _SNAP_TOL
+        rewrite_ok = abs(sup.fs_raw - rewrite[i]) < _SNAP_TOL
         sup.checks = {"theorem": theorem_ok, "gow_identity": gow_ok,
                       "rewrite_identity": rewrite_ok}
         passed[sup.row] = passed[sup.row] and theorem_ok and gow_ok and rewrite_ok
@@ -810,7 +812,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
     reports = []
     for phi, row, ok in zip(phis, by_row, passed):
         dim_sum = sum(sup.dim ** 2 / 2 ** sup.q_type for sup in row)
-        dim_ok = abs(dim_sum - n) < tol
+        dim_ok = abs(dim_sum - n) < _SNAP_TOL
         reports.append(ClassificationReport(
             order=n, phi=tuple(int(x) for x in phi), alpha_ring=algebra.twist.ring,
             alpha_is_trivial=algebra.twist.alpha_is_trivial, seed=seed, supermodules=row,
@@ -818,18 +820,15 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
     return reports
 
 
-def classify(algebra: TwistedGroupAlgebra, seed: int = 0, cap: int = 96,
-             tol: float = 1e-6, *,
-             irreps: list[UngradedIrrep] | None = None) -> ClassificationReport:
+def classify(algebra: TwistedGroupAlgebra, seed: int = 0,
+             cap: int = 96) -> ClassificationReport:
     """Decompose, assemble supermodules, and verify the indicator identities
     under the algebra's own grading: the one-row call of classify_gradings,
     which describes the report. Callers classifying one alpha under several
-    gradings should call classify_gradings once instead, or pass
-    `irreps = decompose_regular(algebra, seed, cap)` to share the
-    decomposition.
+    gradings should call classify_gradings once instead, which decomposes
+    once for all of them.
     """
-    return classify_gradings(algebra, algebra.twist.phi[None], seed, cap, tol,
-                             irreps=irreps)[0]
+    return classify_gradings(algebra, algebra.twist.phi[None], seed, cap)[0]
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,11 +33,8 @@ __all__ = [
     "quadratic_eval_many",
     "arf",
     "abk",
-    "ABKResult",
     "enumerate_structures",
 ]
-
-ABKResult = namedtuple("ABKResult", ["value", "gauss_sum"])
 
 
 @dataclass(frozen=True)
@@ -105,23 +101,19 @@ class Presentation:
 
     n_generators: int
     word: tuple
-    labels: tuple
 
 
 def presentation(surface: Surface) -> Presentation:
     if surface.is_orientable:
         g = surface.param
-        labels = []
         word = []
         for i in range(g):
-            labels += [f"a{i + 1}", f"b{i + 1}"]
             a, b = 2 * i, 2 * i + 1
             word += [(a, 1), (b, 1), (a, -1), (b, -1)]
-        return Presentation(2 * g, tuple(word), tuple(labels))
+        return Presentation(2 * g, tuple(word))
     k = surface.param
-    labels = [f"c{i + 1}" for i in range(k)]
     word = [(i, 1) for i in range(k) for _ in (0, 1)]
-    return Presentation(k, tuple(word), tuple(labels))
+    return Presentation(k, tuple(word))
 
 
 def cup_blocks(surface: Surface) -> list[range]:
@@ -160,15 +152,14 @@ class QuadraticRefinement:
         return ",".join(str(v) for v in self.values)
 
 
-def refinement(surface: Surface, values: Sequence[int],
-               ring: int | None = None) -> QuadraticRefinement:
-    """The refinement with the given values on the basis generators.
+def refinement(surface: Surface, values: Sequence[int]) -> QuadraticRefinement:
+    """The refinement with the given values on the basis generators: a spin
+    structure (ring 2) on an orientable surface, whose form is even, and a
+    pin- structure (ring 4) on a nonorientable one.
 
-    Values must lie in 0..ring-1, so none is read modulo the ring; the ring
-    must be 2 (on an even form) or 4, and each Z4 value must have the parity
-    of its generator's self-intersection."""
-    if ring is None:
-        ring = 2 if surface.is_orientable else 4
+    Values must lie in 0..ring-1, so none is read modulo the ring, and each
+    Z4 value must have the parity of its generator's self-intersection."""
+    ring = 2 if surface.is_orientable else 4
     cup = cup_form(surface)
     vals = tuple(int(v) for v in values)
     if len(vals) != surface.b1:
@@ -177,11 +168,6 @@ def refinement(surface: Surface, values: Sequence[int],
     outside = [v for v in vals if not 0 <= v < ring]
     if outside:
         raise ValidationError(f"structure value {outside[0]} outside 0..{ring - 1}")
-    if ring not in (2, 4):
-        raise ValidationError("refinement ring must be 2 or 4")
-    if ring == 2 and np.any(np.diagonal(cup) != 0):
-        raise ValidationError(
-            "a Z2 refinement needs an even intersection form; use ring 4")
     if ring == 4:
         for i, v in enumerate(vals):
             if v % 2 != cup[i, i] % 2:
@@ -225,7 +211,7 @@ def arf(q: QuadraticRefinement) -> int:
     return value
 
 
-def abk(q: QuadraticRefinement) -> ABKResult:
+def abk(q: QuadraticRefinement) -> int:
     """Z8-valued Brown invariant of a Z4 refinement, from its Gauss sum."""
     if q.ring != 4:
         raise ValidationError("the Brown invariant needs a Z4 refinement")
@@ -237,27 +223,14 @@ def abk(q: QuadraticRefinement) -> ABKResult:
             f"Gauss sum magnitude {abs(gauss)} is not 1; the form is not a refinement")
     for k in range(8):
         if abs(gauss - np.exp(2j * np.pi * k / 8)) < 1e-9:
-            return ABKResult(value=k, gauss_sum=complex(gauss))
+            return k
     raise SnapError(f"Gauss sum {gauss} is not an eighth root of unity")
 
 
-def enumerate_structures(surface: Surface, kind: str) -> list:
+def enumerate_structures(surface: Surface) -> list:
     """All spin (orientable) or pin- (nonorientable) structures as refinements,
     in lexicographic order of their basis values."""
-    if kind == "spin":
-        if not surface.is_orientable:
-            raise ValidationError("spin structures here live on orientable surfaces")
-        choices: tuple = (0, 1)
-        ring = 2
-    elif kind == "pin-":
-        if surface.is_orientable:
-            raise ValidationError("pin- structures here live on nonorientable surfaces")
-        choices = (1, 3)
-        ring = 4
-    else:
-        raise ValidationError(f"unknown structure kind {kind!r}; use 'spin' or 'pin-'")
-    out = []
-    for vals in itertools.product(choices, repeat=surface.b1):
-        out.append(refinement(surface, vals, ring=ring))
-    return out
+    choices = (0, 1) if surface.is_orientable else (1, 3)
+    return [refinement(surface, vals)
+            for vals in itertools.product(choices, repeat=surface.b1)]
 

@@ -47,8 +47,8 @@ class Twist:
     """(phi, alpha) on a group of a given order; alpha = alpha_num / denom mod 1.
 
     `checked_on` is the Group object validate_twist proved this twist on, or
-    None; only validate_twist sets it, and with_phi keeps it. The arrays are
-    read-only, so the record cannot go stale.
+    None; only validate_twist sets it, on the twist it returns, and with_phi
+    keeps it. The arrays are read-only, so the record cannot go stale.
     """
 
     phi: np.ndarray
@@ -114,12 +114,10 @@ class Twist:
                    alpha_num=np.zeros((order, order), dtype=np.int64), denom=1)
 
     @classmethod
-    def from_fractions(cls, phi: Sequence[int], alpha: Sequence[Sequence[Fraction]], *,
-                       strict: bool = False) -> "Twist":
+    def from_fractions(cls, phi: Sequence[int], alpha: Sequence[Sequence[Fraction]]) -> "Twist":
         """The twist with grading phi and alpha given as an n x n table (n = len(phi))
-        of rationals: Fractions, integers or strings such as "1/2". Values are
-        read mod 1; with strict=True, as for twist files, a value outside
-        [0, 1) is refused.
+        of rationals: Fractions, integers or strings such as "1/2". A value
+        outside [0, 1) is refused, not read mod 1.
 
         This is the one alpha parser. Each distinct entry is parsed (and
         range-checked) once; the table is then mapped to integer numerators
@@ -142,7 +140,7 @@ class Twist:
         if len(alpha) != n or any(len(row) != n for row in alpha):
             raise ValidationError(f"alpha must be {n}x{n}")
         for x in values:
-            if strict and not 0 <= x < 1:
+            if not 0 <= x < 1:
                 raise ValidationError(f"alpha value {x} outside [0, 1)")
         den = math.lcm(*(x.denominator for x in values))
         if den >= 2 ** 62:
@@ -181,9 +179,10 @@ def _check_grading(group: Group, phi: np.ndarray) -> None:
 
 def validate_twist(group: Group, twist: Twist) -> Twist:
     """Check shapes, phi, and the cocycle identity; normalize alpha at the
-    identity. The returned twist records `group` in its checked_on field, and
-    a twist already recorded for this very Group object (compared with `is`:
-    two groups of one order are different groups) is returned at once.
+    identity. The returned twist records `group` in its checked_on field (on
+    a copy: the argument keeps its own record), and a twist already recorded
+    for this very Group object (compared with `is`: two groups of one order
+    are different groups) is returned at once.
 
     A cocycle with alpha(e, e) = c != 0 is shifted by the coboundary of the map
     supported at e, which removes the constant.
@@ -199,6 +198,7 @@ def validate_twist(group: Group, twist: Twist) -> Twist:
     if c == 0:
         if twist.alpha_num[0].any() or twist.alpha_num[:, 0].any():
             raise ValidationError("cocycle is inconsistent on the identity row/column")
+        twist = copy.copy(twist)
     else:
         beta = np.zeros(n, dtype=np.int64)
         beta[0] = (-c) % twist.denom

@@ -78,6 +78,24 @@ def test_classify_clifford_flag_conflicts_with_group(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--alpha", "a.json"], "--clifford already fixes the cocycle; drop --alpha"),
+    (["classify", "--phi", "zero"], "--clifford already fixes the grading; drop --phi"),
+    (["verify", "--group", "s3"], "--clifford already fixes the group; drop --group"),
+    (["verify", "--phi", "id"], "--clifford already fixes the grading; drop --phi"),
+    (["verify", "--alpha", "zero"], "--clifford already fixes the cocycle; drop --alpha"),
+    (["verify", "--sweep-phi"], "--clifford runs the Clifford ladder, not a sweep; "
+                                "drop --sweep-phi"),
+    (["verify", "--sweep-h2"], "--clifford runs the Clifford ladder, not a sweep; "
+                               "drop --sweep-h2"),
+])
+def test_clifford_refuses_the_flags_it_would_ignore(capsys, argv, message):
+    # --clifford fixes the group and twist and runs no sweep; an explicit
+    # --phi zero or --alpha zero is refused like any other value
+    code, out, err = run(capsys, *argv, "--clifford", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_clifford_ladder(capsys):
     code, data, _ = run_json(capsys, "verify", "--clifford", "8")
     assert code == 0
@@ -252,6 +270,17 @@ def test_exit_2_family_surface_mismatch(capsys):
     assert code == 2 and "surfaces" in err
 
 
+def test_partition_checks_the_surface_before_the_structure_flags(capsys):
+    # a spin structure on a nonorientable surface is refused for the surface,
+    # with or without --spin, before its values are read
+    argv = ["partition", "--group", "z2", "--phi", "id", "--family", "spin",
+            "--surface", "nonorientable:2"]
+    message = ("error: the spin family lives on orientable surfaces, not "
+               "nonorientable:2\n")
+    for extra in ([], ["--spin", "0,1"]):
+        assert run(capsys, *argv, *extra) == (2, "", message)
+
+
 def test_exit_2_structure_flag_misuse(capsys):
     code, _, err = run(capsys, "partition", "--group", "z3",
                        "--surface", "orientable:1", "--spin", "0,0")
@@ -421,13 +450,15 @@ def test_sweep_refused_by_max_cases_before_any_class(tmp_path, monkeypatch, caps
 
 def test_sweep_checks_cap_and_h2_budget_first(monkeypatch, capsys):
     import superfs.cli
+    import superfs.superalg
 
     def refuse(*args, **kwargs):
         raise AssertionError("H^2 or decomposition work ran before the check")
 
     with monkeypatch.context() as m:
-        for name in ("h2_basis", "h2_representatives", "decompose_regular"):
-            m.setattr(superfs.cli, name, refuse)
+        for module, name in ((superfs.cli, "h2_basis"), (superfs.cli, "h2_representatives"),
+                             (superfs.superalg, "decompose_regular")):
+            m.setattr(module, name, refuse)
         code, _, err = run(capsys, "sweep", "--groups", "z2,d4", "--cap", "4")
         assert code == 2 and "order 8 exceeds the configured cap 4" in err
     monkeypatch.setenv("SUPERFS_BUDGET", "1000")
@@ -470,7 +501,6 @@ def test_sweep_computes_phases_once_per_cocycle_class(monkeypatch, capsys):
 
 
 def test_sweep_decomposes_once_per_cocycle_class(monkeypatch, capsys):
-    import superfs.cli
     import superfs.superalg
     from superfs import (TwistedGroupAlgebra, classify, h2_representatives,
                          validate_twist, z2_homomorphisms)
@@ -483,8 +513,7 @@ def test_sweep_decomposes_once_per_cocycle_class(monkeypatch, capsys):
         return original(*args, **kwargs)
 
     with monkeypatch.context() as m:
-        for module in (superfs.cli, superfs.superalg):
-            m.setattr(module, "decompose_regular", counting)
+        m.setattr(superfs.superalg, "decompose_regular", counting)
         code, data, _ = run_json(capsys, "sweep", "--groups", "d4,q8", "--seed", "3")
     assert code == 0
     assert len(calls) == 8 + 4  # |H^2| per group, not |Hom| x |H^2| = 32 + 16

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from functools import reduce
 from pathlib import Path
@@ -33,6 +34,38 @@ def test_package_reexports_public_names():
         for alias in node.names:
             assert alias.name in module.__all__, (node.module, alias.name)
             assert getattr(superfs, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+# per-call settings that are module constants, SUPERFS_BUDGET or read off the
+# inputs instead; a setting has a default, which tells it from an input of
+# the same name (assemble_supermodules takes the list of irreps it pairs)
+SETTINGS = {"tol", "cluster_tol", "max_rounds", "budget", "strict", "irreps"}
+
+
+def _functions(module):
+    """(name, function) for each function in the module's __all__ and each
+    method, classmethod and staticmethod of each class in it."""
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_functions_take_no_settings(name):
+    # every result is a function of the inputs and the seed: no exported
+    # function takes a tolerance, round count, budget or mode switch
+    module = importlib.import_module(f"superfs.{name}")
+    functions = list(_functions(module))
+    assert functions
+    assert [(f, p.name) for f, fn in functions
+            for p in inspect.signature(fn).parameters.values()
+            if p.name in SETTINGS and p.default is not p.empty] == []
 
 
 def test_benchmark_span_targets_resolve():

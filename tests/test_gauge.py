@@ -77,11 +77,12 @@ def test_enumerate_homs_sphere():
     assert enumerate_homs(presentation(orientable(0)), g).shape == (1, 0)
 
 
-def test_enumerate_homs_budget():
+def test_enumerate_homs_budget(monkeypatch):
     g = catalog_group("a4")
     pres = presentation(orientable(2))
+    monkeypatch.setenv("SUPERFS_BUDGET", "1000")
     with pytest.raises(BudgetExceededError) as err:
-        enumerate_homs(pres, g, budget=1000)
+        enumerate_homs(pres, g)
     assert err.value.required == 12 ** 4
 
 
@@ -215,7 +216,7 @@ def test_partition_rhs_rejects_structures_it_would_ignore():
     with pytest.raises(ValidationError, match="no structure"):
         crosscheck(oriented, orientable(1), structures=[torus_structure])
     unoriented = TheoryData(s3, Twist.zero(6), "unoriented")
-    pin = refinement(nonorientable(1), [1], ring=4)
+    pin = refinement(nonorientable(1), [1])
     for side in (partition_lhs, partition_rhs):
         with pytest.raises(ValidationError, match="no structure"):
             side(unoriented, nonorientable(1), pin)
@@ -288,7 +289,7 @@ def _oracle_theories():
     z2, s3, d4, q8 = (catalog_group(name) for name in ("z2", "s3", "d4", "q8"))
     z3xz3 = product_group(cyclic(3), cyclic(3))
     rational = validate_twist(z3xz3, Twist.from_fractions(
-        [0] * 9, [[Fraction((x // 3) * (y % 3), 3) for y in range(9)]
+        [0] * 9, [[Fraction((x // 3) * (y % 3) % 3, 3) for y in range(9)]
                   for x in range(9)]))
     d4_alpha = h2_representatives(d4)[1]
     return [
@@ -322,7 +323,7 @@ def test_partition_lhs_matches_brute_force(label, family):
     for surface in surfaces:
         pres = presentation(surface)
         if family in ("spin", "pin-"):
-            structures = enumerate_structures(surface, family)
+            structures = enumerate_structures(surface)
         else:
             structures = [None]
         for q in structures:
@@ -367,8 +368,9 @@ def test_state_sum_scales_past_the_grid(monkeypatch):
 def test_state_sum_budget_and_overflow_guards(monkeypatch):
     g = catalog_group("a4")
     th = TheoryData(g, Twist.zero(12), "oriented")
-    with pytest.raises(BudgetExceededError, match="budget") as err:
-        partition_lhs(th, orientable(2), budget=1000)
+    monkeypatch.setenv("SUPERFS_BUDGET", "1000")
+    with pytest.raises(BudgetExceededError, match="budget is 1000") as err:
+        partition_lhs(th, orientable(2))
     # walk 12^3, graded table 12^2 * 4 * 2^2, two block products 12^2 * 4^2
     assert err.value.required == 12 ** 3 + 144 * 16 + 2 * 144 * 16
     monkeypatch.setenv("SUPERFS_BUDGET", "100")
@@ -395,7 +397,8 @@ def test_state_sum_rejects_mismatched_structures():
     with pytest.raises(ValidationError, match="cup form"):
         partition_lhs(spin, orientable(1), bad_cup)
     with pytest.raises(ValidationError, match="Z2 refinement"):
-        partition_lhs(spin, orientable(1), refinement(orientable(1), [0, 0], ring=4))
+        partition_lhs(spin, orientable(1),
+                      QuadraticRefinement(4, (0, 0), cup_form(orientable(1))))
     pin = TheoryData(g, t, "pin-")
     with pytest.raises(ValidationError, match="Z4 refinement"):
         partition_lhs(pin, nonorientable(1),

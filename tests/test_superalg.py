@@ -463,15 +463,20 @@ def test_every_flipped_entry_of_an_h2_table_is_refused_when_the_algebra_is_built
 
 def test_decompose_regular_refuses_a_spectrum_clustered_through_max_rounds(monkeypatch):
     # a cluster tolerance above every gap leaves each round's spectrum
-    # ambiguous: max_rounds eigensolves, then DecompositionError
+    # ambiguous: _MAX_ROUNDS eigensolves, then DecompositionError
+    assert (superalg._CLUSTER_TOL, superalg._MAX_ROUNDS) == (1e-8, 8)
     alg = TwistedGroupAlgebra(catalog_group("s3"))
     solves = []
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: solves.append(1) or original(h))
-    with pytest.raises(DecompositionError, match="clustering stayed ambiguous"):
-        decompose_regular(alg, cluster_tol=1e3, max_rounds=3)
+    monkeypatch.setattr(superalg, "_MAX_ROUNDS", 3)
+    with monkeypatch.context() as m:
+        m.setattr(superalg, "_CLUSTER_TOL", 1e3)
+        with pytest.raises(DecompositionError, match="clustering stayed ambiguous"):
+            decompose_regular(alg)
     assert len(solves) == 3
-    assert [irr.dim for irr in decompose_regular(alg, max_rounds=1)] == [1, 1, 2]
+    monkeypatch.setattr(superalg, "_MAX_ROUNDS", 1)
+    assert [irr.dim for irr in decompose_regular(alg)] == [1, 1, 2]
 
 
 def _graded_type_m():
@@ -632,7 +637,7 @@ def test_supermodules_match_the_matrix_oracle():
     real = 0
     for alg, seed in _oracle_algebras():
         irreps = decompose_regular(alg, seed=seed, cap=alg.order)
-        report = classify(alg, seed=seed, cap=alg.order, irreps=irreps)
+        report = classify(alg, seed=seed, cap=alg.order)
         assert report.all_pass
         odd = alg.twist.phi == 1
         even = np.flatnonzero(~odd)
@@ -672,15 +677,15 @@ def test_supermodules_match_the_matrix_oracle():
 
 @functools.lru_cache(maxsize=None)
 def _sweep_classes(seed):
-    """(group, H^2 class, algebra, every grading, irreps at seed) for every
-    catalog group and S4 and every H^2 class."""
+    """(group, H^2 class, algebra, every grading) for every catalog group and
+    S4 and every H^2 class."""
     s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
     out = []
     for group in [*map(catalog_group, CATALOG_NAMES), s4]:
         phis = np.array(z2_homomorphisms(group))
         for base in h2_representatives(group):
             alg = TwistedGroupAlgebra(group, base.with_phi(phis[0]))
-            out.append((group, base, alg, phis, decompose_regular(alg, seed=seed)))
+            out.append((group, base, alg, phis))
     return tuple(out)
 
 
@@ -691,11 +696,10 @@ def _dicts(reports):
 
 @functools.lru_cache(maxsize=None)
 def _per_row_dicts(seed):
-    """classify under one grading at a time, sharing the decomposition."""
+    """classify under one grading at a time."""
     out = []
-    for group, base, _, phis, irreps in _sweep_classes(seed):
-        reports = [classify(TwistedGroupAlgebra(group, base.with_phi(phi)), seed=seed,
-                            irreps=irreps)
+    for group, base, _, phis in _sweep_classes(seed):
+        reports = [classify(TwistedGroupAlgebra(group, base.with_phi(phi)), seed=seed)
                    for phi in phis]
         assert all(r.all_pass for r in reports)
         out.append(_dicts(reports))
@@ -707,8 +711,8 @@ def test_classify_gradings_matches_classify_row_by_row(seed):
     # every grading of a cocycle class in one batched pass gives the same
     # report, byte for byte, as classifying each grading alone
     cases = 0
-    for (_, _, alg, phis, irreps), want in zip(_sweep_classes(seed), _per_row_dicts(seed)):
-        assert _dicts(classify_gradings(alg, phis, seed=seed, irreps=irreps)) == want
+    for (_, _, alg, phis), want in zip(_sweep_classes(seed), _per_row_dicts(seed)):
+        assert _dicts(classify_gradings(alg, phis, seed=seed)) == want
         cases += len(want)
     assert cases == 619
 
@@ -727,8 +731,8 @@ def test_the_sign_of_the_parity_intertwiner_is_free(monkeypatch, seed):
         return -original(algebra, chars, dims, odd)
 
     monkeypatch.setattr(superalg, "_supercharacters", flipped)
-    for (_, _, alg, phis, irreps), want in zip(_sweep_classes(seed), _per_row_dicts(seed)):
-        assert _dicts(classify_gradings(alg, phis, seed=seed, irreps=irreps)) == want
+    for (_, _, alg, phis), want in zip(_sweep_classes(seed), _per_row_dicts(seed)):
+        assert _dicts(classify_gradings(alg, phis, seed=seed)) == want
     assert sum(negated) == 386
 
 
@@ -736,11 +740,9 @@ def test_classify_gradings_is_the_same_in_stacks_of_one(monkeypatch):
     # with _GATHER_ENTRIES at 1 every stage handles one row, irrep or
     # supermodule at a time
     classes = [c for c in _sweep_classes(0) if c[0].order in (8, 12)]
-    want = [_dicts(classify_gradings(alg, phis, irreps=irreps))
-            for _, _, alg, phis, irreps in classes]
+    want = [_dicts(classify_gradings(alg, phis)) for _, _, alg, phis in classes]
     monkeypatch.setattr(superalg, "_GATHER_ENTRIES", 1)
-    got = [_dicts(classify_gradings(alg, phis, irreps=irreps))
-           for _, _, alg, phis, irreps in classes]
+    got = [_dicts(classify_gradings(alg, phis)) for _, _, alg, phis in classes]
     assert got == want and len(classes) > 10
 
 
@@ -908,12 +910,11 @@ def test_special_element_rejects_complex():
 
 def test_ordinary_fs_values():
     alg = TwistedGroupAlgebra(cyclic(3))
-    chars = [i.character for i in decompose_regular(alg)]
-    vals = sorted(ordinary_fs(c, alg) for c in chars)
-    assert vals == [0, 0, 1]
+    chars = np.array([i.character for i in decompose_regular(alg)])
+    assert sorted(ordinary_fs(chars, alg)) == [0, 0, 1]
     algq = TwistedGroupAlgebra(catalog_group("q8"))
-    vals = [ordinary_fs(i.character, algq) for i in decompose_regular(algq)]
-    assert vals == [1, 1, 1, 1, -1]
+    chars = np.array([i.character for i in decompose_regular(algq)])
+    assert ordinary_fs(chars, algq) == [1, 1, 1, 1, -1]
 
 
 def test_gow_indicator_direct():
@@ -922,14 +923,15 @@ def test_gow_indicator_direct():
     alg = TwistedGroupAlgebra(g, t)
     # the even subgroup is the mask phi = 0, {0, 2} = Z2; characters are read
     # on it only, so the odd entries are junk: (1, 1) and (1, -1) on {0, 2}.
-    # Odd elements 1, 3 square to 2
-    assert gow_indicator(np.array([1.0, 7.0, 1.0, 7.0]), alg) == 1
-    assert gow_indicator(np.array([1.0, 7.0, -1.0, 7.0]), alg) == -1
-    # a stack gives one value per row
-    assert gow_indicator(np.array([[1.0, 0, 1.0, 0], [1.0, 0, -1.0, 0]]), alg) == [1, -1]
+    # Odd elements 1, 3 square to 2; a stack gives one value per row
+    phis = np.array([t.phi] * 2)
+    assert gow_indicator(np.array([[1.0, 7.0, 1.0, 7.0], [1.0, 7.0, -1.0, 7.0]]), alg,
+                         phis) == [1, -1]
     # trivial grading: eta = 0 by convention
-    assert gow_indicator(np.ones(4), TwistedGroupAlgebra(g)) == 0
-    assert gow_indicator(np.ones((3, 4)), TwistedGroupAlgebra(g)) == [0, 0, 0]
+    zero = np.zeros(4, dtype=np.int64)
+    assert gow_indicator(np.ones((3, 4)), TwistedGroupAlgebra(g), np.array([zero] * 3)) == [0] * 3
+    # each row is read under its own grading
+    assert gow_indicator(np.array([[1.0, 0, 1.0, 0]] * 2), alg, np.array([t.phi, zero])) == [1, 0]
 
 
 def test_gow_indicator_refuses_an_odd_square():
@@ -937,7 +939,7 @@ def test_gow_indicator_refuses_an_odd_square():
     # to the odd element 2
     alg = TwistedGroupAlgebra(cyclic(4))
     with pytest.raises(ValidationError, match="square of an odd element escaped"):
-        gow_indicator(np.ones(4), alg, phi=np.array([0, 1, 1, 0]))
+        gow_indicator(np.ones((1, 4)), alg, np.array([[0, 1, 1, 0]]))
 
 
 def test_classify_refuses_a_grading_that_is_no_homomorphism():
@@ -962,7 +964,7 @@ def test_ordinary_fs_on_a_mask_reads_the_subgroup_only():
     even = alg.twist.phi == 0
     # {0, 2} = Z2 with characters (1, 1) and (1, -1): both real, indicator 1
     assert ordinary_fs(np.array([[1.0, 5.0, 1.0, 5.0], [1.0, 5.0, -1.0, 5.0]]),
-                       alg, even) == [1, 1]
+                       alg, np.array([even] * 2)) == [1, 1]
     # on all of Z4 the sign character's square is trivial, the others' not
     chars = np.array([[1, 1j ** k, (-1) ** k, (-1j) ** k] for k in range(4)])
     assert ordinary_fs(chars, TwistedGroupAlgebra(g)) == [1, 0, 1, 0]
@@ -972,11 +974,11 @@ def test_super_fs_clifford1():
     g, t = clifford_twist(1)
     alg = TwistedGroupAlgebra(g, t)
     sups = assemble_supermodules(decompose_regular(alg), alg)
-    val = super_fs(sups[0].character, alg, sups[0].q_type)
-    assert abs(val - eighth_root(1)) < 1e-9
     # a stack of the same character gives the same value per row
-    vals = super_fs(np.array([sups[0].character] * 2), alg, np.array([1, 1]))
-    assert vals.shape == (2,) and np.all(vals == val)
+    vals = super_fs(np.array([sups[0].character] * 2), alg, np.array([sups[0].q_type] * 2),
+                    np.array([alg.twist.phi] * 2))
+    assert vals.shape == (2,) and vals[0] == vals[1]
+    assert abs(vals[0] - eighth_root(1)) < 1e-9
 
 
 def test_snapping_helpers():
@@ -1168,7 +1170,7 @@ def test_random_permutation_groups_against_the_oracle(degree, data, label_seed, 
     assert [irr.dim for irr in irreps] == [irr.dim for irr in oracle]
     assert np.max(np.abs(np.array([irr.character for irr in irreps])
                          - np.array([irr.character for irr in oracle]))) < 1e-12
-    want, raw = _invariant_dict(classify(alg, irreps=irreps))
+    want, raw = _invariant_dict(classify(alg))
 
     perm = relabelling(group.order, label_seed)
     got, moved = _invariant_dict(classify(_relabelled_algebra(group, twist, perm)), perm)

@@ -209,6 +209,18 @@ def test_a_twist_is_proved_once_per_group_object(cocycle_proofs):
         Twist(phi=t.phi, alpha_num=t.alpha_num, denom=t.denom, checked_on=z4)
 
 
+def test_validation_records_its_proof_on_a_copy(cocycle_proofs):
+    # a twist proved on one group and then on another keeps the first
+    # record, and validate_twist leaves its argument's record alone
+    z4, v4 = catalog_group("z4"), catalog_group("z2xz2")
+    t = Twist.zero(4)
+    t1 = validate_twist(z4, t)
+    t2 = validate_twist(v4, t1)
+    assert t.checked_on is None and t1.checked_on is z4 and t2.checked_on is v4
+    assert len(cocycle_proofs) == 2
+    assert validate_twist(z4, t1) is t1 and len(cocycle_proofs) == 2
+
+
 def test_a_twist_checked_on_z4_is_validated_again_on_z2xz2():
     # the nontrivial class of Z4 (the carry cocycle) is no cocycle on Z2 x Z2,
     # a group of the same order
@@ -375,7 +387,6 @@ def test_from_fractions_matches_exact_fraction_arithmetic():
         got = Twist.from_fractions([0] * n, alpha)
         assert got.denom == expected.denom
         assert np.array_equal(got.alpha_num, expected.alpha_num)
-    assert Twist.from_fractions([0] * n, table, strict=True).denom == expected.denom
     # integers are read like their decimal strings
     got = Twist.from_fractions([0, 0], [[0, "1/2"], [Fraction(1, 2), 0]])
     assert got.denom == 2 and got.alpha_num.tolist() == [[0, 1], [1, 0]]
@@ -386,13 +397,13 @@ def test_from_fractions_errors():
         Twist.from_fractions([0, 0], [["0", "1/0"], ["0", "0"]])
     with pytest.raises(ValidationError, match="bad rational in alpha"):
         Twist.from_fractions([0, 0], [["0", "half"], ["0", "0"]])
+    # values are refused outside [0, 1), not read mod 1
     with pytest.raises(ValidationError, match=r"alpha value 3/2 outside \[0, 1\)"):
-        Twist.from_fractions([0, 0], [["0", "3/2"], ["0", "0"]], strict=True)
+        Twist.from_fractions([0, 0], [["0", "3/2"], ["0", "0"]])
     with pytest.raises(ValidationError, match=r"alpha value -1/2 outside"):
-        Twist.from_fractions([0, 0], [["0", "0"], [Fraction(-1, 2), "0"]], strict=True)
-    # without strict, values are read mod 1
-    t = Twist.from_fractions([0, 0], [["0", "3/2"], [Fraction(-1, 2), "1"]])
-    assert t.denom == 2 and t.alpha_num.tolist() == [[0, 1], [1, 0]]
+        Twist.from_fractions([0, 0], [["0", "0"], [Fraction(-1, 2), "0"]])
+    with pytest.raises(ValidationError, match=r"alpha value 1 outside"):
+        Twist.from_fractions([0, 0], [["0", "0"], ["0", "1"]])
     with pytest.raises(ValidationError, match="alpha must be 3x3"):
         Twist.from_fractions([0, 0, 0], [["0", "0"], ["0", "0"]])
     with pytest.raises(ValidationError, match="table"):
