@@ -10,19 +10,12 @@ import sys
 import numpy as np
 
 from .catalog import CATALOG_NAMES, catalog_group
-from .errors import (
-    BudgetExceededError,
-    DecompositionError,
-    SnapError,
-    ValidationError,
-    check_budget,
-)
+from .errors import BudgetExceededError, DecompositionError, SnapError, ValidationError
 from .gauge import _FAMILY, FAMILIES, TheoryData, crosscheck, report_to_dict
 from .groups import Group, load_group
 from .superalg import (
     TwistedGroupAlgebra,
     classification_to_dict,
-    check_cap,
     classify,
     classify_gradings,
     snapped_string,
@@ -41,10 +34,14 @@ from .twists import (
 __all__ = ["main", "build_parser"]
 
 
-def _resolve_group(value: str) -> Group:
-    if value in CATALOG_NAMES:
-        return catalog_group(value)
-    return load_group(value)
+def _resolve_group(value: str, cap: int | None) -> Group:
+    """The group named by --group (or one --groups name), refused when its
+    order is above --cap (default 96)."""
+    group = catalog_group(value) if value in CATALOG_NAMES else load_group(value)
+    cap = 96 if cap is None else cap
+    if group.order > cap:
+        raise ValidationError(f"group order {group.order} exceeds the configured cap {cap}")
+    return group
 
 
 def _read_json(path: str):
@@ -93,20 +90,16 @@ def _resolve_twist(group: Group, phi_arg: str | None, alpha_arg: str | None) -> 
 def _refuse_with_clifford(args) -> None:
     """--clifford fixes the group and its twist, and under verify runs the
     ladder, not a sweep: refuse the flags it would otherwise ignore."""
-    for flag, attr, what in (("--group", "group", "group"), ("--phi", "phi", "grading"),
-                             ("--alpha", "alpha", "cocycle")):
+    for flag, attr, what in (("--group", "group", "group"), ("--cap", "cap", "group"),
+                             ("--phi", "phi", "grading"), ("--alpha", "alpha", "cocycle")):
         if getattr(args, attr) is not None:
             raise ValidationError(f"--clifford already fixes the {what}; drop {flag}")
-    for flag, attr in (("--sweep-phi", "sweep_phi"), ("--sweep-h2", "sweep_h2")):
-        if getattr(args, attr, False):
+    for flag, attr in (("--sweep-phi", "sweep_phi"), ("--sweep-h2", "sweep_h2"),
+                       ("--max-cases", "max_cases")):
+        value = getattr(args, attr, None)
+        if value is not None and value is not False:   # a store_true flag or a count
             raise ValidationError(f"--clifford runs the Clifford ladder, not a sweep; "
                                   f"drop {flag}")
-
-
-def _clifford_budget(rank: int) -> None:
-    """Refuse a Clifford rank whose |G|^3 = 8^rank decomposition work exceeds
-    SUPERFS_BUDGET, before any table is allocated."""
-    check_budget(8 ** rank, f"--clifford {rank} needs |G|^3 = {8 ** rank} steps")
 
 
 def _fmt_complex(z: complex) -> str:
@@ -148,17 +141,14 @@ def _classification_lines(data: dict) -> list[str]:
 def cmd_classify(args) -> int:
     if args.clifford is not None:
         _refuse_with_clifford(args)
-        _clifford_budget(args.clifford)
         group, twist = clifford_twist(args.clifford)
-        cap = max(args.cap, group.order)
     else:
         if args.group is None:
             raise ValidationError("classify needs --group or --clifford")
-        group = _resolve_group(args.group)
+        group = _resolve_group(args.group, args.cap)
         twist = _resolve_twist(group, args.phi, args.alpha)
-        cap = args.cap
     algebra = TwistedGroupAlgebra(group, twist)
-    report = classify(algebra, seed=args.seed, cap=cap)
+    report = classify(algebra, seed=args.seed)
     data = classification_to_dict(report)
     _emit(data, args.json, _classification_lines(data))
     return 0 if report.all_pass else 1
@@ -169,11 +159,10 @@ def cmd_classify(args) -> int:
 def _clifford_ladder(args) -> int:
     if args.clifford < 1:
         raise ValidationError(f"--clifford N needs N >= 1, got {args.clifford}")
-    _clifford_budget(args.clifford)
     rows = []
     for n, (group, twist) in enumerate(clifford_ladder(args.clifford), start=1):
         algebra = TwistedGroupAlgebra(group, twist)
-        report = classify(algebra, seed=args.seed, cap=max(args.cap, group.order))
+        report = classify(algebra, seed=args.seed)
         sups = report.supermodules
         expected = n % 8
         ok = (report.all_pass and len(sups) == 1 and sups[0].fs_k == expected)
@@ -223,7 +212,7 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     rows = []
     for ai, base in enumerate(alphas):
         algebra = TwistedGroupAlgebra(group, base.with_phi(phis[0]))
-        reports = classify_gradings(algebra, np.array(phis), seed=args.seed, cap=args.cap)
+        reports = classify_gradings(algebra, np.array(phis), seed=args.seed)
         for pi, (phi, report) in enumerate(zip(phis, reports)):
             rows.append({
                 "group": name, "order": group.order,
@@ -237,16 +226,14 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
 
 
 def _run_sweep(named_groups: list, args) -> int:
-    """Refuse a group above --cap, then a sweep of more than --max-cases
-    (|Hom(G, Z2)| 2^{dim H^2} per group, counted from the bases), before any
-    class is built; each basis is solved once and enumerated from."""
-    for _, group in named_groups:
-        check_cap(group.order, args.cap)
+    """Refuse a sweep of more than --max-cases (default 4096; |Hom(G, Z2)|
+    2^{dim H^2} per group, counted from the bases) before any class is built;
+    each basis is solved once and enumerated from."""
     bases = [_sweep_bases(group, args) for _, group in named_groups]
     total = sum(2 ** sum(len(b) for b in pair if b is not None) for pair in bases)
-    if total > args.max_cases:
-        raise ValidationError(
-            f"sweep has {total} cases, over the --max-cases limit {args.max_cases}")
+    limit = 4096 if args.max_cases is None else args.max_cases
+    if total > limit:
+        raise ValidationError(f"sweep has {total} cases, over the --max-cases limit {limit}")
     rows = [row for (name, group), pair in zip(named_groups, bases)
             for row in _sweep_group(name, group, pair, args)]
     all_ok = all(r["verdict"] == "PASS" for r in rows)
@@ -265,7 +252,7 @@ def cmd_verify(args) -> int:
         return _clifford_ladder(args)
     if args.group is None:
         raise ValidationError("verify needs --group or --clifford")
-    group = _resolve_group(args.group)
+    group = _resolve_group(args.group, args.cap)
     name = args.group if args.group in CATALOG_NAMES else "group"
     return _run_sweep([(name, group)], args)
 
@@ -277,7 +264,7 @@ def cmd_sweep(args) -> int:
         name = name.strip()
         if not name:
             continue
-        named.append((name, _resolve_group(name)))
+        named.append((name, _resolve_group(name, args.cap)))
     if not named:
         raise ValidationError("no groups to sweep")
     return _run_sweep(named, args)
@@ -311,14 +298,13 @@ def _parse_structure(args, surface, family):
 
 
 def cmd_partition(args) -> int:
-    group = _resolve_group(args.group)
+    group = _resolve_group(args.group, args.cap)
     twist = _resolve_twist(group, args.phi, args.alpha)
     theory = TheoryData(group=group, twist=twist, family=args.family)
     surface = parse_surface(args.surface)
     theory.require_surface(surface)
     structures = _parse_structure(args, surface, args.family)
-    reports = crosscheck(theory, surface, structures=structures,
-                         seed=args.seed, cap=args.cap)
+    reports = crosscheck(theory, surface, structures=structures, seed=args.seed)
     payload = [report_to_dict(r) for r in reports]
     lines = []
     for r in payload:
@@ -354,8 +340,8 @@ def _seed(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=0, help="PRNG seed (nonnegative)")
-    p.add_argument("--cap", type=int, default=96,
-                   help="largest group order to decompose (default 96)")
+    p.add_argument("--cap", type=int,
+                   help="largest group order to accept (default 96)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -393,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep every homomorphism G -> Z2")
     p.add_argument("--sweep-h2", action="store_true",
                    help="sweep every class in H^2(G, Z2)")
-    p.add_argument("--max-cases", type=int, default=4096,
+    p.add_argument("--max-cases", type=int,
                    help="refuse sweeps larger than this (default 4096)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -416,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the verify sweep across the whole "
                        "catalog of built-in groups")
     p.add_argument("--groups", help="comma-separated catalog names (default all)")
-    p.add_argument("--max-cases", type=int, default=4096,
+    p.add_argument("--max-cases", type=int,
                    help="refuse sweeps larger than this (default 4096)")
     _add_common(p)
     p.set_defaults(func=cmd_sweep, sweep_phi=True, sweep_h2=True,

@@ -286,18 +286,18 @@ def partition_lhs(theory: TheoryData, surface: Surface,
 
 
 def partition_rhs(theory: TheoryData, surface: Surface,
-                  structure: QuadraticRefinement | None = None, seed: int = 0,
-                  cap: int = 96) -> tuple[complex, list, tuple | None]:
+                  structure: QuadraticRefinement | None = None,
+                  seed: int = 0) -> tuple[complex, list, tuple | None]:
     """Algebraic partition function: indicator-weighted sum of
     (|G| / dim)^{-euler} over irreducible (super)modules.
 
     Returns (value, per-module terms, named invariant of the structure)."""
     theory.require_surface(surface)
     _check_structure(theory.family, surface, cup_form(surface), structure)
-    return _rhs_sum(theory, surface, structure, _spectrum(theory, seed, cap))
+    return _rhs_sum(theory, surface, structure, _spectrum(theory, seed))
 
 
-def _spectrum(theory: TheoryData, seed: int, cap: int) -> list:
+def _spectrum(theory: TheoryData, seed: int) -> list:
     """What the algebraic side sums over, computed once per theory: one row
     (term fields, qdim, k8) per irreducible (super)module, whose coefficient
     is zeta_8^(k8 * m) with m the structure invariant (Arf or ABK) or, with
@@ -306,11 +306,11 @@ def _spectrum(theory: TheoryData, seed: int, cap: int) -> list:
     supermodules (spin, k8 = 4 q), or real supermodules (pin-, k8 = bw)."""
     algebra = TwistedGroupAlgebra(theory.group, theory.twist)
     if theory.family == "pin-":
-        report = classify(algebra, seed=seed, cap=cap)
+        report = classify(algebra, seed=seed)
         return [({"dims": list(sup.dims), "q": sup.q_type, "bw": sup.bw},
                  sup.qdim, sup.bw)
                 for sup in report.supermodules if sup.reality == "real"]
-    irreps = decompose_regular(algebra, seed=seed, cap=cap)
+    irreps = decompose_regular(algebra, seed=seed)
     if theory.family == "oriented":
         return [({"dim": irr.dim}, irr.dim, 0) for irr in irreps]
     if theory.family == "unoriented":
@@ -371,7 +371,7 @@ def _verdict(lhs: complex, rhs: complex) -> str:
 
 
 def crosscheck(theory: TheoryData, surface: Surface, structures=None,
-               seed: int = 0, cap: int = 96) -> list:
+               seed: int = 0) -> list:
     """Compare both computations of the partition function.
 
     For spin / pin- families this yields one report per structure (all of
@@ -389,7 +389,7 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
     state_sum = _StateSum(theory, surface)
     for structure in jobs:
         _check_structure(theory.family, surface, state_sum.cup, structure)
-    spectrum = _spectrum(theory, seed, cap)
+    spectrum = _spectrum(theory, seed)
     reports = []
     for structure in jobs:
         lhs, count = state_sum(structure)

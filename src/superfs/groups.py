@@ -188,8 +188,11 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[i] for i in q)
 
 
-def group_from_permutations(generators: Sequence[Sequence[int]],
-                            max_order: int = 1024) -> Group:
+# a permutation closure is refused past this many elements
+_MAX_PERMUTATION_ORDER = 1024
+
+
+def group_from_permutations(generators: Sequence[Sequence[int]]) -> Group:
     """Close permutation generators under products and return the group.
 
     Generators are image arrays on 0..degree-1. The identity gets index 0 and
@@ -212,9 +215,9 @@ def group_from_permutations(generators: Sequence[Sequence[int]],
             for g in gens:
                 q = _compose(p, g)
                 if q not in index:
-                    if len(elements) >= max_order:
+                    if len(elements) >= _MAX_PERMUTATION_ORDER:
                         raise ValidationError(
-                            f"closure exceeds the size cap {max_order}")
+                            f"closure exceeds the size cap {_MAX_PERMUTATION_ORDER}")
                     index[q] = len(elements)
                     elements.append(q)
                     nxt.append(q)

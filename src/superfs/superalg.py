@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, SnapError, ValidationError
+from .errors import DecompositionError, SnapError, ValidationError, check_budget
 from .groups import Group, _check_phi
 from .twists import Twist, validate_twist
 
@@ -46,7 +46,6 @@ __all__ = [
     "gow_indicator",
     "super_fs",
     "bw_from_parts",
-    "check_cap",
     "classify",
     "classify_gradings",
     "snap_indicator",
@@ -95,12 +94,17 @@ class TwistedGroupAlgebra:
         lambda(x, g) = alpha(x, g) + alpha(xg, x^-1) - alpha(x, x^-1), so that
         e_x e_g e_x^-1 = omega^lambda(x, g) e_{xgx^-1} (e_x^-1 is
         e_{x^-1} / omega(x, x^-1) for a normalized alpha). Exact integers,
-        computed once per algebra."""
+        computed once per algebra; the 16 |G|^2 bytes of the two int64 tables
+        are checked against the work budget first."""
+        n = self.order
+        check_budget(16 * n * n, f"the conjugation tables of a group of order {n} need "
+                     f"{16 * n * n} bytes")
         table, inverses = self.group.table, self.group.inverses
         alpha = self.twist.alpha_num
         conj = table[table, inverses[:, None]]
-        turns = alpha + alpha[table, inverses[:, None]]
-        turns -= alpha[np.arange(self.order), inverses][:, None]
+        turns = alpha[table, inverses[:, None]]
+        turns += alpha
+        turns -= alpha[np.arange(n), inverses][:, None]
         turns %= self.twist.denom
         conj.setflags(write=False)
         turns.setflags(write=False)
@@ -166,12 +170,6 @@ class Supermodule:
         return self.dim / math.sqrt(2) ** self.q_type
 
 
-def check_cap(order: int, cap: int) -> None:
-    """Refuse a group order above the decomposition cap (ValidationError)."""
-    if order > cap:
-        raise ValidationError(f"group order {order} exceeds the configured cap {cap}")
-
-
 # entries of the stacks that one batched step gathers at a time (partner
 # search, supercharacters, special elements, indicators); a fixed cap keeps
 # the batching from adding to the peak memory of large groups
@@ -187,8 +185,7 @@ _MAX_ROUNDS = 8
 _SNAP_TOL = 1e-6
 
 
-def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0,
-                      cap: int = 96) -> list[UngradedIrrep]:
+def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> list[UngradedIrrep]:
     """The irreducible characters of the ungraded twisted algebra, read off
     its centre (the projective Burnside-Dixon-Schneider method).
 
@@ -225,9 +222,15 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0,
     parts, rounded imaginary parts of the character); deterministic for a
     fixed seed. O(|G|^2) for the classes, O(|G| r) per matrix and O(r^3) for
     the eigensolve.
+
+    Bytes are checked against the work budget before they are allocated:
+    32 |G|^2 (the conjugation tables, the masks that find r and the two int64
+    temporaries of the centrality check), then, once r is known, that plus
+    64 r |G| (the r x |G| stacks and the r x r matrices beside them), 48 r^2
+    (the eigensolver's copy and workspaces) and 16 KiB of fixed-size objects.
     """
     n = algebra.order
-    check_cap(n, cap)
+    check_budget(32 * n * n, f"decomposing an algebra of order {n} needs {32 * n * n} bytes")
     rng = np.random.default_rng(seed)
     group = algebra.group
     conj, turns = algebra.conjugation
@@ -236,11 +239,18 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0,
     regular = ~np.any((conj == elements) & (turns != 0), axis=0)
     reps = np.flatnonzero(regular & (least == elements))   # g_K, ascending: e first
     r = reps.size
+    need = 32 * n * n + 64 * r * n + 48 * r * r + (16 << 10)
+    check_budget(need, f"decomposing an algebra of order {n} with {r} irreducibles needs "
+                 f"{need} bytes")
     phase = np.zeros(n, dtype=np.int64)
     phase[conj[:, reps]] = turns[:, reps]
-    if np.any(((turns + phase - phase[conj]) % algebra.twist.denom != 0) & regular):
+    central = turns + phase
+    central -= phase[conj]
+    central %= algebra.twist.denom
+    if np.any((central != 0) & regular):
         raise DecompositionError("a class sum is not central; alpha fails the cocycle "
                                  "identity")
+    del central
     ys = np.flatnonzero(regular)
     ys = ys[np.argsort(least[ys], kind="stable")]      # each class contiguous
     starts = np.searchsorted(least[ys], reps)
@@ -323,13 +333,13 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0,
     chars = np.zeros((r, n), dtype=complex)
     chars[:, ys] = table[:, cls] * coeff.conj()
     del table
-    dims = dims.astype(np.int64)
-    # sort by (dim, rounded real parts, rounded imaginary parts), compared
-    # lexicographically as tuples would be, in one stable lexsort (its last
-    # key is the primary one)
-    keys = np.concatenate(([dims], np.round(chars.real, 8).T, np.round(chars.imag, 8).T))
+    # sort by (dim, rounded real parts, rounded imaginary parts) as tuples
+    # compare: one stable argsort of the rows as records of float fields
+    # (np.lexsort would hold about 2.8 KB of iterator state for each key)
+    keys = np.hstack((dims[:, None], np.round(chars.real, 8), np.round(chars.imag, 8)))
+    records = keys.view([(f"f{i}", keys.dtype) for i in range(keys.shape[1])])[:, 0]
     return [UngradedIrrep(character=chars[i], dim=int(dims[i]))
-            for i in np.lexsort(keys[::-1])]
+            for i in np.argsort(records, kind="stable")]
 
 
 def _parity_partners(chars: np.ndarray, signs: np.ndarray, screen: np.ndarray) -> np.ndarray:
@@ -715,8 +725,8 @@ class ClassificationReport:
     all_pass: bool
 
 
-def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int = 0,
-                      cap: int = 96) -> list[ClassificationReport]:
+def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
+                      seed: int = 0) -> list[ClassificationReport]:
     """Classify the algebra under every row of `phis`, an (m, |G|) stack of
     gradings that share its alpha, in one batched pass: one report per row,
     in order.
@@ -729,7 +739,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
     raises on a failed check; failures are recorded in the reports.
 
     The ungraded decomposition depends on the group and alpha but not on phi,
-    so it is computed once (decompose_regular at `seed` and `cap`) and shared
+    so it is computed once (decompose_regular at `seed`) and shared
     by every row. Each later stage then runs once for all rows: the
     supermodules of every row (assemble_supermodules), the special elements
     of every real one (special_element), and each indicator over one stack of
@@ -743,7 +753,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
     if not algebra.twist.is_z2:
         raise ValidationError("classification requires a sign-valued twist")
     phis = np.asarray(phis)
-    irreps = decompose_regular(algebra, seed=seed, cap=cap)
+    irreps = decompose_regular(algebra, seed=seed)
     sups = assemble_supermodules(irreps, algebra, phis=phis)
     for phi in phis:
         _check_phi(algebra.group, phi)   # ker phi is then the even subgroup G0
@@ -820,15 +830,14 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray, seed: int 
     return reports
 
 
-def classify(algebra: TwistedGroupAlgebra, seed: int = 0,
-             cap: int = 96) -> ClassificationReport:
+def classify(algebra: TwistedGroupAlgebra, seed: int = 0) -> ClassificationReport:
     """Decompose, assemble supermodules, and verify the indicator identities
     under the algebra's own grading: the one-row call of classify_gradings,
     which describes the report. Callers classifying one alpha under several
     gradings should call classify_gradings once instead, which decomposes
     once for all of them.
     """
-    return classify_gradings(algebra, algebra.twist.phi[None], seed, cap)[0]
+    return classify_gradings(algebra, algebra.twist.phi[None], seed)[0]
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:

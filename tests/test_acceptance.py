@@ -85,7 +85,7 @@ def test_criterion_02():
     bad = []
     for n in range(1, 9):
         group, twist = clifford_twist(n)
-        report = classify(TwistedGroupAlgebra(group, twist), cap=group.order)
+        report = classify(TwistedGroupAlgebra(group, twist))
         sups = report.supermodules
         expected = np.exp(2j * np.pi * n / 8)
         if not (report.all_pass and len(sups) == 1

@@ -88,10 +88,17 @@ def test_classify_clifford_flag_conflicts_with_group(capsys):
                                 "drop --sweep-phi"),
     (["verify", "--sweep-h2"], "--clifford runs the Clifford ladder, not a sweep; "
                                "drop --sweep-h2"),
+    (["classify", "--cap", "1"], "--clifford already fixes the group; drop --cap"),
+    (["verify", "--cap", "96"], "--clifford already fixes the group; drop --cap"),
+    (["verify", "--max-cases", "1"], "--clifford runs the Clifford ladder, not a sweep; "
+                                     "drop --max-cases"),
+    (["verify", "--max-cases", "0"], "--clifford runs the Clifford ladder, not a sweep; "
+                                     "drop --max-cases"),
 ])
 def test_clifford_refuses_the_flags_it_would_ignore(capsys, argv, message):
     # --clifford fixes the group and twist and runs no sweep; an explicit
-    # --phi zero or --alpha zero is refused like any other value
+    # --phi zero, --alpha zero, --cap 96 or --max-cases 0 is refused like any
+    # other value
     code, out, err = run(capsys, *argv, "--clifford", "2")
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -369,14 +376,18 @@ def test_exit_2_bad_rational_and_shape_in_alpha_file(tmp_path, capsys):
 def test_clifford_rank_checked_against_budget(monkeypatch, capsys):
     assert run(capsys, "verify", "--clifford", "2")[0] == 0
 
-    def refuse(n):
-        raise AssertionError(f"clifford_twist({n}) ran before the budget check")
+    def refuse(*rungs):
+        raise AssertionError("a Clifford rung was built before the budget check")
 
-    monkeypatch.setattr("superfs.cli.clifford_twist", refuse)
-    for command in ("classify", "verify"):
-        code, _, err = run(capsys, command, "--clifford", "40")
-        assert code == 2 and "budget" in err
-    monkeypatch.setenv("SUPERFS_BUDGET", "500")  # 8^3 = 512
+    with monkeypatch.context() as m:   # neither the rank-1 rung nor a later one
+        m.setattr("superfs.groups.group_from_table", refuse)
+        m.setattr("superfs.twists.combine_twists", refuse)
+        for command in ("classify", "verify"):
+            code, _, err = run(capsys, command, "--clifford", "40")
+            assert code == 2 and "budget" in err
+    # the rank-1 rung is built within 500, and its decomposition, which
+    # charges at least 16 KiB, is refused
+    monkeypatch.setenv("SUPERFS_BUDGET", "500")
     code, _, err = run(capsys, "verify", "--clifford", "3")
     assert code == 2 and "budget" in err
 
@@ -464,6 +475,23 @@ def test_sweep_checks_cap_and_h2_budget_first(monkeypatch, capsys):
     monkeypatch.setenv("SUPERFS_BUDGET", "1000")
     code, _, err = run(capsys, "verify", "--group", "d4", "--sweep-h2")
     assert code == 2 and "budget" in err
+
+
+def test_cap_checked_as_the_group_is_read(tmp_path, capsys):
+    # every command refuses a group above --cap (default 96) before it reads
+    # a twist file or does any work
+    missing = str(tmp_path / "missing.json")
+    for argv in (["classify", "--group", "d4", "--alpha", missing, "--cap", "4"],
+                 ["verify", "--group", "d4", "--sweep-h2", "--cap", "4"],
+                 ["partition", "--group", "d4", "--phi", missing,
+                  "--surface", "orientable:1", "--cap", "4"],
+                 ["sweep", "--groups", "z2,d4,missing", "--cap", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: group order 8 exceeds the configured cap 4\n")
+    path = write_group(tmp_path / "z2^7.json", clifford_twist(7)[0])
+    code, out, err = run(capsys, "classify", "--group", path)
+    assert (code, out, err) == (2, "", "error: group order 128 exceeds the configured cap 96\n")
+    assert run(capsys, "classify", "--group", path, "--cap", "128")[0] == 0
 
 
 def test_h2_class_tables_are_charged_in_bytes(monkeypatch, capsys):

@@ -39,7 +39,8 @@ def test_package_reexports_public_names():
 # per-call settings that are module constants, SUPERFS_BUDGET or read off the
 # inputs instead; a setting has a default, which tells it from an input of
 # the same name (assemble_supermodules takes the list of irreps it pairs)
-SETTINGS = {"tol", "cluster_tol", "max_rounds", "budget", "strict", "irreps"}
+SETTINGS = {"tol", "cluster_tol", "max_rounds", "budget", "cap", "max_order", "strict",
+            "irreps"}
 
 
 def _functions(module):

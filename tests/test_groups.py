@@ -92,6 +92,17 @@ def test_permutation_closure_matches_naive_oracle():
     assert element_orders(g.table) == [1, 2, 2, 2, 3, 3]
 
 
+def test_permutation_closure_refused_past_1024_elements():
+    # a transposition and an n-cycle generate S_n: S_6 (720 elements) closes,
+    # and S_7 (5040) is refused once its closure passes 1024 elements
+    def symmetric(n):
+        return [[1, 0, *range(2, n)], [*range(1, n), 0]]
+
+    assert group_from_permutations(symmetric(6)).order == 720
+    with pytest.raises(ValidationError, match="closure exceeds the size cap 1024"):
+        group_from_permutations(symmetric(7))
+
+
 def test_catalog_orders_and_structure():
     orders = {"z2": 2, "z3": 3, "z4": 4, "z2xz2": 4, "z6": 6, "s3": 6,
               "d4": 8, "q8": 8, "z2xz2xz2": 8, "a4": 12}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from superfs import (
     CATALOG_NAMES,
+    BudgetExceededError,
     DecompositionError,
     SnapError,
     Twist,
@@ -364,7 +365,7 @@ def test_generated_blocks_and_characters_match_projector_oracle(family):
         for q, chi, blocks in zip(leaves, chars, _generated(alg, leaves)):
             assert np.max(np.abs(blocks - block_matrices_by_element(table, phases, q))) < 1e-12
             assert np.max(np.abs(np.trace(blocks, axis1=1, axis2=2) - chi)) < 1e-12
-        irreps = decompose_regular(alg, seed=5, cap=alg.order)
+        irreps = decompose_regular(alg, seed=5)
         gaps = np.max(np.abs(chars[:, None] - np.array([i.character for i in irreps])), axis=2)
         assert np.max(np.min(gaps, axis=0)) < 1e-12   # every class is some leaf
         assert np.max(np.min(gaps, axis=1)) < 1e-12   # every leaf is some class
@@ -407,7 +408,7 @@ def test_class_table_characters_match_the_split_oracle():
     # blocks the regular-representation oracle splits off, in the same order
     count = 0
     for alg in _class_table_algebras():
-        irreps = decompose_regular(alg, cap=alg.order)
+        irreps = decompose_regular(alg)
         oracle = split_regular(alg)
         assert [i.dim for i in irreps] == [i.dim for i in oracle]
         got = np.array([irr.character for irr in irreps])
@@ -490,7 +491,7 @@ def _graded_type_m():
     twist = validate_twist(group, Twist(phi=(homs[1] + homs[2]) % 2, alpha_num=alpha,
                                         denom=2))
     alg = TwistedGroupAlgebra(group, twist)
-    irreps = decompose_regular(alg, cap=alg.order)
+    irreps = decompose_regular(alg)
     sups = [s for s in assemble_supermodules(irreps, alg) if s.q_type == 0]
     odd = np.array([alg.twist.phi == 1] * len(sups))
     chars = np.array([s.character for s in sups])
@@ -636,8 +637,8 @@ def test_supermodules_match_the_matrix_oracle():
     rng = np.random.default_rng(0)
     real = 0
     for alg, seed in _oracle_algebras():
-        irreps = decompose_regular(alg, seed=seed, cap=alg.order)
-        report = classify(alg, seed=seed, cap=alg.order)
+        irreps = decompose_regular(alg, seed=seed)
+        report = classify(alg, seed=seed)
         assert report.all_pass
         odd = alg.twist.phi == 1
         even = np.flatnonzero(~odd)
@@ -769,7 +770,7 @@ def test_batched_indicators_match_the_per_supermodule_oracle():
     roots = [(None, 0), *((k, eighth_root(k)) for k in range(8))]
     supermodules = 0
     for alg, seed in _oracle_algebras():
-        report = classify(alg, seed=seed, cap=alg.order)
+        report = classify(alg, seed=seed)
         assert report.all_pass
         table, phi = alg.group.table, alg.twist.phi
         for sup in report.supermodules:
@@ -786,10 +787,49 @@ def test_batched_indicators_match_the_per_supermodule_oracle():
     assert supermodules == 1242
 
 
-def test_decompose_cap():
-    g = catalog_group("a4")
-    with pytest.raises(ValidationError, match="cap"):
-        decompose_regular(TwistedGroupAlgebra(g), cap=8)
+def test_decompose_checked_against_budget(monkeypatch):
+    # A4: the |G|^2 part (32 * 144 bytes) is refused before the conjugation
+    # tables are built, so nothing is cached on the algebra; the whole charge,
+    # r = 4, once r is known
+    alg = TwistedGroupAlgebra(catalog_group("a4"))
+    monkeypatch.setenv("SUPERFS_BUDGET", "4000")
+    with pytest.raises(BudgetExceededError, match="order 12 needs 4608 bytes, budget is 4000"):
+        decompose_regular(alg)
+    assert "conjugation" not in alg.__dict__
+    monkeypatch.setenv("SUPERFS_BUDGET", "20000")
+    with pytest.raises(BudgetExceededError, match="with 4 irreducibles needs 24832 bytes"):
+        decompose_regular(alg)
+    monkeypatch.setenv("SUPERFS_BUDGET", "24832")
+    assert len(decompose_regular(alg)) == 4
+
+
+@pytest.mark.parametrize("name", ["clifford6", "z2^6"])
+def test_decompose_charge_covers_its_traced_peak(monkeypatch, name):
+    # the largest charge of one decomposition, conjugation tables included,
+    # is at least the peak that tracemalloc sees while it runs: r = 1 for
+    # Clifford(6), r = |G| = 64 for untwisted (Z2)^6
+    import tracemalloc
+
+    charges = []
+    charge = superalg.check_budget
+    monkeypatch.setattr(superalg, "check_budget",
+                        lambda need, what: charges.append(need) or charge(need, what))
+    if name == "clifford6":
+        alg = TwistedGroupAlgebra(*clifford_twist(6))
+    else:
+        idx = np.arange(64)
+        alg = TwistedGroupAlgebra(group_from_table(idx[:, None] ^ idx[None, :]))
+    # numpy's first eigensolve and generator in a process allocate once for
+    # good; they are not the decomposition's
+    decompose_regular(TwistedGroupAlgebra(*clifford_twist(3)))
+    charges.clear()
+    tracemalloc.start()
+    try:
+        decompose_regular(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 3 and max(charges) >= peak
 
 
 def test_clifford2_is_pauli_algebra():
