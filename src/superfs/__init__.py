@@ -41,13 +41,11 @@ from .superalg import (
     classify_gradings,
     decompose_regular,
     eighth_root,
-    gow_indicator,
     ordinary_fs,
     snap_eighth_root,
     snap_indicator,
     snapped_string,
     special_element,
-    super_fs,
 )
 from .surfaces import (
     Presentation,
@@ -73,7 +71,6 @@ from .twists import (
     coboundary,
     h2_basis,
     h2_representatives,
-    shift_by_coboundary,
     trivial_group,
     validate_twist,
     z2_hom_basis,

@@ -192,8 +192,8 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     """One row per (phi, alpha) case, in (phi_index, alpha_index) order.
 
     The ungraded decomposition depends on alpha but not on phi, so each alpha
-    is validated once, and every phi is classified from its reduced table,
-    phases and one decomposition in one classify_gradings pass.
+    is validated once, and every phi is classified from its one algebra and
+    one decomposition in one classify_gradings pass.
     Each cocycle is proved once: the classes by h2_representatives, which
     records the proof on each twist, and an alpha named on the command line
     when its algebra is built. The first phi is checked as a grading when it

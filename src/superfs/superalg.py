@@ -43,8 +43,6 @@ __all__ = [
     "assemble_supermodules",
     "special_element",
     "ordinary_fs",
-    "gow_indicator",
-    "super_fs",
     "bw_from_parts",
     "classify",
     "classify_gradings",
@@ -68,24 +66,22 @@ BW_TABLE = {
 
 
 class TwistedGroupAlgebra:
-    """C[G]_{phi,alpha} with unit phases omega = exp(2 pi i alpha). The twist
-    (zero unless given) is validated on the group when the algebra is built;
-    validate_twist returns at once for a twist already checked on that Group
-    object."""
+    """C[G]_{phi,alpha} with unit phases omega = exp(2 pi i alpha), held as
+    alpha's integer numerators only. The twist (zero unless given) is
+    validated on the group when the algebra is built; validate_twist returns
+    at once for a twist already checked on that Group object."""
 
     def __init__(self, group: Group, twist: Twist | None = None):
         twist = validate_twist(group, Twist.zero(group.order) if twist is None else twist)
         self.group = group
         self.twist = twist
         self.order = group.order
-        self.phases = twist.phases()
-        self.phases.setflags(write=False)
 
     def diagonal_signs(self) -> np.ndarray:
-        """(-1)^{alpha(g, g)} for sign-valued twists."""
+        """(-1)^{alpha(g, g)} for sign-valued twists, exact: 1 - 2 alpha_num."""
         if not self.twist.is_z2:
             raise ValidationError("diagonal signs need a sign-valued twist")
-        return np.real(np.diagonal(self.phases)).round().astype(np.int64)
+        return 1 - 2 * np.diagonal(self.twist.alpha_num)
 
     @functools.cached_property
     def conjugation(self) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +106,16 @@ class TwistedGroupAlgebra:
         turns.setflags(write=False)
         return conj, turns
 
-    def omega(self, turns: np.ndarray) -> np.ndarray:
-        """omega^turns for integer turns: exp(2 pi i k / denom), computed as
-        Twist.phases computes it, looked up at k = turns mod denom."""
+    @functools.cached_property
+    def _roots(self) -> np.ndarray:
+        """exp(2 pi i k / denom) for k in [0, denom), computed once."""
         denom = self.twist.denom
-        return np.exp(2j * np.pi * np.arange(denom) / denom)[turns % denom]
+        return np.exp(2j * np.pi * np.arange(denom) / denom)
+
+    def omega(self, turns: np.ndarray) -> np.ndarray:
+        """omega^turns for integer turns (alpha's numerators, or sums of
+        them): exp(2 pi i k / denom) at k = turns mod denom."""
+        return np.take(self._roots, turns, mode="wrap")
 
 
 @dataclass
@@ -258,7 +259,7 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> list[Ungra
     root, cls = np.sqrt(sizes), np.repeat(np.arange(r), sizes)
     coeff = algebra.omega(phase[ys])                  # f_K = sum_{y in K} coeff_y e_y
     quotients = group.table[reps[:, None], group.inverses[ys]]   # g_L y^-1
-    weights = algebra.phases[quotients, ys]
+    weights = algebra.omega(algebra.twist.alpha_num[quotients, ys])
     weights *= coeff
 
     def hermitian(x: np.ndarray) -> np.ndarray:
@@ -447,17 +448,28 @@ def _supercharacters(algebra: TwistedGroupAlgebra, chars: np.ndarray, dims: np.n
     at every k for the h* with the largest |str(h*)^2| (at least 1, the mean
     of |str|^2), and str(h*) = sqrt(str(h*)^2) picks the sign; no output
     depends on it (README). The stack goes through in chunks of at most
-    _GATHER_ENTRIES gathered entries, each checked by _check_supercharacters.
+    _GATHER_ENTRIES gathered entries (one supermodule at least), each
+    checked by _check_supercharacters.
+
+    Bytes are checked against the work budget before they are allocated:
+    24 |G|^2 for the int64 square_at and complex square_phase tables, and 64
+    per gathered entry of one chunk (c' x |G|^2 for c' supermodules): the
+    complex buffer, the int64 and complex temporaries of each gather, and
+    the checks' (c', |S|, |G|) stacks beside them.
     """
     conj, turns = algebra.conjugation
-    table = algebra.group.table
+    table, alpha = algebra.group.table, algebra.twist.alpha_num
     c, n = chars.shape
+    step = max(1, _GATHER_ENTRIES // (n * n))
+    need = 24 * n * n + 64 * min(step, c) * n * n
+    check_budget(need, f"the supercharacters of {c} supermodules of an algebra of order {n} "
+                 f"need {need} bytes")
     elements = np.arange(n)
     # (g, h) -> g h g^-1 h and omega^lambda(g, h) omega(ghg^-1, h)
     square_at = table[conj, elements]
-    square_phase = algebra.omega(turns) * algebra.phases[conj, elements]
+    square_phase = algebra.omega(turns)
+    square_phase *= algebra.omega(alpha[conj, elements])
     supercharacters = np.empty((c, n), dtype=complex)
-    step = max(1, _GATHER_ENTRIES // (n * n))
     gathered = np.empty((min(step, c), n, n), dtype=complex)
     for start in range(0, c, step):
         part = slice(start, start + step)
@@ -472,7 +484,7 @@ def _supercharacters(algebra: TwistedGroupAlgebra, chars: np.ndarray, dims: np.n
         best = np.argmax(np.abs(squares), axis=1)
         moved = conj[:, best].T                      # (c, g): g h* g^-1
         np.take(chi, table[moved] + shift, out=buffer)
-        buffer *= algebra.phases[moved]
+        buffer *= algebra.omega(alpha[moved])
         products = (sign * algebra.omega(turns[:, best].T)[:, None] @ buffer)[:, 0]
         top = np.sqrt(squares[np.arange(size), best])
         supercharacters[part] = scale * products / top[:, None]
@@ -564,8 +576,8 @@ def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
     for sup in sups:
         if np.max(np.abs(np.conj(sup.character) - sup.character)) > 1e-6:
             raise ValidationError("complex supermodule has no *-fixed special element")
-    phases = algebra.phases.real
-    inverse_phases = phases[np.arange(n), group.inverses]
+    omegas = 1 - 2 * algebra.twist.alpha_num          # omega(g, h) = +-1, exact
+    inverse_omegas = omegas[np.arange(n), group.inverses]
     out: list = []
     step = max(1, _GATHER_ENTRIES // n)
     for start in range(0, len(sups), step):
@@ -590,11 +602,11 @@ def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
             raise DecompositionError(
                 "*-fixed special element should have real coefficients")
         coeffs = coeffs.real
-        at_e = np.sum(coeffs * coeffs[:, group.inverses] * inverse_phases, axis=1)
+        at_e = np.sum(coeffs * coeffs[:, group.inverses] * inverse_omegas, axis=1)
         nu = at_e * n / ((1 + q1) * dims ** 2)
         for p in np.flatnonzero(~q1 & odd.any(axis=1)).tolist():
             square = np.bincount(group.table.ravel(),
-                                 (np.outer(coeffs[p], coeffs[p]) * phases).ravel(), n)
+                                 (np.outer(coeffs[p], coeffs[p]) * omegas).ravel(), n)
             want = nu[p] * (dims[p] / n) * part[p].character.real
             if np.max(np.abs(square - want)) > 1e-8 * np.max(np.abs(want)):
                 raise DecompositionError("special element square is not a multiple of "
@@ -639,67 +651,28 @@ def snapped_string(k: int | None) -> str:
     return "0" if k is None else f"e^{{2·pi·i·{k}/8}}"
 
 
-def _gather(characters: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """characters[:, elements] with each row contiguous, so that a sum over
-    the last axis is numpy's pairwise sum per row, the same floats as for one
-    row alone (fancy indexing on the last axis would lay the stack out by
-    column and sum it sequentially)."""
-    return np.take(characters, elements, axis=-1)
-
-
 def _snap_each(values: np.ndarray) -> list[int]:
     """snap_indicator on each value of a vector, in order."""
     return [snap_indicator(v) for v in values]
 
 
-def ordinary_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra,
-                mask: np.ndarray | None = None) -> list[int]:
-    """Twisted Frobenius-Schur indicator (1/|H|) sum_{g in H} (-1)^{alpha(g,g)}
+def _twisted_squares(characters: np.ndarray, algebra: TwistedGroupAlgebra) -> np.ndarray:
+    """(-1)^{alpha(g, g)} chi(g^2) at every g, for each row of a (k, |G|) stack
+    of characters indexed by G: the terms of every indicator. Each row is
+    gathered contiguously, so that a sum over the last axis is numpy's
+    pairwise sum per row, the same floats as for that row alone (fancy
+    indexing on the last axis would lay the stack out by column and sum it
+    sequentially)."""
+    squares = np.diagonal(algebra.group.table)
+    return algebra.diagonal_signs() * np.take(characters, squares, axis=-1)
+
+
+def ordinary_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra) -> list[int]:
+    """Twisted Frobenius-Schur indicator (1/|G|) sum_g (-1)^{alpha(g,g)}
     chi(g^2), snapped to {-1, 0, +1}, of each row of a (k, |G|) stack of
-    characters indexed by G: one int per row, in one pass. H is G, or the
-    subgroup that row's mask selects in a (k, |G|) stack of boolean masks on
-    G (chi is then read on H only).
+    characters indexed by G: one int per row, in one pass.
     """
-    squares = np.diagonal(algebra.group.table)
-    weighted = algebra.diagonal_signs() * _gather(characters, squares)
-    if mask is None:
-        return _snap_each(np.sum(weighted, axis=1) / squares.size)
-    total = np.sum(np.where(mask, weighted, 0), axis=1)
-    return _snap_each(total / np.count_nonzero(mask, axis=1))
-
-
-def gow_indicator(chi0: np.ndarray, algebra: TwistedGroupAlgebra,
-                  phis: np.ndarray) -> list[int]:
-    """(1/|G0|) sum over odd g of (-1)^{alpha(g,g)} chi0(g^2), snapped, of each
-    row of a (k, |G|) stack chi0 under the grading in the same row of the
-    (k, |G|) stack phis; 0 when that grading is trivial.
-
-    G0 = ker phi is the mask phi = 0; chi0 is indexed by G and read on G0
-    only, since squares of odd elements are even.
-    """
-    odd = phis == 1
-    squares = np.diagonal(algebra.group.table)
-    if (odd & odd[:, squares]).any():
-        raise ValidationError("square of an odd element escaped the even subgroup")
-    weighted = algebra.diagonal_signs() * _gather(chi0, squares)
-    total = np.sum(np.where(odd, weighted, 0), axis=1)
-    return _snap_each(total / (squares.size - np.count_nonzero(odd, axis=1)))
-
-
-def super_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra,
-             q_types: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Raw super Frobenius-Schur indicator (before snapping) of each row of a
-    (k, |G|) stack of supermodule characters indexed by G, with one q and one
-    grading (a row of the (k, |G|) stack phis) per row: k complex values,
-    each the same per-row sum as for that row alone.
-    """
-    if not algebra.twist.is_z2:
-        raise ValidationError("the super indicator needs a sign-valued twist")
-    n = algebra.order
-    signs = algebra.diagonal_signs()
-    squares = np.diagonal(algebra.group.table)
-    total = np.sum((1j ** phis) * signs * _gather(characters, squares), axis=1)
-    return total / (math.sqrt(2) ** q_types * n)
+    return _snap_each(np.sum(_twisted_squares(characters, algebra), axis=1) / algebra.order)
 
 
 def bw_from_parts(q: int, u_sign: int, division: str) -> int:
@@ -742,13 +715,21 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     so it is computed once (decompose_regular at `seed`) and shared
     by every row. Each later stage then runs once for all rows: the
     supermodules of every row (assemble_supermodules), the special elements
-    of every real one (special_element), and each indicator over one stack of
-    every supermodule character, in stacks of at most _GATHER_ENTRIES
-    entries, with the even subgroup G0 of each row read as its mask phi = 0.
-    Every sum is taken per supermodule, so S_super.raw is the same float as
-    for one grading alone; the per-row masks change summation order only in
-    values that are snapped or compared with a tolerance. A failing stage raises the error of its
-    first failing supermodule.
+    of every real one (special_element), and the indicators, in stacks of at
+    most _GATHER_ENTRIES entries. Every indicator is a part of one twisted
+    square sum: with t(g) = (-1)^{alpha(g,g)} chi(g^2) and t0 the same for the
+    even part chi0 = (chi + str) / 2, gathered once per stack, and the even
+    subgroup G0 of each row read as its mask phi = 0,
+
+        S_ordinary = (1/|G0|) sum_{G0} t0,   eta_Gow = (1/|G0|) sum_{G1} t0,
+        S_super = (1 / (sqrt(2)^q |G|)) sum_G i^{phi(g)} t(g),
+
+    the division of a real q = 0 supermodule is (1/|G|) sum_G t snapped, and
+    the rewrite is S_super regrouped over G0 and G1. Each sum is taken per
+    supermodule, so S_super.raw is the same float as for one grading alone;
+    the per-row masks change summation order only in values that are
+    snapped or compared with a tolerance. A failing stage raises the error
+    of its first failing supermodule.
     """
     if not algebra.twist.is_z2:
         raise ValidationError("classification requires a sign-valued twist")
@@ -758,8 +739,6 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     for phi in phis:
         _check_phi(algebra.group, phi)   # ker phi is then the even subgroup G0
     n = algebra.order
-    squares = np.diagonal(algebra.group.table)
-    diagonal_signs = algebra.diagonal_signs()
     rows = np.array([sup.row for sup in sups], dtype=np.int64)
     q_types = np.array([sup.q_type for sup in sups], dtype=np.int64)
     scales = math.sqrt(2) ** q_types
@@ -771,18 +750,17 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
         part = slice(start, start + step)
         phi = phis[rows[part]]
         even = phi == 0
+        order0 = np.count_nonzero(even, axis=1)
         chars = np.array([sup.character for sup in sups[part]])
         chi0 = (chars + np.array([sup.supercharacter for sup in sups[part]])) / 2
         real[part] = np.max(np.abs(np.conj(chars) - chars), axis=1) < _SNAP_TOL
-        s_ordinary[part] = ordinary_fs(chi0, algebra, even)
-        eta_gow[part] = gow_indicator(chi0, algebra, phi)
-        fs_raw[part] = super_fs(chars, algebra, q_types[part], phi)
-        weighted = diagonal_signs * _gather(chars, squares)
-        even_sums = np.sum(np.where(even, weighted, 0), axis=1) / n
-        full_sums = np.sum(weighted, axis=1) / n
+        terms, terms0 = _twisted_squares(chars, algebra), _twisted_squares(chi0, algebra)
+        s_ordinary[part] = _snap_each(np.sum(np.where(even, terms0, 0), axis=1) / order0)
+        eta_gow[part] = _snap_each(np.sum(np.where(even, 0, terms0), axis=1) / order0)
+        fs_raw[part] = np.sum((1j ** phi) * terms, axis=1) / (scales[part] * n)
+        even_sums = np.sum(np.where(even, terms, 0), axis=1) / n
+        full_sums = np.sum(terms, axis=1) / n
         rewrite[part] = (even_sums + 1j * (full_sums - even_sums)) / scales[part]
-        # the division of a real q = 0 supermodule is the indicator of its
-        # character, full_sums snapped
         pick = np.flatnonzero(real[part] & (q_types[part] == 0))
         division[start + pick] = _snap_each(full_sums[pick])
     reals = [sup for sup, is_real in zip(sups, real) if is_real]

@@ -17,13 +17,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError, check_budget
-from .groups import Group, _check_phi
+from .groups import Group, _check_phi, group_from_table, product_group
 
 __all__ = [
     "Twist",
     "validate_twist",
     "coboundary",
-    "shift_by_coboundary",
     "combine_twists",
     "clifford_ladder",
     "clifford_twist",
@@ -92,10 +91,6 @@ class Twist:
     @property
     def alpha_is_trivial(self) -> bool:
         return not self.alpha_num.any()
-
-    def phases(self) -> np.ndarray:
-        """Unit phases omega(g, h) = exp(2 pi i alpha(g, h))."""
-        return np.exp(2j * np.pi * self.alpha_num / self.denom)
 
     def with_phi(self, phi: Sequence[int] | np.ndarray) -> "Twist":
         """The same alpha under the grading phi. alpha is already reduced, so
@@ -216,19 +211,7 @@ def coboundary(group: Group, beta_num: np.ndarray, den: int) -> np.ndarray:
     return (b[:, None] + b[None, :] - b[group.table]) % den
 
 
-def shift_by_coboundary(group: Group, twist: Twist, beta_num: np.ndarray,
-                        den: int | None = None) -> Twist:
-    """Shift alpha by the coboundary of beta (beta given over `den`, default twist.denom)."""
-    den = twist.denom if den is None else int(den)
-    lcm = twist.denom * den // math.gcd(twist.denom, den)
-    num = twist.alpha_num * (lcm // twist.denom)
-    db = coboundary(group, np.asarray(beta_num) * (lcm // den), lcm)
-    shifted = Twist(phi=twist.phi, alpha_num=(num + db) % lcm, denom=lcm)
-    return validate_twist(group, shifted)
-
-
 def trivial_group() -> Group:
-    from .groups import group_from_table
     return group_from_table([[0]], names=["e"])
 
 
@@ -245,7 +228,6 @@ def combine_twists(gt: tuple[Group, Twist], ht: tuple[Group, Twist]) -> tuple[Gr
     algebras supercommute inside the combined one. Its |G|^2 |H|^2 table
     entries are checked against SUPERFS_BUDGET first.
     """
-    from .groups import product_group
     g, tg = gt
     h, th = ht
     n = g.order * h.order
@@ -267,7 +249,6 @@ def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
     last by one combine_twists with the rank-1 twist. The 4^n table entries
     of the last rung are checked against SUPERFS_BUDGET before any rung is
     built."""
-    from .groups import group_from_table
     check_budget(4 ** n, f"the rank-{n} Clifford twist needs a {2 ** n} x {2 ** n} table")
     z2 = group_from_table([[0, 1], [1, 0]], names=["e", "u"])
     rank_one = (z2, Twist(phi=np.array([0, 1]),
@@ -375,35 +356,6 @@ def _right_to_left_rref(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_unpack(rref, ncols)[::-1, ::-1])
 
 
-class _Gf2Span:
-    """Incremental row space over GF(2) used for quotient bases."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        v = v.copy()
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                v ^= row
-        return v
-
-    def insert(self, v: np.ndarray) -> bool:
-        v = self.reduce(v)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        for row in self.rows:
-            if row[p]:
-                row ^= v
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
-
-
 def _span_combinations(basis: list[np.ndarray], length: int) -> list[np.ndarray]:
     """Every GF(2) combination of the basis vectors, in bitmask order."""
     out = []
@@ -495,13 +447,16 @@ def h2_basis(group: Group) -> list[np.ndarray]:
     coordinates.
 
     The null vectors are spread to tables and named by _right_to_left_rref,
-    the basis that the free columns of the full |G|^2-unknown system give;
-    the quotient by the span of the coboundaries
-    d(beta)(g,h) = beta(g) + beta(h) + beta(gh), beta(e) = 0, is then taken
-    greedily. The bytes of the packed coefficient table, the equation rows
-    (and the eliminator's copy of them) and the expanded cocycles (at most
-    |G| |S| of them, and the quotient span over them) are checked against
-    the work budget before anything is allocated.
+    the basis that the free columns of the full |G|^2-unknown system give.
+    Each in turn is reduced against the reduced echelon form (_gf2_echelon)
+    of the coboundaries d(beta)(g,h) = beta(g) + beta(h) + beta(gh),
+    beta(e) = 0, and of the classes kept so far, and kept when a nonzero
+    vector is left: the one vector of its coset that vanishes at every pivot,
+    so the result depends on the span alone. The bytes of the packed
+    coefficient table, the equation rows (and the eliminator's copy of them)
+    and the expanded cocycles (at most |G| |S| of them, and the coboundary
+    rows they are reduced against) are checked against the work budget
+    before anything is allocated.
     """
     n = group.order
     ncols = n * n
@@ -528,20 +483,26 @@ def h2_basis(group: Group) -> list[np.ndarray]:
     del coef, eqs
     k = null.shape[0]
     cocycles = _spread_cocycle(group, null.T.reshape(n, gens.size, k))
-    cocycles = _right_to_left_rref(cocycles.reshape(ncols, k).T)
-
-    span = _Gf2Span(ncols)
-    for b in range(1, n):
-        is_b = np.zeros(n, dtype=np.uint8)
-        is_b[b] = 1
-        db = (is_b[:, None] + is_b[None, :] + (table == b)) % 2
-        span.insert(db.reshape(-1).astype(np.uint8))
+    cocycles = _pack(_right_to_left_rref(cocycles.reshape(ncols, k).T))
+    # row b - 1 is d(beta_b) = [g = b] + [h = b] + [gh = b], b != e: these span
+    # the coboundaries of the maps with beta(e) = 0
+    b = np.arange(1, n)
+    coboundaries = np.zeros((n - 1, n, n), dtype=bool)
+    g, h = np.nonzero(table)
+    coboundaries[table[g, h] - 1, g, h] = True
+    coboundaries[b - 1, b] ^= True
+    coboundaries[b - 1, :, b] ^= True
+    span, pivots = _gf2_echelon(_pack(coboundaries.reshape(n - 1, ncols)))
+    del coboundaries
     quotient: list[np.ndarray] = []
     for v in cocycles:
-        w = span.reduce(v)
+        # v plus the rows of the reduced echelon form whose pivot v holds:
+        # the one representative of v + span that is zero at every pivot
+        hit = _unpack(v[None], ncols)[0, pivots] == 1
+        w = v ^ np.bitwise_xor.reduce(span[hit], axis=0, initial=np.uint64(0))
         if w.any():
-            span.insert(w)
-            quotient.append(w)
+            quotient.append(_unpack(w[None], ncols)[0])
+            span, pivots = _gf2_echelon(np.vstack([span, w]))
     return quotient
 
 

@@ -10,6 +10,24 @@ from fractions import Fraction
 
 import numpy as np
 
+from superfs import Twist, coboundary, validate_twist
+
+
+def phases(alpha_num, denom: int) -> np.ndarray:
+    """Unit phases omega(g, h) = exp(2 pi i alpha(g, h)) of a cocycle given by
+    its integer numerators over denom."""
+    return np.exp(2j * np.pi * np.asarray(alpha_num) / denom)
+
+
+def shift_by_coboundary(group, twist, beta_num, den: int | None = None):
+    """The twist with alpha shifted by the coboundary of beta (beta given over
+    `den`, default twist.denom), validated on `group`."""
+    den = twist.denom if den is None else int(den)
+    lcm = math.lcm(twist.denom, den)
+    num = twist.alpha_num * (lcm // twist.denom)
+    db = coboundary(group, np.asarray(beta_num) * (lcm // den), lcm)
+    return validate_twist(group, Twist(phi=twist.phi, alpha_num=(num + db) % lcm, denom=lcm))
+
 
 def close_under_product(gens: list[tuple], compose) -> set:
     """Naive closure of permutation tuples under a compose function."""
@@ -541,9 +559,10 @@ def submodule_blocks(algebra, bases):
     n = algebra.order
     steps = np.concatenate(([group.identity], group.generators))
     rows = group.table[steps]
-    omegas = algebra.phases[steps][:, :, None]
+    omega_table = phases(algebra.twist.alpha_num, algebra.twist.denom)
+    omegas = omega_table[steps][:, :, None]
     levels = [(elements, parents, position + 1,
-               algebra.phases[parents, group.generators[position]][:, None, None])
+               omega_table[parents, group.generators[position]][:, None, None])
               for elements, parents, position in group.words]
     pending = iter(bases)
     for first in pending:
@@ -603,7 +622,7 @@ def split_regular(algebra, seed: int = 0, cluster_tol: float = 1e-8,
     n = algebra.order
     rng = np.random.default_rng(seed)
     table = algebra.group.table
-    phases = algebra.phases
+    omega = phases(algebra.twist.alpha_num, algebra.twist.denom)
     elements = np.arange(n)
     screen_at = np.concatenate(([algebra.group.identity], algebra.group.generators))
     screen = np.empty((n, screen_at.size), dtype=complex)   # chi on {e} + S per class
@@ -612,7 +631,7 @@ def split_regular(algebra, seed: int = 0, cluster_tol: float = 1e-8,
     def root_commutant() -> np.ndarray:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         big = np.zeros((n, n), dtype=complex)
-        big[table, elements[:, None]] = x * phases  # column h of R_k is e_{hk}
+        big[table, elements[:, None]] = x * omega  # column h of R_k is e_{hk}
         return big + big.conj().T
 
     def leaf(mats, chi) -> None:
@@ -691,6 +710,7 @@ def verify_irrep(algebra, *irreps, tol: float = 1e-8) -> None:
     group = algebra.group
     n, d = algebra.order, irreps[0].dim
     steps = [group.identity, *group.generators.tolist()]
+    omega = phases(algebra.twist.alpha_num, algebra.twist.denom)
     size = max(1, GATHER_ENTRIES // (n * d * d))
     for start in range(0, len(irreps), size):
         chunk = irreps[start:start + size]
@@ -702,7 +722,7 @@ def verify_irrep(algebra, *irreps, tol: float = 1e-8) -> None:
         for s in steps:
             got = (rows @ mats[:, s]).reshape(mats.shape)   # M(g) M(s), one product
             want = mats[:, group.table[:, s]]
-            want *= algebra.phases[:, s, None, None]
+            want *= omega[:, s, None, None]
             got -= want
             faults.append(np.abs(got).max(axis=(-2, -1)) > tol)
         faults = np.stack(faults, axis=1)   # (irrep, check, element)

@@ -25,12 +25,12 @@ from superfs import (
     nonorientable,
     orientable,
     product_group,
-    shift_by_coboundary,
     validate_twist,
     z2_homomorphisms,
 )
 
 from conftest import record_verdict
+from helpers import shift_by_coboundary
 
 CATALOG = ("z2", "z3", "z4", "z2xz2", "z6", "s3", "d4", "q8", "z2xz2xz2", "a4")
 EIGHTH_ROOTS = np.exp(2j * np.pi * np.arange(8) / 8)

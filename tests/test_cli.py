@@ -516,13 +516,14 @@ def test_verify_sweep_on_the_trivial_group(tmp_path, capsys):
     assert [(c["phi_index"], c["alpha_index"]) for c in data["cases"]] == [(0, 0)]
 
 
-def test_sweep_computes_phases_once_per_cocycle_class(monkeypatch, capsys):
-    # every phi of a class is classified on the class's own phases
-    from superfs import Twist
+def test_sweep_builds_one_algebra_per_cocycle_class(monkeypatch, capsys):
+    # every phi of a class is classified on the class's own algebra
+    from superfs import TwistedGroupAlgebra
 
     calls = []
-    original = Twist.phases
-    monkeypatch.setattr(Twist, "phases", lambda self: calls.append(1) or original(self))
+    original = TwistedGroupAlgebra.__init__
+    monkeypatch.setattr(TwistedGroupAlgebra, "__init__",
+                        lambda self, *args: calls.append(1) or original(self, *args))
     code, data, _ = run_json(capsys, "sweep", "--groups", "d4,q8", "--seed", "3")
     assert code == 0 and len(data["cases"]) == 32 + 16
     assert len(calls) == 8 + 4  # |H^2| per group, not |Hom| x |H^2| = 32 + 16

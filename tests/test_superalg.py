@@ -30,18 +30,15 @@ from superfs import (
     cyclic,
     decompose_regular,
     eighth_root,
-    gow_indicator,
     group_from_permutations,
     group_from_table,
     h2_representatives,
     ordinary_fs,
     product_group,
-    shift_by_coboundary,
     snap_eighth_root,
     snap_indicator,
     snapped_string,
     special_element,
-    super_fs,
     validate_twist,
     z2_homomorphisms,
 )
@@ -53,7 +50,8 @@ from helpers import (OracleError, average, average_by_einsum, block_matrices_by_
                      check_parity, graded_module, indicators_by_supermodule,
                      module_characters, nearest, parity_intertwiner_by_average,
                      parity_intertwiners, projector_character, regular_submodules, relabelled,
-                     relabelling, special_element_by_solve, split_regular, verify_irrep)
+                     relabelling, shift_by_coboundary, special_element_by_solve, split_regular,
+                     verify_irrep)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -64,17 +62,22 @@ def z4_parity():
     return Twist.from_fractions([0, 1, 0, 1], [[0] * 4] * 4)
 
 
+def phases_of(alg):
+    """The algebra's unit phases omega(g, h), from its cocycle's numerators."""
+    return helpers.phases(alg.twist.alpha_num, alg.twist.denom)
+
+
 def multiply(alg, a, b):
     """sum_{g,h} a_g b_h omega(g, h) e_{gh}, from the group table and phases."""
     out = np.zeros(alg.order, dtype=complex)
-    np.add.at(out, alg.group.table, np.outer(a, b) * alg.phases)
+    np.add.at(out, alg.group.table, np.outer(a, b) * phases_of(alg))
     return out
 
 
 def test_multiply_matches_group_law():
     g = catalog_group("s3")
     alg = TwistedGroupAlgebra(g)
-    assert np.array_equal(alg.phases, np.ones((6, 6)))
+    assert np.array_equal(phases_of(alg), np.ones((6, 6)))
     e = np.eye(6)
     assert np.allclose(multiply(alg, e[1] + e[2], e[0]), e[1] + e[2])
     for x in range(6):
@@ -85,7 +88,7 @@ def test_multiply_matches_group_law():
 def test_multiply_twisted_signs():
     g, t = clifford_twist(2)
     alg = TwistedGroupAlgebra(g, t)
-    assert np.isclose(alg.phases[1, 2], -alg.phases[2, 1])
+    assert np.isclose(phases_of(alg)[1, 2], -phases_of(alg)[2, 1])
     e = np.eye(4)
     assert np.allclose(multiply(alg, e[1], e[2]) + multiply(alg, e[2], e[1]), 0)
     assert np.allclose(multiply(alg, e[1], e[1]), e[0])
@@ -196,7 +199,7 @@ def test_decompose_characters_match_block_traces():
             traces = np.trace(irr.matrices, axis1=1, axis2=2)
             assert np.max(np.abs(traces - mine.character)) < 1e-10
             products = np.einsum("gij,hjk->ghik", irr.matrices, irr.matrices)
-            want = alg.phases[:, :, None, None] * irr.matrices[alg.group.table]
+            want = phases_of(alg)[:, :, None, None] * irr.matrices[alg.group.table]
             assert np.max(np.abs(products - want)) < 1e-10
 
 
@@ -311,14 +314,14 @@ def test_block_matrices_match_per_element_oracle(monkeypatch, name, chunk):
     # shorter last chunk
     alg = _kernel_algebra(name)
     n, steps = alg.order, alg.group.generators.size + 1
-    leaves = regular_submodules(alg.group.table, alg.phases, np.random.default_rng(1))
+    leaves = regular_submodules(alg.group.table, phases_of(alg), np.random.default_rng(1))
     sums = [np.hstack(pair) for pair in zip(leaves[::2], leaves[1::2])]
     for bases in (leaves, sums):
         if chunk is not None:
             monkeypatch.setattr(helpers, "GATHER_ENTRIES",
                                 chunk * steps * n * bases[0].shape[1])
         for q, blocks in zip(bases, _generated(alg, bases)):
-            want = block_matrices_by_element(alg.group.table, alg.phases, q)
+            want = block_matrices_by_element(alg.group.table, phases_of(alg), q)
             assert np.max(np.abs(blocks - want)) < 1e-12
 
 
@@ -359,7 +362,7 @@ def test_generated_blocks_and_characters_match_projector_oracle(family):
     rng = np.random.default_rng(4)
     count = 0
     for alg in _projector_algebras(family):
-        table, phases = alg.group.table, alg.phases
+        table, phases = alg.group.table, phases_of(alg)
         leaves = regular_submodules(table, phases, rng)
         chars = np.array([projector_character(table, phases, q) for q in leaves])
         for q, chi, blocks in zip(leaves, chars, _generated(alg, leaves)):
@@ -543,7 +546,7 @@ def test_generated_blocks_refuse_a_basis_tilted_out_of_its_submodule():
     # its blocks at the generators 1e-6 from unitary, far above 1e-8
     alg = TwistedGroupAlgebra(*clifford_twist(4))
     rng = np.random.default_rng(6)
-    q = regular_submodules(alg.group.table, alg.phases, rng)[0]
+    q = regular_submodules(alg.group.table, phases_of(alg), rng)[0]
     r = rng.standard_normal(alg.order) + 1j * rng.standard_normal(alg.order)
     r -= q @ (q.conj().T @ r)
     tilted = q.copy()
@@ -559,7 +562,7 @@ def test_averages_and_rotation_match_einsum_oracle(name):
     alg = _kernel_algebra(name)
     rng = np.random.default_rng(2)
     blocks = [irr.matrices for irr in split_regular(alg, seed=3)]
-    blocks.append(block_matrices_by_element(alg.group.table, alg.phases,
+    blocks.append(block_matrices_by_element(alg.group.table, phases_of(alg),
                                             _isometry(rng, alg.order, 6)))
     for mats in blocks:
         d = mats.shape[1]
@@ -832,6 +835,44 @@ def test_decompose_charge_covers_its_traced_peak(monkeypatch, name):
     assert len(charges) == 3 and max(charges) >= peak
 
 
+@pytest.mark.parametrize("rank", [6, 8])
+def test_supercharacter_charge_covers_its_traced_peak(monkeypatch, rank):
+    # graded Clifford(rank) has one type-M supermodule, whose supercharacter
+    # is read off its character; with the conjugation tables built, that
+    # charge is the only one of the assembly and at least its traced peak
+    import tracemalloc
+
+    alg = TwistedGroupAlgebra(*clifford_twist(rank))
+    irreps = decompose_regular(alg)
+    assemble_supermodules(irreps, alg)   # builds the tables, warms numpy
+    charges = []
+    charge = superalg.check_budget
+    monkeypatch.setattr(superalg, "check_budget",
+                        lambda need, what: charges.append(need) or charge(need, what))
+    tracemalloc.start()
+    try:
+        assemble_supermodules(irreps, alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(charges) == 1 and charges[0] >= peak
+
+
+def test_algebra_holds_no_phase_table():
+    # the algebra keeps alpha as its integer numerators only: building it on
+    # a checked twist allocates well under one complex |G| x |G| table
+    import tracemalloc
+
+    group, twist = clifford_twist(8)
+    tracemalloc.start()
+    try:
+        TwistedGroupAlgebra(group, twist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * group.order ** 2
+
+
 def test_clifford2_is_pauli_algebra():
     g, t = clifford_twist(2)
     alg = TwistedGroupAlgebra(g, t)
@@ -841,7 +882,7 @@ def test_clifford2_is_pauli_algebra():
     for a in range(4):
         for b in range(4):
             got = rho[a] @ rho[b]
-            want = alg.phases[a, b] * rho[g.table[a, b]]
+            want = phases_of(alg)[a, b] * rho[g.table[a, b]]
             assert np.max(np.abs(got - want)) < 1e-12
     irreps = decompose_regular(alg)
     assert [i.dim for i in irreps] == [2]
@@ -958,28 +999,21 @@ def test_ordinary_fs_values():
 
 
 def test_gow_indicator_direct():
+    # Z4 graded by parity: G0 = {0, 2} = Z2 and the odd elements 1, 3 square
+    # to 2. Its two type-Q supermodules have even parts (1, 1) and (1, -1) on
+    # G0, so eta = (1/|G0|) sum over odd g of chi0(g^2) = chi0(2) = +1 and -1.
+    # A stack of the parity and the zero grading gives each row the values it
+    # has alone, and eta = 0 for every supermodule of the zero grading
     g = cyclic(4)
     t = validate_twist(g, z4_parity())
     alg = TwistedGroupAlgebra(g, t)
-    # the even subgroup is the mask phi = 0, {0, 2} = Z2; characters are read
-    # on it only, so the odd entries are junk: (1, 1) and (1, -1) on {0, 2}.
-    # Odd elements 1, 3 square to 2; a stack gives one value per row
-    phis = np.array([t.phi] * 2)
-    assert gow_indicator(np.array([[1.0, 7.0, 1.0, 7.0], [1.0, 7.0, -1.0, 7.0]]), alg,
-                         phis) == [1, -1]
-    # trivial grading: eta = 0 by convention
     zero = np.zeros(4, dtype=np.int64)
-    assert gow_indicator(np.ones((3, 4)), TwistedGroupAlgebra(g), np.array([zero] * 3)) == [0] * 3
-    # each row is read under its own grading
-    assert gow_indicator(np.array([[1.0, 0, 1.0, 0]] * 2), alg, np.array([t.phi, zero])) == [1, 0]
-
-
-def test_gow_indicator_refuses_an_odd_square():
-    # phi = (0, 1, 1, 0) on Z4 is no homomorphism: the odd element 1 squares
-    # to the odd element 2
-    alg = TwistedGroupAlgebra(cyclic(4))
-    with pytest.raises(ValidationError, match="square of an odd element escaped"):
-        gow_indicator(np.ones((1, 4)), alg, np.array([[0, 1, 1, 0]]))
+    graded, plain = classify_gradings(alg, np.array([t.phi, zero]))
+    assert sorted(s.eta_gow for s in graded.supermodules) == [-1, 1]
+    assert [s.eta_gow for s in plain.supermodules] == [0] * 4
+    alone = [classify_gradings(alg, phi[None])[0] for phi in (t.phi, zero)]
+    assert ([[s.eta_gow for s in r.supermodules] for r in alone]
+            == [[s.eta_gow for s in r.supermodules] for r in (graded, plain)])
 
 
 def test_classify_refuses_a_grading_that_is_no_homomorphism():
@@ -999,25 +1033,25 @@ def test_classify_refuses_a_grading_that_is_no_homomorphism():
 
 
 def test_ordinary_fs_on_a_mask_reads_the_subgroup_only():
+    # classify reads G0 = {0, 2} of parity-graded Z4 as the mask phi = 0: the
+    # even parts (1, 1) and (1, -1) of its two supermodules sum to 2 over
+    # their squares on G0, indicator 1 after dividing by |G0| = 2 (by |G| it
+    # would be 1/2, no indicator at all)
     g = cyclic(4)
     alg = TwistedGroupAlgebra(g, validate_twist(g, z4_parity()))
-    even = alg.twist.phi == 0
-    # {0, 2} = Z2 with characters (1, 1) and (1, -1): both real, indicator 1
-    assert ordinary_fs(np.array([[1.0, 5.0, 1.0, 5.0], [1.0, 5.0, -1.0, 5.0]]),
-                       alg, np.array([even] * 2)) == [1, 1]
+    assert [s.s_ordinary for s in classify(alg).supermodules] == [1, 1]
     # on all of Z4 the sign character's square is trivial, the others' not
     chars = np.array([[1, 1j ** k, (-1) ** k, (-1j) ** k] for k in range(4)])
     assert ordinary_fs(chars, TwistedGroupAlgebra(g)) == [1, 0, 1, 0]
 
 
 def test_super_fs_clifford1():
+    # a stack of the same grading gives the same value per row
     g, t = clifford_twist(1)
-    alg = TwistedGroupAlgebra(g, t)
-    sups = assemble_supermodules(decompose_regular(alg), alg)
-    # a stack of the same character gives the same value per row
-    vals = super_fs(np.array([sups[0].character] * 2), alg, np.array([sups[0].q_type] * 2),
-                    np.array([alg.twist.phi] * 2))
-    assert vals.shape == (2,) and vals[0] == vals[1]
+    reports = classify_gradings(TwistedGroupAlgebra(g, t), np.array([t.phi] * 2))
+    assert [len(r.supermodules) for r in reports] == [1, 1]
+    vals = [r.supermodules[0].fs_raw for r in reports]
+    assert vals[0] == vals[1]
     assert abs(vals[0] - eighth_root(1)) < 1e-9
 
 

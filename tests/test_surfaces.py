@@ -24,13 +24,12 @@ from superfs import (
     product_group,
     quadratic_eval_many,
     refinement,
-    shift_by_coboundary,
     validate_twist,
 )
 from superfs.cli import main
 from superfs.surfaces import QuadraticRefinement
 
-from helpers import integrate_cocycle
+from helpers import integrate_cocycle, shift_by_coboundary
 
 
 def test_surface_invariants():

@@ -22,7 +22,6 @@ from superfs import (
     h2_basis,
     h2_representatives,
     product_group,
-    shift_by_coboundary,
     trivial_group,
     validate_twist,
     z2_hom_basis,
@@ -36,8 +35,10 @@ from helpers import (
     dense_z2_hom_basis,
     h2_z2_dimension,
     is_z2_coboundary,
+    phases,
     relabelled,
     relabelling,
+    shift_by_coboundary,
     z2_coboundaries,
 )
 
@@ -107,7 +108,7 @@ def test_combine_cross_term_values():
 
 def test_combine_anticommutation():
     g, t = clifford_twist(2)
-    ph = t.phases()
+    ph = phases(t.alpha_num, t.denom)
     # the two odd generators anticommute: e1 e2 = -e2 e1
     assert ph[1, 2] == pytest.approx(-ph[2, 1])
 
@@ -468,11 +469,17 @@ def test_library_builders_check_their_tables_against_budget(monkeypatch):
     # clifford_twist, combine_twists and product_group refuse a table of more
     # than SUPERFS_BUDGET entries before they build anything
     import superfs.groups
+    import superfs.twists
 
     built = []
     original = superfs.groups.group_from_table
-    monkeypatch.setattr(superfs.groups, "group_from_table",
-                        lambda *a, **k: built.append(1) or original(*a, **k))
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    for module in (superfs.groups, superfs.twists):   # twists imports it by name
+        monkeypatch.setattr(module, "group_from_table", counting)
     monkeypatch.setenv("SUPERFS_BUDGET", "1e4")
     with pytest.raises(BudgetExceededError, match=r"rank-8 Clifford twist needs a 256 x 256"):
         clifford_twist(8)
