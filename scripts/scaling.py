@@ -1,12 +1,12 @@
 """Scaling curves of `classify` and `h2_basis`: wall time per stage and peak
-memory against |G|.
+memory against |G|; and of `crosscheck` against the surface.
 
     python scripts/scaling.py --label change
     python scripts/scaling.py --src ../parent-checkout --label parent
 
 Each point runs in a fresh interpreter that imports `superfs` from
 `<src>/src`, so the peak resident memory it reports belongs to that point
-alone. Four families are measured:
+alone. Five families are measured:
 
 - `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..11 (|G| = 16..2048);
 - `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..10;
@@ -16,7 +16,13 @@ alone. Four families are measured:
 - `h2`: `h2_basis` alone on (Z2)^k, k = 2..6, S4, S4 x Z2 and S4 x Z2 x Z2
   (|G| = 4..96), each group built from its table or permutations in the
   child. These points run at the default SUPERFS_BUDGET, so a point the
-  measured checkout refuses is recorded as refused, with its message.
+  measured checkout refuses is recorded as refused, with its message;
+- `surfaces`: `crosscheck` on every structure of Z2 pin- on 1..10 crosscaps,
+  of Clifford(2) spin on genus 1..5, and of the rational cocycle
+  alpha((a, b), (a', b')) = a b' / 3 on Z3 x Z3, oriented, on genus 1..10:
+  the median time of three calls, the structure count and the largest
+  |lhs - rhs| (and |lhs - rhs| / max(1, |rhs|)), also at the default
+  SUPERFS_BUDGET.
 
 A classify point times five stages: validation (`group_from_table` and
 `validate_twist` on the raw table and cocycle), `decompose_regular` (the
@@ -55,7 +61,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET = "1e10"
 RANKS = {"clifford": range(4, 12), "z2-graded": range(4, 11), "gradings": range(3, 9),
-         "h2": ("z2^2", "z2^3", "z2^4", "z2^5", "z2^6", "s4", "s4xz2", "s4xz2xz2")}
+         "h2": ("z2^2", "z2^3", "z2^4", "z2^5", "z2^6", "s4", "s4xz2", "s4xz2xz2"),
+         "surfaces": ([f"z2-pin:{k}" for k in range(1, 11)]
+                      + [f"clifford2-spin:{g}" for g in range(1, 6)]
+                      + [f"z3xz3-rational:{g}" for g in range(1, 11)])}
 CLI_ARGS = ["classify", "--clifford", "10", "--json"]
 
 
@@ -174,6 +183,54 @@ def measure_h2(name: str, repeats: int = 3) -> dict:
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
+def _surface_theory(name: str):
+    """A `surfaces` point's theory and surface, from '<theory>:<genus or crosscaps>'."""
+    import numpy as np
+    from superfs import (TheoryData, Twist, clifford_twist, cyclic, nonorientable, orientable,
+                         product_group)
+
+    theory, param = name.split(":")
+    if theory == "z2-pin":
+        return (TheoryData(cyclic(2), Twist.zero(2).with_phi([0, 1]), "pin-"),
+                nonorientable(int(param)))
+    if theory == "clifford2-spin":
+        return TheoryData(*clifford_twist(2), "spin"), orientable(int(param))
+    x = np.arange(9)
+    twist = Twist(phi=np.zeros(9, dtype=np.int64), denom=3,
+                  alpha_num=(x[:, None] // 3) * (x[None, :] % 3))
+    return (TheoryData(product_group(cyclic(3), cyclic(3)), twist, "oriented"),
+            orientable(int(param)))
+
+
+def measure_surface(name: str, repeats: int = 3) -> dict:
+    """Time of crosscheck on every structure of one theory and surface, its
+    structure count and its largest |lhs - rhs| (run in a child)."""
+    import resource
+    import statistics
+
+    from superfs import BudgetExceededError, crosscheck
+
+    os.environ.pop("SUPERFS_BUDGET", None)   # surface points run at the default budget
+    theory, surface = _surface_theory(name)
+    point = {"family": "surfaces", "theory": name.split(":")[0],
+             "theory_family": theory.family, "surface": str(surface), "b1": surface.b1}
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        try:
+            reports = crosscheck(theory, surface)
+        except BudgetExceededError as exc:
+            return {**point, "refused": str(exc)}
+        times.append(time.perf_counter() - start)
+    return {**point, "structures": len(reports),
+            "crosscheck_s": round(statistics.median(times), 4),
+            "cold_crosscheck_s": round(times[0], 4),
+            "max_abs_diff": max(r.abs_diff for r in reports),
+            "max_rel_diff": max(r.abs_diff / max(1.0, abs(r.rhs)) for r in reports),
+            "all_pass": all(r.verdict == "PASS" for r in reports),
+            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
 def _run_child(argv: list, src: Path, capture: bool) -> tuple[float, float, str]:
     """Run one fresh interpreter; return its wall time, its own peak RSS in
     MiB and its stdout."""
@@ -208,7 +265,12 @@ def main(argv: list | None = None) -> None:
     args = parser.parse_args(argv)
     if args.point:
         family, rank = args.point
-        point = measure_h2(rank) if family == "h2" else measure_point(family, int(rank))
+        if family == "h2":
+            point = measure_h2(rank)
+        elif family == "surfaces":
+            point = measure_surface(rank)
+        else:
+            point = measure_point(family, int(rank))
         print(json.dumps(point))
         return
 
@@ -237,7 +299,8 @@ def main(argv: list | None = None) -> None:
                    "peak_rss_mib": [round(rss, 1) for _, rss in cli]}}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["about"] = ("classify stage times (median of 3, seconds), h2_basis times and peak "
-                     "RSS (MiB) per group order; written by scripts/scaling.py")
+                     "RSS (MiB) per group order, and crosscheck times, structure counts "
+                     "and |lhs - rhs| per surface; written by scripts/scaling.py")
     data.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(json.dumps(run["cli"]), file=sys.stderr)

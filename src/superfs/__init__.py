@@ -73,7 +73,6 @@ from .twists import (
     h2_representatives,
     trivial_group,
     validate_twist,
-    z2_hom_basis,
     z2_homomorphisms,
 )
 

@@ -27,7 +27,6 @@ from .twists import (
     clifford_twist,
     h2_basis,
     h2_representatives,
-    z2_hom_basis,
     z2_homomorphisms,
 )
 
@@ -181,9 +180,10 @@ def _clifford_ladder(args) -> int:
 
 
 def _sweep_bases(group: Group, args) -> tuple:
-    """The GF(2) bases of Hom(G, Z2) (under --sweep-phi) and of H^2(G, Z2)
-    (under --sweep-h2) that a sweep enumerates; None where not swept."""
-    homs = z2_hom_basis(group) if args.sweep_phi else None
+    """What a sweep enumerates: the list of homomorphisms G -> Z2 (under
+    --sweep-phi) and the GF(2) basis of H^2(G, Z2) (under --sweep-h2); None
+    where not swept."""
+    homs = z2_homomorphisms(group) if args.sweep_phi else None
     classes = h2_basis(group) if args.sweep_h2 else None
     return homs, classes
 
@@ -197,14 +197,11 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     Each cocycle is proved once: the classes by h2_representatives, which
     records the proof on each twist, and an alpha named on the command line
     when its algebra is built. The first phi is checked as a grading when it
-    is attached (Twist.with_phi on a checked class, or validate_twist); the
-    others are homomorphisms by construction (z2_homomorphisms).
+    is attached (Twist.with_phi on a checked class, or validate_twist), and
+    classify_gradings checks the whole stack before it decomposes.
     """
     homs, classes = bases
-    if homs is not None:
-        phis = z2_homomorphisms(group, homs)
-    else:
-        phis = [_resolve_phi(args.phi, group)]
+    phis = homs if homs is not None else [_resolve_phi(args.phi, group)]
     if classes is not None:
         alphas = h2_representatives(group, classes)
     else:
@@ -227,10 +224,11 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
 
 def _run_sweep(named_groups: list, args) -> int:
     """Refuse a sweep of more than --max-cases (default 4096; |Hom(G, Z2)|
-    2^{dim H^2} per group, counted from the bases) before any class is built;
-    each basis is solved once and enumerated from."""
+    2^{dim H^2} per group, counted from the hom list and the H^2 basis)
+    before any class is built; each is computed once and enumerated from."""
     bases = [_sweep_bases(group, args) for _, group in named_groups]
-    total = sum(2 ** sum(len(b) for b in pair if b is not None) for pair in bases)
+    total = sum((1 if homs is None else len(homs)) * 2 ** len(classes or [])
+                for homs, classes in bases)
     limit = 4096 if args.max_cases is None else args.max_cases
     if total > limit:
         raise ValidationError(f"sweep has {total} cases, over the --max-cases limit {limit}")

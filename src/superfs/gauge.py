@@ -374,19 +374,24 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
                seed: int = 0) -> list:
     """Compare both computations of the partition function.
 
-    For spin / pin- families this yields one report per structure (all of
-    them by default); for oriented / unoriented a single report.
+    For spin / pin- families this yields one report per structure (all 2^b1
+    by default, whose steps, blocks |G|^2 D^2 for the block products and
+    b1 2^b1 for the Gauss sum each, are checked against the work budget before
+    they are enumerated); for oriented / unoriented a single report.
     """
     theory.require_surface(surface)
+    state_sum = _StateSum(theory, surface)
     if structures is not None:
         jobs = list(structures)
     elif _FAMILY[theory.family].ring is None:
         jobs = [None]
     else:
+        n, b1, count = theory.group.order, surface.b1, 2 ** surface.b1
+        steps = count * (len(state_sum.blocks) * n * n * state_sum.D ** 2 + b1 * count)
+        check_budget(steps, f"the {count} structures on {surface} need {steps} steps")
         jobs = enumerate_structures(surface)
     if not jobs:
         raise ValidationError("no structures supplied")
-    state_sum = _StateSum(theory, surface)
     for structure in jobs:
         _check_structure(theory.family, surface, state_sum.cup, structure)
     spectrum = _spectrum(theory, seed)

@@ -145,11 +145,30 @@ def _check_associative(table: np.ndarray, gens: np.ndarray) -> None:
             raise ValidationError(f"associativity fails at ({g}*{h})*{k} != {g}*({h}*{k})")
 
 
-def _check_phi(group: Group, phi: np.ndarray) -> None:
-    bad = (phi[:, None] + phi[None, :] - phi[group.table]) % 2
+def _check_gradings(group: Group, phis) -> np.ndarray:
+    """The (m, |G|) stack `phis` of gradings phi: G -> Z2 as a read-only int64
+    array, once proved: the one check of the grading law (one phi is checked
+    as [phi]). Entries must be 0 or 1 (others are refused, not read mod 2), and
+    phi(gs) = phi(g) + phi(s) must hold for every g and s in {e} + S, which
+    gives every k in place of s by the induction of _check_associative.
+    O(m |G| |S|). A failure names the first failing row, its least failing g
+    and there the first failing s in {e} + S order."""
+    phis, n = np.asarray(phis), group.order
+    if phis.ndim != 2 or phis.shape[1] != n:
+        raise ValidationError(f"phi must have length {n}, got {phis.shape[1:]}")
+    odd = phis == 1
+    outside = phis != odd   # neither 0 nor 1
+    if outside.any():
+        raise ValidationError(f"phi values must be 0 or 1, got {phis[outside][0]}")
+    steps = np.concatenate(([0], group.generators))
+    # bad[row, g, j]: phi(g s_j) != phi(g) + phi(s_j), s_j the j-th of {e} + S
+    bad = odd[:, group.table[:, steps]] != odd[:, :, None] ^ odd[:, None, steps]
     if bad.any():
-        g, h = map(int, np.argwhere(bad)[0])
-        raise ValidationError(f"phi is not a homomorphism to Z2: fails at ({g}, {h})")
+        row, g, j = map(int, np.unravel_index(np.argmax(bad), bad.shape))
+        raise ValidationError(f"phi is not a homomorphism to Z2: fails at ({g}, {steps[j]})")
+    phis = odd.astype(np.int64)
+    phis.setflags(write=False)
+    return phis
 
 
 def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
@@ -284,11 +303,8 @@ class EvenSubgroup:
 
 def even_subgroup(group: Group, phi: Sequence[int] | np.ndarray) -> EvenSubgroup:
     """Kernel of phi: G -> Z2 with the multiplication table restricted to it."""
-    phi = np.asarray(phi, dtype=np.int64) % 2
+    phi = _check_gradings(group, [phi])[0]
     n = group.order
-    if phi.shape != (n,):
-        raise ValidationError(f"phi must have length {n}")
-    _check_phi(group, phi)
     elements = np.flatnonzero(phi == 0)
     positions = -np.ones(n, dtype=np.int64)
     positions[elements] = np.arange(len(elements))

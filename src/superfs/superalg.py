@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, SnapError, ValidationError, check_budget
-from .groups import Group, _check_phi
+from .groups import Group, _check_gradings
 from .twists import Twist, validate_twist
 
 __all__ = [
@@ -108,8 +108,11 @@ class TwistedGroupAlgebra:
 
     @functools.cached_property
     def _roots(self) -> np.ndarray:
-        """exp(2 pi i k / denom) for k in [0, denom), computed once."""
+        """exp(2 pi i k / denom) for k in [0, denom), computed once; its 32 denom
+        bytes, temporaries included, are checked against the work budget first."""
         denom = self.twist.denom
+        check_budget(32 * denom, f"the {denom} roots of unity of alpha's denominator "
+                     f"need {32 * denom} bytes")
         return np.exp(2j * np.pi * np.arange(denom) / denom)
 
     def omega(self, turns: np.ndarray) -> np.ndarray:
@@ -711,12 +714,13 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     even/odd regrouping of the defining sum, each within _SNAP_TOL. Never
     raises on a failed check; failures are recorded in the reports.
 
-    The ungraded decomposition depends on the group and alpha but not on phi,
-    so it is computed once (decompose_regular at `seed`) and shared
-    by every row. Each later stage then runs once for all rows: the
-    supermodules of every row (assemble_supermodules), the special elements
-    of every real one (special_element), and the indicators, in stacks of at
-    most _GATHER_ENTRIES entries. Every indicator is a part of one twisted
+    Every row is first proved a grading of the group (groups._check_gradings),
+    before anything is decomposed. The ungraded decomposition depends on the
+    group and alpha but not on phi, so it is computed once (decompose_regular
+    at `seed`) and shared by every row. Each later stage then runs once for
+    all rows: the supermodules of every row (assemble_supermodules), the
+    special elements of every real one (special_element), and the indicators,
+    in stacks of at most _GATHER_ENTRIES entries. Every indicator is a part of one twisted
     square sum: with t(g) = (-1)^{alpha(g,g)} chi(g^2) and t0 the same for the
     even part chi0 = (chi + str) / 2, gathered once per stack, and the even
     subgroup G0 of each row read as its mask phi = 0,
@@ -731,13 +735,11 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     snapped or compared with a tolerance. A failing stage raises the error
     of its first failing supermodule.
     """
+    phis = _check_gradings(algebra.group, phis)   # ker phi is then the even subgroup G0
     if not algebra.twist.is_z2:
         raise ValidationError("classification requires a sign-valued twist")
-    phis = np.asarray(phis)
     irreps = decompose_regular(algebra, seed=seed)
     sups = assemble_supermodules(irreps, algebra, phis=phis)
-    for phi in phis:
-        _check_phi(algebra.group, phi)   # ker phi is then the even subgroup G0
     n = algebra.order
     rows = np.array([sup.row for sup in sups], dtype=np.int64)
     q_types = np.array([sup.q_type for sup in sups], dtype=np.int64)

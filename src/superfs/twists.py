@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError, check_budget
-from .groups import Group, _check_phi, group_from_table, product_group
+from .groups import Group, _check_gradings, group_from_table, product_group
 
 __all__ = [
     "Twist",
@@ -27,7 +27,6 @@ __all__ = [
     "clifford_ladder",
     "clifford_twist",
     "trivial_group",
-    "z2_hom_basis",
     "z2_homomorphisms",
     "h2_basis",
     "h2_representatives",
@@ -35,8 +34,8 @@ __all__ = [
 
 
 def _grading(phi: Sequence[int] | np.ndarray) -> np.ndarray:
-    """phi read mod 2 as a read-only int64 vector."""
-    phi = np.asarray(phi, dtype=np.int64) % 2
+    """A read-only copy of phi as given; groups._check_gradings checks it."""
+    phi = np.array(phi)
     phi.setflags(write=False)
     return phi
 
@@ -45,6 +44,8 @@ def _grading(phi: Sequence[int] | np.ndarray) -> np.ndarray:
 class Twist:
     """(phi, alpha) on a group of a given order; alpha = alpha_num / denom mod 1.
 
+    phi is kept as given until validate_twist (or with_phi on a checked
+    twist) proves it a grading; a checked twist holds it as 0/1 int64.
     `checked_on` is the Group object validate_twist proved this twist on, or
     None; only validate_twist sets it, on the twist it returns, and with_phi
     keeps it. The arrays are read-only, so the record cannot go stale.
@@ -96,9 +97,8 @@ class Twist:
         """The same alpha under the grading phi. alpha is already reduced, so
         it is shared as it stands, not reduced again. On a checked twist phi
         is checked as a grading of the same group, and the record is kept."""
-        phi = _grading(phi)
-        if self.checked_on is not None:
-            _check_grading(self.checked_on, phi)
+        group = self.checked_on
+        phi = _grading(phi) if group is None else _check_gradings(group, [phi])[0]
         twist = copy.copy(self)
         object.__setattr__(twist, "phi", phi)
         return twist
@@ -164,14 +164,6 @@ def _check_cocycle(group: Group, num: np.ndarray, den: int) -> None:
                 f"alpha violates the 2-cocycle identity at (g, h, k) = ({g}, {h}, {k})")
 
 
-def _check_grading(group: Group, phi: np.ndarray) -> None:
-    """phi is a homomorphism G -> Z2 given as a vector of length |G|."""
-    n = group.order
-    if phi.shape != (n,):
-        raise ValidationError(f"phi must have length {n}, got {phi.shape}")
-    _check_phi(group, phi)
-
-
 def validate_twist(group: Group, twist: Twist) -> Twist:
     """Check shapes, phi, and the cocycle identity; normalize alpha at the
     identity. The returned twist records `group` in its checked_on field (on
@@ -187,20 +179,21 @@ def validate_twist(group: Group, twist: Twist) -> Twist:
     n = group.order
     if twist.alpha_num.shape != (n, n):
         raise ValidationError(f"alpha must be {n}x{n}, got {twist.alpha_num.shape}")
-    _check_grading(group, twist.phi)
+    phi = _check_gradings(group, [twist.phi])[0]
     _check_cocycle(group, twist.alpha_num, twist.denom)
     c = int(twist.alpha_num[0, 0])
     if c == 0:
         if twist.alpha_num[0].any() or twist.alpha_num[:, 0].any():
             raise ValidationError("cocycle is inconsistent on the identity row/column")
         twist = copy.copy(twist)
+        object.__setattr__(twist, "phi", phi)
     else:
         beta = np.zeros(n, dtype=np.int64)
         beta[0] = (-c) % twist.denom
         shifted = (twist.alpha_num + coboundary(group, beta, twist.denom)) % twist.denom
         if shifted[0].any() or shifted[:, 0].any():
             raise ValidationError("normalization failed; cocycle identity was inconsistent")
-        twist = Twist(phi=twist.phi, alpha_num=shifted, denom=twist.denom)
+        twist = Twist(phi=phi, alpha_num=shifted, denom=twist.denom)
     object.__setattr__(twist, "checked_on", group)
     return twist
 
@@ -226,13 +219,15 @@ def combine_twists(gt: tuple[Group, Twist], ht: tuple[Group, Twist]) -> tuple[Gr
 
     phi adds; alpha picks up the cross term phi(g1) phi'(h2) so the two twisted
     algebras supercommute inside the combined one. Its |G|^2 |H|^2 table
-    entries are checked against SUPERFS_BUDGET first.
+    entries are checked against SUPERFS_BUDGET first; each factor is then
+    validated on its group (at once for a twist already checked there).
     """
     g, tg = gt
     h, th = ht
     n = g.order * h.order
     check_budget(n * n, f"combining twists on groups of orders {g.order} and {h.order} "
                  f"needs {n} x {n} tables")
+    tg, th = validate_twist(g, tg), validate_twist(h, th)
     ag = _as_denominator_two(tg)
     ah = _as_denominator_two(th)
     ng, nh = g.order, h.order
@@ -251,8 +246,9 @@ def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
     built."""
     check_budget(4 ** n, f"the rank-{n} Clifford twist needs a {2 ** n} x {2 ** n} table")
     z2 = group_from_table([[0, 1], [1, 0]], names=["e", "u"])
-    rank_one = (z2, Twist(phi=np.array([0, 1]),
-                          alpha_num=np.zeros((2, 2), dtype=np.int64), denom=1))
+    rank_one = (z2, validate_twist(z2, Twist(phi=np.array([0, 1]),
+                                             alpha_num=np.zeros((2, 2), dtype=np.int64),
+                                             denom=1)))
     rung = rank_one
     for k in range(1, n + 1):
         if k > 1:
@@ -349,31 +345,12 @@ def _right_to_left_rref(vectors: np.ndarray) -> np.ndarray:
     This names a basis by its space alone. It is also the basis the
     free-column construction gives for a null space read left to right: the
     vector of free column c is supported on c and on pivot columns left of c,
-    so c leads it and no other vector of the basis meets c.
+    so c leads it and no other vector of the basis meets c. Both reversals
+    are views: no reversed copy is made.
     """
     ncols = vectors.shape[1]
-    rref, _ = _gf2_echelon(_pack(np.ascontiguousarray(vectors[:, ::-1])))
-    return np.ascontiguousarray(_unpack(rref, ncols)[::-1, ::-1])
-
-
-def _span_combinations(basis: list[np.ndarray], length: int) -> list[np.ndarray]:
-    """Every GF(2) combination of the basis vectors, in bitmask order."""
-    out = []
-    for mask in range(1 << len(basis)):
-        v = np.zeros(length, dtype=np.uint8)
-        for b, row in enumerate(basis):
-            if mask >> b & 1:
-                v ^= row
-        out.append(v)
-    return out
-
-
-def _unknowns(count: int) -> np.ndarray:
-    """Packed linear forms of `count` unknowns: row i is the unit vector e_i."""
-    unit = np.zeros((count, _words(count)), dtype=np.uint64)
-    i = np.arange(count)
-    unit[i, i // 64] = np.uint64(1) << (i % 64).astype(np.uint64)
-    return unit
+    rref, _ = _gf2_echelon(_pack(vectors[:, ::-1]))
+    return _unpack(rref, ncols)[::-1, ::-1]
 
 
 def _spread_hom(group: Group, values: np.ndarray) -> np.ndarray:
@@ -402,34 +379,28 @@ def _spread_cocycle(group: Group, cols: np.ndarray) -> np.ndarray:
     return alpha
 
 
-def z2_hom_basis(group: Group) -> np.ndarray:
-    """A GF(2) basis of Hom(G, Z2), one 0/1 row per basis vector.
-
-    The unknowns are phi(s) for s in S. They are spread along Group.words by
-    phi(ps) = phi(p) + phi(s), with phi(e) = 0, and the result is a
-    homomorphism exactly when phi(gs) = phi(g) + phi(s) for every g and s in
-    S (by induction on k = k's this gives phi(gk) = phi(g) + phi(k) for every
-    k): |G| |S| equations in |S| unknowns. The basis is the one of
-    _right_to_left_rref, so it does not depend on how the space was solved.
+def z2_homomorphisms(group: Group) -> list[np.ndarray]:
+    """All homomorphisms G -> Z2 as 0/1 int64 vectors, in lexicographic order
+    (trivial first): the spreads along Group.words of the 2^|S| <= |G|
+    assignments on S (phi(ps) = phi(p) + phi(s)) that the grading check
+    accepts. The candidates' bytes are checked against the work budget first.
     """
-    n = group.order
-    gens = group.generators
-    coef = _spread_hom(group, _unknowns(gens.size))  # phi(k) as a packed form
-    eqs = coef[:, None] ^ coef[gens][None, :] ^ coef[group.table[:, gens]]
-    null = _gf2_null_space(eqs.reshape(n * gens.size, coef.shape[1]), gens.size)
-    return _right_to_left_rref(_spread_hom(group, null.T).T)
-
-
-def z2_homomorphisms(group: Group, basis: np.ndarray | None = None) -> list[np.ndarray]:
-    """All homomorphisms G -> Z2 as 0/1 vectors, trivial one first.
-
-    `basis` is z2_hom_basis(group), solved here when not given.
-    """
-    if basis is None:
-        basis = z2_hom_basis(group)
-    out = [v.astype(np.int64) for v in _span_combinations(list(basis), group.order)]
-    out.sort(key=lambda v: tuple(v))
-    return out
+    n, k = group.order, group.generators.size
+    count = 1 << k
+    need = 24 * count * n + (16 << 10)
+    check_budget(need, f"the {count} candidate homomorphisms of a group of order {n} "
+                 f"need {need} bytes")
+    candidates = _spread_hom(group, (np.arange(count) >> np.arange(k)[:, None]) & 1).T
+    kept = []
+    for j, phi in enumerate(candidates):
+        try:
+            _check_gradings(group, [phi])
+        except ValidationError:
+            continue
+        kept.append(j)
+    # packed big-endian, the rows sort in the lexicographic order of the vectors
+    keys = np.packbits(candidates, axis=1)[kept]
+    return list(candidates[np.array(kept)[np.lexsort(keys.T[::-1])]])
 
 
 def h2_basis(group: Group) -> list[np.ndarray]:
@@ -472,7 +443,8 @@ def h2_basis(group: Group) -> list[np.ndarray]:
                  f"{cocycle_bytes} for the expanded cocycles)")
     table = group.table
     # coef[g, k]: alpha(g, k) as a packed linear form in the unknowns
-    coef = _spread_cocycle(group, _unknowns(nvars).reshape(n, gens.size, words))
+    unknowns = _pack(np.eye(nvars, dtype=np.uint8))   # row i: the unit form e_i
+    coef = _spread_cocycle(group, unknowns.reshape(n, gens.size, words))
     eqs = np.empty((ncols * gens.size + n, words), dtype=np.uint64)
     for j, s in enumerate(gens):
         # alpha(g, h) + alpha(gh, s) + alpha(h, s) + alpha(g, hs) = 0
@@ -510,7 +482,8 @@ def h2_representatives(group: Group, basis: list[np.ndarray] | None = None) -> l
     """One normalized sign-valued cocycle per class of H^2(G, Z2).
 
     The classes are the GF(2) combinations of `basis` (h2_basis(group), solved
-    here when not given), the zero class first. Returned twists are checked
+    here when not given), in bitmask order: bit b of mask picks basis[b], and
+    the zero class comes first. Returned twists are checked
     on `group` and carry trivial phi; Twist.with_phi attaches a grading and
     checks it. The 8 |H^2| |G|^2 bytes of their int64 tables, all held at
     once, are checked against the work budget before any class is built.
@@ -523,7 +496,8 @@ def h2_representatives(group: Group, basis: list[np.ndarray] | None = None) -> l
     check_budget(tables, f"H^2 of a group of order {n} has {classes} classes "
                  f"({tables} bytes of class tables)")
     zero_phi = np.zeros(n, dtype=np.int64)
-    return [validate_twist(group, Twist(phi=zero_phi,
-                                        alpha_num=v.reshape(n, n).astype(np.int64),
-                                        denom=2))
-            for v in _span_combinations(basis, n * n)]
+    vectors = np.array(basis, dtype=np.int64).reshape(len(basis), n * n)
+    masks = np.arange(classes)[:, None] >> np.arange(len(basis)) & 1
+    return [validate_twist(group, Twist(phi=zero_phi, denom=2,
+                                        alpha_num=(mask @ vectors % 2).reshape(n, n)))
+            for mask in masks]

@@ -202,6 +202,15 @@ def associativity_failures(table) -> list[tuple[int, int, int]]:
             if t[t[g][h]][k] != t[g][t[h][k]]]
 
 
+def is_z2_homomorphism(table, phi) -> bool:
+    """phi is a 0/1 vector with phi(gh) = phi(g) + phi(h) mod 2 at every
+    (g, h), by a full |G|^2 scan."""
+    t = np.asarray(table)
+    p = np.asarray(phi)
+    return bool(np.isin(p, (0, 1)).all()
+                and np.array_equal((p[:, None] + p[None, :]) % 2, p[t]))
+
+
 def cocycle_failures(table, alpha_num, denom: int) -> list[tuple[int, int, int]]:
     """Every (g, h, k) where alpha(g,h) + alpha(gh,k) != alpha(h,k) + alpha(g,hk)
     mod denom, by a full |G|^3 scan."""

@@ -1,6 +1,7 @@
 """Command-line behavior: worked examples, JSON stability, exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,33 @@ def test_partition_checks_the_surface_before_the_structure_flags(capsys):
                "nonorientable:2\n")
     for extra in ([], ["--spin", "0,1"]):
         assert run(capsys, *argv, *extra) == (2, "", message)
+
+
+def test_partition_refuses_a_huge_denominator_on_the_sphere(tmp_path, capsys):
+    # alpha(u, u) = 1/2^40 on Z2: the sphere's state sum has no blocks, so
+    # the table of 2^40 roots of unity is refused by its own charge
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps({"alpha": [["0", "0"], ["0", f"1/{2 ** 40}"]]}))
+    argv = ["partition", "--group", "z2", "--alpha", str(alpha), "--surface"]
+    code, out, err = run(capsys, *argv, "orientable:0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: the {2 ** 40} roots of unity of alpha's denominator need")
+    code, out, err = run(capsys, *argv, "orientable:1")
+    assert (code, out) == (2, "") and "state sum needs" in err
+
+
+def test_partition_refuses_too_many_structures_before_enumerating(monkeypatch, capsys):
+    import superfs.gauge
+
+    monkeypatch.setattr(superfs.gauge, "enumerate_structures",
+                        lambda surface: pytest.fail("enumerated"))
+    for family, surface in (("pin-", "nonorientable:40"), ("spin", "orientable:20")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "partition", "--group", "z2", "--phi", "id",
+                             "--family", family, "--surface", surface)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the {2 ** 40} structures on {surface} need")
 
 
 def test_exit_2_structure_flag_misuse(capsys):

@@ -521,3 +521,72 @@ def test_rhs_coefficients_at_fourth_roots_are_exact():
                             assert c in exact
                             even_pin += 1
     assert even_pin > 0
+
+
+# ---------------------------------------------------------- structure budget
+
+def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
+    # the structures of the benchmark's spin and pin- commands (b1 <= 5) and
+    # of Z2 pin- on ten crosscaps fit the default budget: crosscheck reaches
+    # the enumeration; twelve crosscaps of Z2 do not
+    import superfs.gauge
+
+    class Reached(Exception):
+        pass
+
+    def reached(surface):
+        raise Reached
+
+    monkeypatch.setattr(superfs.gauge, "enumerate_structures", reached)
+    monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
+    z2xq8 = product_group(cyclic(2), catalog_group("q8"))
+    d4, z2 = catalog_group("d4"), cyclic(2)
+    for group, phi, family, surface in (
+            (z2xq8, np.repeat([0, 1], 8), "spin", orientable(2)),
+            (d4, z2_homomorphisms(d4)[1], "pin-", nonorientable(5)),
+            (z2, [0, 1], "pin-", nonorientable(10))):
+        theory = TheoryData(group, Twist.zero(group.order).with_phi(phi), family)
+        with pytest.raises(Reached):
+            crosscheck(theory, surface)
+    theory = TheoryData(z2, Twist.zero(2).with_phi([0, 1]), "pin-")
+    with pytest.raises(BudgetExceededError, match="the 4096 structures on nonorientable:12"):
+        crosscheck(theory, nonorientable(12))
+
+
+# ---------------------------------- random permutation groups, brute force
+
+@settings(max_examples=20, deadline=None)
+@given(degree=st.integers(2, 4), data=st.data(),
+       family=st.sampled_from(["oriented", "unoriented", "spin", "pin-"]),
+       picks=st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)))
+def test_random_permutation_groups_match_the_brute_force_partition(degree, data, family,
+                                                                  picks):
+    # two random permutations of degree <= 4 generate a group of order <= 24,
+    # taken under a random H^2 class and, for spin and pin-, a random
+    # grading: on small surfaces both sides of every crosscheck report equal
+    # the full scan over all generator assignments of tests/helpers
+    perms = data.draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=2))
+    group = group_from_permutations([list(p) for p in perms])
+    classes = h2_representatives(group)
+    twist = classes[picks[0] % len(classes)]
+    if family in ("spin", "pin-"):
+        phis = z2_homomorphisms(group)
+        twist = twist.with_phi(phis[picks[1] % len(phis)])
+    theory = TheoryData(group, twist, family)
+    if family in ("oriented", "spin"):
+        surfaces = [orientable(g) for g in range(3 if group.order <= 4 else 2)]
+    else:
+        surfaces = [nonorientable(k) for k in range(1, 4 if group.order <= 12 else 3)]
+    for surface in surfaces:
+        pres = presentation(surface)
+        for report in crosscheck(theory, surface):
+            q = report.structure
+            kwargs = {} if q is None else {"values": q.values, "cup": q.cup, "ring": q.ring}
+            z_ref, count_ref = brute_force_partition(
+                group.table, group.inverses, theory.twist.alpha_num, theory.twist.denom,
+                theory.twist.phi, pres.word, pres.n_generators, **kwargs)
+            tol = max(1.0, abs(z_ref))
+            assert report.hom_count == count_ref, (surface, q)
+            assert abs(report.lhs - z_ref) < 1e-12 * tol, (surface, q, report.lhs, z_ref)
+            assert abs(report.rhs - z_ref) < 1e-6 * tol, (surface, q, report.rhs, z_ref)
+            assert report.verdict == "PASS"

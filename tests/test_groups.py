@@ -18,14 +18,16 @@ from superfs import (
     group_from_table,
     load_group,
     product_group,
+    z2_homomorphisms,
 )
-from superfs.groups import Group, _generating_set
+from superfs.groups import Group, _check_gradings, _generating_set
 
 from helpers import (
     associativity_failures,
     close_under_product,
     compose_perms,
     element_orders,
+    is_z2_homomorphism,
     relabelled,
     relabelling,
 )
@@ -304,3 +306,46 @@ def test_associativity_check_catches_corruption_outside_generators(name):
     k = int(str(err.value).split("*(")[1].split("*")[1].rstrip(")"))
     assert k in gens
     assert any(f[2] == k for f in failures)
+
+
+# ---------------------------------------------------------------------------
+# the grading check on {e} + S against the full |G|^2 oracle
+
+def test_grading_check_agrees_with_full_scan_on_flipped_homomorphisms():
+    # each value of each homomorphism flipped in turn: the check on {e} + S
+    # refuses exactly what the full scan refuses, and names a real failure,
+    # at the least g where one s in {e} + S fails and the first such s
+    refused = 0
+    for name, table in validation_groups().items():
+        group = group_from_table(table)
+        steps = [0, *map(int, group.generators)]
+        for hom in z2_homomorphisms(group):
+            for x in range(group.order):
+                phi = hom.copy()
+                phi[x] ^= 1
+                if is_z2_homomorphism(group.table, phi):
+                    assert np.array_equal(_check_gradings(group, [phi])[0], phi)
+                    continue
+                refused += 1
+                with pytest.raises(ValidationError, match="not a homomorphism") as info:
+                    _check_gradings(group, [phi])
+                g, s = map(int, str(info.value).split("(")[1].rstrip(")").split(", "))
+                fails = [[phi[group.table[h, t]] != phi[h] ^ phi[t] for t in steps]
+                         for h in range(g + 1)]
+                assert not any(map(any, fails[:g])) and fails[g].index(True) == steps.index(s)
+    assert refused > 0
+    z2 = cyclic(2)   # flipping the zero map of Z2 at u gives the sign map
+    assert _check_gradings(z2, [[0, 1]]).tolist() == [[0, 1]]
+
+
+def test_grading_check_refuses_values_other_than_0_and_1():
+    # read neither mod 2 nor cast to int first: 2, -1 and 0.5 are refused
+    z2 = cyclic(2)
+    for value in (2, -1, 0.5):
+        with pytest.raises(ValidationError, match=f"^phi values must be 0 or 1, got {value}$"):
+            _check_gradings(z2, [[0, value]])
+        with pytest.raises(ValidationError, match="0 or 1"):
+            even_subgroup(z2, [0, value])
+    with pytest.raises(ValidationError, match=r"^phi must have length 2, got \(3,\)$"):
+        even_subgroup(z2, [0, 1, 0])
+    assert _check_gradings(z2, [[0.0, 1.0], [False, False]]).tolist() == [[0, 1], [0, 0]]

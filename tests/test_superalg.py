@@ -810,7 +810,8 @@ def test_decompose_checked_against_budget(monkeypatch):
 def test_decompose_charge_covers_its_traced_peak(monkeypatch, name):
     # the largest charge of one decomposition, conjugation tables included,
     # is at least the peak that tracemalloc sees while it runs: r = 1 for
-    # Clifford(6), r = |G| = 64 for untwisted (Z2)^6
+    # Clifford(6), r = |G| = 64 for untwisted (Z2)^6. The fourth charge is
+    # the algebra's table of roots of unity
     import tracemalloc
 
     charges = []
@@ -832,7 +833,7 @@ def test_decompose_charge_covers_its_traced_peak(monkeypatch, name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(charges) == 3 and max(charges) >= peak
+    assert len(charges) == 4 and max(charges) >= peak
 
 
 @pytest.mark.parametrize("rank", [6, 8])
@@ -1030,6 +1031,52 @@ def test_classify_refuses_a_grading_that_is_no_homomorphism():
     with pytest.raises(ValidationError,
                        match=r"^phi is not a homomorphism to Z2: fails at \(1, 2\)$"):
         classify_gradings(alg, phi[None])
+
+
+def test_classify_gradings_refuses_a_malformed_stack_before_decomposing(monkeypatch):
+    # the whole stack is checked first: a row of the wrong length, or an
+    # entry 3 or -1 (not read mod 2), is refused before any decomposition
+    alg = TwistedGroupAlgebra(*clifford_twist(2))
+    monkeypatch.setattr(superalg, "decompose_regular",
+                        lambda *args, **kwargs: pytest.fail("decomposed"))
+    phi = alg.twist.phi
+    with pytest.raises(ValidationError, match=r"^phi must have length 4, got \(3,\)$"):
+        classify_gradings(alg, np.array([phi[:3], phi[:3]]))
+    for value in (3, -1):
+        stack = np.array([phi, phi])
+        stack[1, 0] = value
+        with pytest.raises(ValidationError, match=f"^phi values must be 0 or 1, got {value}$"):
+            classify_gradings(alg, stack)
+    with pytest.raises(ValidationError, match=r"fails at \(0, 0\)$"):
+        classify_gradings(alg, np.array([phi, 1 - phi]))
+
+
+def test_roots_table_is_charged_before_it_is_built(monkeypatch):
+    # Z2 with alpha(u, u) = 2/1000003: the decomposition's table of denom
+    # roots of unity has its own charge, and the two charges of the call
+    # cover its traced peak
+    import tracemalloc
+
+    group = cyclic(2)
+    twist = Twist(phi=np.zeros(2, dtype=np.int64), alpha_num=[[0, 0], [0, 2]], denom=1000003)
+    decompose_regular(TwistedGroupAlgebra(*clifford_twist(3)))   # numpy's first eigensolve
+    alg = TwistedGroupAlgebra(group, twist)
+    charges = {}
+    charge = superalg.check_budget
+    monkeypatch.setattr(superalg, "check_budget", lambda need, what: charges.setdefault(
+        "roots" if "roots of unity" in what else what, []).append(need) or charge(need, what))
+    tracemalloc.start()
+    try:
+        decompose_regular(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charges.pop("roots") == [32 * 1000003]
+    assert peak > 16 * 1000003
+    assert peak <= 32 * 1000003 + max(map(max, charges.values()))
+    monkeypatch.setenv("SUPERFS_BUDGET", str(32 * 1000003 - 1))
+    with pytest.raises(BudgetExceededError, match="1000003 roots of unity"):
+        decompose_regular(TwistedGroupAlgebra(group, twist))
 
 
 def test_ordinary_fs_on_a_mask_reads_the_subgroup_only():

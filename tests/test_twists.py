@@ -1,6 +1,7 @@
 """Cocycle validation, coboundaries, combination, and GF(2) cohomology."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,6 @@ from superfs import (
     product_group,
     trivial_group,
     validate_twist,
-    z2_hom_basis,
     z2_homomorphisms,
 )
 
@@ -185,16 +185,20 @@ def test_h2_representatives_pairwise_non_cohomologous():
 
 
 def test_with_phi_shares_the_reduced_alpha():
-    # a regrading reads phi mod 2 and keeps alpha as it stands, without
-    # reducing it again; the regraded twist keeps the record of its proof
+    # a regrading keeps alpha as it stands, without reducing it again; the
+    # regraded twist keeps the record of its proof. phi is not read mod 2:
+    # phi + 2 is refused
     g = catalog_group("d4")
     shifted = validate_twist(g, Twist(phi=np.zeros(8), alpha_num=np.full((8, 8), 2),
                                       denom=4))
     phi = z2_homomorphisms(g)[1]
-    t = shifted.with_phi(phi + 2)
+    t = shifted.with_phi(phi.astype(float))
     assert t.alpha_num is shifted.alpha_num and t.denom == shifted.denom == 2
-    assert np.array_equal(t.phi, phi) and not t.phi.flags.writeable
+    assert np.array_equal(t.phi, phi) and t.phi.dtype == np.int64
+    assert not t.phi.flags.writeable
     assert t.checked_on is shifted.checked_on is g and list(shifted.phi) == [0] * 8
+    with pytest.raises(ValidationError, match=r"^phi values must be 0 or 1, got 2$"):
+        shifted.with_phi(phi + 2)
 
 
 def test_a_twist_is_proved_once_per_group_object(cocycle_proofs):
@@ -520,15 +524,21 @@ ORACLE_GROUPS = [*CATALOG_NAMES, "s4", "trivial", "d4xz2", "q8xz2", "z4xz4", "z2
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_gf2_bases_match_the_dense_oracle(name, seed):
     # the generator-column system gives the very basis vectors, in the same
-    # order, as the dense |G|^2-unknown system, also on relabelled tables
+    # order, as the dense |G|^2-unknown system, also on relabelled tables;
+    # the homomorphisms are the sorted span of the dense Hom(G, Z2) basis
     g = oracle_group(name)
     if seed is not None:
         g = group_from_table(relabelled(g.table, relabelling(g.order, seed)))
     got = [(v.dtype, v.shape, v.tobytes()) for v in h2_basis(g)]
     assert got == [(v.dtype, v.shape, v.tobytes())
                    for v in dense_h2_basis(g.table, g.generators)]
-    homs, want = z2_hom_basis(g), dense_z2_hom_basis(g.table, g.generators)
-    assert (homs.dtype, homs.shape, homs.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    basis = dense_z2_hom_basis(g.table, g.generators).astype(np.int64)
+    span = sorted({tuple(np.bitwise_xor.reduce(basis[list(rows)], axis=0, initial=0))
+                   for k in range(len(basis) + 1)
+                   for rows in itertools.combinations(range(len(basis)), k)})
+    want = [np.array(v, dtype=np.int64) for v in span]
+    assert ([(v.dtype, v.shape, v.tobytes()) for v in z2_homomorphisms(g)]
+            == [(v.dtype, v.shape, v.tobytes()) for v in want])
 
 
 def test_h2_basis_checked_against_budget_in_bytes(monkeypatch):
@@ -540,6 +550,56 @@ def test_h2_basis_checked_against_budget_in_bytes(monkeypatch):
     monkeypatch.setenv("SUPERFS_BUDGET", "10000")
     with pytest.raises(BudgetExceededError, match="H\\^2 of a group of order 24 needs"):
         h2_basis(symmetric4())
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_h2_basis_charge_covers_its_traced_peak_on_cyclic_groups(monkeypatch, n):
+    # |S| = 1: about |G| cocycle vectors of |G|^2 bits each are expanded, and
+    # no reversed copy of them is made when they are named
+    import tracemalloc
+
+    import superfs.twists
+
+    group = cyclic(n)
+    h2_basis(cyclic(4))   # numpy's first packbits and unpackbits
+    charges = []
+    charge = superfs.twists.check_budget
+    monkeypatch.setattr(superfs.twists, "check_budget",
+                        lambda need, what: charges.append(need) or charge(need, what))
+    tracemalloc.start()
+    try:
+        basis = h2_basis(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 1 and len(charges) == 1 and peak <= charges[0]
+
+
+def test_z2_homomorphisms_charge_their_candidates(monkeypatch):
+    # the 2^|S| candidate spreads are charged before they are built, and the
+    # charge covers the traced peak (Clifford(8): 256 candidates, all kept)
+    import tracemalloc
+
+    import superfs.twists
+
+    group = clifford_twist(8)[0]
+    z2_homomorphisms(cyclic(4))
+    charges = []
+    charge = superfs.twists.check_budget
+    monkeypatch.setattr(superfs.twists, "check_budget",
+                        lambda need, what: charges.append(need) or charge(need, what))
+    tracemalloc.start()
+    try:
+        homs = z2_homomorphisms(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(homs) == 256 and charges == [24 * 256 * 256 + (16 << 10)] and peak <= charges[0]
+    monkeypatch.setattr(superfs.twists, "_spread_hom", lambda *a: pytest.fail("spread"))
+    monkeypatch.setenv("SUPERFS_BUDGET", "10000")
+    with pytest.raises(BudgetExceededError, match="the 256 candidate homomorphisms of a group "
+                       "of order 256 need 1589248 bytes"):
+        z2_homomorphisms(group)
 
 
 def test_h2_of_order_96_fits_the_default_budget(monkeypatch):
