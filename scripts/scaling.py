@@ -8,8 +8,8 @@ Each point runs in a fresh interpreter that imports `superfs` from
 `<src>/src`, so the peak resident memory it reports belongs to that point
 alone. Five families are measured:
 
-- `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..11 (|G| = 16..2048);
-- `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..10;
+- `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..12 (|G| = 16..4096);
+- `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..11;
 - `gradings`: the Clifford cocycle class on (Z2)^k under every one of its
   m = 2^k gradings, k = 3..8, all classified from one decomposition by one
   `classify_gradings` call;
@@ -40,8 +40,8 @@ point reports the median of three `h2_basis` calls and the first call on its
 own. The script also times the CLI command
 `classify --clifford 10 --json` end to end in three more fresh processes.
 Every other child runs with SUPERFS_BUDGET raised to 1e10, since the default
-budget refuses the decompositions of Clifford(11) and of (Z2)^10; the
-variable is set for the children only. Results are merged into
+budget refuses Clifford(11) and beyond; the variable is set for the children
+only. Results are merged into
 `BENCH_scaling.json` under `--label`, so one file holds the runs of several
 commits.
 """
@@ -60,7 +60,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET = "1e10"
-RANKS = {"clifford": range(4, 12), "z2-graded": range(4, 11), "gradings": range(3, 9),
+RANKS = {"clifford": range(4, 13), "z2-graded": range(4, 12), "gradings": range(3, 9),
          "h2": ("z2^2", "z2^3", "z2^4", "z2^5", "z2^6", "s4", "s4xz2", "s4xz2xz2"),
          "surfaces": ([f"z2-pin:{k}" for k in range(1, 11)]
                       + [f"clifford2-spin:{g}" for g in range(1, 6)]

@@ -121,11 +121,24 @@ def _find_identity(table: np.ndarray) -> int:
     return int(np.argmax(both))
 
 
+def _narrow(table: np.ndarray) -> np.ndarray:
+    """A copy of a table of entries 0..n-1 in the smallest unsigned dtype that
+    holds n - 1 (uint8 up to n = 256, then uint16): what the validators read."""
+    return table.astype(np.min_scalar_type(table.shape[0] - 1))
+
+
 def _check_latin(table: np.ndarray) -> None:
+    """Every row and column of a table of entries 0..n-1 is a permutation: the
+    marks at [g, gh] and at [gh, h] each fill a |G| x |G| mask."""
     n = table.shape[0]
     ar = np.arange(n)
-    rows = np.flatnonzero((np.sort(table, axis=1) != ar).any(axis=1))
-    cols = np.flatnonzero((np.sort(table, axis=0) != ar[:, None]).any(axis=0))
+    in_row = np.zeros((n, n), dtype=bool)
+    in_row[ar[:, None], table] = True
+    rows = np.flatnonzero(~in_row.all(axis=1))
+    del in_row
+    in_col = np.zeros((n, n), dtype=bool)
+    in_col[table, ar] = True
+    cols = np.flatnonzero(~in_col.all(axis=0))
     row = int(rows[0]) if rows.size else n
     col = int(cols[0]) if cols.size else n
     if row < n and row <= col:
@@ -134,22 +147,67 @@ def _check_latin(table: np.ndarray) -> None:
         raise ValidationError(f"column {col} is not a permutation of 0..{n - 1}")
 
 
+# entries of the blocks of rows that _first_failure gathers at a time
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _first_failure(table: np.ndarray, values: np.ndarray, steps, defect):
+    """The first (g, h, k), for k in `steps` in order and then (g, h)
+    row-major, at which defect(v(g, h), v(gh, k), v(h, k), v(g, hk)) is
+    nonzero, or None. v is `values`, an |G| x |G| array: the Cayley table
+    itself for associativity, alpha's numerators for the cocycle identity.
+    Both arrays come in narrow dtypes (_narrow).
+
+    The arrays are read transposed, h by rows, so that v(g, hk) is a gather
+    of whole rows. Each k goes through in blocks of rows h of about
+    _BLOCK_ENTRIES entries, and defect sees each term of a block laid out
+    [h, g]. Every (g, h) is checked for every k: O(|G|^2 |steps|).
+    """
+    n = table.shape[0]
+    table_t = table.T.copy()
+    values_t = table_t if values is table else values.T.copy()
+    rows = max(1, _BLOCK_ENTRIES // n)
+
+    def faults(k: int, h: slice) -> np.ndarray:
+        times_k, col = table_t[k], values_t[k]    # hk and v(h, k), h = 0..n-1
+        return defect(values_t[h], np.take(col, table_t[h]), col[h, None],
+                      np.take(values_t, times_k[h], axis=0))
+
+    for k in map(int, steps):
+        for start in range(0, n, rows):
+            if faults(k, slice(start, start + rows)).any():
+                g, h = map(int, np.argwhere(faults(k, slice(None)).T)[0])
+                return g, h, k
+    return None
+
+
 def _check_associative(table: np.ndarray, gens: np.ndarray) -> None:
     """(gh)k = g(hk) for k in S proves it for every k: if it holds for k' and
-    s in S, then (gh)(k's) = ((gh)k')s = (g(hk'))s = g((hk')s) = g(h(k's))."""
-    for k in map(int, gens):
-        times_k = table[:, k]
-        bad = times_k[table] != table[:, times_k]   # (g*h)*k vs g*(h*k)
-        if bad.any():
-            g, h = map(int, np.argwhere(bad)[0])
-            raise ValidationError(f"associativity fails at ({g}*{h})*{k} != {g}*({h}*{k})")
+    s in S, then (gh)(k's) = ((gh)k')s = (g(hk'))s = g((hk')s) = g(h(k's)).
+    `table` is the narrow copy (_narrow)."""
+    failure = _first_failure(table, table, gens, lambda _, left, __, right: left != right)
+    if failure is not None:
+        g, h, k = failure
+        raise ValidationError(f"associativity fails at ({g}*{h})*{k} != {g}*({h}*{k})")
+
+
+def _grading_faults(group: Group, odd: np.ndarray) -> np.ndarray:
+    """The grading law on a stack of 0/1 maps given as the (m, |G|) boolean
+    mask odd = (phi == 1): bad[row, g, j] is True where
+    phi(g s_j) != phi(g) + phi(s_j), s_j the j-th element of {e} + S."""
+    steps = np.concatenate(([0], group.generators))
+    bad = odd[:, group.table[:, steps]]
+    bad ^= odd[:, :, None]
+    bad ^= odd[:, None, steps]
+    return bad
 
 
 def _check_gradings(group: Group, phis) -> np.ndarray:
     """The (m, |G|) stack `phis` of gradings phi: G -> Z2 as a read-only int64
     array, once proved: the one check of the grading law (one phi is checked
     as [phi]). Entries must be 0 or 1 (others are refused, not read mod 2), and
-    phi(gs) = phi(g) + phi(s) must hold for every g and s in {e} + S, which
+    phi(gs) = phi(g) + phi(s) must hold for every g and s in {e} + S
+    (_grading_faults, where the law is written), which
     gives every k in place of s by the induction of _check_associative.
     O(m |G| |S|). A failure names the first failing row, its least failing g
     and there the first failing s in {e} + S order."""
@@ -160,11 +218,10 @@ def _check_gradings(group: Group, phis) -> np.ndarray:
     outside = phis != odd   # neither 0 nor 1
     if outside.any():
         raise ValidationError(f"phi values must be 0 or 1, got {phis[outside][0]}")
-    steps = np.concatenate(([0], group.generators))
-    # bad[row, g, j]: phi(g s_j) != phi(g) + phi(s_j), s_j the j-th of {e} + S
-    bad = odd[:, group.table[:, steps]] != odd[:, :, None] ^ odd[:, None, steps]
+    bad = _grading_faults(group, odd)
     if bad.any():
         row, g, j = map(int, np.unravel_index(np.argmax(bad), bad.shape))
+        steps = [0, *map(int, group.generators)]
         raise ValidationError(f"phi is not a homomorphism to Z2: fails at ({g}, {steps[j]})")
     phis = odd.astype(np.int64)
     phis.setflags(write=False)
@@ -182,19 +239,22 @@ def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
         raise ValidationError("empty table")
     if t.min() < 0 or t.max() >= n:
         raise ValidationError("table entries must lie in 0..order-1")
-    _check_latin(t)
-    e = _find_identity(t)
+    narrow = _narrow(t)
+    _check_latin(narrow)
+    e = _find_identity(narrow)
     if e != 0:
         # relabel by swapping 0 <-> e
         m = np.arange(n)
         m[0], m[e] = e, 0
         t = m[t[np.ix_(m, m)]]
+        narrow = _narrow(t)
         if names is not None:
             names = [names[m[i]] for i in range(n)]
     gens = _generating_set(t)
-    _check_associative(t, gens)
-    inv = np.argmax(t == 0, axis=1)
-    bad = np.flatnonzero(t[inv, np.arange(n)] != 0)
+    _check_associative(narrow, gens)
+    inv = np.argmax(narrow == 0, axis=1)
+    bad = np.flatnonzero(narrow[inv, np.arange(n)] != 0)
+    del narrow
     if bad.size:
         raise ValidationError(f"element {int(bad[0])} has no two-sided inverse")
     nm = tuple(str(x) for x in names) if names is not None else None
@@ -273,10 +333,12 @@ def build_group(record: dict) -> Group:
 
 
 def product_group(g: Group, h: Group) -> Group:
-    """Direct product G x H with index (a, b) -> a*|H| + b. Its |G|^2 |H|^2
-    table entries are checked against SUPERFS_BUDGET first."""
+    """Direct product G x H with index (a, b) -> a*|H| + b. The bytes of its
+    table are checked against SUPERFS_BUDGET first: 24 per entry, for the
+    int64 table and the validators' narrow copies, blocks and masks."""
     ng, nh = g.order, h.order
-    check_budget((ng * nh) ** 2, f"the product of groups of orders {ng} and {nh} needs a "
+    need = 24 * (ng * nh) ** 2
+    check_budget(need, f"the product of groups of orders {ng} and {nh} needs a "
                  f"{ng * nh} x {ng * nh} table")
     table = (g.table[:, None, :, None] * nh + h.table[None, :, None, :]).reshape(
         ng * nh, ng * nh)

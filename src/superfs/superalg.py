@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DecompositionError, SnapError, ValidationError, check_budget
 from .groups import Group, _check_gradings
-from .twists import Twist, validate_twist
+from .twists import Twist, _residues, validate_twist
 
 __all__ = [
     "TwistedGroupAlgebra",
@@ -193,6 +193,15 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> list[Ungra
     """The irreducible characters of the ungraded twisted algebra, read off
     its centre (the projective Burnside-Dixon-Schneider method).
 
+    The e_s, s in S, generate the algebra, so it is commutative exactly when
+    st = ts and alpha(s, t) = alpha(t, s) for all s, t in S. Then r = |G|
+    (every class is a singleton and alpha-regular), and the characters are
+    built and certified exactly, with no eigensolve and no seed
+    (_commutative_irreps), unless their D-th roots of unity,
+    D = denom * (exponent of G), outnumber the |G|^2 character values (a
+    huge denominator): the route below reads every phase off the algebra's
+    own table of denom roots. Otherwise:
+
     With lambda from algebra.conjugation, g is alpha-regular when
     lambda(x, g) = 0 for every x in its centralizer (exact, on the integer
     numerators). The class sums f_K = sum_{y in K} omega^c(y) e_y over the
@@ -223,20 +232,33 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> list[Ungra
     about them.
 
     Returns one UngradedIrrep per irreducible, sorted by (dim, rounded real
-    parts, rounded imaginary parts of the character); deterministic for a
-    fixed seed. O(|G|^2) for the classes, O(|G| r) per matrix and O(r^3) for
-    the eigensolve.
+    parts, rounded imaginary parts of the character) (_sorted_irreps);
+    deterministic for a fixed seed. O(|G|^2) for the classes, O(|G| r) per
+    matrix and O(r^3) for the eigensolve.
 
     Bytes are checked against the work budget before they are allocated:
     32 |G|^2 (the conjugation tables, the masks that find r and the two int64
     temporaries of the centrality check), then, once r is known, that plus
     64 r |G| (the r x |G| stacks and the r x r matrices beside them), 48 r^2
     (the eigensolver's copy and workspaces) and 16 KiB of fixed-size objects.
+    The commutative route charges its own bytes (_commutative_irreps).
     """
     n = algebra.order
+    group = algebra.group
+    pairs = np.ix_(group.generators, group.generators)
+    if all(np.array_equal(t[pairs], t[pairs].T)   # e_s e_t = e_t e_s for s, t in S
+           for t in (group.table, algebra.twist.alpha_num)):
+        powers = []   # s, s^2, ..., up to the identity, for each generator
+        for s in map(int, group.generators):
+            run = [s]
+            while run[-1] != 0:
+                run.append(int(group.table[run[-1], s]))
+            powers.append(run)
+        big = algebra.twist.denom * math.lcm(*map(len, powers))
+        if big <= n * n:
+            return _commutative_irreps(algebra, powers, big)
     check_budget(32 * n * n, f"decomposing an algebra of order {n} needs {32 * n * n} bytes")
     rng = np.random.default_rng(seed)
-    group = algebra.group
     conj, turns = algebra.conjugation
     elements = np.arange(n)
     least = conj.min(axis=0)
@@ -337,13 +359,109 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> list[Ungra
     chars = np.zeros((r, n), dtype=complex)
     chars[:, ys] = table[:, cls] * coeff.conj()
     del table
-    # sort by (dim, rounded real parts, rounded imaginary parts) as tuples
-    # compare: one stable argsort of the rows as records of float fields
-    # (np.lexsort would hold about 2.8 KB of iterator state for each key)
-    keys = np.hstack((dims[:, None], np.round(chars.real, 8), np.round(chars.imag, 8)))
+    return _sorted_irreps(chars, dims)
+
+
+def _sorted_irreps(chars: np.ndarray, dims: np.ndarray) -> list[UngradedIrrep]:
+    """One UngradedIrrep per row of the (r, |G|) character stack, sorted by
+    (dim, rounded real parts, rounded imaginary parts) as tuples compare:
+    one stable argsort of the rows as records of float fields, written into
+    one r x (2 |G| + 1) key table (np.lexsort would hold about 2.8 KB of
+    iterator state for each key)."""
+    r, n = chars.shape
+    keys = np.empty((r, 2 * n + 1))
+    keys[:, 0] = dims
+    np.round(chars.real, 8, out=keys[:, 1:n + 1])
+    np.round(chars.imag, 8, out=keys[:, n + 1:])
     records = keys.view([(f"f{i}", keys.dtype) for i in range(keys.shape[1])])[:, 0]
     return [UngradedIrrep(character=chars[i], dim=int(dims[i]))
             for i in np.argsort(records, kind="stable")]
+
+
+def _commutative_irreps(algebra: TwistedGroupAlgebra, powers: list[list[int]],
+                        big: int) -> list[UngradedIrrep]:
+    """The |G| characters of a commutative algebra (G abelian and alpha
+    symmetric: every class a singleton and alpha-regular, r = |G|), read off
+    without an eigensolve.
+
+    Every irreducible is one-dimensional, a map chi with
+    chi(g) chi(h) = omega(g, h) chi(gh). chi(g)^o(g) is a product of values
+    of omega, so chi takes values in the D-th roots of unity,
+    D = `big` = denom * (exponent of G), and each row is held as integer
+    exponents c mod D; a(g, h) is alpha(g, h) in units of 1/D. `powers`
+    lists s, s^2, ..., e for each generator s. The rows are built
+    along the chain H_i = <s_1, ..., s_i> of Group.generators: s = s_i
+    enters with index m = [H_i : H_i-1], the least m with s^m in H_i-1; the
+    product rule forces m c(s) = c(s^m) + sum_{0<j<m} a(s^j, s) (mod D),
+    which has m solutions, so each row on H_i-1 extends in m ways, by
+    c(h s^j) = c(h s^j-1) + c(s) - a(h s^j-1, s). O(|G|^2) in all.
+
+    Certificate, exact and exhaustive: the product rule at every (g, s),
+    s in {e} + S, for every row, which gives it at every (g, h) by the
+    induction of twists._check_cocycle; and the rows pairwise distinct,
+    which their values on S decide, since the product rule carries those
+    to every element. So the rows are |G| distinct one-dimensional modules:
+    every irreducible, since sum d^2 = |G|. A failure raises
+    DecompositionError. The route reads alpha only at (g, s), s in S, and
+    assumes a 2-cocycle, which validate_twist proves when the algebra is
+    built. The rows go to complex once and are sorted as decompose_regular
+    sorts them.
+
+    Bytes are checked against the work budget first: 32 |G|^2 (the
+    exponents with one temporary of the certificate, at most 16 per entry,
+    and then the complex characters and their sort keys), 1280 |G| (the
+    UngradedIrrep objects and the rounding buffers), 16 D for the roots of
+    unity and 16 KiB of fixed-size objects.
+    """
+    group, twist = algebra.group, algebra.twist
+    n, table, gens = algebra.order, group.table, group.generators
+    need = 32 * n * n + 1280 * n + 16 * big + (16 << 10)
+    check_budget(need, f"decomposing an algebra of order {n} with {n} irreducibles needs "
+                 f"{need} bytes")
+    dtype, reduce = _residues(big)
+    steps = (twist.alpha_num[:, gens] * (big // twist.denom)).astype(dtype)   # a(g, s), s in S
+    exps = np.zeros((n, n), dtype=dtype)                      # exps[g, i] = c_i(g)
+    members, count = np.zeros(1, dtype=np.int64), 1           # H_i-1 and its rows
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    for j, run in enumerate(powers):
+        m = next(p for p, x in enumerate(run, start=1) if inside[x])
+        lead = reduce(exps[run[m - 1], :count]
+                      + sum(int(steps[x, j]) for x in run[:m - 1]) % big)
+        # the m values of c(s) over each row of H_i-1, rows t * count + c
+        # (in int64: m and big // m may be 256, which uint8 does not hold)
+        at_s = (lead.astype(np.int64) // m
+                + np.arange(m)[:, None] * (big // m)).ravel().astype(dtype)
+        exps[members, count:m * count] = np.tile(exps[members, :count], m - 1)
+        before = members
+        for _ in range(m - 1):
+            after = table[before, run[0]]
+            exps[after, :m * count] = reduce(exps[before, :m * count] + at_s
+                                             - steps[before, j, None])
+            members = np.concatenate((members, after))
+            before = after
+        inside[members] = True
+        count *= m
+    for j, s in enumerate([0, *map(int, gens)]):
+        # c(g) + c(s) - a(g, s) - c(gs) at every g, for every row
+        defect = exps[table[:, s]]
+        np.subtract(exps, defect, out=defect)
+        defect += exps[s]
+        if j:
+            defect -= steps[:, j - 1, None]
+        if reduce(defect).any():
+            g, i = map(int, np.argwhere(defect)[0])
+            raise DecompositionError(f"character {i} of a commutative algebra fails the "
+                                     f"product rule at ({g}, {s})")
+    del defect
+    on_s = exps[[0, *map(int, gens)]]       # each row's values on {e} + S, by column
+    on_s = on_s[:, np.lexsort(on_s)]
+    if count != n or not np.any(on_s[:, 1:] != on_s[:, :-1], axis=0).all():
+        raise DecompositionError("the characters of a commutative algebra are not distinct")
+    roots = np.exp(2j * np.pi * np.arange(big) / big)
+    chars = roots[exps.T]
+    del exps
+    return _sorted_irreps(chars, np.ones(n))
 
 
 def _parity_partners(chars: np.ndarray, signs: np.ndarray, screen: np.ndarray) -> np.ndarray:
@@ -564,11 +682,13 @@ def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
     the sign nu of u^2, the second two-fold division of the real
     classification, is its coefficient at e over sum_c d^2 / |G|. For q = 0
     under a grading with an odd element u is not central (T = P), so the
-    twisted convolution u*u is formed at every element (one bincount over
-    the Cayley table) and checked within 1e-8 of its largest coefficient.
+    twisted convolution u*u is formed at every element (a bincount over the
+    Cayley table) and checked within 1e-8 of its largest coefficient.
     Otherwise u = t (E_V -+ E_V') is central and u*u = t^2 sum_c E_c by the
     orthogonality of the central idempotents. Stacks of at most
-    _GATHER_ENTRIES entries; a failing check raises the message of the first
+    _GATHER_ENTRIES entries, the convolutions too (one bincount for as many
+    supermodules as fit, at least one); each supermodule is checked against
+    its own bound, and a failing check raises the message of the first
     supermodule that fails it.
     """
     if not algebra.twist.is_z2:
@@ -583,6 +703,7 @@ def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
     inverse_omegas = omegas[np.arange(n), group.inverses]
     out: list = []
     step = max(1, _GATHER_ENTRIES // n)
+    batch = max(1, _GATHER_ENTRIES // (n * n))   # supermodules per square
     for start in range(0, len(sups), step):
         part = sups[start:start + step]
         dims = np.array([irreps[sup.constituents[0]].dim for sup in part])
@@ -607,11 +728,18 @@ def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
         coeffs = coeffs.real
         at_e = np.sum(coeffs * coeffs[:, group.inverses] * inverse_omegas, axis=1)
         nu = at_e * n / ((1 + q1) * dims ** 2)
-        for p in np.flatnonzero(~q1 & odd.any(axis=1)).tolist():
-            square = np.bincount(group.table.ravel(),
-                                 (np.outer(coeffs[p], coeffs[p]) * omegas).ravel(), n)
-            want = nu[p] * (dims[p] / n) * part[p].character.real
-            if np.max(np.abs(square - want)) > 1e-8 * np.max(np.abs(want)):
+        graded = np.flatnonzero(~q1 & odd.any(axis=1))
+        for first in range(0, graded.size, batch):
+            ps = graded[first:first + batch]
+            # u * u at every element for each of them: one bincount over the
+            # Cayley table, offset by n per supermodule
+            weights = coeffs[ps, :, None] * coeffs[ps, None, :] * omegas
+            squares = np.bincount((group.table + n * np.arange(ps.size)[:, None, None]).ravel(),
+                                  weights.ravel(), ps.size * n).reshape(ps.size, n)
+            want = (nu[ps] * (dims[ps] / n))[:, None] * np.array(
+                [part[p].character.real for p in ps])
+            if np.any(np.max(np.abs(squares - want), axis=1)
+                      > 1e-8 * np.max(np.abs(want), axis=1)):
                 raise DecompositionError("special element square is not a multiple of "
                                          "its summand's unit")
         signs = _snap_each(nu)

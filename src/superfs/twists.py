@@ -17,7 +17,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError, check_budget
-from .groups import Group, _check_gradings, group_from_table, product_group
+from .groups import (Group, _check_gradings, _first_failure, _grading_faults, _narrow,
+                     group_from_table, product_group)
 
 __all__ = [
     "Twist",
@@ -145,6 +146,16 @@ class Twist:
         return cls(phi=phi, alpha_num=lookup[codes].reshape(n, n), denom=den)
 
 
+def _residues(den: int) -> tuple:
+    """The dtype in which residues mod den are held, and their in-place
+    reduction: uint8, whose wraparound is exact modulo den, reduced by
+    & (den - 1), when den divides 256; int64 reduced by % den otherwise."""
+    if 256 % den == 0:
+        mask = np.uint8(den - 1)
+        return np.uint8, lambda x: np.bitwise_and(x, mask, out=x)
+    return np.int64, lambda x: np.remainder(x, den, out=x)
+
+
 def _check_cocycle(group: Group, num: np.ndarray, den: int) -> None:
     """The 2-cocycle identity for k in {e} + S proves it for every k.
 
@@ -152,16 +163,20 @@ def _check_cocycle(group: Group, num: np.ndarray, den: int) -> None:
     products e_g e_h = omega(g, h) e_gh; the induction of groups._check_associative
     then carries it from k' and s in S to k's. The base case k = e is the
     identity alpha(gh, e) = alpha(h, e), i.e. alpha(., e) is constant.
+
+    Checked by groups._first_failure on narrow copies, alpha in the dtype of
+    _residues: uint8 when den divides 256, int64 otherwise.
     """
-    table = group.table
-    for k in [0, *map(int, group.generators)]:
-        col = num[:, k]
-        # alpha(g,h) + alpha(gh,k) - alpha(h,k) - alpha(g,hk)
-        bad = (num + col[table] - col[None, :] - num[:, table[:, k]]) % den
-        if bad.any():
-            g, h = map(int, np.argwhere(bad)[0])
-            raise ValidationError(
-                f"alpha violates the 2-cocycle identity at (g, h, k) = ({g}, {h}, {k})")
+    dtype, reduce = _residues(den)
+
+    def defect(at, left, right, across):   # alpha(g,h) + alpha(gh,k) - alpha(h,k) - alpha(g,hk)
+        return reduce(at + left - right - across)
+
+    failure = _first_failure(_narrow(group.table), num.astype(dtype),
+                             [0, *group.generators], defect)
+    if failure is not None:
+        raise ValidationError(
+            "alpha violates the 2-cocycle identity at (g, h, k) = ({}, {}, {})".format(*failure))
 
 
 def validate_twist(group: Group, twist: Twist) -> Twist:
@@ -214,37 +229,49 @@ def _as_denominator_two(t: Twist) -> np.ndarray:
     return t.alpha_num * (2 // t.denom) % 2
 
 
+def _combined_bytes(order: int) -> int:
+    """The bytes combine_twists and clifford_ladder charge for a product of
+    the given order: 40 per table entry, for alpha's uint8 and int64 tables,
+    the product's int64 table, the validators' narrow copies, blocks and
+    masks, and the previous rung of a ladder beside them."""
+    return 40 * order * order
+
+
 def combine_twists(gt: tuple[Group, Twist], ht: tuple[Group, Twist]) -> tuple[Group, Twist]:
     """Stack two sign-valued twisted groups on the product group.
 
     phi adds; alpha picks up the cross term phi(g1) phi'(h2) so the two twisted
-    algebras supercommute inside the combined one. Its |G|^2 |H|^2 table
-    entries are checked against SUPERFS_BUDGET first; each factor is then
-    validated on its group (at once for a twist already checked there).
+    algebras supercommute inside the combined one. The bytes of its tables
+    (_combined_bytes) are checked against SUPERFS_BUDGET first; each factor
+    is then validated on its group (at once for a twist already checked
+    there).
     """
     g, tg = gt
     h, th = ht
     n = g.order * h.order
-    check_budget(n * n, f"combining twists on groups of orders {g.order} and {h.order} "
+    need = _combined_bytes(n)
+    check_budget(need, f"combining twists on groups of orders {g.order} and {h.order} "
                  f"needs {n} x {n} tables")
     tg, th = validate_twist(g, tg), validate_twist(h, th)
-    ag = _as_denominator_two(tg)
-    ah = _as_denominator_two(th)
+    ag = _as_denominator_two(tg).astype(np.uint8)
+    ah = _as_denominator_two(th).astype(np.uint8)
     ng, nh = g.order, h.order
     phi = ((tg.phi[:, None] + th.phi[None, :]) % 2).reshape(ng * nh)
-    alpha = (ag[:, None, :, None] + ah[None, :, None, :]
-             + tg.phi[:, None, None, None] * th.phi[None, None, None, :]) % 2
+    alpha = ag[:, None, :, None] ^ ah[None, :, None, :]
+    alpha ^= (tg.phi[:, None, None, None] & th.phi[None, None, None, :]).astype(np.uint8)
     combined = Twist(phi=phi, alpha_num=alpha.reshape(ng * nh, ng * nh), denom=2)
+    del alpha
     prod = product_group(g, h)
     return prod, validate_twist(prod, combined)
 
 
 def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
     """The rank-k Clifford twists on (Z2)^k for k = 1..n, each built from the
-    last by one combine_twists with the rank-1 twist. The 4^n table entries
-    of the last rung are checked against SUPERFS_BUDGET before any rung is
-    built."""
-    check_budget(4 ** n, f"the rank-{n} Clifford twist needs a {2 ** n} x {2 ** n} table")
+    last by one combine_twists with the rank-1 twist. The bytes of the last
+    rung's combine_twists (_combined_bytes) are checked against
+    SUPERFS_BUDGET before any rung is built."""
+    need = _combined_bytes(2 ** n)
+    check_budget(need, f"the rank-{n} Clifford twist needs a {2 ** n} x {2 ** n} table")
     z2 = group_from_table([[0, 1], [1, 0]], names=["e", "u"])
     rank_one = (z2, validate_twist(z2, Twist(phi=np.array([0, 1]),
                                              alpha_num=np.zeros((2, 2), dtype=np.int64),
@@ -257,8 +284,8 @@ def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
 
 
 def clifford_twist(n: int) -> tuple[Group, Twist]:
-    """The rank-n Clifford twist on (Z2)^n; n = 0 is the trivial theory. Its
-    4^n table entries are checked against SUPERFS_BUDGET first
+    """The rank-n Clifford twist on (Z2)^n; n = 0 is the trivial theory. The
+    bytes of its tables are checked against SUPERFS_BUDGET first
     (clifford_ladder)."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
@@ -382,25 +409,22 @@ def _spread_cocycle(group: Group, cols: np.ndarray) -> np.ndarray:
 def z2_homomorphisms(group: Group) -> list[np.ndarray]:
     """All homomorphisms G -> Z2 as 0/1 int64 vectors, in lexicographic order
     (trivial first): the spreads along Group.words of the 2^|S| <= |G|
-    assignments on S (phi(ps) = phi(p) + phi(s)) that the grading check
-    accepts. The candidates' bytes are checked against the work budget first.
+    assignments on S (phi(ps) = phi(p) + phi(s)) that have no fault under the
+    grading law (groups._grading_faults), checked as one stack. The bytes of
+    the candidates (24 per entry, copies included) and of that check's
+    |S| + 1 masks (one per entry each) are checked against the work budget
+    first.
     """
     n, k = group.order, group.generators.size
     count = 1 << k
-    need = 24 * count * n + (16 << 10)
+    need = (24 + k + 1) * count * n + (16 << 10)
     check_budget(need, f"the {count} candidate homomorphisms of a group of order {n} "
                  f"need {need} bytes")
     candidates = _spread_hom(group, (np.arange(count) >> np.arange(k)[:, None]) & 1).T
-    kept = []
-    for j, phi in enumerate(candidates):
-        try:
-            _check_gradings(group, [phi])
-        except ValidationError:
-            continue
-        kept.append(j)
+    kept = np.flatnonzero(~_grading_faults(group, candidates == 1).any(axis=(1, 2)))
     # packed big-endian, the rows sort in the lexicographic order of the vectors
-    keys = np.packbits(candidates, axis=1)[kept]
-    return list(candidates[np.array(kept)[np.lexsort(keys.T[::-1])]])
+    keys = np.packbits(candidates[kept], axis=1)
+    return list(candidates[kept[np.lexsort(keys.T[::-1])]])
 
 
 def h2_basis(group: Group) -> list[np.ndarray]:

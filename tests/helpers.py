@@ -194,11 +194,13 @@ def relabelled(table, perm) -> np.ndarray:
     return perm[np.asarray(table)[np.ix_(back, back)]]
 
 
-def associativity_failures(table) -> list[tuple[int, int, int]]:
-    """Every (g, h, k) with (gh)k != g(hk), by a full |G|^3 scan."""
+def associativity_failures(table, ks=None) -> list[tuple[int, int, int]]:
+    """Every (g, h, k) with (gh)k != g(hk), k in ks (default: every element),
+    in (g, h, k) order, by a full scan."""
     t = np.asarray(table).tolist()
     n = len(t)
-    return [(g, h, k) for g in range(n) for h in range(n) for k in range(n)
+    ks = range(n) if ks is None else [int(k) for k in ks]
+    return [(g, h, k) for g in range(n) for h in range(n) for k in ks
             if t[t[g][h]][k] != t[g][t[h][k]]]
 
 
@@ -211,14 +213,27 @@ def is_z2_homomorphism(table, phi) -> bool:
                 and np.array_equal((p[:, None] + p[None, :]) % 2, p[t]))
 
 
-def cocycle_failures(table, alpha_num, denom: int) -> list[tuple[int, int, int]]:
+def cocycle_failures(table, alpha_num, denom: int, ks=None) -> list[tuple[int, int, int]]:
     """Every (g, h, k) where alpha(g,h) + alpha(gh,k) != alpha(h,k) + alpha(g,hk)
-    mod denom, by a full |G|^3 scan."""
+    mod denom, k in ks (default: every element), in (g, h, k) order, by a
+    full scan."""
     t = np.asarray(table).tolist()
     a = np.asarray(alpha_num).tolist()
     n = len(t)
-    return [(g, h, k) for g in range(n) for h in range(n) for k in range(n)
+    ks = range(n) if ks is None else [int(k) for k in ks]
+    return [(g, h, k) for g in range(n) for h in range(n) for k in ks
             if (a[g][h] + a[t[g][h]][k] - a[h][k] - a[g][t[h][k]]) % denom]
+
+
+def first_reported_failure(failures_at, steps) -> tuple[int, int, int] | None:
+    """The failing triple a check over k in `steps` reports: the first k, in
+    the order of `steps`, with a failure, and there the first (g, h)
+    row-major; failures_at(k) lists the failures at k in (g, h) order."""
+    for k in steps:
+        failures = failures_at(k)
+        if failures:
+            return failures[0]
+    return None
 
 
 def gf2_rank(rows) -> int:

@@ -413,11 +413,30 @@ def test_clifford_rank_checked_against_budget(monkeypatch, capsys):
         for command in ("classify", "verify"):
             code, _, err = run(capsys, command, "--clifford", "40")
             assert code == 2 and "budget" in err
-    # the rank-1 rung is built within 500, and its decomposition, which
-    # charges at least 16 KiB, is refused
+    # the ladder's tables are charged in bytes before the rank-1 rung is
+    # built: 40 * 8^2 bytes are over 500
     monkeypatch.setenv("SUPERFS_BUDGET", "500")
     code, _, err = run(capsys, "verify", "--clifford", "3")
     assert code == 2 and "budget" in err
+
+
+def test_clifford_11_is_refused_before_any_rung_and_clifford_10_runs(monkeypatch, capsys):
+    # at the default budget the 40 * 2048^2 bytes of the rank-11 tables are
+    # refused before any table is built; rank 10 (40 * 1024^2) runs
+    monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
+    with monkeypatch.context() as m:
+        m.setattr("superfs.twists.product_group",
+                  lambda *groups: pytest.fail("a product group was built"))
+        for command in ("classify", "verify"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--clifford", "11")
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err == ("error: the rank-11 Clifford twist needs a 2048 x 2048 table, "
+                           "budget is 100000000\n")
+    code, data, _ = run_json(capsys, "classify", "--clifford", "10")
+    assert code == 0 and data["order"] == 1024 and data["all_pass"]
+    assert [sup["bw_class"] for sup in data["supermodules"]] == [2]
 
 
 def test_each_theory_validated_once(tmp_path, cocycle_proofs, capsys):

@@ -20,13 +20,14 @@ from superfs import (
     product_group,
     z2_homomorphisms,
 )
-from superfs.groups import Group, _check_gradings, _generating_set
+from superfs.groups import Group, _check_gradings, _generating_set, _narrow
 
 from helpers import (
     associativity_failures,
     close_under_product,
     compose_perms,
     element_orders,
+    first_reported_failure,
     is_z2_homomorphism,
     relabelled,
     relabelling,
@@ -306,6 +307,66 @@ def test_associativity_check_catches_corruption_outside_generators(name):
     k = int(str(err.value).split("*(")[1].split("*")[1].rstrip(")"))
     assert k in gens
     assert any(f[2] == k for f in failures)
+
+
+@functools.lru_cache(maxsize=None)
+def corruption_tables() -> dict:
+    """Tables of orders 256, 192 and 256 (one generator), validated on narrow
+    uint8 copies, and of order 257, on uint16 copies."""
+    s4 = group_from_permutations(S4_GENERATORS)
+    return {"clifford8": clifford_twist(8)[0].table,
+            "s4xq8": product_group(s4, catalog_group("q8")).table,
+            "z256": cyclic(256).table,
+            "z257": cyclic(257).table}
+
+
+def swap_intercalate(table: np.ndarray, row: int) -> np.ndarray:
+    """The table with one intercalate swapped: rows `row` and row * x and
+    columns c and x * c, for the first involution x and the first column
+    c > 0 that keep the identity row and column out of it, so the result is
+    a Latin square with identity 0."""
+    n = table.shape[0]
+    x = next(x for x in range(1, n) if table[x, x] == 0 and table[row, x] != 0)
+    other = int(table[row, x])
+    c = next(c for c in range(1, n) if table[x, c] != 0)
+    bad = table.copy()
+    rows, cols = [row, row, other, other], [c, int(table[x, c])] * 2
+    bad[rows, cols] = table[rows, cols[::-1]]
+    return bad
+
+
+@pytest.mark.parametrize("name", ["clifford8", "s4xq8", "z256"])
+def test_a_swapped_intercalate_is_refused_at_the_first_failing_triple(name):
+    # at the first, a middle and the last row: the narrow check reports the
+    # triple the full scan finds first, k in S order, then (g, h) row-major
+    table = corruption_tables()[name]
+    n = table.shape[0]
+    for row in (1, n // 2 + 1, n - 1):
+        bad = swap_intercalate(table, row)
+        gens = _generating_set(bad)
+        expected = first_reported_failure(lambda k: associativity_failures(bad, ks=[k]), gens)
+        assert expected is not None, (name, row)
+        g, h, k = expected
+        with pytest.raises(ValidationError) as err:
+            group_from_table(bad)
+        assert str(err.value) == f"associativity fails at ({g}*{h})*{k} != {g}*({h}*{k})", (
+            name, row)
+
+
+def test_validation_reads_uint8_tables_up_to_order_256_and_uint16_after():
+    tables = corruption_tables()
+    assert _narrow(tables["z256"]).dtype == np.uint8
+    assert _narrow(tables["z257"]).dtype == np.uint16
+    for name in ("z256", "z257"):
+        group = group_from_table(tables[name])
+        assert np.array_equal(group.table, tables[name]) and group.table.dtype == np.int64
+    # one entry repeated in its row names the first bad row or column, row
+    # first on a tie, as before
+    for (g, h), message in (((200, 250), "row 200"), ((250, 3), "column 3")):
+        bad = tables["z257"].copy()
+        bad[g, h] = bad[g, h + 1]
+        with pytest.raises(ValidationError, match=f"^{message} is not a permutation of 0..256$"):
+            group_from_table(bad)
 
 
 # ---------------------------------------------------------------------------

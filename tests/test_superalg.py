@@ -465,6 +465,120 @@ def test_every_flipped_entry_of_an_h2_table_is_refused_when_the_algebra_is_built
     assert len(classes) == 4 and refused == 2116
 
 
+def commutative_algebra(name: str) -> TwistedGroupAlgebra:
+    """The commutative algebras (G abelian, alpha symmetric) the commutative
+    route is compared with the oracle on."""
+    kind, _, rest = name.partition(":")
+    if kind == "catalog":   # catalog:<group>/<class>
+        group_name, index = rest.split("/")
+        group = catalog_group(group_name)
+        return TwistedGroupAlgebra(group, h2_representatives(group)[int(index)])
+    if kind in ("z2^k", "z2^k-graded"):
+        x = np.arange(1 << int(rest))
+        group = group_from_table(x[:, None] ^ x)
+        twist = Twist.zero(group.order)
+        return TwistedGroupAlgebra(group, twist.with_phi(x & 1) if kind == "z2^k-graded"
+                                   else twist)
+    if kind == "z4xz4":
+        return TwistedGroupAlgebra(product_group(cyclic(4), cyclic(4)))
+    if kind == "z256":   # exponents mod 256 in uint8, a generator of order 256
+        return TwistedGroupAlgebra(cyclic(256))
+    if kind == "z256xz2":
+        return TwistedGroupAlgebra(product_group(cyclic(256), cyclic(2)))
+    x = np.arange(9)   # z3xz3: alpha = (a b' + a' b) / 3, symmetric and bilinear
+    a, b = x // 3, x % 3
+    return TwistedGroupAlgebra(product_group(cyclic(3), cyclic(3)), Twist(
+        phi=np.zeros(9, dtype=np.int64), alpha_num=(a[:, None] * b + b[:, None] * a) % 3,
+        denom=3))
+
+
+def symmetric_catalog_classes() -> list:
+    """Every H^2 class of every abelian catalog group whose table is symmetric."""
+    names = []
+    for group_name in CATALOG_NAMES:
+        group = catalog_group(group_name)
+        if not np.array_equal(group.table, group.table.T):
+            continue
+        for i, twist in enumerate(h2_representatives(group)):
+            if np.array_equal(twist.alpha_num, twist.alpha_num.T):
+                names.append(f"catalog:{group_name}/{i}")
+    return names
+
+
+COMMUTATIVE = [*symmetric_catalog_classes(), *(f"z2^k:{k}" for k in range(1, 10)),
+               *(f"z2^k-graded:{k}" for k in range(1, 10)), "z4xz4", "z3xz3", "z256",
+               "z256xz2"]
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE)
+def test_commutative_characters_match_the_regular_representation_oracle(monkeypatch, name):
+    # r = |G|: the characters are built along the generators with no
+    # eigensolve, and match the oracle's, in its order, within 1e-12
+    alg = commutative_algebra(name)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda h: pytest.fail("an eigensolve ran"))
+        irreps = decompose_regular(alg)
+    oracle = split_regular(alg)
+    assert [irr.dim for irr in irreps] == [1] * alg.order == [irr.dim for irr in oracle]
+    chars = np.array([irr.character for irr in irreps])
+    assert np.abs(chars - np.array([irr.character for irr in oracle])).max() <= 1e-12
+
+
+def test_commutative_classes_cover_every_abelian_catalog_group():
+    groups = {name.split(":")[1].split("/")[0] for name in COMMUTATIVE if "/" in name}
+    assert groups == {"z2", "z3", "z4", "z2xz2", "z6", "z2xz2xz2"}
+    assert len(COMMUTATIVE) == len(set(COMMUTATIVE)) > 30
+
+
+def test_commutative_route_leaves_huge_denominators_to_the_class_table():
+    # alpha(u, u) = 1/3 on Z2 is symmetric, but its characters are 6th roots
+    # of unity, more than the |G|^2 = 4 values: the eigensolve route, which
+    # reads phases off the algebra's 3 roots, matches the oracle
+    alg = TwistedGroupAlgebra(cyclic(2), Twist(phi=[0, 0], alpha_num=[[0, 0], [0, 1]],
+                                                denom=3))
+    solves = []
+    original = np.linalg.eigh
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda h: solves.append(1) or original(h))
+        chars = np.array([irr.character for irr in decompose_regular(alg)])
+    assert solves
+    oracle = np.array([irr.character for irr in split_regular(alg)])
+    assert np.abs(chars - oracle).max() <= 1e-12
+    assert np.allclose(chars[:, 1] ** 2, np.exp(2j * np.pi / 3))
+
+
+def test_commutative_certificate_refuses_symmetric_non_cocycles(monkeypatch):
+    # the commutative route reads alpha only in the generator columns and
+    # assumes a cocycle, which building the algebra proves: every symmetric
+    # flip of an untwisted (Z2)^3 off the identity row and column is refused
+    # there. With that validation bypassed, the product-rule certificate
+    # still refuses each flip that reaches a generator column
+    x = np.arange(8)
+    group = group_from_table(x[:, None] ^ x)
+    gens = set(group.generators.tolist())
+    flips = []
+    for a in range(1, 8):
+        for b in range(a, 8):
+            num = np.zeros((8, 8), dtype=np.int64)
+            num[a, b] = num[b, a] = 1
+            assert helpers.cocycle_failures(group.table, num, 2), (a, b)
+            with pytest.raises(ValidationError, match="2-cocycle identity"):
+                TwistedGroupAlgebra(group, Twist(phi=np.zeros(8, dtype=np.int64),
+                                                 alpha_num=num, denom=2))
+            flips.append((a, b, num))
+    monkeypatch.setattr(superalg, "validate_twist", lambda group, twist: twist)
+    refused = 0
+    for a, b, num in flips:
+        if not {a, b} & gens:
+            continue
+        alg = TwistedGroupAlgebra(group, Twist(phi=np.zeros(8, dtype=np.int64),
+                                               alpha_num=num, denom=2))
+        with pytest.raises(DecompositionError, match="commutative algebra"):
+            decompose_regular(alg)
+        refused += 1
+    assert len(flips) == 28 and refused == 18
+
+
 def test_decompose_regular_refuses_a_spectrum_clustered_through_max_rounds(monkeypatch):
     # a cluster tolerance above every gap leaves each round's spectrum
     # ambiguous: _MAX_ROUNDS eigensolves, then DecompositionError
@@ -790,6 +904,38 @@ def test_batched_indicators_match_the_per_supermodule_oracle():
     assert supermodules == 1242
 
 
+def test_special_element_squares_are_batched_and_checked_one_by_one():
+    # the type-M supermodules of (Z2)^3's class 4 under every grading with an
+    # odd element have their squares u * u formed in one bincount: the same
+    # coefficients and signs as one supermodule at a time, and a square
+    # pushed off its summand's unit is refused in any position of the batch
+    group = catalog_group("z2xz2xz2")
+    alg = TwistedGroupAlgebra(group, h2_representatives(group)[4])
+    phis = np.array(z2_homomorphisms(group))
+    irreps = decompose_regular(alg)
+    sups = [sup for sup in assemble_supermodules(irreps, alg, phis=phis)
+            if np.abs(sup.character.imag).max() < 1e-9]
+    graded = [i for i, sup in enumerate(sups) if sup.q_type == 0 and phis[sup.row].any()]
+    assert len(graded) >= 4 and superalg._GATHER_ENTRIES // 64 >= len(graded)
+    batched = special_element(alg, sups, irreps, phis=phis)
+    for sup, (coeffs, sign) in zip(sups, batched):
+        alone, alone_sign = special_element(alg, [sup], irreps, phis=phis)[0]
+        assert np.array_equal(coeffs, alone) and sign == alone_sign
+    for i in (graded[0], graded[-1]):
+        part = [dataclasses.replace(sup) for sup in sups]
+        # the square at g = the support's second element moves by 1e-3
+        g = int(np.flatnonzero(np.abs(part[i].supercharacter) > 1e-9)[1])
+        part[i].supercharacter = part[i].supercharacter.copy()
+        part[i].supercharacter[g] *= 1 + 1e-3
+        with pytest.raises(DecompositionError, match="special element square is not a "
+                           "multiple of its summand's unit"):
+            special_element(alg, part, irreps, phis=phis)
+        part[i].supercharacter[g] /= 1 + 1e-3
+        part[i].supercharacter[g] *= 1 + 1e-12   # within 1e-8 of the unit: kept
+        assert [sign for _, sign in special_element(alg, part, irreps, phis=phis)] == [
+            sign for _, sign in batched]
+
+
 def test_decompose_checked_against_budget(monkeypatch):
     # A4: the |G|^2 part (32 * 144 bytes) is refused before the conjugation
     # tables are built, so nothing is cached on the algebra; the whole charge,
@@ -810,8 +956,9 @@ def test_decompose_checked_against_budget(monkeypatch):
 def test_decompose_charge_covers_its_traced_peak(monkeypatch, name):
     # the largest charge of one decomposition, conjugation tables included,
     # is at least the peak that tracemalloc sees while it runs: r = 1 for
-    # Clifford(6), r = |G| = 64 for untwisted (Z2)^6. The fourth charge is
-    # the algebra's table of roots of unity
+    # Clifford(6), r = |G| = 64 for untwisted (Z2)^6. Clifford(6) is charged
+    # four times, the fourth charge being the algebra's table of roots of
+    # unity; the commutative (Z2)^6 is charged once, for its whole route
     import tracemalloc
 
     charges = []
@@ -833,7 +980,7 @@ def test_decompose_charge_covers_its_traced_peak(monkeypatch, name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(charges) == 4 and max(charges) >= peak
+    assert len(charges) == (4 if name == "clifford6" else 1) and max(charges) >= peak
 
 
 @pytest.mark.parametrize("rank", [6, 8])

@@ -31,10 +31,12 @@ from superfs import (
 from helpers import (
     brute_force_z2_cocycles,
     cocycle_failures,
+    first_reported_failure,
     dense_h2_basis,
     dense_z2_hom_basis,
     h2_z2_dimension,
     is_z2_coboundary,
+    is_z2_homomorphism,
     phases,
     relabelled,
     relabelling,
@@ -141,6 +143,64 @@ def test_hom_counts(name):
     assert not homs[0].any()  # trivial map first
     for phi in homs:  # each really is a homomorphism
         assert np.all((phi[:, None] + phi[None, :]) % 2 == phi[g.table])
+
+
+def spread_on_words(table, gens, bits) -> dict:
+    """x -> the sum of bits[j] over a word in gens reaching x, along a
+    breadth-first search from the identity 0 (every x it reaches)."""
+    values, frontier = {0: 0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, b in zip(gens, bits):
+                y = int(table[x, s])
+                if y not in values:
+                    values[y] = values[x] ^ b
+                    nxt.append(y)
+        frontier = nxt
+    return values
+
+
+def homomorphisms_by_full_scan(table) -> list:
+    """Every homomorphism to Z2 as a tuple, in lexicographic order: the maps
+    fixed by their values on a greedy generating set of the table's own,
+    each kept when the full |G|^2 scan accepts it."""
+    n = table.shape[0]
+    gens: list = []
+    reached = spread_on_words(table, gens, [])
+    while len(reached) < n:
+        gens.append(min(set(range(n)) - set(reached)))
+        reached = spread_on_words(table, gens, [0] * len(gens))
+    homs = set()
+    for bits in itertools.product((0, 1), repeat=len(gens)):
+        values = spread_on_words(table, gens, bits)
+        vector = [values[x] for x in range(n)]
+        if is_z2_homomorphism(table, vector):
+            homs.add(tuple(vector))
+    return sorted(homs)
+
+
+def test_z2_homomorphisms_match_the_full_scan_as_arrays():
+    # one stacked grading check keeps the candidates without a fault: the
+    # same list as the full scan, int64 vectors of shape (|G|,) in
+    # lexicographic order; on (Z2)^k (Clifford(k)'s group, an XOR table) the
+    # homomorphisms are the parities of x & v, one per v
+    groups = {name: catalog_group(name) for name in CATALOG_NAMES}
+    groups["s4"] = symmetric4()
+    groups["s4xz2"] = product_group(groups["s4"], cyclic(2))
+    for name, group in groups.items():
+        homs = z2_homomorphisms(group)
+        assert all(h.dtype == np.int64 and h.shape == (group.order,) for h in homs), name
+        assert [tuple(h.tolist()) for h in homs] == homomorphisms_by_full_scan(group.table), name
+    for k in (6, 8, 10):
+        group = clifford_twist(k)[0]
+        x = np.arange(group.order)
+        assert np.array_equal(group.table, x[:, None] ^ x)
+        bits = x[:, None] >> np.arange(k) & 1
+        parity = bits @ bits.T % 2   # parity[v, y]: the parity of v & y
+        homs = z2_homomorphisms(group)
+        assert all(h.dtype == np.int64 and h.shape == (group.order,) for h in homs)
+        assert np.array_equal(np.array(homs), parity[np.lexsort(parity.T[::-1])])
 
 
 def test_trivial_group_has_one_hom_and_one_class():
@@ -353,6 +413,65 @@ def test_cocycle_check_catches_failures_only_at_the_last_generator(name):
     assert broken >= len(rows) // 2
 
 
+def bilinear_theory(m: int) -> tuple:
+    """Z_m x Z_m with the cocycle alpha((a, b), (a', b')) = a b' / m."""
+    x = np.arange(m * m)
+    return product_group(cyclic(m), cyclic(m)), Twist(
+        phi=np.zeros(m * m, dtype=np.int64), alpha_num=(x[:, None] // m) * (x[None, :] % m),
+        denom=m)
+
+
+def cyclic_theory(n: int) -> tuple:
+    """Z_n with the coboundary of a seeded beta of denominator 4."""
+    group = cyclic(n)
+    beta = np.random.default_rng(n).integers(0, 4, n)
+    beta[0] = 0
+    alpha = (beta[:, None] + beta[None, :] - beta[group.table]) % 4
+    return group, Twist(phi=np.zeros(n, dtype=np.int64), alpha_num=alpha, denom=4)
+
+
+@functools.lru_cache(maxsize=None)
+def flip_theories() -> dict:
+    """Valid twists of denominators 2 (Clifford(8), S4 x Q8 with the bilinear
+    cocycle of two of its homomorphisms), 3, 4 and 6 (a b' / m on Z_m x Z_m)
+    and 4 (on Z256, a uint8 table, and Z257, a uint16 one)."""
+    group = product_group(symmetric4(), catalog_group("q8"))
+    homs = z2_homomorphisms(group)
+    out = {"clifford8": clifford_twist(8),
+           "s4xq8": (group, Twist(phi=np.zeros(group.order, dtype=np.int64),
+                                  alpha_num=np.outer(homs[1], homs[2]) % 2, denom=2))}
+    for m in (3, 4, 6):
+        out[f"z{m}xz{m}"] = bilinear_theory(m)
+    for n in (256, 257):
+        out[f"z{n}"] = cyclic_theory(n)
+    return out
+
+
+@pytest.mark.parametrize("name", ["clifford8", "s4xq8", "z3xz3", "z4xz4", "z6xz6", "z256",
+                                  "z257"])
+def test_a_flipped_alpha_entry_is_refused_at_the_first_failing_triple(name):
+    # one entry raised by 1 at the first, a middle and the last row: the
+    # narrow check (uint8 with & (den - 1) for den 2 and 4, int64 with % den
+    # for 3 and 6) reports the triple the full scan finds first, k in
+    # {e} + S order, then (g, h) row-major
+    group, twist = flip_theories()[name]
+    assert not cocycle_failures(group.table, twist.alpha_num, twist.denom,
+                                ks=[0, *group.generators])
+    validate_twist(group, twist)
+    n, den = group.order, twist.denom
+    for row in (1, n // 2, n - 1):
+        col = (7 * row + 3) % (n - 1) + 1
+        bad = twist.alpha_num.copy()
+        bad[row, col] = (bad[row, col] + 1) % den
+        expected = first_reported_failure(
+            lambda k: cocycle_failures(group.table, bad, den, ks=[k]), [0, *group.generators])
+        assert expected is not None, (name, row)
+        with pytest.raises(ValidationError) as err:
+            validate_twist(group, Twist(phi=twist.phi, alpha_num=bad, denom=den))
+        assert str(err.value) == ("alpha violates the 2-cocycle identity at (g, h, k) = "
+                                  "({}, {}, {})".format(*expected)), (name, row)
+
+
 def test_cocycle_check_rejects_nonconstant_identity_column():
     # the identity at k = e forces alpha(., e) to be constant
     g = cyclic(4)
@@ -470,8 +589,8 @@ def test_h2_classes_checked_against_budget(monkeypatch):
 
 
 def test_library_builders_check_their_tables_against_budget(monkeypatch):
-    # clifford_twist, combine_twists and product_group refuse a table of more
-    # than SUPERFS_BUDGET entries before they build anything
+    # clifford_twist, combine_twists and product_group refuse tables of more
+    # than SUPERFS_BUDGET bytes before they build anything
     import superfs.groups
     import superfs.twists
 
@@ -484,17 +603,23 @@ def test_library_builders_check_their_tables_against_budget(monkeypatch):
 
     for module in (superfs.groups, superfs.twists):   # twists imports it by name
         monkeypatch.setattr(module, "group_from_table", counting)
-    monkeypatch.setenv("SUPERFS_BUDGET", "1e4")
-    with pytest.raises(BudgetExceededError, match=r"rank-8 Clifford twist needs a 256 x 256"):
+    monkeypatch.setenv("SUPERFS_BUDGET", "1e6")
+    with pytest.raises(BudgetExceededError, match=r"^the rank-8 Clifford twist needs a 256 x 256 "
+                       r"table, budget is 1000000$") as refused:
         clifford_twist(8)
+    assert refused.value.required == 40 * 256 ** 2
     assert not built   # not even the rank-1 rung
-    assert clifford_twist(6)[0].order == 64   # 4096 entries fit
+    assert clifford_twist(6)[0].order == 64   # 40 * 64^2 = 163840 bytes fit
     built.clear()
     g, t = clifford_twist(4)
-    with pytest.raises(BudgetExceededError, match="combining twists"):
+    with pytest.raises(BudgetExceededError, match=r"^combining twists on groups of orders 16 and "
+                       r"16 needs 256 x 256 tables, budget is 1000000$") as refused:
         combine_twists((g, t), (g, t))
-    with pytest.raises(BudgetExceededError, match="product of groups of orders 16 and 16"):
+    assert refused.value.required == 40 * 256 ** 2
+    with pytest.raises(BudgetExceededError, match=r"^the product of groups of orders 16 and 16 "
+                       r"needs a 256 x 256 table, budget is 1000000$") as refused:
         product_group(g, g)
+    assert refused.value.required == 24 * 256 ** 2
     assert len(built) == 4   # the rungs of clifford_twist(4) only
 
 
@@ -594,11 +719,14 @@ def test_z2_homomorphisms_charge_their_candidates(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(homs) == 256 and charges == [24 * 256 * 256 + (16 << 10)] and peak <= charges[0]
+    # 24 bytes per candidate entry and one per entry for each of the 9 masks
+    # of the grading check on {e} + S
+    assert len(homs) == 256 and charges == [(24 + 9) * 256 * 256 + (16 << 10)]
+    assert peak <= charges[0]
     monkeypatch.setattr(superfs.twists, "_spread_hom", lambda *a: pytest.fail("spread"))
     monkeypatch.setenv("SUPERFS_BUDGET", "10000")
     with pytest.raises(BudgetExceededError, match="the 256 candidate homomorphisms of a group "
-                       "of order 256 need 1589248 bytes"):
+                       "of order 256 need 2179072 bytes"):
         z2_homomorphisms(group)
 
 
