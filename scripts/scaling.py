@@ -1,12 +1,13 @@
 """Scaling curves of `classify` and `h2_basis`: wall time per stage and peak
-memory against |G|; and of `crosscheck` against the surface.
+memory against |G|; of a whole (phi, H^2 class) sweep per group; and of
+`crosscheck` against the surface.
 
     python scripts/scaling.py --label change
     python scripts/scaling.py --src ../parent-checkout --label parent
 
 Each point runs in a fresh interpreter that imports `superfs` from
 `<src>/src`, so the peak resident memory it reports belongs to that point
-alone. Five families are measured:
+alone. Six families are measured:
 
 - `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..12 (|G| = 16..4096);
 - `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..11;
@@ -17,6 +18,11 @@ alone. Five families are measured:
   (|G| = 4..96), each group built from its table or permutations in the
   child. These points run at the default SUPERFS_BUDGET, so a point the
   measured checkout refuses is recorded as refused, with its message;
+- `sweep`: `classify_gradings` under every grading of every H^2 class of
+  (Z2)^2, (Z2)^3, (Z2)^4, D4, Q8 and S4, one call per class as `sweep` makes
+  them (algebra built, decomposed, classified): the number of cases and
+  supermodules, the median total of three passes and the time per
+  supermodule, at the default SUPERFS_BUDGET;
 - `surfaces`: `crosscheck` on every structure of Z2 pin- on 1..10 crosscaps,
   of Clifford(2) spin on genus 1..5, and of the rational cocycle
   alpha((a, b), (a', b')) = a b' / 3 on Z3 x Z3, oriented, on genus 1..10:
@@ -62,6 +68,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BUDGET = "1e10"
 RANKS = {"clifford": range(4, 13), "z2-graded": range(4, 12), "gradings": range(3, 9),
          "h2": ("z2^2", "z2^3", "z2^4", "z2^5", "z2^6", "s4", "s4xz2", "s4xz2xz2"),
+         "sweep": ("z2^2", "z2^3", "z2^4", "d4", "q8", "s4"),
          "surfaces": ([f"z2-pin:{k}" for k in range(1, 11)]
                       + [f"clifford2-spin:{g}" for g in range(1, 6)]
                       + [f"z3xz3-rational:{g}" for g in range(1, 11)])}
@@ -183,6 +190,39 @@ def measure_h2(name: str, repeats: int = 3) -> dict:
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
+def measure_sweep(name: str, repeats: int = 3) -> dict:
+    """Time of classify_gradings under every grading of every H^2 class of
+    one group, one call per class, and its case and supermodule counts (run
+    in a child)."""
+    import resource
+    import statistics
+
+    import numpy as np
+    from superfs import (TwistedGroupAlgebra, catalog_group, classify_gradings,
+                         h2_representatives, z2_homomorphisms)
+
+    os.environ.pop("SUPERFS_BUDGET", None)   # sweep points run at the default budget
+    group = catalog_group(name) if name in ("d4", "q8") else _h2_group(name)
+    phis = np.array(z2_homomorphisms(group))
+    classes = h2_representatives(group)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        reports = [report for base in classes
+                   for report in classify_gradings(TwistedGroupAlgebra(group,
+                                                                       base.with_phi(phis[0])),
+                                                   phis, seed=0)]
+        times.append(time.perf_counter() - start)
+    total = statistics.median(times)
+    supermodules = sum(len(report.supermodules) for report in reports)
+    return {"family": "sweep", "group": name, "order": group.order, "gradings": len(phis),
+            "classes": len(classes), "cases": len(reports), "supermodules": supermodules,
+            "total_s": round(total, 4), "cold_total_s": round(times[0], 4),
+            "per_supermodule_us": round(1e6 * total / supermodules, 2),
+            "all_pass": all(report.all_pass for report in reports),
+            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
 def _surface_theory(name: str):
     """A `surfaces` point's theory and surface, from '<theory>:<genus or crosscaps>'."""
     import numpy as np
@@ -269,6 +309,8 @@ def main(argv: list | None = None) -> None:
             point = measure_h2(rank)
         elif family == "surfaces":
             point = measure_surface(rank)
+        elif family == "sweep":
+            point = measure_sweep(rank)
         else:
             point = measure_point(family, int(rank))
         print(json.dumps(point))
@@ -299,8 +341,9 @@ def main(argv: list | None = None) -> None:
                    "peak_rss_mib": [round(rss, 1) for _, rss in cli]}}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["about"] = ("classify stage times (median of 3, seconds), h2_basis times and peak "
-                     "RSS (MiB) per group order, and crosscheck times, structure counts "
-                     "and |lhs - rhs| per surface; written by scripts/scaling.py")
+                     "RSS (MiB) per group order, sweep times per group and per "
+                     "supermodule, and crosscheck times, structure counts and "
+                     "|lhs - rhs| per surface; written by scripts/scaling.py")
     data.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(json.dumps(run["cli"]), file=sys.stderr)

@@ -206,15 +206,17 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
         alphas = h2_representatives(group, classes)
     else:
         alphas = [_resolve_twist(group, "zero", args.alpha)]
+    stack = np.array(phis)
+    trivial = (~stack.any(axis=1)).tolist()
     rows = []
     for ai, base in enumerate(alphas):
         algebra = TwistedGroupAlgebra(group, base.with_phi(phis[0]))
-        reports = classify_gradings(algebra, np.array(phis), seed=args.seed)
-        for pi, (phi, report) in enumerate(zip(phis, reports)):
+        reports = classify_gradings(algebra, stack, seed=args.seed)
+        for pi, (phi_trivial, report) in enumerate(zip(trivial, reports)):
             rows.append({
                 "group": name, "order": group.order,
                 "phi_index": pi, "alpha_index": ai,
-                "phi_trivial": bool(np.all(phi == 0)),
+                "phi_trivial": phi_trivial,
                 "supermodules": len(report.supermodules),
                 "bw_classes": [s.bw for s in report.supermodules],
                 "verdict": "PASS" if report.all_pass else "FAIL",

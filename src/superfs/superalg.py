@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +173,64 @@ class Supermodule:
     @property
     def qdim(self) -> float:
         return self.dim / math.sqrt(2) ** self.q_type
+
+
+@dataclass(eq=False)
+class _Supermodules(Sequence):
+    """The supermodules of a stack of gradings, held as arrays with one entry
+    per supermodule in (row, first constituent) order: the grading's row in
+    `phis` (the proved stack they were assembled under, or None for
+    supermodules gathered from objects), q, the first and second constituent
+    (the same irrep for type M), and the (s, |G|) characters and
+    supercharacters. As a sequence it reads as plain Supermodule objects,
+    built on first use; classify_gradings reads the arrays instead and builds
+    its objects, invariants included, once at the end."""
+
+    phis: np.ndarray | None
+    row: np.ndarray
+    q: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    character: np.ndarray
+    supercharacter: np.ndarray
+
+    @classmethod
+    def gather(cls, sups: list[Supermodule], n: int) -> _Supermodules:
+        """The arrays of a list of Supermodule objects on a group of order n."""
+        return cls(None, np.array([sup.row for sup in sups], dtype=np.int64),
+                   np.array([sup.q_type for sup in sups], dtype=np.int64),
+                   np.array([sup.constituents[0] for sup in sups], dtype=np.int64),
+                   np.array([sup.constituents[-1] for sup in sups], dtype=np.int64),
+                   np.array([sup.character for sup in sups], dtype=complex).reshape(-1, n),
+                   np.array([sup.supercharacter for sup in sups],
+                            dtype=complex).reshape(-1, n))
+
+    def take(self, index: np.ndarray) -> _Supermodules:
+        """The supermodules at `index`, under the same stack of gradings."""
+        return _Supermodules(self.phis, self.row[index], self.q[index], self.first[index],
+                             self.second[index], self.character[index],
+                             self.supercharacter[index])
+
+    def constituents(self) -> list[tuple[int, ...]]:
+        """Supermodule.constituents of each entry: (i,) for type M, (i, j) for Q."""
+        return [(i,) if i == j else (i, j)
+                for i, j in zip(self.first.tolist(), self.second.tolist())]
+
+    @functools.cached_property
+    def _objects(self) -> list[Supermodule]:
+        """One plain Supermodule per entry; each character is a row view of
+        the stack."""
+        return list(map(Supermodule, self.q.tolist(), self.character, self.supercharacter,
+                        self.constituents(), self.row.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __getitem__(self, index):
+        return self._objects[index]
+
+    def __iter__(self):
+        return iter(self._objects)
 
 
 # entries of the stacks that one batched step gathers at a time (partner
@@ -489,21 +548,26 @@ def _parity_partners(chars: np.ndarray, signs: np.ndarray, screen: np.ndarray) -
         r, i = np.divmod(np.arange(start, min(start + step, partners.size)), k)
         twisted = signs[r] * chars[i]
         p, j = np.nonzero(np.abs((twisted[:, screen] @ weights)[:, None] - keys) < width)
-        ok = np.max(np.abs(chars[j] - twisted[p]), axis=1) < 1e-6
-        matched, first = np.unique(p[ok], return_index=True)
+        ok = np.abs(chars[j] - twisted[p]).max(axis=1) < 1e-6
+        p, j = p[ok], j[ok]
+        first = np.ones(p.size, dtype=bool)   # p ascends: its first confirmed candidate
+        first[1:] = p[1:] != p[:-1]
+        matched = p[first]
         if matched.size < r.size:
             missing = np.flatnonzero(np.isin(np.arange(r.size), matched, invert=True))[0]
             raise DecompositionError(f"no parity partner for irrep {i[missing]}; "
                                      "upstream decomposition is incomplete")
-        partners[start:start + step] = j[ok][first]
+        partners[start:start + step] = j[first]
     return partners.reshape(len(signs), k)
 
 
 def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlgebra, *,
-                          phis: np.ndarray | None = None) -> list[Supermodule]:
+                          phis: np.ndarray | None = None) -> Sequence[Supermodule]:
     """Pair ungraded irreducibles under the parity twist into supermodules,
     under every row of `phis` (an (m, |G|) stack of gradings sharing the
-    algebra's alpha; default its own phi), in (row, first constituent) order.
+    algebra's alpha, proved by groups._check_gradings first; default its own
+    phi), in (row, first constituent) order. They are held as arrays
+    (_Supermodules) and read as a sequence of Supermodule objects.
 
     chi^sigma(g) = (-1)^{phi(g)} chi(g) (_parity_partners). A fixed point
     gives a type-M (q = 0) supermodule graded by its parity intertwiner P,
@@ -515,41 +579,31 @@ def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlge
     first failing row and irrep.
     """
     n = algebra.order
-    phis = algebra.twist.phi[None] if phis is None else np.asarray(phis)
+    phis = algebra.twist.phi[None] if phis is None else _check_gradings(algebra.group, phis)
     signs = np.where(phis == 1, -1.0, 1.0)
     chars = np.array([irr.character for irr in irreps])
     k = len(irreps)
     screen = np.concatenate(([algebra.group.identity], algebra.group.generators))
     partners = _parity_partners(chars, signs, screen)
-
-    sups: list[Supermodule] = []
-    graded: list[int] = []   # positions of the type-M supermodules of rows with odd elements
-    for r, row in enumerate(partners):
-        for i in np.flatnonzero(row >= np.arange(k)).tolist():
-            j = int(row[i])
-            if j == i:
-                if phis[r].any():
-                    graded.append(len(sups))
-                sups.append(Supermodule(0, chars[i].copy(), chars[i].copy(), (i,), r))
-            else:
-                # the trace of V + V: 2 tr M_V(g) on even g, 0 on odd g
-                character = (1 + signs[r]) * chars[i]
-                sups.append(Supermodule(1, character, np.zeros_like(character), (i, j), r))
-    paired = [sup for sup in sups if sup.q_type == 1]
+    rows, first = np.nonzero(partners >= np.arange(k))   # (row, first constituent) order
+    second = partners[rows, first]
+    q = (second != first).astype(np.int64)
+    character = chars[first]
+    supercharacter = character.copy()
+    paired = q.nonzero()[0]
+    # the trace of V + V: 2 tr M_V(g) on even g, 0 on odd g
+    character[paired] = (1 + signs[rows[paired]]) * chars[first[paired]]
+    supercharacter[paired] = 0
     step = max(1, _GATHER_ENTRIES // n)
-    for start in range(0, len(paired), step):
+    for start in range(0, paired.size, step):
         part = paired[start:start + step]
-        _check_parity(np.array([sup.character for sup in part]),
-                      phis[[sup.row for sup in part]] == 1)
-    if graded:
-        part = [sups[pos] for pos in graded]
-        rows = [sup.row for sup in part]
-        dims = np.array([irreps[sup.constituents[0]].dim for sup in part])
-        character = np.array([sup.character for sup in part])
-        supercharacters = _supercharacters(algebra, character, dims, phis[rows] == 1)
-        for sup, supercharacter in zip(part, supercharacters):
-            sup.supercharacter = supercharacter
-    return sups
+        _check_parity(character[part], phis[rows[part]] == 1)
+    graded = ((q == 0) & phis.any(axis=1)[rows]).nonzero()[0]   # type M with odd elements
+    if graded.size:
+        dims = np.array([irr.dim for irr in irreps])[first[graded]]
+        supercharacter[graded] = _supercharacters(algebra, character[graded], dims,
+                                                  phis[rows[graded]] == 1)
+    return _Supermodules(phis, rows, q, first, second, character, supercharacter)
 
 
 def _supercharacters(algebra: TwistedGroupAlgebra, chars: np.ndarray, dims: np.ndarray,
@@ -602,7 +656,7 @@ def _supercharacters(algebra: TwistedGroupAlgebra, chars: np.ndarray, dims: np.n
         np.take(chi, square_at + shift, out=buffer)
         buffer *= square_phase
         squares = scale * (sign @ buffer)[:, 0]
-        best = np.argmax(np.abs(squares), axis=1)
+        best = np.abs(squares).argmax(axis=1)
         moved = conj[:, best].T                      # (c, g): g h* g^-1
         np.take(chi, table[moved] + shift, out=buffer)
         buffer *= algebra.omega(alpha[moved])
@@ -618,9 +672,9 @@ def _check_parity(character: np.ndarray, odd: np.ndarray) -> None:
     """chi(g) = 0 for every odd g, over a stack of supermodule characters
     (character and the mask odd = (phi == 1) of shape (c, |G|)); the first
     failing supermodule is reported, at its first such element."""
-    bad = np.argwhere(odd & (np.abs(character) > 1e-8))
+    _, bad = (odd & (np.abs(character) > 1e-8)).nonzero()
     if bad.size:
-        raise DecompositionError(f"character of a supermodule must vanish on odd {bad[0, 1]}")
+        raise DecompositionError(f"character of a supermodule must vanish on odd {bad[0]}")
 
 
 def _check_supercharacters(algebra: TwistedGroupAlgebra, character: np.ndarray,
@@ -640,15 +694,17 @@ def _check_supercharacters(algebra: TwistedGroupAlgebra, character: np.ndarray,
     conj, turns = algebra.conjugation
     gens = algebra.group.generators
     twisted = np.where(odd[:, gens, None], -1.0, 1.0) * algebra.omega(-turns[gens])
-    norms = np.stack([np.sum(np.where(odd, 0, np.abs(character + sign * supercharacter) ** 2),
-                             axis=1) for sign in (1, -1)], axis=1)
-    norms /= 4 * np.count_nonzero(~odd, axis=1)[:, None]
+    halves = character[:, None] + np.array([[1], [-1]]) * supercharacter[:, None]
+    norms = np.where(odd[:, None], 0, np.abs(halves) ** 2).sum(axis=2)
+    norms /= 4 * (~odd).sum(axis=1)[:, None]
     faults = [np.abs(supercharacter ** 2 - squares) > tol * np.maximum(1.0, dims ** 2)[:, None],
               odd & (np.abs(supercharacter) > tol),
-              np.any(np.abs(supercharacter[:, conj[gens]] - twisted * supercharacter[:, None])
-                     > tol * np.maximum(1.0, dims)[:, None, None], axis=1),
+              (np.abs(supercharacter[:, conj[gens]] - twisted * supercharacter[:, None])
+               > tol * np.maximum(1.0, dims)[:, None, None]).any(axis=1),
               np.abs(norms - 1) > 1e-6]
-    failing = np.logical_or.reduce([fault.any(axis=1) for fault in faults])
+    failing = faults[0].any(axis=1)
+    for fault in faults[1:]:
+        failing |= fault.any(axis=1)
     if not failing.any():
         return
     first = int(np.argmax(failing))
@@ -661,13 +717,17 @@ def _check_supercharacters(algebra: TwistedGroupAlgebra, character: np.ndarray,
             raise DecompositionError(message.format(int(np.argmax(fault[first]))))
 
 
-def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
+def special_element(algebra: TwistedGroupAlgebra, sups: Sequence[Supermodule],
                     irreps: list[UngradedIrrep], *,
                     phis: np.ndarray | None = None) -> list[tuple[np.ndarray, int]]:
     """For each real supermodule, the *-fixed element u = sum_g u_g e_g with
     u^2 = +-1 supported on its summand, returned as its real coefficient
     vector (u_g) with the sign of u^2. A supermodule is graded by row
-    `sup.row` of `phis` (default: the algebra's own phi).
+    `sup.row` of `phis` (default: the algebra's own phi), which is proved by
+    groups._check_gradings first unless it is the very stack that
+    assemble_supermodules proved and assembled `sups` under. Supermodules
+    from assemble_supermodules are read as the arrays they are held in, and
+    a list of Supermodule objects is gathered into such arrays first.
 
     u acts as T on the constituent irreps and as zero on every other irrep:
     T = P for q = 0, and T = +1 on V, -1 on its partner V^sigma for q = 1.
@@ -695,62 +755,65 @@ def special_element(algebra: TwistedGroupAlgebra, sups: list[Supermodule],
         raise ValidationError("special elements need a sign-valued twist")
     n = algebra.order
     group = algebra.group
-    phis = algebra.twist.phi[None] if phis is None else np.asarray(phis)
-    for sup in sups:
-        if np.max(np.abs(np.conj(sup.character) - sup.character)) > 1e-6:
-            raise ValidationError("complex supermodule has no *-fixed special element")
+    stack = sups if isinstance(sups, _Supermodules) else _Supermodules.gather(sups, n)
+    if phis is None:
+        phis = algebra.twist.phi[None]
+    elif phis is not stack.phis:
+        phis = _check_gradings(group, phis)
+    if (np.abs(stack.character.conj() - stack.character) > 1e-6).any():
+        raise ValidationError("complex supermodule has no *-fixed special element")
     omegas = 1 - 2 * algebra.twist.alpha_num          # omega(g, h) = +-1, exact
     inverse_omegas = omegas[np.arange(n), group.inverses]
+    irrep_dims = np.array([irr.dim for irr in irreps])
+    irrep_chars = np.array([irr.character for irr in irreps])
     out: list = []
     step = max(1, _GATHER_ENTRIES // n)
     batch = max(1, _GATHER_ENTRIES // (n * n))   # supermodules per square
-    for start in range(0, len(sups), step):
-        part = sups[start:start + step]
-        dims = np.array([irreps[sup.constituents[0]].dim for sup in part])
-        odd = phis[[sup.row for sup in part]] == 1
-        q1 = np.array([sup.q_type == 1 for sup in part])
-        tau = np.where(q1[:, None],
-                       np.where(odd, 2 * np.array([irreps[sup.constituents[0]].character
-                                                   for sup in part]), 0),
-                       np.array([sup.supercharacter for sup in part]))
-        coeffs = (dims / n)[:, None] * np.conj(tau)
-        top = np.max(np.abs(coeffs), axis=1)
-        peak = coeffs[np.arange(len(part)), np.argmax(np.abs(coeffs), axis=1)]
-        lam = (np.conj(peak) / peak)[:, None]
-        if np.any(np.max(np.abs(np.conj(coeffs) - lam * coeffs), axis=1) > 1e-6 * top):
+    for start in range(0, len(stack), step):
+        part = slice(start, start + step)
+        first = stack.first[part]
+        dims = irrep_dims[first]
+        odd = phis[stack.row[part]] == 1
+        q1 = stack.q[part] == 1
+        tau = np.where(q1[:, None], np.where(odd, 2 * irrep_chars[first], 0),
+                       stack.supercharacter[part])
+        coeffs = (dims / n)[:, None] * tau.conj()
+        magnitude = np.abs(coeffs)
+        top = magnitude.max(axis=1)
+        peak = coeffs[np.arange(len(first)), magnitude.argmax(axis=1)]
+        lam = (peak.conj() / peak)[:, None]
+        if (np.abs(coeffs.conj() - lam * coeffs).max(axis=1) > 1e-6 * top).any():
             raise DecompositionError(
                 "special element is not a *-eigenvector; summand not real")
         coeffs = coeffs * np.exp(1j * np.angle(lam) / 2)
-        scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
-        if np.any(np.max(np.abs(coeffs.imag), axis=1) > 1e-8 * scale):
+        scale = np.maximum(1.0, np.abs(coeffs).max(axis=1))
+        if (np.abs(coeffs.imag).max(axis=1) > 1e-8 * scale).any():
             raise DecompositionError(
                 "*-fixed special element should have real coefficients")
         coeffs = coeffs.real
-        at_e = np.sum(coeffs * coeffs[:, group.inverses] * inverse_omegas, axis=1)
+        at_e = (coeffs * coeffs[:, group.inverses] * inverse_omegas).sum(axis=1)
         nu = at_e * n / ((1 + q1) * dims ** 2)
-        graded = np.flatnonzero(~q1 & odd.any(axis=1))
-        for first in range(0, graded.size, batch):
-            ps = graded[first:first + batch]
+        graded = (~q1 & odd.any(axis=1)).nonzero()[0]
+        for at in range(0, graded.size, batch):
+            ps = graded[at:at + batch]
             # u * u at every element for each of them: one bincount over the
             # Cayley table, offset by n per supermodule
             weights = coeffs[ps, :, None] * coeffs[ps, None, :] * omegas
             squares = np.bincount((group.table + n * np.arange(ps.size)[:, None, None]).ravel(),
                                   weights.ravel(), ps.size * n).reshape(ps.size, n)
-            want = (nu[ps] * (dims[ps] / n))[:, None] * np.array(
-                [part[p].character.real for p in ps])
-            if np.any(np.max(np.abs(squares - want), axis=1)
-                      > 1e-8 * np.max(np.abs(want), axis=1)):
+            want = (nu[ps] * (dims[ps] / n))[:, None] * stack.character[part][ps].real
+            if (np.abs(squares - want).max(axis=1) > 1e-8 * np.abs(want).max(axis=1)).any():
                 raise DecompositionError("special element square is not a multiple of "
                                          "its summand's unit")
         signs = _snap_each(nu)
-        if 0 in signs:
-            raise SnapError(f"special element square {nu[signs.index(0)]} is not +-1")
+        if not signs.all():
+            raise SnapError(f"special element square {nu[np.argmin(signs != 0)]} is not +-1")
         # u lives in the even part for q = 0 and in the odd part for q = 1
-        stray = np.max(np.abs(np.where(odd == q1[:, None], 0, coeffs)), axis=1)
-        scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=1))
-        if np.any(stray > 1e-8 * scale):
+        stray = np.abs(np.where(odd == q1[:, None], 0, coeffs)).max(axis=1)
+        scale = np.maximum(1.0, np.abs(coeffs).max(axis=1))
+        if (stray > 1e-8 * scale).any():
             raise DecompositionError("special element has support of the wrong parity")
-        out.extend(zip(coeffs, signs))
+        out.extend(zip(coeffs, signs.tolist()))
     return out
 
 
@@ -767,13 +830,16 @@ def eighth_root(k: int) -> complex:
     return cmath.exp(2j * cmath.pi * k / 8)
 
 
+_EIGHTH_ROOTS = tuple(eighth_root(k) for k in range(8))
+
+
 def snap_eighth_root(z: complex) -> int | None:
     """Snap to 0 (returned as None) or to the exponent k of e^{2 pi i k/8},
     within _SNAP_TOL."""
     if abs(z) < _SNAP_TOL:
         return None
-    for k in range(8):
-        if abs(z - eighth_root(k)) < _SNAP_TOL:
+    for k, root in enumerate(_EIGHTH_ROOTS):
+        if abs(z - root) < _SNAP_TOL:
             return k
     raise SnapError(f"value {z} is not within {_SNAP_TOL} of 0 or any eighth root of unity")
 
@@ -782,9 +848,30 @@ def snapped_string(k: int | None) -> str:
     return "0" if k is None else f"e^{{2·pi·i·{k}/8}}"
 
 
-def _snap_each(values: np.ndarray) -> list[int]:
-    """snap_indicator on each value of a vector, in order."""
-    return [snap_indicator(v) for v in values]
+def _nearest(values: np.ndarray, targets: tuple, scalar) -> np.ndarray:
+    """For each entry x of a vector, the position of the target t with
+    |x - t| < _SNAP_TOL: the test that the scalar snap `scalar` makes on x,
+    on the same floats, so the two agree entry by entry (|x - t| is C's
+    hypot, as Python's abs of a complex computes it; numpy's complex
+    absolute can differ from it in the last place). The first entry near no
+    target is handed to `scalar`, which raises its own error."""
+    offsets = values[:, None] - np.array(targets)
+    near = np.hypot(offsets.real, offsets.imag) < _SNAP_TOL
+    found = near.any(axis=1)
+    if not found.all():
+        scalar(values[found.argmin()].item())
+    return near.argmax(axis=1)
+
+
+def _snap_each(values: np.ndarray) -> np.ndarray:
+    """snap_indicator on each entry of a vector, as one int64 array."""
+    return _nearest(values, (-1, 0, 1), snap_indicator) - 1
+
+
+def _snap_roots(values: np.ndarray) -> np.ndarray:
+    """snap_eighth_root on each entry of a vector, as one int64 array: k,
+    or -1 where it gives None (a value near 0)."""
+    return _nearest(values, (0, *_EIGHTH_ROOTS), snap_eighth_root) - 1
 
 
 def _twisted_squares(characters: np.ndarray, algebra: TwistedGroupAlgebra) -> np.ndarray:
@@ -803,7 +890,8 @@ def ordinary_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra) -> list[in
     chi(g^2), snapped to {-1, 0, +1}, of each row of a (k, |G|) stack of
     characters indexed by G: one int per row, in one pass.
     """
-    return _snap_each(np.sum(_twisted_squares(characters, algebra), axis=1) / algebra.order)
+    return _snap_each(np.sum(_twisted_squares(characters, algebra), axis=1)
+                      / algebra.order).tolist()
 
 
 def bw_from_parts(q: int, u_sign: int, division: str) -> int:
@@ -812,6 +900,16 @@ def bw_from_parts(q: int, u_sign: int, division: str) -> int:
     if key not in BW_TABLE:
         raise ValidationError(f"no real graded division class for {key}")
     return BW_TABLE[key]
+
+
+@functools.cache
+def _bw_classes() -> np.ndarray:
+    """bw_from_parts as a read-only (q, (1 - u_sign) / 2, quaternionic)
+    lookup table, built on first use."""
+    classes = np.array([[[bw_from_parts(q, sign, kind) for kind in "RH"] for sign in (1, -1)]
+                        for q in (0, 1)])
+    classes.setflags(write=False)
+    return classes
 
 
 @dataclass
@@ -848,8 +946,11 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     at `seed`) and shared by every row. Each later stage then runs once for
     all rows: the supermodules of every row (assemble_supermodules), the
     special elements of every real one (special_element), and the indicators,
-    in stacks of at most _GATHER_ENTRIES entries. Every indicator is a part of one twisted
-    square sum: with t(g) = (-1)^{alpha(g,g)} chi(g^2) and t0 the same for the
+    in stacks of at most _GATHER_ENTRIES entries. The supermodules stay
+    arrays (_Supermodules) until the reports are built: the snaps, reality
+    tests, checks and per-row dimension sums are whole-array operations, and
+    the Supermodule and ClassificationReport objects are built once, at the
+    end. Every indicator is a part of one twisted square sum: with t(g) = (-1)^{alpha(g,g)} chi(g^2) and t0 the same for the
     even part chi0 = (chi + str) / 2, gathered once per stack, and the even
     subgroup G0 of each row read as its mask phi = 0,
 
@@ -868,74 +969,76 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
         raise ValidationError("classification requires a sign-valued twist")
     irreps = decompose_regular(algebra, seed=seed)
     sups = assemble_supermodules(irreps, algebra, phis=phis)
-    n = algebra.order
-    rows = np.array([sup.row for sup in sups], dtype=np.int64)
-    q_types = np.array([sup.q_type for sup in sups], dtype=np.int64)
+    n, m, count = algebra.order, len(phis), len(sups)
+    rows, q_types = sups.row, sups.q
     scales = math.sqrt(2) ** q_types
-    real = np.empty(len(sups), dtype=bool)
-    s_ordinary, eta_gow, division = (np.zeros(len(sups), dtype=np.int64) for _ in range(3))
-    fs_raw, rewrite = np.empty(len(sups), dtype=complex), np.empty(len(sups), dtype=complex)
+    real = np.empty(count, dtype=bool)
+    s_ordinary, eta_gow, division = (np.zeros(count, dtype=np.int64) for _ in range(3))
+    fs_raw, rewrite = np.empty(count, dtype=complex), np.empty(count, dtype=complex)
     step = max(1, _GATHER_ENTRIES // n)
-    for start in range(0, len(sups), step):
+    for start in range(0, count, step):
         part = slice(start, start + step)
         phi = phis[rows[part]]
         even = phi == 0
-        order0 = np.count_nonzero(even, axis=1)
-        chars = np.array([sup.character for sup in sups[part]])
-        chi0 = (chars + np.array([sup.supercharacter for sup in sups[part]])) / 2
-        real[part] = np.max(np.abs(np.conj(chars) - chars), axis=1) < _SNAP_TOL
-        terms, terms0 = _twisted_squares(chars, algebra), _twisted_squares(chi0, algebra)
-        s_ordinary[part] = _snap_each(np.sum(np.where(even, terms0, 0), axis=1) / order0)
-        eta_gow[part] = _snap_each(np.sum(np.where(even, 0, terms0), axis=1) / order0)
-        fs_raw[part] = np.sum((1j ** phi) * terms, axis=1) / (scales[part] * n)
-        even_sums = np.sum(np.where(even, terms, 0), axis=1) / n
-        full_sums = np.sum(terms, axis=1) / n
+        order0 = even.sum(axis=1)
+        chars = sups.character[part]
+        size = len(chars)
+        chi0 = (chars + sups.supercharacter[part]) / 2
+        real[part] = np.abs(chars.conj() - chars).max(axis=1) < _SNAP_TOL
+        terms = _twisted_squares(np.concatenate((chars, chi0)), algebra)
+        terms, terms0 = terms[:size], terms[size:]
+        fs_raw[part] = ((1j ** phi) * terms).sum(axis=1) / (scales[part] * n)
+        even_sums = np.where(even, terms, 0).sum(axis=1) / n
+        full_sums = terms.sum(axis=1) / n
         rewrite[part] = (even_sums + 1j * (full_sums - even_sums)) / scales[part]
-        pick = np.flatnonzero(real[part] & (q_types[part] == 0))
-        division[start + pick] = _snap_each(full_sums[pick])
-    reals = [sup for sup, is_real in zip(sups, real) if is_real]
-    u_signs = iter(sign for _, sign in special_element(algebra, reals, irreps, phis=phis))
+        pick = (real[part] & (q_types[part] == 0)).nonzero()[0]
+        # S_ordinary, eta_Gow and the divisions, snapped in that order
+        snapped = _snap_each(np.concatenate((np.where(even, terms0, 0).sum(axis=1) / order0,
+                                             np.where(even, 0, terms0).sum(axis=1) / order0,
+                                             full_sums[pick])))
+        s_ordinary[part], eta_gow[part] = snapped[:size], snapped[size:2 * size]
+        division[start + pick] = snapped[2 * size:]
+    reals = real.nonzero()[0]
+    u_sign = np.zeros(count, dtype=np.int64)
+    u_sign[reals] = [sign for _, sign in special_element(algebra, sups.take(reals), irreps,
+                                                         phis=sups.phis)]
+    # S_super is snapped up to the first real q = 1 supermodule whose even
+    # restriction has a vanishing indicator, which is refused
+    vanishing = (real & (q_types == 1) & (s_ordinary == 0)).nonzero()[0]
+    fs_k = _snap_roots(fs_raw[:vanishing[0] + 1] if vanishing.size else fs_raw)
+    if vanishing.size:
+        raise SnapError("even restriction of a real q=1 supermodule has vanishing indicator")
+    quaternionic = np.where(q_types == 0, division != 1, s_ordinary != 1)
+    bw = _bw_classes()[q_types, (1 - u_sign) // 2, quaternionic.astype(np.int64)]
+    theorem = np.where(real, (fs_k >= 0) & (np.abs(fs_raw - np.array(_EIGHTH_ROOTS)[bw])
+                                            < _SNAP_TOL), fs_k < 0)
+    gow = np.abs(fs_raw - (s_ordinary + 1j * eta_gow) / scales) < _SNAP_TOL
+    regrouped = np.abs(fs_raw - rewrite) < _SNAP_TOL
+    chi_e, str_e = sups.character[:, 0].real, sups.supercharacter[:, 0].real
+    dims = np.rint((chi_e + str_e) / 2) + np.rint((chi_e - str_e) / 2)   # as Supermodule.dims
+    starts = np.concatenate(([0], np.bincount(rows, minlength=m).cumsum()))   # no row is empty
+    dim_sums = np.add.reduceat(dims ** 2 / 2.0 ** q_types, starts[:-1])
+    dim_ok = np.abs(dim_sums - n) < _SNAP_TOL
+    passed = np.logical_and.reduceat(theorem & gow & regrouped, starts[:-1]) & dim_ok
 
-    passed = [True] * len(phis)
-    for i, sup in enumerate(sups):
-        sup.reality = "real" if real[i] else "complex"
-        sup.s_ordinary = int(s_ordinary[i])
-        sup.eta_gow = int(eta_gow[i])
-        sup.fs_raw = complex(fs_raw[i])
-        sup.fs_k = snap_eighth_root(sup.fs_raw)
-        if real[i]:
-            sup.u_sign = next(u_signs)
-            if sup.q_type == 0:
-                kind = "R" if division[i] == 1 else "H"
-            else:
-                if sup.s_ordinary == 0:
-                    raise SnapError("even restriction of a real q=1 supermodule "
-                                    "has vanishing indicator")
-                kind = "R" if sup.s_ordinary == 1 else "H"
-            sup.bw = bw_from_parts(sup.q_type, sup.u_sign, kind)
-            theorem_ok = (sup.fs_k is not None
-                          and abs(sup.fs_raw - eighth_root(sup.bw)) < _SNAP_TOL)
-        else:
-            sup.bw = "complex"
-            theorem_ok = sup.fs_k is None
-        gow_ok = abs(sup.fs_raw - (sup.s_ordinary + 1j * sup.eta_gow) / scales[i]) < _SNAP_TOL
-        rewrite_ok = abs(sup.fs_raw - rewrite[i]) < _SNAP_TOL
-        sup.checks = {"theorem": theorem_ok, "gow_identity": gow_ok,
-                      "rewrite_identity": rewrite_ok}
-        passed[sup.row] = passed[sup.row] and theorem_ok and gow_ok and rewrite_ok
-
-    by_row: list[list[Supermodule]] = [[] for _ in phis]
-    for sup in sups:
-        by_row[sup.row].append(sup)
-    reports = []
-    for phi, row, ok in zip(phis, by_row, passed):
-        dim_sum = sum(sup.dim ** 2 / 2 ** sup.q_type for sup in row)
-        dim_ok = abs(dim_sum - n) < _SNAP_TOL
-        reports.append(ClassificationReport(
-            order=n, phi=tuple(int(x) for x in phi), alpha_ring=algebra.twist.ring,
-            alpha_is_trivial=algebra.twist.alpha_is_trivial, seed=seed, supermodules=row,
-            dim_sum=dim_sum, dim_sum_ok=dim_ok, all_pass=ok and dim_ok))
-    return reports
+    objects = [Supermodule(q, chi, sch, cons, row, "real" if is_real else "complex", s0, eta,
+                           u if is_real else None, raw, None if k < 0 else k,
+                           b if is_real else "complex",
+                           {"theorem": t, "gow_identity": g, "rewrite_identity": w})
+               for q, chi, sch, cons, row, is_real, s0, eta, u, raw, k, b, t, g, w in zip(
+                   q_types.tolist(), sups.character, sups.supercharacter, sups.constituents(),
+                   rows.tolist(), real.tolist(), s_ordinary.tolist(), eta_gow.tolist(),
+                   u_sign.tolist(), fs_raw.tolist(), fs_k.tolist(), bw.tolist(),
+                   theorem.tolist(), gow.tolist(), regrouped.tolist())]
+    ring, trivial = algebra.twist.ring, algebra.twist.alpha_is_trivial
+    bounds = starts.tolist()
+    return [ClassificationReport(order=n, phi=tuple(phi), alpha_ring=ring,
+                                 alpha_is_trivial=trivial, seed=seed,
+                                 supermodules=objects[lo:hi], dim_sum=dim_sum,
+                                 dim_sum_ok=ok_dim, all_pass=ok)
+            for phi, lo, hi, dim_sum, ok_dim, ok in zip(
+                phis.tolist(), bounds, bounds[1:], dim_sums.tolist(), dim_ok.tolist(),
+                passed.tolist())]
 
 
 def classify(algebra: TwistedGroupAlgebra, seed: int = 0) -> ClassificationReport:

@@ -1,8 +1,11 @@
 """Twisted algebra arithmetic, decomposition, supermodules, and indicators."""
 
+import cmath
 import dataclasses
 import functools
 import json
+import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -1167,17 +1170,42 @@ def test_gow_indicator_direct():
 def test_classify_refuses_a_grading_that_is_no_homomorphism():
     # Clifford(2) x Z2 has two 2-dimensional irreps, with characters 2 and
     # +-2 at the central element 1 = (e, c) and 0 elsewhere. phi = 1 at 1 only
-    # swaps them, so they assemble into one type-Q supermodule, and only
-    # classify's own check on phi refuses the grading
+    # swaps them, so they would pair into one type-Q supermodule; the grading
+    # check refuses it first, in classify and in each stage given the stack
     g, t = combine_twists(clifford_twist(2), (cyclic(2), Twist.zero(2)))
     phi = np.zeros(8, dtype=np.int64)
     phi[1] = 1
     alg = TwistedGroupAlgebra(g, t)
-    sups = assemble_supermodules(decompose_regular(alg), alg, phis=phi[None])
-    assert [s.q_type for s in sups] == [1]
-    with pytest.raises(ValidationError,
-                       match=r"^phi is not a homomorphism to Z2: fails at \(1, 2\)$"):
+    irreps = decompose_regular(alg)
+    message = r"^phi is not a homomorphism to Z2: fails at \(1, 2\)$"
+    with pytest.raises(ValidationError, match=message):
+        assemble_supermodules(irreps, alg, phis=phi[None])
+    with pytest.raises(ValidationError, match=message):
+        special_element(alg, assemble_supermodules(irreps, alg), irreps, phis=phi[None])
+    with pytest.raises(ValidationError, match=message):
         classify_gradings(alg, phi[None])
+
+
+def test_the_stages_refuse_a_bad_stack_of_gradings():
+    # a stack given to assemble_supermodules or special_element is proved a
+    # grading first: on Clifford(2), an entry 2 and a grading that is no
+    # homomorphism are refused with the grading law's own message, not
+    # blamed on the decomposition or read as a grading
+    alg = TwistedGroupAlgebra(*clifford_twist(2))
+    irreps = decompose_regular(alg)
+    sups = assemble_supermodules(irreps, alg)
+    for stack, message in (([[0, 2, 2, 0]], r"^phi values must be 0 or 1, got 2$"),
+                           ([[1, 0, 0, 0]],
+                            r"^phi is not a homomorphism to Z2: fails at \(0, 0\)$")):
+        with pytest.raises(ValidationError, match=message):
+            assemble_supermodules(irreps, alg, phis=np.array(stack))
+        with pytest.raises(ValidationError, match=message):
+            special_element(alg, sups, irreps, phis=np.array(stack))
+    # the algebra's own grading, given as a stack, is proved and accepted
+    phis = alg.twist.phi[None]
+    (sup,) = assemble_supermodules(irreps, alg, phis=phis)
+    (u, sign), = special_element(alg, [sup], irreps, phis=phis)
+    assert sign == -1 and np.array_equal(u, special_element(alg, sups, irreps)[0][0])
 
 
 def test_classify_gradings_refuses_a_malformed_stack_before_decomposing(monkeypatch):
@@ -1261,6 +1289,71 @@ def test_snapping_helpers():
         snap_eighth_root(0.5 + 0.2j)
     assert snapped_string(None) == "0"
     assert snapped_string(3) == "e^{2·pi·i·3/8}"
+
+
+def _near(targets):
+    """Values at a target, inside or outside its _SNAP_TOL disc, or on its
+    rim up to a few ulps, in any direction."""
+    radii = st.one_of(st.sampled_from([0.0, 1 - 2 ** -40, 1.0, 1 + 2 ** -40]),
+                      st.floats(0, 3))
+    return st.builds(lambda t, r, a: t + r * superalg._SNAP_TOL * cmath.exp(1j * a),
+                     st.sampled_from(targets), radii, st.floats(0, 2 * math.pi))
+
+
+def _scalar_snaps(scalar, values):
+    """The scalar snap of each value, or the message of the first one it refuses."""
+    out = []
+    for value in values:
+        try:
+            out.append(scalar(value))
+        except SnapError as exc:
+            return out, str(exc)
+    return out, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(indicators=st.lists(_near((-1, 0, 1)), min_size=1, max_size=12),
+       roots=st.lists(_near((0, *map(eighth_root, range(8)))), min_size=1, max_size=12),
+       real=st.booleans())
+def test_array_snaps_agree_with_the_scalar_snaps(indicators, roots, real):
+    # the whole-array snaps of classify agree entry by entry with
+    # snap_indicator and snap_eighth_root (-1 standing for its None), and a
+    # stack with a refused entry raises the scalar message of the first one
+    indicators = np.array(indicators)
+    if real:
+        indicators = indicators.real
+    for array_snap, scalar, values in ((superalg._snap_each, snap_indicator, indicators),
+                                       (superalg._snap_roots, snap_eighth_root,
+                                        np.array(roots))):
+        want, refused = _scalar_snaps(scalar, values.tolist())
+        if refused is None:
+            assert array_snap(values).tolist() == [-1 if k is None else k for k in want]
+        else:
+            with pytest.raises(SnapError) as exc:
+                array_snap(values)
+            assert str(exc.value) == refused
+
+
+def test_array_snaps_agree_with_the_scalar_snaps_on_the_rim():
+    # 200 directions at distance _SNAP_TOL from each target, where about half
+    # the values are refused: the distance is C's hypot on both sides (numpy's
+    # complex absolute differs from Python's abs in the last place, and would
+    # disagree here about once in eighty values)
+    rim = superalg._SNAP_TOL * np.exp(1j * np.linspace(0, 2 * np.pi, 200))
+    for array_snap, scalar, targets in (
+            (superalg._snap_each, snap_indicator, (-1, 0, 1)),
+            (superalg._snap_roots, snap_eighth_root, (0, *map(eighth_root, range(8))))):
+        refused = 0
+        for value in (np.array(targets)[:, None] + rim).ravel().tolist():
+            want, message = _scalar_snaps(scalar, [value])
+            if message is None:
+                assert array_snap(np.array([value])).tolist() == [
+                    -1 if want[0] is None else want[0]]
+            else:
+                refused += 1
+                with pytest.raises(SnapError, match=re.escape(message)):
+                    array_snap(np.array([value]))
+        assert 0 < refused < 200 * len(targets)
 
 
 def test_bw_table_complete():
@@ -1448,3 +1541,43 @@ def test_random_permutation_groups_against_the_oracle(degree, data, label_seed, 
     shifted = TwistedGroupAlgebra(group, shift_by_coboundary(group, twist, beta, 2))
     got, moved = _invariant_dict(classify(shifted))
     assert got == want and np.max(np.abs(moved - raw), initial=0) <= 1e-12
+
+
+def _shifted_catalog_theory(name, picks, seed):
+    """A catalog group under a picked grading and H^2 class, with alpha
+    shifted by the coboundary of a random normalized beta."""
+    group = catalog_group(name)
+    classes, phis = h2_representatives(group), z2_homomorphisms(group)
+    twist = validate_twist(group, classes[picks[0] % len(classes)]
+                           .with_phi(phis[picks[1] % len(phis)]))
+    beta = np.random.default_rng(seed).integers(0, 2, group.order)
+    beta[0] = 0
+    return group, shift_by_coboundary(group, twist, beta, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=st.tuples(st.sampled_from(CATALOG_NAMES), st.sampled_from(CATALOG_NAMES)),
+       picks=st.tuples(*[st.integers(0, 2 ** 16)] * 4),
+       seeds=st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)))
+def test_indicators_multiply_under_combine_twists(names, picks, seeds):
+    # for sign-valued catalog theories rho and sigma, each under a random
+    # grading, H^2 class and coboundary shift, with |G x H| <= 64: exactly
+    # one supermodule tau of the combined theory has the character
+    # chi_rho (x) chi_sigma (halved when both are type Q), its S_super is the
+    # product within 1e-9, and when both are real the classes add mod 8
+    hypothesis.assume(catalog_group(names[0]).order * catalog_group(names[1]).order <= 64)
+    ga, ta = _shifted_catalog_theory(names[0], picks[:2], seeds[0])
+    gb, tb = _shifted_catalog_theory(names[1], picks[2:], seeds[1])
+    gc, tc = combine_twists((ga, ta), (gb, tb))
+    ra, rb, rc = (classify(TwistedGroupAlgebra(g, t)) for g, t in ((ga, ta), (gb, tb), (gc, tc)))
+    assert ra.all_pass and rb.all_pass and rc.all_pass
+    combined = np.array([tau.character for tau in rc.supermodules])
+    for rho in ra.supermodules:
+        for sigma in rb.supermodules:
+            halved = 2 if rho.q_type == sigma.q_type == 1 else 1
+            product = np.outer(rho.character, sigma.character).ravel()
+            (hit,) = np.flatnonzero(np.abs(halved * combined - product).max(axis=1) < 1e-6)
+            tau = rc.supermodules[hit]
+            assert abs(tau.fs_raw - rho.fs_raw * sigma.fs_raw) < 1e-9
+            if rho.reality == sigma.reality == "real":
+                assert tau.bw == (rho.bw + sigma.bw) % 8
