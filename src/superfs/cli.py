@@ -12,7 +12,7 @@ import numpy as np
 from .catalog import CATALOG_NAMES, catalog_group
 from .errors import BudgetExceededError, DecompositionError, SnapError, ValidationError
 from .gauge import _FAMILY, FAMILIES, TheoryData, crosscheck, report_to_dict
-from .groups import Group, load_group
+from .groups import Group, _read_json, load_group
 from .superalg import (
     TwistedGroupAlgebra,
     classification_to_dict,
@@ -41,14 +41,6 @@ def _resolve_group(value: str, cap: int | None) -> Group:
     if group.order > cap:
         raise ValidationError(f"group order {group.order} exceeds the configured cap {cap}")
     return group
-
-
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _resolve_phi(value: str | None, group: Group) -> np.ndarray:

@@ -317,13 +317,9 @@ def _spectrum(theory: TheoryData, seed: int) -> list:
         indicators = ordinary_fs(np.array([irr.character for irr in irreps]), algebra)
         return [({"dim": irr.dim, "indicator": eps}, irr.dim, 4 * (eps == -1))
                 for irr, eps in zip(irreps, indicators) if eps != 0]
-    return [({"dims": list(sup.dims), "q": sup.q_type}, sup.qdim, 4 * sup.q_type)
-            for sup in assemble_supermodules(irreps, algebra)]
-
-
-# zeta_8^k, exact at the fourth roots of unity (no -0.0 parts)
-_ZETA8 = (1 + 0j, eighth_root(1), 1j, eighth_root(3),
-          -1 + 0j, eighth_root(5), complex(0, -1), eighth_root(7))
+    sups = assemble_supermodules(irreps, algebra)
+    return [({"dims": dims, "q": q}, sum(dims) / math.sqrt(2) ** q, 4 * q)
+            for dims, q in zip(sups.dims.tolist(), sups.q.tolist())]
 
 
 def _rhs_sum(theory: TheoryData, surface: Surface,
@@ -342,7 +338,7 @@ def _rhs_sum(theory: TheoryData, surface: Surface,
     terms = []
     total = 0j
     for fields, qdim, k8 in spectrum:
-        coeff = _ZETA8[k8 * m % 8]
+        coeff = eighth_root(k8 * m)
         value = coeff * (n / qdim) ** (-surface.euler)
         terms.append({**fields, "coefficient": [coeff.real, coeff.imag],
                       "value": [value.real, value.imag]})

@@ -212,6 +212,8 @@ def _check_gradings(group: Group, phis) -> np.ndarray:
     O(m |G| |S|). A failure names the first failing row, its least failing g
     and there the first failing s in {e} + S order."""
     phis, n = np.asarray(phis), group.order
+    if phis.ndim == 1:
+        raise ValidationError(f"a stack of gradings must have shape (m, {n}), got {phis.shape}")
     if phis.ndim != 2 or phis.shape[1] != n:
         raise ValidationError(f"phi must have length {n}, got {phis.shape[1:]}")
     odd = phis == 1
@@ -230,13 +232,21 @@ def _check_gradings(group: Group, phis) -> np.ndarray:
 
 def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
                      names: Sequence[str] | None = None) -> Group:
-    """Validate a Cayley table and return a Group (identity relabeled to 0)."""
-    t = np.asarray(table, dtype=np.int64)
+    """Validate a Cayley table and return a Group (identity relabeled to 0).
+    The entries must be integers as numpy reads them: a table of floats,
+    strings or bools is refused, not cast."""
+    try:
+        t = np.asarray(table)
+    except ValueError as exc:
+        raise ValidationError("table must be square, got rows of different lengths") from exc
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValidationError(f"table must be square, got shape {t.shape}")
     n = t.shape[0]
     if n == 0:
         raise ValidationError("empty table")
+    if t.dtype.kind not in "iu":
+        raise ValidationError(f"table entries must be integers, got {t.dtype.name} entries")
+    t = t.astype(np.int64, copy=False)
     if t.min() < 0 or t.max() >= n:
         raise ValidationError("table entries must lie in 0..order-1")
     narrow = _narrow(t)
@@ -311,20 +321,28 @@ def group_from_permutations(generators: Sequence[Sequence[int]]) -> Group:
 
 
 def build_group(record: dict) -> Group:
-    """Build a Group from a parsed JSON record (table form or generator form)."""
+    """Build a Group from a parsed JSON record (table form or generator form).
+    `order`, `degree` and permutation entries must be JSON integers, and the
+    table an integer array as numpy reads it (`true` among integers is 1)."""
     if not isinstance(record, dict):
         raise ValidationError("group record must be a JSON object")
+    for key in ("order", "degree"):
+        if key in record and type(record[key]) is not int:
+            raise ValidationError(f"{key} must be an integer, got {record[key]!r}")
     if "table" in record:
         names = record.get("names")
         grp = group_from_table(record["table"], names=names)
-        if "order" in record and int(record["order"]) != grp.order:
+        if "order" in record and record["order"] != grp.order:
             raise ValidationError(
                 f"declared order {record['order']} does not match table size {grp.order}")
         return grp
     if "generators" in record:
         gens = record["generators"]
+        if not isinstance(gens, list) or not all(
+                isinstance(g, list) and all(type(x) is int for x in g) for g in gens):
+            raise ValidationError("generators must be lists of integers")
         if "degree" in record:
-            deg = int(record["degree"])
+            deg = record["degree"]
             for g in gens:
                 if len(g) != deg:
                     raise ValidationError(f"generator length {len(g)} != degree {deg}")
@@ -381,11 +399,15 @@ def even_subgroup(group: Group, phi: Sequence[int] | np.ndarray) -> EvenSubgroup
                         positions=positions, index=(2 if len(elements) < n else 1))
 
 
-def load_group(path: str) -> Group:
+def _read_json(path: str):
+    """The parsed contents of a JSON file: a group, a grading or a cocycle."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            record = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return build_group(record)
+
+
+def load_group(path: str) -> Group:
+    return build_group(_read_json(path))
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,38 +132,23 @@ class UngradedIrrep:
 
 @dataclass
 class Supermodule:
-    """An irreducible supermodule rho, known by its character tr rho(g) and
-    supercharacter tr(Gamma rho(g)), Gamma the grading.
-
-    Type M (q = 0) is a parity-fixed irrep M graded by its parity intertwiner
-    P, so the supercharacter is tr(P M(g)); type Q (q = 1) is V + V with odd
-    elements acting off-diagonally, so the character is (1 + (-1)^phi) chi_V
-    and the supercharacter is 0. The even part has character
-    (chi + str) / 2 on G0. `row` is the grading's row in the stack of
-    gradings it was assembled under (0 for the algebra's own). The invariant
-    fields (reality, indicators, special-element sign, BW class, checks) are
-    filled in by classify.
-    """
+    """An irreducible supermodule as classify_gradings reports it: one entry
+    of a _Supermodules stack, with the dimensions of its even and odd parts
+    and the invariants classify_gradings establishes."""
 
     q_type: int
+    dims: tuple[int, int]
     character: np.ndarray
     supercharacter: np.ndarray
     constituents: tuple[int, ...]
-    row: int = 0
-    reality: str | None = None
-    s_ordinary: int | None = None
-    eta_gow: int | None = None
-    u_sign: int | None = None
-    fs_raw: complex | None = None
-    fs_k: int | None = None
-    bw: int | str | None = None
-    checks: dict | None = None
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        """Dimensions of the even and odd parts, (chi(e) +- str(e)) / 2."""
-        chi, sch = self.character[0].real, self.supercharacter[0].real
-        return round((chi + sch) / 2), round((chi - sch) / 2)
+    reality: str
+    s_ordinary: int
+    eta_gow: int
+    u_sign: int | None
+    fs_raw: complex
+    fs_k: int | None
+    bw: int | str
+    checks: dict
 
     @property
     def dim(self) -> int:
@@ -176,17 +160,16 @@ class Supermodule:
 
 
 @dataclass(eq=False)
-class _Supermodules(Sequence):
-    """The supermodules of a stack of gradings, held as arrays with one entry
-    per supermodule in (row, first constituent) order: the grading's row in
-    `phis` (the proved stack they were assembled under, or None for
-    supermodules gathered from objects), q, the first and second constituent
-    (the same irrep for type M), and the (s, |G|) characters and
-    supercharacters. As a sequence it reads as plain Supermodule objects,
-    built on first use; classify_gradings reads the arrays instead and builds
-    its objects, invariants included, once at the end."""
+class _Supermodules:
+    """The supermodules of a stack of gradings (assemble_supermodules, which
+    describes the two types q = 0 and 1), held as arrays with one entry per
+    supermodule in (row, first constituent) order: the grading's row in
+    `phis` (the proved stack they were assembled under), q, the first and
+    second constituent (the same irrep for type M), and the (s, |G|)
+    characters chi and supercharacters str tr(Gamma rho(g)), Gamma the
+    grading; the even part has character (chi + str) / 2 on G0."""
 
-    phis: np.ndarray | None
+    phis: np.ndarray
     row: np.ndarray
     q: np.ndarray
     first: np.ndarray
@@ -194,16 +177,12 @@ class _Supermodules(Sequence):
     character: np.ndarray
     supercharacter: np.ndarray
 
-    @classmethod
-    def gather(cls, sups: list[Supermodule], n: int) -> _Supermodules:
-        """The arrays of a list of Supermodule objects on a group of order n."""
-        return cls(None, np.array([sup.row for sup in sups], dtype=np.int64),
-                   np.array([sup.q_type for sup in sups], dtype=np.int64),
-                   np.array([sup.constituents[0] for sup in sups], dtype=np.int64),
-                   np.array([sup.constituents[-1] for sup in sups], dtype=np.int64),
-                   np.array([sup.character for sup in sups], dtype=complex).reshape(-1, n),
-                   np.array([sup.supercharacter for sup in sups],
-                            dtype=complex).reshape(-1, n))
+    @property
+    def dims(self) -> np.ndarray:
+        """(s, 2) int64: the dimensions of the even and odd parts,
+        (chi(e) +- str(e)) / 2."""
+        chi, sch = self.character[:, 0].real, self.supercharacter[:, 0].real
+        return np.rint(np.stack((chi + sch, chi - sch), axis=1) / 2).astype(np.int64)
 
     def take(self, index: np.ndarray) -> _Supermodules:
         """The supermodules at `index`, under the same stack of gradings."""
@@ -216,21 +195,8 @@ class _Supermodules(Sequence):
         return [(i,) if i == j else (i, j)
                 for i, j in zip(self.first.tolist(), self.second.tolist())]
 
-    @functools.cached_property
-    def _objects(self) -> list[Supermodule]:
-        """One plain Supermodule per entry; each character is a row view of
-        the stack."""
-        return list(map(Supermodule, self.q.tolist(), self.character, self.supercharacter,
-                        self.constituents(), self.row.tolist()))
-
     def __len__(self) -> int:
         return len(self.row)
-
-    def __getitem__(self, index):
-        return self._objects[index]
-
-    def __iter__(self):
-        return iter(self._objects)
 
 
 # entries of the stacks that one batched step gathers at a time (partner
@@ -562,12 +528,12 @@ def _parity_partners(chars: np.ndarray, signs: np.ndarray, screen: np.ndarray) -
 
 
 def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlgebra, *,
-                          phis: np.ndarray | None = None) -> Sequence[Supermodule]:
+                          phis: np.ndarray | None = None) -> _Supermodules:
     """Pair ungraded irreducibles under the parity twist into supermodules,
     under every row of `phis` (an (m, |G|) stack of gradings sharing the
     algebra's alpha, proved by groups._check_gradings first; default its own
-    phi), in (row, first constituent) order. They are held as arrays
-    (_Supermodules) and read as a sequence of Supermodule objects.
+    phi), in (row, first constituent) order, held as the arrays of one
+    _Supermodules stack.
 
     chi^sigma(g) = (-1)^{phi(g)} chi(g) (_parity_partners). A fixed point
     gives a type-M (q = 0) supermodule graded by its parity intertwiner P,
@@ -717,17 +683,13 @@ def _check_supercharacters(algebra: TwistedGroupAlgebra, character: np.ndarray,
             raise DecompositionError(message.format(int(np.argmax(fault[first]))))
 
 
-def special_element(algebra: TwistedGroupAlgebra, sups: Sequence[Supermodule],
-                    irreps: list[UngradedIrrep], *,
-                    phis: np.ndarray | None = None) -> list[tuple[np.ndarray, int]]:
-    """For each real supermodule, the *-fixed element u = sum_g u_g e_g with
-    u^2 = +-1 supported on its summand, returned as its real coefficient
-    vector (u_g) with the sign of u^2. A supermodule is graded by row
-    `sup.row` of `phis` (default: the algebra's own phi), which is proved by
-    groups._check_gradings first unless it is the very stack that
-    assemble_supermodules proved and assembled `sups` under. Supermodules
-    from assemble_supermodules are read as the arrays they are held in, and
-    a list of Supermodule objects is gathered into such arrays first.
+def special_element(algebra: TwistedGroupAlgebra, sups: _Supermodules,
+                    irreps: list[UngradedIrrep]) -> list[tuple[np.ndarray, int]]:
+    """For each real supermodule of a stack from assemble_supermodules (or a
+    part of one, sups.take(index)), the *-fixed element u = sum_g u_g e_g
+    with u^2 = +-1 supported on its summand, returned as its real
+    coefficient vector (u_g) with the sign of u^2. Each supermodule is graded
+    by its row of sups.phis, the stack it was assembled and proved under.
 
     u acts as T on the constituent irreps and as zero on every other irrep:
     T = P for q = 0, and T = +1 on V, -1 on its partner V^sigma for q = 1.
@@ -755,12 +717,7 @@ def special_element(algebra: TwistedGroupAlgebra, sups: Sequence[Supermodule],
         raise ValidationError("special elements need a sign-valued twist")
     n = algebra.order
     group = algebra.group
-    stack = sups if isinstance(sups, _Supermodules) else _Supermodules.gather(sups, n)
-    if phis is None:
-        phis = algebra.twist.phi[None]
-    elif phis is not stack.phis:
-        phis = _check_gradings(group, phis)
-    if (np.abs(stack.character.conj() - stack.character) > 1e-6).any():
+    if (np.abs(sups.character.conj() - sups.character) > 1e-6).any():
         raise ValidationError("complex supermodule has no *-fixed special element")
     omegas = 1 - 2 * algebra.twist.alpha_num          # omega(g, h) = +-1, exact
     inverse_omegas = omegas[np.arange(n), group.inverses]
@@ -769,14 +726,14 @@ def special_element(algebra: TwistedGroupAlgebra, sups: Sequence[Supermodule],
     out: list = []
     step = max(1, _GATHER_ENTRIES // n)
     batch = max(1, _GATHER_ENTRIES // (n * n))   # supermodules per square
-    for start in range(0, len(stack), step):
+    for start in range(0, len(sups), step):
         part = slice(start, start + step)
-        first = stack.first[part]
+        first = sups.first[part]
         dims = irrep_dims[first]
-        odd = phis[stack.row[part]] == 1
-        q1 = stack.q[part] == 1
+        odd = sups.phis[sups.row[part]] == 1
+        q1 = sups.q[part] == 1
         tau = np.where(q1[:, None], np.where(odd, 2 * irrep_chars[first], 0),
-                       stack.supercharacter[part])
+                       sups.supercharacter[part])
         coeffs = (dims / n)[:, None] * tau.conj()
         magnitude = np.abs(coeffs)
         top = magnitude.max(axis=1)
@@ -801,7 +758,7 @@ def special_element(algebra: TwistedGroupAlgebra, sups: Sequence[Supermodule],
             weights = coeffs[ps, :, None] * coeffs[ps, None, :] * omegas
             squares = np.bincount((group.table + n * np.arange(ps.size)[:, None, None]).ravel(),
                                   weights.ravel(), ps.size * n).reshape(ps.size, n)
-            want = (nu[ps] * (dims[ps] / n))[:, None] * stack.character[part][ps].real
+            want = (nu[ps] * (dims[ps] / n))[:, None] * sups.character[part][ps].real
             if (np.abs(squares - want).max(axis=1) > 1e-8 * np.abs(want).max(axis=1)).any():
                 raise DecompositionError("special element square is not a multiple of "
                                          "its summand's unit")
@@ -826,11 +783,14 @@ def snap_indicator(x: complex | float) -> int:
     raise SnapError(f"value {x} is not within {_SNAP_TOL} of -1, 0, or +1")
 
 
+# e^{2 pi i k/8} for k in [0, 8), exact at the fourth roots of unity (no
+# -0.0 or 6e-17 parts)
+_EIGHTH_ROOTS = tuple(cmath.exp(2j * cmath.pi * k / 8) if k % 2
+                      else (1 + 0j, 1j, -1 + 0j, complex(0, -1))[k // 2] for k in range(8))
+
+
 def eighth_root(k: int) -> complex:
-    return cmath.exp(2j * cmath.pi * k / 8)
-
-
-_EIGHTH_ROOTS = tuple(eighth_root(k) for k in range(8))
+    return _EIGHTH_ROOTS[k % 8]
 
 
 def snap_eighth_root(z: complex) -> int | None:
@@ -1000,8 +960,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
         division[start + pick] = snapped[2 * size:]
     reals = real.nonzero()[0]
     u_sign = np.zeros(count, dtype=np.int64)
-    u_sign[reals] = [sign for _, sign in special_element(algebra, sups.take(reals), irreps,
-                                                         phis=sups.phis)]
+    u_sign[reals] = [sign for _, sign in special_element(algebra, sups.take(reals), irreps)]
     # S_super is snapped up to the first real q = 1 supermodule whose even
     # restriction has a vanishing indicator, which is refused
     vanishing = (real & (q_types == 1) & (s_ordinary == 0)).nonzero()[0]
@@ -1014,20 +973,19 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
                                             < _SNAP_TOL), fs_k < 0)
     gow = np.abs(fs_raw - (s_ordinary + 1j * eta_gow) / scales) < _SNAP_TOL
     regrouped = np.abs(fs_raw - rewrite) < _SNAP_TOL
-    chi_e, str_e = sups.character[:, 0].real, sups.supercharacter[:, 0].real
-    dims = np.rint((chi_e + str_e) / 2) + np.rint((chi_e - str_e) / 2)   # as Supermodule.dims
+    dims = sups.dims
     starts = np.concatenate(([0], np.bincount(rows, minlength=m).cumsum()))   # no row is empty
-    dim_sums = np.add.reduceat(dims ** 2 / 2.0 ** q_types, starts[:-1])
+    dim_sums = np.add.reduceat(dims.sum(axis=1) ** 2 / 2.0 ** q_types, starts[:-1])
     dim_ok = np.abs(dim_sums - n) < _SNAP_TOL
     passed = np.logical_and.reduceat(theorem & gow & regrouped, starts[:-1]) & dim_ok
 
-    objects = [Supermodule(q, chi, sch, cons, row, "real" if is_real else "complex", s0, eta,
-                           u if is_real else None, raw, None if k < 0 else k,
+    objects = [Supermodule(q, tuple(d), chi, sch, cons, "real" if is_real else "complex", s0,
+                           eta, u if is_real else None, raw, None if k < 0 else k,
                            b if is_real else "complex",
                            {"theorem": t, "gow_identity": g, "rewrite_identity": w})
-               for q, chi, sch, cons, row, is_real, s0, eta, u, raw, k, b, t, g, w in zip(
-                   q_types.tolist(), sups.character, sups.supercharacter, sups.constituents(),
-                   rows.tolist(), real.tolist(), s_ordinary.tolist(), eta_gow.tolist(),
+               for q, d, chi, sch, cons, is_real, s0, eta, u, raw, k, b, t, g, w in zip(
+                   q_types.tolist(), dims.tolist(), sups.character, sups.supercharacter,
+                   sups.constituents(), real.tolist(), s_ordinary.tolist(), eta_gow.tolist(),
                    u_sign.tolist(), fs_raw.tolist(), fs_k.tolist(), bw.tolist(),
                    theorem.tolist(), gow.tolist(), regrouped.tolist())]
     ring, trivial = algebra.twist.ring, algebra.twist.alpha_is_trivial
@@ -1054,10 +1012,10 @@ def classify(algebra: TwistedGroupAlgebra, seed: int = 0) -> ClassificationRepor
 def classification_to_dict(report: ClassificationReport) -> dict:
     sups = []
     for sup in report.supermodules:
-        checks = {k: ("pass" if v else "fail") for k, v in (sup.checks or {}).items()}
+        checks = {k: ("pass" if v else "fail") for k, v in sup.checks.items()}
         sups.append({
-            "dims": [int(sup.dims[0]), int(sup.dims[1])],
-            "q": int(sup.q_type),
+            "dims": list(sup.dims),
+            "q": sup.q_type,
             "reality": sup.reality,
             "S_ordinary": sup.s_ordinary,
             "eta_gow": sup.eta_gow,
@@ -1065,7 +1023,7 @@ def classification_to_dict(report: ClassificationReport) -> dict:
             "S_super": {"snapped": snapped_string(sup.fs_k),
                         "raw": [float(sup.fs_raw.real), float(sup.fs_raw.imag)]},
             "bw_class": sup.bw,
-            "qdim": float(sup.qdim),
+            "qdim": sup.qdim,
             "checks": checks,
         })
     return {

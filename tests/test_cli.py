@@ -272,6 +272,17 @@ def test_exit_2_invalid_json(tmp_path, capsys):
     assert code == 2 and "invalid JSON" in err
 
 
+@pytest.mark.parametrize("record", [{"table": [[0, 1], [1, 0.9]]},
+                                    {"table": [[0, "1"], [True, 0]]},
+                                    {"order": 2.7, "table": [[0, 1], [1, 0]]},
+                                    {"degree": 2, "generators": [[1, 0.0]]}])
+def test_exit_2_group_file_with_entries_that_are_not_integers(tmp_path, capsys, record):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "classify", "--group", str(path))
+    assert code == 2 and out == "" and "must be" in err and "integer" in err
+
+
 def test_exit_2_family_surface_mismatch(capsys):
     code, out, err = run(capsys, "partition", "--group", "z3",
                          "--family", "unoriented", "--surface", "orientable:1")

@@ -1,0 +1,72 @@
+"""The --json output of fixed commands against golden files.
+
+Each tests/golden/<name>.json is the stdout of `superfs <argv> --json` for
+one entry of CASES, as commit d8e743a printed it; clifford2.twist.json is
+the --phi/--alpha input of the spin and pin- cases (Clifford(2)'s twist on
+z2xz2). Non-float fields must match exactly, types included; floats within
+1e-12. To add a case, run its command at a trusted commit and save stdout.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from superfs.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TWIST = str(GOLDEN / "clifford2.twist.json")
+
+CASES = {
+    **{f"classify-clifford{n}": ["classify", "--clifford", str(n)] for n in range(1, 7)},
+    "classify-d4": ["classify", "--group", "d4"],
+    "classify-q8": ["classify", "--group", "q8"],
+    "sweep-z2-d4-q8": ["sweep", "--groups", "z2,d4,q8"],
+    "partition-oriented-d4": ["partition", "--group", "d4", "--family", "oriented",
+                              "--surface", "orientable:2"],
+    "partition-unoriented-d4": ["partition", "--group", "d4", "--family", "unoriented",
+                                "--surface", "nonorientable:3"],
+    "partition-spin-clifford2": ["partition", "--group", "z2xz2", "--phi", TWIST,
+                                 "--alpha", TWIST, "--family", "spin",
+                                 "--surface", "orientable:2"],
+    "partition-pin-clifford2": ["partition", "--group", "z2xz2", "--phi", TWIST,
+                                "--alpha", TWIST, "--family", "pin-",
+                                "--surface", "nonorientable:3"],
+}
+
+
+def mismatches(got, want, path="$"):
+    """The paths at which `got` differs from `want`: a float by more than
+    1e-12, anything else by type or value."""
+    if type(got) is not type(want):
+        return [f"{path}: {got!r} != {want!r}"]
+    if isinstance(want, float):
+        return [] if math.isclose(got, want, rel_tol=0, abs_tol=1e-12) else [
+            f"{path}: {got!r} != {want!r}"]
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for key in want for m in mismatches(got[key], want[key], f"{path}.{key}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (a, b) in enumerate(zip(got, want))
+                for m in mismatches(a, b, f"{path}[{i}]")]
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+def test_mismatches_compares_types_and_float_tolerance():
+    assert mismatches({"a": [1, 0.5, "x", None]}, {"a": [1, 0.5 + 1e-13, "x", None]}) == []
+    assert mismatches(1, 1.0) == ["$: 1 != 1.0"]
+    assert mismatches(True, 1) == ["$: True != 1"]
+    assert mismatches([0.5], [0.5 + 2e-12]) != []
+    assert mismatches({"a": 1}, {"b": 1}) != []
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_matches_golden(name, capsys):
+    code = main([*CASES[name], "--json"])
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert code == 0 and mismatches(got, want) == []

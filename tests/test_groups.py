@@ -164,6 +164,27 @@ def test_build_group_generator_form():
         build_group({"degree": 3, "generators": [[1, 2, 3, 0]]})
 
 
+@pytest.mark.parametrize("record, message", [
+    ({"table": [[0, 1], [1, 0.9]]}, "table entries must be integers, got float64"),
+    ({"table": [[0, "1"], [True, 0]]}, "table entries must be integers, got str"),
+    ({"table": [[False, True], [True, False]]}, "table entries must be integers, got bool"),
+    ({"table": [[0, 1], [1]]}, "table must be square, got rows of different lengths"),
+    ({"order": 2.7, "table": [[0, 1], [1, 0]]}, "order must be an integer, got 2.7"),
+    ({"order": True, "table": [[0]]}, "order must be an integer, got True"),
+    ({"degree": 2.0, "generators": [[1, 0]]}, "degree must be an integer, got 2.0"),
+    ({"generators": [[1, 0.0]]}, "generators must be lists of integers"),
+    ({"generators": [[True, 0]]}, "generators must be lists of integers"),
+    ({"generators": [[1, "0"]]}, "generators must be lists of integers"),
+])
+def test_build_group_refuses_what_is_not_an_integer(record, message):
+    # each of these was once truncated or cast by int() and accepted
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        build_group(record)
+    # the integer form of the table and generators still builds
+    assert build_group({"order": 2, "table": [[0, 1], [1, 0]]}).order == 2
+    assert build_group({"degree": 2, "generators": [[1, 0]]}).order == 2
+
+
 def test_json_roundtrip(tmp_path):
     g = catalog_group("d4")
     record = {"order": g.order, "table": g.table.tolist(), "names": list(g.names)}

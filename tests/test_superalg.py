@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import re
@@ -106,7 +107,7 @@ def test_star_requires_sign_valued():
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
     with pytest.raises(ValidationError, match="sign-valued"):
-        special_element(alg, [sups[0]], irreps)
+        special_element(alg, sups.take([0]), irreps)
     with pytest.raises(ValidationError, match="sign-valued"):
         alg.diagonal_signs()
 
@@ -612,18 +613,18 @@ def _graded_type_m():
                                         denom=2))
     alg = TwistedGroupAlgebra(group, twist)
     irreps = decompose_regular(alg)
-    sups = [s for s in assemble_supermodules(irreps, alg) if s.q_type == 0]
+    sups = assemble_supermodules(irreps, alg)
+    sups = sups.take(np.flatnonzero(sups.q == 0))
     odd = np.array([alg.twist.phi == 1] * len(sups))
-    chars = np.array([s.character for s in sups])
-    dims = np.array([irreps[s.constituents[0]].dim for s in sups])
-    return alg, sups, chars, odd, dims
+    dims = np.array([irr.dim for irr in irreps])[sups.first]
+    return alg, sups, sups.character, odd, dims
 
 
 def test_a_supercharacter_with_one_wrong_sign_is_refused():
     # negating str at one element keeps str^2, and a sign wrong on part of a
     # conjugacy class breaks the twisted class-function rule
     alg, sups, chars, odd, dims = _graded_type_m()
-    strs = np.array([s.supercharacter for s in sups])
+    strs = sups.supercharacter
     assert len(sups) > 1 and odd.any(axis=1).all()
     squares = strs ** 2   # what _supercharacters reads off the characters
     superalg._check_supercharacters(alg, chars, odd, strs, squares, dims)
@@ -694,14 +695,15 @@ def test_check_grading_reports_the_first_bad_element(rank):
     # Clifford(3) has one q = 1 supermodule, checked by its character alone;
     # Clifford(4) one q = 0, checked with the parity intertwiner P of its irrep
     alg = TwistedGroupAlgebra(*clifford_twist(rank))
-    (sup,) = assemble_supermodules(decompose_regular(alg), alg)
+    sups = assemble_supermodules(decompose_regular(alg), alg)
     odd = alg.twist.phi == 1
-    assert sup.dims == (2, 2) and sup.q_type == 4 - rank
+    assert sups.dims.tolist() == [[2, 2]] and sups.q.tolist() == [4 - rank]
+    sup_character = sups.character[0]
     odds = np.flatnonzero(odd)
     g1, g2 = int(odds[1]), int(odds[-1])
     even = int(np.flatnonzero(~odd)[-1])
     mats = p = None
-    if sup.q_type == 0:
+    if sups.q[0] == 0:
         mats = split_regular(alg)[0].matrices
         p = parity_intertwiners(mats[None], np.where(odd, -1.0, 1.0)[None])[0]
 
@@ -711,17 +713,17 @@ def test_check_grading_reports_the_first_bad_element(rank):
             m[g] = mats[int(odds[0])] @ m[g]
         if times_p is not None:   # P M(g) keeps the parity of M(g): still graded
             m[times_p] = p @ m[times_p]
-        chi = sup.character.copy()
+        chi = sup_character.copy()
         chi[list(character)] = 0.5
         check_parity(chi, odd, m, p)
 
     check()
     with pytest.raises(OracleError, match=f"must vanish on odd {g1}$"):
         check(character=(g2, g1))
-    chi = sup.character.copy()
+    chi = sup_character.copy()
     chi[[g2, g1]] = 0.5   # the library's own check of a stack of characters agrees
     with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
-        _check_parity(np.array([sup.character, chi]), np.array([odd, odd]))
+        _check_parity(np.array([sup_character, chi]), np.array([odd, odd]))
     if p is None:
         return
     check(times_p=g1)
@@ -767,7 +769,8 @@ def test_supermodules_match_the_matrix_oracle():
         for mine, irr in zip(irreps, oracle):
             assert np.max(np.abs(mine.character - irr.character)) < 1e-12
         blocks = [irr.matrices for irr in oracle]
-        for sup in report.supermodules:
+        sups = assemble_supermodules(irreps, alg)
+        for index, sup in enumerate(report.supermodules):
             i = sup.constituents[0]
             if sup.q_type == 0:
                 p = parity_intertwiner_by_average(blocks[i], np.where(odd, -1.0, 1.0), rng)
@@ -789,7 +792,7 @@ def test_supermodules_match_the_matrix_oracle():
             if sup.reality != "real":
                 continue
             real += 1
-            u, sign = special_element(alg, [sup], irreps)[0]
+            u, sign = special_element(alg, sups.take([index]), irreps)[0]
             want, want_sign = special_element_by_solve(blocks, targets, module)
             assert min(np.max(np.abs(u - want)), np.max(np.abs(u + want))) < 1e-10
             assert sup.u_sign == sign == want_sign
@@ -916,26 +919,25 @@ def test_special_element_squares_are_batched_and_checked_one_by_one():
     alg = TwistedGroupAlgebra(group, h2_representatives(group)[4])
     phis = np.array(z2_homomorphisms(group))
     irreps = decompose_regular(alg)
-    sups = [sup for sup in assemble_supermodules(irreps, alg, phis=phis)
-            if np.abs(sup.character.imag).max() < 1e-9]
-    graded = [i for i, sup in enumerate(sups) if sup.q_type == 0 and phis[sup.row].any()]
+    sups = assemble_supermodules(irreps, alg, phis=phis)
+    sups = sups.take(np.flatnonzero(np.abs(sups.character.imag).max(axis=1) < 1e-9))
+    graded = np.flatnonzero((sups.q == 0) & phis[sups.row].any(axis=1)).tolist()
     assert len(graded) >= 4 and superalg._GATHER_ENTRIES // 64 >= len(graded)
-    batched = special_element(alg, sups, irreps, phis=phis)
-    for sup, (coeffs, sign) in zip(sups, batched):
-        alone, alone_sign = special_element(alg, [sup], irreps, phis=phis)[0]
+    batched = special_element(alg, sups, irreps)
+    for i, (coeffs, sign) in enumerate(batched):
+        alone, alone_sign = special_element(alg, sups.take([i]), irreps)[0]
         assert np.array_equal(coeffs, alone) and sign == alone_sign
     for i in (graded[0], graded[-1]):
-        part = [dataclasses.replace(sup) for sup in sups]
+        part = sups.take(np.arange(len(sups)))   # a copy of every array
         # the square at g = the support's second element moves by 1e-3
-        g = int(np.flatnonzero(np.abs(part[i].supercharacter) > 1e-9)[1])
-        part[i].supercharacter = part[i].supercharacter.copy()
-        part[i].supercharacter[g] *= 1 + 1e-3
+        g = int(np.flatnonzero(np.abs(part.supercharacter[i]) > 1e-9)[1])
+        part.supercharacter[i, g] *= 1 + 1e-3
         with pytest.raises(DecompositionError, match="special element square is not a "
                            "multiple of its summand's unit"):
-            special_element(alg, part, irreps, phis=phis)
-        part[i].supercharacter[g] /= 1 + 1e-3
-        part[i].supercharacter[g] *= 1 + 1e-12   # within 1e-8 of the unit: kept
-        assert [sign for _, sign in special_element(alg, part, irreps, phis=phis)] == [
+            special_element(alg, part, irreps)
+        part.supercharacter[i, g] /= 1 + 1e-3
+        part.supercharacter[i, g] *= 1 + 1e-12   # within 1e-8 of the unit: kept
+        assert [sign for _, sign in special_element(alg, part, irreps)] == [
             sign for _, sign in batched]
 
 
@@ -1053,22 +1055,21 @@ def test_assemble_pairs_by_parity():
     alg = TwistedGroupAlgebra(g, t)
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
-    assert len(sups) == 1 and sups[0].q_type == 1 and sups[0].dims == (1, 1)
-    assert sups[0].constituents == (0, 1)
+    assert len(sups) == 1 and sups.q.tolist() == [1] and sups.dims.tolist() == [[1, 1]]
+    assert sups.constituents() == [(0, 1)]
     # the odd element acts off-diagonally on V + V: no trace, no supertrace,
     # though it acts on V by a unit scalar
-    assert np.max(np.abs(sups[0].character - [2, 0])) < 1e-12
-    assert not sups[0].supercharacter.any()
+    assert np.max(np.abs(sups.character[0] - [2, 0])) < 1e-12
+    assert not sups.supercharacter[0].any()
     assert abs(irreps[0].character[1]) == pytest.approx(1)
 
     g2 = catalog_group("s3")
     alg2 = TwistedGroupAlgebra(g2)
     sups2 = assemble_supermodules(decompose_regular(alg2), alg2)
-    assert sorted(s.dim for s in sups2) == [1, 1, 2]
-    assert all(s.q_type == 0 and s.dims[1] == 0 for s in sups2)
+    assert sorted(sups2.dims.sum(axis=1).tolist()) == [1, 1, 2]
+    assert not sups2.q.any() and not sups2.dims[:, 1].any()
     # with no odd elements the grading is the identity
-    for s in sups2:
-        assert np.max(np.abs(s.supercharacter - s.character)) < 1e-12
+    assert np.max(np.abs(sups2.supercharacter - sups2.character)) < 1e-12
 
 
 def test_missing_parity_partner_raises():
@@ -1088,9 +1089,8 @@ def test_supermodule_characters_vanish_on_odd():
     t = validate_twist(g, Twist.zero(8).with_phi(phi))
     alg = TwistedGroupAlgebra(g, t)
     sups = assemble_supermodules(decompose_regular(alg), alg)
-    for s in sups:
-        assert np.max(np.abs(s.character[phi == 1])) < 1e-8
-    assert sum(s.dim ** 2 / 2 ** s.q_type for s in sups) == 8
+    assert np.max(np.abs(sups.character[:, phi == 1])) < 1e-8
+    assert np.sum(sups.dims.sum(axis=1) ** 2 / 2 ** sups.q) == 8
 
 
 def test_special_element_clifford1():
@@ -1098,7 +1098,7 @@ def test_special_element_clifford1():
     alg = TwistedGroupAlgebra(g, t)
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
-    u, sign = special_element(alg, [sups[0]], irreps)[0]
+    u, sign = special_element(alg, sups.take([0]), irreps)[0]
     assert sign == 1
     assert abs(u[0]) < 1e-10 and abs(abs(u[1]) - 1) < 1e-10
 
@@ -1108,7 +1108,7 @@ def test_special_element_clifford2():
     alg = TwistedGroupAlgebra(g, t)
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
-    u, sign = special_element(alg, [sups[0]], irreps)[0]
+    u, sign = special_element(alg, sups.take([0]), irreps)[0]
     assert sign == -1
     expect = np.zeros(4)
     expect[3] = 1
@@ -1123,8 +1123,8 @@ def test_special_element_trivial_rep_is_averaging_idempotent():
     alg = TwistedGroupAlgebra(g)
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
-    triv = next(s for s in sups if np.max(np.abs(s.character - 1)) < 1e-8)
-    u, sign = special_element(alg, [triv], irreps)[0]
+    triv = np.flatnonzero(np.abs(sups.character - 1).max(axis=1) < 1e-8)
+    (u, sign), = special_element(alg, sups.take(triv), irreps)
     assert sign == 1
     assert np.allclose(u, np.full(6, 1 / 6))
 
@@ -1134,10 +1134,9 @@ def test_special_element_rejects_complex():
     alg = TwistedGroupAlgebra(g)
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
-    cx = next(s for s in sups
-              if np.max(np.abs(np.conj(s.character) - s.character)) > 1e-6)
+    cx = np.flatnonzero(np.abs(np.conj(sups.character) - sups.character).max(axis=1) > 1e-6)
     with pytest.raises(ValidationError, match="complex"):
-        special_element(alg, [cx], irreps)[0]
+        special_element(alg, sups.take(cx[:1]), irreps)
 
 
 def test_ordinary_fs_values():
@@ -1171,7 +1170,7 @@ def test_classify_refuses_a_grading_that_is_no_homomorphism():
     # Clifford(2) x Z2 has two 2-dimensional irreps, with characters 2 and
     # +-2 at the central element 1 = (e, c) and 0 elsewhere. phi = 1 at 1 only
     # swaps them, so they would pair into one type-Q supermodule; the grading
-    # check refuses it first, in classify and in each stage given the stack
+    # check refuses it first, in classify and in the assembly given the stack
     g, t = combine_twists(clifford_twist(2), (cyclic(2), Twist.zero(2)))
     phi = np.zeros(8, dtype=np.int64)
     phi[1] = 1
@@ -1181,16 +1180,16 @@ def test_classify_refuses_a_grading_that_is_no_homomorphism():
     with pytest.raises(ValidationError, match=message):
         assemble_supermodules(irreps, alg, phis=phi[None])
     with pytest.raises(ValidationError, match=message):
-        special_element(alg, assemble_supermodules(irreps, alg), irreps, phis=phi[None])
-    with pytest.raises(ValidationError, match=message):
         classify_gradings(alg, phi[None])
 
 
 def test_the_stages_refuse_a_bad_stack_of_gradings():
-    # a stack given to assemble_supermodules or special_element is proved a
-    # grading first: on Clifford(2), an entry 2 and a grading that is no
-    # homomorphism are refused with the grading law's own message, not
-    # blamed on the decomposition or read as a grading
+    # a stack given to assemble_supermodules is proved a grading first: on
+    # Clifford(2), an entry 2 and a grading that is no homomorphism are
+    # refused with the grading law's own message, not blamed on the
+    # decomposition or read as a grading. special_element takes no gradings:
+    # it reads the proved, read-only stack the supermodules were assembled
+    # under
     alg = TwistedGroupAlgebra(*clifford_twist(2))
     irreps = decompose_regular(alg)
     sups = assemble_supermodules(irreps, alg)
@@ -1199,12 +1198,12 @@ def test_the_stages_refuse_a_bad_stack_of_gradings():
                             r"^phi is not a homomorphism to Z2: fails at \(0, 0\)$")):
         with pytest.raises(ValidationError, match=message):
             assemble_supermodules(irreps, alg, phis=np.array(stack))
-        with pytest.raises(ValidationError, match=message):
-            special_element(alg, sups, irreps, phis=np.array(stack))
+    assert list(inspect.signature(special_element).parameters) == ["algebra", "sups", "irreps"]
+    assert not sups.phis.flags.writeable and np.array_equal(sups.phis, alg.twist.phi[None])
     # the algebra's own grading, given as a stack, is proved and accepted
-    phis = alg.twist.phi[None]
-    (sup,) = assemble_supermodules(irreps, alg, phis=phis)
-    (u, sign), = special_element(alg, [sup], irreps, phis=phis)
+    given = assemble_supermodules(irreps, alg, phis=alg.twist.phi[None])
+    assert len(given) == 1 and not given.phis.flags.writeable
+    (u, sign), = special_element(alg, given, irreps)
     assert sign == -1 and np.array_equal(u, special_element(alg, sups, irreps)[0][0])
 
 
@@ -1215,6 +1214,10 @@ def test_classify_gradings_refuses_a_malformed_stack_before_decomposing(monkeypa
     monkeypatch.setattr(superalg, "decompose_regular",
                         lambda *args, **kwargs: pytest.fail("decomposed"))
     phi = alg.twist.phi
+    # one grading where a stack is expected: the shapes are named
+    with pytest.raises(ValidationError, match=r"^a stack of gradings must have shape "
+                       r"\(m, 4\), got \(4,\)$"):
+        classify_gradings(alg, phi)
     with pytest.raises(ValidationError, match=r"^phi must have length 4, got \(3,\)$"):
         classify_gradings(alg, np.array([phi[:3], phi[:3]]))
     for value in (3, -1):
@@ -1289,6 +1292,20 @@ def test_snapping_helpers():
         snap_eighth_root(0.5 + 0.2j)
     assert snapped_string(None) == "0"
     assert snapped_string(3) == "e^{2·pi·i·3/8}"
+
+
+def test_eighth_roots_are_exact_at_the_fourth_roots():
+    # one table: the partition coefficients and the snaps read the same
+    # roots, with no -0.0 or 6e-17 parts at 1, i, -1 and -i
+    exact = {0: (1.0, 0.0), 2: (0.0, 1.0), 4: (-1.0, 0.0), 6: (0.0, -1.0)}
+    for k in range(-8, 16):
+        root = eighth_root(k)
+        if k % 2:
+            assert root == cmath.exp(2j * cmath.pi * (k % 8) / 8)
+        else:
+            parts = (root.real, root.imag)
+            assert [(x, math.copysign(1.0, x)) for x in parts] == [
+                (x, math.copysign(1.0, x)) for x in exact[k % 8]]
 
 
 def _near(targets):
