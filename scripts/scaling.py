@@ -100,19 +100,20 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
     table, phi, alpha_num, denom = _tables(family, rank)
     phis = np.array(z2_homomorphisms(group_from_table(table))) if family == "gradings" else None
     totals: dict = {}
-    irreps: list = []
+    r = 0   # irreducibles, from the last decompose_regular call
 
     def timed(name):
         inner = getattr(superalg, name)
 
         def wrapper(*args, **kwargs):
+            nonlocal r
             start = time.perf_counter()
             try:
                 result = inner(*args, **kwargs)
             finally:
                 totals[name] += time.perf_counter() - start
             if name == "decompose_regular":
-                irreps[:] = result
+                r = len(result)
             return result
         return wrapper
 
@@ -145,7 +146,7 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
             "cold_total_s": round(runs[0]["total"], 4),
             "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             "gradings": len(reports),
-            "r": len(irreps),
+            "r": r,
             "supermodules": sum(len(report.supermodules) for report in reports),
             "all_pass": all(report.all_pass for report in reports)}
 

@@ -33,17 +33,13 @@ from .superalg import (
     ClassificationReport,
     Supermodule,
     TwistedGroupAlgebra,
-    UngradedIrrep,
     assemble_supermodules,
-    bw_from_parts,
     classification_to_dict,
     classify,
     classify_gradings,
     decompose_regular,
     eighth_root,
     ordinary_fs,
-    snap_eighth_root,
-    snap_indicator,
     snapped_string,
     special_element,
 )

@@ -310,14 +310,14 @@ def _spectrum(theory: TheoryData, seed: int) -> list:
         return [({"dims": list(sup.dims), "q": sup.q_type, "bw": sup.bw},
                  sup.qdim, sup.bw)
                 for sup in report.supermodules if sup.reality == "real"]
-    irreps = decompose_regular(algebra, seed=seed)
+    chars = decompose_regular(algebra, seed=seed)
+    dims = np.rint(chars[:, 0].real).astype(np.int64).tolist()
     if theory.family == "oriented":
-        return [({"dim": irr.dim}, irr.dim, 0) for irr in irreps]
+        return [({"dim": dim}, dim, 0) for dim in dims]
     if theory.family == "unoriented":
-        indicators = ordinary_fs(np.array([irr.character for irr in irreps]), algebra)
-        return [({"dim": irr.dim, "indicator": eps}, irr.dim, 4 * (eps == -1))
-                for irr, eps in zip(irreps, indicators) if eps != 0]
-    sups = assemble_supermodules(irreps, algebra)
+        return [({"dim": dim, "indicator": eps}, dim, 4 * (eps == -1))
+                for dim, eps in zip(dims, ordinary_fs(chars, algebra)) if eps != 0]
+    sups = assemble_supermodules(chars, algebra)
     return [({"dims": dims, "q": q}, sum(dims) / math.sqrt(2) ** q, 4 * q)
             for dims, q in zip(sups.dims.tolist(), sups.q.tolist())]
 

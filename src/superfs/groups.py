@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -322,8 +323,9 @@ def group_from_permutations(generators: Sequence[Sequence[int]]) -> Group:
 
 def build_group(record: dict) -> Group:
     """Build a Group from a parsed JSON record (table form or generator form).
-    `order`, `degree` and permutation entries must be JSON integers, and the
-    table an integer array as numpy reads it (`true` among integers is 1)."""
+    `order`, `degree`, permutation entries and table entries must be JSON
+    integers: a `true` or `false` anywhere in the table is refused, also
+    among integers, where numpy would read it as 1 or 0."""
     if not isinstance(record, dict):
         raise ValidationError("group record must be a JSON object")
     for key in ("order", "degree"):
@@ -332,6 +334,9 @@ def build_group(record: dict) -> Group:
     if "table" in record:
         names = record.get("names")
         grp = group_from_table(record["table"], names=names)
+        # after group_from_table, whose messages name every other entry type
+        if bool in set(map(type, chain.from_iterable(record["table"]))):
+            raise ValidationError("table entries must be integers, got bool entries")
         if "order" in record and record["order"] != grp.order:
             raise ValidationError(
                 f"declared order {record['order']} does not match table size {grp.order}")

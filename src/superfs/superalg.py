@@ -36,33 +36,23 @@ from .twists import Twist, _residues, validate_twist
 
 __all__ = [
     "TwistedGroupAlgebra",
-    "UngradedIrrep",
     "Supermodule",
     "ClassificationReport",
     "decompose_regular",
     "assemble_supermodules",
     "special_element",
     "ordinary_fs",
-    "bw_from_parts",
     "classify",
     "classify_gradings",
-    "snap_indicator",
-    "snap_eighth_root",
     "eighth_root",
     "snapped_string",
     "classification_to_dict",
 ]
 
-BW_TABLE = {
-    (0, +1, "R"): 0,
-    (0, -1, "R"): 2,
-    (0, +1, "H"): 4,
-    (0, -1, "H"): 6,
-    (1, +1, "R"): 1,
-    (1, -1, "H"): 3,
-    (1, +1, "H"): 5,
-    (1, -1, "R"): 7,
-}
+# Wall's eight real graded division classes, numbered 0..7, indexed by the
+# three two-fold divisions [q, u^2 = -1, quaternionic]
+_BW_CLASSES = np.array([[[0, 4], [2, 6]], [[1, 5], [7, 3]]])
+_BW_CLASSES.setflags(write=False)
 
 
 class TwistedGroupAlgebra:
@@ -122,15 +112,6 @@ class TwistedGroupAlgebra:
 
 
 @dataclass
-class UngradedIrrep:
-    """An irreducible module of the underlying ungraded twisted algebra, known
-    by its character; it occurs dim times in the regular representation."""
-
-    character: np.ndarray  # shape (|G|,)
-    dim: int
-
-
-@dataclass
 class Supermodule:
     """An irreducible supermodule as classify_gradings reports it: one entry
     of a _Supermodules stack, with the dimensions of its even and odd parts
@@ -165,10 +146,12 @@ class _Supermodules:
     describes the two types q = 0 and 1), held as arrays with one entry per
     supermodule in (row, first constituent) order: the grading's row in
     `phis` (the proved stack they were assembled under), q, the first and
-    second constituent (the same irrep for type M), and the (s, |G|)
-    characters chi and supercharacters str tr(Gamma rho(g)), Gamma the
-    grading; the even part has character (chi + str) / 2 on G0."""
+    second constituent (the same irrep for type M, a row of `table`, the
+    character table they were paired from), and the (s, |G|) characters
+    chi and supercharacters str tr(Gamma rho(g)), Gamma the grading; the
+    even part has character (chi + str) / 2 on G0."""
 
+    table: np.ndarray
     phis: np.ndarray
     row: np.ndarray
     q: np.ndarray
@@ -185,9 +168,9 @@ class _Supermodules:
         return np.rint(np.stack((chi + sch, chi - sch), axis=1) / 2).astype(np.int64)
 
     def take(self, index: np.ndarray) -> _Supermodules:
-        """The supermodules at `index`, under the same stack of gradings."""
-        return _Supermodules(self.phis, self.row[index], self.q[index], self.first[index],
-                             self.second[index], self.character[index],
+        """The supermodules at `index`, of the same table and gradings."""
+        return _Supermodules(self.table, self.phis, self.row[index], self.q[index],
+                             self.first[index], self.second[index], self.character[index],
                              self.supercharacter[index])
 
     def constituents(self) -> list[tuple[int, ...]]:
@@ -214,7 +197,7 @@ _MAX_ROUNDS = 8
 _SNAP_TOL = 1e-6
 
 
-def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> list[UngradedIrrep]:
+def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> np.ndarray:
     """The irreducible characters of the ungraded twisted algebra, read off
     its centre (the projective Burnside-Dixon-Schneider method).
 
@@ -256,7 +239,9 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> list[Ungra
     of defence that refuses most tables that are not one, but proves nothing
     about them.
 
-    Returns one UngradedIrrep per irreducible, sorted by (dim, rounded real
+    Returns the character table: a read-only (r, |G|) complex array, one
+    row chi_i per irreducible, whose dimension is d_i = rint(chi_i(e).real)
+    (chi_i(e) itself may lie an ulp off d_i), sorted by (dim, rounded real
     parts, rounded imaginary parts of the character) (_sorted_irreps);
     deterministic for a fixed seed. O(|G|^2) for the classes, O(|G| r) per
     matrix and O(r^3) for the eigensolve.
@@ -384,27 +369,30 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> list[Ungra
     chars = np.zeros((r, n), dtype=complex)
     chars[:, ys] = table[:, cls] * coeff.conj()
     del table
-    return _sorted_irreps(chars, dims)
+    return _sorted_irreps(chars)
 
 
-def _sorted_irreps(chars: np.ndarray, dims: np.ndarray) -> list[UngradedIrrep]:
-    """One UngradedIrrep per row of the (r, |G|) character stack, sorted by
-    (dim, rounded real parts, rounded imaginary parts) as tuples compare:
-    one stable argsort of the rows as records of float fields, written into
-    one r x (2 |G| + 1) key table (np.lexsort would hold about 2.8 KB of
-    iterator state for each key)."""
+def _sorted_irreps(chars: np.ndarray) -> np.ndarray:
+    """The rows of an (r, |G|) character stack, read-only, sorted by (dim,
+    rounded real parts, rounded imaginary parts) as tuples compare: one
+    stable argsort of the rows as records of float fields, written into one
+    r x (2 |G| + 1) key table (np.lexsort would hold about 2.8 KB of
+    iterator state for each key), which goes before the sorted copy is made."""
     r, n = chars.shape
     keys = np.empty((r, 2 * n + 1))
-    keys[:, 0] = dims
+    np.rint(chars[:, 0].real, out=keys[:, 0])
     np.round(chars.real, 8, out=keys[:, 1:n + 1])
     np.round(chars.imag, 8, out=keys[:, n + 1:])
     records = keys.view([(f"f{i}", keys.dtype) for i in range(keys.shape[1])])[:, 0]
-    return [UngradedIrrep(character=chars[i], dim=int(dims[i]))
-            for i in np.argsort(records, kind="stable")]
+    order = np.argsort(records, kind="stable")
+    del keys, records
+    chars = chars[order]
+    chars.setflags(write=False)
+    return chars
 
 
 def _commutative_irreps(algebra: TwistedGroupAlgebra, powers: list[list[int]],
-                        big: int) -> list[UngradedIrrep]:
+                        big: int) -> np.ndarray:
     """The |G| characters of a commutative algebra (G abelian and alpha
     symmetric: every class a singleton and alpha-regular, r = |G|), read off
     without an eigensolve.
@@ -434,9 +422,9 @@ def _commutative_irreps(algebra: TwistedGroupAlgebra, powers: list[list[int]],
 
     Bytes are checked against the work budget first: 32 |G|^2 (the
     exponents with one temporary of the certificate, at most 16 per entry,
-    and then the complex characters and their sort keys), 1280 |G| (the
-    UngradedIrrep objects and the rounding buffers), 16 D for the roots of
-    unity and 16 KiB of fixed-size objects.
+    and then the complex characters with their sort keys or their sorted
+    copy), 1280 |G| (the rounding buffers and the sort's records and index),
+    16 D for the roots of unity and 16 KiB of fixed-size objects.
     """
     group, twist = algebra.group, algebra.twist
     n, table, gens = algebra.order, group.table, group.generators
@@ -486,7 +474,7 @@ def _commutative_irreps(algebra: TwistedGroupAlgebra, powers: list[list[int]],
     roots = np.exp(2j * np.pi * np.arange(big) / big)
     chars = roots[exps.T]
     del exps
-    return _sorted_irreps(chars, np.ones(n))
+    return _sorted_irreps(chars)
 
 
 def _parity_partners(chars: np.ndarray, signs: np.ndarray, screen: np.ndarray) -> np.ndarray:
@@ -527,13 +515,14 @@ def _parity_partners(chars: np.ndarray, signs: np.ndarray, screen: np.ndarray) -
     return partners.reshape(len(signs), k)
 
 
-def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlgebra, *,
+def assemble_supermodules(chars: np.ndarray, algebra: TwistedGroupAlgebra, *,
                           phis: np.ndarray | None = None) -> _Supermodules:
-    """Pair ungraded irreducibles under the parity twist into supermodules,
+    """Pair the ungraded irreducibles, the rows of the character table
+    `chars` (decompose_regular), under the parity twist into supermodules,
     under every row of `phis` (an (m, |G|) stack of gradings sharing the
     algebra's alpha, proved by groups._check_gradings first; default its own
     phi), in (row, first constituent) order, held as the arrays of one
-    _Supermodules stack.
+    _Supermodules stack that carries the table.
 
     chi^sigma(g) = (-1)^{phi(g)} chi(g) (_parity_partners). A fixed point
     gives a type-M (q = 0) supermodule graded by its parity intertwiner P,
@@ -547,8 +536,7 @@ def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlge
     n = algebra.order
     phis = algebra.twist.phi[None] if phis is None else _check_gradings(algebra.group, phis)
     signs = np.where(phis == 1, -1.0, 1.0)
-    chars = np.array([irr.character for irr in irreps])
-    k = len(irreps)
+    k = len(chars)
     screen = np.concatenate(([algebra.group.identity], algebra.group.generators))
     partners = _parity_partners(chars, signs, screen)
     rows, first = np.nonzero(partners >= np.arange(k))   # (row, first constituent) order
@@ -566,10 +554,10 @@ def assemble_supermodules(irreps: list[UngradedIrrep], algebra: TwistedGroupAlge
         _check_parity(character[part], phis[rows[part]] == 1)
     graded = ((q == 0) & phis.any(axis=1)[rows]).nonzero()[0]   # type M with odd elements
     if graded.size:
-        dims = np.array([irr.dim for irr in irreps])[first[graded]]
+        dims = np.rint(chars[first[graded], 0].real)
         supercharacter[graded] = _supercharacters(algebra, character[graded], dims,
                                                   phis[rows[graded]] == 1)
-    return _Supermodules(phis, rows, q, first, second, character, supercharacter)
+    return _Supermodules(chars, phis, rows, q, first, second, character, supercharacter)
 
 
 def _supercharacters(algebra: TwistedGroupAlgebra, chars: np.ndarray, dims: np.ndarray,
@@ -683,13 +671,15 @@ def _check_supercharacters(algebra: TwistedGroupAlgebra, character: np.ndarray,
             raise DecompositionError(message.format(int(np.argmax(fault[first]))))
 
 
-def special_element(algebra: TwistedGroupAlgebra, sups: _Supermodules,
-                    irreps: list[UngradedIrrep]) -> list[tuple[np.ndarray, int]]:
+def special_element(algebra: TwistedGroupAlgebra,
+                    sups: _Supermodules) -> list[tuple[np.ndarray, int]]:
     """For each real supermodule of a stack from assemble_supermodules (or a
     part of one, sups.take(index)), the *-fixed element u = sum_g u_g e_g
     with u^2 = +-1 supported on its summand, returned as its real
     coefficient vector (u_g) with the sign of u^2. Each supermodule is graded
-    by its row of sups.phis, the stack it was assembled and proved under.
+    by its row of sups.phis, the stack it was assembled and proved under,
+    and its constituents are rows of sups.table, the table it was paired
+    from.
 
     u acts as T on the constituent irreps and as zero on every other irrep:
     T = P for q = 0, and T = +1 on V, -1 on its partner V^sigma for q = 1.
@@ -721,23 +711,21 @@ def special_element(algebra: TwistedGroupAlgebra, sups: _Supermodules,
         raise ValidationError("complex supermodule has no *-fixed special element")
     omegas = 1 - 2 * algebra.twist.alpha_num          # omega(g, h) = +-1, exact
     inverse_omegas = omegas[np.arange(n), group.inverses]
-    irrep_dims = np.array([irr.dim for irr in irreps])
-    irrep_chars = np.array([irr.character for irr in irreps])
     out: list = []
     step = max(1, _GATHER_ENTRIES // n)
     batch = max(1, _GATHER_ENTRIES // (n * n))   # supermodules per square
     for start in range(0, len(sups), step):
         part = slice(start, start + step)
-        first = sups.first[part]
-        dims = irrep_dims[first]
+        chars = sups.table[sups.first[part]]
+        dims = np.rint(chars[:, 0].real)
         odd = sups.phis[sups.row[part]] == 1
         q1 = sups.q[part] == 1
-        tau = np.where(q1[:, None], np.where(odd, 2 * irrep_chars[first], 0),
+        tau = np.where(q1[:, None], np.where(odd, 2 * chars, 0),
                        sups.supercharacter[part])
         coeffs = (dims / n)[:, None] * tau.conj()
         magnitude = np.abs(coeffs)
         top = magnitude.max(axis=1)
-        peak = coeffs[np.arange(len(first)), magnitude.argmax(axis=1)]
+        peak = coeffs[np.arange(len(chars)), magnitude.argmax(axis=1)]
         lam = (peak.conj() / peak)[:, None]
         if (np.abs(coeffs.conj() - lam * coeffs).max(axis=1) > 1e-6 * top).any():
             raise DecompositionError(
@@ -774,15 +762,6 @@ def special_element(algebra: TwistedGroupAlgebra, sups: _Supermodules,
     return out
 
 
-def snap_indicator(x: complex | float) -> int:
-    """Snap a value within _SNAP_TOL of -1, 0 or +1 to it."""
-    x = complex(x)
-    for target in (-1, 0, 1):
-        if abs(x - target) < _SNAP_TOL:
-            return target
-    raise SnapError(f"value {x} is not within {_SNAP_TOL} of -1, 0, or +1")
-
-
 # e^{2 pi i k/8} for k in [0, 8), exact at the fourth roots of unity (no
 # -0.0 or 6e-17 parts)
 _EIGHTH_ROOTS = tuple(cmath.exp(2j * cmath.pi * k / 8) if k % 2
@@ -793,45 +772,34 @@ def eighth_root(k: int) -> complex:
     return _EIGHTH_ROOTS[k % 8]
 
 
-def snap_eighth_root(z: complex) -> int | None:
-    """Snap to 0 (returned as None) or to the exponent k of e^{2 pi i k/8},
-    within _SNAP_TOL."""
-    if abs(z) < _SNAP_TOL:
-        return None
-    for k, root in enumerate(_EIGHTH_ROOTS):
-        if abs(z - root) < _SNAP_TOL:
-            return k
-    raise SnapError(f"value {z} is not within {_SNAP_TOL} of 0 or any eighth root of unity")
-
-
 def snapped_string(k: int | None) -> str:
     return "0" if k is None else f"e^{{2·pi·i·{k}/8}}"
 
 
-def _nearest(values: np.ndarray, targets: tuple, scalar) -> np.ndarray:
+def _nearest(values: np.ndarray, targets: tuple, named: str) -> np.ndarray:
     """For each entry x of a vector, the position of the target t with
-    |x - t| < _SNAP_TOL: the test that the scalar snap `scalar` makes on x,
-    on the same floats, so the two agree entry by entry (|x - t| is C's
-    hypot, as Python's abs of a complex computes it; numpy's complex
-    absolute can differ from it in the last place). The first entry near no
-    target is handed to `scalar`, which raises its own error."""
+    |x - t| < _SNAP_TOL (C's hypot, as Python's abs of a complex computes
+    it; numpy's complex absolute can differ from it in the last place). The
+    first entry near no target raises SnapError, which names the targets."""
     offsets = values[:, None] - np.array(targets)
     near = np.hypot(offsets.real, offsets.imag) < _SNAP_TOL
     found = near.any(axis=1)
     if not found.all():
-        scalar(values[found.argmin()].item())
+        raise SnapError(f"value {complex(values[found.argmin()])} is not within {_SNAP_TOL} "
+                        f"of {named}")
     return near.argmax(axis=1)
 
 
 def _snap_each(values: np.ndarray) -> np.ndarray:
-    """snap_indicator on each entry of a vector, as one int64 array."""
-    return _nearest(values, (-1, 0, 1), snap_indicator) - 1
+    """Each entry of a vector snapped to -1, 0 or +1 within _SNAP_TOL, as one
+    int64 array."""
+    return _nearest(values, (-1, 0, 1), "-1, 0, or +1") - 1
 
 
 def _snap_roots(values: np.ndarray) -> np.ndarray:
-    """snap_eighth_root on each entry of a vector, as one int64 array: k,
-    or -1 where it gives None (a value near 0)."""
-    return _nearest(values, (0, *_EIGHTH_ROOTS), snap_eighth_root) - 1
+    """Each entry of a vector snapped within _SNAP_TOL to the exponent k of
+    e^{2 pi i k/8}, or to 0 (given as -1), as one int64 array."""
+    return _nearest(values, (0, *_EIGHTH_ROOTS), "0 or any eighth root of unity") - 1
 
 
 def _twisted_squares(characters: np.ndarray, algebra: TwistedGroupAlgebra) -> np.ndarray:
@@ -852,24 +820,6 @@ def ordinary_fs(characters: np.ndarray, algebra: TwistedGroupAlgebra) -> list[in
     """
     return _snap_each(np.sum(_twisted_squares(characters, algebra), axis=1)
                       / algebra.order).tolist()
-
-
-def bw_from_parts(q: int, u_sign: int, division: str) -> int:
-    """Z8 class from (q, sign of u^2, strictly-real vs quaternionic division)."""
-    key = (q, u_sign, division)
-    if key not in BW_TABLE:
-        raise ValidationError(f"no real graded division class for {key}")
-    return BW_TABLE[key]
-
-
-@functools.cache
-def _bw_classes() -> np.ndarray:
-    """bw_from_parts as a read-only (q, (1 - u_sign) / 2, quaternionic)
-    lookup table, built on first use."""
-    classes = np.array([[[bw_from_parts(q, sign, kind) for kind in "RH"] for sign in (1, -1)]
-                        for q in (0, 1)])
-    classes.setflags(write=False)
-    return classes
 
 
 @dataclass
@@ -910,9 +860,10 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     arrays (_Supermodules) until the reports are built: the snaps, reality
     tests, checks and per-row dimension sums are whole-array operations, and
     the Supermodule and ClassificationReport objects are built once, at the
-    end. Every indicator is a part of one twisted square sum: with t(g) = (-1)^{alpha(g,g)} chi(g^2) and t0 the same for the
-    even part chi0 = (chi + str) / 2, gathered once per stack, and the even
-    subgroup G0 of each row read as its mask phi = 0,
+    end. Every indicator is a part of one twisted square sum: with
+    t(g) = (-1)^{alpha(g,g)} chi(g^2) and t0 the same for the even part
+    chi0 = (chi + str) / 2, gathered once per stack, and the even subgroup
+    G0 of each row read as its mask phi = 0,
 
         S_ordinary = (1/|G0|) sum_{G0} t0,   eta_Gow = (1/|G0|) sum_{G1} t0,
         S_super = (1 / (sqrt(2)^q |G|)) sum_G i^{phi(g)} t(g),
@@ -927,8 +878,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     phis = _check_gradings(algebra.group, phis)   # ker phi is then the even subgroup G0
     if not algebra.twist.is_z2:
         raise ValidationError("classification requires a sign-valued twist")
-    irreps = decompose_regular(algebra, seed=seed)
-    sups = assemble_supermodules(irreps, algebra, phis=phis)
+    sups = assemble_supermodules(decompose_regular(algebra, seed=seed), algebra, phis=phis)
     n, m, count = algebra.order, len(phis), len(sups)
     rows, q_types = sups.row, sups.q
     scales = math.sqrt(2) ** q_types
@@ -960,7 +910,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
         division[start + pick] = snapped[2 * size:]
     reals = real.nonzero()[0]
     u_sign = np.zeros(count, dtype=np.int64)
-    u_sign[reals] = [sign for _, sign in special_element(algebra, sups.take(reals), irreps)]
+    u_sign[reals] = [sign for _, sign in special_element(algebra, sups.take(reals))]
     # S_super is snapped up to the first real q = 1 supermodule whose even
     # restriction has a vanishing indicator, which is refused
     vanishing = (real & (q_types == 1) & (s_ordinary == 0)).nonzero()[0]
@@ -968,7 +918,7 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     if vanishing.size:
         raise SnapError("even restriction of a real q=1 supermodule has vanishing indicator")
     quaternionic = np.where(q_types == 0, division != 1, s_ordinary != 1)
-    bw = _bw_classes()[q_types, (1 - u_sign) // 2, quaternionic.astype(np.int64)]
+    bw = _BW_CLASSES[q_types, (1 - u_sign) // 2, quaternionic.astype(np.int64)]
     theorem = np.where(real, (fs_k >= 0) & (np.abs(fs_raw - np.array(_EIGHTH_ROOTS)[bw])
                                             < _SNAP_TOL), fs_k < 0)
     gow = np.abs(fs_raw - (s_ordinary + 1j * eta_gow) / scales) < _SNAP_TOL

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from superfs import Twist, coboundary, validate_twist
+from superfs import SnapError, Twist, coboundary, eighth_root, validate_twist
 
 
 def phases(alpha_num, denom: int) -> np.ndarray:
@@ -447,6 +447,34 @@ def nearest(value: complex, allowed) -> object:
     hits = [a for a, z in allowed if abs(value - z) < 1e-6]
     assert len(hits) == 1, f"{value} is not within 1e-6 of exactly one allowed value"
     return hits[0]
+
+
+def snap_indicator(x: complex | float) -> int:
+    """Scalar oracle of classify's snap to -1, 0 or +1 within 1e-6, by
+    Python's abs, with the library's SnapError message."""
+    x = complex(x)
+    for target in (-1, 0, 1):
+        if abs(x - target) < 1e-6:
+            return target
+    raise SnapError(f"value {x} is not within 1e-06 of -1, 0, or +1")
+
+
+def snap_eighth_root(z: complex) -> int | None:
+    """Scalar oracle of classify's snap to 0 (None) or to the exponent k of
+    e^{2 pi i k/8} within 1e-6, by Python's abs, with the library's
+    SnapError message."""
+    z = complex(z)
+    if abs(z) < 1e-6:
+        return None
+    for k in range(8):
+        if abs(z - eighth_root(k)) < 1e-6:
+            return k
+    raise SnapError(f"value {z} is not within 1e-06 of 0 or any eighth root of unity")
+
+
+def table_dims(chars) -> list[int]:
+    """The dimensions of the rows of a character table, rint(chi(e).real)."""
+    return np.rint(np.asarray(chars)[:, 0].real).astype(int).tolist()
 
 
 def _dense_gf2_nullspace(rows: np.ndarray, ncols: int) -> np.ndarray:

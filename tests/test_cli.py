@@ -274,6 +274,7 @@ def test_exit_2_invalid_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("record", [{"table": [[0, 1], [1, 0.9]]},
                                     {"table": [[0, "1"], [True, 0]]},
+                                    {"table": [[0, 1], [True, 0]]},
                                     {"order": 2.7, "table": [[0, 1], [1, 0]]},
                                     {"degree": 2, "generators": [[1, 0.0]]}])
 def test_exit_2_group_file_with_entries_that_are_not_integers(tmp_path, capsys, record):

@@ -38,7 +38,8 @@ def test_package_reexports_public_names():
 
 # per-call settings that are module constants, SUPERFS_BUDGET or read off the
 # inputs instead; a setting has a default, which tells it from an input of
-# the same name (assemble_supermodules takes the list of irreps it pairs)
+# the same name (the ungraded irreducibles are an input: the character table
+# assemble_supermodules pairs, which its stack then carries)
 SETTINGS = {"tol", "cluster_tol", "max_rounds", "budget", "cap", "max_order", "strict",
             "irreps"}
 

@@ -168,6 +168,9 @@ def test_build_group_generator_form():
     ({"table": [[0, 1], [1, 0.9]]}, "table entries must be integers, got float64"),
     ({"table": [[0, "1"], [True, 0]]}, "table entries must be integers, got str"),
     ({"table": [[False, True], [True, False]]}, "table entries must be integers, got bool"),
+    # numpy reads a bool among integers as 0 or 1, which would build Z2
+    ({"table": [[0, 1], [True, 0]]}, "table entries must be integers, got bool entries$"),
+    ({"table": [[0, 1], [1, False]]}, "table entries must be integers, got bool entries$"),
     ({"table": [[0, 1], [1]]}, "table must be square, got rows of different lengths"),
     ({"order": 2.7, "table": [[0, 1], [1, 0]]}, "order must be an integer, got 2.7"),
     ({"order": True, "table": [[0]]}, "order must be an integer, got True"),

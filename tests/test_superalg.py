@@ -39,23 +39,21 @@ from superfs import (
     h2_representatives,
     ordinary_fs,
     product_group,
-    snap_eighth_root,
-    snap_indicator,
     snapped_string,
     special_element,
     validate_twist,
     z2_homomorphisms,
 )
 from superfs import superalg
-from superfs.superalg import BW_TABLE, _check_parity, bw_from_parts
+from superfs.superalg import _BW_CLASSES, _check_parity
 
 import helpers
 from helpers import (OracleError, average, average_by_einsum, block_matrices_by_element,
                      check_parity, graded_module, indicators_by_supermodule,
                      module_characters, nearest, parity_intertwiner_by_average,
                      parity_intertwiners, projector_character, regular_submodules, relabelled,
-                     relabelling, shift_by_coboundary, special_element_by_solve, split_regular,
-                     verify_irrep)
+                     relabelling, shift_by_coboundary, snap_eighth_root, snap_indicator,
+                     special_element_by_solve, split_regular, table_dims, verify_irrep)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -104,10 +102,9 @@ def test_star_requires_sign_valued():
     g = cyclic(3)
     a = [[Fraction((i * j) % 3, 3) for j in range(3)] for i in range(3)]
     alg = TwistedGroupAlgebra(g, Twist.from_fractions([0] * 3, a))
-    irreps = decompose_regular(alg)
-    sups = assemble_supermodules(irreps, alg)
+    sups = assemble_supermodules(decompose_regular(alg), alg)
     with pytest.raises(ValidationError, match="sign-valued"):
-        special_element(alg, sups.take([0]), irreps)
+        special_element(alg, sups.take([0]))
     with pytest.raises(ValidationError, match="sign-valued"):
         alg.diagonal_signs()
 
@@ -161,20 +158,43 @@ def test_verify_irrep_reports_the_first_failing_irrep_of_a_stack(monkeypatch, ch
 
 
 def test_decompose_group_algebra_dimensions():
-    assert [i.dim for i in decompose_regular(TwistedGroupAlgebra(cyclic(2)))] == [1, 1]
-    dims = [i.dim for i in decompose_regular(TwistedGroupAlgebra(catalog_group("s3")))]
+    assert table_dims(decompose_regular(TwistedGroupAlgebra(cyclic(2)))) == [1, 1]
+    dims = table_dims(decompose_regular(TwistedGroupAlgebra(catalog_group("s3"))))
     assert dims == [1, 1, 2]
-    dims = [i.dim for i in decompose_regular(TwistedGroupAlgebra(catalog_group("q8")))]
+    dims = table_dims(decompose_regular(TwistedGroupAlgebra(catalog_group("q8"))))
     assert dims == [1, 1, 1, 1, 2]
 
 
 def test_decompose_regular_trace_identity():
     g = catalog_group("d4")
-    irreps = decompose_regular(TwistedGroupAlgebra(g))
-    total = sum(i.dim * i.character for i in irreps)
+    chars = decompose_regular(TwistedGroupAlgebra(g))
+    total = table_dims(chars) @ chars
     expect = np.zeros(8, dtype=complex)
     expect[0] = 8
     assert np.max(np.abs(total - expect)) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["s4", "z2^4-graded"])
+def test_decompose_regular_returns_a_read_only_character_table(name):
+    # both routes, the eigensolve (S4) and the commutative one (graded
+    # (Z2)^4), return one read-only (r, |G|) complex array; the dimensions
+    # are read off it as rint(chi(e).real), integers whose squares sum to |G|
+    alg = (TwistedGroupAlgebra(group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]]))
+           if name == "s4" else _z2_power_graded(4))
+    solves = []
+    original = np.linalg.eigh
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda h: solves.append(1) or original(h))
+        chars = decompose_regular(alg)
+    assert bool(solves) == (name == "s4")
+    assert chars.shape == ({"s4": 5, "z2^4-graded": 16}[name], alg.order)
+    assert chars.dtype == complex and not chars.flags.writeable
+    with pytest.raises(ValueError):
+        chars[0, 0] = 0
+    dims = np.rint(chars[:, 0].real)
+    assert np.abs(chars[:, 0] - dims).max() < 1e-12
+    assert table_dims(chars) == ([1, 1, 2, 3, 3] if name == "s4" else [1] * 16)
+    assert int((dims ** 2).sum()) == alg.order
 
 
 def test_decompose_deterministic():
@@ -182,9 +202,7 @@ def test_decompose_deterministic():
     t = validate_twist(g, h2_representatives(g)[1])
     a = decompose_regular(TwistedGroupAlgebra(g, t), seed=5)
     b = decompose_regular(TwistedGroupAlgebra(g, t), seed=5)
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x.dim == y.dim and np.array_equal(x.character, y.character)
+    assert np.array_equal(a, b)
 
 
 def test_decompose_characters_match_block_traces():
@@ -196,12 +214,12 @@ def test_decompose_characters_match_block_traces():
     a = [[Fraction((i // 3) * (j % 3) % 3, 3) for j in range(9)] for i in range(9)]
     for alg in (TwistedGroupAlgebra(g6, t6), TwistedGroupAlgebra(s3),
                 TwistedGroupAlgebra(z3xz3, Twist.from_fractions([0] * 9, a))):
-        irreps = decompose_regular(alg, seed=2)
+        chars = decompose_regular(alg, seed=2)
         oracle = split_regular(alg, seed=2)
-        assert [irr.dim for irr in irreps] == [irr.dim for irr in oracle]
-        for mine, irr in zip(irreps, oracle):
+        assert table_dims(chars) == [irr.dim for irr in oracle]
+        for mine, irr in zip(chars, oracle):
             traces = np.trace(irr.matrices, axis1=1, axis2=2)
-            assert np.max(np.abs(traces - mine.character)) < 1e-10
+            assert np.max(np.abs(traces - mine)) < 1e-10
             products = np.einsum("gij,hjk->ghik", irr.matrices, irr.matrices)
             want = phases_of(alg)[:, :, None, None] * irr.matrices[alg.group.table]
             assert np.max(np.abs(products - want)) < 1e-10
@@ -372,8 +390,7 @@ def test_generated_blocks_and_characters_match_projector_oracle(family):
         for q, chi, blocks in zip(leaves, chars, _generated(alg, leaves)):
             assert np.max(np.abs(blocks - block_matrices_by_element(table, phases, q))) < 1e-12
             assert np.max(np.abs(np.trace(blocks, axis1=1, axis2=2) - chi)) < 1e-12
-        irreps = decompose_regular(alg, seed=5)
-        gaps = np.max(np.abs(chars[:, None] - np.array([i.character for i in irreps])), axis=2)
+        gaps = np.max(np.abs(chars[:, None] - decompose_regular(alg, seed=5)), axis=2)
         assert np.max(np.min(gaps, axis=0)) < 1e-12   # every class is some leaf
         assert np.max(np.min(gaps, axis=1)) < 1e-12   # every leaf is some class
         count += 1
@@ -415,10 +432,9 @@ def test_class_table_characters_match_the_split_oracle():
     # blocks the regular-representation oracle splits off, in the same order
     count = 0
     for alg in _class_table_algebras():
-        irreps = decompose_regular(alg)
+        got = decompose_regular(alg)
         oracle = split_regular(alg)
-        assert [i.dim for i in irreps] == [i.dim for i in oracle]
-        got = np.array([irr.character for irr in irreps])
+        assert table_dims(got) == [i.dim for i in oracle]
         want = np.array([irr.character for irr in oracle])
         assert np.max(np.abs(got - want)) < 1e-12
         count += 1
@@ -521,10 +537,9 @@ def test_commutative_characters_match_the_regular_representation_oracle(monkeypa
     alg = commutative_algebra(name)
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigh", lambda h: pytest.fail("an eigensolve ran"))
-        irreps = decompose_regular(alg)
+        chars = decompose_regular(alg)
     oracle = split_regular(alg)
-    assert [irr.dim for irr in irreps] == [1] * alg.order == [irr.dim for irr in oracle]
-    chars = np.array([irr.character for irr in irreps])
+    assert table_dims(chars) == [1] * alg.order == [irr.dim for irr in oracle]
     assert np.abs(chars - np.array([irr.character for irr in oracle])).max() <= 1e-12
 
 
@@ -544,7 +559,7 @@ def test_commutative_route_leaves_huge_denominators_to_the_class_table():
     original = np.linalg.eigh
     with pytest.MonkeyPatch.context() as m:
         m.setattr(np.linalg, "eigh", lambda h: solves.append(1) or original(h))
-        chars = np.array([irr.character for irr in decompose_regular(alg)])
+        chars = decompose_regular(alg)
     assert solves
     oracle = np.array([irr.character for irr in split_regular(alg)])
     assert np.abs(chars - oracle).max() <= 1e-12
@@ -598,7 +613,7 @@ def test_decompose_regular_refuses_a_spectrum_clustered_through_max_rounds(monke
             decompose_regular(alg)
     assert len(solves) == 3
     monkeypatch.setattr(superalg, "_MAX_ROUNDS", 1)
-    assert [irr.dim for irr in decompose_regular(alg)] == [1, 1, 2]
+    assert table_dims(decompose_regular(alg)) == [1, 1, 2]
 
 
 def _graded_type_m():
@@ -612,11 +627,10 @@ def _graded_type_m():
     twist = validate_twist(group, Twist(phi=(homs[1] + homs[2]) % 2, alpha_num=alpha,
                                         denom=2))
     alg = TwistedGroupAlgebra(group, twist)
-    irreps = decompose_regular(alg)
-    sups = assemble_supermodules(irreps, alg)
+    sups = assemble_supermodules(decompose_regular(alg), alg)
     sups = sups.take(np.flatnonzero(sups.q == 0))
     odd = np.array([alg.twist.phi == 1] * len(sups))
-    dims = np.array([irr.dim for irr in irreps])[sups.first]
+    dims = np.rint(sups.table[sups.first, 0].real)
     return alg, sups, sups.character, odd, dims
 
 
@@ -759,17 +773,17 @@ def test_supermodules_match_the_matrix_oracle():
     rng = np.random.default_rng(0)
     real = 0
     for alg, seed in _oracle_algebras():
-        irreps = decompose_regular(alg, seed=seed)
+        chars = decompose_regular(alg, seed=seed)
         report = classify(alg, seed=seed)
         assert report.all_pass
         odd = alg.twist.phi == 1
         even = np.flatnonzero(~odd)
         oracle = split_regular(alg, seed=seed)
-        assert [irr.dim for irr in oracle] == [irr.dim for irr in irreps]
-        for mine, irr in zip(irreps, oracle):
-            assert np.max(np.abs(mine.character - irr.character)) < 1e-12
+        assert [irr.dim for irr in oracle] == table_dims(chars)
+        for mine, irr in zip(chars, oracle):
+            assert np.max(np.abs(mine - irr.character)) < 1e-12
         blocks = [irr.matrices for irr in oracle]
-        sups = assemble_supermodules(irreps, alg)
+        sups = assemble_supermodules(chars, alg)
         for index, sup in enumerate(report.supermodules):
             i = sup.constituents[0]
             if sup.q_type == 0:
@@ -781,7 +795,7 @@ def test_supermodules_match_the_matrix_oracle():
                 targets = {i: p}
             else:
                 p = None
-                eye = np.eye(irreps[i].dim)
+                eye = np.eye(blocks[i].shape[1])
                 targets = {i: eye, sup.constituents[1]: -eye}
             module, grading = graded_module(blocks[i], odd, p)
             chi0, supchar = module_characters(module, grading, even)
@@ -792,7 +806,7 @@ def test_supermodules_match_the_matrix_oracle():
             if sup.reality != "real":
                 continue
             real += 1
-            u, sign = special_element(alg, sups.take([index]), irreps)[0]
+            u, sign = special_element(alg, sups.take([index]))[0]
             want, want_sign = special_element_by_solve(blocks, targets, module)
             assert min(np.max(np.abs(u - want)), np.max(np.abs(u + want))) < 1e-10
             assert sup.u_sign == sign == want_sign
@@ -918,14 +932,13 @@ def test_special_element_squares_are_batched_and_checked_one_by_one():
     group = catalog_group("z2xz2xz2")
     alg = TwistedGroupAlgebra(group, h2_representatives(group)[4])
     phis = np.array(z2_homomorphisms(group))
-    irreps = decompose_regular(alg)
-    sups = assemble_supermodules(irreps, alg, phis=phis)
+    sups = assemble_supermodules(decompose_regular(alg), alg, phis=phis)
     sups = sups.take(np.flatnonzero(np.abs(sups.character.imag).max(axis=1) < 1e-9))
     graded = np.flatnonzero((sups.q == 0) & phis[sups.row].any(axis=1)).tolist()
     assert len(graded) >= 4 and superalg._GATHER_ENTRIES // 64 >= len(graded)
-    batched = special_element(alg, sups, irreps)
+    batched = special_element(alg, sups)
     for i, (coeffs, sign) in enumerate(batched):
-        alone, alone_sign = special_element(alg, sups.take([i]), irreps)[0]
+        alone, alone_sign = special_element(alg, sups.take([i]))[0]
         assert np.array_equal(coeffs, alone) and sign == alone_sign
     for i in (graded[0], graded[-1]):
         part = sups.take(np.arange(len(sups)))   # a copy of every array
@@ -934,10 +947,10 @@ def test_special_element_squares_are_batched_and_checked_one_by_one():
         part.supercharacter[i, g] *= 1 + 1e-3
         with pytest.raises(DecompositionError, match="special element square is not a "
                            "multiple of its summand's unit"):
-            special_element(alg, part, irreps)
+            special_element(alg, part)
         part.supercharacter[i, g] /= 1 + 1e-3
         part.supercharacter[i, g] *= 1 + 1e-12   # within 1e-8 of the unit: kept
-        assert [sign for _, sign in special_element(alg, part, irreps)] == [
+        assert [sign for _, sign in special_element(alg, part)] == [
             sign for _, sign in batched]
 
 
@@ -996,15 +1009,15 @@ def test_supercharacter_charge_covers_its_traced_peak(monkeypatch, rank):
     import tracemalloc
 
     alg = TwistedGroupAlgebra(*clifford_twist(rank))
-    irreps = decompose_regular(alg)
-    assemble_supermodules(irreps, alg)   # builds the tables, warms numpy
+    chars = decompose_regular(alg)
+    assemble_supermodules(chars, alg)   # builds the tables, warms numpy
     charges = []
     charge = superalg.check_budget
     monkeypatch.setattr(superalg, "check_budget",
                         lambda need, what: charges.append(need) or charge(need, what))
     tracemalloc.start()
     try:
-        assemble_supermodules(irreps, alg)
+        assemble_supermodules(chars, alg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1037,31 +1050,32 @@ def test_clifford2_is_pauli_algebra():
             got = rho[a] @ rho[b]
             want = phases_of(alg)[a, b] * rho[g.table[a, b]]
             assert np.max(np.abs(got - want)) < 1e-12
-    irreps = decompose_regular(alg)
-    assert [i.dim for i in irreps] == [2]
-    assert np.allclose(irreps[0].character, [2, 0, 0, 0])
+    chars = decompose_regular(alg)
+    assert table_dims(chars) == [2]
+    assert np.allclose(chars[0], [2, 0, 0, 0])
 
 
 def test_heisenberg_cocycle_single_irrep():
     g = product_group(cyclic(3), cyclic(3))
     a = [[Fraction((i // 3) * (j % 3) % 3, 3) for j in range(9)] for i in range(9)]
     alg = TwistedGroupAlgebra(g, Twist.from_fractions([0] * 9, a))
-    irreps = decompose_regular(alg)
-    assert [i.dim for i in irreps] == [3]
+    assert table_dims(decompose_regular(alg)) == [3]
 
 
 def test_assemble_pairs_by_parity():
     g, t = clifford_twist(1)
     alg = TwistedGroupAlgebra(g, t)
-    irreps = decompose_regular(alg)
-    sups = assemble_supermodules(irreps, alg)
+    chars = decompose_regular(alg)
+    sups = assemble_supermodules(chars, alg)
     assert len(sups) == 1 and sups.q.tolist() == [1] and sups.dims.tolist() == [[1, 1]]
     assert sups.constituents() == [(0, 1)]
+    # the stack carries the table it was paired from, and so does each part
+    assert sups.table is chars and sups.take([0]).table is sups.table
     # the odd element acts off-diagonally on V + V: no trace, no supertrace,
     # though it acts on V by a unit scalar
     assert np.max(np.abs(sups.character[0] - [2, 0])) < 1e-12
     assert not sups.supercharacter[0].any()
-    assert abs(irreps[0].character[1]) == pytest.approx(1)
+    assert abs(chars[0, 1]) == pytest.approx(1)
 
     g2 = catalog_group("s3")
     alg2 = TwistedGroupAlgebra(g2)
@@ -1077,10 +1091,10 @@ def test_missing_parity_partner_raises():
     # partner; without the second the first has none
     g, t = clifford_twist(1)
     alg = TwistedGroupAlgebra(g, t)
-    irreps = decompose_regular(alg)
-    assert len(irreps) == 2
+    chars = decompose_regular(alg)
+    assert len(chars) == 2
     with pytest.raises(DecompositionError, match="^no parity partner for irrep 0;"):
-        assemble_supermodules(irreps[:1], alg)
+        assemble_supermodules(chars[:1], alg)
 
 
 def test_supermodule_characters_vanish_on_odd():
@@ -1096,9 +1110,8 @@ def test_supermodule_characters_vanish_on_odd():
 def test_special_element_clifford1():
     g, t = clifford_twist(1)
     alg = TwistedGroupAlgebra(g, t)
-    irreps = decompose_regular(alg)
-    sups = assemble_supermodules(irreps, alg)
-    u, sign = special_element(alg, sups.take([0]), irreps)[0]
+    sups = assemble_supermodules(decompose_regular(alg), alg)
+    u, sign = special_element(alg, sups.take([0]))[0]
     assert sign == 1
     assert abs(u[0]) < 1e-10 and abs(abs(u[1]) - 1) < 1e-10
 
@@ -1106,9 +1119,8 @@ def test_special_element_clifford1():
 def test_special_element_clifford2():
     g, t = clifford_twist(2)
     alg = TwistedGroupAlgebra(g, t)
-    irreps = decompose_regular(alg)
-    sups = assemble_supermodules(irreps, alg)
-    u, sign = special_element(alg, sups.take([0]), irreps)[0]
+    sups = assemble_supermodules(decompose_regular(alg), alg)
+    u, sign = special_element(alg, sups.take([0]))[0]
     assert sign == -1
     expect = np.zeros(4)
     expect[3] = 1
@@ -1121,10 +1133,9 @@ def test_special_element_clifford2():
 def test_special_element_trivial_rep_is_averaging_idempotent():
     g = catalog_group("s3")
     alg = TwistedGroupAlgebra(g)
-    irreps = decompose_regular(alg)
-    sups = assemble_supermodules(irreps, alg)
+    sups = assemble_supermodules(decompose_regular(alg), alg)
     triv = np.flatnonzero(np.abs(sups.character - 1).max(axis=1) < 1e-8)
-    (u, sign), = special_element(alg, sups.take(triv), irreps)
+    (u, sign), = special_element(alg, sups.take(triv))
     assert sign == 1
     assert np.allclose(u, np.full(6, 1 / 6))
 
@@ -1132,19 +1143,18 @@ def test_special_element_trivial_rep_is_averaging_idempotent():
 def test_special_element_rejects_complex():
     g = cyclic(3)
     alg = TwistedGroupAlgebra(g)
-    irreps = decompose_regular(alg)
-    sups = assemble_supermodules(irreps, alg)
+    sups = assemble_supermodules(decompose_regular(alg), alg)
     cx = np.flatnonzero(np.abs(np.conj(sups.character) - sups.character).max(axis=1) > 1e-6)
     with pytest.raises(ValidationError, match="complex"):
-        special_element(alg, sups.take(cx[:1]), irreps)
+        special_element(alg, sups.take(cx[:1]))
 
 
 def test_ordinary_fs_values():
     alg = TwistedGroupAlgebra(cyclic(3))
-    chars = np.array([i.character for i in decompose_regular(alg)])
+    chars = decompose_regular(alg)
     assert sorted(ordinary_fs(chars, alg)) == [0, 0, 1]
     algq = TwistedGroupAlgebra(catalog_group("q8"))
-    chars = np.array([i.character for i in decompose_regular(algq)])
+    chars = decompose_regular(algq)
     assert ordinary_fs(chars, algq) == [1, 1, 1, 1, -1]
 
 
@@ -1175,10 +1185,10 @@ def test_classify_refuses_a_grading_that_is_no_homomorphism():
     phi = np.zeros(8, dtype=np.int64)
     phi[1] = 1
     alg = TwistedGroupAlgebra(g, t)
-    irreps = decompose_regular(alg)
+    chars = decompose_regular(alg)
     message = r"^phi is not a homomorphism to Z2: fails at \(1, 2\)$"
     with pytest.raises(ValidationError, match=message):
-        assemble_supermodules(irreps, alg, phis=phi[None])
+        assemble_supermodules(chars, alg, phis=phi[None])
     with pytest.raises(ValidationError, match=message):
         classify_gradings(alg, phi[None])
 
@@ -1187,24 +1197,24 @@ def test_the_stages_refuse_a_bad_stack_of_gradings():
     # a stack given to assemble_supermodules is proved a grading first: on
     # Clifford(2), an entry 2 and a grading that is no homomorphism are
     # refused with the grading law's own message, not blamed on the
-    # decomposition or read as a grading. special_element takes no gradings:
-    # it reads the proved, read-only stack the supermodules were assembled
-    # under
+    # decomposition or read as a grading. special_element takes no gradings
+    # and no character table: it reads the proved, read-only stack the
+    # supermodules were assembled under, and the table they were paired from
     alg = TwistedGroupAlgebra(*clifford_twist(2))
-    irreps = decompose_regular(alg)
-    sups = assemble_supermodules(irreps, alg)
+    chars = decompose_regular(alg)
+    sups = assemble_supermodules(chars, alg)
     for stack, message in (([[0, 2, 2, 0]], r"^phi values must be 0 or 1, got 2$"),
                            ([[1, 0, 0, 0]],
                             r"^phi is not a homomorphism to Z2: fails at \(0, 0\)$")):
         with pytest.raises(ValidationError, match=message):
-            assemble_supermodules(irreps, alg, phis=np.array(stack))
-    assert list(inspect.signature(special_element).parameters) == ["algebra", "sups", "irreps"]
+            assemble_supermodules(chars, alg, phis=np.array(stack))
+    assert list(inspect.signature(special_element).parameters) == ["algebra", "sups"]
     assert not sups.phis.flags.writeable and np.array_equal(sups.phis, alg.twist.phi[None])
     # the algebra's own grading, given as a stack, is proved and accepted
-    given = assemble_supermodules(irreps, alg, phis=alg.twist.phi[None])
+    given = assemble_supermodules(chars, alg, phis=alg.twist.phi[None])
     assert len(given) == 1 and not given.phis.flags.writeable
-    (u, sign), = special_element(alg, given, irreps)
-    assert sign == -1 and np.array_equal(u, special_element(alg, sups, irreps)[0][0])
+    (u, sign), = special_element(alg, given)
+    assert sign == -1 and np.array_equal(u, special_element(alg, sups)[0][0])
 
 
 def test_classify_gradings_refuses_a_malformed_stack_before_decomposing(monkeypatch):
@@ -1281,15 +1291,14 @@ def test_super_fs_clifford1():
 
 
 def test_snapping_helpers():
-    assert snap_indicator(1 + 1e-9) == 1
-    assert snap_indicator(-1) == -1
-    assert snap_indicator(2e-7) == 0
-    with pytest.raises(SnapError):
-        snap_indicator(0.5)
-    assert snap_eighth_root(0j) is None
-    assert snap_eighth_root(eighth_root(5) + 1e-8) == 5
-    with pytest.raises(SnapError):
-        snap_eighth_root(0.5 + 0.2j)
+    assert superalg._snap_each(np.array([1 + 1e-9, -1, 2e-7])).tolist() == [1, -1, 0]
+    with pytest.raises(SnapError, match=re.escape(
+            "value (0.5+0j) is not within 1e-06 of -1, 0, or +1")):
+        superalg._snap_each(np.array([0.5]))
+    assert superalg._snap_roots(np.array([0j, eighth_root(5) + 1e-8])).tolist() == [-1, 5]
+    with pytest.raises(SnapError, match=re.escape(
+            "value (0.5+0.2j) is not within 1e-06 of 0 or any eighth root of unity")):
+        superalg._snap_roots(np.array([0.5 + 0.2j]))
     assert snapped_string(None) == "0"
     assert snapped_string(3) == "e^{2·pi·i·3/8}"
 
@@ -1333,9 +1342,10 @@ def _scalar_snaps(scalar, values):
        roots=st.lists(_near((0, *map(eighth_root, range(8)))), min_size=1, max_size=12),
        real=st.booleans())
 def test_array_snaps_agree_with_the_scalar_snaps(indicators, roots, real):
-    # the whole-array snaps of classify agree entry by entry with
-    # snap_indicator and snap_eighth_root (-1 standing for its None), and a
-    # stack with a refused entry raises the scalar message of the first one
+    # the whole-array snaps of classify agree entry by entry with the scalar
+    # oracles snap_indicator and snap_eighth_root of tests/helpers (-1
+    # standing for None), and a stack with a refused entry raises the
+    # oracle's message for the first one
     indicators = np.array(indicators)
     if real:
         indicators = indicators.real
@@ -1374,12 +1384,15 @@ def test_array_snaps_agree_with_the_scalar_snaps_on_the_rim():
 
 
 def test_bw_table_complete():
-    assert len(BW_TABLE) == 8
-    assert sorted(BW_TABLE.values()) == list(range(8))
-    assert bw_from_parts(0, 1, "R") == 0
-    assert bw_from_parts(1, -1, "H") == 3
-    with pytest.raises(ValidationError):
-        bw_from_parts(1, -1, "C")
+    # Wall's eight real graded division classes, by (q, sign of u^2,
+    # strictly real R or quaternionic H), on the read-only table indexed
+    # [q, u^2 = -1, quaternionic]
+    assert sorted(_BW_CLASSES.ravel().tolist()) == list(range(8))
+    assert not _BW_CLASSES.flags.writeable
+    wall = {(0, +1, "R"): 0, (0, -1, "R"): 2, (0, +1, "H"): 4, (0, -1, "H"): 6,
+            (1, +1, "R"): 1, (1, -1, "H"): 3, (1, +1, "H"): 5, (1, -1, "R"): 7}
+    assert {(q, sign, kind): int(_BW_CLASSES[q, int(sign == -1), int(kind == "H")])
+            for q, sign, kind in wall} == wall
 
 
 def test_classify_clifford3():
@@ -1543,11 +1556,10 @@ def test_random_permutation_groups_against_the_oracle(degree, data, label_seed, 
     twist = validate_twist(group, classes[picks[0] % len(classes)]
                            .with_phi(phis[picks[1] % len(phis)]))
     alg = TwistedGroupAlgebra(group, twist)
-    irreps = decompose_regular(alg)
+    chars = decompose_regular(alg)
     oracle = split_regular(alg)
-    assert [irr.dim for irr in irreps] == [irr.dim for irr in oracle]
-    assert np.max(np.abs(np.array([irr.character for irr in irreps])
-                         - np.array([irr.character for irr in oracle]))) < 1e-12
+    assert table_dims(chars) == [irr.dim for irr in oracle]
+    assert np.max(np.abs(chars - np.array([irr.character for irr in oracle]))) < 1e-12
     want, raw = _invariant_dict(classify(alg))
 
     perm = relabelling(group.order, label_seed)
