@@ -57,7 +57,6 @@ from .surfaces import (
     parse_surface,
     presentation,
     quadratic_eval_many,
-    refinement,
 )
 from .twists import (
     Twist,

@@ -20,7 +20,7 @@ from .superalg import (
     classify_gradings,
     snapped_string,
 )
-from .surfaces import parse_surface, refinement
+from .surfaces import QuadraticRefinement, parse_surface
 from .twists import (
     Twist,
     clifford_ladder,
@@ -267,8 +267,8 @@ def cmd_sweep(args) -> int:
 def _parse_structure(args, surface, family):
     """The one structure named by --spin / --pin, or None (no structure for
     oriented / unoriented; every structure under --all-structures or by
-    default). `refinement` refuses values outside 0..ring-1 and checks their
-    parity."""
+    default). `QuadraticRefinement` refuses values outside 0..ring-1 and
+    checks their parity."""
     ring = _FAMILY[family].ring
     if ring is None:
         if args.spin or args.pin or args.all_structures:
@@ -285,7 +285,7 @@ def _parse_structure(args, surface, family):
             values = [int(x) for x in text.split(",")] if text != "-" else []
         except ValueError as exc:
             raise ValidationError(f"bad structure values {text!r}") from exc
-        return [refinement(surface, values)]
+        return [QuadraticRefinement(surface, values)]
     return None  # crosscheck enumerates all structures
 
 

@@ -36,8 +36,6 @@ from .surfaces import (
     Surface,
     abk,
     arf,
-    cup_blocks,
-    cup_form,
     enumerate_structures,
     presentation,
     quadratic_eval_many,
@@ -55,14 +53,14 @@ __all__ = [
     "report_to_dict",
 ]
 
-# family -> surfaces orientable?, structure ring (None: no structure), may phi
-# be nonzero?, must alpha be sign-valued?
-_Family = namedtuple("_Family", ["orientable", "ring", "graded", "sign_valued"])
+# family -> surfaces orientable?, structure ring (None: no structure, and phi
+# must vanish), must alpha be sign-valued?
+_Family = namedtuple("_Family", ["orientable", "ring", "sign_valued"])
 _FAMILY = {
-    "oriented": _Family(True, None, False, False),
-    "unoriented": _Family(False, None, False, True),
-    "spin": _Family(True, 2, True, False),
-    "pin-": _Family(False, 4, True, True),
+    "oriented": _Family(True, None, False),
+    "unoriented": _Family(False, None, True),
+    "spin": _Family(True, 2, False),
+    "pin-": _Family(False, 4, True),
 }
 FAMILIES = tuple(_FAMILY)
 
@@ -84,7 +82,7 @@ class TheoryData:
             raise ValidationError(
                 f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}")
         object.__setattr__(self, "twist", validate_twist(self.group, self.twist))
-        if not rules.graded and not self.twist.phi_is_trivial:
+        if rules.ring is None and not self.twist.phi_is_trivial:
             raise ValidationError(
                 f"the {self.family} family has no fermion parity; phi must vanish")
         if rules.sign_valued and not self.twist.is_z2:
@@ -140,123 +138,112 @@ def _walk(start: np.ndarray, images: np.ndarray, word, group: Group,
     return cur, num
 
 
-class _StateSum:
-    """Exact transfer-matrix state sum of one theory on one surface.
+def _state_sum_buckets(theory: TheoryData, surface: Surface) -> int:
+    """The number D = lcm(denom, 4) of phase buckets of the state sum, after
+    refusing a state sum whose walk, block tables and block products exceed
+    the work budget, or whose hom counts could overflow 64-bit integers. A
+    surface with no blocks (the sphere) needs no work and passes."""
+    n, blocks = theory.group.order, surface.param
+    D = math.lcm(theory.twist.denom, 4)
+    if not blocks:
+        return D
+    gens = surface.b1 // blocks
+    required = n ** (1 + gens) + n * n * D * 2 ** gens + blocks * n * n * D ** 2
+    check_budget(required, f"state sum needs {required} steps")
+    if n ** (surface.b1 - 1) >= 2 ** 62:
+        raise BudgetExceededError(
+            f"hom counts up to {n}^{surface.b1} could overflow 64-bit integers",
+            required=n ** surface.b1)
+    return D
 
-    The relator is one word per block of `cup_blocks` (a handle [a,b] or a
-    crosscap c^2) and the cup form is block diagonal, so the cocycle phase and
-    the refinement Q both split into one term per block. A block acts on the
-    running product x through the integer table T[x, y, k]: the number of
-    images of its generators that carry x to y with total phase exponent k mod
-    D = lcm(denom, 4), counting the cocycle (scaled to D) and the block's share
-    of (-1)^Q or i^Q. The walk over all |G|^(1 + gens) pairs (x, images) is
-    done once, graded by the parity pattern of the images; each structure's
-    block tables follow by shifting those slices in k, so all structures of a
-    surface share one walk. Counts stay exact integers; the only floating-point
-    step is the final sum of counts times D-th roots of unity.
-    """
 
-    def __init__(self, theory: TheoryData, surface: Surface):
-        n = theory.group.order
-        self.theory = theory
-        self.surface = surface
-        self.blocks = cup_blocks(surface)
-        self.cup = cup_form(surface)
-        self.D = math.lcm(theory.twist.denom, 4)
-        self._graded: np.ndarray | None = None
-        self._tables: dict = {}
-        if not self.blocks:
-            return
-        gens = len(self.blocks[0])
-        required = (n ** (1 + gens) + n * n * self.D * 2 ** gens
-                    + len(self.blocks) * n * n * self.D ** 2)
-        check_budget(required, f"state sum needs {required} steps")
-        if n ** (surface.b1 - 1) >= 2 ** 62:
-            raise BudgetExceededError(
-                f"hom counts up to {n}^{surface.b1} could overflow 64-bit integers",
-                required=n ** surface.b1)
+def _walk_block(theory: TheoryData, unit: Surface, D: int) -> np.ndarray:
+    """graded[x, y, k, p]: images of one block's generators carrying x to y
+    with cocycle exponent k (mod D) and parity pattern p (bit i = phi of
+    generator i). The block's word is the relator of `unit`, the surface with
+    one handle or one crosscap."""
+    group, twist = theory.group, theory.twist
+    n = group.order
+    gens = unit.b1
+    letters = presentation(unit).word
+    images = np.indices((n,) * gens, dtype=np.int64).reshape(gens, -1).T
+    patterns = 2 ** gens
+    pattern = twist.phi[images] @ (1 << np.arange(gens))
+    graded = np.empty((n, n * D * patterns), dtype=np.int64)
+    for x in range(n):
+        y, num = _walk(np.full(images.shape[0], x, dtype=np.int64), images,
+                       letters, group, twist)
+        k = num * (D // twist.denom) % D
+        graded[x] = np.bincount((y * D + k) * patterns + pattern,
+                                minlength=n * D * patterns)
+    return graded.reshape(n, n, D, patterns)
 
-    def _walk_block(self) -> np.ndarray:
-        """graded[x, y, k, p]: images of one block's generators carrying x to y
-        with cocycle exponent k (mod D) and parity pattern p (bit i = phi of
-        generator i). Every block has the first block's word, relabelled."""
-        group, twist, D = self.theory.group, self.theory.twist, self.D
-        n = group.order
-        block = self.blocks[0]
-        gens = len(block)
-        letters = [(idx, exp) for idx, exp in presentation(self.surface).word
-                   if idx in block]
-        images = np.indices((n,) * gens, dtype=np.int64).reshape(gens, -1).T
-        patterns = 2 ** gens
-        pattern = twist.phi[images] @ (1 << np.arange(gens))
-        graded = np.empty((n, n * D * patterns), dtype=np.int64)
-        for x in range(n):
-            y, num = _walk(np.full(images.shape[0], x, dtype=np.int64), images,
-                           letters, group, twist)
-            k = num * (D // twist.denom) % D
-            graded[x] = np.bincount((y * D + k) * patterns + pattern,
-                                    minlength=n * D * patterns)
-        return graded.reshape(n, n, D, patterns)
 
-    def _table(self, block: range, structure: QuadraticRefinement | None) -> np.ndarray:
-        """T[x, y, k] of one block, with the structure's weight on that block."""
-        if self._graded is None:
-            self._graded = self._walk_block()
-        vals = None if structure is None else tuple(structure.values[i] for i in block)
-        if vals not in self._tables:
-            if vals is None:
-                self._tables[vals] = self._graded.sum(axis=3)
-            else:
-                gens = len(block)
-                bits = (np.arange(2 ** gens)[:, None] >> np.arange(gens)) & 1
-                local = QuadraticRefinement(structure.ring, vals,
-                                            self.cup[block.start:block.stop,
-                                                     block.start:block.stop])
-                shifts = quadratic_eval_many(local, bits) * (self.D // structure.ring)
-                self._tables[vals] = sum(np.roll(self._graded[..., p], int(s), axis=2)
-                                         for p, s in enumerate(shifts))
-        return self._tables[vals]
+def _state_sums(theory: TheoryData, surface: Surface, structures: list) -> list:
+    """(value, hom count) of the state sum for each structure (None for the
+    families without one), which must be on `surface`.
 
-    def __call__(self, structure: QuadraticRefinement | None = None) -> tuple[complex, int]:
-        _check_structure(self.theory.family, self.surface, self.cup, structure)
-        n, D = self.theory.group.order, self.D
-        shift = (np.arange(D)[None, :] - np.arange(D)[:, None]) % D
+    An exact transfer-matrix product: the relator is one word per block of
+    `cup_blocks` (a handle [a,b] or a crosscap c^2) and the cup form is block
+    diagonal, so the cocycle phase and the refinement Q both split into one
+    term per block. A block acts on the running product x through the integer
+    table T[x, y, k]: the number of images of its generators that carry x to
+    y with total phase exponent k mod D = lcm(denom, 4), counting the cocycle
+    (scaled to D) and the block's share of (-1)^Q or i^Q. One walk over all
+    |G|^(1 + gens) pairs (x, images), graded by the parity pattern of the
+    images, serves every structure; a block's table follows by shifting those
+    slices in k, once per distinct set of block values. Counts stay exact
+    integers; the only floating-point step is the final sum of counts times
+    D-th roots of unity."""
+    D = _state_sum_buckets(theory, surface)
+    n, blocks = theory.group.order, surface.param
+    if not blocks:
+        return [(complex(1 / n), 1) for _ in structures]
+    unit = Surface(surface.kind, 1)
+    gens = unit.b1
+    graded = _walk_block(theory, unit, D)
+    bits = (np.arange(2 ** gens)[:, None] >> np.arange(gens)) & 1
+    shift = (np.arange(D)[None, :] - np.arange(D)[:, None]) % D
+    tables = {}
+    sums = []
+    for structure in structures:
         counts = np.zeros((n, D), dtype=np.int64)
         counts[0, 0] = 1  # running product e, exponent 0
-        for i, block in enumerate(self.blocks):
-            table = self._table(block, structure)
+        for i in range(blocks):
+            vals = None if structure is None else structure.values[gens * i:gens * (i + 1)]
+            if vals not in tables:
+                if vals is None:
+                    tables[vals] = graded.sum(axis=3)
+                else:
+                    local = QuadraticRefinement(unit, vals)
+                    shifts = quadratic_eval_many(local, bits) * (D // local.ring)
+                    tables[vals] = sum(np.roll(graded[..., p], int(s), axis=2)
+                                       for p, s in enumerate(shifts))
             circ = counts[:, shift]  # circ[x, s, k] = counts[x, k - s]
-            if i < len(self.blocks) - 1:
-                counts = np.tensordot(table, circ, axes=([0, 2], [0, 1]))
+            if i < blocks - 1:
+                counts = np.tensordot(tables[vals], circ, axes=([0, 2], [0, 1]))
             else:
                 # last block: only y = e, in exact integers (counts may pass 2^63)
-                counts = np.tensordot(table[:, :1, :].astype(object),
+                counts = np.tensordot(tables[vals][:, :1, :].astype(object),
                                       circ.astype(object), axes=([0, 2], [0, 1]))
         final = [int(c) for c in counts[0]]
-        return _root_sum(final, D) / n, sum(final)
+        sums.append((_root_sum(final, D) / n, sum(final)))
+    return sums
 
 
-def _check_structure(family: str, surface: Surface, cup: np.ndarray,
+def _check_structure(family: str, surface: Surface,
                      structure: QuadraticRefinement | None) -> None:
-    """A structure is required for spin / pin- (of the family's ring, and of
-    the length and cup form `cup` of `surface`) and refused for oriented /
-    unoriented."""
-    ring = _FAMILY[family].ring
-    if ring is None:
+    """A structure is required for spin / pin- and refused for oriented /
+    unoriented; it must be one on `surface`, which fixes its ring (by the
+    family's orientability), its length and its cup form."""
+    if _FAMILY[family].ring is None:
         if structure is not None:
             raise ValidationError(f"the {family} family takes no structures")
         return
     if structure is None:
         raise ValidationError(f"the {family} family needs a structure")
-    if structure.ring != ring:
-        raise ValidationError(
-            f"the {family} family needs a Z{ring} refinement, got Z{structure.ring}")
-    if len(structure.values) != surface.b1:
-        raise ValidationError(
-            f"structure has {len(structure.values)} values, {surface} "
-            f"needs {surface.b1}")
-    if not np.array_equal(structure.cup, cup):
-        raise ValidationError(f"structure cup form is not the one of {surface}")
+    if structure.surface != surface:
+        raise ValidationError(f"structure is on {structure.surface}, not {surface}")
 
 
 def _root_sum(counts: list, D: int) -> complex:
@@ -282,7 +269,8 @@ def partition_lhs(theory: TheoryData, surface: Surface,
     crosscaps; the block-table work is checked against the work budget
     before anything is allocated."""
     theory.require_surface(surface)
-    return _StateSum(theory, surface)(structure)
+    _check_structure(theory.family, surface, structure)
+    return _state_sums(theory, surface, [structure])[0]
 
 
 def partition_rhs(theory: TheoryData, surface: Surface,
@@ -293,7 +281,7 @@ def partition_rhs(theory: TheoryData, surface: Surface,
 
     Returns (value, per-module terms, named invariant of the structure)."""
     theory.require_surface(surface)
-    _check_structure(theory.family, surface, cup_form(surface), structure)
+    _check_structure(theory.family, surface, structure)
     return _rhs_sum(theory, surface, structure, _spectrum(theory, seed))
 
 
@@ -376,24 +364,23 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
     they are enumerated); for oriented / unoriented a single report.
     """
     theory.require_surface(surface)
-    state_sum = _StateSum(theory, surface)
+    D = _state_sum_buckets(theory, surface)  # refusals before the structure count
     if structures is not None:
         jobs = list(structures)
     elif _FAMILY[theory.family].ring is None:
         jobs = [None]
     else:
         n, b1, count = theory.group.order, surface.b1, 2 ** surface.b1
-        steps = count * (len(state_sum.blocks) * n * n * state_sum.D ** 2 + b1 * count)
+        steps = count * (surface.param * n * n * D ** 2 + b1 * count)
         check_budget(steps, f"the {count} structures on {surface} need {steps} steps")
         jobs = enumerate_structures(surface)
     if not jobs:
         raise ValidationError("no structures supplied")
     for structure in jobs:
-        _check_structure(theory.family, surface, state_sum.cup, structure)
+        _check_structure(theory.family, surface, structure)
     spectrum = _spectrum(theory, seed)
     reports = []
-    for structure in jobs:
-        lhs, count = state_sum(structure)
+    for structure, (lhs, count) in zip(jobs, _state_sums(theory, surface, jobs)):
         rhs, terms, invariant = _rhs_sum(theory, surface, structure, spectrum)
         reports.append(PartitionReport(
             family=theory.family, surface=surface, structure=structure,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "cup_blocks",
     "cup_form",
     "QuadraticRefinement",
-    "refinement",
     "quadratic_eval_many",
     "arf",
     "abk",
@@ -136,45 +134,46 @@ def cup_form(surface: Surface) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticRefinement:
-    """A quadratic refinement of the mod-2 intersection form.
+    """A quadratic refinement of the mod-2 intersection form of `surface`,
+    given by its `values` on the basis generators: a spin structure on an
+    orientable surface (ring 2: Q(x + y) = Q(x) + Q(y) + x.y mod 2, on an even
+    form) or a pin- structure on a nonorientable one (ring 4: Q(x + y) =
+    Q(x) + Q(y) + 2 x.y mod 4).
 
-    ring 2: Q(x + y) = Q(x) + Q(y) + x.y (mod 2), needs an even form.
-    ring 4: Q(x + y) = Q(x) + Q(y) + 2 x.y (mod 4), with Q parity matching
-    the diagonal of the form.
-    `values` lists Q on the basis generators.
-    """
+    Checked on construction: one value per generator, each in 0..ring-1 (none
+    is read modulo the ring), and each Z4 value of the parity of its
+    generator's self-intersection."""
 
-    ring: int
+    surface: Surface
     values: tuple
-    cup: np.ndarray
+
+    def __post_init__(self):
+        vals = tuple(int(v) for v in self.values)
+        object.__setattr__(self, "values", vals)
+        surface, ring = self.surface, self.ring
+        if len(vals) != surface.b1:
+            raise ValidationError(
+                f"need {surface.b1} basis values for {surface}, got {len(vals)}")
+        outside = [v for v in vals if not 0 <= v < ring]
+        if outside:
+            raise ValidationError(f"structure value {outside[0]} outside 0..{ring - 1}")
+        if ring == 4:
+            for i, (v, c) in enumerate(zip(vals, np.diagonal(self.cup))):
+                if v % 2 != c % 2:
+                    raise ValidationError(
+                        f"value {v} at generator {i} has the wrong parity for "
+                        f"self-intersection {c}")
+
+    @property
+    def ring(self) -> int:
+        return 2 if self.surface.is_orientable else 4
+
+    @property
+    def cup(self) -> np.ndarray:
+        return cup_form(self.surface)
 
     def __str__(self):
         return ",".join(str(v) for v in self.values)
-
-
-def refinement(surface: Surface, values: Sequence[int]) -> QuadraticRefinement:
-    """The refinement with the given values on the basis generators: a spin
-    structure (ring 2) on an orientable surface, whose form is even, and a
-    pin- structure (ring 4) on a nonorientable one.
-
-    Values must lie in 0..ring-1, so none is read modulo the ring, and each
-    Z4 value must have the parity of its generator's self-intersection."""
-    ring = 2 if surface.is_orientable else 4
-    cup = cup_form(surface)
-    vals = tuple(int(v) for v in values)
-    if len(vals) != surface.b1:
-        raise ValidationError(
-            f"need {surface.b1} basis values for {surface}, got {len(vals)}")
-    outside = [v for v in vals if not 0 <= v < ring]
-    if outside:
-        raise ValidationError(f"structure value {outside[0]} outside 0..{ring - 1}")
-    if ring == 4:
-        for i, v in enumerate(vals):
-            if v % 2 != cup[i, i] % 2:
-                raise ValidationError(
-                    f"value {v} at generator {i} has the wrong parity for "
-                    f"self-intersection {cup[i, i]}")
-    return QuadraticRefinement(ring=ring, values=vals, cup=cup)
 
 
 def quadratic_eval_many(q: QuadraticRefinement, xs: np.ndarray) -> np.ndarray:
@@ -231,6 +230,6 @@ def enumerate_structures(surface: Surface) -> list:
     """All spin (orientable) or pin- (nonorientable) structures as refinements,
     in lexicographic order of their basis values."""
     choices = (0, 1) if surface.is_orientable else (1, 3)
-    return [refinement(surface, vals)
+    return [QuadraticRefinement(surface, vals)
             for vals in itertools.product(choices, repeat=surface.b1)]
 

@@ -12,6 +12,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -112,8 +113,9 @@ class Twist:
     @classmethod
     def from_fractions(cls, phi: Sequence[int], alpha: Sequence[Sequence[Fraction]]) -> "Twist":
         """The twist with grading phi and alpha given as an n x n table (n = len(phi))
-        of rationals: Fractions, integers or strings such as "1/2". A value
-        outside [0, 1) is refused, not read mod 1.
+        of rationals: Fractions, integers or strings such as "1/2". A float
+        is refused, as it holds a binary approximation rather than the
+        rational meant; so is a value outside [0, 1), not read mod 1.
 
         This is the one alpha parser. Each distinct entry is parsed (and
         range-checked) once; the table is then mapped to integer numerators
@@ -124,9 +126,15 @@ class Twist:
             raise ValidationError(f"phi must be a vector, got shape {phi.shape}")
         n = phi.shape[0]
         try:
-            entries = [str(x) for row in alpha for x in row]
+            kinds = set(map(type, chain.from_iterable(alpha)))
         except TypeError as exc:
             raise ValidationError("alpha must be a table of rationals") from exc
+        if any(issubclass(kind, (float, np.floating)) for kind in kinds):
+            x = next(x for row in alpha for x in row if isinstance(x, (float, np.floating)))
+            raise ValidationError(
+                f"alpha entry {x} is a float, not an exact rational; give an integer, "
+                f"a Fraction or a string such as \"1/2\"")
+        entries = [str(x) for row in alpha for x in row]
         index: dict[str, int] = {}
         codes = np.array([index.setdefault(x, len(index)) for x in entries], dtype=np.int64)
         try:

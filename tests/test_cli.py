@@ -494,6 +494,20 @@ def test_alpha_files_are_parsed_by_from_fractions(tmp_path, monkeypatch, capsys)
     assert calls == [2]
 
 
+def test_exit_2_alpha_entries_must_be_exact(tmp_path, capsys):
+    # JSON numbers with a fraction part are floats, and refused; the same
+    # values as strings or integers are read exactly
+    alpha = tmp_path / "alpha.json"
+    alpha.write_text(json.dumps({"alpha": [[0, 0, 0, 0], [0, 0.5, 0, 0.5],
+                                           [0, 0, 0, 0], [0, 0.5, 0, 0.5]]}))
+    code, out, err = run(capsys, "classify", "--group", "z2xz2", "--alpha", str(alpha))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: alpha entry 0.5 is a float, not an exact rational")
+    alpha.write_text(json.dumps({"alpha": [[0, 0, 0, 0], [0, "1/2", 0, "0.5"],
+                                           [0, 0, 0, 0], [0, "1/2", 0, "1/2"]]}))
+    assert run(capsys, "classify", "--group", "z2xz2", "--alpha", str(alpha))[0] == 0
+
+
 def test_exit_2_phi_entries_must_be_0_or_1(tmp_path, capsys):
     phi = tmp_path / "phi.json"
     for entries in (["a", 0], [0.5, 0], [True, 0], [2, 0], [0, -1], [[0], [1]], "01"):

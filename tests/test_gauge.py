@@ -18,7 +18,6 @@ from superfs import (
     catalog_group,
     clifford_twist,
     crosscheck,
-    cup_form,
     cyclic,
     enumerate_homs,
     enumerate_structures,
@@ -31,7 +30,6 @@ from superfs import (
     partition_rhs,
     presentation,
     product_group,
-    refinement,
     report_to_dict,
     validate_twist,
     z2_homomorphisms,
@@ -201,30 +199,29 @@ def test_partition_lhs_structure_flag_consistency():
         partition_lhs(TheoryData(g, t, "spin"), orientable(1))
     g3 = cyclic(3)
     th = TheoryData(g3, Twist.zero(3), "oriented")
-    from superfs import refinement
     with pytest.raises(ValidationError, match="no structure"):
-        partition_lhs(th, orientable(1), refinement(orientable(1), [0, 0]))
+        partition_lhs(th, orientable(1), QuadraticRefinement(orientable(1), [0, 0]))
 
 
 def test_partition_rhs_rejects_structures_it_would_ignore():
     s3 = catalog_group("s3")
     oriented = TheoryData(s3, Twist.zero(6), "oriented")
-    torus_structure = refinement(orientable(1), [0, 1])
+    torus_structure = QuadraticRefinement(orientable(1), [0, 1])
     for side in (partition_lhs, partition_rhs):
         with pytest.raises(ValidationError, match="no structure"):
             side(oriented, orientable(1), torus_structure)
     with pytest.raises(ValidationError, match="no structure"):
         crosscheck(oriented, orientable(1), structures=[torus_structure])
     unoriented = TheoryData(s3, Twist.zero(6), "unoriented")
-    pin = refinement(nonorientable(1), [1])
+    pin = QuadraticRefinement(nonorientable(1), [1])
     for side in (partition_lhs, partition_rhs):
         with pytest.raises(ValidationError, match="no structure"):
             side(unoriented, nonorientable(1), pin)
     # spin / pin- right-hand sides check the structure like the left-hand side
     g, t = clifford_twist(1)
-    with pytest.raises(ValidationError, match="values"):
+    with pytest.raises(ValidationError, match="structure is on orientable:2, not orientable:1"):
         partition_rhs(TheoryData(g, t, "spin"), orientable(1),
-                      refinement(orientable(2), [0, 0, 0, 0]))
+                      QuadraticRefinement(orientable(2), [0, 0, 0, 0]))
 
 
 def test_theory_twist_validated_on_construction():
@@ -272,9 +269,8 @@ def test_report_roundtrip():
 def test_crosscheck_rejects_structures_for_oriented():
     g = cyclic(2)
     th = TheoryData(g, Twist.zero(2), "oriented")
-    from superfs import refinement
     with pytest.raises(ValidationError, match="structures"):
-        crosscheck(th, orientable(1), structures=[refinement(orientable(1), [0, 0])])
+        crosscheck(th, orientable(1), structures=[QuadraticRefinement(orientable(1), [0, 0])])
 
 
 # ---------------------------------------------- transfer-matrix state sum
@@ -388,23 +384,55 @@ def test_state_sum_budget_and_overflow_guards(monkeypatch):
     assert partition_lhs(z3, orientable(20))[1] == 3 ** 40
 
 
-def test_state_sum_rejects_mismatched_structures():
+def test_state_sum_rejects_structures_on_another_surface():
+    # a structure carries its surface; a valid structure on any other surface
+    # is refused by every entry point with one message
     g, t = clifford_twist(1)
     spin = TheoryData(g, t, "spin")
-    with pytest.raises(ValidationError, match="values"):
-        partition_lhs(spin, orientable(1), refinement(orientable(2), [0, 0, 0, 0]))
-    bad_cup = QuadraticRefinement(2, (0, 0), np.eye(2, dtype=np.int64))
-    with pytest.raises(ValidationError, match="cup form"):
-        partition_lhs(spin, orientable(1), bad_cup)
-    with pytest.raises(ValidationError, match="Z2 refinement"):
-        partition_lhs(spin, orientable(1),
-                      QuadraticRefinement(4, (0, 0), cup_form(orientable(1))))
+    genus2 = QuadraticRefinement(orientable(2), [0, 0, 0, 0])
+    with pytest.raises(ValidationError,
+                       match="^structure is on orientable:2, not orientable:1$"):
+        partition_lhs(spin, orientable(1), genus2)
     pin = TheoryData(g, t, "pin-")
-    with pytest.raises(ValidationError, match="Z4 refinement"):
-        partition_lhs(pin, nonorientable(1),
-                      QuadraticRefinement(2, (1,), cup_form(nonorientable(1))))
-    with pytest.raises(ValidationError, match="values"):
-        crosscheck(pin, nonorientable(1), structures=[refinement(nonorientable(2), [1, 1])])
+    klein = QuadraticRefinement(nonorientable(2), [1, 1])
+    for check in (partition_lhs, partition_rhs):
+        with pytest.raises(ValidationError,
+                           match="^structure is on nonorientable:2, not nonorientable:1$"):
+            check(pin, nonorientable(1), klein)
+    with pytest.raises(ValidationError, match="structure is on nonorientable:2"):
+        crosscheck(pin, nonorientable(1), structures=[QuadraticRefinement(nonorientable(1), [1]),
+                                                      klein])
+
+
+@pytest.mark.parametrize("exponent", [20, 40])
+def test_sphere_state_sum_allocates_nothing_of_the_denominator(exponent):
+    # the sphere has no blocks: its one homomorphism gives 1/|G| without a
+    # table over the 2^exponent phase buckets
+    twist = Twist.from_fractions([0, 0], [["0", "0"], ["0", f"1/{2 ** exponent}"]])
+    theory = TheoryData(cyclic(2), twist, "oriented")
+    assert partition_lhs(theory, orientable(0)) == (0.5, 1)
+
+
+@pytest.mark.parametrize("family,surface", [("spin", orientable(2)),
+                                            ("pin-", nonorientable(3))])
+def test_crosscheck_checks_each_structure_once(monkeypatch, family, surface):
+    import superfs.gauge as gauge
+
+    checked = []
+    original = gauge._check_structure
+
+    def counting(family, surface, structure):
+        checked.append(structure)
+        return original(family, surface, structure)
+
+    monkeypatch.setattr(gauge, "_check_structure", counting)
+    g, t = clifford_twist(1)
+    theory = TheoryData(g, t, family)
+    reports = crosscheck(theory, surface)
+    assert checked == [r.structure for r in reports] == enumerate_structures(surface)
+    checked.clear()
+    crosscheck(theory, surface, structures=enumerate_structures(surface)[:3])
+    assert checked == enumerate_structures(surface)[:3]
 
 
 def test_state_sum_fourth_roots_are_exact():

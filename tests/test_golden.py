@@ -1,10 +1,14 @@
 """The --json output of fixed commands against golden files.
 
 Each tests/golden/<name>.json is the stdout of `superfs <argv> --json` for
-one entry of CASES, as commit d8e743a printed it; clifford2.twist.json is
+one entry of CASES, as commit d8e743a printed it (the two z3xz3 and sphere
+partition cases: as commit 405afae printed them); clifford2.twist.json is
 the --phi/--alpha input of the spin and pin- cases (Clifford(2)'s twist on
-z2xz2). Non-float fields must match exactly, types included; floats within
-1e-12. To add a case, run its command at a trusted commit and save stdout.
+z2xz2), and z3xz3.group.json / z3xz3.twist.json are Z3xZ3 (index 3a + b)
+with alpha((a, b), (a', b')) = a b' / 3, whose D = lcm(3, 4) = 12 reaches
+the phase buckets off the fourth roots of unity. Non-float fields must
+match exactly, types included; floats within 1e-12. To add a case, run its
+command at a trusted commit and save stdout.
 """
 
 import json
@@ -17,6 +21,8 @@ from superfs.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TWIST = str(GOLDEN / "clifford2.twist.json")
+Z3XZ3 = ["--group", str(GOLDEN / "z3xz3.group.json"),
+         "--alpha", str(GOLDEN / "z3xz3.twist.json")]
 
 CASES = {
     **{f"classify-clifford{n}": ["classify", "--clifford", str(n)] for n in range(1, 7)},
@@ -33,6 +39,10 @@ CASES = {
     "partition-pin-clifford2": ["partition", "--group", "z2xz2", "--phi", TWIST,
                                 "--alpha", TWIST, "--family", "pin-",
                                 "--surface", "nonorientable:3"],
+    "partition-oriented-z3xz3": ["partition", *Z3XZ3, "--family", "oriented",
+                                 "--surface", "orientable:2"],
+    "partition-oriented-d4-sphere": ["partition", "--group", "d4",
+                                     "--surface", "orientable:0"],
 }
 
 

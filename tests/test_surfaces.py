@@ -22,12 +22,11 @@ from superfs import (
     parse_surface,
     presentation,
     product_group,
+    QuadraticRefinement,
     quadratic_eval_many,
-    refinement,
     validate_twist,
 )
 from superfs.cli import main
-from superfs.surfaces import QuadraticRefinement
 
 from helpers import integrate_cocycle, shift_by_coboundary
 
@@ -66,9 +65,23 @@ def test_cup_forms():
 
 def test_refinement_validation():
     with pytest.raises(ValidationError, match="parity"):
-        refinement(nonorientable(1), [0])
+        QuadraticRefinement(nonorientable(1), [0])
     with pytest.raises(ValidationError, match="values"):
-        refinement(orientable(1), [0])
+        QuadraticRefinement(orientable(1), [0])
+
+
+def test_structure_carries_its_surface():
+    # ring and cup form are read off the surface, values are held as ints
+    spin = QuadraticRefinement(orientable(2), [np.int64(1), 0, 1, 1])
+    assert spin.values == (1, 0, 1, 1) and all(type(v) is int for v in spin.values)
+    assert spin.ring == 2 and np.array_equal(spin.cup, cup_form(orientable(2)))
+    pin = QuadraticRefinement(nonorientable(3), (1, 3, 1))
+    assert pin.ring == 4 and np.array_equal(pin.cup, cup_form(nonorientable(3)))
+    # equal surface and values: equal structures, one hash
+    assert pin == QuadraticRefinement(nonorientable(3), [1, 3, 1])
+    assert len({pin, QuadraticRefinement(nonorientable(3), [1, 3, 1])}) == 1
+    assert pin != QuadraticRefinement(nonorientable(3), [1, 3, 3])
+    assert str(pin) == "1,3,1"
 
 
 @pytest.mark.parametrize("surface, values", [
@@ -78,14 +91,14 @@ def test_refinement_validation():
 ])
 @pytest.mark.parametrize("through_cli", [True, False])
 def test_refinement_refuses_values_outside_the_ring(surface, values, through_cli, capsys):
-    # not read modulo the surface's ring, whether refinement is called
+    # not read modulo the surface's ring, whether the structure is built
     # directly or by `partition --spin/--pin`: [0, 2] would be (0, 0), [5]
     # and [-1] (1,) and (3,)
     ring = 2 if surface.is_orientable else 4
     message = f"structure value {values[-1]} outside 0..{ring - 1}"
     if not through_cli:
         with pytest.raises(ValidationError, match=message):
-            refinement(surface, values)
+            QuadraticRefinement(surface, values)
         return
     family, flag = ("spin", "--spin") if surface.is_orientable else ("pin-", "--pin")
     code = main(["partition", "--group", "z2", "--phi", "id", "--family", family,
@@ -94,13 +107,13 @@ def test_refinement_refuses_values_outside_the_ring(surface, values, through_cli
 
 
 def test_quadratic_eval_torus():
-    q = refinement(orientable(1), [0, 1])
+    q = QuadraticRefinement(orientable(1), [0, 1])
     # Q(x) = q . x + x1 x2
     assert quadratic_eval_many(q, [[0, 0], [1, 0], [0, 1], [1, 1]]).tolist() == [0, 0, 1, 0]
 
 
 def test_z4_refinement_law():
-    q = refinement(nonorientable(3), [1, 3, 1])
+    q = QuadraticRefinement(nonorientable(3), [1, 3, 1])
     cup = q.cup
     vecs = np.array(list(np.ndindex(2, 2, 2)))
     values = quadratic_eval_many(q, vecs)
@@ -111,26 +124,27 @@ def test_z4_refinement_law():
 
 
 def test_arf_torus_and_genus2():
-    vals = {tuple(v): arf(refinement(orientable(1), v))
+    vals = {tuple(v): arf(QuadraticRefinement(orientable(1), v))
             for v in ([0, 0], [1, 0], [0, 1], [1, 1])}
     assert vals == {(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 1}
-    assert arf(refinement(orientable(2), [1, 1, 1, 1])) == 0
-    assert arf(refinement(orientable(0), [])) == 0
+    assert arf(QuadraticRefinement(orientable(2), [1, 1, 1, 1])) == 0
+    assert arf(QuadraticRefinement(orientable(0), [])) == 0
     with pytest.raises(ValidationError):
-        arf(refinement(nonorientable(1), [1]))
+        arf(QuadraticRefinement(nonorientable(1), [1]))
 
 
 def test_abk_projective_plane_and_klein():
-    assert abk(refinement(nonorientable(1), [1])) == 1
-    assert abk(refinement(nonorientable(1), [3])) == 7
-    assert abk(refinement(nonorientable(2), [1, 3])) == 0
-    assert abk(refinement(nonorientable(2), [1, 1])) == 2
+    assert abk(QuadraticRefinement(nonorientable(1), [1])) == 1
+    assert abk(QuadraticRefinement(nonorientable(1), [3])) == 7
+    assert abk(QuadraticRefinement(nonorientable(2), [1, 3])) == 0
+    assert abk(QuadraticRefinement(nonorientable(2), [1, 1])) == 2
 
 
 def test_abk_detects_non_refinement():
-    # a value of the wrong parity, which refinement refuses, breaks the
-    # Gauss sum
-    bad = QuadraticRefinement(4, (0,), cup_form(nonorientable(1)))
+    # a value of the wrong parity, which QuadraticRefinement refuses, breaks
+    # the Gauss sum
+    bad = QuadraticRefinement(nonorientable(1), [1])
+    object.__setattr__(bad, "values", (0,))
     with pytest.raises(SnapError, match="magnitude"):
         abk(bad)
 

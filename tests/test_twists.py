@@ -538,6 +538,21 @@ def test_from_fractions_errors():
         Twist.from_fractions([0, 0], [["0", f"1/{2 ** 31}"], [f"1/{2 ** 31 + 1}", "0"]])
 
 
+@pytest.mark.parametrize("entry", [0.5, 0.30000000000000004, 0.0, np.float64(0.5),
+                                   np.float32(0.25)])
+def test_from_fractions_refuses_floats(entry):
+    # a float is a binary approximation: 0.30000000000000004 would be read as
+    # 5404319552844596/18014398509481984 over a denominator of 2.5e16
+    with pytest.raises(ValidationError, match="is a float, not an exact rational"):
+        Twist.from_fractions([0, 0], [[0, 0], [0, entry]])
+    with pytest.raises(ValidationError, match="is a float"):
+        Twist.from_fractions([0, 0], np.array([[0, 0], [0, entry]]))
+    # exact spellings of the same table stay accepted, NumPy integers too
+    for half in ("1/2", Fraction(1, 2), "0.5"):
+        got = Twist.from_fractions([0, 0], [[np.int64(0), 0], [0, half]])
+        assert got.denom == 2 and got.alpha_num.tolist() == [[0, 0], [0, 1]]
+
+
 # ---------------------------------------------------------------------------
 # H^2 from the generating set against the full |G|^3 GF(2) rank
 
