@@ -7,7 +7,10 @@ memory against |G|; of a whole (phi, H^2 class) sweep per group; and of
 
 Each point runs in a fresh interpreter that imports `superfs` from
 `<src>/src`, so the peak resident memory it reports belongs to that point
-alone. Six families are measured:
+alone. The script builds twists as `Twist(group, phi, alpha_num, denom)`, a
+twist that carries its group, so `--src` must name a checkout with that
+API: a checkout whose twists did not carry their group cannot be measured
+by this version of the script. Six families are measured:
 
 - `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..12 (|G| = 16..4096);
 - `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..11;
@@ -30,14 +33,12 @@ alone. Six families are measured:
   |lhs - rhs| (and |lhs - rhs| / max(1, |rhs|)), also at the default
   SUPERFS_BUDGET.
 
-A classify point times five stages: validation (`group_from_table` and
-`validate_twist` on the raw table and cocycle), `decompose_regular` (the
-character table from the centre; the regular-representation split in a
-checkout that predates it), `assemble_supermodules` and `special_element`
-(these three timed by wrapping them in `superalg`, where the classification
-looks them up, each summed over its calls: one per classification, or one
-per real supermodule before they were batched), and the rest of the
-classification, and records
+A classify point times five stages: validation (`group_from_table` on the
+raw table and the `Twist` built on it, which `validate_twist` proves),
+`decompose_regular` (the character table from the centre),
+`assemble_supermodules` and `special_element` (these three timed by
+wrapping them in `superalg`, where the classification looks them up, each
+summed over its calls), and the rest of the classification, and records
 `r`, the number of irreducibles (equal to the number of alpha-regular
 classes). It runs the whole classification
 three times in its interpreter and reports the median of each stage, and the
@@ -83,7 +84,7 @@ def _tables(family: str, rank: int):
     n = 1 << rank
     idx = np.arange(n)
     if family in ("clifford", "gradings"):
-        _, twist = clifford_twist(rank)
+        twist = clifford_twist(rank)
         return idx[:, None] ^ idx[None, :], twist.phi, twist.alpha_num, twist.denom
     return idx[:, None] ^ idx[None, :], idx & 1, np.zeros((n, n), dtype=np.int64), 1
 
@@ -126,8 +127,7 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
         totals.update(dict.fromkeys(names, 0.0))
         start = time.perf_counter()
         group = group_from_table(table)
-        algebra = TwistedGroupAlgebra(group, Twist(phi=phi, alpha_num=alpha_num,
-                                                   denom=denom))
+        algebra = TwistedGroupAlgebra(Twist(group, phi, alpha_num, denom))
         validated = time.perf_counter()
         if phis is None:
             reports = [superalg.classify(algebra, seed=0)]
@@ -210,8 +210,7 @@ def measure_sweep(name: str, repeats: int = 3) -> dict:
     for _ in range(repeats):
         start = time.perf_counter()
         reports = [report for base in classes
-                   for report in classify_gradings(TwistedGroupAlgebra(group,
-                                                                       base.with_phi(phis[0])),
+                   for report in classify_gradings(TwistedGroupAlgebra(base.with_phi(phis[0])),
                                                    phis, seed=0)]
         times.append(time.perf_counter() - start)
     total = statistics.median(times)
@@ -232,15 +231,14 @@ def _surface_theory(name: str):
 
     theory, param = name.split(":")
     if theory == "z2-pin":
-        return (TheoryData(cyclic(2), Twist.zero(2).with_phi([0, 1]), "pin-"),
+        return (TheoryData(Twist.zero(cyclic(2)).with_phi([0, 1]), "pin-"),
                 nonorientable(int(param)))
     if theory == "clifford2-spin":
-        return TheoryData(*clifford_twist(2), "spin"), orientable(int(param))
+        return TheoryData(clifford_twist(2), "spin"), orientable(int(param))
     x = np.arange(9)
-    twist = Twist(phi=np.zeros(9, dtype=np.int64), denom=3,
-                  alpha_num=(x[:, None] // 3) * (x[None, :] % 3))
-    return (TheoryData(product_group(cyclic(3), cyclic(3)), twist, "oriented"),
-            orientable(int(param)))
+    twist = Twist(product_group(cyclic(3), cyclic(3)), np.zeros(9, dtype=np.int64),
+                  (x[:, None] // 3) * (x[None, :] % 3), 3)
+    return TheoryData(twist, "oriented"), orientable(int(param))
 
 
 def measure_surface(name: str, repeats: int = 3) -> dict:

@@ -65,17 +65,17 @@ def _resolve_phi(value: str | None, group: Group) -> np.ndarray:
     return phi
 
 
-def _resolve_twist(group: Group, phi_arg: str | None, alpha_arg: str | None) -> Twist:
-    """The twist named on the command line, not yet validated; --phi or
-    --alpha not given reads as 'zero'."""
-    phi = _resolve_phi(phi_arg, group)
+def _resolve_twist(group: Group, phi: np.ndarray, alpha_arg: str | None) -> Twist:
+    """The twist with grading phi and the cocycle named by --alpha (not given
+    reads as 'zero'), proved on `group`."""
     if alpha_arg is None or alpha_arg == "zero":
-        return Twist.zero(group.order).with_phi(phi)
+        n = group.order
+        return Twist(group, phi, np.zeros((n, n), dtype=np.int64), 1)
     record = _read_json(alpha_arg)
     alpha = record.get("alpha") if isinstance(record, dict) else record
     if alpha is None:
         raise ValidationError(f"{alpha_arg}: no 'alpha' field")
-    return Twist.from_fractions(phi, alpha)
+    return Twist.from_fractions(group, phi, alpha)
 
 
 def _refuse_with_clifford(args) -> None:
@@ -132,13 +132,13 @@ def _classification_lines(data: dict) -> list[str]:
 def cmd_classify(args) -> int:
     if args.clifford is not None:
         _refuse_with_clifford(args)
-        group, twist = clifford_twist(args.clifford)
+        twist = clifford_twist(args.clifford)
     else:
         if args.group is None:
             raise ValidationError("classify needs --group or --clifford")
         group = _resolve_group(args.group, args.cap)
-        twist = _resolve_twist(group, args.phi, args.alpha)
-    algebra = TwistedGroupAlgebra(group, twist)
+        twist = _resolve_twist(group, _resolve_phi(args.phi, group), args.alpha)
+    algebra = TwistedGroupAlgebra(twist)
     report = classify(algebra, seed=args.seed)
     data = classification_to_dict(report)
     _emit(data, args.json, _classification_lines(data))
@@ -151,13 +151,13 @@ def _clifford_ladder(args) -> int:
     if args.clifford < 1:
         raise ValidationError(f"--clifford N needs N >= 1, got {args.clifford}")
     rows = []
-    for n, (group, twist) in enumerate(clifford_ladder(args.clifford), start=1):
-        algebra = TwistedGroupAlgebra(group, twist)
+    for n, twist in enumerate(clifford_ladder(args.clifford), start=1):
+        algebra = TwistedGroupAlgebra(twist)
         report = classify(algebra, seed=args.seed)
         sups = report.supermodules
         expected = n % 8
         ok = (report.all_pass and len(sups) == 1 and sups[0].fs_k == expected)
-        rows.append({"n": n, "order": group.order,
+        rows.append({"n": n, "order": twist.order,
                      "S_super": snapped_string(sups[0].fs_k if sups else None),
                      "expected": snapped_string(expected),
                      "bw_class": sups[0].bw if sups else None,
@@ -184,26 +184,22 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     """One row per (phi, alpha) case, in (phi_index, alpha_index) order.
 
     The ungraded decomposition depends on alpha but not on phi, so each alpha
-    is validated once, and every phi is classified from its one algebra and
-    one decomposition in one classify_gradings pass.
-    Each cocycle is proved once: the classes by h2_representatives, which
-    records the proof on each twist, and an alpha named on the command line
-    when its algebra is built. The first phi is checked as a grading when it
-    is attached (Twist.with_phi on a checked class, or validate_twist), and
-    classify_gradings checks the whole stack before it decomposes.
+    is proved once (by h2_representatives, or when the twist named on the
+    command line is built), and every phi is classified from its one algebra
+    and one decomposition in one classify_gradings pass, which proves the
+    stack. The first phi is proved as a grading when it is attached.
     """
     homs, classes = bases
     phis = homs if homs is not None else [_resolve_phi(args.phi, group)]
     if classes is not None:
-        alphas = h2_representatives(group, classes)
+        twists = [base.with_phi(phis[0]) for base in h2_representatives(group, classes)]
     else:
-        alphas = [_resolve_twist(group, "zero", args.alpha)]
+        twists = [_resolve_twist(group, phis[0], args.alpha)]
     stack = np.array(phis)
     trivial = (~stack.any(axis=1)).tolist()
     rows = []
-    for ai, base in enumerate(alphas):
-        algebra = TwistedGroupAlgebra(group, base.with_phi(phis[0]))
-        reports = classify_gradings(algebra, stack, seed=args.seed)
+    for ai, twist in enumerate(twists):
+        reports = classify_gradings(TwistedGroupAlgebra(twist), stack, seed=args.seed)
         for pi, (phi_trivial, report) in enumerate(zip(trivial, reports)):
             rows.append({
                 "group": name, "order": group.order,
@@ -291,8 +287,8 @@ def _parse_structure(args, surface, family):
 
 def cmd_partition(args) -> int:
     group = _resolve_group(args.group, args.cap)
-    twist = _resolve_twist(group, args.phi, args.alpha)
-    theory = TheoryData(group=group, twist=twist, family=args.family)
+    twist = _resolve_twist(group, _resolve_phi(args.phi, group), args.alpha)
+    theory = TheoryData(twist, args.family)
     surface = parse_surface(args.surface)
     theory.require_surface(surface)
     structures = _parse_structure(args, surface, args.family)

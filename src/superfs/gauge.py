@@ -40,7 +40,7 @@ from .surfaces import (
     presentation,
     quadratic_eval_many,
 )
-from .twists import Twist, validate_twist
+from .twists import Twist
 
 __all__ = [
     "TheoryData",
@@ -67,12 +67,9 @@ FAMILIES = tuple(_FAMILY)
 
 @dataclass(frozen=True)
 class TheoryData:
-    """A finite group with a compatible twist for one tangential family.
+    """A twist (proved on its group when it was built) that one tangential
+    family accepts; the family's rules are checked on construction."""
 
-    The twist is validated (and normalized at the identity) on construction;
-    it records the proof, so the theory's algebra does not prove it again."""
-
-    group: Group
     twist: Twist
     family: str
 
@@ -81,13 +78,16 @@ class TheoryData:
         if rules is None:
             raise ValidationError(
                 f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}")
-        object.__setattr__(self, "twist", validate_twist(self.group, self.twist))
         if rules.ring is None and not self.twist.phi_is_trivial:
             raise ValidationError(
                 f"the {self.family} family has no fermion parity; phi must vanish")
         if rules.sign_valued and not self.twist.is_z2:
             raise ValidationError(
                 f"the {self.family} family needs a sign-valued cocycle")
+
+    @property
+    def group(self) -> Group:
+        return self.twist.group
 
     def require_surface(self, surface: Surface) -> None:
         orientable = _FAMILY[self.family].orientable
@@ -292,7 +292,7 @@ def _spectrum(theory: TheoryData, seed: int) -> list:
     no structure, the crosscap count. Rows are irreps (oriented, k8 = 0),
     irreps with nonzero indicator eps (unoriented, k8 = 4 [eps = -1]),
     supermodules (spin, k8 = 4 q), or real supermodules (pin-, k8 = bw)."""
-    algebra = TwistedGroupAlgebra(theory.group, theory.twist)
+    algebra = TwistedGroupAlgebra(theory.twist)
     if theory.family == "pin-":
         report = classify(algebra, seed=seed)
         return [({"dims": list(sup.dims), "q": sup.q_type, "bw": sup.bw},

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, SnapError, ValidationError, check_budget
-from .groups import Group, _check_gradings
-from .twists import Twist, _residues, validate_twist
+from .groups import _check_gradings
+from .twists import Twist, _residues
 
 __all__ = [
     "TwistedGroupAlgebra",
@@ -56,16 +56,14 @@ _BW_CLASSES.setflags(write=False)
 
 
 class TwistedGroupAlgebra:
-    """C[G]_{phi,alpha} with unit phases omega = exp(2 pi i alpha), held as
-    alpha's integer numerators only. The twist (zero unless given) is
-    validated on the group when the algebra is built; validate_twist returns
-    at once for a twist already checked on that Group object."""
+    """C[G]_{phi,alpha} of a twist (proved on its group when it was built),
+    with unit phases omega = exp(2 pi i alpha), held as alpha's integer
+    numerators only."""
 
-    def __init__(self, group: Group, twist: Twist | None = None):
-        twist = validate_twist(group, Twist.zero(group.order) if twist is None else twist)
-        self.group = group
+    def __init__(self, twist: Twist):
+        self.group = twist.group
         self.twist = twist
-        self.order = group.order
+        self.order = twist.order
 
     def diagonal_signs(self) -> np.ndarray:
         """(-1)^{alpha(g, g)} for sign-valued twists, exact: 1 - 2 alpha_num."""
@@ -235,7 +233,7 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> np.ndarray
     omega^-c(y) chi_i(g_K) on K) has rows of norm 1 within 1e-8, orthogonal
     within 2e-8 by the certificate. A failure raises DecompositionError. The
     construction assumes a 2-cocycle, which validate_twist proves when the
-    algebra is built; the centrality and integrality checks are a second line
+    twist is built; the centrality and integrality checks are a second line
     of defence that refuses most tables that are not one, but proves nothing
     about them.
 
@@ -416,7 +414,7 @@ def _commutative_irreps(algebra: TwistedGroupAlgebra, powers: list[list[int]],
     to every element. So the rows are |G| distinct one-dimensional modules:
     every irreducible, since sum d^2 = |G|. A failure raises
     DecompositionError. The route reads alpha only at (g, s), s in S, and
-    assumes a 2-cocycle, which validate_twist proves when the algebra is
+    assumes a 2-cocycle, which validate_twist proves when the twist is
     built. The rows go to complex once and are sorted as decompose_regular
     sorts them.
 
@@ -850,11 +848,11 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     even/odd regrouping of the defining sum, each within _SNAP_TOL. Never
     raises on a failed check; failures are recorded in the reports.
 
-    Every row is first proved a grading of the group (groups._check_gradings),
-    before anything is decomposed. The ungraded decomposition depends on the
-    group and alpha but not on phi, so it is computed once (decompose_regular
-    at `seed`) and shared by every row. Each later stage then runs once for
-    all rows: the supermodules of every row (assemble_supermodules), the
+    The ungraded decomposition depends on the group and alpha but not on phi,
+    so it is computed once (decompose_regular at `seed`) and shared by every
+    row. Each later stage then runs once for all rows: the supermodules of
+    every row (assemble_supermodules, whose check of the grading law is the
+    one proof of the stack, made after the decomposition), the
     special elements of every real one (special_element), and the indicators,
     in stacks of at most _GATHER_ENTRIES entries. The supermodules stay
     arrays (_Supermodules) until the reports are built: the snaps, reality
@@ -875,10 +873,10 @@ def classify_gradings(algebra: TwistedGroupAlgebra, phis: np.ndarray,
     snapped or compared with a tolerance. A failing stage raises the error
     of its first failing supermodule.
     """
-    phis = _check_gradings(algebra.group, phis)   # ker phi is then the even subgroup G0
     if not algebra.twist.is_z2:
         raise ValidationError("classification requires a sign-valued twist")
     sups = assemble_supermodules(decompose_regular(algebra, seed=seed), algebra, phis=phis)
+    phis = sups.phis   # proved: ker phi is the even subgroup G0
     n, m, count = algebra.order, len(phis), len(sups)
     rows, q_types = sups.row, sups.q
     scales = math.sqrt(2) ** q_types

@@ -140,15 +140,20 @@ class QuadraticRefinement:
     form) or a pin- structure on a nonorientable one (ring 4: Q(x + y) =
     Q(x) + Q(y) + 2 x.y mod 4).
 
-    Checked on construction: one value per generator, each in 0..ring-1 (none
-    is read modulo the ring), and each Z4 value of the parity of its
-    generator's self-intersection."""
+    Checked on construction: each value an int or a NumPy integer (a bool, a
+    float or a string is refused, not cast), one per generator, each in
+    0..ring-1 (none is read modulo the ring), and each Z4 value of the parity
+    of its generator's self-intersection."""
 
     surface: Surface
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(self.values)
+        for v in vals:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"structure value {v!r} is not an integer")
+        vals = tuple(map(int, vals))
         object.__setattr__(self, "values", vals)
         surface, ring = self.surface, self.ring
         if len(vals) != surface.b1:

@@ -1,9 +1,9 @@
 """Gradings and 2-cocycle twists on finite groups, with exact arithmetic.
 
-A twist is a pair (phi, alpha): phi is a homomorphism G -> Z2 stored as a 0/1
-vector, alpha is a normalized 2-cocycle with values in Q/Z stored as integer
-numerators over one common denominator. Sign-valued twists are the denom-2
-case (values in {0, 1/2}).
+A twist is a pair (phi, alpha) on one group G: phi is a homomorphism G -> Z2
+stored as a 0/1 vector, alpha is a normalized 2-cocycle with values in Q/Z
+stored as integer numerators over one common denominator. Sign-valued twists
+are the denom-2 case (values in {0, 1/2}).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,49 +34,30 @@ __all__ = [
 ]
 
 
-def _grading(phi: Sequence[int] | np.ndarray) -> np.ndarray:
-    """A read-only copy of phi as given; groups._check_gradings checks it."""
-    phi = np.array(phi)
-    phi.setflags(write=False)
-    return phi
-
-
 @dataclass(frozen=True)
 class Twist:
-    """(phi, alpha) on a group of a given order; alpha = alpha_num / denom mod 1.
+    """(phi, alpha) on one group; alpha = alpha_num / denom mod 1.
 
-    phi is kept as given until validate_twist (or with_phi on a checked
-    twist) proves it a grading; a checked twist holds it as 0/1 int64.
-    `checked_on` is the Group object validate_twist proved this twist on, or
-    None; only validate_twist sets it, on the twist it returns, and with_phi
-    keeps it. The arrays are read-only, so the record cannot go stale.
+    Proved on `group` when it is built (validate_twist), so a twist that
+    exists is proved: phi is held as a 0/1 int64 grading, alpha in lowest
+    terms and normalized at the identity. The arrays are read-only, so the
+    proof cannot go stale.
     """
 
+    group: Group = field(repr=False)
     phi: np.ndarray
     alpha_num: np.ndarray
     denom: int
-    checked_on: Group | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        phi = _grading(self.phi)
-        num = np.asarray(self.alpha_num, dtype=np.int64)
-        den = int(self.denom)
-        if den <= 0:
-            raise ValidationError("denominator must be positive")
-        num = num % den
-        # reduce to lowest common terms so Z2-ness is detectable
-        g = int(np.gcd.reduce(num, axis=None, initial=den))
-        if g > 1:
-            num = num // g
-            den = den // g
-        num.setflags(write=False)
+        phi, num, den = validate_twist(self.group, self.phi, self.alpha_num, self.denom)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "alpha_num", num)
         object.__setattr__(self, "denom", den)
 
     @property
     def order(self) -> int:
-        return int(self.phi.shape[0])
+        return self.group.order
 
     @property
     def is_z2(self) -> bool:
@@ -96,49 +76,52 @@ class Twist:
         return not self.alpha_num.any()
 
     def with_phi(self, phi: Sequence[int] | np.ndarray) -> "Twist":
-        """The same alpha under the grading phi. alpha is already reduced, so
-        it is shared as it stands, not reduced again. On a checked twist phi
-        is checked as a grading of the same group, and the record is kept."""
-        group = self.checked_on
-        phi = _grading(phi) if group is None else _check_gradings(group, [phi])[0]
+        """The same alpha under the grading phi, which is proved a grading of
+        the same group; alpha is already proved and reduced, so it is shared
+        as it stands, not proved again."""
         twist = copy.copy(self)
-        object.__setattr__(twist, "phi", phi)
+        object.__setattr__(twist, "phi", _check_gradings(self.group, [phi])[0])
         return twist
 
     @classmethod
-    def zero(cls, order: int) -> "Twist":
-        return cls(phi=np.zeros(order, dtype=np.int64),
-                   alpha_num=np.zeros((order, order), dtype=np.int64), denom=1)
+    def zero(cls, group: Group) -> "Twist":
+        n = group.order
+        return cls(group, np.zeros(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64), 1)
 
     @classmethod
-    def from_fractions(cls, phi: Sequence[int], alpha: Sequence[Sequence[Fraction]]) -> "Twist":
-        """The twist with grading phi and alpha given as an n x n table (n = len(phi))
-        of rationals: Fractions, integers or strings such as "1/2". A float
-        is refused, as it holds a binary approximation rather than the
-        rational meant; so is a value outside [0, 1), not read mod 1.
+    def from_fractions(cls, group: Group, phi: Sequence[int],
+                       alpha: Sequence[Sequence[Fraction]]) -> "Twist":
+        """The twist on `group` with grading phi and alpha given as an n x n
+        table (n = |G|) of rationals: Fractions, integers or strings such as
+        "1/2". A float is refused, as it holds a binary approximation rather
+        than the rational meant; so is a value outside [0, 1), not read mod 1.
 
-        This is the one alpha parser. Each distinct entry is parsed (and
-        range-checked) once; the table is then mapped to integer numerators
-        over the common denominator through a lookup array.
+        This is the one alpha parser. Each distinct entry, keyed on its type
+        and text (0 and 0.0 are two entries), is parsed (and range-checked)
+        once, in the order of first appearance, row-major, so a float is
+        named by its first appearance; the table is then mapped to integer
+        numerators over the common denominator through a lookup array.
         """
         phi = np.asarray(phi)
         if phi.ndim != 1:
             raise ValidationError(f"phi must be a vector, got shape {phi.shape}")
-        n = phi.shape[0]
+        n = group.order
+        # a string, the usual entry, is its own key; any other entry (type, text)
+        index: dict = {}
         try:
-            kinds = set(map(type, chain.from_iterable(alpha)))
+            codes = np.array([index.setdefault(x if type(x) is str else (type(x), str(x)),
+                                               len(index)) for row in alpha for x in row],
+                             dtype=np.int64)
         except TypeError as exc:
             raise ValidationError("alpha must be a table of rationals") from exc
-        if any(issubclass(kind, (float, np.floating)) for kind in kinds):
-            x = next(x for row in alpha for x in row if isinstance(x, (float, np.floating)))
-            raise ValidationError(
-                f"alpha entry {x} is a float, not an exact rational; give an integer, "
-                f"a Fraction or a string such as \"1/2\"")
-        entries = [str(x) for row in alpha for x in row]
-        index: dict[str, int] = {}
-        codes = np.array([index.setdefault(x, len(index)) for x in entries], dtype=np.int64)
+        keys = [(str, key) if type(key) is str else key for key in index]
+        for kind, text in keys:
+            if issubclass(kind, (float, np.floating)):
+                raise ValidationError(
+                    f"alpha entry {text} is a float, not an exact rational; give an "
+                    f"integer, a Fraction or a string such as \"1/2\"")
         try:
-            values = [Fraction(x) for x in index]
+            values = [Fraction(text) for _, text in keys]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational in alpha: {exc}") from exc
         if len(alpha) != n or any(len(row) != n for row in alpha):
@@ -151,7 +134,7 @@ class Twist:
             raise ValidationError(f"alpha has common denominator {den}, beyond 64-bit range")
         lookup = np.array([x.numerator * (den // x.denominator) for x in values],
                           dtype=np.int64)
-        return cls(phi=phi, alpha_num=lookup[codes].reshape(n, n), denom=den)
+        return cls(group, phi, lookup[codes].reshape(n, n), den)
 
 
 def _residues(den: int) -> tuple:
@@ -187,38 +170,46 @@ def _check_cocycle(group: Group, num: np.ndarray, den: int) -> None:
             "alpha violates the 2-cocycle identity at (g, h, k) = ({}, {}, {})".format(*failure))
 
 
-def validate_twist(group: Group, twist: Twist) -> Twist:
-    """Check shapes, phi, and the cocycle identity; normalize alpha at the
-    identity. The returned twist records `group` in its checked_on field (on
-    a copy: the argument keeps its own record), and a twist already recorded
-    for this very Group object (compared with `is`: two groups of one order
-    are different groups) is returned at once.
+def _lowest_terms(alpha_num, denom: int) -> tuple[np.ndarray, int]:
+    """alpha_num / denom mod 1 as int64 numerators over the least common
+    denominator, so that sign-valued twists are detectable."""
+    den = int(denom)
+    if den <= 0:
+        raise ValidationError("denominator must be positive")
+    num = np.asarray(alpha_num, dtype=np.int64) % den
+    g = int(np.gcd.reduce(num, axis=None, initial=den))
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
+def validate_twist(group: Group, phi, alpha_num, denom: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The one proof of a twist on `group`, which Twist runs when it is built:
+    alpha reduced to lowest terms, the shapes checked, phi proved a grading
+    (groups._check_gradings) and alpha a 2-cocycle (_check_cocycle), and
+    alpha normalized at the identity. Returns (phi, alpha_num, denom), the
+    arrays read-only.
 
     A cocycle with alpha(e, e) = c != 0 is shifted by the coboundary of the map
-    supported at e, which removes the constant.
+    supported at e, which removes the constant, and reduced again.
     """
-    if twist.checked_on is group:
-        return twist
+    num, den = _lowest_terms(alpha_num, denom)
     n = group.order
-    if twist.alpha_num.shape != (n, n):
-        raise ValidationError(f"alpha must be {n}x{n}, got {twist.alpha_num.shape}")
-    phi = _check_gradings(group, [twist.phi])[0]
-    _check_cocycle(group, twist.alpha_num, twist.denom)
-    c = int(twist.alpha_num[0, 0])
+    if num.shape != (n, n):
+        raise ValidationError(f"alpha must be {n}x{n}, got {num.shape}")
+    phi = _check_gradings(group, [phi])[0]
+    _check_cocycle(group, num, den)
+    c = int(num[0, 0])
     if c == 0:
-        if twist.alpha_num[0].any() or twist.alpha_num[:, 0].any():
+        if num[0].any() or num[:, 0].any():
             raise ValidationError("cocycle is inconsistent on the identity row/column")
-        twist = copy.copy(twist)
-        object.__setattr__(twist, "phi", phi)
     else:
         beta = np.zeros(n, dtype=np.int64)
-        beta[0] = (-c) % twist.denom
-        shifted = (twist.alpha_num + coboundary(group, beta, twist.denom)) % twist.denom
+        beta[0] = (-c) % den
+        shifted = (num + coboundary(group, beta, den)) % den
         if shifted[0].any() or shifted[:, 0].any():
             raise ValidationError("normalization failed; cocycle identity was inconsistent")
-        twist = Twist(phi=phi, alpha_num=shifted, denom=twist.denom)
-    object.__setattr__(twist, "checked_on", group)
-    return twist
+        num, den = _lowest_terms(shifted, den)
+    num.setflags(write=False)
+    return phi, num, den
 
 
 def coboundary(group: Group, beta_num: np.ndarray, den: int) -> np.ndarray:
@@ -245,35 +236,30 @@ def _combined_bytes(order: int) -> int:
     return 40 * order * order
 
 
-def combine_twists(gt: tuple[Group, Twist], ht: tuple[Group, Twist]) -> tuple[Group, Twist]:
-    """Stack two sign-valued twisted groups on the product group.
+def combine_twists(tg: Twist, th: Twist) -> Twist:
+    """Stack two sign-valued twists on the product of their groups.
 
     phi adds; alpha picks up the cross term phi(g1) phi'(h2) so the two twisted
     algebras supercommute inside the combined one. The bytes of its tables
-    (_combined_bytes) are checked against SUPERFS_BUDGET first; each factor
-    is then validated on its group (at once for a twist already checked
-    there).
+    (_combined_bytes) are checked against SUPERFS_BUDGET first; the factors
+    are proved already, so only the product is proved.
     """
-    g, tg = gt
-    h, th = ht
+    g, h = tg.group, th.group
     n = g.order * h.order
     need = _combined_bytes(n)
     check_budget(need, f"combining twists on groups of orders {g.order} and {h.order} "
                  f"needs {n} x {n} tables")
-    tg, th = validate_twist(g, tg), validate_twist(h, th)
     ag = _as_denominator_two(tg).astype(np.uint8)
     ah = _as_denominator_two(th).astype(np.uint8)
     ng, nh = g.order, h.order
     phi = ((tg.phi[:, None] + th.phi[None, :]) % 2).reshape(ng * nh)
     alpha = ag[:, None, :, None] ^ ah[None, :, None, :]
     alpha ^= (tg.phi[:, None, None, None] & th.phi[None, None, None, :]).astype(np.uint8)
-    combined = Twist(phi=phi, alpha_num=alpha.reshape(ng * nh, ng * nh), denom=2)
-    del alpha
-    prod = product_group(g, h)
-    return prod, validate_twist(prod, combined)
+    alpha = alpha.reshape(ng * nh, ng * nh)
+    return Twist(product_group(g, h), phi, alpha, 2)
 
 
-def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
+def clifford_ladder(n: int) -> Iterator[Twist]:
     """The rank-k Clifford twists on (Z2)^k for k = 1..n, each built from the
     last by one combine_twists with the rank-1 twist. The bytes of the last
     rung's combine_twists (_combined_bytes) are checked against
@@ -281,9 +267,7 @@ def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
     need = _combined_bytes(2 ** n)
     check_budget(need, f"the rank-{n} Clifford twist needs a {2 ** n} x {2 ** n} table")
     z2 = group_from_table([[0, 1], [1, 0]], names=["e", "u"])
-    rank_one = (z2, validate_twist(z2, Twist(phi=np.array([0, 1]),
-                                             alpha_num=np.zeros((2, 2), dtype=np.int64),
-                                             denom=1)))
+    rank_one = Twist(z2, np.array([0, 1]), np.zeros((2, 2), dtype=np.int64), 1)
     rung = rank_one
     for k in range(1, n + 1):
         if k > 1:
@@ -291,15 +275,14 @@ def clifford_ladder(n: int) -> Iterator[tuple[Group, Twist]]:
         yield rung
 
 
-def clifford_twist(n: int) -> tuple[Group, Twist]:
+def clifford_twist(n: int) -> Twist:
     """The rank-n Clifford twist on (Z2)^n; n = 0 is the trivial theory. The
     bytes of its tables are checked against SUPERFS_BUDGET first
     (clifford_ladder)."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
     if n == 0:
-        g = trivial_group()
-        return g, Twist.zero(1)
+        return Twist.zero(trivial_group())
     for rung in clifford_ladder(n):
         pass
     return rung
@@ -515,9 +498,9 @@ def h2_representatives(group: Group, basis: list[np.ndarray] | None = None) -> l
 
     The classes are the GF(2) combinations of `basis` (h2_basis(group), solved
     here when not given), in bitmask order: bit b of mask picks basis[b], and
-    the zero class comes first. Returned twists are checked
-    on `group` and carry trivial phi; Twist.with_phi attaches a grading and
-    checks it. The 8 |H^2| |G|^2 bytes of their int64 tables, all held at
+    the zero class comes first. Returned twists are proved on `group` as they
+    are built and carry trivial phi; Twist.with_phi attaches a grading and
+    proves it. The 8 |H^2| |G|^2 bytes of their int64 tables, all held at
     once, are checked against the work budget before any class is built.
     """
     n = group.order
@@ -530,6 +513,4 @@ def h2_representatives(group: Group, basis: list[np.ndarray] | None = None) -> l
     zero_phi = np.zeros(n, dtype=np.int64)
     vectors = np.array(basis, dtype=np.int64).reshape(len(basis), n * n)
     masks = np.arange(classes)[:, None] >> np.arange(len(basis)) & 1
-    return [validate_twist(group, Twist(phi=zero_phi, denom=2,
-                                        alpha_num=(mask @ vectors % 2).reshape(n, n)))
-            for mask in masks]
+    return [Twist(group, zero_phi, (mask @ vectors % 2).reshape(n, n), 2) for mask in masks]

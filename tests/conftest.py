@@ -15,8 +15,7 @@ def record_verdict(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture
 def cocycle_proofs(monkeypatch) -> list:
     """A list that gains one entry per run of the cocycle check, the proof
-    validate_twist makes (it returns at once for a twist already proved on
-    the same Group object)."""
+    validate_twist makes when a Twist is built."""
     import superfs.twists
 
     calls = []

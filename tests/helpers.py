@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from superfs import SnapError, Twist, coboundary, eighth_root, validate_twist
+from superfs import SnapError, Twist, coboundary, eighth_root
 
 
 def phases(alpha_num, denom: int) -> np.ndarray:
@@ -19,14 +19,15 @@ def phases(alpha_num, denom: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.asarray(alpha_num) / denom)
 
 
-def shift_by_coboundary(group, twist, beta_num, den: int | None = None):
+def shift_by_coboundary(twist, beta_num, den: int | None = None):
     """The twist with alpha shifted by the coboundary of beta (beta given over
-    `den`, default twist.denom), validated on `group`."""
+    `den`, default twist.denom), on the same group."""
+    group = twist.group
     den = twist.denom if den is None else int(den)
     lcm = math.lcm(twist.denom, den)
     num = twist.alpha_num * (lcm // twist.denom)
     db = coboundary(group, np.asarray(beta_num) * (lcm // den), lcm)
-    return validate_twist(group, Twist(phi=twist.phi, alpha_num=(num + db) % lcm, denom=lcm))
+    return Twist(group, twist.phi, (num + db) % lcm, lcm)
 
 
 def close_under_product(gens: list[tuple], compose) -> set:

@@ -25,7 +25,6 @@ from superfs import (
     nonorientable,
     orientable,
     product_group,
-    validate_twist,
     z2_homomorphisms,
 )
 
@@ -47,8 +46,7 @@ def catalog_sweep():
             group = catalog_group(name)
             for phi in z2_homomorphisms(group):
                 for base in h2_representatives(group):
-                    twist = validate_twist(group, base.with_phi(phi))
-                    report = classify(TwistedGroupAlgebra(group, twist), seed=0)
+                    report = classify(TwistedGroupAlgebra(base.with_phi(phi)), seed=0)
                     cases.append((name, phi, report))
         _SWEEP_CACHE = cases
     return _SWEEP_CACHE
@@ -84,8 +82,7 @@ def test_criterion_01():
 def test_criterion_02():
     bad = []
     for n in range(1, 9):
-        group, twist = clifford_twist(n)
-        report = classify(TwistedGroupAlgebra(group, twist))
+        report = classify(TwistedGroupAlgebra(clifford_twist(n)))
         sups = report.supermodules
         expected = np.exp(2j * np.pi * n / 8)
         if not (report.all_pass and len(sups) == 1
@@ -98,13 +95,14 @@ def test_criterion_02():
     assert not bad
 
 
-def _tensor_products_multiplicative(ga, ta, gb, tb):
+def _tensor_products_multiplicative(ta, tb):
     """Match each supermodule pair with its factor in the combined algebra and
     compare indicators. Returns (#pairs checked, list of failures)."""
-    gc, tc = combine_twists((ga, ta), (gb, tb))
-    ra = classify(TwistedGroupAlgebra(ga, ta))
-    rb = classify(TwistedGroupAlgebra(gb, tb))
-    rc = classify(TwistedGroupAlgebra(gc, tc))
+    tc = combine_twists(ta, tb)
+    ga, gb, gc = ta.group, tb.group, tc.group
+    ra = classify(TwistedGroupAlgebra(ta))
+    rb = classify(TwistedGroupAlgebra(tb))
+    rc = classify(TwistedGroupAlgebra(tc))
     nh = gb.order
     failures = []
     pairs = 0
@@ -132,7 +130,7 @@ def _random_z2_twist(group, rng):
     alphas = h2_representatives(group)
     phi = phis[int(rng.integers(len(phis)))]
     base = alphas[int(rng.integers(len(alphas)))]
-    return validate_twist(group, base.with_phi(phi))
+    return base.with_phi(phi)
 
 
 def test_criterion_03():
@@ -146,7 +144,7 @@ def test_criterion_03():
         if ga.order * gb.order > 96:
             continue
         ta, tb = _random_z2_twist(ga, rng), _random_z2_twist(gb, rng)
-        pairs, failures = _tensor_products_multiplicative(ga, ta, gb, tb)
+        pairs, failures = _tensor_products_multiplicative(ta, tb)
         total_pairs += pairs
         if failures:
             bad.append((CATALOG[na], CATALOG[nb], failures[:2]))
@@ -183,7 +181,7 @@ def test_criterion_05():
     irrep_counts = {"s3": 3, "d4": 5, "q8": 5, "a4": 4, "z2xa4": 8}
     bad = []
     for name, group in theories:
-        theory = TheoryData(group, Twist.zero(group.order), "oriented")
+        theory = TheoryData(Twist.zero(group), "oriented")
         for genus in (0, 1, 2):
             r = crosscheck(theory, orientable(genus))[0]
             if r.verdict != "PASS" or r.abs_diff > 1e-6:
@@ -202,8 +200,8 @@ def test_criterion_05():
 def test_criterion_06():
     group = product_group(cyclic(2), cyclic(2))
     alpha = [[Fraction((i // 2) * (j % 2), 2) for j in range(4)] for i in range(4)]
-    twist = validate_twist(group, Twist.from_fractions([0] * 4, alpha))
-    r = crosscheck(TheoryData(group, twist, "oriented"), orientable(1))[0]
+    twist = Twist.from_fractions(group, [0] * 4, alpha)
+    r = crosscheck(TheoryData(twist, "oriented"), orientable(1))[0]
     ok = (r.verdict == "PASS" and abs(r.lhs - 1) < 1e-6 and abs(r.rhs - 1) < 1e-6)
     record_verdict(6, ok, "nontrivially twisted Z2xZ2 on the torus: both sides "
                    f"equal 1 (lhs={r.lhs:.8f}, rhs={r.rhs:.8f}, one projective "
@@ -215,17 +213,17 @@ def test_criterion_07():
     bad = []
     for name in CATALOG:
         group = catalog_group(name)
-        twist = Twist.zero(group.order)
-        r = crosscheck(TheoryData(group, twist, "unoriented"), nonorientable(1))[0]
+        twist = Twist.zero(group)
+        r = crosscheck(TheoryData(twist, "unoriented"), nonorientable(1))[0]
         involutions = int(np.sum(np.diag(group.table) == 0))
-        report = classify(TwistedGroupAlgebra(group, twist))
+        report = classify(TwistedGroupAlgebra(twist))
         fs_sum = sum(s.s_ordinary * s.dims[0] for s in report.supermodules)
         scaled = r.lhs * group.order
         if (r.verdict != "PASS" or abs(scaled - involutions) > 1e-6
                 or fs_sum != involutions):
             bad.append((name, "square-count"))
         for k in (2, 3):
-            rk = crosscheck(TheoryData(group, twist, "unoriented"),
+            rk = crosscheck(TheoryData(twist, "unoriented"),
                             nonorientable(k))[0]
             if rk.verdict != "PASS" or rk.abs_diff > 1e-6:
                 bad.append((name, k))
@@ -235,7 +233,7 @@ def test_criterion_07():
         for base in h2_representatives(group):
             if base.alpha_is_trivial:
                 continue
-            theory = TheoryData(group, validate_twist(group, base), "unoriented")
+            theory = TheoryData(base, "unoriented")
             for k in (2, 3):
                 twisted += 1
                 rk = crosscheck(theory, nonorientable(k))[0]
@@ -251,19 +249,18 @@ def test_criterion_07():
 
 def test_criterion_08():
     bad = []
-    g1, t1 = clifford_twist(1)
-    torus = crosscheck(TheoryData(g1, t1, "spin"), orientable(1))
+    t1 = clifford_twist(1)
+    torus = crosscheck(TheoryData(t1, "spin"), orientable(1))
     if len(torus) != 4:
         bad.append(("torus", "structure-count"))
     for r in torus:
         if r.verdict != "PASS" or abs(r.lhs - (-1.0) ** r.invariant[1]) > 1e-6:
             bad.append(("torus", r.structure.values))
-    g4 = catalog_group("z4")
-    t4 = validate_twist(g4, Twist.from_fractions([0, 1, 0, 1], [[0] * 4] * 4))
+    t4 = Twist.from_fractions(catalog_group("z4"), [0, 1, 0, 1], [[0] * 4] * 4)
     gv = catalog_group("z2xz2")
-    tv = validate_twist(gv, Twist.zero(4).with_phi(z2_homomorphisms(gv)[1]))
-    for name, group, twist in (("z2", g1, t1), ("z4", g4, t4), ("z2xz2", gv, tv)):
-        reports = crosscheck(TheoryData(group, twist, "spin"), orientable(2))
+    tv = Twist.zero(gv).with_phi(z2_homomorphisms(gv)[1])
+    for name, twist in (("z2", t1), ("z4", t4), ("z2xz2", tv)):
+        reports = crosscheck(TheoryData(twist, "spin"), orientable(2))
         if len(reports) != 16:
             bad.append((name, "structure-count", len(reports)))
         for r in reports:
@@ -278,26 +275,22 @@ def test_criterion_08():
 
 def test_criterion_09():
     bad = []
-    g1, t1 = clifford_twist(1)
-    rp2 = crosscheck(TheoryData(g1, t1, "pin-"), nonorientable(1))
+    t1 = clifford_twist(1)
+    rp2 = crosscheck(TheoryData(t1, "pin-"), nonorientable(1))
     vals = {r.invariant[1]: r.lhs for r in rp2}
     if not (abs(vals.get(1, 0) - (0.5 + 0.5j)) < 1e-6
             and abs(vals.get(7, 0) - (0.5 - 0.5j)) < 1e-6
             and all(r.verdict == "PASS" for r in rp2)):
         bad.append(("rp2", sorted(vals)))
     gv = catalog_group("z2xz2")
-    tv = validate_twist(gv, h2_representatives(gv)[3].with_phi(
-        z2_homomorphisms(gv)[1]))
+    tv = h2_representatives(gv)[3].with_phi(z2_homomorphisms(gv)[1])
     gd = catalog_group("d4")
-    td = validate_twist(gd, h2_representatives(gd)[1].with_phi(
-        z2_homomorphisms(gd)[2]))
+    td = h2_representatives(gd)[1].with_phi(z2_homomorphisms(gd)[2])
     gq = catalog_group("q8")
-    tq = validate_twist(gq, Twist.zero(8).with_phi(z2_homomorphisms(gq)[1]))
-    for name, group, twist in (("cl1", g1, t1), ("z2xz2", gv, tv),
-                               ("d4", gd, td), ("q8", gq, tq)):
+    tq = Twist.zero(gq).with_phi(z2_homomorphisms(gq)[1])
+    for name, twist in (("cl1", t1), ("z2xz2", tv), ("d4", td), ("q8", tq)):
         for k, count in ((2, 4), (3, 8)):
-            reports = crosscheck(TheoryData(group, twist, "pin-"),
-                                 nonorientable(k))
+            reports = crosscheck(TheoryData(twist, "pin-"), nonorientable(k))
             if len(reports) != count:
                 bad.append((name, k, "structure-count"))
             for r in reports:
@@ -310,55 +303,51 @@ def test_criterion_09():
     assert not bad
 
 
-def _partition_values(group, twist, family, surface):
-    reports = crosscheck(TheoryData(group, twist, family), surface)
+def _partition_values(twist, family, surface):
+    reports = crosscheck(TheoryData(twist, family), surface)
     return [r.lhs for r in reports]
 
 
 def test_criterion_10():
     rng = np.random.default_rng(13)
-    g1, t1 = clifford_twist(1)
     gq = catalog_group("q8")
-    tq = validate_twist(gq, h2_representatives(gq)[1].with_phi(
-        z2_homomorphisms(gq)[1]))
-    gv = catalog_group("z2xz2")
-    tv = validate_twist(gv, h2_representatives(gv)[3])
-    gs = catalog_group("s3")
-    g3 = cyclic(3)
-    t3 = validate_twist(g3, Twist.from_fractions(
-        [0] * 3, [[Fraction((i * j) % 3, 3) for j in range(3)] for i in range(3)]))
+    tq = h2_representatives(gq)[1].with_phi(z2_homomorphisms(gq)[1])
+    t3 = Twist.from_fractions(
+        cyclic(3), [0] * 3, [[Fraction((i * j) % 3, 3) for j in range(3)] for i in range(3)])
     theories = [
-        ("cl1", g1, t1, "pin-", nonorientable(2)),
-        ("q8", gq, tq, "spin", orientable(1)),
-        ("z2xz2", gv, tv, "unoriented", nonorientable(2)),
-        ("s3", gs, Twist.zero(6), "oriented", orientable(2)),
-        ("z3-cube-root", g3, t3, "oriented", orientable(1)),
+        ("cl1", clifford_twist(1), "pin-", nonorientable(2)),
+        ("q8", tq, "spin", orientable(1)),
+        ("z2xz2", h2_representatives(catalog_group("z2xz2"))[3], "unoriented",
+         nonorientable(2)),
+        ("s3", Twist.zero(catalog_group("s3")), "oriented", orientable(2)),
+        ("z3-cube-root", t3, "oriented", orientable(1)),
     ]
     bad = []
     checked = 0
-    for name, group, twist, family, surface in theories:
+    for name, twist, family, surface in theories:
+        group = twist.group
         if twist.is_z2:
-            base_report = classify(TwistedGroupAlgebra(group, twist))
+            base_report = classify(TwistedGroupAlgebra(twist))
             base_sig = sorted((s.fs_k if s.fs_k is not None else -1, str(s.bw))
                               for s in base_report.supermodules)
             if base_report.dim_sum != group.order:
                 bad.append((name, "dim-sum", base_report.dim_sum))
-        base_z = _partition_values(group, twist, family, surface)
+        base_z = _partition_values(twist, family, surface)
         for _ in range(10):
             checked += 1
             beta = rng.integers(0, twist.denom if twist.denom > 1 else 2,
                                 group.order)
             beta[0] = 0
-            shifted = shift_by_coboundary(group, twist, beta)
+            shifted = shift_by_coboundary(twist, beta)
             if twist.is_z2:
-                report = classify(TwistedGroupAlgebra(group, shifted))
+                report = classify(TwistedGroupAlgebra(shifted))
                 sig = sorted((s.fs_k if s.fs_k is not None else -1, str(s.bw))
                              for s in report.supermodules)
                 if sig != base_sig:
                     bad.append((name, "signature"))
                 if report.dim_sum != group.order:
                     bad.append((name, "dim-sum-shifted"))
-            z = _partition_values(group, shifted, family, surface)
+            z = _partition_values(shifted, family, surface)
             if len(z) != len(base_z) or any(
                     abs(a - b) > 1e-8 for a, b in zip(z, base_z)):
                 bad.append((name, "partition"))

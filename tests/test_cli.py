@@ -3,6 +3,7 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,8 +146,9 @@ def test_clifford_ladder_builds_each_rung_from_the_last(monkeypatch, capsys):
     assert len(combined) == 5   # one per rung after the first, not 0 + 1 + ... + 5
     assert len(seen) == 6
     for n, (group, twist) in enumerate(seen, start=1):
-        want_group, want_twist = clifford_twist(n)
-        assert np.array_equal(group.table, want_group.table)
+        want_twist = clifford_twist(n)
+        assert group is twist.group
+        assert np.array_equal(group.table, want_twist.group.table)
         assert np.array_equal(twist.phi, want_twist.phi)
         assert np.array_equal(twist.alpha_num, want_twist.alpha_num)
         assert twist.denom == want_twist.denom
@@ -374,8 +376,8 @@ def test_exit_2_bad_phi_and_alpha_files(tmp_path, capsys):
 
 
 def test_twist_files_roundtrip_through_cli(tmp_path, capsys):
-    group, twist = clifford_twist(2)
-    gpath = write_group(tmp_path / "g.json", group)
+    twist = clifford_twist(2)
+    gpath = write_group(tmp_path / "g.json", twist.group)
     tpath = write_twist(tmp_path / "t.json", twist)
     code, data, _ = run_json(capsys, "classify", "--group", gpath,
                              "--phi", tpath, "--alpha", tpath)
@@ -452,8 +454,8 @@ def test_clifford_11_is_refused_before_any_rung_and_clifford_10_runs(monkeypatch
 
 
 def test_each_theory_validated_once(tmp_path, cocycle_proofs, capsys):
-    group, twist = clifford_twist(2)
-    gpath = write_group(tmp_path / "g.json", group)
+    twist = clifford_twist(2)
+    gpath = write_group(tmp_path / "g.json", twist.group)
     tpath = write_twist(tmp_path / "t.json", twist)
     theory = ["--group", gpath, "--phi", tpath, "--alpha", tpath]
     for argv in (["classify", *theory], ["verify", *theory],
@@ -483,9 +485,9 @@ def test_alpha_files_are_parsed_by_from_fractions(tmp_path, monkeypatch, capsys)
     calls = []
     original = Twist.__dict__["from_fractions"].__func__
 
-    def counting(cls, phi, alpha, **kwargs):
+    def counting(cls, group, phi, alpha, **kwargs):
         calls.append(len(alpha))
-        return original(cls, phi, alpha, **kwargs)
+        return original(cls, group, phi, alpha, **kwargs)
 
     monkeypatch.setattr(Twist, "from_fractions", classmethod(counting))
     alpha = tmp_path / "alpha.json"
@@ -517,16 +519,14 @@ def test_exit_2_phi_entries_must_be_0_or_1(tmp_path, capsys):
 
 
 def test_sweep_refused_by_max_cases_before_any_class(tmp_path, monkeypatch, capsys):
-    import superfs.superalg
     import superfs.twists
 
     def refuse(*args, **kwargs):
         raise AssertionError("a class was built before the --max-cases check")
 
-    group, _ = clifford_twist(5)  # 32 homomorphisms x 2^15 classes
+    group = clifford_twist(5).group  # 32 homomorphisms x 2^15 classes
     path = write_group(tmp_path / "z2^5.json", group)
-    for module in (superfs.superalg, superfs.twists):
-        monkeypatch.setattr(module, "validate_twist", refuse)
+    monkeypatch.setattr(superfs.twists, "validate_twist", refuse)   # every Twist is proved by it
     code, _, err = run(capsys, "verify", "--group", path,
                        "--sweep-phi", "--sweep-h2")
     assert code == 2 and "sweep has 1048576 cases" in err
@@ -561,7 +561,7 @@ def test_cap_checked_as_the_group_is_read(tmp_path, capsys):
                  ["sweep", "--groups", "z2,d4,missing", "--cap", "4"]):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", "error: group order 8 exceeds the configured cap 4\n")
-    path = write_group(tmp_path / "z2^7.json", clifford_twist(7)[0])
+    path = write_group(tmp_path / "z2^7.json", clifford_twist(7).group)
     code, out, err = run(capsys, "classify", "--group", path)
     assert (code, out, err) == (2, "", "error: group order 128 exceeds the configured cap 96\n")
     assert run(capsys, "classify", "--group", path, "--cap", "128")[0] == 0
@@ -604,8 +604,7 @@ def test_sweep_builds_one_algebra_per_cocycle_class(monkeypatch, capsys):
 
 def test_sweep_decomposes_once_per_cocycle_class(monkeypatch, capsys):
     import superfs.superalg
-    from superfs import (TwistedGroupAlgebra, classify, h2_representatives,
-                         validate_twist, z2_homomorphisms)
+    from superfs import TwistedGroupAlgebra, classify, h2_representatives, z2_homomorphisms
 
     calls = []
     original = superfs.superalg.decompose_regular
@@ -624,8 +623,7 @@ def test_sweep_decomposes_once_per_cocycle_class(monkeypatch, capsys):
         group = catalog_group(name)
         for pi, phi in enumerate(z2_homomorphisms(group)):
             for ai, base in enumerate(h2_representatives(group)):
-                twist = validate_twist(group, base.with_phi(phi))
-                report = classify(TwistedGroupAlgebra(group, twist), seed=3)
+                report = classify(TwistedGroupAlgebra(base.with_phi(phi)), seed=3)
                 expected.append({
                     "group": name, "order": group.order,
                     "phi_index": pi, "alpha_index": ai,
@@ -652,3 +650,38 @@ def test_sweep_validates_each_cocycle_class_once(tmp_path, cocycle_proofs, capsy
     cocycle_proofs.clear()
     code, _, err = run(capsys, "verify", "--group", "z2", "--alpha", str(alpha))
     assert code == 2 and "2-cocycle identity" in err and len(cocycle_proofs) == 1
+
+
+@pytest.mark.parametrize("argv, proofs", [
+    (["classify", "--clifford", "3"], 3),
+    (["verify", "--clifford", "4"], 4),
+    (["sweep", "--groups", "z2,d4,q8"], 14),
+    (["partition", "--group", "d4", "--surface", "nonorientable:2", "--family", "unoriented"], 1),
+    (["classify", "--group", "z2xz2", "--alpha",
+      str(Path(__file__).resolve().parent / "golden" / "clifford2.twist.json")], 1),
+])
+def test_each_command_proves_each_cocycle_once_and_each_grading_stack_once(
+        argv, proofs, cocycle_proofs, monkeypatch, capsys):
+    # one cocycle proof per twist built (a Clifford rung, an H^2 class, the
+    # twist named on the command line), and within each classify_gradings
+    # call one proof of its stack of gradings, in assemble_supermodules
+    import superfs.cli
+    import superfs.superalg
+
+    gradings, per_call = [], []
+    check = superfs.superalg._check_gradings
+    monkeypatch.setattr(superfs.superalg, "_check_gradings",
+                        lambda *args: gradings.append(1) or check(*args))
+    original = superfs.superalg.classify_gradings
+
+    def counting(*args, **kwargs):
+        before = len(gradings)
+        reports = original(*args, **kwargs)
+        per_call.append(len(gradings) - before)
+        return reports
+
+    for module in (superfs.superalg, superfs.cli):
+        monkeypatch.setattr(module, "classify_gradings", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert len(cocycle_proofs) == proofs
+    assert per_call == [1] * len(per_call) and (argv[0] == "partition") == (not per_call)

@@ -70,18 +70,57 @@ def test_exported_functions_take_no_settings(name):
             if p.name in SETTINGS and p.default is not p.empty] == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_spans():
+    """bench/spans.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_benchmark_span_targets_resolve():
     # bench/spans.py wraps each (module, dotted attribute) of TARGETS when the
     # benchmark runs with --trace 1; a renamed or deleted target breaks it
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_spans()
     assert spans.TARGETS
     for module, attribute, _ in spans.TARGETS:
         target = reduce(getattr, attribute.split("."),
                         importlib.import_module(f"superfs.{module}"))
         assert callable(target), (module, attribute)
+
+
+def test_benchmark_span_sizers_read_their_arguments(capsys):
+    # each sizer reads |G|, the surface or the result off the arguments of
+    # the call it wraps; a signature it no longer fits would fail only under
+    # --trace 1, so run one command of each kind under the recorder
+    import superfs.cli
+
+    spans = _bench_spans()
+    twist = str(ROOT / "tests" / "golden" / "clifford2.twist.json")
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        for argv in (["classify", "--clifford", "3"], ["verify", "--clifford", "2"],
+                     ["sweep", "--groups", "z2,d4"],
+                     ["partition", "--group", "z2xz2", "--phi", twist, "--alpha", twist,
+                      "--family", "pin-", "--surface", "nonorientable:2"],
+                     ["classify", "--group", "z2xz2", "--alpha", twist]):
+            recorder.command += 1
+            assert superfs.cli.main(argv) == 0, argv
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    assert all(not hasattr(fn, "__wrapped__") for fn in (
+        superfs.cli.main, superfs.twists.validate_twist, superfs.gauge.crosscheck))
+    assert recorder.spans and [span for span in recorder.spans if span[5] is None] == []
+    metrics = recorder.metrics()
+    assert [name for name in ("twists.validate_twist", "twists.Twist.from_fractions",
+                              "twists.h2_representatives", "superalg.decompose_regular",
+                              "gauge.crosscheck")
+            if not metrics[f"{name}.calls"]] == []
 
 
 def _resolves(name: str, owners: list) -> bool:

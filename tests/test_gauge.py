@@ -1,5 +1,6 @@
 """Partition-function crosschecks and homomorphism enumeration."""
 
+import dataclasses
 import functools
 import json
 import time
@@ -31,7 +32,6 @@ from superfs import (
     presentation,
     product_group,
     report_to_dict,
-    validate_twist,
     z2_homomorphisms,
 )
 from superfs.surfaces import QuadraticRefinement
@@ -41,18 +41,17 @@ from helpers import (brute_force_homs, brute_force_partition, integrate_cocycle,
 
 
 def test_theory_family_validation():
-    g, t = clifford_twist(1)
+    t = clifford_twist(1)
     with pytest.raises(ValidationError, match="parity"):
-        TheoryData(g, t, "oriented")
+        TheoryData(t, "oriented")
     with pytest.raises(ValidationError, match="family"):
-        TheoryData(g, t, "pin+")
-    g3 = cyclic(3)
+        TheoryData(t, "pin+")
     a = [[Fraction((i * j) % 3, 3) for j in range(3)] for i in range(3)]
-    t3 = Twist.from_fractions([0] * 3, a)
+    t3 = Twist.from_fractions(cyclic(3), [0] * 3, a)
     with pytest.raises(ValidationError, match="sign-valued"):
-        TheoryData(g3, t3, "unoriented")
-    TheoryData(g3, t3, "oriented")  # fine: Q/Z twists are oriented-legal
-    th = TheoryData(g, t, "spin")
+        TheoryData(t3, "unoriented")
+    TheoryData(t3, "oriented")  # fine: Q/Z twists are oriented-legal
+    th = TheoryData(t, "spin")
     with pytest.raises(ValidationError, match="surfaces"):
         th.require_surface(nonorientable(1))
 
@@ -96,7 +95,7 @@ def test_budget_env_var(monkeypatch):
 def test_oriented_torus_counts_irreps():
     for name, count in (("s3", 3), ("q8", 5), ("d4", 5), ("a4", 4), ("z6", 6)):
         g = catalog_group(name)
-        th = TheoryData(g, Twist.zero(g.order), "oriented")
+        th = TheoryData(Twist.zero(g), "oriented")
         r = crosscheck(th, orientable(1))[0]
         assert r.verdict == "PASS"
         assert r.lhs == pytest.approx(count, abs=1e-9)
@@ -104,7 +103,7 @@ def test_oriented_torus_counts_irreps():
 
 def test_oriented_sphere_is_inverse_order():
     g = catalog_group("d4")
-    th = TheoryData(g, Twist.zero(8), "oriented")
+    th = TheoryData(Twist.zero(g), "oriented")
     r = crosscheck(th, orientable(0))[0]
     assert r.lhs == pytest.approx(1 / 8)
     assert r.verdict == "PASS"
@@ -113,7 +112,7 @@ def test_oriented_sphere_is_inverse_order():
 def test_oriented_hom_count_integrality():
     # with trivial cocycle, |G| * Z counts homomorphisms exactly
     g = catalog_group("s3")
-    th = TheoryData(g, Twist.zero(6), "oriented")
+    th = TheoryData(Twist.zero(g), "oriented")
     for genus in (0, 1, 2):
         r = crosscheck(th, orientable(genus))[0]
         n_hom = (r.lhs * g.order).real
@@ -123,16 +122,16 @@ def test_oriented_hom_count_integrality():
 
 def test_unoriented_klein_bottle_values():
     g2 = catalog_group("z2")
-    r = crosscheck(TheoryData(g2, Twist.zero(2), "unoriented"), nonorientable(2))[0]
+    r = crosscheck(TheoryData(Twist.zero(g2), "unoriented"), nonorientable(2))[0]
     assert r.lhs == pytest.approx(2) and r.verdict == "PASS"
     g3 = cyclic(3)
-    r = crosscheck(TheoryData(g3, Twist.zero(3), "unoriented"), nonorientable(2))[0]
+    r = crosscheck(TheoryData(Twist.zero(g3), "unoriented"), nonorientable(2))[0]
     assert r.lhs == pytest.approx(1) and r.verdict == "PASS"
 
 
 def test_unoriented_rejects_orientable_surface():
     g = cyclic(3)
-    th = TheoryData(g, Twist.zero(3), "unoriented")
+    th = TheoryData(Twist.zero(g), "unoriented")
     with pytest.raises(ValidationError, match="surfaces"):
         crosscheck(th, orientable(1))
 
@@ -142,8 +141,8 @@ def test_projective_plane_nontrivial_alpha():
     # the twisted indicator sum still matches
     g = product_group(cyclic(2), cyclic(2))
     alpha = [[Fraction((i // 2) * (j % 2), 2) for j in range(4)] for i in range(4)]
-    t = validate_twist(g, Twist.from_fractions([0] * 4, alpha))
-    th = TheoryData(g, t, "unoriented")
+    t = Twist.from_fractions(g, [0] * 4, alpha)
+    th = TheoryData(t, "unoriented")
     r = crosscheck(th, nonorientable(1))[0]
     assert r.verdict == "PASS"
     # direct two-sided oracle: (1/4) sum over g^2=e of (-1)^{alpha(g,g)}
@@ -154,25 +153,22 @@ def test_projective_plane_nontrivial_alpha():
 
 
 def test_spin_torus_tracks_arf():
-    g, t = clifford_twist(1)
-    th = TheoryData(g, t, "spin")
+    th = TheoryData(clifford_twist(1), "spin")
     for r in crosscheck(th, orientable(1)):
         assert r.verdict == "PASS"
         assert r.lhs == pytest.approx((-1.0) ** r.invariant[1])
 
 
 def test_spin_trivial_phi_reduces_to_oriented():
-    g = catalog_group("s3")
-    t = Twist.zero(6)
-    z_oriented = crosscheck(TheoryData(g, t, "oriented"), orientable(1))[0].lhs
-    for r in crosscheck(TheoryData(g, t, "spin"), orientable(1)):
+    t = Twist.zero(catalog_group("s3"))
+    z_oriented = crosscheck(TheoryData(t, "oriented"), orientable(1))[0].lhs
+    for r in crosscheck(TheoryData(t, "spin"), orientable(1)):
         assert r.lhs == pytest.approx(z_oriented)
         assert r.verdict == "PASS"
 
 
 def test_pin_minus_projective_plane_cl1():
-    g, t = clifford_twist(1)
-    reports = crosscheck(TheoryData(g, t, "pin-"), nonorientable(1))
+    reports = crosscheck(TheoryData(clifford_twist(1), "pin-"), nonorientable(1))
     got = {r.invariant[1]: r.lhs for r in reports}
     assert got[1] == pytest.approx(0.5 + 0.5j)
     assert got[7] == pytest.approx(0.5 - 0.5j)
@@ -180,8 +176,9 @@ def test_pin_minus_projective_plane_cl1():
 
 
 def test_pin_minus_average_projects_onto_even_holonomy():
-    g, t = clifford_twist(1)
-    th = TheoryData(g, t, "pin-")
+    t = clifford_twist(1)
+    g = t.group
+    th = TheoryData(t, "pin-")
     reports = crosscheck(th, nonorientable(2))
     avg = sum(r.lhs for r in reports) / len(reports)
     pres = presentation(nonorientable(2))
@@ -194,45 +191,44 @@ def test_pin_minus_average_projects_onto_even_holonomy():
 
 
 def test_partition_lhs_structure_flag_consistency():
-    g, t = clifford_twist(1)
     with pytest.raises(ValidationError, match="structure"):
-        partition_lhs(TheoryData(g, t, "spin"), orientable(1))
-    g3 = cyclic(3)
-    th = TheoryData(g3, Twist.zero(3), "oriented")
+        partition_lhs(TheoryData(clifford_twist(1), "spin"), orientable(1))
+    th = TheoryData(Twist.zero(cyclic(3)), "oriented")
     with pytest.raises(ValidationError, match="no structure"):
         partition_lhs(th, orientable(1), QuadraticRefinement(orientable(1), [0, 0]))
 
 
 def test_partition_rhs_rejects_structures_it_would_ignore():
     s3 = catalog_group("s3")
-    oriented = TheoryData(s3, Twist.zero(6), "oriented")
+    oriented = TheoryData(Twist.zero(s3), "oriented")
     torus_structure = QuadraticRefinement(orientable(1), [0, 1])
     for side in (partition_lhs, partition_rhs):
         with pytest.raises(ValidationError, match="no structure"):
             side(oriented, orientable(1), torus_structure)
     with pytest.raises(ValidationError, match="no structure"):
         crosscheck(oriented, orientable(1), structures=[torus_structure])
-    unoriented = TheoryData(s3, Twist.zero(6), "unoriented")
+    unoriented = TheoryData(Twist.zero(s3), "unoriented")
     pin = QuadraticRefinement(nonorientable(1), [1])
     for side in (partition_lhs, partition_rhs):
         with pytest.raises(ValidationError, match="no structure"):
             side(unoriented, nonorientable(1), pin)
     # spin / pin- right-hand sides check the structure like the left-hand side
-    g, t = clifford_twist(1)
     with pytest.raises(ValidationError, match="structure is on orientable:2, not orientable:1"):
-        partition_rhs(TheoryData(g, t, "spin"), orientable(1),
+        partition_rhs(TheoryData(clifford_twist(1), "spin"), orientable(1),
                       QuadraticRefinement(orientable(2), [0, 0, 0, 0]))
 
 
 def test_theory_twist_validated_on_construction():
     g = cyclic(2)
     with pytest.raises(ValidationError, match="cocycle"):
-        TheoryData(g, Twist(phi=np.zeros(2, dtype=np.int64),
-                            alpha_num=np.array([[0, 0], [1, 0]]), denom=2), "oriented")
+        TheoryData(Twist(g, np.zeros(2, dtype=np.int64), np.array([[0, 0], [1, 0]]), 2),
+                   "oriented")
     # a constant cocycle is normalized, and both sides see the normalized twist
-    th = TheoryData(g, Twist(phi=np.zeros(2, dtype=np.int64),
-                             alpha_num=np.ones((2, 2), dtype=np.int64), denom=2), "oriented")
-    assert th.twist.alpha_is_trivial and th.twist.checked_on is g
+    th = TheoryData(Twist(g, np.zeros(2, dtype=np.int64), np.ones((2, 2), dtype=np.int64), 2),
+                    "oriented")
+    assert th.twist.alpha_is_trivial and th.group is g
+    # the group is read off the twist, not held beside it
+    assert [f.name for f in dataclasses.fields(TheoryData)] == ["twist", "family"]
     assert crosscheck(th, orientable(1))[0].verdict == "PASS"
 
 
@@ -247,15 +243,14 @@ def test_relabeling_invariance():
             t2[perm[a], perm[b]] = perm[g.table[a, b]]
     g2 = group_from_table(t2)
     for surface in (orientable(1), orientable(2)):
-        za = crosscheck(TheoryData(g, Twist.zero(6), "oriented"), surface)[0].lhs
-        zb = crosscheck(TheoryData(g2, Twist.zero(6), "oriented"), surface)[0].lhs
+        za = crosscheck(TheoryData(Twist.zero(g), "oriented"), surface)[0].lhs
+        zb = crosscheck(TheoryData(Twist.zero(g2), "oriented"), surface)[0].lhs
         assert za == pytest.approx(zb)
 
 
 def test_report_roundtrip():
     # the report survives a trip through its JSON text
-    g, t = clifford_twist(1)
-    r = crosscheck(TheoryData(g, t, "pin-"), nonorientable(1))[0]
+    r = crosscheck(TheoryData(clifford_twist(1), "pin-"), nonorientable(1))[0]
     d = json.loads(json.dumps(report_to_dict(r)))
     assert d["family"] == r.family and d["surface"] == str(r.surface)
     assert complex(*d["lhs"]) == r.lhs and complex(*d["rhs"]) == r.rhs
@@ -268,7 +263,7 @@ def test_report_roundtrip():
 
 def test_crosscheck_rejects_structures_for_oriented():
     g = cyclic(2)
-    th = TheoryData(g, Twist.zero(2), "oriented")
+    th = TheoryData(Twist.zero(g), "oriented")
     with pytest.raises(ValidationError, match="structures"):
         crosscheck(th, orientable(1), structures=[QuadraticRefinement(orientable(1), [0, 0])])
 
@@ -277,41 +272,40 @@ def test_crosscheck_rejects_structures_for_oriented():
 
 def _with_grading(name, index=1):
     group = catalog_group(name)
-    return group, Twist.zero(group.order).with_phi(z2_homomorphisms(group)[index])
+    return Twist.zero(group).with_phi(z2_homomorphisms(group)[index])
 
 
 def _oracle_theories():
-    """(label, group, twist, families) for the brute-force LHS comparison."""
+    """(label, twist, families) for the brute-force LHS comparison."""
     z2, s3, d4, q8 = (catalog_group(name) for name in ("z2", "s3", "d4", "q8"))
-    z3xz3 = product_group(cyclic(3), cyclic(3))
-    rational = validate_twist(z3xz3, Twist.from_fractions(
-        [0] * 9, [[Fraction((x // 3) * (y % 3) % 3, 3) for y in range(9)]
-                  for x in range(9)]))
+    rational = Twist.from_fractions(
+        product_group(cyclic(3), cyclic(3)), [0] * 9,
+        [[Fraction((x // 3) * (y % 3) % 3, 3) for y in range(9)] for x in range(9)])
     d4_alpha = h2_representatives(d4)[1]
     return [
-        ("z2", z2, Twist.zero(2), ("oriented", "unoriented")),
-        ("cl1", *clifford_twist(1), ("spin", "pin-")),
-        ("cl2", *clifford_twist(2), ("spin", "pin-")),
-        ("s3", s3, Twist.zero(6), ("oriented", "unoriented")),
-        ("s3-sign", *_with_grading("s3"), ("spin", "pin-")),
-        ("d4-alpha", d4, d4_alpha, ("oriented", "unoriented")),
-        ("d4-graded", d4, validate_twist(d4, d4_alpha.with_phi(
-            z2_homomorphisms(d4)[2])), ("spin", "pin-")),
-        ("q8", q8, Twist.zero(8), ("oriented", "unoriented")),
-        ("q8-graded", *_with_grading("q8"), ("spin", "pin-")),
-        ("z3xz3-rational", z3xz3, rational, ("oriented",)),
+        ("z2", Twist.zero(z2), ("oriented", "unoriented")),
+        ("cl1", clifford_twist(1), ("spin", "pin-")),
+        ("cl2", clifford_twist(2), ("spin", "pin-")),
+        ("s3", Twist.zero(s3), ("oriented", "unoriented")),
+        ("s3-sign", _with_grading("s3"), ("spin", "pin-")),
+        ("d4-alpha", d4_alpha, ("oriented", "unoriented")),
+        ("d4-graded", d4_alpha.with_phi(z2_homomorphisms(d4)[2]), ("spin", "pin-")),
+        ("q8", Twist.zero(q8), ("oriented", "unoriented")),
+        ("q8-graded", _with_grading("q8"), ("spin", "pin-")),
+        ("z3xz3-rational", rational, ("oriented",)),
     ]
 
 
-ORACLE_CASES = [(label, family) for label, _, _, families in _oracle_theories()
+ORACLE_CASES = [(label, family) for label, _, families in _oracle_theories()
                 for family in families]
 
 
 @pytest.mark.parametrize("label,family", ORACLE_CASES,
                          ids=[f"{label}-{family}" for label, family in ORACLE_CASES])
 def test_partition_lhs_matches_brute_force(label, family):
-    group, twist = next((g, t) for name, g, t, _ in _oracle_theories() if name == label)
-    theory = TheoryData(group, twist, family)
+    twist = next(t for name, t, _ in _oracle_theories() if name == label)
+    group = twist.group
+    theory = TheoryData(twist, family)
     if family in ("oriented", "spin"):
         surfaces = [orientable(g) for g in (0, 1, 2)]
     else:
@@ -345,11 +339,11 @@ def test_state_sum_scales_past_the_grid(monkeypatch):
     g = _symmetric4()
     n = g.order
     start = time.perf_counter()
-    z, count = partition_lhs(TheoryData(g, Twist.zero(n), "oriented"), orientable(4))
+    z, count = partition_lhs(TheoryData(Twist.zero(g), "oriented"), orientable(4))
     # Mednykh: #Hom(pi_1 of genus g, G) = |G| sum_chi (|G| / chi(1))^(2g - 2)
     assert count == n * sum((n // d) ** 6 for d in S4_DEGREES) == 9_257_189_376
     assert z == count / n
-    z, count = partition_lhs(TheoryData(g, Twist.zero(n), "unoriented"),
+    z, count = partition_lhs(TheoryData(Twist.zero(g), "unoriented"),
                              nonorientable(7))
     # Frobenius-Schur: #{x_1^2 ... x_k^2 = e} = |G|^(k-1) sum_chi nu^k chi(1)^(2-k)
     expected = n ** 6 * sum(Fraction(1, d ** 5) for d in S4_DEGREES)
@@ -363,7 +357,7 @@ def test_state_sum_scales_past_the_grid(monkeypatch):
 
 def test_state_sum_budget_and_overflow_guards(monkeypatch):
     g = catalog_group("a4")
-    th = TheoryData(g, Twist.zero(12), "oriented")
+    th = TheoryData(Twist.zero(g), "oriented")
     monkeypatch.setenv("SUPERFS_BUDGET", "1000")
     with pytest.raises(BudgetExceededError, match="budget is 1000") as err:
         partition_lhs(th, orientable(2))
@@ -373,27 +367,27 @@ def test_state_sum_budget_and_overflow_guards(monkeypatch):
     with pytest.raises(BudgetExceededError):
         partition_lhs(th, orientable(1))
     monkeypatch.delenv("SUPERFS_BUDGET")
-    z2 = TheoryData(cyclic(2), Twist.zero(2), "unoriented")
+    z2 = TheoryData(Twist.zero(cyclic(2)), "unoriented")
     with pytest.raises(BudgetExceededError, match="overflow"):
         partition_lhs(z2, nonorientable(63))
     # every assignment of Z2 satisfies the relator: 2^62 homs, counted exactly
     z, count = partition_lhs(z2, nonorientable(62))
     assert count == 2 ** 62 and z == 2.0 ** 61
     # 3^40 homs pass 2^63; the last block is contracted in exact integers
-    z3 = TheoryData(cyclic(3), Twist.zero(3), "oriented")
+    z3 = TheoryData(Twist.zero(cyclic(3)), "oriented")
     assert partition_lhs(z3, orientable(20))[1] == 3 ** 40
 
 
 def test_state_sum_rejects_structures_on_another_surface():
     # a structure carries its surface; a valid structure on any other surface
     # is refused by every entry point with one message
-    g, t = clifford_twist(1)
-    spin = TheoryData(g, t, "spin")
+    t = clifford_twist(1)
+    spin = TheoryData(t, "spin")
     genus2 = QuadraticRefinement(orientable(2), [0, 0, 0, 0])
     with pytest.raises(ValidationError,
                        match="^structure is on orientable:2, not orientable:1$"):
         partition_lhs(spin, orientable(1), genus2)
-    pin = TheoryData(g, t, "pin-")
+    pin = TheoryData(t, "pin-")
     klein = QuadraticRefinement(nonorientable(2), [1, 1])
     for check in (partition_lhs, partition_rhs):
         with pytest.raises(ValidationError,
@@ -408,8 +402,9 @@ def test_state_sum_rejects_structures_on_another_surface():
 def test_sphere_state_sum_allocates_nothing_of_the_denominator(exponent):
     # the sphere has no blocks: its one homomorphism gives 1/|G| without a
     # table over the 2^exponent phase buckets
-    twist = Twist.from_fractions([0, 0], [["0", "0"], ["0", f"1/{2 ** exponent}"]])
-    theory = TheoryData(cyclic(2), twist, "oriented")
+    twist = Twist.from_fractions(cyclic(2), [0, 0],
+                                 [["0", "0"], ["0", f"1/{2 ** exponent}"]])
+    theory = TheoryData(twist, "oriented")
     assert partition_lhs(theory, orientable(0)) == (0.5, 1)
 
 
@@ -426,8 +421,7 @@ def test_crosscheck_checks_each_structure_once(monkeypatch, family, surface):
         return original(family, surface, structure)
 
     monkeypatch.setattr(gauge, "_check_structure", counting)
-    g, t = clifford_twist(1)
-    theory = TheoryData(g, t, family)
+    theory = TheoryData(clifford_twist(1), family)
     reports = crosscheck(theory, surface)
     assert checked == [r.structure for r in reports] == enumerate_structures(surface)
     checked.clear()
@@ -439,10 +433,10 @@ def test_state_sum_fourth_roots_are_exact():
     # buckets at fourth roots of unity are summed as integers, so sign and
     # fourth-root theories give exact dyadic values (a float sum over homs
     # leaves ~1e-16 residues here)
-    g, t = clifford_twist(2)
-    for r in crosscheck(TheoryData(g, t, "spin"), orientable(2)):
+    t = clifford_twist(2)
+    for r in crosscheck(TheoryData(t, "spin"), orientable(2)):
         assert r.lhs == 4 and r.verdict == "PASS"
-    for r in crosscheck(TheoryData(g, t, "pin-"), nonorientable(3)):
+    for r in crosscheck(TheoryData(t, "pin-"), nonorientable(3)):
         assert r.lhs in (2j, -2j) and r.verdict == "PASS"
 
 
@@ -459,10 +453,10 @@ def test_crosscheck_decomposes_once_per_theory(monkeypatch):
 
     monkeypatch.setattr(gauge, "decompose_regular", counting)
     monkeypatch.setattr(superalg, "decompose_regular", counting)
-    g, t = clifford_twist(1)
+    t = clifford_twist(1)
     for family, surface in (("spin", orientable(2)), ("pin-", nonorientable(3))):
         calls.clear()
-        theory = TheoryData(g, t, family)
+        theory = TheoryData(t, family)
         reports = crosscheck(theory, surface, seed=5)
         assert len(reports) == 2 ** surface.b1 and len(calls) == 1
         for r in reports:
@@ -474,10 +468,9 @@ def _relabelled_theory(theory, perm):
     """The same theory with group element x renamed perm[x]."""
     back = np.argsort(perm)
     twist = theory.twist
-    return TheoryData(group_from_table(relabelled(theory.group.table, perm)),
-                      Twist(phi=twist.phi[back],
-                            alpha_num=twist.alpha_num[np.ix_(back, back)],
-                            denom=twist.denom),
+    return TheoryData(Twist(group_from_table(relabelled(theory.group.table, perm)),
+                            twist.phi[back], twist.alpha_num[np.ix_(back, back)],
+                            twist.denom),
                       theory.family)
 
 
@@ -487,10 +480,10 @@ def _property_theories(name):
     g = catalog_group(name)
     out = []
     for alpha in h2_representatives(g):
-        out += [TheoryData(g, alpha, "oriented"), TheoryData(g, alpha, "unoriented")]
+        out += [TheoryData(alpha, "oriented"), TheoryData(alpha, "unoriented")]
         for phi in z2_homomorphisms(g):
-            out += [TheoryData(g, alpha.with_phi(phi), "spin"),
-                    TheoryData(g, alpha.with_phi(phi), "pin-")]
+            out += [TheoryData(alpha.with_phi(phi), "spin"),
+                    TheoryData(alpha.with_phi(phi), "pin-")]
     return out
 
 
@@ -573,10 +566,10 @@ def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
             (z2xq8, np.repeat([0, 1], 8), "spin", orientable(2)),
             (d4, z2_homomorphisms(d4)[1], "pin-", nonorientable(5)),
             (z2, [0, 1], "pin-", nonorientable(10))):
-        theory = TheoryData(group, Twist.zero(group.order).with_phi(phi), family)
+        theory = TheoryData(Twist.zero(group).with_phi(phi), family)
         with pytest.raises(Reached):
             crosscheck(theory, surface)
-    theory = TheoryData(z2, Twist.zero(2).with_phi([0, 1]), "pin-")
+    theory = TheoryData(Twist.zero(z2).with_phi([0, 1]), "pin-")
     with pytest.raises(BudgetExceededError, match="the 4096 structures on nonorientable:12"):
         crosscheck(theory, nonorientable(12))
 
@@ -600,7 +593,7 @@ def test_random_permutation_groups_match_the_brute_force_partition(degree, data,
     if family in ("spin", "pin-"):
         phis = z2_homomorphisms(group)
         twist = twist.with_phi(phis[picks[1] % len(phis)])
-    theory = TheoryData(group, twist, family)
+    theory = TheoryData(twist, family)
     if family in ("oriented", "spin"):
         surfaces = [orientable(g) for g in range(3 if group.order <= 4 else 2)]
     else:

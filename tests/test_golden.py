@@ -6,7 +6,12 @@ partition cases: as commit 405afae printed them); clifford2.twist.json is
 the --phi/--alpha input of the spin and pin- cases (Clifford(2)'s twist on
 z2xz2), and z3xz3.group.json / z3xz3.twist.json are Z3xZ3 (index 3a + b)
 with alpha((a, b), (a', b')) = a b' / 3, whose D = lcm(3, 4) = 12 reaches
-the phase buckets off the fourth roots of unity. Non-float fields must
+the phase buckets off the fourth roots of unity. d4-shifted.twist.json is
+the class h2_representatives(d4)[4] under z2_homomorphisms(d4)[1] (BW
+classes 7, 7, 6), shifted by the coboundary of beta = delta_e / 2 so that
+alpha(e, e) = 1/2: its two cases (as commit a63c677 printed them) cover the
+normalization at the identity, and the classify output is the unshifted
+one's byte for byte. Non-float fields must
 match exactly, types included; floats within 1e-12. To add a case, run its
 command at a trusted commit and save stdout.
 """
@@ -21,6 +26,7 @@ from superfs.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TWIST = str(GOLDEN / "clifford2.twist.json")
+SHIFTED = str(GOLDEN / "d4-shifted.twist.json")
 Z3XZ3 = ["--group", str(GOLDEN / "z3xz3.group.json"),
          "--alpha", str(GOLDEN / "z3xz3.twist.json")]
 
@@ -43,6 +49,11 @@ CASES = {
                                  "--surface", "orientable:2"],
     "partition-oriented-d4-sphere": ["partition", "--group", "d4",
                                      "--surface", "orientable:0"],
+    "classify-d4-shifted": ["classify", "--group", "d4", "--phi", SHIFTED,
+                            "--alpha", SHIFTED],
+    "partition-pin-d4-shifted": ["partition", "--group", "d4", "--phi", SHIFTED,
+                                 "--alpha", SHIFTED, "--family", "pin-",
+                                 "--surface", "nonorientable:2"],
 }
 
 

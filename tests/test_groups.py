@@ -226,7 +226,7 @@ def validation_groups() -> dict:
     tables.update({
         "s4": s4.table,
         "s4xz2": product_group(s4, cyclic(2)).table,
-        "clifford6-relabelled": relabelled(clifford_twist(6)[0].table,
+        "clifford6-relabelled": relabelled(clifford_twist(6).group.table,
                                            relabelling(64, 3)),
         "z2xq8": product_group(cyclic(2), q8).table,
     })
@@ -338,7 +338,7 @@ def corruption_tables() -> dict:
     """Tables of orders 256, 192 and 256 (one generator), validated on narrow
     uint8 copies, and of order 257, on uint16 copies."""
     s4 = group_from_permutations(S4_GENERATORS)
-    return {"clifford8": clifford_twist(8)[0].table,
+    return {"clifford8": clifford_twist(8).group.table,
             "s4xq8": product_group(s4, catalog_group("q8")).table,
             "z256": cyclic(256).table,
             "z257": cyclic(257).table}

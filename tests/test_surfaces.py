@@ -1,6 +1,7 @@
 """Surface presentations, quadratic refinements, Arf/ABK, and the cocycle
 integration oracle of tests/helpers."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,6 @@ from superfs import (
     product_group,
     QuadraticRefinement,
     quadratic_eval_many,
-    validate_twist,
 )
 from superfs.cli import main
 
@@ -82,6 +82,23 @@ def test_structure_carries_its_surface():
     assert len({pin, QuadraticRefinement(nonorientable(3), [1, 3, 1])}) == 1
     assert pin != QuadraticRefinement(nonorientable(3), [1, 3, 3])
     assert str(pin) == "1,3,1"
+
+
+@pytest.mark.parametrize("surface, values", [
+    (orientable(1), [0.7, 1.9]),
+    (nonorientable(1), [True]),
+    (nonorientable(1), [np.True_]),
+    (orientable(1), ["a", 1]),
+    (orientable(1), [0, "1"]),
+    (nonorientable(1), [1.0]),
+])
+def test_refinement_refuses_values_that_are_not_integers(surface, values):
+    # an int or a NumPy integer only: [0.7, 1.9] would be truncated to (0, 1),
+    # True read as 1, and "a" raise a bare ValueError
+    bad = next(v for v in values if isinstance(v, (bool, np.bool_, float, str)))
+    with pytest.raises(ValidationError, match=f"^structure value {re.escape(repr(bad))} "
+                       f"is not an integer$"):
+        QuadraticRefinement(surface, values)
 
 
 @pytest.mark.parametrize("surface, values", [
@@ -159,7 +176,8 @@ def test_enumerate_structures():
     assert sum(abk(s) for s in enumerate_structures(nonorientable(1))) == 8
 
 
-def _integrate(assignment, pres, group, twist):
+def _integrate(assignment, pres, twist):
+    group = twist.group
     return integrate_cocycle(assignment, pres.word, pres.n_generators, group.table,
                              group.inverses, twist.alpha_num, twist.denom)
 
@@ -167,57 +185,55 @@ def _integrate(assignment, pres, group, twist):
 def heisenberg_z2():
     g = product_group(cyclic(2), cyclic(2))
     alpha = [[Fraction((i // 2) * (j % 2), 2) for j in range(4)] for i in range(4)]
-    return g, validate_twist(g, Twist.from_fractions([0] * 4, alpha))
+    return Twist.from_fractions(g, [0] * 4, alpha)
 
 
 def test_integrate_torus_antisymmetrization():
-    g, t = heisenberg_z2()
+    t = heisenberg_z2()
     pres = presentation(orientable(1))
     # commuting pair (x, y): integral is alpha(x,y) - alpha(y,x)
-    assert _integrate([2, 1], pres, g, t) == Fraction(1, 2)
-    assert _integrate([1, 2], pres, g, t) == Fraction(1, 2)
-    assert _integrate([1, 1], pres, g, t) == 0
-    assert _integrate([0, 3], pres, g, t) == 0
+    assert _integrate([2, 1], pres, t) == Fraction(1, 2)
+    assert _integrate([1, 2], pres, t) == Fraction(1, 2)
+    assert _integrate([1, 1], pres, t) == 0
+    assert _integrate([0, 3], pres, t) == 0
 
 
 def test_integrate_projective_plane_diagonal():
-    g, t = heisenberg_z2()
+    t = heisenberg_z2()
     pres = presentation(nonorientable(1))
-    assert _integrate([3], pres, g, t) == Fraction(int(t.alpha_num[3, 3]), t.denom)
-    assert _integrate([1], pres, g, t) == 0
+    assert _integrate([3], pres, t) == Fraction(int(t.alpha_num[3, 3]), t.denom)
+    assert _integrate([1], pres, t) == 0
 
 
 def test_integrate_sphere_empty_word():
-    g = cyclic(3)
-    assert _integrate([], presentation(orientable(0)), g, Twist.zero(3)) == 0
+    assert _integrate([], presentation(orientable(0)), Twist.zero(cyclic(3))) == 0
 
 
 def test_integrate_rejects_unsatisfied_relator():
-    g = catalog_group("s3")
+    t = Twist.zero(catalog_group("s3"))
     pres = presentation(orientable(1))
     # generators 1 and 2 of s3 do not commute
     with pytest.raises(ValueError, match="relator"):
-        _integrate([1, 2], pres, g, Twist.zero(6))
+        _integrate([1, 2], pres, t)
     with pytest.raises(ValueError, match="assignment"):
-        _integrate([1], pres, g, Twist.zero(6))
+        _integrate([1], pres, t)
 
 
 def test_integrate_coboundary_invariant():
-    g, t = heisenberg_z2()
+    t = heisenberg_z2()
     pres = presentation(orientable(1))
     rng = np.random.default_rng(2)
     for _ in range(5):
         beta = rng.integers(0, 2, 4)
         beta[0] = 0
-        t2 = shift_by_coboundary(g, t, beta, 2)
+        t2 = shift_by_coboundary(t, beta, 2)
         for pair in ([2, 1], [1, 2], [1, 1], [0, 3]):
-            assert _integrate(pair, pres, g, t2) == \
-                _integrate(pair, pres, g, t)
+            assert _integrate(pair, pres, t2) == _integrate(pair, pres, t)
 
 
 def test_integrate_inverse_letters_use_unit_correction():
     # in Cl(2) the generators anticommute, and the torus word on them is
     # exactly the commutator phase: e1 e2 e1^-1 e2^-1 = -1
-    g, t = clifford_twist(2)
+    t = clifford_twist(2)
     pres = presentation(orientable(1))
-    assert _integrate([1, 2], pres, g, t) == Fraction(1, 2)
+    assert _integrate([1, 2], pres, t) == Fraction(1, 2)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from superfs import (
     CATALOG_NAMES,
     BudgetExceededError,
     Twist,
-    TwistedGroupAlgebra,
     ValidationError,
     catalog_group,
     clifford_twist,
@@ -51,36 +51,40 @@ H2_COUNTS = {"z2": 2, "z3": 1, "z4": 2, "z2xz2": 8, "z6": 2, "s3": 2,
 
 
 def test_zero_twist():
-    t = Twist.zero(4)
+    g = cyclic(4)
+    t = Twist.zero(g)
     assert t.phi_is_trivial and t.alpha_is_trivial and t.is_z2
-    assert t.ring == "Z2"
+    assert t.ring == "Z2" and t.group is g and t.order == 4
 
 
 def test_validate_rejects_non_cocycle():
     g = cyclic(2)
     a = np.array([[0, 0], [1, 0]], dtype=np.int64)
     with pytest.raises(ValidationError, match="cocycle"):
-        validate_twist(g, Twist(phi=np.zeros(2, dtype=np.int64), alpha_num=a, denom=2))
+        Twist(g, np.zeros(2, dtype=np.int64), a, 2)
+    with pytest.raises(ValidationError, match="cocycle"):
+        validate_twist(g, np.zeros(2, dtype=np.int64), a, 2)
 
 
 def test_validate_rejects_bad_phi():
     g = cyclic(3)
-    t = Twist(phi=np.array([0, 1, 0]), alpha_num=np.zeros((3, 3), dtype=np.int64),
-              denom=1)
     with pytest.raises(ValidationError, match="phi"):
-        validate_twist(g, t)
+        Twist(g, np.array([0, 1, 0]), np.zeros((3, 3), dtype=np.int64), 1)
 
 
 def test_normalization_shift_recorded():
     # constant cocycle alpha = 1/2 is a valid cocycle with alpha(e,e) != 0
     g = cyclic(2)
-    t = Twist(phi=np.zeros(2, dtype=np.int64),
-              alpha_num=np.ones((2, 2), dtype=np.int64), denom=2)
-    out = validate_twist(g, t)
-    assert out.alpha_num[0, 0] == 0
-    assert np.all(out.alpha_num[0, :] == 0) and np.all(out.alpha_num[:, 0] == 0)
-    # removing the constant 1/2 leaves the zero cocycle, proved on g
-    assert out.alpha_is_trivial and out.checked_on is g and t.checked_on is None
+    given = np.ones((2, 2), dtype=np.int64)
+    t = Twist(g, np.zeros(2, dtype=np.int64), given, 2)
+    assert t.alpha_num[0, 0] == 0
+    assert np.all(t.alpha_num[0, :] == 0) and np.all(t.alpha_num[:, 0] == 0)
+    # removing the constant 1/2 leaves the zero cocycle, reduced to lowest
+    # terms again; the array given is left alone
+    assert t.alpha_is_trivial and t.denom == 1 and given.all()
+    phi, num, den = validate_twist(g, [0, 0], given, 2)
+    assert phi.tolist() == [0, 0] and not num.any() and den == 1
+    assert not (phi.flags.writeable or num.flags.writeable)
 
 
 def test_coboundary_is_cocycle_and_shifts_validate():
@@ -90,18 +94,17 @@ def test_coboundary_is_cocycle_and_shifts_validate():
         beta = rng.integers(0, 2, g.order)
         beta[0] = 0
         db = coboundary(g, beta, 2)
-        t = validate_twist(g, Twist(phi=np.zeros(g.order, dtype=np.int64),
-                                    alpha_num=db, denom=2))
+        t = Twist(g, np.zeros(g.order, dtype=np.int64), db, 2)
         assert np.array_equal(t.alpha_num, db)   # normalized already: no shift
     base = h2_representatives(g)[3]
-    shifted = shift_by_coboundary(g, base, rng.integers(0, 2, g.order), 2)
+    shifted = shift_by_coboundary(base, rng.integers(0, 2, g.order), 2)
     assert shifted.denom in (1, 2)
 
 
 def test_combine_cross_term_values():
-    g, t = clifford_twist(1)
-    gh, th = combine_twists((g, t), (g, t))
-    assert gh.order == 4
+    t = clifford_twist(1)
+    th = combine_twists(t, t)
+    assert th.order == 4
     assert list(th.phi) == [0, 1, 1, 0]
     # index (a, b) -> 2a + b; cross term phi(a1) phi(b2)
     assert Fraction(int(th.alpha_num[2, 1]), th.denom) == Fraction(1, 2)  # (1,0)*(0,1)
@@ -109,18 +112,16 @@ def test_combine_cross_term_values():
 
 
 def test_combine_anticommutation():
-    g, t = clifford_twist(2)
+    t = clifford_twist(2)
     ph = phases(t.alpha_num, t.denom)
     # the two odd generators anticommute: e1 e2 = -e2 e1
     assert ph[1, 2] == pytest.approx(-ph[2, 1])
 
 
 def test_clifford_additive_under_combine():
-    g3, t3 = clifford_twist(3)
-    g1, t1 = clifford_twist(1)
-    g2, t2 = clifford_twist(2)
-    gc, tc = combine_twists((g1, t1), (g2, t2))
-    assert np.array_equal(gc.table, g3.table)
+    t3 = clifford_twist(3)
+    tc = combine_twists(clifford_twist(1), clifford_twist(2))
+    assert np.array_equal(tc.group.table, t3.group.table)
     assert np.array_equal(tc.phi, t3.phi)
     assert np.array_equal(tc.alpha_num * (t3.denom // tc.denom)
                           if tc.denom != t3.denom else tc.alpha_num,
@@ -130,9 +131,9 @@ def test_clifford_additive_under_combine():
 def test_combine_requires_sign_valued():
     g = cyclic(3)
     a = [[Fraction((i * j) % 3, 3) for j in range(3)] for i in range(3)]
-    t = Twist.from_fractions([0, 0, 0], a)
+    t = Twist.from_fractions(g, [0, 0, 0], a)
     with pytest.raises(ValidationError, match="sign-valued"):
-        combine_twists((g, t), (g, t))
+        combine_twists(t, t)
 
 
 @pytest.mark.parametrize("name", sorted(HOM_COUNTS))
@@ -193,7 +194,7 @@ def test_z2_homomorphisms_match_the_full_scan_as_arrays():
         assert all(h.dtype == np.int64 and h.shape == (group.order,) for h in homs), name
         assert [tuple(h.tolist()) for h in homs] == homomorphisms_by_full_scan(group.table), name
     for k in (6, 8, 10):
-        group = clifford_twist(k)[0]
+        group = clifford_twist(k).group
         x = np.arange(group.order)
         assert np.array_equal(group.table, x[:, None] ^ x)
         bits = x[:, None] >> np.arange(k) & 1
@@ -244,46 +245,21 @@ def test_h2_representatives_pairwise_non_cohomologous():
         seen.add(key)
 
 
-def test_with_phi_shares_the_reduced_alpha():
-    # a regrading keeps alpha as it stands, without reducing it again; the
-    # regraded twist keeps the record of its proof. phi is not read mod 2:
-    # phi + 2 is refused
+def test_with_phi_shares_the_reduced_alpha(cocycle_proofs):
+    # a regrading keeps alpha as it stands, without reducing or proving it
+    # again, on the same group. phi is not read mod 2: phi + 2 is refused
     g = catalog_group("d4")
-    shifted = validate_twist(g, Twist(phi=np.zeros(8), alpha_num=np.full((8, 8), 2),
-                                      denom=4))
+    shifted = Twist(g, np.zeros(8), np.full((8, 8), 2), 4)
+    assert len(cocycle_proofs) == 1
     phi = z2_homomorphisms(g)[1]
     t = shifted.with_phi(phi.astype(float))
+    assert len(cocycle_proofs) == 1
     assert t.alpha_num is shifted.alpha_num and t.denom == shifted.denom == 2
     assert np.array_equal(t.phi, phi) and t.phi.dtype == np.int64
     assert not t.phi.flags.writeable
-    assert t.checked_on is shifted.checked_on is g and list(shifted.phi) == [0] * 8
+    assert t.group is shifted.group is g and list(shifted.phi) == [0] * 8
     with pytest.raises(ValidationError, match=r"^phi values must be 0 or 1, got 2$"):
         shifted.with_phi(phi + 2)
-
-
-def test_a_twist_is_proved_once_per_group_object(cocycle_proofs):
-    z4 = catalog_group("z4")
-    t = validate_twist(z4, h2_representatives(z4)[1])
-    assert t.checked_on is z4 and len(cocycle_proofs) == 2   # in h2_representatives, not again
-    assert validate_twist(z4, t) is t and len(cocycle_proofs) == 2
-    # an equal group is another Group object: proved again
-    assert validate_twist(catalog_group("z4"), t).checked_on is not z4
-    assert len(cocycle_proofs) == 3
-    # the record is not a constructor field
-    with pytest.raises(TypeError, match="checked_on"):
-        Twist(phi=t.phi, alpha_num=t.alpha_num, denom=t.denom, checked_on=z4)
-
-
-def test_validation_records_its_proof_on_a_copy(cocycle_proofs):
-    # a twist proved on one group and then on another keeps the first
-    # record, and validate_twist leaves its argument's record alone
-    z4, v4 = catalog_group("z4"), catalog_group("z2xz2")
-    t = Twist.zero(4)
-    t1 = validate_twist(z4, t)
-    t2 = validate_twist(v4, t1)
-    assert t.checked_on is None and t1.checked_on is z4 and t2.checked_on is v4
-    assert len(cocycle_proofs) == 2
-    assert validate_twist(z4, t1) is t1 and len(cocycle_proofs) == 2
 
 
 def test_a_twist_checked_on_z4_is_validated_again_on_z2xz2():
@@ -291,12 +267,11 @@ def test_a_twist_checked_on_z4_is_validated_again_on_z2xz2():
     # a group of the same order
     z4, v4 = catalog_group("z4"), catalog_group("z2xz2")
     t = h2_representatives(z4)[1]
-    assert t.checked_on is z4
+    assert t.group is z4
     with pytest.raises(ValidationError, match="2-cocycle identity"):
-        validate_twist(v4, t)
+        Twist(v4, t.phi, t.alpha_num, t.denom)
     with pytest.raises(ValidationError, match="2-cocycle identity"):
-        TwistedGroupAlgebra(v4, t.with_phi(np.zeros(4)))
-    assert t.checked_on is z4   # a failed proof leaves the record alone
+        validate_twist(v4, np.zeros(4), t.alpha_num, t.denom)
 
 
 def test_with_phi_on_a_checked_twist_checks_the_grading():
@@ -308,21 +283,18 @@ def test_with_phi_on_a_checked_twist_checks_the_grading():
                        match=r"^phi is not a homomorphism to Z2: fails at \(0, 0\)$"):
         t.with_phi([1, 0, 0, 0, 0, 0, 0, 0])
     for phi in z2_homomorphisms(g):
-        assert t.with_phi(phi).checked_on is g
-    # an unchecked twist is checked when it is validated, not before
-    assert Twist.zero(8).with_phi([0, 1, 1]).checked_on is None
+        assert t.with_phi(phi).group is g
 
 
 # ---------------------------------------------------------------------------
 # generator-based cocycle check against the full |G|^3 oracle
 
-def relabelled_theory(group, twist, seed):
+def relabelled_theory(twist, seed):
     """The same theory with elements 1..n-1 permuted (identity kept at 0)."""
-    perm = relabelling(group.order, seed)
+    perm = relabelling(twist.order, seed)
     back = np.argsort(perm)
-    return group_from_table(relabelled(group.table, perm)), Twist(
-        phi=twist.phi[back], alpha_num=twist.alpha_num[np.ix_(back, back)],
-        denom=twist.denom)
+    return Twist(group_from_table(relabelled(twist.group.table, perm)), twist.phi[back],
+                 twist.alpha_num[np.ix_(back, back)], twist.denom)
 
 
 @functools.lru_cache(maxsize=None)
@@ -332,43 +304,42 @@ def validation_theories() -> dict:
     its grading, and the rational cocycle a.b'/3 on Z3xZ3."""
     out = {}
     for name in CATALOG_NAMES:
-        g = catalog_group(name)
-        for i, t in enumerate(h2_representatives(g)):
-            out[f"{name}/h2-{i}"] = (g, t)
+        for i, t in enumerate(h2_representatives(catalog_group(name))):
+            out[f"{name}/h2-{i}"] = t
     s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
-    sign = validate_twist(s4, Twist.zero(24).with_phi(z2_homomorphisms(s4)[1]))
-    out["s4"] = (s4, sign)
-    out["s4xz2"] = combine_twists((s4, sign), clifford_twist(1))
-    out["clifford6-relabelled"] = relabelled_theory(*clifford_twist(6), seed=5)
+    sign = Twist.zero(s4).with_phi(z2_homomorphisms(s4)[1])
+    out["s4"] = sign
+    out["s4xz2"] = combine_twists(sign, clifford_twist(1))
+    out["clifford6-relabelled"] = relabelled_theory(clifford_twist(6), seed=5)
     q8 = catalog_group("q8")
-    out["z2xq8"] = combine_twists(
-        clifford_twist(1), (q8, Twist.zero(8).with_phi(z2_homomorphisms(q8)[1])))
-    z3xz3 = product_group(cyclic(3), cyclic(3))
+    out["z2xq8"] = combine_twists(clifford_twist(1),
+                                  Twist.zero(q8).with_phi(z2_homomorphisms(q8)[1]))
     x = np.arange(9)
-    out["z3xz3-rational"] = (z3xz3, Twist(phi=np.zeros(9, dtype=np.int64),
-                                          alpha_num=(x[:, None] // 3) * (x[None, :] % 3),
-                                          denom=3))
+    out["z3xz3-rational"] = Twist(product_group(cyclic(3), cyclic(3)),
+                                  np.zeros(9, dtype=np.int64),
+                                  (x[:, None] // 3) * (x[None, :] % 3), 3)
     return out
 
 
-def accepts(group, twist) -> bool:
+def accepts(group, phi, alpha_num, denom) -> bool:
     try:
-        validate_twist(group, twist)
+        Twist(group, phi, alpha_num, denom)
     except ValidationError:
         return False
     return True
 
 
 def test_cocycle_check_agrees_with_full_scan_on_valid_twists():
-    for name, (g, t) in validation_theories().items():
-        assert cocycle_failures(g.table, t.alpha_num, t.denom) == [], name
-        assert accepts(g, t), name
+    for name, t in validation_theories().items():
+        assert cocycle_failures(t.group.table, t.alpha_num, t.denom) == [], name
+        assert accepts(t.group, t.phi, t.alpha_num, t.denom), name
 
 
 @pytest.mark.parametrize("name", ["d4/h2-7", "q8/h2-3", "z2xz2xz2/h2-63", "s4xz2",
                                   "clifford6-relabelled", "z2xq8", "z3xz3-rational"])
 def test_cocycle_check_agrees_on_single_entry_corruptions(name):
-    g, t = validation_theories()[name]
+    t = validation_theories()[name]
+    g = t.group
     assert t.denom in (2, 3)
     rng = np.random.default_rng(17)
     for _ in range(8):
@@ -376,10 +347,9 @@ def test_cocycle_check_agrees_on_single_entry_corruptions(name):
         for delta in range(1, t.denom):
             bad = t.alpha_num.copy()
             bad[gi, hi] = (bad[gi, hi] + delta) % t.denom
-            corrupted = Twist(phi=t.phi, alpha_num=bad, denom=t.denom)
             failures = cocycle_failures(g.table, bad, t.denom)
             assert failures, (name, gi, hi)
-            assert accepts(g, corrupted) == (not failures), (name, gi, hi)
+            assert accepts(g, t.phi, bad, t.denom) == (not failures), (name, gi, hi)
 
 
 @pytest.mark.parametrize("name", ["z2xz2/h2-0", "d4/h2-0", "z2xz2xz2/h2-0", "s4",
@@ -388,7 +358,8 @@ def test_cocycle_check_catches_failures_only_at_the_last_generator(name):
     # with H generated by S minus its last element, adding [g = x][h not in H]
     # to a cocycle keeps it normalized and keeps the identity at every k in H
     # (so at e and the other generators); it fails only at k outside H
-    g, t = validation_theories()[name]
+    t = validation_theories()[name]
+    g = t.group
     gens = [int(s) for s in g.generators]
     assert len(gens) >= 2
     inside = {0}
@@ -408,26 +379,25 @@ def test_cocycle_check_catches_failures_only_at_the_last_generator(name):
         alpha = (t.alpha_num * (den // t.denom) + bump) % den
         failures = cocycle_failures(g.table, alpha, den)
         assert all(k not in inside for _, _, k in failures)
-        assert accepts(g, Twist(phi=t.phi, alpha_num=alpha, denom=den)) == (not failures)
+        assert accepts(g, t.phi, alpha, den) == (not failures)
         broken += bool(failures)
     assert broken >= len(rows) // 2
 
 
-def bilinear_theory(m: int) -> tuple:
+def bilinear_theory(m: int) -> Twist:
     """Z_m x Z_m with the cocycle alpha((a, b), (a', b')) = a b' / m."""
     x = np.arange(m * m)
-    return product_group(cyclic(m), cyclic(m)), Twist(
-        phi=np.zeros(m * m, dtype=np.int64), alpha_num=(x[:, None] // m) * (x[None, :] % m),
-        denom=m)
+    return Twist(product_group(cyclic(m), cyclic(m)), np.zeros(m * m, dtype=np.int64),
+                 (x[:, None] // m) * (x[None, :] % m), m)
 
 
-def cyclic_theory(n: int) -> tuple:
+def cyclic_theory(n: int) -> Twist:
     """Z_n with the coboundary of a seeded beta of denominator 4."""
     group = cyclic(n)
     beta = np.random.default_rng(n).integers(0, 4, n)
     beta[0] = 0
     alpha = (beta[:, None] + beta[None, :] - beta[group.table]) % 4
-    return group, Twist(phi=np.zeros(n, dtype=np.int64), alpha_num=alpha, denom=4)
+    return Twist(group, np.zeros(n, dtype=np.int64), alpha, 4)
 
 
 @functools.lru_cache(maxsize=None)
@@ -438,8 +408,8 @@ def flip_theories() -> dict:
     group = product_group(symmetric4(), catalog_group("q8"))
     homs = z2_homomorphisms(group)
     out = {"clifford8": clifford_twist(8),
-           "s4xq8": (group, Twist(phi=np.zeros(group.order, dtype=np.int64),
-                                  alpha_num=np.outer(homs[1], homs[2]) % 2, denom=2))}
+           "s4xq8": Twist(group, np.zeros(group.order, dtype=np.int64),
+                          np.outer(homs[1], homs[2]) % 2, 2)}
     for m in (3, 4, 6):
         out[f"z{m}xz{m}"] = bilinear_theory(m)
     for n in (256, 257):
@@ -454,10 +424,10 @@ def test_a_flipped_alpha_entry_is_refused_at_the_first_failing_triple(name):
     # narrow check (uint8 with & (den - 1) for den 2 and 4, int64 with % den
     # for 3 and 6) reports the triple the full scan finds first, k in
     # {e} + S order, then (g, h) row-major
-    group, twist = flip_theories()[name]
+    twist = flip_theories()[name]
+    group = twist.group
     assert not cocycle_failures(group.table, twist.alpha_num, twist.denom,
                                 ks=[0, *group.generators])
-    validate_twist(group, twist)
     n, den = group.order, twist.denom
     for row in (1, n // 2, n - 1):
         col = (7 * row + 3) % (n - 1) + 1
@@ -467,7 +437,7 @@ def test_a_flipped_alpha_entry_is_refused_at_the_first_failing_triple(name):
             lambda k: cocycle_failures(group.table, bad, den, ks=[k]), [0, *group.generators])
         assert expected is not None, (name, row)
         with pytest.raises(ValidationError) as err:
-            validate_twist(group, Twist(phi=twist.phi, alpha_num=bad, denom=den))
+            validate_twist(group, twist.phi, bad, den)
         assert str(err.value) == ("alpha violates the 2-cocycle identity at (g, h, k) = "
                                   "({}, {}, {})".format(*expected)), (name, row)
 
@@ -479,77 +449,86 @@ def test_cocycle_check_rejects_nonconstant_identity_column():
     bad[2, 0] = 1
     assert cocycle_failures(g.table, bad, 2)
     with pytest.raises(ValidationError, match="cocycle"):
-        validate_twist(g, Twist(phi=np.zeros(4, dtype=np.int64), alpha_num=bad, denom=2))
+        Twist(g, np.zeros(4, dtype=np.int64), bad, 2)
 
 
 # ---------------------------------------------------------------------------
 # the one exact alpha parser
 
 def test_from_fractions_matches_exact_fraction_arithmetic():
+    # the coboundary of a seeded beta on Z16 with mixed denominators: a
+    # normalized cocycle with many distinct entries, spelled unreduced
     rng = np.random.default_rng(3)
-    n = 12
+    n = 16
+    g = cyclic(n)
     dens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16]
+    beta = [Fraction(int(rng.integers(0, d)), d) for d in map(int, rng.choice(dens, n))]
+    beta[0] = Fraction(0)
+    fractions = [[(beta[a] + beta[b] - beta[int(g.table[a, b])]) % 1 for b in range(n)]
+                 for a in range(n)]
     table = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            d = int(rng.choice(dens))
-            a = int(rng.integers(0, d))
-            scale = int(rng.integers(1, 4))  # unreduced spellings such as 2/4
-            row.append(str(a * scale) if d == 1 else f"{a * scale}/{d * scale}")
-        table.append(row)
-    fractions = [[Fraction(x) for x in row] for row in table]
+    for row in fractions:
+        scales = rng.integers(1, 4, n)   # unreduced spellings such as 2/4
+        table.append([str(x.numerator * k) if x.denominator == 1
+                      else f"{x.numerator * k}/{x.denominator * k}"
+                      for x, k in zip(row, map(int, scales))])
     assert len({x for row in table for x in row}) > 50
     den = 1
     for row in fractions:
         for x in row:
             den = den * x.denominator // np.gcd(den, x.denominator)
-    expected = Twist(phi=np.zeros(n, dtype=np.int64),
-                     alpha_num=np.array([[int(x * den) for x in row] for row in fractions]),
-                     denom=int(den))
+    expected = Twist(g, np.zeros(n, dtype=np.int64),
+                     np.array([[int(x * den) for x in row] for row in fractions]), int(den))
     for alpha in (table, fractions):
-        got = Twist.from_fractions([0] * n, alpha)
+        got = Twist.from_fractions(g, [0] * n, alpha)
         assert got.denom == expected.denom
         assert np.array_equal(got.alpha_num, expected.alpha_num)
     # integers are read like their decimal strings
-    got = Twist.from_fractions([0, 0], [[0, "1/2"], [Fraction(1, 2), 0]])
-    assert got.denom == 2 and got.alpha_num.tolist() == [[0, 1], [1, 0]]
+    got = Twist.from_fractions(cyclic(2), [0, 0], [[0, 0], [0, "1/2"]])
+    assert got.denom == 2 and got.alpha_num.tolist() == [[0, 0], [0, 1]]
 
 
 def test_from_fractions_errors():
+    z2, z3 = cyclic(2), cyclic(3)
     with pytest.raises(ValidationError, match="bad rational in alpha"):
-        Twist.from_fractions([0, 0], [["0", "1/0"], ["0", "0"]])
+        Twist.from_fractions(z2, [0, 0], [["0", "1/0"], ["0", "0"]])
     with pytest.raises(ValidationError, match="bad rational in alpha"):
-        Twist.from_fractions([0, 0], [["0", "half"], ["0", "0"]])
+        Twist.from_fractions(z2, [0, 0], [["0", "half"], ["0", "0"]])
     # values are refused outside [0, 1), not read mod 1
     with pytest.raises(ValidationError, match=r"alpha value 3/2 outside \[0, 1\)"):
-        Twist.from_fractions([0, 0], [["0", "3/2"], ["0", "0"]])
+        Twist.from_fractions(z2, [0, 0], [["0", "3/2"], ["0", "0"]])
     with pytest.raises(ValidationError, match=r"alpha value -1/2 outside"):
-        Twist.from_fractions([0, 0], [["0", "0"], [Fraction(-1, 2), "0"]])
+        Twist.from_fractions(z2, [0, 0], [["0", "0"], [Fraction(-1, 2), "0"]])
     with pytest.raises(ValidationError, match=r"alpha value 1 outside"):
-        Twist.from_fractions([0, 0], [["0", "0"], ["0", "1"]])
+        Twist.from_fractions(z2, [0, 0], [["0", "0"], ["0", "1"]])
     with pytest.raises(ValidationError, match="alpha must be 3x3"):
-        Twist.from_fractions([0, 0, 0], [["0", "0"], ["0", "0"]])
+        Twist.from_fractions(z3, [0, 0, 0], [["0", "0"], ["0", "0"]])
     with pytest.raises(ValidationError, match="table"):
-        Twist.from_fractions([0, 0], [0, 1])
+        Twist.from_fractions(z2, [0, 0], [0, 1])
     with pytest.raises(ValidationError, match="phi must be a vector"):
-        Twist.from_fractions(0, [["0"]])
+        Twist.from_fractions(trivial_group(), 0, [["0"]])
     with pytest.raises(ValidationError, match="64-bit"):
-        Twist.from_fractions([0, 0], [["0", f"1/{2 ** 31}"], [f"1/{2 ** 31 + 1}", "0"]])
+        Twist.from_fractions(z2, [0, 0], [["0", f"1/{2 ** 31}"], [f"1/{2 ** 31 + 1}", "0"]])
 
 
 @pytest.mark.parametrize("entry", [0.5, 0.30000000000000004, 0.0, np.float64(0.5),
                                    np.float32(0.25)])
 def test_from_fractions_refuses_floats(entry):
     # a float is a binary approximation: 0.30000000000000004 would be read as
-    # 5404319552844596/18014398509481984 over a denominator of 2.5e16
-    with pytest.raises(ValidationError, match="is a float, not an exact rational"):
-        Twist.from_fractions([0, 0], [[0, 0], [0, entry]])
+    # 5404319552844596/18014398509481984 over a denominator of 2.5e16. The
+    # message names the first float in row-major order; 0 and 0.0 in one
+    # table are two entries (keyed on value alone, the float would be missed)
+    z2 = cyclic(2)
+    message = f"^alpha entry {re.escape(str(entry))} is a float, not an exact rational"
+    with pytest.raises(ValidationError, match=message):
+        Twist.from_fractions(z2, [0, 0], [[0, 0], [0, entry]])
+    with pytest.raises(ValidationError, match=message):
+        Twist.from_fractions(z2, [0, 0], [[0, entry], [0.75, 0]])
     with pytest.raises(ValidationError, match="is a float"):
-        Twist.from_fractions([0, 0], np.array([[0, 0], [0, entry]]))
+        Twist.from_fractions(z2, [0, 0], np.array([[0, 0], [0, entry]]))
     # exact spellings of the same table stay accepted, NumPy integers too
     for half in ("1/2", Fraction(1, 2), "0.5"):
-        got = Twist.from_fractions([0, 0], [[np.int64(0), 0], [0, half]])
+        got = Twist.from_fractions(z2, [0, 0], [[np.int64(0), 0], [0, half]])
         assert got.denom == 2 and got.alpha_num.tolist() == [[0, 0], [0, 1]]
 
 
@@ -596,7 +575,7 @@ def test_h2_equations_checked_against_budget(monkeypatch):
 
 
 def test_h2_classes_checked_against_budget(monkeypatch):
-    group, _ = clifford_twist(5)
+    group = clifford_twist(5).group
     # the 5184 x 1024 equations fit; 2^15 classes of 1024 entries each do not
     monkeypatch.setenv("SUPERFS_BUDGET", "10000000")
     with pytest.raises(BudgetExceededError, match="32768 classes"):
@@ -624,12 +603,13 @@ def test_library_builders_check_their_tables_against_budget(monkeypatch):
         clifford_twist(8)
     assert refused.value.required == 40 * 256 ** 2
     assert not built   # not even the rank-1 rung
-    assert clifford_twist(6)[0].order == 64   # 40 * 64^2 = 163840 bytes fit
+    assert clifford_twist(6).order == 64   # 40 * 64^2 = 163840 bytes fit
     built.clear()
-    g, t = clifford_twist(4)
+    t = clifford_twist(4)
+    g = t.group
     with pytest.raises(BudgetExceededError, match=r"^combining twists on groups of orders 16 and "
                        r"16 needs 256 x 256 tables, budget is 1000000$") as refused:
-        combine_twists((g, t), (g, t))
+        combine_twists(t, t)
     assert refused.value.required == 40 * 256 ** 2
     with pytest.raises(BudgetExceededError, match=r"^the product of groups of orders 16 and 16 "
                        r"needs a 256 x 256 table, budget is 1000000$") as refused:
@@ -722,7 +702,7 @@ def test_z2_homomorphisms_charge_their_candidates(monkeypatch):
 
     import superfs.twists
 
-    group = clifford_twist(8)[0]
+    group = clifford_twist(8).group
     z2_homomorphisms(cyclic(4))
     charges = []
     charge = superfs.twists.check_budget
@@ -754,7 +734,7 @@ def test_h2_of_order_96_fits_the_default_budget(monkeypatch):
     assert g.order == 96 and len(basis) == 7
     zero = np.zeros(g.order, dtype=np.int64)
     for v in basis:
-        validate_twist(g, Twist(phi=zero, alpha_num=v.reshape(g.order, g.order), denom=2))
+        Twist(g, zero, v.reshape(g.order, g.order), 2)
 
 
 def test_h2_basis_and_twists_import_nothing_on_first_use():
@@ -766,12 +746,11 @@ def test_h2_basis_and_twists_import_nothing_on_first_use():
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from superfs import Twist, cyclic, h2_basis, product_group, validate_twist\n"
+        "from superfs import Twist, cyclic, h2_basis, product_group\n"
         "g = product_group(cyclic(2), cyclic(2))\n"
         "before = set(sys.modules)\n"
         "for v in h2_basis(g):\n"
-        "    validate_twist(g, Twist(phi=np.zeros(4, dtype=np.int64),\n"
-        "                            alpha_num=v.reshape(4, 4), denom=2))\n"
+        "    Twist(g, np.zeros(4, dtype=np.int64), v.reshape(4, 4), 2)\n"
         "print(sorted(set(sys.modules) - before))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
