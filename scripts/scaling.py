@@ -26,12 +26,13 @@ by this version of the script. Six families are measured:
   them (algebra built, decomposed, classified): the number of cases and
   supermodules, the median total of three passes and the time per
   supermodule, at the default SUPERFS_BUDGET;
-- `surfaces`: `crosscheck` on every structure of Z2 pin- on 1..10 crosscaps,
-  of Clifford(2) spin on genus 1..5, and of the rational cocycle
+- `surfaces`: `crosscheck` on every structure of Z2 pin- on 1..14 crosscaps,
+  of Clifford(2) spin on genus 1..7, and of the rational cocycle
   alpha((a, b), (a', b')) = a b' / 3 on Z3 x Z3, oriented, on genus 1..10:
   the median time of three calls, the structure count and the largest
   |lhs - rhs| (and |lhs - rhs| / max(1, |rhs|)), also at the default
-  SUPERFS_BUDGET.
+  SUPERFS_BUDGET, so a point the measured checkout refuses is recorded as
+  refused, with its message.
 
 A classify point times five stages: validation (`group_from_table` on the
 raw table and the `Twist` built on it, which `validate_twist` proves),
@@ -70,8 +71,8 @@ BUDGET = "1e10"
 RANKS = {"clifford": range(4, 13), "z2-graded": range(4, 12), "gradings": range(3, 9),
          "h2": ("z2^2", "z2^3", "z2^4", "z2^5", "z2^6", "s4", "s4xz2", "s4xz2xz2"),
          "sweep": ("z2^2", "z2^3", "z2^4", "d4", "q8", "s4"),
-         "surfaces": ([f"z2-pin:{k}" for k in range(1, 11)]
-                      + [f"clifford2-spin:{g}" for g in range(1, 6)]
+         "surfaces": ([f"z2-pin:{k}" for k in range(1, 15)]
+                      + [f"clifford2-spin:{g}" for g in range(1, 8)]
                       + [f"z3xz3-rational:{g}" for g in range(1, 11)])}
 CLI_ARGS = ["classify", "--clifford", "10", "--json"]
 

@@ -49,14 +49,11 @@ from .surfaces import (
     Surface,
     abk,
     arf,
-    cup_blocks,
-    cup_form,
     enumerate_structures,
     nonorientable,
     orientable,
     parse_surface,
     presentation,
-    quadratic_eval_many,
 )
 from .twists import (
     Twist,

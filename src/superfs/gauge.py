@@ -38,7 +38,6 @@ from .surfaces import (
     arf,
     enumerate_structures,
     presentation,
-    quadratic_eval_many,
 )
 from .twists import Twist
 
@@ -65,10 +64,11 @@ _FAMILY = {
 FAMILIES = tuple(_FAMILY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TheoryData:
     """A twist (proved on its group when it was built) that one tangential
-    family accepts; the family's rules are checked on construction."""
+    family accepts; the family's rules are checked on construction. Equal
+    only to itself, as its twist is."""
 
     twist: Twist
     family: str
@@ -183,48 +183,42 @@ def _state_sums(theory: TheoryData, surface: Surface, structures: list) -> list:
     """(value, hom count) of the state sum for each structure (None for the
     families without one), which must be on `surface`.
 
-    An exact transfer-matrix product: the relator is one word per block of
-    `cup_blocks` (a handle [a,b] or a crosscap c^2) and the cup form is block
+    An exact transfer-matrix product: the relator is one word per block (a
+    handle [a,b] or a crosscap c^2) and the intersection form is block
     diagonal, so the cocycle phase and the refinement Q both split into one
     term per block. A block acts on the running product x through the integer
     table T[x, y, k]: the number of images of its generators that carry x to
     y with total phase exponent k mod D = lcm(denom, 4), counting the cocycle
     (scaled to D) and the block's share of (-1)^Q or i^Q. One walk over all
     |G|^(1 + gens) pairs (x, images), graded by the parity pattern of the
-    images, serves every structure; a block's table follows by shifting those
-    slices in k, once per distinct set of block values. Counts stay exact
-    integers; the only floating-point step is the final sum of counts times
-    D-th roots of unity."""
+    images, serves every structure; a block's table follows by shifting the
+    slice of pattern p by the block's Q(p) (its row of
+    `QuadraticRefinement.block_table`) times D / ring, once per distinct row.
+    Counts stay exact integers; the only floating-point step is the final
+    sum of counts times D-th roots of unity."""
     D = _state_sum_buckets(theory, surface)
     n, blocks = theory.group.order, surface.param
     if not blocks:
         return [(complex(1 / n), 1) for _ in structures]
-    unit = Surface(surface.kind, 1)
-    gens = unit.b1
-    graded = _walk_block(theory, unit, D)
-    bits = (np.arange(2 ** gens)[:, None] >> np.arange(gens)) & 1
+    graded = _walk_block(theory, Surface(surface.kind, 1), D)
     shift = (np.arange(D)[None, :] - np.arange(D)[:, None]) % D
     tables = {}
     sums = []
     for structure in structures:
+        rows = [None] * blocks if structure is None else structure.block_table
         counts = np.zeros((n, D), dtype=np.int64)
         counts[0, 0] = 1  # running product e, exponent 0
-        for i in range(blocks):
-            vals = None if structure is None else structure.values[gens * i:gens * (i + 1)]
-            if vals not in tables:
-                if vals is None:
-                    tables[vals] = graded.sum(axis=3)
-                else:
-                    local = QuadraticRefinement(unit, vals)
-                    shifts = quadratic_eval_many(local, bits) * (D // local.ring)
-                    tables[vals] = sum(np.roll(graded[..., p], int(s), axis=2)
-                                       for p, s in enumerate(shifts))
+        for i, row in enumerate(rows):
+            if row not in tables:
+                tables[row] = (graded.sum(axis=3) if row is None else
+                               sum(np.roll(graded[..., p], q * D // structure.ring, axis=2)
+                                   for p, q in enumerate(row)))
             circ = counts[:, shift]  # circ[x, s, k] = counts[x, k - s]
             if i < blocks - 1:
-                counts = np.tensordot(tables[vals], circ, axes=([0, 2], [0, 1]))
+                counts = np.tensordot(tables[row], circ, axes=([0, 2], [0, 1]))
             else:
                 # last block: only y = e, in exact integers (counts may pass 2^63)
-                counts = np.tensordot(tables[vals][:, :1, :].astype(object),
+                counts = np.tensordot(tables[row][:, :1, :].astype(object),
                                       circ.astype(object), axes=([0, 2], [0, 1]))
         final = [int(c) for c in counts[0]]
         sums.append((_root_sum(final, D) / n, sum(final)))
@@ -282,7 +276,8 @@ def partition_rhs(theory: TheoryData, surface: Surface,
     Returns (value, per-module terms, named invariant of the structure)."""
     theory.require_surface(surface)
     _check_structure(theory.family, surface, structure)
-    return _rhs_sum(theory, surface, structure, _spectrum(theory, seed))
+    invariant = _invariant(structure)
+    return (*_rhs_sum(theory, surface, invariant, _spectrum(theory, seed)), invariant)
 
 
 def _spectrum(theory: TheoryData, seed: int) -> list:
@@ -310,18 +305,21 @@ def _spectrum(theory: TheoryData, seed: int) -> list:
             for dims, q in zip(sups.dims.tolist(), sups.q.tolist())]
 
 
-def _rhs_sum(theory: TheoryData, surface: Surface,
-             structure: QuadraticRefinement | None,
-             spectrum: list) -> tuple[complex, list, tuple | None]:
-    """The algebraic side on one surface and structure, from `_spectrum`:
-    sum of zeta_8^(k8 * m) (|G| / qdim)^(-euler) over its rows."""
+def _invariant(structure: QuadraticRefinement | None) -> tuple | None:
+    """The named invariant of a structure: ("arf", Arf) for spin, ("abk",
+    ABK) for pin-, None without a structure."""
     if structure is None:
-        invariant = None
-        m = surface.param
-    else:
-        invariant = (("arf", arf(structure)) if structure.ring == 2
-                     else ("abk", abk(structure)))
-        m = invariant[1]
+        return None
+    return ("arf", arf(structure)) if structure.ring == 2 else ("abk", abk(structure))
+
+
+def _rhs_sum(theory: TheoryData, surface: Surface, invariant: tuple | None,
+             spectrum: list) -> tuple[complex, list]:
+    """The algebraic side on one surface, from `_spectrum`: sum of
+    zeta_8^(k8 * m) (|G| / qdim)^(-euler) over its rows, where m is the
+    structure's invariant or, without one, the crosscap count. It depends on
+    a structure only through m."""
+    m = surface.param if invariant is None else invariant[1]
     n = theory.group.order
     terms = []
     total = 0j
@@ -331,7 +329,7 @@ def _rhs_sum(theory: TheoryData, surface: Surface,
         terms.append({**fields, "coefficient": [coeff.real, coeff.imag],
                       "value": [value.real, value.imag]})
         total += value
-    return total, terms, invariant
+    return total, terms
 
 
 @dataclass
@@ -359,9 +357,11 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
     """Compare both computations of the partition function.
 
     For spin / pin- families this yields one report per structure (all 2^b1
-    by default, whose steps, blocks |G|^2 D^2 for the block products and
-    b1 2^b1 for the Gauss sum each, are checked against the work budget before
-    they are enumerated); for oriented / unoriented a single report.
+    by default, whose steps, blocks |G|^2 D^2 for the block products and b1
+    for the invariant each, are checked against the work budget before they
+    are enumerated); for oriented / unoriented a single report. The
+    algebraic side is computed once per distinct invariant, so reports with
+    equal invariants share one `rhs_terms` list.
     """
     theory.require_surface(surface)
     D = _state_sum_buckets(theory, surface)  # refusals before the structure count
@@ -371,7 +371,7 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
         jobs = [None]
     else:
         n, b1, count = theory.group.order, surface.b1, 2 ** surface.b1
-        steps = count * (surface.param * n * n * D ** 2 + b1 * count)
+        steps = count * (surface.param * n * n * D ** 2 + b1)
         check_budget(steps, f"the {count} structures on {surface} need {steps} steps")
         jobs = enumerate_structures(surface)
     if not jobs:
@@ -379,9 +379,13 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
     for structure in jobs:
         _check_structure(theory.family, surface, structure)
     spectrum = _spectrum(theory, seed)
+    rhs_by_invariant = {}
     reports = []
     for structure, (lhs, count) in zip(jobs, _state_sums(theory, surface, jobs)):
-        rhs, terms, invariant = _rhs_sum(theory, surface, structure, spectrum)
+        invariant = _invariant(structure)
+        if invariant not in rhs_by_invariant:
+            rhs_by_invariant[invariant] = _rhs_sum(theory, surface, invariant, spectrum)
+        rhs, terms = rhs_by_invariant[invariant]
         reports.append(PartitionReport(
             family=theory.family, surface=surface, structure=structure,
             lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), hom_count=count,

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Group:
     """A finite group: |G|, Cayley table, inverses, optional element names.
 
@@ -38,6 +38,8 @@ class Group:
     each a triple (elements, parents, steps) of arrays with
     element = parent * generators[step], so that a quantity known at e and
     on S can be carried to every element, one level at a time.
+
+    Equal only to itself: two groups with equal tables are two objects.
     """
 
     order: int

@@ -4,14 +4,14 @@ An orientable surface of genus g has one relator [a_1,b_1]...[a_g,b_g]; a
 nonorientable one of crosscap number k has c_1^2...c_k^2. Spin structures on
 the former are Z2-valued quadratic refinements of the mod-2 intersection form
 (Arf invariant in Z2), pin- structures on the latter are Z4-valued refinements
-(Arf-Brown-Kervaire invariant in Z8); both invariants are recomputed from
-Gauss sums as a crosscheck.
+(Arf-Brown-Kervaire invariant in Z8). The form is block diagonal over the
+handles or crosscaps, so each invariant is the sum of the blocks' invariants,
+each read off its block's exact Gauss sum of 2 or 4 terms.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +25,7 @@ __all__ = [
     "parse_surface",
     "Presentation",
     "presentation",
-    "cup_blocks",
-    "cup_form",
     "QuadraticRefinement",
-    "quadratic_eval_many",
     "arf",
     "abk",
     "enumerate_structures",
@@ -114,24 +111,6 @@ def presentation(surface: Surface) -> Presentation:
     return Presentation(k, tuple(word))
 
 
-def cup_blocks(surface: Surface) -> list[range]:
-    """Generator ranges of the diagonal blocks of `cup_form`, in relator order:
-    one handle (a_i, b_i) or one crosscap c_i per block. The relator word is the
-    concatenation of one word per block, the same word up to relabelling."""
-    size = 2 if surface.is_orientable else 1
-    return [range(size * i, size * (i + 1)) for i in range(surface.param)]
-
-
-def cup_form(surface: Surface) -> np.ndarray:
-    """Mod-2 intersection matrix on the presentation basis of H_1(S; Z2)."""
-    b = surface.b1
-    m = np.zeros((b, b), dtype=np.int64)
-    block = [[0, 1], [1, 0]] if surface.is_orientable else [[1]]
-    for r in cup_blocks(surface):
-        m[r.start:r.stop, r.start:r.stop] = block
-    return m
-
-
 @dataclass(frozen=True)
 class QuadraticRefinement:
     """A quadratic refinement of the mod-2 intersection form of `surface`,
@@ -140,10 +119,15 @@ class QuadraticRefinement:
     form) or a pin- structure on a nonorientable one (ring 4: Q(x + y) =
     Q(x) + Q(y) + 2 x.y mod 4).
 
+    The intersection form is block diagonal over the surface's blocks, in
+    relator order: one handle (a_i, b_i), where a_i.b_i = 1 and each
+    self-intersection is 0, or one crosscap c_i, with c_i.c_i = 1. So Q is
+    the sum of its restrictions to the blocks, which `block_table` lists.
+
     Checked on construction: each value an int or a NumPy integer (a bool, a
     float or a string is refused, not cast), one per generator, each in
-    0..ring-1 (none is read modulo the ring), and each Z4 value of the parity
-    of its generator's self-intersection."""
+    0..ring-1 (none is read modulo the ring), and each Z4 value odd, the
+    parity of its crosscap's self-intersection."""
 
     surface: Surface
     values: tuple
@@ -163,72 +147,74 @@ class QuadraticRefinement:
         if outside:
             raise ValidationError(f"structure value {outside[0]} outside 0..{ring - 1}")
         if ring == 4:
-            for i, (v, c) in enumerate(zip(vals, np.diagonal(self.cup))):
-                if v % 2 != c % 2:
+            for i, v in enumerate(vals):
+                if v % 2 != 1:
                     raise ValidationError(
                         f"value {v} at generator {i} has the wrong parity for "
-                        f"self-intersection {c}")
+                        f"self-intersection 1")
 
     @property
     def ring(self) -> int:
         return 2 if self.surface.is_orientable else 4
 
     @property
-    def cup(self) -> np.ndarray:
-        return cup_form(self.surface)
+    def block_table(self) -> tuple:
+        """Q on each block, in relator order, at each parity pattern p of the
+        block's generators (bit j of p: generator j's class), as integers mod
+        the ring: (a p_0 + b p_1 + p_0 p_1) mod 2 on a handle with values
+        (a, b), and (v p_0) mod 4 on a crosscap with value v."""
+        vals = self.values
+        if self.surface.is_orientable:
+            return tuple((0, a, b, (a + b + 1) % 2) for a, b in zip(vals[::2], vals[1::2]))
+        return tuple((0, v) for v in vals)
 
     def __str__(self):
         return ",".join(str(v) for v in self.values)
 
 
-def quadratic_eval_many(q: QuadraticRefinement, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.int64) % 2
-    if xs.ndim != 2 or xs.shape[1] != len(q.values):
-        raise ValidationError(f"expected shape (n, {len(q.values)}) classes")
-    upper = np.triu(q.cup, 1)
-    cross = np.einsum("ni,ij,nj->n", xs, upper, xs)
-    linear = xs @ np.asarray(q.values, dtype=np.int64)
-    weight = 1 if q.ring == 2 else 2
-    return (linear + weight * cross) % q.ring
+# i^k as a Gaussian integer (real, imaginary), k mod 4
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+# k mod 8 of sqrt(2)^gens zeta_8^k, keyed by that Gaussian integer: norm 2
+# (one crosscap) or 4 (one handle)
+_EIGHTH = {(1, 1): 1, (-1, 1): 3, (-1, -1): 5, (1, -1): 7,
+           (2, 0): 0, (0, 2): 2, (-2, 0): 4, (0, -2): 6}
 
 
-def _all_classes(b: int) -> np.ndarray:
-    if b == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grid = np.indices((2,) * b).reshape(b, -1).T
-    return grid.astype(np.int64)
+def _block_invariants(q: QuadraticRefinement) -> list:
+    """k_i mod 8 of each block: the block's Gauss sum, sum over its parity
+    patterns p of i^(Q_i(p) 4 / ring), a Gaussian integer that must equal
+    sqrt(2)^gens zeta_8^k_i. The Gauss sum of Q is the product of these, so
+    the invariant of Q is the sum of the k_i (Brown; Kirby-Taylor)."""
+    scale = 4 // q.ring
+    out = []
+    for i, row in enumerate(q.block_table):
+        re = im = 0
+        for value in row:
+            dr, di = _I_POWERS[value * scale % 4]
+            re, im = re + dr, im + di
+        if re * re + im * im != len(row):
+            raise SnapError(
+                f"Gauss sum magnitude^2 {re * re + im * im} of block {i} is not "
+                f"{len(row)}; the form is not a refinement")
+        out.append(_EIGHTH[re, im])
+    return out
 
 
 def arf(q: QuadraticRefinement) -> int:
-    """Arf invariant of a Z2 refinement, cross-checked against its Gauss sum."""
+    """Arf invariant of a Z2 refinement: the sum over handles of a_i b_i mod
+    2, read off each handle's Gauss sum 2 (-1)^(a_i b_i)."""
     if q.ring != 2:
         raise ValidationError("the Arf invariant needs a Z2 refinement")
-    b = len(q.values)
-    total = 0
-    for i in range(0, b, 2):
-        total += q.values[i] * q.values[i + 1]
-    value = total % 2
-    xs = _all_classes(b)
-    gauss = np.sum((-1.0) ** quadratic_eval_many(q, xs)) / math.sqrt(2) ** b
-    if abs(gauss - (-1) ** value) > 1e-9:
-        raise SnapError(f"Gauss sum {gauss} disagrees with Arf {value}")
-    return value
+    return sum(_block_invariants(q)) // 4 % 2
 
 
 def abk(q: QuadraticRefinement) -> int:
-    """Z8-valued Brown invariant of a Z4 refinement, from its Gauss sum."""
+    """Z8-valued Brown invariant of a Z4 refinement: the sum over crosscaps
+    of k_i, where each crosscap's Gauss sum 1 + i^v_i is sqrt(2) zeta_8^k_i
+    (k = 1 for v = 1, 7 for v = 3)."""
     if q.ring != 4:
         raise ValidationError("the Brown invariant needs a Z4 refinement")
-    b = len(q.values)
-    xs = _all_classes(b)
-    gauss = np.sum(1j ** quadratic_eval_many(q, xs)) / math.sqrt(2) ** b
-    if abs(abs(gauss) - 1.0) > 1e-9:
-        raise SnapError(
-            f"Gauss sum magnitude {abs(gauss)} is not 1; the form is not a refinement")
-    for k in range(8):
-        if abs(gauss - np.exp(2j * np.pi * k / 8)) < 1e-9:
-            return k
-    raise SnapError(f"Gauss sum {gauss} is not an eighth root of unity")
+    return sum(_block_invariants(q)) % 8
 
 
 def enumerate_structures(surface: Surface) -> list:

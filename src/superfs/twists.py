@@ -34,14 +34,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Twist:
     """(phi, alpha) on one group; alpha = alpha_num / denom mod 1.
 
     Proved on `group` when it is built (validate_twist), so a twist that
     exists is proved: phi is held as a 0/1 int64 grading, alpha in lowest
     terms and normalized at the identity. The arrays are read-only, so the
-    proof cannot go stale.
+    proof cannot go stale. Equal only to itself, as its group is.
     """
 
     group: Group = field(repr=False)
@@ -134,7 +134,9 @@ class Twist:
             raise ValidationError(f"alpha has common denominator {den}, beyond 64-bit range")
         lookup = np.array([x.numerator * (den // x.denominator) for x in values],
                           dtype=np.int64)
-        return cls(group, phi, lookup[codes].reshape(n, n), den)
+        num = lookup[codes].reshape(n, n)
+        del codes  # not alive while the twist is proved
+        return cls(group, phi, num, den)
 
 
 def _residues(den: int) -> tuple:

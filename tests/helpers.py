@@ -77,23 +77,76 @@ def brute_force_homs(table: np.ndarray, inverses: np.ndarray, word,
     return hits
 
 
+def cup_form(kind: str, b1: int) -> np.ndarray:
+    """Mod-2 intersection matrix on the presentation basis of H_1(S; Z2) of a
+    surface of `kind` ("orientable" or "nonorientable") with b1 generators:
+    one hyperbolic block [[0, 1], [1, 0]] per handle, the identity on
+    crosscaps."""
+    if kind == "orientable":
+        return np.kron(np.eye(b1 // 2, dtype=np.int64), [[0, 1], [1, 0]])
+    return np.eye(b1, dtype=np.int64)
+
+
+def quadratic_values(values, kind: str, xs) -> np.ndarray:
+    """Q at each row of `xs` (classes as 0/1 vectors) of the refinement with
+    basis values `values` on a surface of `kind`: Q(x) = sum_i values_i x_i
+    + w sum_{i<j} cup_ij x_i x_j mod ring, with (ring, w) = (2, 1) on an
+    orientable surface and (4, 2) on a nonorientable one."""
+    ring, weight = (2, 1) if kind == "orientable" else (4, 2)
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.int64)) % 2
+    upper = np.triu(cup_form(kind, len(values)), 1)
+    cross = np.einsum("ni,ij,nj->n", xs, upper, xs)
+    return (xs @ np.asarray(values, dtype=np.int64) + weight * cross) % ring
+
+
+def all_classes(b1: int) -> np.ndarray:
+    """Every class of H_1(S; Z2), as the (2^b1, b1) array of 0/1 vectors."""
+    if b1 == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    return np.indices((2,) * b1).reshape(b1, -1).T.astype(np.int64)
+
+
+def gauss_invariant(values, kind: str) -> int:
+    """k mod 8 with sum_x i^(Q(x) 4 / ring) = sqrt(2)^b1 zeta_8^k, by the
+    full Gauss sum over all 2^b1 classes, held as a Gaussian integer (Arf is
+    k / 4 for a Z2 refinement, ABK is k for a Z4 one). AssertionError when
+    the sum is not of that form."""
+    b1 = len(values)
+    scale = 2 if kind == "orientable" else 1
+    powers = np.bincount(quadratic_values(values, kind, all_classes(b1)) * scale % 4,
+                         minlength=4)
+    z = (int(powers[0] - powers[2]), int(powers[1] - powers[3]))
+    # sqrt(2)^b1 zeta_8^k = (1 + i)^b1 i^((k - b1) / 2), a Gaussian integer for k = b1 mod 2
+    base = (1, 0)
+    for _ in range(b1):
+        base = (base[0] - base[1], base[0] + base[1])
+    matches = []
+    for k in range(b1 % 2, 8, 2):
+        w = base
+        for _ in range((k - b1) // 2 % 4):
+            w = (-w[1], w[0])
+        if w == z:
+            matches.append(k)
+    assert len(matches) == 1, (values, kind, z)
+    return matches[0]
+
+
 def brute_force_partition(table: np.ndarray, inverses: np.ndarray,
                           alpha_num: np.ndarray, denom: int, phi: np.ndarray, word,
-                          n_generators: int, values=None, cup=None,
-                          ring: int = 2) -> tuple[complex, int]:
+                          n_generators: int, values=None,
+                          kind: str | None = None) -> tuple[complex, int]:
     """(1/|G|) sum over every relator-satisfying assignment of its phase, by
     full scan; returns (value, number of such assignments).
 
     The phase is the cocycle collected letter by letter along the word (an
     inverse letter h^-1 adds alpha(cur, h^-1) - alpha(h, h^-1)), plus Q / ring
-    when a refinement is given: Q(x) = sum_i values_i x_i
-    + (1 if ring == 2 else 2) sum_{i<j} cup_ij x_i x_j (mod ring), where x is
-    the parity of each generator's image.
+    when a refinement is given by its basis `values` on a surface of `kind`:
+    Q is `quadratic_values` at x, the parity of each generator's image.
     """
     n = table.shape[0]
     table, inverses, alpha, phi = (np.asarray(a).tolist()
                                    for a in (table, inverses, alpha_num, phi))
-    cross = 1 if ring == 2 else 2
+    ring = 2 if kind == "orientable" else 4
     total = 0j
     count = 0
     for assign in itertools.product(range(n), repeat=n_generators):
@@ -113,12 +166,8 @@ def brute_force_partition(table: np.ndarray, inverses: np.ndarray,
         count += 1
         phase = Fraction(num, denom)
         if values is not None:
-            x = [phi[a] for a in assign]
-            q = sum(v * xi for v, xi in zip(values, x))
-            q += cross * sum(int(cup[i][j]) * x[i] * x[j]
-                             for i in range(n_generators)
-                             for j in range(i + 1, n_generators))
-            phase += Fraction(q % ring, ring)
+            q = quadratic_values(values, kind, [phi[a] for a in assign])[0]
+            phase += Fraction(int(q), ring)
         total += cmath.exp(2j * math.pi * float(phase % 1))
     return total / n, count
 

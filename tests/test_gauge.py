@@ -318,8 +318,7 @@ def test_partition_lhs_matches_brute_force(label, family):
             structures = [None]
         for q in structures:
             z, count = partition_lhs(theory, surface, q)
-            kwargs = {} if q is None else {"values": q.values, "cup": q.cup,
-                                           "ring": q.ring}
+            kwargs = {} if q is None else {"values": q.values, "kind": surface.kind}
             z_ref, count_ref = brute_force_partition(
                 group.table, group.inverses, twist.alpha_num, twist.denom,
                 twist.phi, pres.word, pres.n_generators, **kwargs)
@@ -427,6 +426,32 @@ def test_crosscheck_checks_each_structure_once(monkeypatch, family, surface):
     checked.clear()
     crosscheck(theory, surface, structures=enumerate_structures(surface)[:3])
     assert checked == enumerate_structures(surface)[:3]
+
+
+@pytest.mark.parametrize("family,surface", [("spin", orientable(3)),
+                                            ("pin-", nonorientable(6))])
+def test_crosscheck_sums_the_rhs_once_per_invariant(monkeypatch, family, surface):
+    # the algebraic side depends on a structure only through its Arf or ABK
+    # value: 2 distinct values among 64 spin structures, and 4 among 64 pin-
+    # ones (six odd block invariants add up to an even ABK)
+    import superfs.gauge as gauge
+
+    summed = []
+    original = gauge._rhs_sum
+
+    def counting(theory, surface, invariant, spectrum):
+        summed.append(invariant)
+        return original(theory, surface, invariant, spectrum)
+
+    monkeypatch.setattr(gauge, "_rhs_sum", counting)
+    theory = TheoryData(clifford_twist(1), family)
+    reports = crosscheck(theory, surface)
+    assert len(reports) == 64
+    assert sorted(summed) == sorted({r.invariant for r in reports})
+    assert len(summed) == (2 if family == "spin" else 4)
+    for r in reports:
+        rhs, terms, invariant = partition_rhs(theory, surface, r.structure)
+        assert (rhs, terms, invariant) == (r.rhs, r.rhs_terms, r.invariant)
 
 
 def test_state_sum_fourth_roots_are_exact():
@@ -548,8 +573,9 @@ def test_rhs_coefficients_at_fourth_roots_are_exact():
 
 def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
     # the structures of the benchmark's spin and pin- commands (b1 <= 5) and
-    # of Z2 pin- on ten crosscaps fit the default budget: crosscheck reaches
-    # the enumeration; twelve crosscaps of Z2 do not
+    # of Z2 pin- on ten, twelve and sixteen crosscaps fit the default budget:
+    # crosscheck reaches the enumeration. The charge is 2^b1 (blocks |G|^2 D^2
+    # + b1), so seventeen crosscaps of Z2 (2^17 (17 * 64 + 17) steps) do not
     import superfs.gauge
 
     class Reached(Exception):
@@ -565,13 +591,17 @@ def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
     for group, phi, family, surface in (
             (z2xq8, np.repeat([0, 1], 8), "spin", orientable(2)),
             (d4, z2_homomorphisms(d4)[1], "pin-", nonorientable(5)),
-            (z2, [0, 1], "pin-", nonorientable(10))):
+            (z2, [0, 1], "pin-", nonorientable(10)),
+            (z2, [0, 1], "pin-", nonorientable(12)),
+            (z2, [0, 1], "pin-", nonorientable(16))):
         theory = TheoryData(Twist.zero(group).with_phi(phi), family)
         with pytest.raises(Reached):
             crosscheck(theory, surface)
     theory = TheoryData(Twist.zero(z2).with_phi([0, 1]), "pin-")
-    with pytest.raises(BudgetExceededError, match="the 4096 structures on nonorientable:12"):
-        crosscheck(theory, nonorientable(12))
+    steps = 2 ** 17 * (17 * 2 * 2 * 4 ** 2 + 17)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^the 131072 structures on nonorientable:17 need {steps} steps"):
+        crosscheck(theory, nonorientable(17))
 
 
 # ---------------------------------- random permutation groups, brute force
@@ -602,7 +632,7 @@ def test_random_permutation_groups_match_the_brute_force_partition(degree, data,
         pres = presentation(surface)
         for report in crosscheck(theory, surface):
             q = report.structure
-            kwargs = {} if q is None else {"values": q.values, "cup": q.cup, "ring": q.ring}
+            kwargs = {} if q is None else {"values": q.values, "kind": surface.kind}
             z_ref, count_ref = brute_force_partition(
                 group.table, group.inverses, theory.twist.alpha_num, theory.twist.denom,
                 theory.twist.phi, pres.word, pres.n_generators, **kwargs)

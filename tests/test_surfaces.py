@@ -15,7 +15,6 @@ from superfs import (
     arf,
     catalog_group,
     clifford_twist,
-    cup_form,
     cyclic,
     enumerate_structures,
     nonorientable,
@@ -24,11 +23,11 @@ from superfs import (
     presentation,
     product_group,
     QuadraticRefinement,
-    quadratic_eval_many,
 )
 from superfs.cli import main
 
-from helpers import integrate_cocycle, shift_by_coboundary
+from helpers import (all_classes, cup_form, gauss_invariant, integrate_cocycle,
+                     quadratic_values, shift_by_coboundary)
 
 
 def test_surface_invariants():
@@ -58,9 +57,10 @@ def test_presentations():
 
 
 def test_cup_forms():
-    c = cup_form(orientable(2))
+    # the oracle's intersection form, built from the surface's kind
+    c = cup_form("orientable", 4)
     assert np.array_equal(c, np.kron(np.eye(2, dtype=int), [[0, 1], [1, 0]]))
-    assert np.array_equal(cup_form(nonorientable(3)), np.eye(3, dtype=int))
+    assert np.array_equal(cup_form("nonorientable", 3), np.eye(3, dtype=int))
 
 
 def test_refinement_validation():
@@ -71,12 +71,12 @@ def test_refinement_validation():
 
 
 def test_structure_carries_its_surface():
-    # ring and cup form are read off the surface, values are held as ints
+    # ring and blocks are read off the surface, values are held as ints
     spin = QuadraticRefinement(orientable(2), [np.int64(1), 0, 1, 1])
     assert spin.values == (1, 0, 1, 1) and all(type(v) is int for v in spin.values)
-    assert spin.ring == 2 and np.array_equal(spin.cup, cup_form(orientable(2)))
+    assert spin.ring == 2 and spin.block_table == ((0, 1, 0, 0), (0, 1, 1, 1))
     pin = QuadraticRefinement(nonorientable(3), (1, 3, 1))
-    assert pin.ring == 4 and np.array_equal(pin.cup, cup_form(nonorientable(3)))
+    assert pin.ring == 4 and pin.block_table == ((0, 1), (0, 3), (0, 1))
     # equal surface and values: equal structures, one hash
     assert pin == QuadraticRefinement(nonorientable(3), [1, 3, 1])
     assert len({pin, QuadraticRefinement(nonorientable(3), [1, 3, 1])}) == 1
@@ -124,20 +124,52 @@ def test_refinement_refuses_values_outside_the_ring(surface, values, through_cli
 
 
 def test_quadratic_eval_torus():
-    q = QuadraticRefinement(orientable(1), [0, 1])
-    # Q(x) = q . x + x1 x2
-    assert quadratic_eval_many(q, [[0, 0], [1, 0], [0, 1], [1, 1]]).tolist() == [0, 0, 1, 0]
+    # Q(x) = q . x + x1 x2, by the oracle; the torus's one handle is the same
+    # table in pattern order (bit j of p: generator j)
+    classes = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    assert quadratic_values([0, 1], "orientable", classes).tolist() == [0, 0, 1, 0]
+    assert QuadraticRefinement(orientable(1), [0, 1]).block_table == ((0, 0, 1, 0),)
 
 
 def test_z4_refinement_law():
-    q = QuadraticRefinement(nonorientable(3), [1, 3, 1])
-    cup = q.cup
-    vecs = np.array(list(np.ndindex(2, 2, 2)))
-    values = quadratic_eval_many(q, vecs)
+    # the oracle's Q is a Z4 refinement of its cup form
+    values = [1, 3, 1]
+    cup = cup_form("nonorientable", 3)
+    vecs = all_classes(3)
+    q = quadratic_values(values, "nonorientable", vecs)
     for i, x in enumerate(vecs):
         for j, y in enumerate(vecs):
-            lhs = quadratic_eval_many(q, [x ^ y])[0] - values[i] - values[j]
+            lhs = quadratic_values(values, "nonorientable", x ^ y)[0] - q[i] - q[j]
             assert lhs % 4 == (2 * int(x @ cup @ y)) % 4
+
+
+@pytest.mark.parametrize("surface", [orientable(g) for g in range(4)]
+                         + [nonorientable(k) for k in range(1, 5)])
+def test_block_table_is_q_on_each_block(surface):
+    # row i of the block table, at pattern p, is the oracle's Q of the class
+    # that carries p on block i's generators and is 0 elsewhere
+    gens = 2 if surface.is_orientable else 1
+    for q in enumerate_structures(surface):
+        assert len(q.block_table) == surface.param
+        for i, row in enumerate(q.block_table):
+            assert len(row) == 2 ** gens
+            for p, value in enumerate(row):
+                x = np.zeros(surface.b1, dtype=np.int64)
+                x[gens * i:gens * (i + 1)] = (p >> np.arange(gens)) & 1
+                assert value == quadratic_values(q.values, surface.kind, x)[0], (q, i, p)
+
+
+@pytest.mark.parametrize("surface", [orientable(g) for g in range(6)]
+                         + [nonorientable(k) for k in range(1, 11)], ids=str)
+def test_invariants_match_the_full_gauss_sum(surface):
+    # every structure's Arf or ABK, summed over blocks, equals the invariant
+    # read off the full Gauss sum over all 2^b1 classes
+    for q in enumerate_structures(surface):
+        k = gauss_invariant(q.values, surface.kind)
+        if surface.is_orientable:
+            assert k % 4 == 0 and arf(q) == k // 4, q
+        else:
+            assert abk(q) == k, q
 
 
 def test_arf_torus_and_genus2():
@@ -159,7 +191,7 @@ def test_abk_projective_plane_and_klein():
 
 def test_abk_detects_non_refinement():
     # a value of the wrong parity, which QuadraticRefinement refuses, breaks
-    # the Gauss sum
+    # the block's Gauss sum: 1 + i^0 has |z|^2 = 4, not 2
     bad = QuadraticRefinement(nonorientable(1), [1])
     object.__setattr__(bad, "values", (0,))
     with pytest.raises(SnapError, match="magnitude"):

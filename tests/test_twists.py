@@ -11,6 +11,7 @@ import pytest
 from superfs import (
     CATALOG_NAMES,
     BudgetExceededError,
+    TheoryData,
     Twist,
     ValidationError,
     catalog_group,
@@ -55,6 +56,18 @@ def test_zero_twist():
     t = Twist.zero(g)
     assert t.phi_is_trivial and t.alpha_is_trivial and t.is_z2
     assert t.ring == "Z2" and t.group is g and t.order == 4
+
+
+def test_groups_twists_and_theories_compare_by_identity():
+    # == on their ndarray fields would raise; each is equal only to itself
+    # and hashes without error
+    g = cyclic(2)
+    assert g == g and cyclic(2) != cyclic(2)
+    t = Twist.zero(g)
+    assert t == t and Twist.zero(g) != t and len({t, t}) == 1
+    spin, pin = TheoryData(t, "spin"), TheoryData(t.with_phi([0, 1]), "pin-")
+    assert spin == spin and spin != pin and len({spin, pin, spin}) == 2
+    assert len({g, cyclic(2)}) == 2
 
 
 def test_validate_rejects_non_cocycle():
