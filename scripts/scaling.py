@@ -12,7 +12,7 @@ twist that carries its group, so `--src` must name a checkout with that
 API: a checkout whose twists did not carry their group cannot be measured
 by this version of the script. Six families are measured:
 
-- `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..12 (|G| = 16..4096);
+- `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..13 (|G| = 16..8192);
 - `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..11;
 - `gradings`: the Clifford cocycle class on (Z2)^k under every one of its
   m = 2^k gradings, k = 3..8, all classified from one decomposition by one
@@ -45,7 +45,9 @@ classes). It runs the whole classification
 three times in its interpreter and reports the median of each stage, and the
 total of the first, cold run (BLAS start-up included) on its own. An `h2`
 point reports the median of three `h2_basis` calls and the first call on its
-own. The script also times the CLI command
+own. Each classify point runs under a 4 GiB limit on its address space
+(RLIMIT_AS, its own process only); a point that runs out of it is recorded
+as not measured, with the error. The script also times the CLI command
 `classify --clifford 10 --json` end to end in three more fresh processes.
 Every other child runs with SUPERFS_BUDGET raised to 1e10, since the default
 budget refuses Clifford(11) and beyond; the variable is set for the children
@@ -68,13 +70,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET = "1e10"
-RANKS = {"clifford": range(4, 13), "z2-graded": range(4, 12), "gradings": range(3, 9),
+RANKS = {"clifford": range(4, 14), "z2-graded": range(4, 12), "gradings": range(3, 9),
          "h2": ("z2^2", "z2^3", "z2^4", "z2^5", "z2^6", "s4", "s4xz2", "s4xz2xz2"),
          "sweep": ("z2^2", "z2^3", "z2^4", "d4", "q8", "s4"),
          "surfaces": ([f"z2-pin:{k}" for k in range(1, 15)]
                       + [f"clifford2-spin:{g}" for g in range(1, 8)]
                       + [f"z3xz3-rational:{g}" for g in range(1, 11)])}
 CLI_ARGS = ["classify", "--clifford", "10", "--json"]
+# the address space a classify point may use
+POINT_LIMIT = 4 << 30
 
 
 def _tables(family: str, rank: int):
@@ -85,13 +89,26 @@ def _tables(family: str, rank: int):
     n = 1 << rank
     idx = np.arange(n)
     if family in ("clifford", "gradings"):
-        twist = clifford_twist(rank)
-        return idx[:, None] ^ idx[None, :], twist.phi, twist.alpha_num, twist.denom
+        twist = clifford_twist(rank)   # on (Z2)^k, whose table is idx ^ idx
+        return twist.group.table, twist.phi, twist.alpha_num, twist.denom
     return idx[:, None] ^ idx[None, :], idx & 1, np.zeros((n, n), dtype=np.int64), 1
 
 
 def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
-    """Stage times and peak memory of a classification (run in a child)."""
+    """Stage times and peak memory of a classification (run in a child), or
+    why it was not measured."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (POINT_LIMIT, POINT_LIMIT))
+    try:
+        return _measure_point(family, rank, repeats)
+    except MemoryError as exc:
+        return {"family": family, "rank": rank, "order": 1 << rank,
+                "not_measured": f"needs more than the {POINT_LIMIT >> 30} GiB address-space "
+                                f"limit of a point: {exc}"}
+
+
+def _measure_point(family: str, rank: int, repeats: int) -> dict:
     import resource
     import statistics
 
@@ -125,6 +142,7 @@ def measure_point(family: str, rank: int, repeats: int = 3) -> dict:
 
     runs = []
     for _ in range(repeats):
+        group = algebra = reports = None   # the last run's tables go first
         totals.update(dict.fromkeys(names, 0.0))
         start = time.perf_counter()
         group = group_from_table(table)

@@ -4,6 +4,7 @@ partition-function crosschecks."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -399,9 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process that main uses, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, BudgetExceededError, OSError) as exc:

@@ -7,9 +7,9 @@ permutation generators (image arrays on 0..degree-1).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,32 @@ __all__ = [
     "even_subgroup",
     "load_group",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class _Classes:
+    """The conjugacy classes of a group (Group.classes), each known by its
+    least element g_K, as |G| and |S| x |G| arrays, s the j-th generator:
+    conj[j, g] = s g s^-1; least[y] = g_K for y in K; conjugator[y] an x
+    with y = x g_K x^-1; around[j, y] = x_{sys^-1}^-1 s x_y on the edge
+    y -> s y s^-1, an element of the centralizer of g_K; and the classes in
+    the order of their least elements: members lists them one after
+    another (each ascending, so g_K first), class k from starts[k] with
+    sizes[k] elements, and index[y] is the number of y's class. For the
+    phases of a twist on the classes, lambda_at[:, j, g] holds the three
+    flat positions a |G| + b in a |G| x |G| table at which
+    lambda(a, b) = alpha(a, b) - alpha(a, a^-1) + alpha(ab, a^-1) reads
+    alpha, with (a, b) = (s, g) in row j < |S| and (x_g, g_K) in row |S|."""
+
+    conj: np.ndarray
+    least: np.ndarray
+    conjugator: np.ndarray
+    around: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    index: np.ndarray
+    lambda_at: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +86,63 @@ class Group:
     @property
     def identity(self) -> int:
         return 0
+
+    @functools.cached_property
+    def classes(self) -> _Classes:
+        """The conjugacy classes, walked on their orbits under conjugation by
+        the generators (_Classes describes the fields), once per group; the
+        120 (|S| + 1) |G| bytes of the walk are checked against the work
+        budget first.
+
+        The least element of each orbit is found by propagating labels: each
+        element takes the least label among itself and its images s g s^-1,
+        then its label's label, until nothing changes. The conjugators are
+        carried along a breadth-first tree from the least elements, one
+        level at a time and all classes at once: the child s y s^-1 of y has
+        conjugator s x_y. O(|G| |S|) per round or level."""
+        n, gens = self.order, self.generators
+        need = 120 * (gens.size + 1) * n
+        check_budget(need, f"the conjugacy classes of a group of order {n} need {need} bytes")
+        table, inverses = self.table, self.inverses
+        conj = table[table[gens], inverses[gens][:, None]]
+        least = np.arange(n)
+        while True:
+            lower = np.minimum(least, least[conj].min(axis=0, initial=n))
+            lower = lower[lower]   # a label's label lies in the same class
+            if np.array_equal(lower, least):
+                break
+            least = lower
+        reps = np.flatnonzero(least == np.arange(n))
+        conjugator = np.full(n, -1)
+        conjugator[reps] = 0
+        frontier = reps
+        while frontier.size:
+            # the first (s, y) of the frontier that reaches each new element
+            reached = conj[:, frontier].ravel()
+            order = np.argsort(reached, kind="stable")
+            ranked = reached[order]
+            first = np.ones(ranked.size, dtype=bool)
+            np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+            first &= conjugator[ranked] < 0
+            fresh = ranked[first]
+            step, parent = np.divmod(order[first], frontier.size)
+            conjugator[fresh] = table[gens[step], conjugator[frontier[parent]]]
+            frontier = fresh
+        around = table[inverses[conjugator[conj]], table[gens[:, None], conjugator]]
+        index = np.searchsorted(reps, least)
+        sizes = np.bincount(index)
+        a = np.empty((gens.size + 1, n), dtype=np.int64)
+        a[:-1], a[-1] = gens[:, None], conjugator
+        b = np.empty_like(a)
+        b[:-1], b[-1] = np.arange(n), least
+        back = inverses[a]
+        a *= n
+        lambda_at = np.stack((a + b, a + back, table.ravel()[a + b] * n + back))
+        classes = _Classes(conj, least, conjugator, around, np.argsort(least, kind="stable"),
+                           np.cumsum(sizes) - sizes, sizes, index, lambda_at)
+        for arr in vars(classes).values():
+            arr.setflags(write=False)
+        return classes
 
 
 def _generating_set(table: np.ndarray) -> np.ndarray:
@@ -334,11 +417,22 @@ def build_group(record: dict) -> Group:
         if key in record and type(record[key]) is not int:
             raise ValidationError(f"{key} must be an integer, got {record[key]!r}")
     if "table" in record:
-        names = record.get("names")
-        grp = group_from_table(record["table"], names=names)
-        # after group_from_table, whose messages name every other entry type
-        if bool in set(map(type, chain.from_iterable(record["table"]))):
-            raise ValidationError("table entries must be integers, got bool entries")
+        table = record["table"]
+        grp = group_from_table(table, names=record.get("names"))
+        # after group_from_table, whose messages name every other entry type.
+        # It proved each row a permutation of 0..n-1 as numpy reads it, so a
+        # true or false can only be the one entry equal to 0 or 1 in its row:
+        # in row i, at column i^-1 v for v = 0, 1 in the record's own labels
+        # (group_from_table swapped label 0 with the identity, the column of
+        # the 0 in row 0)
+        n = grp.order
+        label = np.arange(n)
+        e = list(table[0]).index(0)
+        label[[0, e]] = e, 0
+        columns = label[grp.table[grp.inverses[label][:, None], label[:2]]]
+        for row, at in zip(table, columns.tolist()):
+            if any(type(row[j]) is bool for j in at):
+                raise ValidationError("table entries must be integers, got bool entries")
         if "order" in record and record["order"] != grp.order:
             raise ValidationError(
                 f"declared order {record['order']} does not match table size {grp.order}")

@@ -55,6 +55,46 @@ _BW_CLASSES = np.array([[[0, 4], [2, 6]], [[1, 5], [7, 3]]])
 _BW_CLASSES.setflags(write=False)
 
 
+@dataclass(frozen=True, eq=False)
+class _ClassPhases:
+    """The phases of an algebra on the conjugacy classes of its group
+    (TwistedGroupAlgebra.class_phases, on Group.classes), as |G| and
+    |S| x |G| arrays of integer numerators over denom, s the j-th generator:
+    turns[j, g] = lambda(s, g) = alpha(s, g) + alpha(sg, s^-1) - alpha(s, s^-1),
+    so that e_s e_g e_s^-1 = omega^lambda(s, g) e_{sgs^-1} (e_s^-1 is
+    e_{s^-1} / omega(s, s^-1) for a normalized alpha); phase[y] =
+    lambda(x_y, g_K) for the conjugator x_y of y, the exponent of e_y in the
+    class sum f_K = sum_{y in K} omega^phase(y) e_y; and on each generator
+    edge y -> s y s^-1, with defect = phase(s y s^-1) - phase(y) - lambda(s, y)
+    (for a cocycle -lambda(z, g_K), z the edge's `around` element), the masks
+    fails_even = (defect != 0) and fails_odd = (2 defect != denom) of the
+    edges that refuse a class sum where phi(z) = 0 and where phi(z) = 1."""
+
+    turns: np.ndarray
+    phase: np.ndarray
+    fails_even: np.ndarray
+    fails_odd: np.ndarray
+
+
+def _regular(algebra: TwistedGroupAlgebra, odd: np.ndarray) -> np.ndarray:
+    """The (c, k) mask of the k classes of Group.classes, in their order,
+    that are regular under each row of odd, a (c, |G|) stack of masks
+    phi = 1 (all False for the ungraded algebra). The class K carries a
+    nonzero f with e_s f e_s^-1 = (-1)^{phi(s)} f for every s exactly when
+    (-1)^{phi(z)} omega^lambda(z, g_K) = 1 for every z in the centralizer of
+    g_K. The `around` elements z of K's generator edges generate that
+    centralizer (Schreier's lemma, on the transversal of conjugators), and
+    lambda(z, g_K) is minus the edge's defect, so the test is defect = 0
+    where phi(z) = 0 and 2 defect = denom where phi(z) = 1 (the masks of
+    _ClassPhases), on every edge.
+    For phi = 0 these are the alpha-regular classes, off which every
+    character vanishes; otherwise the phi-alpha-regular ones, off which
+    every type-M supercharacter vanishes."""
+    classes, phases = algebra.group.classes, algebra.class_phases
+    fails = np.where(odd[:, classes.around], phases.fails_odd, phases.fails_even).any(axis=1)
+    return ~np.logical_or.reduceat(fails[:, classes.members], classes.starts, axis=1)
+
+
 class TwistedGroupAlgebra:
     """C[G]_{phi,alpha} of a twist (proved on its group when it was built),
     with unit phases omega = exp(2 pi i alpha), held as alpha's integer
@@ -72,27 +112,30 @@ class TwistedGroupAlgebra:
         return 1 - 2 * np.diagonal(self.twist.alpha_num)
 
     @functools.cached_property
-    def conjugation(self) -> tuple[np.ndarray, np.ndarray]:
-        """(conj, turns), both |G| x |G|: conj[x, g] = x g x^-1, and turns[x, g]
-        in [0, denom) the numerator of
-        lambda(x, g) = alpha(x, g) + alpha(xg, x^-1) - alpha(x, x^-1), so that
-        e_x e_g e_x^-1 = omega^lambda(x, g) e_{xgx^-1} (e_x^-1 is
-        e_{x^-1} / omega(x, x^-1) for a normalized alpha). Exact integers,
-        computed once per algebra; the 16 |G|^2 bytes of the two int64 tables
-        are checked against the work budget first."""
-        n = self.order
-        check_budget(16 * n * n, f"the conjugation tables of a group of order {n} need "
-                     f"{16 * n * n} bytes")
-        table, inverses = self.group.table, self.group.inverses
-        alpha = self.twist.alpha_num
-        conj = table[table, inverses[:, None]]
-        turns = alpha[table, inverses[:, None]]
-        turns += alpha
-        turns -= alpha[np.arange(n), inverses][:, None]
-        turns %= self.twist.denom
-        conj.setflags(write=False)
-        turns.setflags(write=False)
-        return conj, turns
+    def class_phases(self) -> _ClassPhases:
+        """The phases of the algebra on the classes of its group
+        (_ClassPhases describes the fields), computed once per algebra:
+        exact integers, in O(|G| |S|). The group's classes are walked first
+        (Group.classes), and the 40 (|S| + 1) |G| bytes of the phases are
+        checked against the work budget before they are computed."""
+        classes = self.group.classes
+        n, gens = self.order, self.group.generators
+        need = 40 * (gens.size + 1) * n
+        check_budget(need, f"the class phases of an algebra of order {n} need {need} bytes")
+        denom = self.twist.denom
+        parts = self.twist.alpha_num.ravel()[classes.lambda_at]
+        lam = parts[0] - parts[1]
+        lam += parts[2]
+        del parts
+        lam %= denom
+        turns, phase = lam[:-1], lam[-1]
+        defect = phase[classes.conj] - phase
+        defect -= turns
+        defect %= denom
+        phases = _ClassPhases(turns, phase, defect != 0, 2 * defect != denom)
+        for arr in vars(phases).values():
+            arr.setflags(write=False)
+        return phases
 
     @functools.cached_property
     def _roots(self) -> np.ndarray:
@@ -195,6 +238,45 @@ _MAX_ROUNDS = 8
 _SNAP_TOL = 1e-6
 
 
+def _regular_classes(algebra: TwistedGroupAlgebra) -> tuple[np.ndarray, np.ndarray,
+                                                             np.ndarray]:
+    """(least, regular, phase) of the ungraded algebra: each element's class
+    representative, the mask of the alpha-regular elements and the phases
+    of the class sums (Group.classes, TwistedGroupAlgebra.class_phases)."""
+    classes = algebra.group.classes
+    regular = _regular(algebra, np.zeros((1, algebra.order), dtype=bool))[0]
+    return classes.least, regular[classes.index], algebra.class_phases.phase
+
+
+def _check_central(algebra: TwistedGroupAlgebra, ys: np.ndarray, phase: np.ndarray) -> None:
+    """Every class sum f_K = sum_{y in K} omega^phase(y) e_y over the regular
+    elements ys is central: lambda(x, g) + c(g) - c(xgx^-1) = 0 (mod denom)
+    at every x in G and every g in ys, c = phase. Exhaustive, in blocks of
+    rows x of about _GATHER_ENTRIES entries: O(|G| |ys|) time in O(block)
+    memory. Generator rows alone would not do: alpha that is no cocycle can
+    agree on every generator edge and still fail here."""
+    table, inverses = algebra.group.table, algebra.group.inverses
+    alpha, denom = algebra.twist.alpha_num, algebra.twist.denom
+    n = algebra.order
+    rows = max(1, _GATHER_ENTRIES // ys.size)
+    at = phase[ys]
+    at_inverse = alpha[np.arange(n), inverses]      # alpha(x, x^-1)
+    for start in range(0, n, rows):
+        x = slice(start, start + rows)
+        at_back = table[x].take(ys, axis=1)        # (xg, x^-1), flat
+        at_back *= n
+        at_back += inverses[x, None]
+        defect = alpha[x].take(ys, axis=1)
+        defect += alpha.take(at_back)
+        defect -= at_inverse[x, None]
+        defect %= denom   # so that int64 holds the sum for denominators up to 2^62
+        defect += at
+        defect -= phase[table.take(at_back)]
+        if (defect % denom).any():
+            raise DecompositionError("a class sum is not central; alpha fails the cocycle "
+                                     "identity")
+
+
 def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> np.ndarray:
     """The irreducible characters of the ungraded twisted algebra, read off
     its centre (the projective Burnside-Dixon-Schneider method).
@@ -208,11 +290,15 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> np.ndarray
     huge denominator): the route below reads every phase off the algebra's
     own table of denom roots. Otherwise:
 
-    With lambda from algebra.conjugation, g is alpha-regular when
-    lambda(x, g) = 0 for every x in its centralizer (exact, on the integer
-    numerators). The class sums f_K = sum_{y in K} omega^c(y) e_y over the
-    regular classes, c(y) = lambda(x, g_K) for y = x g_K x^-1 and g_K the
-    least element of K, are checked central and span the centre; every
+    The classes come from walking orbits under conjugation by the generators
+    (Group.classes): g_K the least element of K, and c(y) = lambda(x, g_K)
+    for y = x g_K x^-1 (TwistedGroupAlgebra.class_phases), with lambda(x, g)
+    the exponent of e_x e_g e_x^-1 = omega^lambda(x, g) e_{xgx^-1}. K is
+    alpha-regular exactly when every generator edge agrees,
+    c(s y s^-1) = c(y) + lambda(s, y) (mod denom) for s in S and y in K
+    (_regular; exact, on the integer numerators). The class sums
+    f_K = sum_{y in K} omega^c(y) e_y over the regular classes are checked
+    central at every x in G (_check_central) and span the centre; every
     character vanishes off them. On the orthonormal basis b_K = f_K / sqrt|K|,
     left multiplication by z = sum_K x_K b_K is the r x r matrix B with
     B[L, M] = sqrt|L| (z b_M)(g_L): |G| r products and one segmented sum.
@@ -241,15 +327,18 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> np.ndarray
     row chi_i per irreducible, whose dimension is d_i = rint(chi_i(e).real)
     (chi_i(e) itself may lie an ulp off d_i), sorted by (dim, rounded real
     parts, rounded imaginary parts of the character) (_sorted_irreps);
-    deterministic for a fixed seed. O(|G|^2) for the classes, O(|G| r) per
-    matrix and O(r^3) for the eigensolve.
+    deterministic for a fixed seed. O(|G| |S|) per round of the class walk,
+    O(|G| k) for the centrality check over the k regular elements,
+    O(|G| r) per matrix and O(r^3) for the eigensolve.
 
     Bytes are checked against the work budget before they are allocated:
-    32 |G|^2 (the conjugation tables, the masks that find r and the two int64
-    temporaries of the centrality check), then, once r is known, that plus
-    64 r |G| (the r x |G| stacks and the r x r matrices beside them), 48 r^2
-    (the eigensolver's copy and workspaces) and 16 KiB of fixed-size objects.
-    The commutative route charges its own bytes (_commutative_irreps).
+    the charges of the class walk and of its phases (Group.classes,
+    TwistedGroupAlgebra.class_phases), then, once r is known, the
+    160 (|S| + 1) |G| of those two charges, 64 r |G| (the r x |G| stacks and
+    the r x r matrices beside them), 48 r^2 (the eigensolver's copy and
+    workspaces), 64 per entry of one block of the centrality check and
+    16 KiB of fixed-size objects. The
+    commutative route charges its own bytes (_commutative_irreps).
     """
     n = algebra.order
     group = algebra.group
@@ -265,28 +354,17 @@ def decompose_regular(algebra: TwistedGroupAlgebra, seed: int = 0) -> np.ndarray
         big = algebra.twist.denom * math.lcm(*map(len, powers))
         if big <= n * n:
             return _commutative_irreps(algebra, powers, big)
-    check_budget(32 * n * n, f"decomposing an algebra of order {n} needs {32 * n * n} bytes")
     rng = np.random.default_rng(seed)
-    conj, turns = algebra.conjugation
-    elements = np.arange(n)
-    least = conj.min(axis=0)
-    regular = ~np.any((conj == elements) & (turns != 0), axis=0)
-    reps = np.flatnonzero(regular & (least == elements))   # g_K, ascending: e first
-    r = reps.size
-    need = 32 * n * n + 64 * r * n + 48 * r * r + (16 << 10)
-    check_budget(need, f"decomposing an algebra of order {n} with {r} irreducibles needs "
-                 f"{need} bytes")
-    phase = np.zeros(n, dtype=np.int64)
-    phase[conj[:, reps]] = turns[:, reps]
-    central = turns + phase
-    central -= phase[conj]
-    central %= algebra.twist.denom
-    if np.any((central != 0) & regular):
-        raise DecompositionError("a class sum is not central; alpha fails the cocycle "
-                                 "identity")
-    del central
+    least, regular, phase = _regular_classes(algebra)
+    reps = np.flatnonzero(regular & (least == np.arange(n)))   # g_K, ascending: e first
     ys = np.flatnonzero(regular)
     ys = ys[np.argsort(least[ys], kind="stable")]      # each class contiguous
+    r, block = reps.size, min(n, max(1, _GATHER_ENTRIES // ys.size)) * ys.size
+    need = 160 * (group.generators.size + 1) * n + 64 * r * n + 48 * r * r + 64 * block
+    need += 16 << 10
+    check_budget(need, f"decomposing an algebra of order {n} with {r} irreducibles needs "
+                 f"{need} bytes")
+    _check_central(algebra, ys, phase)
     starts = np.searchsorted(least[ys], reps)
     sizes = np.diff(starts, append=ys.size)
     root, cls = np.sqrt(sizes), np.repeat(np.arange(r), sizes)
@@ -564,59 +642,76 @@ def _supercharacters(algebra: TwistedGroupAlgebra, chars: np.ndarray, dims: np.n
     irreducibles (chars (c, |G|), dims (c,), odd (c, |G|) the mask phi = 1 of
     gradings with an odd element), up to the free sign of P.
 
+    P M(x) = (-1)^{phi(x)} M(x) P makes str a twisted class function,
+    str(x h x^-1) = (-1)^{phi(x)} omega^-lambda(x, h) str(h), so it vanishes
+    off the classes regular under the grading (_regular).
     Phi(X) = (1/|G|) sum_g (-1)^{phi(g)} M(g) X M(g)^dagger is, by Schur's
     lemma, the projection tr(P X) P / d onto span{P}. Tracing Phi(M(h))
-    against M(k), with M(g) M(h) M(g)^-1 = omega^lambda(g, h) M(ghg^-1):
+    against M(k), with M(g) M(h) M(g)^-1 = omega^lambda(g, h) M(ghg^-1), and
+    summing over the class K of h = g_K (each y = x_y h x_y^-1 is reached
+    from |G| / |K| elements g, with one phase when K is regular):
 
-        str(h) str(k) = (d/|G|) sum_g (-1)^{phi(g)} omega^lambda(g, h)
-                        omega(ghg^-1, k) chi(ghg^-1 k).
+        str(h) str(k) = (d/|K|) sum_{y in K} (-1)^{phi(x_y)} omega^c(y)
+                        omega(y, k) chi(y k),
 
-    One |G|^2 gather gives str(h)^2 at every h, a second one str(h*) str(k)
-    at every k for the h* with the largest |str(h*)^2| (at least 1, the mean
-    of |str|^2), and str(h*) = sqrt(str(h*)^2) picks the sign; no output
-    depends on it (README). The stack goes through in chunks of at most
-    _GATHER_ENTRIES gathered entries (one supermodule at least), each
-    checked by _check_supercharacters.
+    x_y the conjugator of y (Group.classes) and c(y) = lambda(x_y, h) its
+    phase (TwistedGroupAlgebra.class_phases). The sum at k = h gives
+    str(h)^2 at every regular class, and the sum at k = h*, for the h* with
+    the largest |str(h*)^2|, gives str(h) str(h*); str(h*) = sqrt(str(h*)^2)
+    picks the sign, on which no output depends (README). Each value is
+    spread over its class by the twisted class rule, str(y) =
+    (-1)^{phi(x_y)} omega^-c(y) str(h), and str is 0 off the regular
+    classes. Each sum reads every element once, in |G|-sized gathers and
+    one segmented sum: O(|G| |S|) per supermodule with the edge test. The
+    stack goes through in chunks of at most _GATHER_ENTRIES (|S| + 1) |G|
+    entries (one supermodule at least), each checked by
+    _check_supercharacters.
 
     Bytes are checked against the work budget before they are allocated:
-    24 |G|^2 for the int64 square_at and complex square_phase tables, and 64
-    per gathered entry of one chunk (c' x |G|^2 for c' supermodules): the
-    complex buffer, the int64 and complex temporaries of each gather, and
-    the checks' (c', |S|, |G|) stacks beside them.
+    (64 |S| + 320) |G| per supermodule of one chunk, for the edge masks and
+    the checks' (c', |S|, |G|) stacks, and the (c', |G|) masks, phases,
+    gathered terms and spread values beside them, and 16 KiB of fixed-size
+    objects.
     """
-    conj, turns = algebra.conjugation
+    classes = algebra.group.classes
     table, alpha = algebra.group.table, algebra.twist.alpha_num
     c, n = chars.shape
-    step = max(1, _GATHER_ENTRIES // (n * n))
-    need = 24 * n * n + 64 * min(step, c) * n * n
+    gens = algebra.group.generators.size
+    step = max(1, _GATHER_ENTRIES // ((gens + 1) * n))
+    need = (64 * gens + 320) * min(step, c) * n + (16 << 10)
     check_budget(need, f"the supercharacters of {c} supermodules of an algebra of order {n} "
                  f"need {need} bytes")
+    members, starts, index = classes.members, classes.starts, classes.index
+    phases = algebra.omega(algebra.class_phases.phase)
+    # y g_K and omega(y, g_K) at every y, for the sums at k = h
     elements = np.arange(n)
-    # (g, h) -> g h g^-1 h and omega^lambda(g, h) omega(ghg^-1, h)
-    square_at = table[conj, elements]
-    square_phase = algebra.omega(turns)
-    square_phase *= algebra.omega(alpha[conj, elements])
+    times_least = table[elements, classes.least]
+    own = algebra.omega(alpha[elements, classes.least])
     supercharacters = np.empty((c, n), dtype=complex)
-    gathered = np.empty((min(step, c), n, n), dtype=complex)
     for start in range(0, c, step):
         part = slice(start, start + step)
-        chi, sign = chars[part], np.where(odd[part], -1.0, 1.0)[:, None]
+        chi, flip = chars[part], odd[part]
         size = len(chi)
-        shift = (np.arange(size) * n)[:, None, None]   # row offsets into chi
-        scale = (dims[part] / n)[:, None]
-        buffer = gathered[:size]
-        np.take(chi, square_at + shift, out=buffer)
-        buffer *= square_phase
-        squares = scale * (sign @ buffer)[:, 0]
-        best = np.abs(squares).argmax(axis=1)
-        moved = conj[:, best].T                      # (c, g): g h* g^-1
-        np.take(chi, table[moved] + shift, out=buffer)
-        buffer *= algebra.omega(alpha[moved])
-        products = (sign * algebra.omega(turns[:, best].T)[:, None] @ buffer)[:, 0]
-        top = np.sqrt(squares[np.arange(size), best])
-        supercharacters[part] = scale * products / top[:, None]
-        _check_supercharacters(algebra, chi, odd[part], supercharacters[part], squares,
-                               dims[part])
+        support = _regular(algebra, flip)
+        unit = np.where(flip[:, classes.conjugator], -phases, phases)   # each e_y's phase
+        scale = dims[part][:, None] / classes.sizes
+
+        def class_sums(terms: np.ndarray) -> np.ndarray:
+            """(d/|K|) sum_{y in K} terms(y) of each row, on each regular class."""
+            sums = np.add.reduceat(terms[:, members], starts, axis=1)
+            sums *= scale
+            return np.where(support, sums, 0)
+
+        squares = class_sums(unit * own * chi[:, times_least])
+        best = np.abs(squares).argmax(axis=1)   # the class of h*, the first on ties
+        star = members[starts[best]]
+        rows = np.arange(size)[:, None]
+        products = class_sums(unit * algebra.omega(alpha[:, star].T) * chi[rows, table[:, star].T])
+        products /= np.sqrt(squares[rows[:, 0], best])[:, None]
+        back = unit.conj()
+        supercharacters[part] = back * products[:, index]
+        _check_supercharacters(algebra, chi, flip, supercharacters[part],
+                               back * back * squares[:, index], dims[part])
     return supercharacters
 
 
@@ -643,15 +738,15 @@ def _check_supercharacters(algebra: TwistedGroupAlgebra, character: np.ndarray,
     at its first failing element.
     """
     tol = 1e-8
-    conj, turns = algebra.conjugation
+    conj, turns = algebra.group.classes.conj, algebra.class_phases.turns
     gens = algebra.group.generators
-    twisted = np.where(odd[:, gens, None], -1.0, 1.0) * algebra.omega(-turns[gens])
+    twisted = np.where(odd[:, gens, None], -1.0, 1.0) * algebra.omega(-turns)
     halves = character[:, None] + np.array([[1], [-1]]) * supercharacter[:, None]
     norms = np.where(odd[:, None], 0, np.abs(halves) ** 2).sum(axis=2)
     norms /= 4 * (~odd).sum(axis=1)[:, None]
     faults = [np.abs(supercharacter ** 2 - squares) > tol * np.maximum(1.0, dims ** 2)[:, None],
               odd & (np.abs(supercharacter) > tol),
-              (np.abs(supercharacter[:, conj[gens]] - twisted * supercharacter[:, None])
+              (np.abs(supercharacter[:, conj] - twisted * supercharacter[:, None])
                > tol * np.maximum(1.0, dims)[:, None, None]).any(axis=1),
               np.abs(norms - 1) > 1e-6]
     failing = faults[0].any(axis=1)
@@ -692,12 +787,14 @@ def special_element(algebra: TwistedGroupAlgebra,
     the sign nu of u^2, the second two-fold division of the real
     classification, is its coefficient at e over sum_c d^2 / |G|. For q = 0
     under a grading with an odd element u is not central (T = P), so the
-    twisted convolution u*u is formed at every element (a bincount over the
-    Cayley table) and checked within 1e-8 of its largest coefficient.
-    Otherwise u = t (E_V -+ E_V') is central and u*u = t^2 sum_c E_c by the
-    orthogonality of the central idempotents. Stacks of at most
-    _GATHER_ENTRIES entries, the convolutions too (one bincount for as many
-    supermodules as fit, at least one); each supermodule is checked against
+    twisted convolution u*u is formed over supp(u) x supp(u)
+    (_special_squares) and checked at every element within 1e-8 of its
+    largest coefficient. Otherwise u = t (E_V -+ E_V') is central and
+    u*u = t^2 sum_c E_c by the orthogonality of the central idempotents.
+    Stacks of at most _GATHER_ENTRIES entries, the convolutions too (one
+    bincount for as many supermodules as have at most _GATHER_ENTRIES pairs,
+    their supports padded to the widest, at least one); each supermodule is
+    checked against
     its own bound, and a failing check raises the message of the first
     supermodule that fails it.
     """
@@ -707,11 +804,10 @@ def special_element(algebra: TwistedGroupAlgebra,
     group = algebra.group
     if (np.abs(sups.character.conj() - sups.character) > 1e-6).any():
         raise ValidationError("complex supermodule has no *-fixed special element")
-    omegas = 1 - 2 * algebra.twist.alpha_num          # omega(g, h) = +-1, exact
-    inverse_omegas = omegas[np.arange(n), group.inverses]
+    # omega(g, g^-1) = +-1, exact
+    inverse_omegas = 1 - 2 * algebra.twist.alpha_num[np.arange(n), group.inverses]
     out: list = []
     step = max(1, _GATHER_ENTRIES // n)
-    batch = max(1, _GATHER_ENTRIES // (n * n))   # supermodules per square
     for start in range(0, len(sups), step):
         part = slice(start, start + step)
         chars = sups.table[sups.first[part]]
@@ -737,17 +833,20 @@ def special_element(algebra: TwistedGroupAlgebra,
         at_e = (coeffs * coeffs[:, group.inverses] * inverse_omegas).sum(axis=1)
         nu = at_e * n / ((1 + q1) * dims ** 2)
         graded = (~q1 & odd.any(axis=1)).nonzero()[0]
-        for at in range(0, graded.size, batch):
-            ps = graded[at:at + batch]
-            # u * u at every element for each of them: one bincount over the
-            # Cayley table, offset by n per supermodule
-            weights = coeffs[ps, :, None] * coeffs[ps, None, :] * omegas
-            squares = np.bincount((group.table + n * np.arange(ps.size)[:, None, None]).ravel(),
-                                  weights.ravel(), ps.size * n).reshape(ps.size, n)
-            want = (nu[ps] * (dims[ps] / n))[:, None] * sups.character[part][ps].real
-            if (np.abs(squares - want).max(axis=1) > 1e-8 * np.abs(want).max(axis=1)).any():
-                raise DecompositionError("special element square is not a multiple of "
-                                         "its summand's unit")
+        if graded.size:
+            # u * u over supp(u) x supp(u), each support padded with zero
+            # coefficients to the widest, for as many supermodules at a time
+            # as have at most _GATHER_ENTRIES such pairs (one at least)
+            width = max(1, int((coeffs[graded] != 0).sum(axis=1).max()))
+            batch = max(1, _GATHER_ENTRIES // (width * width))
+            for at in range(0, graded.size, batch):
+                ps = graded[at:at + batch]
+                squares = _special_squares(algebra, coeffs[ps], width)
+                want = (nu[ps] * (dims[ps] / n))[:, None] * sups.character[part][ps].real
+                if (np.abs(squares - want).max(axis=1)
+                        > 1e-8 * np.abs(want).max(axis=1)).any():
+                    raise DecompositionError("special element square is not a multiple of "
+                                             "its summand's unit")
         signs = _snap_each(nu)
         if not signs.all():
             raise SnapError(f"special element square {nu[np.argmin(signs != 0)]} is not +-1")
@@ -758,6 +857,24 @@ def special_element(algebra: TwistedGroupAlgebra,
             raise DecompositionError("special element has support of the wrong parity")
         out.extend(zip(coeffs, signs.tolist()))
     return out
+
+
+def _special_squares(algebra: TwistedGroupAlgebra, coeffs: np.ndarray,
+                     width: int) -> np.ndarray:
+    """u * u at every element for each row u of a (b, |G|) stack of real
+    coefficient vectors of a sign-valued algebra whose supports have at most
+    `width` elements: one bincount of u_g u_h omega(g, h) at gh over the
+    pairs (g, h) of supp(u) x supp(u), offset by |G| per row, reading alpha
+    at those pairs only. Each support is padded to `width` with elements of
+    coefficient 0, whose terms add exact zeros."""
+    b, n = coeffs.shape
+    rows = np.arange(b)[:, None]
+    at = np.argsort(coeffs == 0, axis=1, kind="stable")[:, :width]   # each support first
+    u = coeffs[rows, at]
+    g, h = at[:, :, None], at[:, None, :]
+    weights = u[:, :, None] * u[:, None, :] * (1 - 2 * algebra.twist.alpha_num[g, h])
+    index = algebra.group.table[g, h] + n * rows[:, :, None]
+    return np.bincount(index.ravel(), weights.ravel(), b * n).reshape(b, n)
 
 
 # e^{2 pi i k/8} for k in [0, 8), exact at the fourth roots of unity (no

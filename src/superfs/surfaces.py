@@ -11,6 +11,7 @@ each read off its block's exact Gauss sum of 2 or 4 terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -111,6 +112,13 @@ def presentation(surface: Surface) -> Presentation:
     return Presentation(k, tuple(word))
 
 
+# Q on one block at each parity pattern of its generators, one shared row
+# per value: a handle's (a, b) in Z2^2, a crosscap's v in Z4 (an even v is
+# refused by its Gauss sum, should validation be bypassed)
+_BLOCK_ROWS = {**{(a, b): (0, a, b, (a + b + 1) % 2) for a in (0, 1) for b in (0, 1)},
+               **{v: (0, v) for v in range(4)}}
+
+
 @dataclass(frozen=True)
 class QuadraticRefinement:
     """A quadratic refinement of the mod-2 intersection form of `surface`,
@@ -157,16 +165,18 @@ class QuadraticRefinement:
     def ring(self) -> int:
         return 2 if self.surface.is_orientable else 4
 
-    @property
+    @functools.cached_property
     def block_table(self) -> tuple:
         """Q on each block, in relator order, at each parity pattern p of the
         block's generators (bit j of p: generator j's class), as integers mod
         the ring: (a p_0 + b p_1 + p_0 p_1) mod 2 on a handle with values
-        (a, b), and (v p_0) mod 4 on a crosscap with value v."""
+        (a, b), and (v p_0) mod 4 on a crosscap with value v. Built once per
+        structure, for the state sum and the invariant alike, from the
+        shared rows of _BLOCK_ROWS."""
         vals = self.values
         if self.surface.is_orientable:
-            return tuple((0, a, b, (a + b + 1) % 2) for a, b in zip(vals[::2], vals[1::2]))
-        return tuple((0, v) for v in vals)
+            return tuple(map(_BLOCK_ROWS.__getitem__, zip(vals[::2], vals[1::2])))
+        return tuple(map(_BLOCK_ROWS.__getitem__, vals))
 
     def __str__(self):
         return ",".join(str(v) for v in self.values)

@@ -890,3 +890,72 @@ def check_parity(character, odd, mats=None, p=None, tol: float = 1e-8) -> None:
         if ungraded[first]:
             raise OracleError(f"grading consistency fails on element {g}")
         raise OracleError(f"character of a supermodule must vanish on odd {g}")
+
+
+# ---------------------------------------------------------------------------
+# The conjugation oracle: the class step, the supercharacters and the special
+# element's square read off full |G| x |G| tables, against which the orbit
+# walk of superfs (generator rows and class supports only) is compared.
+
+def conjugation_tables(algebra) -> tuple[np.ndarray, np.ndarray]:
+    """(conj, turns), both |G| x |G|: conj[x, g] = x g x^-1, and turns[x, g]
+    in [0, denom) the numerator of
+    lambda(x, g) = alpha(x, g) + alpha(xg, x^-1) - alpha(x, x^-1), so that
+    e_x e_g e_x^-1 = omega^lambda(x, g) e_{xgx^-1}."""
+    table, inverses = algebra.group.table, algebra.group.inverses
+    alpha = algebra.twist.alpha_num
+    conj = table[table, inverses[:, None]]
+    turns = alpha[table, inverses[:, None]] + alpha
+    turns -= alpha[np.arange(algebra.order), inverses][:, None]
+    return conj, turns % algebra.twist.denom
+
+
+def regular_classes_by_conjugation(algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(least, regular, phase) from the full tables: least[g] the least
+    element of g's class (a column minimum), g alpha-regular when
+    lambda(x, g) = 0 for every x in its centralizer, and on the regular
+    classes phase[y] = lambda(x, g_K) for an x with y = x g_K x^-1 (0
+    elsewhere). Every class sum is checked central at every (x, g)."""
+    conj, turns = conjugation_tables(algebra)
+    elements = np.arange(algebra.order)
+    least = conj.min(axis=0)
+    regular = ~np.any((conj == elements) & (turns != 0), axis=0)
+    reps = np.flatnonzero(regular & (least == elements))
+    phase = np.zeros(algebra.order, dtype=np.int64)
+    phase[conj[:, reps]] = turns[:, reps]
+    central = (turns + phase - phase[conj]) % algebra.twist.denom
+    if np.any((central != 0) & regular):
+        raise OracleError("a class sum is not central")
+    return least, regular, phase
+
+
+def supercharacters_by_gather(algebra, chars, dims, odd) -> np.ndarray:
+    """The supercharacters of a stack of parity-fixed irreducibles (chars
+    (c, |G|), dims (c,), odd (c, |G|)), up to the free sign of P, from
+    str(h) str(k) = (d/|G|) sum_g (-1)^{phi(g)} omega^lambda(g, h)
+    omega(ghg^-1, k) chi(ghg^-1 k) at every h and k: str(h)^2 at every h,
+    then str(h*) str(k) at every k for the h* with the largest
+    |str(h*)^2|, one supermodule at a time."""
+    conj, turns = conjugation_tables(algebra)
+    table, alpha = algebra.group.table, algebra.twist.alpha_num
+    omega = phases(alpha, algebra.twist.denom)
+    units = np.exp(2j * np.pi * turns / algebra.twist.denom)
+    n = algebra.order
+    elements = np.arange(n)
+    out = np.empty(chars.shape, dtype=complex)
+    for i, (chi, d, flip) in enumerate(zip(chars, dims, odd)):
+        sign = np.where(flip, -1.0, 1.0)
+        squares = d / n * (sign @ (units * omega[conj, elements] * chi[table[conj, elements]]))
+        best = int(np.abs(squares).argmax())
+        moved = conj[:, best]
+        products = d / n * ((sign * units[:, best]) @ (omega[moved] * chi[table[moved]]))
+        out[i] = products / np.sqrt(squares[best])
+    return out
+
+
+def special_square_by_table(algebra, coeffs) -> np.ndarray:
+    """u * u at every element for a real coefficient vector u of a
+    sign-valued algebra: sum_{g, h} u_g u_h (-1)^{alpha(g, h)} at gh, over
+    the whole Cayley table."""
+    weights = np.outer(coeffs, coeffs) * (1 - 2 * algebra.twist.alpha_num)
+    return np.bincount(algebra.group.table.ravel(), weights.ravel(), algebra.order)

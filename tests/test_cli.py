@@ -167,6 +167,26 @@ def test_negative_seed_exits_2(capsys, argv):
     assert "seed must be nonnegative, got -1" in capsys.readouterr().err
 
 
+def test_main_parses_with_one_parser_per_process(monkeypatch, capsys):
+    # main builds its parser once and reuses it: a second call prints the
+    # same bytes, a usage error still exits 2 with the same text, and
+    # build_parser still returns a fresh parser
+    from superfs import cli
+
+    first = run(capsys, "classify", "--group", "d4", "--json")
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert run(capsys, "classify", "--group", "d4", "--json") == first
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--seed", "x"])
+        errors.append((exc.value.code, capsys.readouterr().err))
+    assert errors[0] == errors[1] and errors[0][0] == 2
+    assert "argument --seed: invalid int value: 'x'" in errors[0][1]
+    monkeypatch.undo()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_verify_d4_full_sweep(tmp_path, capsys):
     code, data, _ = run_json(capsys, "verify", "--group",
                              group_file(tmp_path, "d4"),

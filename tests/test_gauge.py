@@ -454,6 +454,24 @@ def test_crosscheck_sums_the_rhs_once_per_invariant(monkeypatch, family, surface
         assert (rhs, terms, invariant) == (r.rhs, r.rhs_terms, r.invariant)
 
 
+@pytest.mark.parametrize("family,surface", [("spin", orientable(3)),
+                                            ("pin-", nonorientable(6))])
+def test_crosscheck_builds_one_block_table_per_structure(monkeypatch, family, surface):
+    # the state sum and the Arf or ABK invariant read one table per structure
+    built = []
+    table = QuadraticRefinement.block_table
+    original = table.func
+
+    def counting(structure):
+        built.append(structure.values)
+        return original(structure)
+
+    monkeypatch.setattr(table, "func", counting)
+    reports = crosscheck(TheoryData(clifford_twist(1), family), surface)
+    assert len(reports) == 64
+    assert built == [r.structure.values for r in reports]
+
+
 def test_state_sum_fourth_roots_are_exact():
     # buckets at fourth roots of unity are summed as integers, so sign and
     # fourth-root theories give exact dyadic values (a float sum over homs

@@ -188,6 +188,26 @@ def test_build_group_refuses_what_is_not_an_integer(record, message):
     assert build_group({"degree": 2, "generators": [[1, 0]]}).order == 2
 
 
+@pytest.mark.parametrize("identity", [0, 3])
+@pytest.mark.parametrize("value, flag", [(1, True), (0, False)])
+def test_build_group_finds_a_bool_at_its_one_possible_position(identity, value, flag):
+    # in a table already proved a Latin square, a true can only stand where
+    # numpy reads a 1 and a false where it reads a 0, one entry per row: each
+    # row of D4's 8 x 8 table is refused with the flag there, also when the
+    # identity is not label 0; the one-element table has no 1 to look for
+    perm = np.arange(8)
+    perm[[0, identity]] = identity, 0
+    table = perm[catalog_group("d4").table[np.ix_(perm, perm)]].tolist()   # x renamed perm[x]
+    for row in range(8):
+        flagged = [list(r) for r in table]
+        flagged[row][flagged[row].index(value)] = flag
+        with pytest.raises(ValidationError,
+                           match="^table entries must be integers, got bool entries$"):
+            build_group({"table": flagged})
+    assert build_group({"table": table}).order == 8
+    assert build_group({"table": [[0]]}).order == 1
+
+
 def test_json_roundtrip(tmp_path):
     g = catalog_group("d4")
     record = {"order": g.order, "table": g.table.tolist(), "names": list(g.names)}

@@ -9,6 +9,7 @@ import math
 import re
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,11 +50,13 @@ from superfs.superalg import _BW_CLASSES, _check_parity
 
 import helpers
 from helpers import (OracleError, average, average_by_einsum, block_matrices_by_element,
-                     check_parity, graded_module, indicators_by_supermodule,
-                     module_characters, nearest, parity_intertwiner_by_average,
-                     parity_intertwiners, projector_character, regular_submodules, relabelled,
+                     check_parity, conjugation_tables, graded_module,
+                     indicators_by_supermodule, module_characters, nearest,
+                     parity_intertwiner_by_average, parity_intertwiners, projector_character,
+                     regular_classes_by_conjugation, regular_submodules, relabelled,
                      relabelling, shift_by_coboundary, snap_eighth_root, snap_indicator,
-                     special_element_by_solve, split_regular, table_dims, verify_irrep)
+                     special_element_by_solve, special_square_by_table, split_regular,
+                     supercharacters_by_gather, table_dims, verify_irrep)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -617,16 +620,20 @@ def test_decompose_regular_refuses_a_spectrum_clustered_through_max_rounds(monke
     assert table_dims(decompose_regular(alg)) == [1, 1, 2]
 
 
-def _graded_type_m():
-    """The type-M supermodules of S4 x Q8 under the grading sign + kernel of
-    k and the bilinear cocycle of its two homomorphisms: (algebra,
-    supermodules, characters, odd masks, dimensions)."""
+def _s4xq8_bilinear():
+    """S4 x Q8 under the grading sign + kernel of k and the bilinear cocycle
+    of its two homomorphisms."""
     s4 = group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
     group = product_group(s4, catalog_group("q8"))
     homs = z2_homomorphisms(group)
     alpha = np.outer(homs[1], homs[2]) % 2
-    twist = Twist(group, (homs[1] + homs[2]) % 2, alpha, 2)
-    alg = TwistedGroupAlgebra(twist)
+    return TwistedGroupAlgebra(Twist(group, (homs[1] + homs[2]) % 2, alpha, 2))
+
+
+def _graded_type_m():
+    """The type-M supermodules of the S4 x Q8 bilinear theory: (algebra,
+    supermodules, characters, odd masks, dimensions)."""
+    alg = _s4xq8_bilinear()
     sups = assemble_supermodules(decompose_regular(alg), alg)
     sups = sups.take(np.flatnonzero(sups.q == 0))
     odd = np.array([alg.twist.phi == 1] * len(sups))
@@ -644,7 +651,7 @@ def test_a_supercharacter_with_one_wrong_sign_is_refused():
     superalg._check_supercharacters(alg, chars, odd, strs, squares, dims)
     # the whole supercharacter negated is the free sign: still accepted
     superalg._check_supercharacters(alg, chars, odd, -strs, squares, dims)
-    conj = alg.conjugation[0]
+    conj = conjugation_tables(alg)[0]
     p, h = next((p, h) for p, s in enumerate(strs) for h in np.flatnonzero(np.abs(s) > 0.5)
                 if np.unique(conj[:, h]).size > 1)
     wrong = strs.copy()
@@ -874,6 +881,90 @@ def test_the_sign_of_the_parity_intertwiner_is_free(monkeypatch, seed):
     assert sum(negated) == 386
 
 
+def _walk_cases():
+    """(algebra, stack of gradings) for every catalog group and S4 under every
+    H^2 class and every grading (_sweep_classes), relabelled Clifford(6), the
+    S4 x Q8 bilinear theory and the golden d4-shifted twist, each of the last
+    three under its own grading."""
+    for _, _, alg, phis in _sweep_classes(0):
+        yield alg, phis
+    clifford = clifford_twist(6)
+    record = json.loads((Path(__file__).parent / "golden" / "d4-shifted.twist.json").read_text())
+    for alg in (_relabelled_algebra(clifford.group, clifford, relabelling(64, 3)),
+                _s4xq8_bilinear(),
+                TwistedGroupAlgebra(Twist.from_fractions(catalog_group("d4"), record["phi"],
+                                                         record["alpha"]))):
+        yield alg, alg.twist.phi[None]
+
+
+def test_class_walk_matches_the_conjugation_oracle(monkeypatch):
+    # the orbit walk on the generators finds the representatives, regular
+    # sets and phases of the |G|^2 tables of tests/helpers exactly, and the
+    # characters built on the oracle's class step are the same floats
+    cases = 0
+    for alg, _ in _walk_cases():
+        least, regular, phase = superalg._regular_classes(alg)
+        want_least, want_regular, want_phase = regular_classes_by_conjugation(alg)
+        assert np.array_equal(least, want_least) and np.array_equal(regular, want_regular)
+        assert np.array_equal(phase[regular], want_phase[regular])
+        chars = decompose_regular(alg)
+        with monkeypatch.context() as m:
+            m.setattr(superalg, "_regular_classes", regular_classes_by_conjugation)
+            assert decompose_regular(alg).tobytes() == chars.tobytes()
+        cases += 1
+    assert cases == 95 + 4 + 3
+
+
+def test_supercharacters_and_special_elements_match_the_conjugation_oracle():
+    # under every grading of every case: the supercharacters, read off the
+    # class supports, within 1e-12 of the |G|^2 gathers up to the free sign;
+    # the special elements' signs the same from either supercharacters; and
+    # each u * u, formed over supp(u) x supp(u), the multiple of its summand's
+    # unit that the full square over the Cayley table gives
+    graded = real = 0
+    for alg, phis in _walk_cases():
+        n = alg.order
+        sups = assemble_supermodules(decompose_regular(alg), alg, phis=phis)
+        odd = sups.phis[sups.row] == 1
+        fixed = np.flatnonzero((sups.q == 0) & odd.any(axis=1))
+        dims = np.rint(sups.character[fixed, 0].real)
+        want = supercharacters_by_gather(alg, sups.character[fixed], dims, odd[fixed])
+        got = sups.supercharacter[fixed]
+        flips = np.where(np.sum((got * want.conj()).real, axis=1) < 0, -1, 1)[:, None]
+        assert np.max(np.abs(got - flips * want), initial=0) < 1e-12
+        graded += fixed.size
+        reals = np.flatnonzero(np.abs(sups.character.imag).max(axis=1) < 1e-6)
+        theirs = sups.take(np.arange(len(sups)))   # a copy of every array
+        theirs.supercharacter[fixed] = want
+        mine = special_element(alg, sups.take(reals))
+        assert ([sign for _, sign in special_element(alg, theirs.take(reals))]
+                == [sign for _, sign in mine])
+        for index, (u, sign) in zip(reals, mine):
+            d = np.rint(sups.table[sups.first[index], 0].real)
+            unit = sign * d / n * sups.character[index].real
+            square = special_square_by_table(alg, u)
+            assert np.max(np.abs(square - unit)) <= 1e-8 * np.max(np.abs(unit))
+            real += 1
+    assert (graded, real) == (393, 681)
+
+
+def test_classify_peaks_small_on_a_prebuilt_clifford10():
+    # the class walk, the supercharacter and the special element's square
+    # read the generator rows and the supports only: no |G| x |G| array of
+    # the 1024-element group is allocated (one int64 table is 8 MiB)
+    import tracemalloc
+
+    alg = TwistedGroupAlgebra(clifford_twist(10))
+    classify(TwistedGroupAlgebra(clifford_twist(3)))   # numpy's first eigensolve
+    tracemalloc.start()
+    try:
+        report = classify(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass and peak < 4 << 20
+
+
 def test_classify_gradings_is_the_same_in_stacks_of_one(monkeypatch):
     # with _GATHER_ENTRIES at 1 every stage handles one row, irrep or
     # supermodule at a time
@@ -955,28 +1046,35 @@ def test_special_element_squares_are_batched_and_checked_one_by_one():
 
 
 def test_decompose_checked_against_budget(monkeypatch):
-    # A4: the |G|^2 part (32 * 144 bytes) is refused before the conjugation
-    # tables are built, so nothing is cached on the algebra; the whole charge,
-    # r = 4, once r is known
+    # A4: the class walk's 120 (|S| + 1) |G| = 4320 bytes are refused before
+    # it runs, so nothing is cached on the group; the whole charge, r = 4,
+    # once r is known; and with the walk done, the phases' 40 (|S| + 1) |G|
+    # = 1440 bytes of a second algebra on the same group
     alg = TwistedGroupAlgebra(Twist.zero(catalog_group("a4")))
-    monkeypatch.setenv("SUPERFS_BUDGET", "4000")
-    with pytest.raises(BudgetExceededError, match="order 12 needs 4608 bytes, budget is 4000"):
+    monkeypatch.setenv("SUPERFS_BUDGET", "1000")
+    with pytest.raises(BudgetExceededError, match="classes of a group of order 12 need 4320 "
+                       "bytes, budget is 1000"):
         decompose_regular(alg)
-    assert "conjugation" not in alg.__dict__
-    monkeypatch.setenv("SUPERFS_BUDGET", "20000")
-    with pytest.raises(BudgetExceededError, match="with 4 irreducibles needs 24832 bytes"):
+    assert "classes" not in alg.group.__dict__
+    monkeypatch.setenv("SUPERFS_BUDGET", "4320")
+    with pytest.raises(BudgetExceededError, match="with 4 irreducibles needs 35200 bytes"):
         decompose_regular(alg)
-    monkeypatch.setenv("SUPERFS_BUDGET", "24832")
+    monkeypatch.setenv("SUPERFS_BUDGET", "1100")
+    with pytest.raises(BudgetExceededError, match="phases of an algebra of order 12 need 1440 "
+                       "bytes, budget is 1100"):
+        decompose_regular(TwistedGroupAlgebra(alg.twist))
+    monkeypatch.setenv("SUPERFS_BUDGET", "35200")
     assert len(decompose_regular(alg)) == 4
 
 
 @pytest.mark.parametrize("name", ["clifford6", "z2^6"])
 def test_decompose_charge_covers_its_traced_peak(monkeypatch, name):
-    # the largest charge of one decomposition, conjugation tables included,
-    # is at least the peak that tracemalloc sees while it runs: r = 1 for
+    # the largest charge of one decomposition, class walk included, is at
+    # least the peak that tracemalloc sees while it runs: r = 1 for
     # Clifford(6), r = |G| = 64 for untwisted (Z2)^6. Clifford(6) is charged
-    # four times, the fourth charge being the algebra's table of roots of
-    # unity; the commutative (Z2)^6 is charged once, for its whole route
+    # three times in superalg (the class phases, the decomposition, the
+    # algebra's table of roots of unity; its group charges the class walk);
+    # the commutative (Z2)^6 is charged once, for its whole route
     import tracemalloc
 
     charges = []
@@ -998,14 +1096,14 @@ def test_decompose_charge_covers_its_traced_peak(monkeypatch, name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(charges) == (4 if name == "clifford6" else 1) and max(charges) >= peak
+    assert len(charges) == (3 if name == "clifford6" else 1) and max(charges) >= peak
 
 
 @pytest.mark.parametrize("rank", [6, 8])
 def test_supercharacter_charge_covers_its_traced_peak(monkeypatch, rank):
     # graded Clifford(rank) has one type-M supermodule, whose supercharacter
-    # is read off its character; with the conjugation tables built, that
-    # charge is the only one of the assembly and at least its traced peak
+    # is read off its character; with the class walk done, that charge is
+    # the only one of the assembly and at least its traced peak
     import tracemalloc
 
     alg = TwistedGroupAlgebra(clifford_twist(rank))
