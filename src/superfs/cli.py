@@ -188,12 +188,12 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     is proved once (by h2_representatives, or when the twist named on the
     command line is built), and every phi is classified from its one algebra
     and one decomposition in one classify_gradings pass, which proves the
-    stack. The first phi is proved as a grading when it is attached.
+    stack and reads no twist's own phi (H^2 classes come with phi = 0).
     """
     homs, classes = bases
     phis = homs if homs is not None else [_resolve_phi(args.phi, group)]
     if classes is not None:
-        twists = [base.with_phi(phis[0]) for base in h2_representatives(group, classes)]
+        twists = h2_representatives(group, classes)
     else:
         twists = [_resolve_twist(group, phis[0], args.alpha)]
     stack = np.array(phis)
@@ -289,11 +289,11 @@ def _parse_structure(args, surface, family):
 def cmd_partition(args) -> int:
     group = _resolve_group(args.group, args.cap)
     twist = _resolve_twist(group, _resolve_phi(args.phi, group), args.alpha)
-    theory = TheoryData(twist, args.family)
+    theory = TheoryData(twist, args.family, args.seed)
     surface = parse_surface(args.surface)
     theory.require_surface(surface)
     structures = _parse_structure(args, surface, args.family)
-    reports = crosscheck(theory, surface, structures=structures, seed=args.seed)
+    reports = crosscheck(theory, surface, structures=structures)
     payload = [report_to_dict(r) for r in reports]
     lines = []
     for r in payload:

@@ -14,6 +14,7 @@ homomorphisms for small cases.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -67,11 +68,14 @@ FAMILIES = tuple(_FAMILY)
 @dataclass(frozen=True, eq=False)
 class TheoryData:
     """A twist (proved on its group when it was built) that one tangential
-    family accepts; the family's rules are checked on construction. Equal
+    family accepts, and the seed of its decomposition; the family's rules are
+    checked on construction. Its block walk and its spectrum are computed
+    once, when first read, and shared by every surface and structure. Equal
     only to itself, as its twist is."""
 
     twist: Twist
     family: str
+    seed: int = 0
 
     def __post_init__(self):
         rules = _FAMILY.get(self.family)
@@ -84,6 +88,57 @@ class TheoryData:
         if rules.sign_valued and not self.twist.is_z2:
             raise ValidationError(
                 f"the {self.family} family needs a sign-valued cocycle")
+
+    @functools.cached_property
+    def block(self) -> np.ndarray:
+        """graded[x, y, k, p]: the images of one block's generators that carry
+        x to y with cocycle exponent k mod D = lcm(denom, 4) and parity
+        pattern p (bit i = phi of generator i). The block's word is the
+        relator of the surface with one handle (orientable families) or one
+        crosscap. It is walked once, from e, over the |G|^gens images; by
+        associativity, e_x times the product from e is the product from x, so
+        graded[x, y, k, p] = base[x^-1 y, k - alpha(x, x^-1 y) D / denom, p].
+        Read by _state_sums after its budget check (_state_sum_buckets)."""
+        group, twist = self.group, self.twist
+        n, D = group.order, math.lcm(twist.denom, 4)
+        unit = Surface("orientable" if _FAMILY[self.family].orientable else "nonorientable", 1)
+        gens = unit.b1
+        images = np.indices((n,) * gens, dtype=np.int64).reshape(gens, -1).T
+        patterns = 2 ** gens
+        pattern = twist.phi[images] @ (1 << np.arange(gens))
+        y, num = _walk(images, presentation(unit).word, group, twist)
+        k = num * (D // twist.denom) % D
+        base = np.bincount((y * D + k) * patterns + pattern,
+                           minlength=n * D * patterns).reshape(n, D, patterns)
+        z = group.table[group.inverses]   # z[x, y] = x^-1 y
+        shift = twist.alpha_num[np.arange(n)[:, None], z] * (D // twist.denom)
+        return base[z[..., None], (np.arange(D) - shift[..., None]) % D]
+
+    @functools.cached_property
+    def spectrum(self) -> list:
+        """What the algebraic side sums over: one row (term fields, qdim, k8)
+        per irreducible (super)module, whose coefficient is zeta_8^(k8 * m)
+        with m the structure invariant (Arf or ABK) or, with no structure,
+        the crosscap count. Rows are irreps (oriented, k8 = 0), irreps with
+        nonzero indicator eps (unoriented, k8 = 4 [eps = -1]), supermodules
+        (spin, k8 = 4 q), or real supermodules (pin-, k8 = bw). The algebra
+        is decomposed once, at the theory's seed."""
+        algebra = TwistedGroupAlgebra(self.twist)
+        if self.family == "pin-":
+            report = classify(algebra, seed=self.seed)
+            return [({"dims": list(sup.dims), "q": sup.q_type, "bw": sup.bw},
+                     sup.qdim, sup.bw)
+                    for sup in report.supermodules if sup.reality == "real"]
+        chars = decompose_regular(algebra, seed=self.seed)
+        dims = np.rint(chars[:, 0].real).astype(np.int64).tolist()
+        if self.family == "oriented":
+            return [({"dim": dim}, dim, 0) for dim in dims]
+        if self.family == "unoriented":
+            return [({"dim": dim, "indicator": eps}, dim, 4 * (eps == -1))
+                    for dim, eps in zip(dims, ordinary_fs(chars, algebra)) if eps != 0]
+        sups = assemble_supermodules(chars, algebra)
+        return [({"dims": dims, "q": q}, sum(dims) / math.sqrt(2) ** q, 4 * q)
+                for dims, q in zip(sups.dims.tolist(), sups.q.tolist())]
 
     @property
     def group(self) -> Group:
@@ -116,12 +171,12 @@ def enumerate_homs(pres: Presentation, group: Group) -> np.ndarray:
     return grid[:, cur == 0].T
 
 
-def _walk(start: np.ndarray, images: np.ndarray, word, group: Group,
+def _walk(images: np.ndarray, word, group: Group,
           twist: Twist) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply out `word` in the twisted basis from the running products
-    `start`, reading generator idx from images[:, idx]. Returns the end
-    products and the collected cocycle numerators (integers over denom)."""
-    cur = start
+    """Multiply out `word` in the twisted basis from the identity, reading
+    generator idx from images[:, idx]. Returns the end products and the
+    collected cocycle numerators (integers over denom)."""
+    cur = np.zeros(images.shape[0], dtype=np.int64)
     num = np.zeros(cur.shape, dtype=np.int64)
     table = group.table
     inverses = group.inverses
@@ -148,35 +203,13 @@ def _state_sum_buckets(theory: TheoryData, surface: Surface) -> int:
     if not blocks:
         return D
     gens = surface.b1 // blocks
-    required = n ** (1 + gens) + n * n * D * 2 ** gens + blocks * n * n * D ** 2
+    required = n ** gens + n * n * D * 2 ** gens + blocks * n * n * D ** 2
     check_budget(required, f"state sum needs {required} steps")
     if n ** (surface.b1 - 1) >= 2 ** 62:
         raise BudgetExceededError(
             f"hom counts up to {n}^{surface.b1} could overflow 64-bit integers",
             required=n ** surface.b1)
     return D
-
-
-def _walk_block(theory: TheoryData, unit: Surface, D: int) -> np.ndarray:
-    """graded[x, y, k, p]: images of one block's generators carrying x to y
-    with cocycle exponent k (mod D) and parity pattern p (bit i = phi of
-    generator i). The block's word is the relator of `unit`, the surface with
-    one handle or one crosscap."""
-    group, twist = theory.group, theory.twist
-    n = group.order
-    gens = unit.b1
-    letters = presentation(unit).word
-    images = np.indices((n,) * gens, dtype=np.int64).reshape(gens, -1).T
-    patterns = 2 ** gens
-    pattern = twist.phi[images] @ (1 << np.arange(gens))
-    graded = np.empty((n, n * D * patterns), dtype=np.int64)
-    for x in range(n):
-        y, num = _walk(np.full(images.shape[0], x, dtype=np.int64), images,
-                       letters, group, twist)
-        k = num * (D // twist.denom) % D
-        graded[x] = np.bincount((y * D + k) * patterns + pattern,
-                                minlength=n * D * patterns)
-    return graded.reshape(n, n, D, patterns)
 
 
 def _state_sums(theory: TheoryData, surface: Surface, structures: list) -> list:
@@ -189,9 +222,9 @@ def _state_sums(theory: TheoryData, surface: Surface, structures: list) -> list:
     term per block. A block acts on the running product x through the integer
     table T[x, y, k]: the number of images of its generators that carry x to
     y with total phase exponent k mod D = lcm(denom, 4), counting the cocycle
-    (scaled to D) and the block's share of (-1)^Q or i^Q. One walk over all
-    |G|^(1 + gens) pairs (x, images), graded by the parity pattern of the
-    images, serves every structure; a block's table follows by shifting the
+    (scaled to D) and the block's share of (-1)^Q or i^Q. The theory's one
+    walk (TheoryData.block), graded by the parity pattern of the images,
+    serves every surface and structure; a block's table follows by shifting the
     slice of pattern p by the block's Q(p) (its row of
     `QuadraticRefinement.block_table`) times D / ring, once per distinct row.
     Counts stay exact integers; the only floating-point step is the final
@@ -200,7 +233,7 @@ def _state_sums(theory: TheoryData, surface: Surface, structures: list) -> list:
     n, blocks = theory.group.order, surface.param
     if not blocks:
         return [(complex(1 / n), 1) for _ in structures]
-    graded = _walk_block(theory, Surface(surface.kind, 1), D)
+    graded = theory.block
     shift = (np.arange(D)[None, :] - np.arange(D)[:, None]) % D
     tables = {}
     sums = []
@@ -268,8 +301,8 @@ def partition_lhs(theory: TheoryData, surface: Surface,
 
 
 def partition_rhs(theory: TheoryData, surface: Surface,
-                  structure: QuadraticRefinement | None = None,
-                  seed: int = 0) -> tuple[complex, list, tuple | None]:
+                  structure: QuadraticRefinement | None = None
+                  ) -> tuple[complex, list, tuple | None]:
     """Algebraic partition function: indicator-weighted sum of
     (|G| / dim)^{-euler} over irreducible (super)modules.
 
@@ -277,32 +310,7 @@ def partition_rhs(theory: TheoryData, surface: Surface,
     theory.require_surface(surface)
     _check_structure(theory.family, surface, structure)
     invariant = _invariant(structure)
-    return (*_rhs_sum(theory, surface, invariant, _spectrum(theory, seed)), invariant)
-
-
-def _spectrum(theory: TheoryData, seed: int) -> list:
-    """What the algebraic side sums over, computed once per theory: one row
-    (term fields, qdim, k8) per irreducible (super)module, whose coefficient
-    is zeta_8^(k8 * m) with m the structure invariant (Arf or ABK) or, with
-    no structure, the crosscap count. Rows are irreps (oriented, k8 = 0),
-    irreps with nonzero indicator eps (unoriented, k8 = 4 [eps = -1]),
-    supermodules (spin, k8 = 4 q), or real supermodules (pin-, k8 = bw)."""
-    algebra = TwistedGroupAlgebra(theory.twist)
-    if theory.family == "pin-":
-        report = classify(algebra, seed=seed)
-        return [({"dims": list(sup.dims), "q": sup.q_type, "bw": sup.bw},
-                 sup.qdim, sup.bw)
-                for sup in report.supermodules if sup.reality == "real"]
-    chars = decompose_regular(algebra, seed=seed)
-    dims = np.rint(chars[:, 0].real).astype(np.int64).tolist()
-    if theory.family == "oriented":
-        return [({"dim": dim}, dim, 0) for dim in dims]
-    if theory.family == "unoriented":
-        return [({"dim": dim, "indicator": eps}, dim, 4 * (eps == -1))
-                for dim, eps in zip(dims, ordinary_fs(chars, algebra)) if eps != 0]
-    sups = assemble_supermodules(chars, algebra)
-    return [({"dims": dims, "q": q}, sum(dims) / math.sqrt(2) ** q, 4 * q)
-            for dims, q in zip(sups.dims.tolist(), sups.q.tolist())]
+    return (*_rhs_sum(theory, surface, invariant, theory.spectrum), invariant)
 
 
 def _invariant(structure: QuadraticRefinement | None) -> tuple | None:
@@ -315,7 +323,7 @@ def _invariant(structure: QuadraticRefinement | None) -> tuple | None:
 
 def _rhs_sum(theory: TheoryData, surface: Surface, invariant: tuple | None,
              spectrum: list) -> tuple[complex, list]:
-    """The algebraic side on one surface, from `_spectrum`: sum of
+    """The algebraic side on one surface, from TheoryData.spectrum: sum of
     zeta_8^(k8 * m) (|G| / qdim)^(-euler) over its rows, where m is the
     structure's invariant or, without one, the crosscap count. It depends on
     a structure only through m."""
@@ -352,8 +360,7 @@ def _verdict(lhs: complex, rhs: complex) -> str:
     return "PASS" if abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs)) else "FAIL"
 
 
-def crosscheck(theory: TheoryData, surface: Surface, structures=None,
-               seed: int = 0) -> list:
+def crosscheck(theory: TheoryData, surface: Surface, structures=None) -> list:
     """Compare both computations of the partition function.
 
     For spin / pin- families this yields one report per structure (all 2^b1
@@ -378,7 +385,7 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None,
         raise ValidationError("no structures supplied")
     for structure in jobs:
         _check_structure(theory.family, surface, structure)
-    spectrum = _spectrum(theory, seed)
+    spectrum = theory.spectrum
     rhs_by_invariant = {}
     reports = []
     for structure, (lhs, count) in zip(jobs, _state_sums(theory, surface, jobs)):

@@ -60,8 +60,9 @@ class Group:
 
     `generators` is a list S from which right multiplication reaches every
     element starting at the identity; validators check identities on S only.
-    `words` is a breadth-first word tree over S: one level per word length,
-    each a triple (elements, parents, steps) of arrays with
+    `words` is a breadth-first word tree over S, the walk of _levels from e
+    over y -> y s: one level per word length, each a triple
+    (elements, parents, steps) of arrays with
     element = parent * generators[step], so that a quantity known at e and
     on S can be carried to every element, one level at a time.
 
@@ -98,8 +99,8 @@ class Group:
         element takes the least label among itself and its images s g s^-1,
         then its label's label, until nothing changes. The conjugators are
         carried along a breadth-first tree from the least elements, one
-        level at a time and all classes at once: the child s y s^-1 of y has
-        conjugator s x_y. O(|G| |S|) per round or level."""
+        level at a time and all classes at once (_levels): the child
+        s y s^-1 of y has conjugator s x_y. O(|G| |S|) per round or level."""
         n, gens = self.order, self.generators
         need = 120 * (gens.size + 1) * n
         check_budget(need, f"the conjugacy classes of a group of order {n} need {need} bytes")
@@ -115,19 +116,8 @@ class Group:
         reps = np.flatnonzero(least == np.arange(n))
         conjugator = np.full(n, -1)
         conjugator[reps] = 0
-        frontier = reps
-        while frontier.size:
-            # the first (s, y) of the frontier that reaches each new element
-            reached = conj[:, frontier].ravel()
-            order = np.argsort(reached, kind="stable")
-            ranked = reached[order]
-            first = np.ones(ranked.size, dtype=bool)
-            np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-            first &= conjugator[ranked] < 0
-            fresh = ranked[first]
-            step, parent = np.divmod(order[first], frontier.size)
-            conjugator[fresh] = table[gens[step], conjugator[frontier[parent]]]
-            frontier = fresh
+        for fresh, parents, steps in _levels(conj, reps, least == np.arange(n)):
+            conjugator[fresh] = table[gens[steps], conjugator[parents]]
         around = table[inverses[conjugator[conj]], table[gens[:, None], conjugator]]
         index = np.searchsorted(reps, least)
         sizes = np.bincount(index)
@@ -145,66 +135,53 @@ class Group:
         return classes
 
 
+def _levels(edges: np.ndarray, roots: np.ndarray, seen: np.ndarray) -> tuple:
+    """The breadth-first levels from `roots` over the maps edges[j] (a
+    (|S|, |G|) array): level k is a triple (elements, parents, steps), the
+    elements first reached in round k, ascending, each with the parent y and
+    the edge j of the first (j, y) pair of its frontier, generator-major,
+    with edges[j, y] = element. `seen` masks the elements already placed
+    (the roots among them) and is updated. One gather of the frontier's
+    images per level: O(|G| |S|) in all."""
+    levels = []
+    frontier = roots
+    while frontier.size:
+        fresh, first = np.unique(edges[:, frontier], return_index=True)
+        keep = ~seen[fresh]
+        fresh, first = fresh[keep], first[keep]
+        seen[fresh] = True
+        steps, parents = np.divmod(first, frontier.size)
+        levels.append((fresh, frontier[parents], steps))
+        frontier = fresh
+    return tuple(levels[:-1])   # the last level is the empty one that ends the walk
+
+
 def _generating_set(table: np.ndarray) -> np.ndarray:
     """Greedy S such that right multiplication by S reaches every element from 0.
 
-    Each new generator is the first element not yet reached. The search then
-    right-multiplies the elements reached before by the new generator only,
-    and each newly reached element by all of S, so every (element, generator)
-    pair is visited once: O(|G| |S|). For a group the reached set is a
-    subgroup, so each generator at least doubles it and |S| <= log2 |G|.
+    Each new generator is the first element not yet reached; the reached
+    mask then takes the right multiples of its elements by all of S until
+    it stops growing. For a group the reached set is a subgroup, so each
+    generator at least doubles it and |S| <= log2 |G|.
     """
-    n = table.shape[0]
-    reached = [False] * n
-    reached[0] = True
-    count = 1
+    seen = np.arange(table.shape[0]) == 0
     gens: list[int] = []
-    cols: list[list[int]] = []   # cols[j][x] = x * gens[j]
-    while count < n:
-        s = reached.index(False)
-        gens.append(s)
-        col = table[:, s].tolist()
-        cols.append(col)
-        frontier = [col[x] for x in range(n) if reached[x]]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                if not reached[y]:
-                    reached[y] = True
-                    count += 1
-                    nxt.extend(c[y] for c in cols)
-            frontier = nxt
+    while not seen.all():
+        gens.append(int(np.argmin(seen)))
+        cols, size = table[:, gens], 0
+        while size < (size := np.count_nonzero(seen)):   # until the mask stops growing
+            seen[cols[seen]] = True
     return np.array(gens, dtype=np.int64)
 
 
-def _word_levels(table: np.ndarray, gens: np.ndarray) -> tuple:
-    """The breadth-first word tree of Group.words: level k holds the elements
-    of word length k in S, each with the parent it is first reached from
-    (in frontier order, then generator order) and that generator's position
-    in S. One gather of the frontier's |S| right multiples per level:
-    O(|G| |S|) in all."""
-    seen = np.zeros(table.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    levels = []
-    while True:
-        reached = table[frontier[:, None], gens].ravel()
-        fresh, first = np.unique(reached, return_index=True)
-        keep = ~seen[fresh]
-        if not keep.any():
-            return tuple(levels)
-        fresh, first = fresh[keep], first[keep]
-        seen[fresh] = True
-        levels.append((fresh, frontier[first // gens.size], first % gens.size))
-        frontier = fresh
-
-
 def _find_identity(table: np.ndarray) -> int:
+    """The two-sided identity of a Latin square: e * 0 = 0 and column 0 is a
+    permutation, so the one x with x * 0 = 0 is checked, in O(|G|)."""
     ar = np.arange(table.shape[0])
-    both = (table == ar).all(axis=1) & (table == ar[:, None]).all(axis=0)
-    if not both.any():
+    e = int(np.argmax(table[:, 0] == 0))
+    if not (np.array_equal(table[e], ar) and np.array_equal(table[:, e], ar)):
         raise ValidationError("table has no two-sided identity element")
-    return int(np.argmax(both))
+    return e
 
 
 def _narrow(table: np.ndarray) -> np.ndarray:
@@ -354,8 +331,8 @@ def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
     if bad.size:
         raise ValidationError(f"element {int(bad[0])} has no two-sided inverse")
     nm = tuple(str(x) for x in names) if names is not None else None
-    return Group(order=n, table=t, inverses=inv, generators=gens,
-                 words=_word_levels(t, gens), names=nm)
+    words = _levels(t[:, gens].T, np.zeros(1, dtype=np.int64), np.arange(n) == 0)
+    return Group(order=n, table=t, inverses=inv, generators=gens, words=words, names=nm)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

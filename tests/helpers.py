@@ -959,3 +959,128 @@ def special_square_by_table(algebra, coeffs) -> np.ndarray:
     the whole Cayley table."""
     weights = np.outer(coeffs, coeffs) * (1 - 2 * algebra.twist.alpha_num)
     return np.bincount(algebra.group.table.ravel(), weights.ravel(), algebra.order)
+
+
+# ---------------------------------------------------------------------------
+# Walk oracles: a group's generating set, word tree and conjugacy classes by
+# plain searches, and a theory's block table walked from every start.
+
+def greedy_generating_set(table) -> list[int]:
+    """S by a Python search: each new generator is the first element not yet
+    reached from 0 by right multiplication; the elements reached before are
+    multiplied by it, each newly reached one by all of S."""
+    table = np.asarray(table)
+    n = table.shape[0]
+    reached = [False] * n
+    reached[0] = True
+    count = 1
+    gens: list[int] = []
+    cols: list[list[int]] = []
+    while count < n:
+        s = reached.index(False)
+        gens.append(s)
+        col = table[:, s].tolist()
+        cols.append(col)
+        frontier = [col[x] for x in range(n) if reached[x]]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                if not reached[y]:
+                    reached[y] = True
+                    count += 1
+                    nxt.extend(c[y] for c in cols)
+            frontier = nxt
+    return gens
+
+
+def word_levels(table, gens) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The breadth-first word tree from 0 over y -> y * s for s in gens:
+    per word length, (elements ascending, parents, steps), each element
+    reached first in frontier order, then generator order."""
+    table, gens = np.asarray(table), np.asarray(gens, dtype=np.int64)
+    seen = np.zeros(table.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    levels = []
+    while True:
+        reached = table[frontier[:, None], gens].ravel()
+        fresh, first = np.unique(reached, return_index=True)
+        keep = ~seen[fresh]
+        if not keep.any():
+            return levels
+        fresh, first = fresh[keep], first[keep]
+        seen[fresh] = True
+        levels.append((fresh, frontier[first // gens.size], first % gens.size))
+        frontier = fresh
+
+
+def classes_by_search(table, inverses, gens) -> dict:
+    """The nine fields of a group's conjugacy classes (conj, least,
+    conjugator, around, members, starts, sizes, index, lambda_at) from
+    Python searches: each orbit under x -> s x s^-1 by a queue from its least
+    element, one level at a time, each level's images taken generator-major
+    over its ascending frontier, so that each element's conjugator is s x_y
+    for the first (s, y) that reaches it."""
+    table, inverses = np.asarray(table), np.asarray(inverses)
+    gens = np.asarray(gens, dtype=np.int64)
+    n = table.shape[0]
+    conj = table[table[gens], inverses[gens][:, None]]
+    least = np.full(n, -1)
+    conjugator = np.full(n, -1)
+    for g in range(n):
+        if least[g] >= 0:
+            continue
+        least[g], conjugator[g] = g, 0
+        frontier = [g]
+        while frontier:
+            nxt = []
+            for j in range(gens.size):
+                for y in frontier:
+                    z = int(conj[j, y])
+                    if least[z] < 0:
+                        least[z] = g
+                        conjugator[z] = table[gens[j], conjugator[y]]
+                        nxt.append(z)
+            frontier = sorted(nxt)
+    around = table[inverses[conjugator[conj]], table[gens[:, None], conjugator]]
+    reps = sorted(set(least.tolist()))
+    index = np.array([reps.index(int(x)) for x in least])
+    sizes = np.bincount(index)
+    a = np.concatenate([np.repeat(gens[:, None], n, axis=1), conjugator[None]])
+    b = np.concatenate([np.repeat(np.arange(n)[None], gens.size, axis=0), least[None]])
+    back = inverses[a]
+    lambda_at = np.stack((a * n + b, a * n + back, table[a, b] * n + back))
+    return {"conj": conj, "least": least, "conjugator": conjugator, "around": around,
+            "members": np.argsort(least, kind="stable"), "starts": np.cumsum(sizes) - sizes,
+            "sizes": sizes, "index": index, "lambda_at": lambda_at}
+
+
+def block_by_start(table, inverses, phi, alpha_num, denom: int, orientable: bool) -> np.ndarray:
+    """graded[x, y, k, p] of one handle (a b a^-1 b^-1) or crosscap (c c)
+    block, walked from every start x: the images of the block's generators
+    that carry x to y with cocycle exponent k mod D = lcm(denom, 4) and
+    parity pattern p (bit i = phi of generator i)."""
+    table, inverses = np.asarray(table), np.asarray(inverses)
+    phi, alpha = np.asarray(phi), np.asarray(alpha_num)
+    n, D = table.shape[0], math.lcm(denom, 4)
+    word = [(0, 1), (1, 1), (0, -1), (1, -1)] if orientable else [(0, 1), (0, 1)]
+    gens = 2 if orientable else 1
+    images = np.indices((n,) * gens).reshape(gens, -1).T
+    patterns = 2 ** gens
+    pattern = phi[images] @ (1 << np.arange(gens))
+    graded = np.empty((n, n * D * patterns), dtype=np.int64)
+    for x in range(n):
+        cur = np.full(images.shape[0], x)
+        num = np.zeros(images.shape[0], dtype=np.int64)
+        for idx, exp in word:
+            h = images[:, idx]
+            if exp == 1:
+                num += alpha[cur, h]
+                cur = table[cur, h]
+            else:
+                hinv = inverses[h]
+                num += alpha[cur, hinv] - alpha[h, hinv]
+                cur = table[cur, hinv]
+        k = num * (D // denom) % D
+        graded[x] = np.bincount((cur * D + k) * patterns + pattern, minlength=n * D * patterns)
+    return graded.reshape(n, n, D, patterns)

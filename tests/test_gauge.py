@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superfs import (
+    CATALOG_NAMES,
+    FAMILIES,
     BudgetExceededError,
     TheoryData,
     Twist,
@@ -36,8 +38,8 @@ from superfs import (
 )
 from superfs.surfaces import QuadraticRefinement
 
-from helpers import (brute_force_homs, brute_force_partition, integrate_cocycle, relabelled,
-                     relabelling)
+from helpers import (block_by_start, brute_force_homs, brute_force_partition, integrate_cocycle,
+                     relabelled, relabelling, shift_by_coboundary)
 
 
 def test_theory_family_validation():
@@ -228,7 +230,7 @@ def test_theory_twist_validated_on_construction():
                     "oriented")
     assert th.twist.alpha_is_trivial and th.group is g
     # the group is read off the twist, not held beside it
-    assert [f.name for f in dataclasses.fields(TheoryData)] == ["twist", "family"]
+    assert [f.name for f in dataclasses.fields(TheoryData)] == ["twist", "family", "seed"]
     assert crosscheck(th, orientable(1))[0].verdict == "PASS"
 
 
@@ -360,8 +362,8 @@ def test_state_sum_budget_and_overflow_guards(monkeypatch):
     monkeypatch.setenv("SUPERFS_BUDGET", "1000")
     with pytest.raises(BudgetExceededError, match="budget is 1000") as err:
         partition_lhs(th, orientable(2))
-    # walk 12^3, graded table 12^2 * 4 * 2^2, two block products 12^2 * 4^2
-    assert err.value.required == 12 ** 3 + 144 * 16 + 2 * 144 * 16
+    # walk 12^2, graded table 12^2 * 4 * 2^2, two block products 12^2 * 4^2
+    assert err.value.required == 12 ** 2 + 144 * 16 + 2 * 144 * 16
     monkeypatch.setenv("SUPERFS_BUDGET", "100")
     with pytest.raises(BudgetExceededError):
         partition_lhs(th, orientable(1))
@@ -496,15 +498,52 @@ def test_crosscheck_decomposes_once_per_theory(monkeypatch):
 
     monkeypatch.setattr(gauge, "decompose_regular", counting)
     monkeypatch.setattr(superalg, "decompose_regular", counting)
+    walks = []
+    walk = gauge._walk
+    monkeypatch.setattr(gauge, "_walk", lambda *args: walks.append(1) or walk(*args))
     t = clifford_twist(1)
-    for family, surface in (("spin", orientable(2)), ("pin-", nonorientable(3))):
+    for family, kind in (("spin", orientable), ("pin-", nonorientable)):
         calls.clear()
-        theory = TheoryData(t, family)
-        reports = crosscheck(theory, surface, seed=5)
-        assert len(reports) == 2 ** surface.b1 and len(calls) == 1
-        for r in reports:
-            rhs, terms, invariant = partition_rhs(theory, surface, r.structure, seed=5)
-            assert (rhs, terms, invariant) == (r.rhs, r.rhs_terms, r.invariant)
+        walks.clear()
+        theory = TheoryData(t, family, 5)
+        # one theory on three surfaces, every structure through crosscheck,
+        # partition_rhs and partition_lhs: one decomposition, one block walk
+        for surface in map(kind, (1, 2, 3)):
+            reports = crosscheck(theory, surface)
+            assert len(reports) == 2 ** surface.b1 and len(calls) == 1
+            for r in reports:
+                rhs, terms, invariant = partition_rhs(theory, surface, r.structure)
+                assert (rhs, terms, invariant) == (r.rhs, r.rhs_terms, r.invariant)
+                assert partition_lhs(theory, surface, r.structure) == (r.lhs, r.hom_count)
+        assert len(calls) == 1 and len(walks) == 1
+
+
+def _block_theories():
+    """Every catalog (phi, alpha) theory in the four families; under oriented
+    and spin, Z3 x Z3 with alpha((a, b), (a', b')) = a b' / 3 and S3 and A4
+    with a coboundary over 3, where a handle's commutator leaves e and the
+    shift by alpha(x, x^-1 y) D / denom is not its own negative."""
+    theories = [theory for name in CATALOG_NAMES for theory in _property_theories(name)]
+    z3 = cyclic(3)
+    g = product_group(z3, z3)
+    twists = [Twist(g, np.zeros(9, dtype=np.int64),
+                    np.array([[(x // 3) * (y % 3) % 3 for y in range(9)] for x in range(9)]), 3)]
+    rng = np.random.default_rng(3)
+    for name in ("s3", "a4"):
+        g = catalog_group(name)
+        twists.append(shift_by_coboundary(Twist.zero(g), rng.integers(0, 3, g.order), 3))
+    return theories + [TheoryData(t, family) for t in twists for family in ("oriented", "spin")]
+
+
+def test_block_walked_from_the_identity_matches_the_walk_from_every_start():
+    theories = _block_theories()
+    assert len(theories) > 1000 and {th.family for th in theories} == set(FAMILIES)
+    for theory in theories:
+        group, twist = theory.group, theory.twist
+        want = block_by_start(group.table, group.inverses, twist.phi, twist.alpha_num,
+                              twist.denom, theory.family in ("oriented", "spin"))
+        assert theory.block.dtype == want.dtype and np.array_equal(theory.block, want), (
+            theory.family, group.order)
 
 
 def _relabelled_theory(theory, perm):
@@ -563,7 +602,8 @@ def _reference_signatures(name):
 def test_crosscheck_invariant_under_relabelling_and_seed(name, label_seed, seed):
     for theory, surface, expected in _reference_signatures(name):
         other = _relabelled_theory(theory, relabelling(theory.group.order, label_seed))
-        assert _signature(crosscheck(other, surface, seed=seed)) == expected
+        assert _signature(crosscheck(TheoryData(other.twist, other.family, seed),
+                                     surface)) == expected
 
 
 def test_rhs_coefficients_at_fourth_roots_are_exact():

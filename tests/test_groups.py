@@ -20,17 +20,20 @@ from superfs import (
     product_group,
     z2_homomorphisms,
 )
-from superfs.groups import Group, _check_gradings, _generating_set, _narrow
+from superfs.groups import Group, _check_gradings, _generating_set, _levels, _narrow
 
 from helpers import (
     associativity_failures,
+    classes_by_search,
     close_under_product,
     compose_perms,
     element_orders,
     first_reported_failure,
+    greedy_generating_set,
     is_z2_homomorphism,
     relabelled,
     relabelling,
+    word_levels,
 )
 
 # a Latin square with two-sided identity 0 that is not associative:
@@ -395,6 +398,64 @@ def test_a_swapped_intercalate_is_refused_at_the_first_failing_triple(name):
             group_from_table(bad)
         assert str(err.value) == f"associativity fails at ({g}*{h})*{k} != {g}*({h}*{k})", (
             name, row)
+
+
+def assert_levels_match_the_search(table, gens, levels, label):
+    """The level walk places the elements the plain word search places, level
+    by level, each as parent * generators[step]."""
+    expected = word_levels(table, gens)
+    assert len(levels) == len(expected), label
+    for (elements, parents, steps), (want, _, _) in zip(levels, expected):
+        assert np.array_equal(elements, want), label
+        assert np.array_equal(table[parents, np.asarray(gens)[steps]], elements), label
+
+
+def walk_tables() -> dict:
+    """The validation tables with two relabellings each, the Clifford ladder
+    to 8 and S4 x Q8."""
+    tables = {}
+    for name, table in validation_groups().items():
+        tables[name] = table
+        for seed in (1, 2):
+            tables[f"{name}-relabelled-{seed}"] = relabelled(
+                table, relabelling(table.shape[0], seed))
+    for rank in range(1, 9):
+        tables[f"clifford{rank}"] = clifford_twist(rank).group.table
+    tables["s4xq8"] = corruption_tables()["s4xq8"]
+    return tables
+
+
+def test_generating_set_word_levels_and_classes_match_the_search_oracles():
+    for name, table in walk_tables().items():
+        g = group_from_table(table)
+        assert g.generators.tolist() == greedy_generating_set(g.table), name
+        assert_levels_match_the_search(g.table, g.generators, g.words, name)
+        want = classes_by_search(g.table, g.inverses, g.generators)
+        got = vars(g.classes)
+        assert list(got) == list(want), name
+        for field, array in want.items():
+            assert np.array_equal(got[field], array), (name, field)
+
+
+def test_generating_set_and_levels_match_the_search_on_latin_squares():
+    # the non-associative Latin squares that validation refuses: S and the
+    # word levels are searches on the table alone, whatever it is
+    squares = {"nonassoc5": np.array(NONASSOC_5)}
+    for name in ("d4", "q8", "a4", "s4", "z2xq8"):
+        squares[f"outside-{name}"] = swap_outside_generators(validation_groups()[name])[0]
+    for name in ("clifford8", "s4xq8", "z256"):
+        table = corruption_tables()[name]
+        n = table.shape[0]
+        for row in (1, n // 2 + 1, n - 1):
+            squares[f"intercalate-{name}-{row}"] = swap_intercalate(table, row)
+    for name, table in squares.items():
+        gens = _generating_set(table)
+        assert gens.tolist() == greedy_generating_set(table), name
+        seen = np.zeros(table.shape[0], dtype=bool)
+        seen[0] = True
+        levels = _levels(table[:, gens].T, np.zeros(1, dtype=np.int64), seen)
+        assert seen.all(), name
+        assert_levels_match_the_search(table, gens, levels, name)
 
 
 def test_validation_reads_uint8_tables_up_to_order_256_and_uint16_after():
