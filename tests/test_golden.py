@@ -11,9 +11,12 @@ the class h2_representatives(d4)[4] under z2_homomorphisms(d4)[1] (BW
 classes 7, 7, 6), shifted by the coboundary of beta = delta_e / 2 so that
 alpha(e, e) = 1/2: its two cases (as commit a63c677 printed them) cover the
 normalization at the identity, and the classify output is the unshifted
-one's byte for byte. Non-float fields must
-match exactly, types included; floats within 1e-12. To add a case, run its
-command at a trusted commit and save stdout.
+one's byte for byte. The two explicit-structure cases (--spin and --pin on the
+clifford2 twist) and the table of partition refusals, each with its exit
+code and exact stderr, are as commit 8728739 printed them. Non-float fields
+must match exactly, types included; floats within 1e-12. To add a case, run
+its command at a trusted commit and save stdout (or, for a refusal, its exit
+code and stderr).
 """
 
 import json
@@ -45,6 +48,12 @@ CASES = {
     "partition-pin-clifford2": ["partition", "--group", "z2xz2", "--phi", TWIST,
                                 "--alpha", TWIST, "--family", "pin-",
                                 "--surface", "nonorientable:3"],
+    "partition-spin-clifford2-structure": ["partition", "--group", "z2xz2", "--phi", TWIST,
+                                           "--alpha", TWIST, "--family", "spin",
+                                           "--surface", "orientable:2", "--spin", "0,1,1,0"],
+    "partition-pin-clifford2-structure": ["partition", "--group", "z2xz2", "--phi", TWIST,
+                                          "--alpha", TWIST, "--family", "pin-",
+                                          "--surface", "nonorientable:3", "--pin", "1,3,1"],
     "partition-oriented-z3xz3": ["partition", *Z3XZ3, "--family", "oriented",
                                  "--surface", "orientable:2"],
     "partition-oriented-d4-sphere": ["partition", "--group", "d4",
@@ -91,3 +100,49 @@ def test_json_output_matches_golden(name, capsys):
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert code == 0 and mismatches(got, want) == []
+
+
+CLIFFORD2 = ["partition", "--group", "z2xz2", "--phi", TWIST, "--alpha", TWIST]
+
+# name -> (argv, SUPERFS_BUDGET or None, exit code, stderr)
+REFUSALS = {
+    "family-surface": (
+        ["partition", "--group", "d4", "--family", "oriented", "--surface", "nonorientable:2"],
+        None, 2, "error: the oriented family lives on orientable surfaces, not nonorientable:2\n"),
+    "family-surface-with-structure": (
+        [*CLIFFORD2, "--family", "spin", "--surface", "nonorientable:2", "--spin", "0,1"],
+        None, 2, "error: the spin family lives on orientable surfaces, not nonorientable:2\n"),
+    "structure-value-out-of-range": (
+        [*CLIFFORD2, "--family", "spin", "--surface", "orientable:1", "--spin", "0,2"],
+        None, 2, "error: structure value 2 outside 0..1\n"),
+    "wrong-structure-flag": (
+        [*CLIFFORD2, "--family", "spin", "--surface", "orientable:1", "--pin", "1,1"],
+        None, 2, "error: wrong structure flag for the spin family\n"),
+    "spin-on-oriented": (
+        ["partition", "--group", "d4", "--family", "oriented", "--surface", "orientable:1",
+         "--spin", "0,1"],
+        None, 2, "error: the oriented family takes no structure flags\n"),
+    "structures-nonorientable-40": (
+        ["partition", "--group", "z2", "--phi", "id", "--family", "pin-",
+         "--surface", "nonorientable:40"],
+        None, 2, "error: the 1099511627776 structures on nonorientable:40 need "
+                 "2858730232217600 steps, budget is 100000000\n"),
+    "state-sum-budget": (
+        ["partition", "--group", "a4", "--surface", "orientable:2"],
+        "1000", 2, "error: state sum needs 7056 steps, budget is 1000\n"),
+    "z3xz3-overflow": (
+        ["partition", *Z3XZ3, "--surface", "orientable:11"],
+        None, 2, "error: hom counts up to 9^22 could overflow 64-bit integers\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_partition_refusal_matches_golden(name, monkeypatch, capsys):
+    argv, budget, want_code, want_err = REFUSALS[name]
+    if budget is None:
+        monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SUPERFS_BUDGET", budget)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (want_code, "", want_err)
