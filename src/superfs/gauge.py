@@ -98,11 +98,13 @@ class TheoryData:
         crosscap. It is walked once, from e, over the |G|^gens images; by
         associativity, e_x times the product from e is the product from x, so
         graded[x, y, k, p] = base[x^-1 y, k - alpha(x, x^-1 y) D / denom, p].
-        Read by _state_sums after its budget check (_state_sum_buckets)."""
+        Its work (_block_steps) is charged before anything is allocated."""
         group, twist = self.group, self.twist
         n, D = group.order, math.lcm(twist.denom, 4)
         unit = Surface("orientable" if _FAMILY[self.family].orientable else "nonorientable", 1)
         gens = unit.b1
+        steps = _block_steps(n, gens, D)
+        check_budget(steps, f"the block walk of a group of order {n} needs {steps} steps")
         images = np.indices((n,) * gens, dtype=np.int64).reshape(gens, -1).T
         patterns = 2 ** gens
         pattern = twist.phi[images] @ (1 << np.arange(gens))
@@ -193,28 +195,57 @@ def _walk(images: np.ndarray, word, group: Group,
     return cur, num
 
 
-def _state_sum_buckets(theory: TheoryData, surface: Surface) -> int:
-    """The number D = lcm(denom, 4) of phase buckets of the state sum, after
-    refusing a state sum whose walk, block tables and block products exceed
-    the work budget, or whose hom counts could overflow 64-bit integers. A
-    surface with no blocks (the sphere) needs no work and passes."""
-    n, blocks = theory.group.order, surface.param
+def _block_steps(n: int, gens: int, D: int) -> int:
+    """|G|^gens walk steps + |G|^2 D 2^gens graded entries: TheoryData.block."""
+    return n ** gens + n * n * D * 2 ** gens
+
+
+def _admit(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]:
+    """Admit a partition request once: (D, jobs), the D = lcm(denom, 4) phase
+    buckets and the structures to run (None for the families without one;
+    all 2^b1 for spin / pin- when `structures` is None). In order: the
+    family's surface; the state sum's block walk (_block_steps) and block
+    products, blocks |G|^2 D^2, against the work budget, and the 64-bit
+    ceiling on hom counts (the sphere has no blocks and passes); for spin /
+    pin-, count (blocks |G|^2 D^2 + b1) steps for the block products and
+    invariants of the 2^b1 structures, before they are enumerated, or of
+    the list given; then each structure, once: required for spin / pin-,
+    refused otherwise, and on `surface`."""
+    theory.require_surface(surface)
+    n, blocks, b1 = theory.group.order, surface.param, surface.b1
     D = math.lcm(theory.twist.denom, 4)
-    if not blocks:
-        return D
-    gens = surface.b1 // blocks
-    required = n ** gens + n * n * D * 2 ** gens + blocks * n * n * D ** 2
-    check_budget(required, f"state sum needs {required} steps")
-    if n ** (surface.b1 - 1) >= 2 ** 62:
-        raise BudgetExceededError(
-            f"hom counts up to {n}^{surface.b1} could overflow 64-bit integers",
-            required=n ** surface.b1)
-    return D
+    products = blocks * n * n * D ** 2
+    if blocks:
+        required = _block_steps(n, b1 // blocks, D) + products
+        check_budget(required, f"state sum needs {required} steps")
+        if n ** (b1 - 1) >= 2 ** 62:
+            raise BudgetExceededError(
+                f"hom counts up to {n}^{b1} could overflow 64-bit integers",
+                required=n ** b1)
+    family, ring = theory.family, _FAMILY[theory.family].ring
+    jobs = None if structures is None else list(structures)
+    if ring is not None:
+        count = 2 ** b1 if jobs is None else len(jobs)
+        steps = count * (products + b1)
+        check_budget(steps, f"the {count} structures on {surface} need {steps} steps")
+    if jobs is None:
+        jobs = [None] if ring is None else enumerate_structures(surface)
+    if not jobs:
+        raise ValidationError("no structures supplied")
+    for structure in jobs:
+        if ring is None:
+            if structure is not None:
+                raise ValidationError(f"the {family} family takes no structures")
+        elif structure is None:
+            raise ValidationError(f"the {family} family needs a structure")
+        elif structure.surface != surface:
+            raise ValidationError(f"structure is on {structure.surface}, not {surface}")
+    return D, jobs
 
 
-def _state_sums(theory: TheoryData, surface: Surface, structures: list) -> list:
-    """(value, hom count) of the state sum for each structure (None for the
-    families without one), which must be on `surface`.
+def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> list:
+    """(value, hom count) of the state sum for each job admitted by _admit: a
+    structure on `surface`, or None (no structure), which counts as Q = 0.
 
     An exact transfer-matrix product: the relator is one word per block (a
     handle [a,b] or a crosscap c^2) and the intersection form is block
@@ -229,23 +260,23 @@ def _state_sums(theory: TheoryData, surface: Surface, structures: list) -> list:
     `QuadraticRefinement.block_table`) times D / ring, once per distinct row.
     Counts stay exact integers; the only floating-point step is the final
     sum of counts times D-th roots of unity."""
-    D = _state_sum_buckets(theory, surface)
     n, blocks = theory.group.order, surface.param
     if not blocks:
-        return [(complex(1 / n), 1) for _ in structures]
+        return [(complex(1 / n), 1) for _ in jobs]
     graded = theory.block
+    scale = D // (2 if surface.is_orientable else 4)   # D / ring
+    no_structure = ((0,) * graded.shape[3],) * blocks   # Q = 0 on every block
     shift = (np.arange(D)[None, :] - np.arange(D)[:, None]) % D
     tables = {}
     sums = []
-    for structure in structures:
-        rows = [None] * blocks if structure is None else structure.block_table
+    for structure in jobs:
         counts = np.zeros((n, D), dtype=np.int64)
         counts[0, 0] = 1  # running product e, exponent 0
+        rows = no_structure if structure is None else structure.block_table
         for i, row in enumerate(rows):
             if row not in tables:
-                tables[row] = (graded.sum(axis=3) if row is None else
-                               sum(np.roll(graded[..., p], q * D // structure.ring, axis=2)
-                                   for p, q in enumerate(row)))
+                tables[row] = sum(np.roll(graded[..., p], q * scale, axis=2)
+                                  for p, q in enumerate(row))
             circ = counts[:, shift]  # circ[x, s, k] = counts[x, k - s]
             if i < blocks - 1:
                 counts = np.tensordot(tables[row], circ, axes=([0, 2], [0, 1]))
@@ -256,21 +287,6 @@ def _state_sums(theory: TheoryData, surface: Surface, structures: list) -> list:
         final = [int(c) for c in counts[0]]
         sums.append((_root_sum(final, D) / n, sum(final)))
     return sums
-
-
-def _check_structure(family: str, surface: Surface,
-                     structure: QuadraticRefinement | None) -> None:
-    """A structure is required for spin / pin- and refused for oriented /
-    unoriented; it must be one on `surface`, which fixes its ring (by the
-    family's orientability), its length and its cup form."""
-    if _FAMILY[family].ring is None:
-        if structure is not None:
-            raise ValidationError(f"the {family} family takes no structures")
-        return
-    if structure is None:
-        raise ValidationError(f"the {family} family needs a structure")
-    if structure.surface != surface:
-        raise ValidationError(f"structure is on {structure.surface}, not {surface}")
 
 
 def _root_sum(counts: list, D: int) -> complex:
@@ -293,11 +309,9 @@ def partition_lhs(theory: TheoryData, surface: Surface,
     times the structure weight. Returns (value, number of homomorphisms).
 
     Computed as an exact transfer-matrix product over the handles or
-    crosscaps; the block-table work is checked against the work budget
-    before anything is allocated."""
-    theory.require_surface(surface)
-    _check_structure(theory.family, surface, structure)
-    return _state_sums(theory, surface, [structure])[0]
+    crosscaps, once the request is admitted (_admit)."""
+    D, jobs = _admit(theory, surface, [structure])
+    return _state_sums(theory, surface, jobs, D)[0]
 
 
 def partition_rhs(theory: TheoryData, surface: Surface,
@@ -306,9 +320,9 @@ def partition_rhs(theory: TheoryData, surface: Surface,
     """Algebraic partition function: indicator-weighted sum of
     (|G| / dim)^{-euler} over irreducible (super)modules.
 
-    Returns (value, per-module terms, named invariant of the structure)."""
-    theory.require_surface(surface)
-    _check_structure(theory.family, surface, structure)
+    Returns (value, per-module terms, named invariant of the structure)
+    once the request is admitted (_admit), as the state sum's would be."""
+    _admit(theory, surface, [structure])
     invariant = _invariant(structure)
     return (*_rhs_sum(theory, surface, invariant, theory.spectrum), invariant)
 
@@ -364,31 +378,16 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None) -> list:
     """Compare both computations of the partition function.
 
     For spin / pin- families this yields one report per structure (all 2^b1
-    by default, whose steps, blocks |G|^2 D^2 for the block products and b1
-    for the invariant each, are checked against the work budget before they
-    are enumerated); for oriented / unoriented a single report. The
-    algebraic side is computed once per distinct invariant, so reports with
-    equal invariants share one `rhs_terms` list.
+    by default); for oriented / unoriented a single report. The request is
+    admitted once (_admit), its work charged before any structure is
+    enumerated. The algebraic side is computed once per distinct invariant,
+    so reports with equal invariants share one `rhs_terms` list.
     """
-    theory.require_surface(surface)
-    D = _state_sum_buckets(theory, surface)  # refusals before the structure count
-    if structures is not None:
-        jobs = list(structures)
-    elif _FAMILY[theory.family].ring is None:
-        jobs = [None]
-    else:
-        n, b1, count = theory.group.order, surface.b1, 2 ** surface.b1
-        steps = count * (surface.param * n * n * D ** 2 + b1)
-        check_budget(steps, f"the {count} structures on {surface} need {steps} steps")
-        jobs = enumerate_structures(surface)
-    if not jobs:
-        raise ValidationError("no structures supplied")
-    for structure in jobs:
-        _check_structure(theory.family, surface, structure)
+    D, jobs = _admit(theory, surface, structures)
     spectrum = theory.spectrum
     rhs_by_invariant = {}
     reports = []
-    for structure, (lhs, count) in zip(jobs, _state_sums(theory, surface, jobs)):
+    for structure, (lhs, count) in zip(jobs, _state_sums(theory, surface, jobs, D)):
         invariant = _invariant(structure)
         if invariant not in rhs_by_invariant:
             rhs_by_invariant[invariant] = _rhs_sum(theory, surface, invariant, spectrum)

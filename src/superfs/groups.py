@@ -37,11 +37,7 @@ class _Classes:
     y -> s y s^-1, an element of the centralizer of g_K; and the classes in
     the order of their least elements: members lists them one after
     another (each ascending, so g_K first), class k from starts[k] with
-    sizes[k] elements, and index[y] is the number of y's class. For the
-    phases of a twist on the classes, lambda_at[:, j, g] holds the three
-    flat positions a |G| + b in a |G| x |G| table at which
-    lambda(a, b) = alpha(a, b) - alpha(a, a^-1) + alpha(ab, a^-1) reads
-    alpha, with (a, b) = (s, g) in row j < |S| and (x_g, g_K) in row |S|."""
+    sizes[k] elements, and index[y] is the number of y's class."""
 
     conj: np.ndarray
     least: np.ndarray
@@ -51,7 +47,6 @@ class _Classes:
     starts: np.ndarray
     sizes: np.ndarray
     index: np.ndarray
-    lambda_at: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +87,7 @@ class Group:
     def classes(self) -> _Classes:
         """The conjugacy classes, walked on their orbits under conjugation by
         the generators (_Classes describes the fields), once per group; the
-        120 (|S| + 1) |G| bytes of the walk are checked against the work
+        96 (|S| + 1) |G| bytes of the walk are checked against the work
         budget first.
 
         The least element of each orbit is found by propagating labels: each
@@ -102,7 +97,7 @@ class Group:
         level at a time and all classes at once (_levels): the child
         s y s^-1 of y has conjugator s x_y. O(|G| |S|) per round or level."""
         n, gens = self.order, self.generators
-        need = 120 * (gens.size + 1) * n
+        need = 96 * (gens.size + 1) * n
         check_budget(need, f"the conjugacy classes of a group of order {n} need {need} bytes")
         table, inverses = self.table, self.inverses
         conj = table[table[gens], inverses[gens][:, None]]
@@ -121,15 +116,8 @@ class Group:
         around = table[inverses[conjugator[conj]], table[gens[:, None], conjugator]]
         index = np.searchsorted(reps, least)
         sizes = np.bincount(index)
-        a = np.empty((gens.size + 1, n), dtype=np.int64)
-        a[:-1], a[-1] = gens[:, None], conjugator
-        b = np.empty_like(a)
-        b[:-1], b[-1] = np.arange(n), least
-        back = inverses[a]
-        a *= n
-        lambda_at = np.stack((a + b, a + back, table.ravel()[a + b] * n + back))
         classes = _Classes(conj, least, conjugator, around, np.argsort(least, kind="stable"),
-                           np.cumsum(sizes) - sizes, sizes, index, lambda_at)
+                           np.cumsum(sizes) - sizes, sizes, index)
         for arr in vars(classes).values():
             arr.setflags(write=False)
         return classes
@@ -159,18 +147,24 @@ def _levels(edges: np.ndarray, roots: np.ndarray, seen: np.ndarray) -> tuple:
 def _generating_set(table: np.ndarray) -> np.ndarray:
     """Greedy S such that right multiplication by S reaches every element from 0.
 
-    Each new generator is the first element not yet reached; the reached
-    mask then takes the right multiples of its elements by all of S until
-    it stops growing. For a group the reached set is a subgroup, so each
+    Each new generator is the first element not yet reached. The reached
+    mask is closed over its frontier, as in _levels: every reached element
+    times the new generator, then each newly reached one times all of S,
+    O(|G| |S|) in all. For a group the reached set is a subgroup, so each
     generator at least doubles it and |S| <= log2 |G|.
     """
     seen = np.arange(table.shape[0]) == 0
     gens: list[int] = []
     while not seen.all():
         gens.append(int(np.argmin(seen)))
-        cols, size = table[:, gens], 0
-        while size < (size := np.count_nonzero(seen)):   # until the mask stops growing
-            seen[cols[seen]] = True
+        right = table[:, gens]
+        fresh = right[seen, -1]
+        while fresh.size:
+            fresh = fresh[~seen[fresh]]
+            seen[fresh] = True
+            if fresh.size > 1:   # a lone element needs no deduplication
+                fresh = np.unique(fresh)
+            fresh = right[fresh].ravel()
     return np.array(gens, dtype=np.int64)
 
 

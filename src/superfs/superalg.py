@@ -116,17 +116,22 @@ class TwistedGroupAlgebra:
         """The phases of the algebra on the classes of its group
         (_ClassPhases describes the fields), computed once per algebra:
         exact integers, in O(|G| |S|). The group's classes are walked first
-        (Group.classes), and the 40 (|S| + 1) |G| bytes of the phases are
-        checked against the work budget before they are computed."""
-        classes = self.group.classes
-        n, gens = self.order, self.group.generators
-        need = 40 * (gens.size + 1) * n
+        (Group.classes), and the 64 (|S| + 1) |G| bytes of the phases are
+        checked against the work budget before they are computed: alpha is
+        read at the lambda(a, b) of (a, b) = (s, g) and (x_g, g_K) alone."""
+        group = self.group
+        classes = group.classes
+        n, gens = self.order, group.generators
+        need = 64 * (gens.size + 1) * n
         check_budget(need, f"the class phases of an algebra of order {n} need {need} bytes")
-        denom = self.twist.denom
-        parts = self.twist.alpha_num.ravel()[classes.lambda_at]
-        lam = parts[0] - parts[1]
-        lam += parts[2]
-        del parts
+        denom, alpha = self.twist.denom, self.twist.alpha_num
+        a = np.vstack((np.broadcast_to(gens[:, None], (gens.size, n)), classes.conjugator))
+        b = np.vstack((np.broadcast_to(np.arange(n), (gens.size, n)), classes.least))
+        back = group.inverses[a]
+        lam = alpha[a, b]
+        lam -= alpha[a, back]
+        lam += alpha[group.table[a, b], back]
+        del a, b, back
         lam %= denom
         turns, phase = lam[:-1], lam[-1]
         defect = phase[classes.conj] - phase

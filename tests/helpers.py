@@ -1015,8 +1015,8 @@ def word_levels(table, gens) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 
 
 def classes_by_search(table, inverses, gens) -> dict:
-    """The nine fields of a group's conjugacy classes (conj, least,
-    conjugator, around, members, starts, sizes, index, lambda_at) from
+    """The eight fields of a group's conjugacy classes (conj, least,
+    conjugator, around, members, starts, sizes, index) from
     Python searches: each orbit under x -> s x s^-1 by a queue from its least
     element, one level at a time, each level's images taken generator-major
     over its ascending frontier, so that each element's conjugator is s x_y
@@ -1046,13 +1046,9 @@ def classes_by_search(table, inverses, gens) -> dict:
     reps = sorted(set(least.tolist()))
     index = np.array([reps.index(int(x)) for x in least])
     sizes = np.bincount(index)
-    a = np.concatenate([np.repeat(gens[:, None], n, axis=1), conjugator[None]])
-    b = np.concatenate([np.repeat(np.arange(n)[None], gens.size, axis=0), least[None]])
-    back = inverses[a]
-    lambda_at = np.stack((a * n + b, a * n + back, table[a, b] * n + back))
     return {"conj": conj, "least": least, "conjugator": conjugator, "around": around,
             "members": np.argsort(least, kind="stable"), "starts": np.cumsum(sizes) - sizes,
-            "sizes": sizes, "index": index, "lambda_at": lambda_at}
+            "sizes": sizes, "index": index}
 
 
 def block_by_start(table, inverses, phi, alpha_num, denom: int, orientable: bool) -> np.ndarray:

@@ -36,7 +36,7 @@ from superfs import (
     report_to_dict,
     z2_homomorphisms,
 )
-from superfs.surfaces import QuadraticRefinement
+from superfs.surfaces import QuadraticRefinement, Surface
 
 from helpers import (block_by_start, brute_force_homs, brute_force_partition, integrate_cocycle,
                      relabelled, relabelling, shift_by_coboundary)
@@ -412,22 +412,31 @@ def test_sphere_state_sum_allocates_nothing_of_the_denominator(exponent):
 @pytest.mark.parametrize("family,surface", [("spin", orientable(2)),
                                             ("pin-", nonorientable(3))])
 def test_crosscheck_checks_each_structure_once(monkeypatch, family, surface):
+    # one admission per call, which compares each structure's surface with
+    # the requested one once, enumerated or given
     import superfs.gauge as gauge
 
-    checked = []
-    original = gauge._check_structure
-
-    def counting(family, surface, structure):
-        checked.append(structure)
-        return original(family, surface, structure)
-
-    monkeypatch.setattr(gauge, "_check_structure", counting)
+    admitted, compared = [], []
+    admit = gauge._admit
+    monkeypatch.setattr(gauge, "_admit", lambda *args: admitted.append(args[2]) or admit(*args))
+    equal = Surface.__eq__
+    monkeypatch.setattr(Surface, "__eq__", lambda a, b: compared.append(1) or equal(a, b))
     theory = TheoryData(clifford_twist(1), family)
     reports = crosscheck(theory, surface)
-    assert checked == [r.structure for r in reports] == enumerate_structures(surface)
-    checked.clear()
-    crosscheck(theory, surface, structures=enumerate_structures(surface)[:3])
-    assert checked == enumerate_structures(surface)[:3]
+    checks = len(compared)
+    assert admitted == [None] and checks == len(reports) == 2 ** surface.b1
+    assert [r.structure for r in reports] == enumerate_structures(surface)
+    given = enumerate_structures(surface)[:3]
+    admitted.clear()
+    compared.clear()
+    crosscheck(theory, surface, structures=given)
+    assert admitted == [given] and len(compared) == 3
+    # partition_lhs and partition_rhs admit their one structure once each
+    for side in (partition_lhs, partition_rhs):
+        admitted.clear()
+        compared.clear()
+        side(theory, surface, given[0])
+        assert admitted == [[given[0]]] and len(compared) == 1
 
 
 @pytest.mark.parametrize("family,surface", [("spin", orientable(3)),
@@ -660,6 +669,38 @@ def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
     with pytest.raises(BudgetExceededError,
                        match=f"^the 131072 structures on nonorientable:17 need {steps} steps"):
         crosscheck(theory, nonorientable(17))
+
+
+def test_given_structures_are_charged_like_enumerated_ones(monkeypatch):
+    # a given list is charged count (blocks |G|^2 D^2 + b1) steps, as the 2^b1
+    # enumerated structures are, and refused with the same message
+    theory = TheoryData(Twist.zero(cyclic(2)).with_phi([0, 1]), "pin-")
+    surface = nonorientable(10)
+    every = enumerate_structures(surface)
+    monkeypatch.setenv("SUPERFS_BUDGET", "20000")
+    steps = 1024 * (10 * 2 * 2 * 4 ** 2 + 10)
+    message = f"^the 1024 structures on nonorientable:10 need {steps} steps, budget is 20000$"
+    for structures in (None, every):
+        with pytest.raises(BudgetExceededError, match=message):
+            crosscheck(theory, surface, structures=structures)
+    # 30 of them need 30 * 650 = 19500 steps
+    assert len(crosscheck(theory, surface, structures=every[:30])) == 30
+
+
+def test_block_read_is_charged_before_its_walk(monkeypatch):
+    # TheoryData.block charges its walk and graded table, |G|^gens +
+    # |G|^2 D 2^gens, before it allocates, also when it is read directly
+    import superfs.gauge as gauge
+
+    theory = TheoryData(Twist.zero(product_group(catalog_group("a4"), catalog_group("d4"))),
+                        "oriented")
+    monkeypatch.setattr(gauge, "_walk", lambda *args: pytest.fail("walked"))
+    monkeypatch.setenv("SUPERFS_BUDGET", "1000")
+    steps = 96 ** 2 + 96 ** 2 * 4 * 2 ** 2
+    with pytest.raises(BudgetExceededError, match=f"^the block walk of a group of order 96 "
+                       f"needs {steps} steps, budget is 1000$"):
+        theory.block
+    assert "block" not in vars(theory)
 
 
 # ---------------------------------- random permutation groups, brute force

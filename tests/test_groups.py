@@ -437,6 +437,17 @@ def test_generating_set_word_levels_and_classes_match_the_search_oracles():
             assert np.array_equal(got[field], array), (name, field)
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_generating_set_of_a_cyclic_group_matches_the_search(n):
+    # Z_n is one generator deep in n - 1 levels: the closure multiplies
+    # each newly reached element by S once, not every reached one per level
+    table = cyclic(n).table
+    assert _generating_set(table).tolist() == greedy_generating_set(table) == [1]
+    for seed in (1, 2):
+        table = relabelled(cyclic(n).table, relabelling(n, seed))
+        assert _generating_set(table).tolist() == greedy_generating_set(table), seed
+
+
 def test_generating_set_and_levels_match_the_search_on_latin_squares():
     # the non-associative Latin squares that validation refuses: S and the
     # word levels are searches on the table alone, whatever it is

@@ -1046,22 +1046,22 @@ def test_special_element_squares_are_batched_and_checked_one_by_one():
 
 
 def test_decompose_checked_against_budget(monkeypatch):
-    # A4: the class walk's 120 (|S| + 1) |G| = 4320 bytes are refused before
+    # A4: the class walk's 96 (|S| + 1) |G| = 3456 bytes are refused before
     # it runs, so nothing is cached on the group; the whole charge, r = 4,
-    # once r is known; and with the walk done, the phases' 40 (|S| + 1) |G|
-    # = 1440 bytes of a second algebra on the same group
+    # once r is known; and with the walk done, the phases' 64 (|S| + 1) |G|
+    # = 2304 bytes of a second algebra on the same group
     alg = TwistedGroupAlgebra(Twist.zero(catalog_group("a4")))
     monkeypatch.setenv("SUPERFS_BUDGET", "1000")
-    with pytest.raises(BudgetExceededError, match="classes of a group of order 12 need 4320 "
+    with pytest.raises(BudgetExceededError, match="classes of a group of order 12 need 3456 "
                        "bytes, budget is 1000"):
         decompose_regular(alg)
     assert "classes" not in alg.group.__dict__
-    monkeypatch.setenv("SUPERFS_BUDGET", "4320")
+    monkeypatch.setenv("SUPERFS_BUDGET", "3456")
     with pytest.raises(BudgetExceededError, match="with 4 irreducibles needs 35200 bytes"):
         decompose_regular(alg)
-    monkeypatch.setenv("SUPERFS_BUDGET", "1100")
-    with pytest.raises(BudgetExceededError, match="phases of an algebra of order 12 need 1440 "
-                       "bytes, budget is 1100"):
+    monkeypatch.setenv("SUPERFS_BUDGET", "2000")
+    with pytest.raises(BudgetExceededError, match="phases of an algebra of order 12 need 2304 "
+                       "bytes, budget is 2000"):
         decompose_regular(TwistedGroupAlgebra(alg.twist))
     monkeypatch.setenv("SUPERFS_BUDGET", "35200")
     assert len(decompose_regular(alg)) == 4
@@ -1097,6 +1097,34 @@ def test_decompose_charge_covers_its_traced_peak(monkeypatch, name):
     finally:
         tracemalloc.stop()
     assert len(charges) == (3 if name == "clifford6" else 1) and max(charges) >= peak
+
+
+@pytest.mark.parametrize("name", ["clifford8", "z1024"])
+def test_class_walk_and_phase_charges_cover_their_traced_peaks(monkeypatch, name):
+    # the class walk charges 96 (|S| + 1) |G| bytes and the class phases,
+    # which gather alpha at the positions of lambda themselves, 64 (|S| + 1)
+    # |G|; each charge is at least the peak tracemalloc sees while it runs
+    import tracemalloc
+
+    import superfs.groups
+
+    twist = clifford_twist(8) if name == "clifford8" else Twist.zero(cyclic(1024))
+    alg = TwistedGroupAlgebra(twist)
+    charges = []
+    for module in (superfs.groups, superalg):
+        monkeypatch.setattr(module, "check_budget", lambda need, what, charge=module.check_budget:
+                            charges.append(need) or charge(need, what))
+    peaks = []
+    for read in (lambda: alg.group.classes, lambda: alg.class_phases):
+        tracemalloc.start()
+        try:
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    units = (twist.group.generators.size + 1) * twist.order
+    assert charges == [96 * units, 64 * units]
+    assert charges[0] >= peaks[0] and charges[1] >= peaks[1]
 
 
 @pytest.mark.parametrize("rank", [6, 8])
