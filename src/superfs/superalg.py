@@ -117,8 +117,8 @@ class TwistedGroupAlgebra:
         (_ClassPhases describes the fields), computed once per algebra:
         exact integers, in O(|G| |S|). The group's classes are walked first
         (Group.classes), and the 64 (|S| + 1) |G| bytes of the phases are
-        checked against the work budget before they are computed: alpha is
-        read at the lambda(a, b) of (a, b) = (s, g) and (x_g, g_K) alone."""
+        checked against the work budget before they are computed. lambda(a, b)
+        reads alpha at (a, b), (a, a^-1), (ab, a^-1), for (s, g) and (x_g, g_K)."""
         group = self.group
         classes = group.classes
         n, gens = self.order, group.generators

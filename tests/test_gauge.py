@@ -423,8 +423,7 @@ def test_crosscheck_checks_each_structure_once(monkeypatch, family, surface):
     monkeypatch.setattr(Surface, "__eq__", lambda a, b: compared.append(1) or equal(a, b))
     theory = TheoryData(clifford_twist(1), family)
     reports = crosscheck(theory, surface)
-    checks = len(compared)
-    assert admitted == [None] and checks == len(reports) == 2 ** surface.b1
+    assert admitted == [None] and len(compared) == len(reports) == 2 ** surface.b1
     assert [r.structure for r in reports] == enumerate_structures(surface)
     given = enumerate_structures(surface)[:3]
     admitted.clear()

@@ -439,8 +439,8 @@ def test_generating_set_word_levels_and_classes_match_the_search_oracles():
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_generating_set_of_a_cyclic_group_matches_the_search(n):
-    # Z_n is one generator deep in n - 1 levels: the closure multiplies
-    # each newly reached element by S once, not every reached one per level
+    # Z_n has one generator and n - 1 levels: the closure multiplies each
+    # newly reached element by S once, not every reached one per level
     table = cyclic(n).table
     assert _generating_set(table).tolist() == greedy_generating_set(table) == [1]
     for seed in (1, 2):
