@@ -162,8 +162,7 @@ def _generating_set(table: np.ndarray) -> np.ndarray:
         while fresh.size:
             fresh = fresh[~seen[fresh]]
             seen[fresh] = True
-            if fresh.size > 1:
-                # the sorting unique of _levels: numpy's hashed one maps ~1.6 MB more
+            if fresh.size > 1:   # sorting, as in _levels: a hashed unique maps ~1.6 MB
                 fresh = np.unique(fresh, return_index=True)[0]
             fresh = right[fresh].ravel()
     return np.array(gens, dtype=np.int64)

@@ -116,21 +116,22 @@ class TwistedGroupAlgebra:
         """The phases of the algebra on the classes of its group
         (_ClassPhases describes the fields), computed once per algebra:
         exact integers, in O(|G| |S|). The group's classes are walked first
-        (Group.classes), and the 64 (|S| + 1) |G| bytes of the phases are
-        checked against the work budget before they are computed. lambda(a, b)
-        reads alpha at (a, b), (a, a^-1), (ab, a^-1), for (s, g) and (x_g, g_K)."""
+        (Group.classes), and the 64 (|S| + 1) |G| bytes of the phases, lambda
+        read at (s, g) and (x_g, g_K) included, are checked against the budget."""
         group = self.group
-        classes = group.classes
-        n, gens = self.order, group.generators
+        classes, n, gens = group.classes, self.order, group.generators
         need = 64 * (gens.size + 1) * n
         check_budget(need, f"the class phases of an algebra of order {n} need {need} bytes")
-        denom, alpha = self.twist.denom, self.twist.alpha_num
-        a = np.vstack((np.broadcast_to(gens[:, None], (gens.size, n)), classes.conjugator))
-        b = np.vstack((np.broadcast_to(np.arange(n), (gens.size, n)), classes.least))
+        denom, flat = self.twist.denom, self.twist.alpha_num.ravel()
+        a = np.empty((gens.size + 1, n), dtype=np.int64)
+        a[:-1], a[-1] = gens[:, None], classes.conjugator
+        b = np.empty_like(a)
+        b[:-1], b[-1] = np.arange(n), classes.least
         back = group.inverses[a]
-        lam = alpha[a, b]
-        lam -= alpha[a, back]
-        lam += alpha[group.table[a, b], back]
+        a *= n
+        b += a   # flat positions a |G| + b in a |G| x |G| table
+        lam = flat[b] - flat[a + back]
+        lam += flat[group.table.ravel()[b] * n + back]
         del a, b, back
         lam %= denom
         turns, phase = lam[:-1], lam[-1]
