@@ -26,13 +26,15 @@ by this version of the script. Six families are measured:
   them (algebra built, decomposed, classified): the number of cases and
   supermodules, the median total of three passes and the time per
   supermodule, at the default SUPERFS_BUDGET;
-- `surfaces`: `crosscheck` on every structure of Z2 pin- on 1..14 crosscaps,
-  of Clifford(2) spin on genus 1..7, and of the rational cocycle
+- `surfaces`: `crosscheck` on every structure of Z2 pin- on 1..20 crosscaps,
+  of Clifford(2) spin on genus 1..10, and of the rational cocycle
   alpha((a, b), (a', b')) = a b' / 3 on Z3 x Z3, oriented, on genus 1..10:
-  the median time of three calls, the structure count and the largest
+  the median time of three calls and that time per structure, the
+  structure count and the largest
   |lhs - rhs| (and |lhs - rhs| / max(1, |rhs|)), also at the default
   SUPERFS_BUDGET, so a point the measured checkout refuses is recorded as
-  refused, with its message.
+  refused, with its message. Each point records its peak RSS, refused or
+  not; the last admitted point of each theory is its limit.
 
 A classify point times five stages: validation (`group_from_table` on the
 raw table and the `Twist` built on it, which `validate_twist` proves),
@@ -73,8 +75,8 @@ BUDGET = "1e10"
 RANKS = {"clifford": range(4, 14), "z2-graded": range(4, 12), "gradings": range(3, 9),
          "h2": ("z2^2", "z2^3", "z2^4", "z2^5", "z2^6", "s4", "s4xz2", "s4xz2xz2"),
          "sweep": ("z2^2", "z2^3", "z2^4", "d4", "q8", "s4"),
-         "surfaces": ([f"z2-pin:{k}" for k in range(1, 15)]
-                      + [f"clifford2-spin:{g}" for g in range(1, 8)]
+         "surfaces": ([f"z2-pin:{k}" for k in range(1, 21)]
+                      + [f"clifford2-spin:{g}" for g in range(1, 11)]
                       + [f"z3xz3-rational:{g}" for g in range(1, 11)])}
 CLI_ARGS = ["classify", "--clifford", "10", "--json"]
 # the address space a classify point may use
@@ -272,21 +274,27 @@ def measure_surface(name: str, repeats: int = 3) -> dict:
     theory, surface = _surface_theory(name)
     point = {"family": "surfaces", "theory": name.split(":")[0],
              "theory_family": theory.family, "surface": str(surface), "b1": surface.b1}
+
+    def peak() -> dict:
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return {"peak_rss_mib": round(rss / 1024, 1)}
+
     times = []
     for _ in range(repeats):
+        reports = None   # the last call's reports go first
         start = time.perf_counter()
         try:
             reports = crosscheck(theory, surface)
         except BudgetExceededError as exc:
-            return {**point, "refused": str(exc)}
+            return {**point, "refused": str(exc), **peak()}
         times.append(time.perf_counter() - start)
     return {**point, "structures": len(reports),
             "crosscheck_s": round(statistics.median(times), 4),
             "cold_crosscheck_s": round(times[0], 4),
+            "per_structure_us": round(1e6 * statistics.median(times) / len(reports), 2),
             "max_abs_diff": max(r.abs_diff for r in reports),
             "max_rel_diff": max(r.abs_diff / max(1.0, abs(r.rhs)) for r in reports),
-            "all_pass": all(r.verdict == "PASS" for r in reports),
-            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+            "all_pass": all(r.verdict == "PASS" for r in reports), **peak()}
 
 
 def _run_child(argv: list, src: Path, capture: bool) -> tuple[float, float, str]:

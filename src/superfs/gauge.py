@@ -15,6 +15,7 @@ homomorphisms for small cases.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -201,33 +202,17 @@ def _block_steps(n: int, gens: int, D: int) -> int:
 
 
 def _admit(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]:
-    """Admit a partition request once: (D, jobs), the D = lcm(denom, 4) phase
-    buckets and the structures to run (None for the families without one;
-    all 2^b1 for spin / pin- when `structures` is None). In order: the
-    family's surface; the state sum's block walk (_block_steps) and block
-    products, blocks |G|^2 D^2, against the work budget, and the 64-bit
-    ceiling on hom counts (the sphere has no blocks and passes); for spin /
-    pin-, count (blocks |G|^2 D^2 + b1) steps for the block products and
-    invariants of the 2^b1 structures, before they are enumerated, or of
-    the list given; then each structure, once: required for spin / pin-,
-    refused otherwise, and on `surface`."""
+    """Admit a partition request's surface and structures: (D, jobs), the
+    D = lcm(denom, 4) phase buckets and the structures to run (None for the
+    families without one; all 2^b1 for spin / pin- when `structures` is
+    None, which only _admit_state_sum passes, once it has charged them).
+    In order: the family's surface; then each structure, once: required for
+    spin / pin-, refused otherwise, and on `surface`. This is all the
+    algebraic side needs; the state sum is admitted by _admit_state_sum,
+    which ends here."""
     theory.require_surface(surface)
-    n, blocks, b1 = theory.group.order, surface.param, surface.b1
-    D = math.lcm(theory.twist.denom, 4)
-    products = blocks * n * n * D ** 2
-    if blocks:
-        required = _block_steps(n, b1 // blocks, D) + products
-        check_budget(required, f"state sum needs {required} steps")
-        if n ** (b1 - 1) >= 2 ** 62:
-            raise BudgetExceededError(
-                f"hom counts up to {n}^{b1} could overflow 64-bit integers",
-                required=n ** b1)
     family, ring = theory.family, _FAMILY[theory.family].ring
     jobs = None if structures is None else list(structures)
-    if ring is not None:
-        count = 2 ** b1 if jobs is None else len(jobs)
-        steps = count * (products + b1)
-        check_budget(steps, f"the {count} structures on {surface} need {steps} steps")
     if jobs is None:
         jobs = [None] if ring is None else enumerate_structures(surface)
     if not jobs:
@@ -240,12 +225,52 @@ def _admit(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]
             raise ValidationError(f"the {family} family needs a structure")
         elif structure.surface != surface:
             raise ValidationError(f"structure is on {structure.surface}, not {surface}")
-    return D, jobs
+    return math.lcm(theory.twist.denom, 4), jobs
+
+
+def _admit_state_sum(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]:
+    """Admit a state-sum request: (D, jobs), as _admit returns them. In
+    order: the family's surface; the block walk (_block_steps) and one block
+    product per block, |G|^2 D^2 steps each, against the work budget, and
+    the 64-bit ceiling on hom counts (the sphere has no blocks and passes);
+    for spin / pin-, the products of the structures' prefix tree, at most
+    sum_i min(count, R^i) nodes over the blocks i = 1..blocks, where R is the
+    number of block rows (2 per crosscap, 4 per handle), plus b1 steps per
+    structure; then, in bytes, the expanded transfer matrices of the R rows
+    and the widest level of prefix counts (_state_sums) with its gather and
+    its product; then _admit."""
+    theory.require_surface(surface)
+    n, blocks, b1 = theory.group.order, surface.param, surface.b1
+    jobs = None if structures is None else list(structures)
+    if blocks:
+        D = math.lcm(theory.twist.denom, 4)
+        product = n * n * D ** 2
+        required = _block_steps(n, b1 // blocks, D) + blocks * product
+        check_budget(required, f"state sum needs {required} steps")
+        if n ** (b1 - 1) >= 2 ** 62:
+            raise BudgetExceededError(
+                f"hom counts up to {n}^{b1} could overflow 64-bit integers",
+                required=n ** b1)
+        rows, count = 1, 1
+        if _FAMILY[theory.family].ring is not None:
+            rows = 4 if surface.is_orientable else 2
+            count = 2 ** b1 if jobs is None else len(jobs)
+        widths = [min(count, rows ** i) for i in range(1, blocks + 1)]
+        if rows > 1:
+            steps = count * b1 + sum(widths) * product
+            check_budget(steps, f"the {count} structures on {surface} need {steps} steps")
+        # the widest level of counts: n D per prefix, D per leaf
+        level = max([w * n * D for w in widths[:-1]] + [widths[-1] * D])
+        need = 8 * (rows * (n * D) ** 2 + 3 * level)
+        check_budget(need, f"the state sum's transfer matrices and prefix counts "
+                     f"need {need} bytes")
+    return _admit(theory, surface, jobs)
 
 
 def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> list:
-    """(value, hom count) of the state sum for each job admitted by _admit: a
-    structure on `surface`, or None (no structure), which counts as Q = 0.
+    """(value, hom count) of the state sum for each job admitted by
+    _admit_state_sum: a structure on `surface`, or None (no structure),
+    which counts as Q = 0 on every block.
 
     An exact transfer-matrix product: the relator is one word per block (a
     handle [a,b] or a crosscap c^2) and the intersection form is block
@@ -257,36 +282,56 @@ def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> lis
     walk (TheoryData.block), graded by the parity pattern of the images,
     serves every surface and structure; a block's table follows by shifting the
     slice of pattern p by the block's Q(p) (its row of
-    `QuadraticRefinement.block_table`) times D / ring, once per distinct row.
-    Counts stay exact integers; the only floating-point step is the final
-    sum of counts times D-th roots of unity."""
+    `QuadraticRefinement.block_table`) times D / ring.
+
+    The jobs are walked as the prefix tree of their block rows, so a product
+    over blocks 1..i shared by several jobs is formed once. Each distinct row
+    r has one expanded matrix M_r[(x, j), (y, k)] = T_r[x, y, k - j] acting on
+    the flat counts (x, j) of a prefix. At level i one sort finds the
+    distinct (parent prefix, row) pairs, and each is advanced from its parent
+    by one integer matmul per distinct row; the last block reads only the
+    y = e columns. Every count and partial sum is bounded by the |G|^b1
+    assignments, so the counts are int64 while |G|^b1 < 2^63 and the last
+    product runs on Python ints past it. The only floating-point step is the
+    final sum of counts times D-th roots of unity, once per distinct leaf."""
     n, blocks = theory.group.order, surface.param
     if not blocks:
         return [(complex(1 / n), 1) for _ in jobs]
     graded = theory.block
     scale = D // (2 if surface.is_orientable else 4)   # D / ring
     no_structure = ((0,) * graded.shape[3],) * blocks   # Q = 0 on every block
-    shift = (np.arange(D)[None, :] - np.arange(D)[:, None]) % D
-    tables = {}
-    sums = []
-    for structure in jobs:
-        counts = np.zeros((n, D), dtype=np.int64)
-        counts[0, 0] = 1  # running product e, exponent 0
-        rows = no_structure if structure is None else structure.block_table
-        for i, row in enumerate(rows):
-            if row not in tables:
-                tables[row] = sum(np.roll(graded[..., p], q * scale, axis=2)
-                                  for p, q in enumerate(row))
-            circ = counts[:, shift]  # circ[x, s, k] = counts[x, k - s]
-            if i < blocks - 1:
-                counts = np.tensordot(tables[row], circ, axes=([0, 2], [0, 1]))
-            else:
-                # last block: only y = e, in exact integers (counts may pass 2^63)
-                counts = np.tensordot(tables[row][:, :1, :].astype(object),
-                                      circ.astype(object), axes=([0, 2], [0, 1]))
-        final = [int(c) for c in counts[0]]
-        sums.append((_root_sum(final, D) / n, sum(final)))
-    return sums
+    tables = [no_structure if job is None else job.block_table for job in jobs]
+    rows = list(dict.fromkeys(itertools.chain.from_iterable(tables)))
+    ids = np.fromiter(map({row: r for r, row in enumerate(rows)}.__getitem__,
+                          itertools.chain.from_iterable(tables)),
+                      dtype=np.int8, count=len(jobs) * blocks).reshape(len(jobs), blocks)
+
+    def expanded(row):
+        table = sum(np.roll(graded[..., p], q * scale, axis=2) for p, q in enumerate(row))
+        matrix = np.empty((n, D, n, D), dtype=np.int64)
+        for j in range(D):   # M_r[x, j, y, k] = T_r[x, y, k - j]
+            matrix[:, j] = np.roll(table, j, axis=2)
+        return matrix.reshape(n * D, n * D)
+
+    matrices = [expanded(row) for row in rows]
+    exact = n ** surface.b1 >= 2 ** 63
+    counts = np.zeros((1, n * D), dtype=np.int64)
+    counts[0, 0] = 1   # the empty prefix: running product e, exponent 0
+    prefix = np.zeros(len(jobs), dtype=np.int64)   # each job's node at the current level
+    for i in range(blocks):
+        last = i == blocks - 1
+        if last and exact:
+            counts = counts.astype(object)   # Python ints
+        nodes, prefix = np.unique(prefix * len(rows) + ids[:, i], return_inverse=True)
+        parent, row = np.divmod(nodes, len(rows))
+        step = np.empty((nodes.size, D if last else n * D), dtype=counts.dtype)
+        for r in np.flatnonzero(np.bincount(row)):
+            chosen = row == r
+            matrix = matrices[r][:, :D].astype(counts.dtype, copy=False) if last else matrices[r]
+            step[chosen] = counts[parent[chosen]] @ matrix
+        counts = step
+    leaves = [(_root_sum(final, D) / n, sum(final)) for final in counts.tolist()]
+    return [leaves[p] for p in prefix.tolist()]
 
 
 def _root_sum(counts: list, D: int) -> complex:
@@ -309,8 +354,8 @@ def partition_lhs(theory: TheoryData, surface: Surface,
     times the structure weight. Returns (value, number of homomorphisms).
 
     Computed as an exact transfer-matrix product over the handles or
-    crosscaps, once the request is admitted (_admit)."""
-    D, jobs = _admit(theory, surface, [structure])
+    crosscaps, once the request is admitted (_admit_state_sum)."""
+    D, jobs = _admit_state_sum(theory, surface, [structure])
     return _state_sums(theory, surface, jobs, D)[0]
 
 
@@ -321,7 +366,8 @@ def partition_rhs(theory: TheoryData, surface: Surface,
     (|G| / dim)^{-euler} over irreducible (super)modules.
 
     Returns (value, per-module terms, named invariant of the structure)
-    once the request is admitted (_admit), as the state sum's would be."""
+    once its surface and structure are admitted (_admit); the state sum is
+    not run, so it is not charged."""
     _admit(theory, surface, [structure])
     invariant = _invariant(structure)
     return (*_rhs_sum(theory, surface, invariant, theory.spectrum), invariant)
@@ -379,11 +425,11 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None) -> list:
 
     For spin / pin- families this yields one report per structure (all 2^b1
     by default); for oriented / unoriented a single report. The request is
-    admitted once (_admit), its work charged before any structure is
-    enumerated. The algebraic side is computed once per distinct invariant,
+    admitted once (_admit_state_sum), its work charged before any structure
+    is enumerated. The algebraic side is computed once per distinct invariant,
     so reports with equal invariants share one `rhs_terms` list.
     """
-    D, jobs = _admit(theory, surface, structures)
+    D, jobs = _admit_state_sum(theory, surface, structures)
     spectrum = theory.spectrum
     rhs_by_invariant = {}
     reports = []

@@ -1,5 +1,8 @@
 """Shared pytest plumbing: collect acceptance verdict lines for the summary,
-and count cocycle proofs."""
+count cocycle proofs, and set up child interpreters."""
+
+import os
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,16 @@ def cocycle_proofs(monkeypatch) -> list:
     monkeypatch.setattr(superfs.twists, "_check_cocycle",
                         lambda *args: calls.append(1) or original(*args))
     return calls
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """The environment of a child Python process that imports superfs from
+    this checkout's src, whether or not PYTHONPATH is set: pytest's own
+    pythonpath setting reaches only the pytest process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def pytest_terminal_summary(terminalreporter):

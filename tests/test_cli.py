@@ -414,12 +414,12 @@ def test_exit_1_math_failure(monkeypatch, capsys):
     assert code == 1 and "snap" in err
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     import subprocess
     import sys
     proc = subprocess.run([sys.executable, "-m", "superfs", "classify",
                            "--group", "z2", "--phi", "id"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 

@@ -328,6 +328,34 @@ def test_partition_lhs_matches_brute_force(label, family):
             assert abs(z - z_ref) < 1e-12 * max(1.0, abs(z_ref)), (surface, q, z, z_ref)
 
 
+@pytest.mark.parametrize("label,family,surface", [("cl2", "spin", orientable(3)),
+                                                  ("d4-graded", "pin-", nonorientable(4))])
+def test_prefix_walk_matches_brute_force_on_any_structure_list(label, family, surface):
+    # the state sum walks the prefix tree of the jobs' block rows: a given
+    # list that is shuffled, repeats structures and shares some prefixes but
+    # not others gets, job by job, the full scan's value and hom count
+    twist = next(t for name, t, _ in _oracle_theories() if name == label)
+    group, pres = twist.group, presentation(surface)
+    every = enumerate_structures(surface)
+    rng = np.random.default_rng(11)
+    picks = np.concatenate([rng.permutation(len(every))[:len(every) // 2],
+                            rng.integers(0, len(every), size=12)])
+    given = [every[i] for i in rng.permutation(picks)]
+    assert len(set(given)) < len(given) and given != sorted(given, key=lambda q: q.values)
+    reports = crosscheck(TheoryData(twist, family), surface, structures=given)
+    assert [r.structure for r in reports] == given
+    oracle = {}
+    for r in reports:
+        q = r.structure
+        if q not in oracle:
+            oracle[q] = brute_force_partition(
+                group.table, group.inverses, twist.alpha_num, twist.denom, twist.phi,
+                pres.word, pres.n_generators, values=q.values, kind=surface.kind)
+        z_ref, count_ref = oracle[q]
+        assert r.hom_count == count_ref, q
+        assert abs(r.lhs - z_ref) < 1e-12 * max(1.0, abs(z_ref)), (q, r.lhs, z_ref)
+
+
 def _symmetric4():
     return group_from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
 
@@ -377,6 +405,53 @@ def test_state_sum_budget_and_overflow_guards(monkeypatch):
     # 3^40 homs pass 2^63; the last block is contracted in exact integers
     z3 = TheoryData(Twist.zero(cyclic(3)), "oriented")
     assert partition_lhs(z3, orientable(20))[1] == 3 ** 40
+    # 3^40 assignments on forty crosscaps: past 2^63 the last product runs
+    # on Python ints, and Z3's one real irrep gives 3^39 homs (Frobenius-Schur)
+    z3 = TheoryData(Twist.zero(cyclic(3)), "unoriented")
+    z, count = partition_lhs(z3, nonorientable(40))
+    assert 3 ** 40 >= 2 ** 63 and type(count) is int and count == 3 ** 39
+    assert z == 3.0 ** 38
+
+
+def test_rhs_is_not_charged_for_the_state_sum(monkeypatch):
+    # the algebraic side admits only the surface and the structure: the
+    # 64-bit ceiling and the state-sum budget refuse the left-hand side only
+    monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
+    z2 = TheoryData(Twist.zero(cyclic(2)), "unoriented")
+    with pytest.raises(BudgetExceededError, match="^hom counts up to 2\\^63 could overflow"):
+        partition_lhs(z2, nonorientable(63))
+    with pytest.raises(BudgetExceededError, match="^hom counts up to 2\\^63 could overflow"):
+        crosscheck(z2, nonorientable(63))
+    # both irreps of Z2 are real: 2 (2 / 1)^61 = 2^62
+    assert partition_rhs(z2, nonorientable(63)) == (
+        2.0 ** 62, [{"dim": 1, "indicator": 1, "coefficient": [1.0, 0.0],
+                     "value": [2.0 ** 61, 0.0]}] * 2, None)
+    a4 = TheoryData(Twist.zero(catalog_group("a4")), "oriented")
+    a4.spectrum   # decomposed at the default budget
+    monkeypatch.setenv("SUPERFS_BUDGET", "1000")
+    with pytest.raises(BudgetExceededError, match="^state sum needs"):
+        partition_lhs(a4, orientable(2))
+    # degrees 1, 1, 1, 3: sum (12 / d)^2 = 448
+    assert partition_rhs(a4, orientable(2))[0] == pytest.approx(448)
+
+
+def test_state_sum_matrices_are_charged_in_bytes_before_they_exist(monkeypatch):
+    # a phase denominator of 2^11 keeps the torus's steps in budget, but its
+    # expanded transfer matrix has (|G| D)^2 = 4096^2 entries: refused in
+    # bytes before the block walk
+    import superfs.gauge as gauge
+
+    twist = Twist.from_fractions(cyclic(2), [0, 0], [["0", "0"], ["0", f"1/{2 ** 11}"]])
+    theory = TheoryData(twist, "oriented")
+    monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
+    monkeypatch.setattr(gauge, "_walk", lambda *args: pytest.fail("walked"))
+    D = 2 ** 11
+    need = 8 * ((2 * D) ** 2 + 3 * D)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^the state sum's transfer matrices and prefix counts need "
+                       f"{need} bytes, budget is 100000000$"):
+        crosscheck(theory, orientable(1))
+    assert "block" not in vars(theory)
 
 
 def test_state_sum_rejects_structures_on_another_surface():
@@ -638,10 +713,13 @@ def test_rhs_coefficients_at_fourth_roots_are_exact():
 # ---------------------------------------------------------- structure budget
 
 def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
-    # the structures of the benchmark's spin and pin- commands (b1 <= 5) and
-    # of Z2 pin- on ten, twelve and sixteen crosscaps fit the default budget:
-    # crosscheck reaches the enumeration. The charge is 2^b1 (blocks |G|^2 D^2
-    # + b1), so seventeen crosscaps of Z2 (2^17 (17 * 64 + 17) steps) do not
+    # the structures of the benchmark's spin and pin- commands (b1 <= 5), of
+    # Z2 pin- on ten to nineteen crosscaps and of Clifford(2) spin on genus 9
+    # fit the default budget: crosscheck reaches the enumeration. The charge
+    # is b1 per structure plus |G|^2 D^2 per node of the structures' prefix
+    # tree, sum_i min(2^b1, R^i) nodes with R = 2 per crosscap and 4 per
+    # handle, so twenty crosscaps of Z2 (2^20 20 + (2^21 - 2) 64 steps) and
+    # genus 10 of Clifford(2) (4^10 20 + (4^11 - 4) / 3 256 steps) do not
     import superfs.gauge
 
     class Reached(Exception):
@@ -659,30 +737,38 @@ def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
             (d4, z2_homomorphisms(d4)[1], "pin-", nonorientable(5)),
             (z2, [0, 1], "pin-", nonorientable(10)),
             (z2, [0, 1], "pin-", nonorientable(12)),
-            (z2, [0, 1], "pin-", nonorientable(16))):
+            (z2, [0, 1], "pin-", nonorientable(16)),
+            (z2, [0, 1], "pin-", nonorientable(19))):
         theory = TheoryData(Twist.zero(group).with_phi(phi), family)
         with pytest.raises(Reached):
             crosscheck(theory, surface)
+    with pytest.raises(Reached):
+        crosscheck(TheoryData(clifford_twist(2), "spin"), orientable(9))
     theory = TheoryData(Twist.zero(z2).with_phi([0, 1]), "pin-")
-    steps = 2 ** 17 * (17 * 2 * 2 * 4 ** 2 + 17)
+    steps = 2 ** 20 * 20 + (2 ** 21 - 2) * 2 * 2 * 4 ** 2
     with pytest.raises(BudgetExceededError,
-                       match=f"^the 131072 structures on nonorientable:17 need {steps} steps"):
-        crosscheck(theory, nonorientable(17))
+                       match=f"^the 1048576 structures on nonorientable:20 need {steps} steps"):
+        crosscheck(theory, nonorientable(20))
+    steps = 4 ** 10 * 20 + (4 ** 11 - 4) // 3 * 4 * 4 * 4 ** 2
+    with pytest.raises(BudgetExceededError,
+                       match=f"^the 1048576 structures on orientable:10 need {steps} steps"):
+        crosscheck(TheoryData(clifford_twist(2), "spin"), orientable(10))
 
 
 def test_given_structures_are_charged_like_enumerated_ones(monkeypatch):
-    # a given list is charged count (blocks |G|^2 D^2 + b1) steps, as the 2^b1
-    # enumerated structures are, and refused with the same message
+    # a given list of c structures is charged like the 2^b1 enumerated ones:
+    # b1 steps each, and |G|^2 D^2 per node of their prefix tree, at most
+    # min(c, 2^i) nodes at crosscap i; it is refused with the same message
     theory = TheoryData(Twist.zero(cyclic(2)).with_phi([0, 1]), "pin-")
     surface = nonorientable(10)
     every = enumerate_structures(surface)
     monkeypatch.setenv("SUPERFS_BUDGET", "20000")
-    steps = 1024 * (10 * 2 * 2 * 4 ** 2 + 10)
+    steps = 1024 * 10 + (2 ** 11 - 2) * 2 * 2 * 4 ** 2
     message = f"^the 1024 structures on nonorientable:10 need {steps} steps, budget is 20000$"
     for structures in (None, every):
         with pytest.raises(BudgetExceededError, match=message):
             crosscheck(theory, surface, structures=structures)
-    # 30 of them need 30 * 650 = 19500 steps
+    # 30 of them need 30 * 10 + (2 + 4 + 8 + 16 + 6 * 30) * 64 = 13740 steps
     assert len(crosscheck(theory, surface, structures=every[:30])) == 30
 
 

@@ -13,7 +13,9 @@ alpha(e, e) = 1/2: its two cases (as commit a63c677 printed them) cover the
 normalization at the identity, and the classify output is the unshifted
 one's byte for byte. The two explicit-structure cases (--spin and --pin on the
 clifford2 twist) and the table of partition refusals, each with its exit
-code and exact stderr, are as commit 8728739 printed them. Non-float fields
+code and exact stderr, are as commit 8728739 printed them, except the step
+count of structures-nonorientable-40, which follows the prefix-tree charge
+of the state sum (gauge._admit_state_sum). Non-float fields
 must match exactly, types included; floats within 1e-12. To add a case, run
 its command at a trusted commit and save stdout (or, for a refusal, its exit
 code and stderr).
@@ -126,7 +128,7 @@ REFUSALS = {
         ["partition", "--group", "z2", "--phi", "id", "--family", "pin-",
          "--surface", "nonorientable:40"],
         None, 2, "error: the 1099511627776 structures on nonorientable:40 need "
-                 "2858730232217600 steps, budget is 100000000\n"),
+                 "184717953466240 steps, budget is 100000000\n"),
     "state-sum-budget": (
         ["partition", "--group", "a4", "--surface", "orientable:2"],
         "1000", 2, "error: state sum needs 7056 steps, budget is 1000\n"),

@@ -750,7 +750,7 @@ def test_h2_of_order_96_fits_the_default_budget(monkeypatch):
         Twist(g, zero, v.reshape(g.order, g.order), 2)
 
 
-def test_h2_basis_and_twists_import_nothing_on_first_use():
+def test_h2_basis_and_twists_import_nothing_on_first_use(child_env):
     # a one-shot sweep runs in a fresh interpreter, so a module imported on
     # first use (numpy.ma, behind np.unique and np.setdiff1d) is paid per run
     import subprocess
@@ -765,6 +765,7 @@ def test_h2_basis_and_twists_import_nothing_on_first_use():
         "for v in h2_basis(g):\n"
         "    Twist(g, np.zeros(4, dtype=np.int64), v.reshape(4, 4), 2)\n"
         "print(sorted(set(sys.modules) - before))\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
