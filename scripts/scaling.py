@@ -28,13 +28,15 @@ by this version of the script. Six families are measured:
   supermodule, at the default SUPERFS_BUDGET;
 - `surfaces`: `crosscheck` on every structure of Z2 pin- on 1..20 crosscaps,
   of Clifford(2) spin on genus 1..10, and of the rational cocycle
-  alpha((a, b), (a', b')) = a b' / 3 on Z3 x Z3, oriented, on genus 1..10:
+  alpha((a, b), (a', b')) = a b' / 3 on Z3 x Z3, oriented, on genus 1..11:
   the median time of three calls and that time per structure, the
   structure count and the largest
   |lhs - rhs| (and |lhs - rhs| / max(1, |rhs|)), also at the default
   SUPERFS_BUDGET, so a point the measured checkout refuses is recorded as
   refused, with its message. Each point records its peak RSS, refused or
-  not; the last admitted point of each theory is its limit.
+  not, next to the RSS after the imports and the bytes that the first call's
+  `gauge` charges (or the charge that refused it) add up to; the last
+  admitted point of each theory is its limit.
 
 A classify point times five stages: validation (`group_from_table` on the
 raw table and the `Twist` built on it, which `validate_twist` proves),
@@ -77,7 +79,7 @@ RANKS = {"clifford": range(4, 14), "z2-graded": range(4, 12), "gradings": range(
          "sweep": ("z2^2", "z2^3", "z2^4", "d4", "q8", "s4"),
          "surfaces": ([f"z2-pin:{k}" for k in range(1, 21)]
                       + [f"clifford2-spin:{g}" for g in range(1, 11)]
-                      + [f"z3xz3-rational:{g}" for g in range(1, 11)])}
+                      + [f"z3xz3-rational:{g}" for g in range(1, 12)])}
 CLI_ARGS = ["classify", "--clifford", "10", "--json"]
 # the address space a classify point may use
 POINT_LIMIT = 4 << 30
@@ -268,19 +270,29 @@ def measure_surface(name: str, repeats: int = 3) -> dict:
     import resource
     import statistics
 
+    import superfs.gauge
     from superfs import BudgetExceededError, crosscheck
 
     os.environ.pop("SUPERFS_BUDGET", None)   # surface points run at the default budget
     theory, surface = _surface_theory(name)
     point = {"family": "surfaces", "theory": name.split(":")[0],
-             "theory_family": theory.family, "surface": str(surface), "b1": surface.b1}
+             "theory_family": theory.family, "surface": str(surface), "b1": surface.b1,
+             "import_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+    charged = []   # what gauge charges in bytes in the first call, refused or not
+    check = superfs.gauge.check_budget
+
+    def recording(required, what):
+        if what.endswith(" bytes"):
+            charged.append(required)
+        check(required, what)
 
     def peak() -> dict:
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return {"peak_rss_mib": round(rss / 1024, 1)}
+        return {"charged_bytes": sum(charged), "peak_rss_mib": round(rss / 1024, 1)}
 
     times = []
-    for _ in range(repeats):
+    for i in range(repeats):
+        superfs.gauge.check_budget = recording if i == 0 else check
         reports = None   # the last call's reports go first
         start = time.perf_counter()
         try:

@@ -202,17 +202,23 @@ def _block_steps(n: int, gens: int, D: int) -> int:
 
 
 def _admit(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]:
-    """Admit a partition request's surface and structures: (D, jobs), the
-    D = lcm(denom, 4) phase buckets and the structures to run (None for the
-    families without one; all 2^b1 for spin / pin- when `structures` is
-    None, which only _admit_state_sum passes, once it has charged them).
-    In order: the family's surface; then each structure, once: required for
-    spin / pin-, refused otherwise, and on `surface`. This is all the
-    algebraic side needs; the state sum is admitted by _admit_state_sum,
-    which ends here."""
+    """Admit a partition request: (D, jobs), the D = lcm(denom, 4) phase
+    buckets and the structures to run (None for the families without one;
+    all 2^b1 for spin / pin- when `structures` is None). In order: the
+    family's surface; for spin / pin-, before any structure is enumerated,
+    768 + 16 b1 bytes per structure for its objects, basis values and block
+    table and those of its report from crosscheck (a bound also of its b1
+    steps); then each structure, once: required for spin / pin-, refused
+    otherwise, and on `surface`. The state sum charges its own work."""
     theory.require_surface(surface)
     family, ring = theory.family, _FAMILY[theory.family].ring
     jobs = None if structures is None else list(structures)
+    if ring is not None:
+        b1, per = surface.b1, 768 + 16 * surface.b1
+        count = 2 ** b1 if jobs is None else len(jobs)
+        shown = f"2^{b1}" if count == 2 ** b1 else count   # 2^b1 may have too many digits
+        check_budget(count * per, f"the {shown} structures on {surface} and their reports "
+                     f"need {shown} * {per} bytes")
     if jobs is None:
         jobs = [None] if ring is None else enumerate_structures(surface)
     if not jobs:
@@ -228,49 +234,11 @@ def _admit(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]
     return math.lcm(theory.twist.denom, 4), jobs
 
 
-def _admit_state_sum(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]:
-    """Admit a state-sum request: (D, jobs), as _admit returns them. In
-    order: the family's surface; the block walk (_block_steps) and one block
-    product per block, |G|^2 D^2 steps each, against the work budget, and
-    the 64-bit ceiling on hom counts (the sphere has no blocks and passes);
-    for spin / pin-, the products of the structures' prefix tree, at most
-    sum_i min(count, R^i) nodes over the blocks i = 1..blocks, where R is the
-    number of block rows (2 per crosscap, 4 per handle), plus b1 steps per
-    structure; then, in bytes, the expanded transfer matrices of the R rows
-    and the widest level of prefix counts (_state_sums) with its gather and
-    its product; then _admit."""
-    theory.require_surface(surface)
-    n, blocks, b1 = theory.group.order, surface.param, surface.b1
-    jobs = None if structures is None else list(structures)
-    if blocks:
-        D = math.lcm(theory.twist.denom, 4)
-        product = n * n * D ** 2
-        required = _block_steps(n, b1 // blocks, D) + blocks * product
-        check_budget(required, f"state sum needs {required} steps")
-        if n ** (b1 - 1) >= 2 ** 62:
-            raise BudgetExceededError(
-                f"hom counts up to {n}^{b1} could overflow 64-bit integers",
-                required=n ** b1)
-        rows, count = 1, 1
-        if _FAMILY[theory.family].ring is not None:
-            rows = 4 if surface.is_orientable else 2
-            count = 2 ** b1 if jobs is None else len(jobs)
-        widths = [min(count, rows ** i) for i in range(1, blocks + 1)]
-        if rows > 1:
-            steps = count * b1 + sum(widths) * product
-            check_budget(steps, f"the {count} structures on {surface} need {steps} steps")
-        # the widest level of counts: n D per prefix, D per leaf
-        level = max([w * n * D for w in widths[:-1]] + [widths[-1] * D])
-        need = 8 * (rows * (n * D) ** 2 + 3 * level)
-        check_budget(need, f"the state sum's transfer matrices and prefix counts "
-                     f"need {need} bytes")
-    return _admit(theory, surface, jobs)
-
-
-def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> list:
-    """(value, hom count) of the state sum for each job admitted by
-    _admit_state_sum: a structure on `surface`, or None (no structure),
-    which counts as Q = 0 on every block.
+def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> tuple:
+    """(first, inverse, sums) of the state sum over the jobs _admit returns,
+    structures on `surface` or [None] (Q = 0 on every block): sums[k] is the
+    (value, hom count) of the k-th distinct multiset of block rows, first[k]
+    the index of its first job and inverse[j] the multiset of job j.
 
     An exact transfer-matrix product: the relator is one word per block (a
     handle [a,b] or a crosscap c^2) and the intersection form is block
@@ -284,27 +252,43 @@ def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> lis
     slice of pattern p by the block's Q(p) (its row of
     `QuadraticRefinement.block_table`) times D / ring.
 
-    The jobs are walked as the prefix tree of their block rows, so a product
-    over blocks 1..i shared by several jobs is formed once. Each distinct row
-    r has one expanded matrix M_r[(x, j), (y, k)] = T_r[x, y, k - j] acting on
-    the flat counts (x, j) of a prefix. At level i one sort finds the
-    distinct (parent prefix, row) pairs, and each is advanced from its parent
-    by one integer matmul per distinct row; the last block reads only the
-    y = e columns. Every count and partial sum is bounded by the |G|^b1
-    assignments, so the counts are int64 while |G|^b1 < 2^63 and the last
-    product runs on Python ints past it. The only floating-point step is the
-    final sum of counts times D-th roots of unity, once per distinct leaf."""
+    Each distinct row r has one expanded matrix M_r[(x, j), (y, k)] =
+    T_r[x, y, k - j]: right multiplication by the block's summed element,
+    which is central in the twisted algebra. The matrices commute, so a job
+    enters only through its row counts, keyed as digits in base blocks + 1.
+    Each distinct multiset is advanced block by block in row order, by one
+    integer matmul per (block, distinct row); the last block reads only the
+    y = e columns. Every count is bounded by the |G|^b1 assignments, so the
+    counts are int64 while |G|^b1 < 2^63 and the last product runs on Python
+    ints past it. The only floating-point step is the final sum of counts
+    times D-th roots of unity, once per multiset.
+
+    Charged first, before TheoryData.block is read: its walk (_block_steps)
+    and |G|^2 D^2 steps per multiset and block, the 64-bit ceiling on hom
+    counts, then, in bytes, the expanded matrices and three arrays of
+    counts. The sphere has no blocks and passes."""
     n, blocks = theory.group.order, surface.param
+    base = blocks + 1
+    if jobs[0] is None:
+        rows, keys = [(0,) * (4 if surface.is_orientable else 2)], [blocks]
+    else:
+        rows = list(dict.fromkeys(itertools.chain.from_iterable(
+            job.block_table for job in jobs)))
+        weight = {row: base ** r for r, row in enumerate(rows)}
+        keys = [sum(map(weight.__getitem__, job.block_table)) for job in jobs]
+    keys, first, inverse = np.unique(np.array(keys), return_index=True, return_inverse=True)
     if not blocks:
-        return [(complex(1 / n), 1) for _ in jobs]
+        return first.tolist(), inverse, [(complex(1 / n), 1)]
+    steps = _block_steps(n, surface.b1 // blocks, D) + len(keys) * blocks * n * n * D ** 2
+    check_budget(steps, f"state sum needs {steps} steps")
+    if n ** (surface.b1 - 1) >= 2 ** 62:
+        raise BudgetExceededError(
+            f"hom counts up to {n}^{surface.b1} could overflow 64-bit integers",
+            required=n ** surface.b1)
+    need = 8 * (len(rows) * (n * D) ** 2 + 3 * len(keys) * n * D)
+    check_budget(need, f"the state sum's transfer matrices and counts need {need} bytes")
     graded = theory.block
     scale = D // (2 if surface.is_orientable else 4)   # D / ring
-    no_structure = ((0,) * graded.shape[3],) * blocks   # Q = 0 on every block
-    tables = [no_structure if job is None else job.block_table for job in jobs]
-    rows = list(dict.fromkeys(itertools.chain.from_iterable(tables)))
-    ids = np.fromiter(map({row: r for r, row in enumerate(rows)}.__getitem__,
-                          itertools.chain.from_iterable(tables)),
-                      dtype=np.int8, count=len(jobs) * blocks).reshape(len(jobs), blocks)
 
     def expanded(row):
         table = sum(np.roll(graded[..., p], q * scale, axis=2) for p, q in enumerate(row))
@@ -314,24 +298,25 @@ def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> lis
         return matrix.reshape(n * D, n * D)
 
     matrices = [expanded(row) for row in rows]
+    # multiset k holds row r on blocks ends[k, r - 1] .. ends[k, r] - 1
+    ends = np.cumsum([[key // base ** r % base for r in range(len(rows))]
+                      for key in keys.tolist()], axis=1)
     exact = n ** surface.b1 >= 2 ** 63
-    counts = np.zeros((1, n * D), dtype=np.int64)
-    counts[0, 0] = 1   # the empty prefix: running product e, exponent 0
-    prefix = np.zeros(len(jobs), dtype=np.int64)   # each job's node at the current level
+    counts = np.zeros((len(keys), n * D), dtype=np.int64)
+    counts[:, 0] = 1   # no block yet: running product e, exponent 0
     for i in range(blocks):
         last = i == blocks - 1
         if last and exact:
             counts = counts.astype(object)   # Python ints
-        nodes, prefix = np.unique(prefix * len(rows) + ids[:, i], return_inverse=True)
-        parent, row = np.divmod(nodes, len(rows))
-        step = np.empty((nodes.size, D if last else n * D), dtype=counts.dtype)
+        row = (ends <= i).sum(axis=1)
+        step = np.empty((len(keys), D if last else n * D), dtype=counts.dtype)
         for r in np.flatnonzero(np.bincount(row)):
             chosen = row == r
             matrix = matrices[r][:, :D].astype(counts.dtype, copy=False) if last else matrices[r]
-            step[chosen] = counts[parent[chosen]] @ matrix
+            step[chosen] = counts[chosen] @ matrix
         counts = step
-    leaves = [(_root_sum(final, D) / n, sum(final)) for final in counts.tolist()]
-    return [leaves[p] for p in prefix.tolist()]
+    return first.tolist(), inverse, [(_root_sum(final, D) / n, sum(final))
+                                     for final in counts.tolist()]
 
 
 def _root_sum(counts: list, D: int) -> complex:
@@ -354,9 +339,10 @@ def partition_lhs(theory: TheoryData, surface: Surface,
     times the structure weight. Returns (value, number of homomorphisms).
 
     Computed as an exact transfer-matrix product over the handles or
-    crosscaps, once the request is admitted (_admit_state_sum)."""
-    D, jobs = _admit_state_sum(theory, surface, [structure])
-    return _state_sums(theory, surface, jobs, D)[0]
+    crosscaps, once the request is admitted (_admit), and charged by
+    _state_sums."""
+    D, jobs = _admit(theory, surface, [structure])
+    return _state_sums(theory, surface, jobs, D)[2][0]
 
 
 def partition_rhs(theory: TheoryData, surface: Surface,
@@ -425,24 +411,28 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None) -> list:
 
     For spin / pin- families this yields one report per structure (all 2^b1
     by default); for oriented / unoriented a single report. The request is
-    admitted once (_admit_state_sum), its work charged before any structure
-    is enumerated. The algebraic side is computed once per distinct invariant,
-    so reports with equal invariants share one `rhs_terms` list.
+    admitted once (_admit), before any structure is enumerated. Both sides
+    depend on a structure only through its multiset of block rows, so the
+    lhs, the invariant and the verdict are formed once per multiset, and the
+    algebraic side once per distinct invariant: reports with equal
+    invariants share one `rhs_terms` list.
     """
-    D, jobs = _admit_state_sum(theory, surface, structures)
+    D, jobs = _admit(theory, surface, structures)
+    first, inverse, sums = _state_sums(theory, surface, jobs, D)
     spectrum = theory.spectrum
     rhs_by_invariant = {}
-    reports = []
-    for structure, (lhs, count) in zip(jobs, _state_sums(theory, surface, jobs, D)):
-        invariant = _invariant(structure)
+    shared = []
+    for j, (lhs, count) in zip(first, sums):
+        invariant = _invariant(jobs[j])
         if invariant not in rhs_by_invariant:
             rhs_by_invariant[invariant] = _rhs_sum(theory, surface, invariant, spectrum)
         rhs, terms = rhs_by_invariant[invariant]
-        reports.append(PartitionReport(
-            family=theory.family, surface=surface, structure=structure,
-            lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), hom_count=count,
-            rhs_terms=terms, invariant=invariant, verdict=_verdict(lhs, rhs)))
-    return reports
+        shared.append({"lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs), "hom_count": count,
+                       "rhs_terms": terms, "invariant": invariant,
+                       "verdict": _verdict(lhs, rhs)})
+    return [PartitionReport(family=theory.family, surface=surface, structure=structure,
+                            **shared[k])
+            for structure, k in zip(jobs, inverse.tolist())]
 
 
 def report_to_dict(report: PartitionReport) -> dict:

@@ -476,7 +476,7 @@ def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # too deep a nesting
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 

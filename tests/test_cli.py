@@ -294,6 +294,17 @@ def test_exit_2_invalid_json(tmp_path, capsys):
     assert code == 2 and "invalid JSON" in err
 
 
+@pytest.mark.parametrize("flag", ["--group", "--phi", "--alpha"])
+def test_exit_2_deeply_nested_json(tmp_path, capsys, flag):
+    # 100000 nested arrays overflow the decoder's recursion: a refusal, not
+    # a crash, for each file the CLI reads
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    argv = ["--group", str(path)] if flag == "--group" else ["--group", "z2", flag, str(path)]
+    code, out, err = run(capsys, "partition", *argv, "--surface", "orientable:1")
+    assert (code, out) == (2, "") and err.startswith(f"error: {path}: invalid JSON")
+
+
 @pytest.mark.parametrize("record", [{"table": [[0, 1], [1, 0.9]]},
                                     {"table": [[0, "1"], [True, 0]]},
                                     {"table": [[0, 1], [True, 0]]},
@@ -347,7 +358,7 @@ def test_partition_refuses_too_many_structures_before_enumerating(monkeypatch, c
                              "--family", family, "--surface", surface)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: the {2 ** 40} structures on {surface} need")
+        assert err.startswith(f"error: the 2^40 structures on {surface} and their reports need")
 
 
 def test_exit_2_structure_flag_misuse(capsys):

@@ -330,10 +330,10 @@ def test_partition_lhs_matches_brute_force(label, family):
 
 @pytest.mark.parametrize("label,family,surface", [("cl2", "spin", orientable(3)),
                                                   ("d4-graded", "pin-", nonorientable(4))])
-def test_prefix_walk_matches_brute_force_on_any_structure_list(label, family, surface):
-    # the state sum walks the prefix tree of the jobs' block rows: a given
-    # list that is shuffled, repeats structures and shares some prefixes but
-    # not others gets, job by job, the full scan's value and hom count
+def test_state_sum_matches_brute_force_on_any_structure_list(label, family, surface):
+    # the state sum keys each job by its multiset of block rows: a given list
+    # that is shuffled, repeats structures and shares some multisets but not
+    # others gets, job by job, the full scan's value and hom count
     twist = next(t for name, t, _ in _oracle_theories() if name == label)
     group, pres = twist.group, presentation(surface)
     every = enumerate_structures(surface)
@@ -354,6 +354,48 @@ def test_prefix_walk_matches_brute_force_on_any_structure_list(label, family, su
         z_ref, count_ref = oracle[q]
         assert r.hom_count == count_ref, q
         assert abs(r.lhs - z_ref) < 1e-12 * max(1.0, abs(z_ref)), (q, r.lhs, z_ref)
+
+
+STRUCTURE_CASES = [case for case in ORACLE_CASES if case[1] in ("spin", "pin-")]
+
+
+@pytest.mark.parametrize("label,family", STRUCTURE_CASES,
+                         ids=[f"{label}-{family}" for label, family in STRUCTURE_CASES])
+def test_a_structure_and_its_blocks_permuted_have_one_partition(label, family):
+    # the state sum sees a structure only through its multiset of block
+    # rows. The full scan, which knows nothing of blocks, gives one hom count
+    # and one value (to the rounding of its float sum, taken in assignment
+    # order) for a structure and for a random permutation of its blocks, and
+    # crosscheck gives that value to both
+    twist = next(t for name, t, _ in _oracle_theories() if name == label)
+    group = twist.group
+    surface = orientable(2) if family == "spin" else nonorientable(4)
+    pres, width = presentation(surface), surface.b1 // surface.param
+    rng = np.random.default_rng(5)
+    every, pairs = enumerate_structures(surface), []
+    for i in rng.permutation(len(every)):
+        q = every[i]
+        blocks = [q.values[j:j + width] for j in range(0, surface.b1, width)]
+        if len(set(blocks)) > 1 and len(pairs) < 8:
+            moved = q.values
+            while moved == q.values:
+                moved = sum((blocks[j] for j in rng.permutation(surface.param)), ())
+            pairs.append((q, QuadraticRefinement(surface, moved)))
+    assert len(pairs) == 8
+    oracle = {}
+    for q in {q for pair in pairs for q in pair}:
+        oracle[q] = brute_force_partition(
+            group.table, group.inverses, twist.alpha_num, twist.denom, twist.phi,
+            pres.word, pres.n_generators, values=q.values, kind=surface.kind)
+    reports = crosscheck(TheoryData(twist, family), surface,
+                         structures=[q for pair in pairs for q in pair])
+    for (q, moved), (r, r_moved) in zip(pairs, zip(reports[::2], reports[1::2])):
+        z_ref, count_ref = oracle[q]
+        assert oracle[moved][1] == count_ref, (q, moved)
+        assert abs(oracle[moved][0] - z_ref) < 1e-12 * max(1.0, abs(z_ref)), (q, moved)
+        for report in (r, r_moved):
+            assert report.hom_count == count_ref, (q, moved)
+            assert abs(report.lhs - z_ref) < 1e-12 * max(1.0, abs(z_ref)), (q, moved)
 
 
 def _symmetric4():
@@ -446,9 +488,9 @@ def test_state_sum_matrices_are_charged_in_bytes_before_they_exist(monkeypatch):
     monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
     monkeypatch.setattr(gauge, "_walk", lambda *args: pytest.fail("walked"))
     D = 2 ** 11
-    need = 8 * ((2 * D) ** 2 + 3 * D)
+    need = 8 * ((2 * D) ** 2 + 3 * 2 * D)   # one row's matrix, three rows of counts
     with pytest.raises(BudgetExceededError,
-                       match=f"^the state sum's transfer matrices and prefix counts need "
+                       match=f"^the state sum's transfer matrices and counts need "
                        f"{need} bytes, budget is 100000000$"):
         crosscheck(theory, orientable(1))
     assert "block" not in vars(theory)
@@ -714,21 +756,20 @@ def test_rhs_coefficients_at_fourth_roots_are_exact():
 
 def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
     # the structures of the benchmark's spin and pin- commands (b1 <= 5), of
-    # Z2 pin- on ten to nineteen crosscaps and of Clifford(2) spin on genus 9
-    # fit the default budget: crosscheck reaches the enumeration. The charge
-    # is b1 per structure plus |G|^2 D^2 per node of the structures' prefix
-    # tree, sum_i min(2^b1, R^i) nodes with R = 2 per crosscap and 4 per
-    # handle, so twenty crosscaps of Z2 (2^20 20 + (2^21 - 2) 64 steps) and
-    # genus 10 of Clifford(2) (4^10 20 + (4^11 - 4) / 3 256 steps) do not
+    # Z2 pin- on ten to sixteen crosscaps and of Clifford(2) spin on genus 8
+    # pass every charge of the default budget: crosscheck reaches the block
+    # walk. A structure and its report are charged 768 + 16 b1 bytes, so
+    # seventeen crosscaps of Z2 (2^17 structures) and genus 9 of Clifford(2)
+    # (2^18) are refused before any structure is enumerated
     import superfs.gauge
 
     class Reached(Exception):
         pass
 
-    def reached(surface):
+    def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(superfs.gauge, "enumerate_structures", reached)
+    monkeypatch.setattr(superfs.gauge, "_walk", reached)
     monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
     z2xq8 = product_group(cyclic(2), catalog_group("q8"))
     d4, z2 = catalog_group("d4"), cyclic(2)
@@ -737,39 +778,76 @@ def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
             (d4, z2_homomorphisms(d4)[1], "pin-", nonorientable(5)),
             (z2, [0, 1], "pin-", nonorientable(10)),
             (z2, [0, 1], "pin-", nonorientable(12)),
-            (z2, [0, 1], "pin-", nonorientable(16)),
-            (z2, [0, 1], "pin-", nonorientable(19))):
+            (z2, [0, 1], "pin-", nonorientable(16))):
         theory = TheoryData(Twist.zero(group).with_phi(phi), family)
         with pytest.raises(Reached):
             crosscheck(theory, surface)
     with pytest.raises(Reached):
-        crosscheck(TheoryData(clifford_twist(2), "spin"), orientable(9))
+        crosscheck(TheoryData(clifford_twist(2), "spin"), orientable(8))
+    monkeypatch.setattr(superfs.gauge, "enumerate_structures",
+                        lambda surface: pytest.fail("enumerated"))
     theory = TheoryData(Twist.zero(z2).with_phi([0, 1]), "pin-")
-    steps = 2 ** 20 * 20 + (2 ** 21 - 2) * 2 * 2 * 4 ** 2
     with pytest.raises(BudgetExceededError,
-                       match=f"^the 1048576 structures on nonorientable:20 need {steps} steps"):
-        crosscheck(theory, nonorientable(20))
-    steps = 4 ** 10 * 20 + (4 ** 11 - 4) // 3 * 4 * 4 * 4 ** 2
+                       match="^the 2\\^17 structures on nonorientable:17 and their reports "
+                       "need 2\\^17 \\* 1040 bytes, budget is 100000000$") as err:
+        crosscheck(theory, nonorientable(17))
+    assert err.value.required == 2 ** 17 * (768 + 16 * 17)
     with pytest.raises(BudgetExceededError,
-                       match=f"^the 1048576 structures on orientable:10 need {steps} steps"):
-        crosscheck(TheoryData(clifford_twist(2), "spin"), orientable(10))
+                       match="^the 2\\^18 structures on orientable:9 and their reports "
+                       "need 2\\^18 \\* 1056 bytes, budget is 100000000$") as err:
+        crosscheck(TheoryData(clifford_twist(2), "spin"), orientable(9))
+    assert err.value.required == 2 ** 18 * (768 + 16 * 18)
 
 
 def test_given_structures_are_charged_like_enumerated_ones(monkeypatch):
-    # a given list of c structures is charged like the 2^b1 enumerated ones:
-    # b1 steps each, and |G|^2 D^2 per node of their prefix tree, at most
-    # min(c, 2^i) nodes at crosscap i; it is refused with the same message
+    # a given list of c structures is charged like the 2^b1 enumerated ones,
+    # 768 + 16 b1 bytes each, and all of them are refused with one message
     theory = TheoryData(Twist.zero(cyclic(2)).with_phi([0, 1]), "pin-")
     surface = nonorientable(10)
     every = enumerate_structures(surface)
     monkeypatch.setenv("SUPERFS_BUDGET", "20000")
-    steps = 1024 * 10 + (2 ** 11 - 2) * 2 * 2 * 4 ** 2
-    message = f"^the 1024 structures on nonorientable:10 need {steps} steps, budget is 20000$"
+    message = ("^the 2\\^10 structures on nonorientable:10 and their reports need "
+               "2\\^10 \\* 928 bytes, budget is 20000$")
     for structures in (None, every):
         with pytest.raises(BudgetExceededError, match=message):
             crosscheck(theory, surface, structures=structures)
-    # 30 of them need 30 * 10 + (2 + 4 + 8 + 16 + 6 * 30) * 64 = 13740 steps
-    assert len(crosscheck(theory, surface, structures=every[:30])) == 30
+    # 21 of them need 21 * 928 = 19488 bytes; 22 need 20416
+    assert len(crosscheck(theory, surface, structures=every[:21])) == 21
+    with pytest.raises(BudgetExceededError, match="^the 22 structures on nonorientable:10 "
+                       "and their reports need 22 \\* 928 bytes, budget is 20000$"):
+        crosscheck(theory, surface, structures=every[:22])
+
+
+@pytest.mark.parametrize("twist,family,surface,smaller", [
+    (Twist.zero(cyclic(2)).with_phi([0, 1]), "pin-", nonorientable(12), nonorientable(1)),
+    (clifford_twist(2), "spin", orientable(6), orientable(1))])
+def test_crosscheck_holds_at_most_the_bytes_charged_per_report(monkeypatch, twist, family,
+                                                               surface, smaller):
+    # with the theory's block walk and spectrum made, what crosscheck
+    # allocates at its peak, structures, keys and reports, traced per report,
+    # stays within the 768 + 16 b1 bytes charged for each
+    import tracemalloc
+
+    import superfs.gauge as gauge
+
+    theory = TheoryData(twist, family)
+    crosscheck(theory, smaller)
+    charged = []
+    check = gauge.check_budget
+    monkeypatch.setattr(gauge, "check_budget",
+                        lambda required, what: charged.append((required, what)) or
+                        check(required, what))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = crosscheck(theory, surface)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per = 768 + 16 * surface.b1
+    assert len(reports) == 4096 and charged[0] == (
+        4096 * per, f"the 2^12 structures on {surface} and their reports need 2^12 * {per} bytes")
+    assert (peak - before) / len(reports) <= per
 
 
 def test_block_read_is_charged_before_its_walk(monkeypatch):

@@ -13,9 +13,13 @@ alpha(e, e) = 1/2: its two cases (as commit a63c677 printed them) cover the
 normalization at the identity, and the classify output is the unshifted
 one's byte for byte. The two explicit-structure cases (--spin and --pin on the
 clifford2 twist) and the table of partition refusals, each with its exit
-code and exact stderr, are as commit 8728739 printed them, except the step
-count of structures-nonorientable-40, which follows the prefix-tree charge
-of the state sum (gauge._admit_state_sum). Non-float fields
+code and exact stderr, are as commit 8728739 printed them, except
+structures-nonorientable-40, which follows the byte charge of the
+structures and their reports (gauge._admit). The refusals of the first
+structure counts past the default budget, of Z2 pin- and of Clifford(2)
+spin, and of 2^16000 and 2^20000 structures on the trivial group
+(trivial.group.json), whose counts are printed as powers, are those of the
+commit that made that charge. Non-float fields
 must match exactly, types included; floats within 1e-12. To add a case, run
 its command at a trusted commit and save stdout (or, for a refusal, its exit
 code and stderr).
@@ -32,6 +36,7 @@ from superfs.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TWIST = str(GOLDEN / "clifford2.twist.json")
 SHIFTED = str(GOLDEN / "d4-shifted.twist.json")
+TRIVIAL = str(GOLDEN / "trivial.group.json")
 Z3XZ3 = ["--group", str(GOLDEN / "z3xz3.group.json"),
          "--alpha", str(GOLDEN / "z3xz3.twist.json")]
 
@@ -127,8 +132,26 @@ REFUSALS = {
     "structures-nonorientable-40": (
         ["partition", "--group", "z2", "--phi", "id", "--family", "pin-",
          "--surface", "nonorientable:40"],
-        None, 2, "error: the 1099511627776 structures on nonorientable:40 need "
-                 "184717953466240 steps, budget is 100000000\n"),
+        None, 2, "error: the 2^40 structures on nonorientable:40 and their reports need "
+                 "2^40 * 1408 bytes, budget is 100000000\n"),
+    "structures-nonorientable-17": (
+        ["partition", "--group", "z2", "--phi", "id", "--family", "pin-",
+         "--surface", "nonorientable:17"],
+        None, 2, "error: the 2^17 structures on nonorientable:17 and their reports need "
+                 "2^17 * 1040 bytes, budget is 100000000\n"),
+    "structures-clifford2-orientable-9": (
+        [*CLIFFORD2, "--family", "spin", "--surface", "orientable:9"],
+        None, 2, "error: the 2^18 structures on orientable:9 and their reports need "
+                 "2^18 * 1056 bytes, budget is 100000000\n"),
+    "structures-trivial-orientable-8000": (
+        ["partition", "--group", TRIVIAL, "--family", "spin", "--surface", "orientable:8000"],
+        None, 2, "error: the 2^16000 structures on orientable:8000 and their reports need "
+                 "2^16000 * 256768 bytes, budget is 100000000\n"),
+    "structures-trivial-nonorientable-20000": (
+        ["partition", "--group", TRIVIAL, "--family", "pin-",
+         "--surface", "nonorientable:20000"],
+        None, 2, "error: the 2^20000 structures on nonorientable:20000 and their reports "
+                 "need 2^20000 * 320768 bytes, budget is 100000000\n"),
     "state-sum-budget": (
         ["partition", "--group", "a4", "--surface", "orientable:2"],
         "1000", 2, "error: state sum needs 7056 steps, budget is 1000\n"),
