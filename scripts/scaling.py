@@ -10,7 +10,7 @@ Each point runs in a fresh interpreter that imports `superfs` from
 alone. The script builds twists as `Twist(group, phi, alpha_num, denom)`, a
 twist that carries its group, so `--src` must name a checkout with that
 API: a checkout whose twists did not carry their group cannot be measured
-by this version of the script. Six families are measured:
+by this version of the script. Seven families are measured:
 
 - `clifford`: the rank-k Clifford twist on (Z2)^k, k = 4..13 (|G| = 16..8192);
 - `z2-graded`: the untwisted (Z2)^k graded by its first bit, k = 4..11;
@@ -36,7 +36,11 @@ by this version of the script. Six families are measured:
   refused, with its message. Each point records its peak RSS, refused or
   not, next to the RSS after the imports and the bytes that the first call's
   `gauge` charges (or the charge that refused it) add up to; the last
-  admitted point of each theory is its limit.
+  admitted point of each theory is its limit;
+- `partition-json`: the CLI command `partition --group z2 --phi id --family
+  pin- --surface nonorientable:k --json`, k = 8, 12, 16, end to end in three
+  fresh processes each: wall times, peak RSS (from `os.wait4` on the child),
+  and the byte count and SHA-256 prefix of its stdout, the same in all three.
 
 A classify point times five stages: validation (`group_from_table` on the
 raw table and the `Twist` built on it, which `validate_twist` proves),
@@ -79,7 +83,8 @@ RANKS = {"clifford": range(4, 14), "z2-graded": range(4, 12), "gradings": range(
          "sweep": ("z2^2", "z2^3", "z2^4", "d4", "q8", "s4"),
          "surfaces": ([f"z2-pin:{k}" for k in range(1, 21)]
                       + [f"clifford2-spin:{g}" for g in range(1, 11)]
-                      + [f"z3xz3-rational:{g}" for g in range(1, 12)])}
+                      + [f"z3xz3-rational:{g}" for g in range(1, 12)]),
+         "partition-json": (8, 12, 16)}
 CLI_ARGS = ["classify", "--clifford", "10", "--json"]
 # the address space a classify point may use
 POINT_LIMIT = 4 << 30
@@ -309,6 +314,24 @@ def measure_surface(name: str, repeats: int = 3) -> dict:
             "all_pass": all(r.verdict == "PASS" for r in reports), **peak()}
 
 
+def measure_partition_json(src: Path, crosscaps: int, repeats: int = 3) -> dict:
+    """Wall time, peak RSS and stdout of `partition --json` for every pin-
+    structure of Z2 on `crosscaps` crosscaps, each run in a fresh process."""
+    import statistics
+
+    argv = ["-m", "superfs", "partition", "--group", "z2", "--phi", "id", "--family", "pin-",
+            "--surface", f"nonorientable:{crosscaps}", "--json"]
+    runs = [_run_child(argv, src, capture=True) for _ in range(repeats)]
+    digests = {hashlib.sha256(out.encode()).hexdigest()[:16] for _, _, out in runs}
+    if len(digests) != 1:
+        raise SystemExit(f"{' '.join(argv)} printed {len(digests)} different outputs")
+    return {"family": "partition-json", "crosscaps": crosscaps, "structures": 2 ** crosscaps,
+            "wall_s": [round(wall, 3) for wall, _, _ in runs],
+            "median_wall_s": round(statistics.median(wall for wall, _, _ in runs), 3),
+            "peak_rss_mib": [round(rss, 1) for _, rss, _ in runs],
+            "stdout_bytes": len(runs[0][2].encode()), "stdout_sha256": digests.pop()}
+
+
 def _run_child(argv: list, src: Path, capture: bool) -> tuple[float, float, str]:
     """Run one fresh interpreter; return its wall time, its own peak RSS in
     MiB and its stdout."""
@@ -358,10 +381,13 @@ def main(argv: list | None = None) -> None:
     points = []
     for family, ranks in RANKS.items():
         for rank in ranks:
-            _, _, out = _run_child([str(Path(__file__).resolve()), "--src", str(src),
-                                    "--label", args.label, "--point", family, str(rank)],
-                                   src, capture=True)
-            points.append(json.loads(out))
+            if family == "partition-json":   # the CLI itself, in fresh processes
+                points.append(measure_partition_json(src, rank))
+            else:
+                _, _, out = _run_child([str(Path(__file__).resolve()), "--src", str(src),
+                                        "--label", args.label, "--point", family, str(rank)],
+                                       src, capture=True)
+                points.append(json.loads(out))
             print(json.dumps(points[-1]), file=sys.stderr)
     cli = [_run_child(["-m", "superfs", *CLI_ARGS], src, capture=False)[:2]
            for _ in range(3)]
@@ -380,8 +406,9 @@ def main(argv: list | None = None) -> None:
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data["about"] = ("classify stage times (median of 3, seconds), h2_basis times and peak "
                      "RSS (MiB) per group order, sweep times per group and per "
-                     "supermodule, and crosscheck times, structure counts and "
-                     "|lhs - rhs| per surface; written by scripts/scaling.py")
+                     "supermodule, crosscheck times, structure counts and "
+                     "|lhs - rhs| per surface, and partition --json wall time, peak RSS "
+                     "and stdout per crosscap count; written by scripts/scaling.py")
     data.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(json.dumps(run["cli"]), file=sys.stderr)

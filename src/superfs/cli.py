@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -98,11 +99,153 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.10g}{z.imag:+.10g}i"
 
 
-def _emit(payload, as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=1))
+# ---------------------------------------------------------------- --json text
+#
+# The text of json.dumps(payload, sort_keys=True, indent=1), which CPython
+# builds in its pure-Python encoder (the C encoder serves only indent=None).
+# Scalars use the standard encoder's routines. A list of ints and floats is
+# joined in one call. Reports with equal invariants share one rhs_terms list,
+# so the text of a list that is not all numbers is kept by (id, depth), with
+# the list itself, so that no id is reused within one call. A cyclic payload
+# recurses until RecursionError (json.dumps raises ValueError).
+
+_CHUNK = 1 << 16   # characters per write to stdout
+_NUMBERS = frozenset((int, float))
+
+
+@functools.cache
+def _indent(depth: int) -> tuple[str, str, str]:
+    """What frames the members of a container nested `depth` levels deep:
+    the text before its first member, between two members, and before its
+    closing bracket."""
+    inner = "\n" + " " * (depth + 1)
+    return inner, "," + inner, inner[:-1]
+
+
+def _float_text(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == math.inf:
+        return "Infinity"
+    if o == -math.inf:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+           bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps coerces it, quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        key = _float_text(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
     else:
-        for line in lines:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _number_text(o: list, depth: int) -> str:
+    """The text of a nonempty list of ints and floats at `depth`."""
+    first, sep, last = _indent(depth)
+    text = sep.join(map(repr, o))
+    if "n" in text:   # nan, inf or -inf, which JSON spells otherwise
+        text = sep.join([_LEAVES[type(x)](x) for x in o])
+    return "[" + first + text + last + "]"
+
+
+def _json_text(o, depth: int, memo: dict) -> str:
+    """The text of `o` nested `depth` levels deep."""
+    leaf = _LEAVES.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    inner = depth + 1
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if _NUMBERS.issuperset(map(type, o)):
+            return _number_text(o, depth)
+        key = (id(o), depth)
+        if key in memo:
+            return memo[key][1]
+        parts = []
+        for value in o:
+            parts.append(_json_text(value, inner, memo))
+        first, sep, last = _indent(depth)
+        text = "[" + first + sep.join(parts) + last + "]"
+        memo[key] = (o, text)
+        return text
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        parts = []
+        for key, value in sorted(o.items()):
+            leaf = _LEAVES.get(type(value))
+            parts.append((encode_basestring_ascii(key) if type(key) is str else _key_text(key))
+                         + ": " + (leaf(value) if leaf else _json_text(value, inner, memo)))
+        first, sep, last = _indent(depth)
+        return "{" + first + sep.join(parts) + last + "}"
+    for kind, encode in ((str, encode_basestring_ascii), (int, int.__repr__),
+                         (float, _float_text)):   # subclasses, as json.dumps reads them
+        if isinstance(o, kind):
+            return encode(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_pieces(o, depth: int, memo: dict):
+    """The text of `o` at `depth` in pieces: a dict or a list of non-numbers
+    at depth 0 or 1 (the payload and its list of reports, cases or
+    supermodules) member by member, anything else whole."""
+    if depth < 2 and isinstance(o, dict) and o:
+        brackets, members = "{}", ((_key_text(k) + ": ", v) for k, v in sorted(o.items()))
+    elif (depth < 2 and isinstance(o, (list, tuple))
+          and not _NUMBERS.issuperset(map(type, o))):   # an empty list is all numbers
+        brackets, members = "[]", (("", v) for v in o)
+    else:
+        yield _json_text(o, depth, memo)
+        return
+    first, sep, last = _indent(depth)
+    opening = brackets[0] + first
+    for label, value in members:
+        yield opening + label
+        yield from _json_pieces(value, depth + 1, memo)
+        opening = sep
+    yield last + brackets[1]
+
+
+def _write_json(payload) -> None:
+    """Print json.dumps(payload, sort_keys=True, indent=1), byte for byte, to
+    the current sys.stdout in chunks of about _CHUNK characters."""
+    write = sys.stdout.write
+    pending, size = [], 0
+    for piece in _json_pieces(payload, 0, {}):
+        pending.append(piece)
+        size += len(piece)
+        if size >= _CHUNK:
+            write("".join(pending))
+            pending, size = [], 0
+    pending.append("\n")
+    write("".join(pending))
+
+
+def _emit(payload, as_json: bool, lines) -> None:
+    """Print the payload as --json text, or as the text lines that
+    `lines(payload)` builds."""
+    if as_json:
+        _write_json(payload)
+    else:
+        for line in lines(payload):
             print(line)
 
 
@@ -142,11 +285,19 @@ def cmd_classify(args) -> int:
     algebra = TwistedGroupAlgebra(twist)
     report = classify(algebra, seed=args.seed)
     data = classification_to_dict(report)
-    _emit(data, args.json, _classification_lines(data))
+    _emit(data, args.json, _classification_lines)
     return 0 if report.all_pass else 1
 
 
 # ------------------------------------------------------------------ verify
+
+def _ladder_lines(data: dict) -> list[str]:
+    lines = [f"n={r['n']} order={r['order']} S_super={r['S_super']} "
+             f"expected={r['expected']} bw={r['bw_class']} {r['verdict']}"
+             for r in data["ladder"]]
+    lines.append("PASS" if data["all_pass"] else "FAIL")
+    return lines
+
 
 def _clifford_ladder(args) -> int:
     if args.clifford < 1:
@@ -164,11 +315,7 @@ def _clifford_ladder(args) -> int:
                      "bw_class": sups[0].bw if sups else None,
                      "verdict": "PASS" if ok else "FAIL"})
     all_ok = all(r["verdict"] == "PASS" for r in rows)
-    lines = [f"n={r['n']} order={r['order']} S_super={r['S_super']} "
-             f"expected={r['expected']} bw={r['bw_class']} {r['verdict']}"
-             for r in rows]
-    lines.append("PASS" if all_ok else "FAIL")
-    _emit({"ladder": rows, "all_pass": all_ok}, args.json, lines)
+    _emit({"ladder": rows, "all_pass": all_ok}, args.json, _ladder_lines)
     return 0 if all_ok else 1
 
 
@@ -213,6 +360,16 @@ def _sweep_group(name: str, group: Group, bases: tuple, args) -> list[dict]:
     return sorted(rows, key=lambda r: (r["phi_index"], r["alpha_index"]))
 
 
+def _sweep_lines(data: dict) -> list[str]:
+    rows = data["cases"]
+    lines = [f"group={r['group']} phi={r['phi_index']} alpha={r['alpha_index']} "
+             f"supermodules={r['supermodules']} "
+             f"bw={','.join(str(b) for b in r['bw_classes'])} {r['verdict']}"
+             for r in rows]
+    lines.append(f"{len(rows)} cases; " + ("PASS" if data["all_pass"] else "FAIL"))
+    return lines
+
+
 def _run_sweep(named_groups: list, args) -> int:
     """Refuse a sweep of more than --max-cases (default 4096; |Hom(G, Z2)|
     2^{dim H^2} per group, counted from the hom list and the H^2 basis)
@@ -226,12 +383,7 @@ def _run_sweep(named_groups: list, args) -> int:
     rows = [row for (name, group), pair in zip(named_groups, bases)
             for row in _sweep_group(name, group, pair, args)]
     all_ok = all(r["verdict"] == "PASS" for r in rows)
-    lines = [f"group={r['group']} phi={r['phi_index']} alpha={r['alpha_index']} "
-             f"supermodules={r['supermodules']} "
-             f"bw={','.join(str(b) for b in r['bw_classes'])} {r['verdict']}"
-             for r in rows]
-    lines.append(f"{len(rows)} cases; " + ("PASS" if all_ok else "FAIL"))
-    _emit({"cases": rows, "all_pass": all_ok}, args.json, lines)
+    _emit({"cases": rows, "all_pass": all_ok}, args.json, _sweep_lines)
     return 0 if all_ok else 1
 
 
@@ -286,17 +438,9 @@ def _parse_structure(args, surface, family):
     return None  # crosscheck enumerates all structures
 
 
-def cmd_partition(args) -> int:
-    group = _resolve_group(args.group, args.cap)
-    twist = _resolve_twist(group, _resolve_phi(args.phi, group), args.alpha)
-    theory = TheoryData(twist, args.family, args.seed)
-    surface = parse_surface(args.surface)
-    theory.require_surface(surface)
-    structures = _parse_structure(args, surface, args.family)
-    reports = crosscheck(theory, surface, structures=structures)
-    payload = [report_to_dict(r) for r in reports]
+def _partition_lines(data: dict) -> list[str]:
     lines = []
-    for r in payload:
+    for r in data["reports"]:
         bits = [f"family={r['family']}", f"surface={r['surface']}"]
         if r["structure"] is not None:
             bits.append("structure=" + ",".join(str(v) for v in r["structure"]))
@@ -308,9 +452,21 @@ def cmd_partition(args) -> int:
         bits.append(f"homs={r['hom_count']}")
         bits.append(r["verdict"])
         lines.append(" ".join(bits))
+    lines.append("PASS" if data["all_pass"] else "FAIL")
+    return lines
+
+
+def cmd_partition(args) -> int:
+    group = _resolve_group(args.group, args.cap)
+    twist = _resolve_twist(group, _resolve_phi(args.phi, group), args.alpha)
+    theory = TheoryData(twist, args.family, args.seed)
+    surface = parse_surface(args.surface)
+    theory.require_surface(surface)
+    structures = _parse_structure(args, surface, args.family)
+    reports = crosscheck(theory, surface, structures=structures)
+    payload = [report_to_dict(r) for r in reports]
     all_ok = all(r["verdict"] == "PASS" for r in payload)
-    lines.append("PASS" if all_ok else "FAIL")
-    _emit({"reports": payload, "all_pass": all_ok}, args.json, lines)
+    _emit({"reports": payload, "all_pass": all_ok}, args.json, _partition_lines)
     return 0 if all_ok else 1
 
 

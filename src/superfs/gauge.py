@@ -215,9 +215,13 @@ def _admit(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]
     jobs = None if structures is None else list(structures)
     if ring is not None:
         b1, per = surface.b1, 768 + 16 * surface.b1
-        count = 2 ** b1 if jobs is None else len(jobs)
-        shown = f"2^{b1}" if count == 2 ** b1 else count   # 2^b1 may have too many digits
-        check_budget(count * per, f"the {shown} structures on {surface} and their reports "
+        if jobs is None:   # 2^b1 structures; past 2^1024 no float budget holds them
+            need, shown = per << min(b1, 1024), f"2^{b1}"
+        else:   # a count of 2^b1 is shown as a power too
+            count = len(jobs)
+            need = count * per
+            shown = f"2^{b1}" if count.bit_length() == b1 + 1 and count == 1 << b1 else count
+        check_budget(need, f"the {shown} structures on {surface} and their reports "
                      f"need {shown} * {per} bytes")
     if jobs is None:
         jobs = [None] if ring is None else enumerate_structures(surface)

@@ -476,6 +476,8 @@ def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
         except (json.JSONDecodeError, RecursionError) as exc:   # too deep a nesting
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 

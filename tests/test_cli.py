@@ -305,6 +305,37 @@ def test_exit_2_deeply_nested_json(tmp_path, capsys, flag):
     assert (code, out) == (2, "") and err.startswith(f"error: {path}: invalid JSON")
 
 
+HUGE = "9" * 23
+# name -> argv, where BAD is a file that is not UTF-8 text
+HOSTILE = {
+    "pin-23-digit-crosscaps": ["partition", "--group", "z2", "--phi", "id", "--family", "pin-",
+                               "--surface", f"nonorientable:{HUGE}"],
+    "spin-23-digit-genus": ["partition", "--group", "z2", "--phi", "id", "--family", "spin",
+                            "--surface", f"orientable:{HUGE}"],
+    "group-not-utf8": ["classify", "--group", "BAD"],
+    "phi-not-utf8": ["classify", "--group", "z2", "--phi", "BAD"],
+    "alpha-not-utf8": ["classify", "--group", "z2", "--alpha", "BAD"],
+}
+# the child's address-space limit, set in the child before it imports superfs
+CHILD = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+         "from superfs.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_exit_2_hostile_input_in_a_child_under_a_memory_limit(name, tmp_path, child_env):
+    # a refusal within 60 s and 1 GiB of address space: forming 2^b1 for a
+    # 23-digit surface exhausted memory, and a non-UTF-8 file crashed
+    import subprocess
+    import sys
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    argv = [str(bad) if arg == "BAD" else arg for arg in HOSTILE[name]]
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
+                          text=True, env=child_env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("record", [{"table": [[0, 1], [1, 0.9]]},
                                     {"table": [[0, "1"], [True, 0]]},
                                     {"table": [[0, 1], [True, 0]]},

@@ -799,6 +799,29 @@ def test_structure_budget_admits_the_benchmark_surfaces(monkeypatch):
     assert err.value.required == 2 ** 18 * (768 + 16 * 18)
 
 
+@pytest.mark.parametrize("budget", [None, "1e308"])
+def test_structure_charge_stops_at_2_to_the_1024(monkeypatch, budget):
+    # 2^b1 is not formed for a large b1 (a 23-digit one would exhaust memory;
+    # see test_cli's hostile table): the charge stops at per * 2^1024, which
+    # no float budget reaches
+    import superfs.gauge
+
+    monkeypatch.setattr(superfs.gauge, "enumerate_structures",
+                        lambda surface: pytest.fail("enumerated"))
+    if budget is None:
+        monkeypatch.delenv("SUPERFS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SUPERFS_BUDGET", budget)
+    theory = TheoryData(Twist.zero(cyclic(2)).with_phi([0, 1]), "pin-")
+    for b1, required in ((1020, 2 ** 1020 * (768 + 16 * 1020)),
+                         (2000, 2 ** 1024 * (768 + 16 * 2000))):
+        with pytest.raises(BudgetExceededError,
+                           match=f"^the 2\\^{b1} structures on nonorientable:{b1} and their "
+                           f"reports need 2\\^{b1} \\* {768 + 16 * b1} bytes, budget is ") as err:
+            crosscheck(theory, nonorientable(b1))
+        assert err.value.required == required
+
+
 def test_given_structures_are_charged_like_enumerated_ones(monkeypatch):
     # a given list of c structures is charged like the 2^b1 enumerated ones,
     # 768 + 16 b1 bytes each, and all of them are refused with one message

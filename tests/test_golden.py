@@ -19,7 +19,9 @@ structures and their reports (gauge._admit). The refusals of the first
 structure counts past the default budget, of Z2 pin- and of Clifford(2)
 spin, and of 2^16000 and 2^20000 structures on the trivial group
 (trivial.group.json), whose counts are printed as powers, are those of the
-commit that made that charge. Non-float fields
+commit that made that charge; the two refusals of a 23-digit crosscap count
+and genus are those of the commit that stopped forming 2^b1 for them (its
+parent did not finish them). Non-float fields
 must match exactly, types included; floats within 1e-12. To add a case, run
 its command at a trusted commit and save stdout (or, for a refusal, its exit
 code and stderr).
@@ -110,6 +112,7 @@ def test_json_output_matches_golden(name, capsys):
 
 
 CLIFFORD2 = ["partition", "--group", "z2xz2", "--phi", TWIST, "--alpha", TWIST]
+HUGE = "9" * 23   # a crosscap count or genus whose 2^b1 must never be formed
 
 # name -> (argv, SUPERFS_BUDGET or None, exit code, stderr)
 REFUSALS = {
@@ -152,6 +155,16 @@ REFUSALS = {
          "--surface", "nonorientable:20000"],
         None, 2, "error: the 2^20000 structures on nonorientable:20000 and their reports "
                  "need 2^20000 * 320768 bytes, budget is 100000000\n"),
+    "structures-pin-23-digit-crosscaps": (
+        ["partition", "--group", "z2", "--phi", "id", "--family", "pin-",
+         "--surface", f"nonorientable:{HUGE}"],
+        None, 2, f"error: the 2^{HUGE} structures on nonorientable:{HUGE} and their reports "
+                 f"need 2^{HUGE} * 1600000000000000000000752 bytes, budget is 100000000\n"),
+    "structures-spin-23-digit-genus": (
+        [*CLIFFORD2, "--family", "spin", "--surface", f"orientable:{HUGE}"],
+        None, 2, f"error: the 2^{2 * int(HUGE)} structures on orientable:{HUGE} and their "
+                 f"reports need 2^{2 * int(HUGE)} * 3200000000000000000000736 bytes, "
+                 "budget is 100000000\n"),
     "state-sum-budget": (
         ["partition", "--group", "a4", "--surface", "orientable:2"],
         "1000", 2, "error: state sum needs 7056 steps, budget is 1000\n"),
