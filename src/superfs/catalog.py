@@ -16,7 +16,7 @@ def cyclic(n: int) -> Group:
         raise ValidationError("cyclic group order must be positive")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
-    return group_from_table(table, names=[str(i) for i in range(n)])
+    return group_from_table(table)
 
 
 def _symmetric3() -> Group:
@@ -33,7 +33,6 @@ def _alternating4() -> Group:
 
 def _quaternion8() -> Group:
     # elements indexed 2*axis + sign: +1, -1, +i, -i, +j, -j, +k, -k
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     mul_axis = np.array([
         [0, 1, 2, 3],
         [1, 0, 3, 2],
@@ -53,7 +52,7 @@ def _quaternion8() -> Group:
             sa, xa = a % 2, a // 2
             sb, xb = b % 2, b // 2
             table[a, b] = 2 * mul_axis[xa, xb] + (sa ^ sb ^ mul_sign[xa, xb])
-    return group_from_table(table, names=names)
+    return group_from_table(table)
 
 
 def _builders() -> dict:

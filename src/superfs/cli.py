@@ -102,12 +102,15 @@ def _fmt_complex(z: complex) -> str:
 # ---------------------------------------------------------------- --json text
 #
 # The text of json.dumps(payload, sort_keys=True, indent=1), which CPython
-# builds in its pure-Python encoder (the C encoder serves only indent=None).
-# Scalars use the standard encoder's routines. A list of ints and floats is
-# joined in one call. Reports with equal invariants share one rhs_terms list,
-# so the text of a list that is not all numbers is kept by (id, depth), with
-# the list itself, so that no id is reused within one call. A cyclic payload
-# recurses until RecursionError (json.dumps raises ValueError).
+# builds in its pure-Python encoder (the C encoder serves only indent=None),
+# for the payloads the commands build: str-keyed dicts, lists, str, int,
+# float, bool and None, each of exactly that type. Anything else raises
+# TypeError; nothing is coerced. Scalars use the standard encoder's routines.
+# A list of ints and floats is joined in one call. Reports with equal
+# invariants share one rhs_terms list, so the text of a list that is not all
+# numbers is kept by (id, depth), with the list itself, so that no id is
+# reused within one call. A cyclic payload recurses until RecursionError
+# (json.dumps raises ValueError).
 
 _CHUNK = 1 << 16   # characters per write to stdout
 _NUMBERS = frozenset((int, float))
@@ -136,106 +139,65 @@ _LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
            bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
 
 
-def _key_text(key) -> str:
-    """A dict key as json.dumps coerces it, quoted."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        key = _float_text(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return encode_basestring_ascii(key)
-
-
-def _number_text(o: list, depth: int) -> str:
-    """The text of a nonempty list of ints and floats at `depth`."""
-    first, sep, last = _indent(depth)
-    text = sep.join(map(repr, o))
-    if "n" in text:   # nan, inf or -inf, which JSON spells otherwise
-        text = sep.join([_LEAVES[type(x)](x) for x in o])
-    return "[" + first + text + last + "]"
-
-
 def _json_text(o, depth: int, memo: dict) -> str:
     """The text of `o` nested `depth` levels deep."""
     leaf = _LEAVES.get(type(o))
     if leaf is not None:
         return leaf(o)
-    inner = depth + 1
-    if isinstance(o, (list, tuple)):
+    first, sep, last = _indent(depth)
+    if type(o) is list:
         if not o:
             return "[]"
         if _NUMBERS.issuperset(map(type, o)):
-            return _number_text(o, depth)
+            text = sep.join(map(repr, o))
+            if "n" in text:   # nan, inf or -inf, which JSON spells otherwise
+                text = sep.join([_LEAVES[type(x)](x) for x in o])
+            return "[" + first + text + last + "]"
         key = (id(o), depth)
-        if key in memo:
-            return memo[key][1]
-        parts = []
-        for value in o:
-            parts.append(_json_text(value, inner, memo))
-        first, sep, last = _indent(depth)
-        text = "[" + first + sep.join(parts) + last + "]"
-        memo[key] = (o, text)
-        return text
-    if isinstance(o, dict):
+        if key not in memo:
+            text = sep.join([_json_text(value, depth + 1, memo) for value in o])
+            memo[key] = (o, "[" + first + text + last + "]")
+        return memo[key][1]
+    if type(o) is dict:
         if not o:
             return "{}"
         parts = []
-        for key, value in sorted(o.items()):
+        for key, value in sorted(o.items()):   # encode_basestring_ascii refuses a non-str key
             leaf = _LEAVES.get(type(value))
-            parts.append((encode_basestring_ascii(key) if type(key) is str else _key_text(key))
-                         + ": " + (leaf(value) if leaf else _json_text(value, inner, memo)))
-        first, sep, last = _indent(depth)
+            parts.append(encode_basestring_ascii(key) + ": "
+                         + (leaf(value) if leaf else _json_text(value, depth + 1, memo)))
         return "{" + first + sep.join(parts) + last + "}"
-    for kind, encode in ((str, encode_basestring_ascii), (int, int.__repr__),
-                         (float, _float_text)):   # subclasses, as json.dumps reads them
-        if isinstance(o, kind):
-            return encode(o)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _json_pieces(o, depth: int, memo: dict):
-    """The text of `o` at `depth` in pieces: a dict or a list of non-numbers
-    at depth 0 or 1 (the payload and its list of reports, cases or
-    supermodules) member by member, anything else whole."""
-    if depth < 2 and isinstance(o, dict) and o:
-        brackets, members = "{}", ((_key_text(k) + ": ", v) for k, v in sorted(o.items()))
-    elif (depth < 2 and isinstance(o, (list, tuple))
-          and not _NUMBERS.issuperset(map(type, o))):   # an empty list is all numbers
-        brackets, members = "[]", (("", v) for v in o)
-    else:
-        yield _json_text(o, depth, memo)
-        return
-    first, sep, last = _indent(depth)
-    opening = brackets[0] + first
-    for label, value in members:
-        yield opening + label
-        yield from _json_pieces(value, depth + 1, memo)
-        opening = sep
-    yield last + brackets[1]
-
-
-def _write_json(payload) -> None:
+def _write_json(payload: dict) -> None:
     """Print json.dumps(payload, sort_keys=True, indent=1), byte for byte, to
-    the current sys.stdout in chunks of about _CHUNK characters."""
-    write = sys.stdout.write
-    pending, size = [], 0
-    for piece in _json_pieces(payload, 0, {}):
-        pending.append(piece)
-        size += len(piece)
-        if size >= _CHUNK:
-            write("".join(pending))
-            pending, size = [], 0
-    pending.append("\n")
+    the current sys.stdout in chunks of about _CHUNK characters. The payload
+    dict is encoded member by member, and a list member item by item, so the
+    text of a whole list of reports, cases or supermodules is never held."""
+    write, memo = sys.stdout.write, {}
+    if type(payload) is not dict or not payload:   # no command writes one
+        write(_json_text(payload, 0, memo) + "\n")
+        return
+    (first, sep, last), (item_first, item_sep, item_last) = _indent(0), _indent(1)
+    pending, size = ["{"], 0
+    for key, value in sorted(payload.items()):
+        pending.append(first + encode_basestring_ascii(key) + ": ")
+        first = sep
+        if type(value) is not list or _NUMBERS.issuperset(map(type, value)):
+            pending.append(_json_text(value, 1, memo))
+            continue
+        opening = "[" + item_first   # value is not empty: an empty list is all numbers
+        for item in value:
+            text = opening + _json_text(item, 2, memo)
+            opening = item_sep
+            pending.append(text)
+            size += len(text)
+            if size >= _CHUNK:
+                write("".join(pending))
+                pending, size = [], 0
+        pending.append(item_last + "]")
+    pending.append(last + "}\n")
     write("".join(pending))
 
 
@@ -420,22 +382,22 @@ def _parse_structure(args, surface, family):
     checks their parity."""
     ring = _FAMILY[family].ring
     if ring is None:
-        if args.spin or args.pin or args.all_structures:
+        if args.spin is not None or args.pin is not None or args.all_structures:
             raise ValidationError(f"the {family} family takes no structure flags")
         return None
     flag, text = ("--spin", args.spin) if family == "spin" else ("--pin", args.pin)
     other = args.pin if family == "spin" else args.spin
-    if other:
+    if other is not None:
         raise ValidationError(f"wrong structure flag for the {family} family")
-    if args.all_structures and text:
+    if text is None:
+        return None  # crosscheck enumerates all structures
+    if args.all_structures:
         raise ValidationError(f"give {flag} or --all-structures, not both")
-    if text:
-        try:
-            values = [int(x) for x in text.split(",")] if text != "-" else []
-        except ValueError as exc:
-            raise ValidationError(f"bad structure values {text!r}") from exc
-        return [QuadraticRefinement(surface, values)]
-    return None  # crosscheck enumerates all structures
+    try:
+        values = [int(x) for x in text.split(",")] if text != "-" else []
+    except ValueError as exc:
+        raise ValidationError(f"bad structure values {text!r}") from exc
+    return [QuadraticRefinement(surface, values)]
 
 
 def _partition_lines(data: dict) -> list[str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 __all__ = ["ValidationError", "BudgetExceededError", "DecompositionError", "SnapError",
@@ -12,10 +13,19 @@ DEFAULT_BUDGET = 100_000_000
 
 def check_budget(required: int, what: str) -> None:
     """Raise BudgetExceededError("<what>, budget is <limit>") when `required`
-    exceeds the work budget, SUPERFS_BUDGET if set, else DEFAULT_BUDGET; call
-    it before the work is allocated."""
+    exceeds the work budget, SUPERFS_BUDGET if set and not empty, else
+    DEFAULT_BUDGET; call it before the work is allocated. A SUPERFS_BUDGET
+    that is not a finite positive number raises ValidationError."""
     env = os.environ.get("SUPERFS_BUDGET")
-    limit = float(env) if env else float(DEFAULT_BUDGET)
+    limit = float(DEFAULT_BUDGET)
+    if env:
+        try:
+            limit = float(env)
+        except ValueError:
+            limit = math.nan
+        if not 0 < limit < math.inf:
+            raise ValidationError(f"SUPERFS_BUDGET must be a finite positive number, "
+                                  f"got {env!r}")
     if required > limit:
         raise BudgetExceededError(f"{what}, budget is {int(limit)}", required=required)
 

@@ -51,7 +51,7 @@ class _Classes:
 
 @dataclass(frozen=True, eq=False)
 class Group:
-    """A finite group: |G|, Cayley table, inverses, optional element names.
+    """A finite group: |G|, Cayley table and inverses.
 
     `generators` is a list S from which right multiplication reaches every
     element starting at the identity; validators check identities on S only.
@@ -69,7 +69,6 @@ class Group:
     inverses: np.ndarray
     generators: np.ndarray
     words: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.table.setflags(write=False)
@@ -287,8 +286,7 @@ def _check_gradings(group: Group, phis) -> np.ndarray:
     return phis
 
 
-def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
-                     names: Sequence[str] | None = None) -> Group:
+def group_from_table(table: Sequence[Sequence[int]] | np.ndarray) -> Group:
     """Validate a Cayley table and return a Group (identity relabeled to 0).
     The entries must be integers as numpy reads them: a table of floats,
     strings or bools is refused, not cast."""
@@ -315,8 +313,6 @@ def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
         m[0], m[e] = e, 0
         t = m[t[np.ix_(m, m)]]
         narrow = _narrow(t)
-        if names is not None:
-            names = [names[m[i]] for i in range(n)]
     gens = _generating_set(t)
     _check_associative(narrow, gens)
     inv = np.argmax(narrow == 0, axis=1)
@@ -324,9 +320,8 @@ def group_from_table(table: Sequence[Sequence[int]] | np.ndarray,
     del narrow
     if bad.size:
         raise ValidationError(f"element {int(bad[0])} has no two-sided inverse")
-    nm = tuple(str(x) for x in names) if names is not None else None
     words = _levels(t[:, gens].T, np.zeros(1, dtype=np.int64), np.arange(n) == 0)
-    return Group(order=n, table=t, inverses=inv, generators=gens, words=words, names=nm)
+    return Group(order=n, table=t, inverses=inv, generators=gens, words=words)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -373,8 +368,7 @@ def group_from_permutations(generators: Sequence[Sequence[int]]) -> Group:
     for i, p in enumerate(elements):
         for j, q in enumerate(elements):
             table[i, j] = index[_compose(p, q)]
-    names = ["(" + " ".join(map(str, p)) + ")" for p in elements]
-    return group_from_table(table, names=names)
+    return group_from_table(table)
 
 
 def build_group(record: dict) -> Group:
@@ -389,7 +383,7 @@ def build_group(record: dict) -> Group:
             raise ValidationError(f"{key} must be an integer, got {record[key]!r}")
     if "table" in record:
         table = record["table"]
-        grp = group_from_table(table, names=record.get("names"))
+        grp = group_from_table(table)
         # after group_from_table, whose messages name every other entry type.
         # It proved each row a permutation of 0..n-1 as numpy reads it, so a
         # true or false can only be the one entry equal to 0 or 1 in its row:
@@ -432,10 +426,7 @@ def product_group(g: Group, h: Group) -> Group:
                  f"{ng * nh} x {ng * nh} table")
     table = (g.table[:, None, :, None] * nh + h.table[None, :, None, :]).reshape(
         ng * nh, ng * nh)
-    names = None
-    if g.names is not None and h.names is not None:
-        names = [f"{a}|{b}" for a in g.names for b in h.names]
-    return group_from_table(table, names=names)
+    return group_from_table(table)
 
 
 @dataclass(frozen=True)
@@ -463,10 +454,7 @@ def even_subgroup(group: Group, phi: Sequence[int] | np.ndarray) -> EvenSubgroup
     sub_table = positions[group.table[np.ix_(elements, elements)]]
     if (sub_table < 0).any():
         raise ValidationError("kernel of phi is not closed (corrupt table)")
-    names = None
-    if group.names is not None:
-        names = [group.names[int(g)] for g in elements]
-    sub = group_from_table(sub_table, names=names)
+    sub = group_from_table(sub_table)
     return EvenSubgroup(parent=group, group=sub, elements=elements,
                         positions=positions, index=(2 if len(elements) < n else 1))
 

@@ -221,7 +221,7 @@ def coboundary(group: Group, beta_num: np.ndarray, den: int) -> np.ndarray:
 
 
 def trivial_group() -> Group:
-    return group_from_table([[0]], names=["e"])
+    return group_from_table([[0]])
 
 
 def _as_denominator_two(t: Twist) -> np.ndarray:
@@ -268,7 +268,7 @@ def clifford_ladder(n: int) -> Iterator[Twist]:
     SUPERFS_BUDGET before any rung is built."""
     need = _combined_bytes(2 ** n)
     check_budget(need, f"the rank-{n} Clifford twist needs a {2 ** n} x {2 ** n} table")
-    z2 = group_from_table([[0, 1], [1, 0]], names=["e", "u"])
+    z2 = group_from_table([[0, 1], [1, 0]])
     rank_one = Twist(z2, np.array([0, 1]), np.zeros((2, 2), dtype=np.int64), 1)
     rung = rank_one
     for k in range(1, n + 1):

@@ -306,15 +306,20 @@ def test_exit_2_deeply_nested_json(tmp_path, capsys, flag):
 
 
 HUGE = "9" * 23
-# name -> argv, where BAD is a file that is not UTF-8 text
+# name -> (argv, SUPERFS_BUDGET of the child or None), where BAD is a file
+# that is not UTF-8 text; a budget that refuses nothing let 2^40 structures
+# be enumerated, and one that is not a number crashed
 HOSTILE = {
-    "pin-23-digit-crosscaps": ["partition", "--group", "z2", "--phi", "id", "--family", "pin-",
-                               "--surface", f"nonorientable:{HUGE}"],
-    "spin-23-digit-genus": ["partition", "--group", "z2", "--phi", "id", "--family", "spin",
-                            "--surface", f"orientable:{HUGE}"],
-    "group-not-utf8": ["classify", "--group", "BAD"],
-    "phi-not-utf8": ["classify", "--group", "z2", "--phi", "BAD"],
-    "alpha-not-utf8": ["classify", "--group", "z2", "--alpha", "BAD"],
+    "pin-23-digit-crosscaps": (["partition", "--group", "z2", "--phi", "id", "--family", "pin-",
+                                "--surface", f"nonorientable:{HUGE}"], None),
+    "spin-23-digit-genus": (["partition", "--group", "z2", "--phi", "id", "--family", "spin",
+                             "--surface", f"orientable:{HUGE}"], None),
+    "group-not-utf8": (["classify", "--group", "BAD"], None),
+    "phi-not-utf8": (["classify", "--group", "z2", "--phi", "BAD"], None),
+    "alpha-not-utf8": (["classify", "--group", "z2", "--alpha", "BAD"], None),
+    **{f"budget-{budget}": (["partition", "--group", "z2", "--phi", "id", "--family", "pin-",
+                             "--surface", "nonorientable:40"], budget)
+       for budget in ("abc", "inf", "nan", "0")},
 }
 # the child's address-space limit, set in the child before it imports superfs
 CHILD = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
@@ -329,11 +334,16 @@ def test_exit_2_hostile_input_in_a_child_under_a_memory_limit(name, tmp_path, ch
     import sys
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe\x00")
-    argv = [str(bad) if arg == "BAD" else arg for arg in HOSTILE[name]]
+    argv, budget = HOSTILE[name]
+    argv = [str(bad) if arg == "BAD" else arg for arg in argv]
+    env = child_env if budget is None else {**child_env, "SUPERFS_BUDGET": budget}
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
-                          text=True, env=child_env, timeout=60)
+                          text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if budget is not None:
+        assert proc.stderr == ("error: SUPERFS_BUDGET must be a finite positive number, "
+                               f"got {budget!r}\n")
 
 
 @pytest.mark.parametrize("record", [{"table": [[0, 1], [1, 0.9]]},
@@ -346,6 +356,18 @@ def test_exit_2_group_file_with_entries_that_are_not_integers(tmp_path, capsys, 
     path.write_text(json.dumps(record))
     code, out, err = run(capsys, "classify", "--group", str(path))
     assert code == 2 and out == "" and "must be" in err and "integer" in err
+
+
+@pytest.mark.parametrize("names", [["a"], 5])
+def test_group_file_names_are_ignored(tmp_path, capsys, names):
+    # element names are read by nothing: a malformed list crashed (IndexError,
+    # TypeError, exit 1), and now it is ignored like any unknown key
+    plain, named = tmp_path / "plain.json", tmp_path / "named.json"
+    plain.write_text(json.dumps({"table": [[1, 0], [0, 1]]}))
+    named.write_text(json.dumps({"table": [[1, 0], [0, 1]], "names": names}))
+    outputs = [run(capsys, "classify", "--group", str(path), "--json")
+               for path in (plain, named)]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 
 def test_exit_2_family_surface_mismatch(capsys):
@@ -404,6 +426,21 @@ def test_exit_2_structure_flag_misuse(capsys):
                        "--family", "spin", "--surface", "orientable:1",
                        "--spin", "0,0", "--all-structures")
     assert code == 2
+
+
+@pytest.mark.parametrize("family, surface, flag", [
+    ("spin", "orientable:1", "--spin"),
+    ("pin-", "nonorientable:2", "--pin"),
+])
+def test_exit_2_empty_structure_value(capsys, family, surface, flag):
+    # an empty value names no structure: it is refused, not read as "every
+    # structure"; "-" stays the empty structure of the sphere
+    code, out, err = run(capsys, "partition", "--group", "z2", "--phi", "id",
+                         "--family", family, "--surface", surface, flag, "")
+    assert (code, out, err) == (2, "", "error: bad structure values ''\n")
+    code, data, _ = run_json(capsys, "partition", "--group", "z2", "--phi", "id",
+                             "--family", "spin", "--surface", "orientable:0", "--spin", "-")
+    assert code == 0 and [r["structure"] for r in data["reports"]] == [[]]
 
 
 @pytest.mark.parametrize("family, surface, flag, values", [
