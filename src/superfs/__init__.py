@@ -44,6 +44,7 @@ from .superalg import (
     special_element,
 )
 from .surfaces import (
+    BLOCK_TABLES,
     Presentation,
     QuadraticRefinement,
     Surface,

@@ -15,7 +15,8 @@ def check_budget(required: int, what: str) -> None:
     """Raise BudgetExceededError("<what>, budget is <limit>") when `required`
     exceeds the work budget, SUPERFS_BUDGET if set and not empty, else
     DEFAULT_BUDGET; call it before the work is allocated. A SUPERFS_BUDGET
-    that is not a finite positive number raises ValidationError."""
+    that is not a finite positive number raises ValidationError. A whole
+    budget is shown as an integer, any other as its float value."""
     env = os.environ.get("SUPERFS_BUDGET")
     limit = float(DEFAULT_BUDGET)
     if env:
@@ -27,7 +28,8 @@ def check_budget(required: int, what: str) -> None:
             raise ValidationError(f"SUPERFS_BUDGET must be a finite positive number, "
                                   f"got {env!r}")
     if required > limit:
-        raise BudgetExceededError(f"{what}, budget is {int(limit)}", required=required)
+        shown = int(limit) if limit.is_integer() else limit
+        raise BudgetExceededError(f"{what}, budget is {shown}", required=required)
 
 
 class ValidationError(ValueError):

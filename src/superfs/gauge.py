@@ -15,7 +15,6 @@ homomorphisms for small cases.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -33,11 +32,10 @@ from .superalg import (
     ordinary_fs,
 )
 from .surfaces import (
+    BLOCK_TABLES,
     Presentation,
     QuadraticRefinement,
     Surface,
-    abk,
-    arf,
     enumerate_structures,
     presentation,
 )
@@ -201,15 +199,14 @@ def _block_steps(n: int, gens: int, D: int) -> int:
     return n ** gens + n * n * D * 2 ** gens
 
 
-def _admit(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]:
-    """Admit a partition request: (D, jobs), the D = lcm(denom, 4) phase
-    buckets and the structures to run (None for the families without one;
-    all 2^b1 for spin / pin- when `structures` is None). In order: the
-    family's surface; for spin / pin-, before any structure is enumerated,
-    768 + 16 b1 bytes per structure for its objects, basis values and block
-    table and those of its report from crosscheck (a bound also of its b1
-    steps); then each structure, once: required for spin / pin-, refused
-    otherwise, and on `surface`. The state sum charges its own work."""
+def _admit(theory: TheoryData, surface: Surface, structures) -> np.ndarray | None:
+    """Admit a partition request and return the (count, b1) int64 basis
+    values of its structures: None for the families without one, all 2^b1
+    for spin / pin- when `structures` is None. In order: the family's
+    surface; for spin / pin-, before any structure is enumerated, 768 + 16 b1
+    bytes per structure for its values, block counts and report (a bound
+    also of its b1 steps); then each given structure, once: required for
+    spin / pin-, refused otherwise, and on `surface`."""
     theory.require_surface(surface)
     family, ring = theory.family, _FAMILY[theory.family].ring
     jobs = None if structures is None else list(structures)
@@ -224,7 +221,7 @@ def _admit(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]
         check_budget(need, f"the {shown} structures on {surface} and their reports "
                      f"need {shown} * {per} bytes")
     if jobs is None:
-        jobs = [None] if ring is None else enumerate_structures(surface)
+        return None if ring is None else enumerate_structures(surface)
     if not jobs:
         raise ValidationError("no structures supplied")
     for structure in jobs:
@@ -235,14 +232,32 @@ def _admit(theory: TheoryData, surface: Surface, structures) -> tuple[int, list]
             raise ValidationError(f"the {family} family needs a structure")
         elif structure.surface != surface:
             raise ValidationError(f"structure is on {structure.surface}, not {surface}")
-    return math.lcm(theory.twist.denom, 4), jobs
+    return None if ring is None else np.array(
+        [q.values for q in jobs], dtype=np.int64).reshape(len(jobs), surface.b1)
 
 
-def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> tuple:
-    """(first, inverse, sums) of the state sum over the jobs _admit returns,
-    structures on `surface` or [None] (Q = 0 on every block): sums[k] is the
-    (value, hom count) of the k-th distinct multiset of block rows, first[k]
-    the index of its first job and inverse[j] the multiset of job j.
+def _multisets(surface: Surface, stack) -> tuple:
+    """(rows, counts, inverse, invariants) of the structures _admit returns
+    (None: Q = 0 on every block, no invariant): counts[m, r] blocks of the
+    m-th distinct multiset carry rows[r], the rows of BLOCK_TABLES that
+    occur; structure j has multiset inverse[j], and multiset m the named
+    invariant invariants[m]."""
+    if stack is None:
+        return ([(0,) * (4 if surface.is_orientable else 2)], np.array([[surface.param]]),
+                [0], [None])
+    table = BLOCK_TABLES[surface.kind]
+    distinct = {}
+    inverse = [distinct.setdefault(row, len(distinct))
+               for row in map(tuple, table.counts(stack).tolist())]
+    counts = np.array(list(distinct), dtype=np.int64)
+    used = counts.any(axis=0)
+    return ([row for row, u in zip(table.rows, used) if u], counts[:, used], inverse,
+            table.invariants(counts))
+
+
+def _state_sums(theory: TheoryData, surface: Surface, rows: list, counts: np.ndarray) -> list:
+    """The (value, hom count) of the state sum on `surface` for each
+    multiset of block rows (_multisets).
 
     An exact transfer-matrix product: the relator is one word per block (a
     handle [a,b] or a crosscap c^2) and the intersection form is block
@@ -253,43 +268,33 @@ def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> tup
     (scaled to D) and the block's share of (-1)^Q or i^Q. The theory's one
     walk (TheoryData.block), graded by the parity pattern of the images,
     serves every surface and structure; a block's table follows by shifting the
-    slice of pattern p by the block's Q(p) (its row of
-    `QuadraticRefinement.block_table`) times D / ring.
+    slice of pattern p by the block's Q(p) (its row) times D / ring.
 
-    Each distinct row r has one expanded matrix M_r[(x, j), (y, k)] =
-    T_r[x, y, k - j]: right multiplication by the block's summed element,
-    which is central in the twisted algebra. The matrices commute, so a job
-    enters only through its row counts, keyed as digits in base blocks + 1.
-    Each distinct multiset is advanced block by block in row order, by one
-    integer matmul per (block, distinct row); the last block reads only the
-    y = e columns. Every count is bounded by the |G|^b1 assignments, so the
-    counts are int64 while |G|^b1 < 2^63 and the last product runs on Python
-    ints past it. The only floating-point step is the final sum of counts
-    times D-th roots of unity, once per multiset.
+    Each row r has one expanded matrix M_r[(x, j), (y, k)] = T_r[x, y, k - j]:
+    right multiplication by the block's summed element, which is central in
+    the twisted algebra. The matrices commute, so a structure enters only
+    through its row counts. Each multiset is advanced block by block in row
+    order, by one integer matmul per (block, distinct row); the last block
+    reads only the y = e columns. Counts are bounded by the |G|^b1
+    assignments: int64 while |G|^b1 < 2^63, and Python ints in the last
+    product past it. The one float step is the final sum of counts times
+    D-th roots of unity, once per multiset.
 
     Charged first, before TheoryData.block is read: its walk (_block_steps)
     and |G|^2 D^2 steps per multiset and block, the 64-bit ceiling on hom
     counts, then, in bytes, the expanded matrices and three arrays of
     counts. The sphere has no blocks and passes."""
     n, blocks = theory.group.order, surface.param
-    base = blocks + 1
-    if jobs[0] is None:
-        rows, keys = [(0,) * (4 if surface.is_orientable else 2)], [blocks]
-    else:
-        rows = list(dict.fromkeys(itertools.chain.from_iterable(
-            job.block_table for job in jobs)))
-        weight = {row: base ** r for r, row in enumerate(rows)}
-        keys = [sum(map(weight.__getitem__, job.block_table)) for job in jobs]
-    keys, first, inverse = np.unique(np.array(keys), return_index=True, return_inverse=True)
     if not blocks:
-        return first.tolist(), inverse, [(complex(1 / n), 1)]
-    steps = _block_steps(n, surface.b1 // blocks, D) + len(keys) * blocks * n * n * D ** 2
+        return [(complex(1 / n), 1)] * len(counts)
+    D = math.lcm(theory.twist.denom, 4)
+    steps = _block_steps(n, surface.b1 // blocks, D) + len(counts) * blocks * n * n * D ** 2
     check_budget(steps, f"state sum needs {steps} steps")
     if n ** (surface.b1 - 1) >= 2 ** 62:
         raise BudgetExceededError(
             f"hom counts up to {n}^{surface.b1} could overflow 64-bit integers",
             required=n ** surface.b1)
-    need = 8 * (len(rows) * (n * D) ** 2 + 3 * len(keys) * n * D)
+    need = 8 * (len(rows) * (n * D) ** 2 + 3 * len(counts) * n * D)
     check_budget(need, f"the state sum's transfer matrices and counts need {need} bytes")
     graded = theory.block
     scale = D // (2 if surface.is_orientable else 4)   # D / ring
@@ -302,25 +307,23 @@ def _state_sums(theory: TheoryData, surface: Surface, jobs: list, D: int) -> tup
         return matrix.reshape(n * D, n * D)
 
     matrices = [expanded(row) for row in rows]
-    # multiset k holds row r on blocks ends[k, r - 1] .. ends[k, r] - 1
-    ends = np.cumsum([[key // base ** r % base for r in range(len(rows))]
-                      for key in keys.tolist()], axis=1)
+    # multiset m holds row r on blocks ends[m, r - 1] .. ends[m, r] - 1
+    ends = np.cumsum(counts, axis=1)
     exact = n ** surface.b1 >= 2 ** 63
-    counts = np.zeros((len(keys), n * D), dtype=np.int64)
-    counts[:, 0] = 1   # no block yet: running product e, exponent 0
+    state = np.zeros((len(counts), n * D), dtype=np.int64)
+    state[:, 0] = 1   # no block yet: running product e, exponent 0
     for i in range(blocks):
         last = i == blocks - 1
         if last and exact:
-            counts = counts.astype(object)   # Python ints
+            state = state.astype(object)   # Python ints
         row = (ends <= i).sum(axis=1)
-        step = np.empty((len(keys), D if last else n * D), dtype=counts.dtype)
+        step = np.empty((len(counts), D if last else n * D), dtype=state.dtype)
         for r in np.flatnonzero(np.bincount(row)):
             chosen = row == r
-            matrix = matrices[r][:, :D].astype(counts.dtype, copy=False) if last else matrices[r]
-            step[chosen] = counts[chosen] @ matrix
-        counts = step
-    return first.tolist(), inverse, [(_root_sum(final, D) / n, sum(final))
-                                     for final in counts.tolist()]
+            matrix = matrices[r][:, :D].astype(state.dtype, copy=False) if last else matrices[r]
+            step[chosen] = state[chosen] @ matrix
+        state = step
+    return [(_root_sum(final, D) / n, sum(final)) for final in state.tolist()]
 
 
 def _root_sum(counts: list, D: int) -> complex:
@@ -340,13 +343,11 @@ def _root_sum(counts: list, D: int) -> complex:
 def partition_lhs(theory: TheoryData, surface: Surface,
                   structure: QuadraticRefinement | None = None) -> tuple[complex, int]:
     """State-sum partition function: (1/|G|) sum over homs of the cocycle phase
-    times the structure weight. Returns (value, number of homomorphisms).
-
-    Computed as an exact transfer-matrix product over the handles or
-    crosscaps, once the request is admitted (_admit), and charged by
-    _state_sums."""
-    D, jobs = _admit(theory, surface, [structure])
-    return _state_sums(theory, surface, jobs, D)[2][0]
+    times the structure weight. Returns (value, number of homomorphisms),
+    once admitted (_admit), from the exact transfer-matrix product of
+    _state_sums, which charges itself."""
+    rows, counts, _, _ = _multisets(surface, _admit(theory, surface, [structure]))
+    return _state_sums(theory, surface, rows, counts)[0]
 
 
 def partition_rhs(theory: TheoryData, surface: Surface,
@@ -355,20 +356,10 @@ def partition_rhs(theory: TheoryData, surface: Surface,
     """Algebraic partition function: indicator-weighted sum of
     (|G| / dim)^{-euler} over irreducible (super)modules.
 
-    Returns (value, per-module terms, named invariant of the structure)
-    once its surface and structure are admitted (_admit); the state sum is
-    not run, so it is not charged."""
-    _admit(theory, surface, [structure])
-    invariant = _invariant(structure)
+    Returns (value, per-module terms, named invariant of the structure),
+    once admitted (_admit); the state sum is not run, so it is not charged."""
+    invariant = _multisets(surface, _admit(theory, surface, [structure]))[3][0]
     return (*_rhs_sum(theory, surface, invariant, theory.spectrum), invariant)
-
-
-def _invariant(structure: QuadraticRefinement | None) -> tuple | None:
-    """The named invariant of a structure: ("arf", Arf) for spin, ("abk",
-    ABK) for pin-, None without a structure."""
-    if structure is None:
-        return None
-    return ("arf", arf(structure)) if structure.ring == 2 else ("abk", abk(structure))
 
 
 def _rhs_sum(theory: TheoryData, surface: Surface, invariant: tuple | None,
@@ -392,11 +383,13 @@ def _rhs_sum(theory: TheoryData, surface: Surface, invariant: tuple | None,
 
 @dataclass
 class PartitionReport:
-    """One LHS/RHS comparison for a theory on a surface (and structure)."""
+    """One LHS/RHS comparison for a theory on a surface (and structure):
+    `structure` is its tuple of basis values, () on the sphere, and None for
+    the families without one."""
 
     family: str
     surface: Surface
-    structure: QuadraticRefinement | None
+    structure: tuple | None
     lhs: complex
     rhs: complex
     abs_diff: float
@@ -414,20 +407,20 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None) -> list:
     """Compare both computations of the partition function.
 
     For spin / pin- families this yields one report per structure (all 2^b1
-    by default); for oriented / unoriented a single report. The request is
-    admitted once (_admit), before any structure is enumerated. Both sides
-    depend on a structure only through its multiset of block rows, so the
-    lhs, the invariant and the verdict are formed once per multiset, and the
-    algebraic side once per distinct invariant: reports with equal
-    invariants share one `rhs_terms` list.
-    """
-    D, jobs = _admit(theory, surface, structures)
-    first, inverse, sums = _state_sums(theory, surface, jobs, D)
+    by default), for oriented / unoriented a single report, after one
+    admission (_admit). Both sides depend on a structure only through its
+    multiset of block rows, so the lhs, the invariant and the verdict are
+    formed once per multiset, and the algebraic side once per distinct
+    invariant: reports with equal invariants share one `rhs_terms` list."""
+    stack = _admit(theory, surface, structures)
+    rows, counts, inverse, invariants = _multisets(surface, stack)
+    values = [None] if stack is None else map(tuple, stack.tolist())
+    del stack   # free the array: the reports hold each structure's values as a tuple
+    sums = _state_sums(theory, surface, rows, counts)
     spectrum = theory.spectrum
     rhs_by_invariant = {}
     shared = []
-    for j, (lhs, count) in zip(first, sums):
-        invariant = _invariant(jobs[j])
+    for (lhs, count), invariant in zip(sums, invariants):
         if invariant not in rhs_by_invariant:
             rhs_by_invariant[invariant] = _rhs_sum(theory, surface, invariant, spectrum)
         rhs, terms = rhs_by_invariant[invariant]
@@ -436,14 +429,14 @@ def crosscheck(theory: TheoryData, surface: Surface, structures=None) -> list:
                        "verdict": _verdict(lhs, rhs)})
     return [PartitionReport(family=theory.family, surface=surface, structure=structure,
                             **shared[k])
-            for structure, k in zip(jobs, inverse.tolist())]
+            for structure, k in zip(values, inverse)]
 
 
 def report_to_dict(report: PartitionReport) -> dict:
     return {
         "family": report.family,
         "surface": str(report.surface),
-        "structure": list(report.structure.values) if report.structure else None,
+        "structure": None if report.structure is None else list(report.structure),
         "lhs": [report.lhs.real, report.lhs.imag],
         "rhs": [report.rhs.real, report.rhs.imag],
         "abs_diff": report.abs_diff,

@@ -615,7 +615,6 @@ def assemble_supermodules(chars: np.ndarray, algebra: TwistedGroupAlgebra, *,
     stacks of at most _GATHER_ENTRIES entries, and raises the message of its
     first failing row and irrep.
     """
-    n = algebra.order
     phis = algebra.twist.phi[None] if phis is None else _check_gradings(algebra.group, phis)
     signs = np.where(phis == 1, -1.0, 1.0)
     k = len(chars)
@@ -630,10 +629,6 @@ def assemble_supermodules(chars: np.ndarray, algebra: TwistedGroupAlgebra, *,
     # the trace of V + V: 2 tr M_V(g) on even g, 0 on odd g
     character[paired] = (1 + signs[rows[paired]]) * chars[first[paired]]
     supercharacter[paired] = 0
-    step = max(1, _GATHER_ENTRIES // n)
-    for start in range(0, paired.size, step):
-        part = paired[start:start + step]
-        _check_parity(character[part], phis[rows[part]] == 1)
     graded = ((q == 0) & phis.any(axis=1)[rows]).nonzero()[0]   # type M with odd elements
     if graded.size:
         dims = np.rint(chars[first[graded], 0].real)
@@ -719,15 +714,6 @@ def _supercharacters(algebra: TwistedGroupAlgebra, chars: np.ndarray, dims: np.n
         _check_supercharacters(algebra, chi, flip, supercharacters[part],
                                back * back * squares[:, index], dims[part])
     return supercharacters
-
-
-def _check_parity(character: np.ndarray, odd: np.ndarray) -> None:
-    """chi(g) = 0 for every odd g, over a stack of supermodule characters
-    (character and the mask odd = (phi == 1) of shape (c, |G|)); the first
-    failing supermodule is reported, at its first such element."""
-    _, bad = (odd & (np.abs(character) > 1e-8)).nonzero()
-    if bad.size:
-        raise DecompositionError(f"character of a supermodule must vanish on odd {bad[0]}")
 
 
 def _check_supercharacters(algebra: TwistedGroupAlgebra, character: np.ndarray,

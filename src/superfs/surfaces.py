@@ -11,9 +11,8 @@ each read off its block's exact Gauss sum of 2 or 4 terms.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +26,7 @@ __all__ = [
     "Presentation",
     "presentation",
     "QuadraticRefinement",
+    "BLOCK_TABLES",
     "arf",
     "abk",
     "enumerate_structures",
@@ -100,23 +100,11 @@ class Presentation:
 
 
 def presentation(surface: Surface) -> Presentation:
-    if surface.is_orientable:
-        g = surface.param
-        word = []
-        for i in range(g):
-            a, b = 2 * i, 2 * i + 1
-            word += [(a, 1), (b, 1), (a, -1), (b, -1)]
-        return Presentation(2 * g, tuple(word))
-    k = surface.param
-    word = [(i, 1) for i in range(k) for _ in (0, 1)]
-    return Presentation(k, tuple(word))
-
-
-# Q on one block at each parity pattern of its generators, one shared row
-# per value: a handle's (a, b) in Z2^2, a crosscap's v in Z4 (an even v is
-# refused by its Gauss sum, should validation be bypassed)
-_BLOCK_ROWS = {**{(a, b): (0, a, b, (a + b + 1) % 2) for a in (0, 1) for b in (0, 1)},
-               **{v: (0, v) for v in range(4)}}
+    """The relator as one word per block: a b a^-1 b^-1 on a handle's
+    generators, c c on a crosscap's."""
+    k, gens = surface.param, 2 if surface.is_orientable else 1
+    block = ((0, 1), (1, 1), (0, -1), (1, -1)) if gens == 2 else ((0, 1), (0, 1))
+    return Presentation(gens * k, tuple((gens * i + j, e) for i in range(k) for j, e in block))
 
 
 @dataclass(frozen=True)
@@ -127,10 +115,9 @@ class QuadraticRefinement:
     form) or a pin- structure on a nonorientable one (ring 4: Q(x + y) =
     Q(x) + Q(y) + 2 x.y mod 4).
 
-    The intersection form is block diagonal over the surface's blocks, in
-    relator order: one handle (a_i, b_i), where a_i.b_i = 1 and each
-    self-intersection is 0, or one crosscap c_i, with c_i.c_i = 1. So Q is
-    the sum of its restrictions to the blocks, which `block_table` lists.
+    The intersection form is block diagonal, in relator order, over the
+    handles (a_i, b_i), with a_i.b_i = 1, or the crosscaps c_i, with
+    c_i.c_i = 1; so Q is the sum of its blocks' rows (BLOCK_TABLES).
 
     Checked on construction: each value an int or a NumPy integer (a bool, a
     float or a string is refused, not cast), one per generator, each in
@@ -165,49 +152,68 @@ class QuadraticRefinement:
     def ring(self) -> int:
         return 2 if self.surface.is_orientable else 4
 
-    @functools.cached_property
-    def block_table(self) -> tuple:
-        """Q on each block, in relator order, at each parity pattern p of the
-        block's generators (bit j of p: generator j's class), as integers mod
-        the ring: (a p_0 + b p_1 + p_0 p_1) mod 2 on a handle with values
-        (a, b), and (v p_0) mod 4 on a crosscap with value v. Built once per
-        structure, for the state sum and the invariant alike, from the
-        shared rows of _BLOCK_ROWS."""
-        vals = self.values
-        if self.surface.is_orientable:
-            return tuple(map(_BLOCK_ROWS.__getitem__, zip(vals[::2], vals[1::2])))
-        return tuple(map(_BLOCK_ROWS.__getitem__, vals))
-
     def __str__(self):
         return ",".join(str(v) for v in self.values)
 
 
 # i^k as a Gaussian integer (real, imaginary), k mod 4
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-# k mod 8 of sqrt(2)^gens zeta_8^k, keyed by that Gaussian integer: norm 2
-# (one crosscap) or 4 (one handle)
+# k mod 8 of sqrt(2)^gens zeta_8^k, keyed by that Gaussian integer
 _EIGHTH = {(1, 1): 1, (-1, 1): 3, (-1, -1): 5, (1, -1): 7,
            (2, 0): 0, (0, 2): 2, (-2, 0): 4, (0, -2): 6}
 
 
-def _block_invariants(q: QuadraticRefinement) -> list:
-    """k_i mod 8 of each block: the block's Gauss sum, sum over its parity
-    patterns p of i^(Q_i(p) 4 / ring), a Gaussian integer that must equal
-    sqrt(2)^gens zeta_8^k_i. The Gauss sum of Q is the product of these, so
-    the invariant of Q is the sum of the k_i (Brown; Kirby-Taylor)."""
-    scale = 4 // q.ring
-    out = []
-    for i, row in enumerate(q.block_table):
-        re = im = 0
-        for value in row:
-            dr, di = _I_POWERS[value * scale % 4]
-            re, im = re + dr, im + di
-        if re * re + im * im != len(row):
-            raise SnapError(
-                f"Gauss sum magnitude^2 {re * re + im * im} of block {i} is not "
-                f"{len(row)}; the form is not a refinement")
-        out.append(_EIGHTH[re, im])
-    return out
+def _gauss_k8(row: tuple, ring: int) -> int:
+    """k mod 8 of a block row of Q: its Gauss sum over the parity patterns p,
+    sum_p i^(Q(p) 4 / ring), a Gaussian integer that must equal sqrt(2)^gens
+    zeta_8^k. The Gauss sum of Q is the product of its blocks' sums, so the
+    invariant of Q is the sum of its blocks' k (Brown; Kirby-Taylor)."""
+    re = im = 0
+    for value in row:
+        dr, di = _I_POWERS[value * 4 // ring % 4]
+        re, im = re + dr, im + di
+    if re * re + im * im != len(row):
+        raise SnapError(f"Gauss sum magnitude^2 {re * re + im * im} of block row {row} is "
+                        f"not {len(row)}; the form is not a refinement")
+    return _EIGHTH[re, im]
+
+
+class BlockTable(NamedTuple):
+    """What one block of a surface kind can carry. `values` lists a block's
+    basis values in lexicographic order: (a, b) in Z2^2 on a handle, an odd v
+    in Z4 on a crosscap. `rows[r]` is Q on a block of value r at each parity
+    pattern p of its generators (bit j of p: generator j's class), as
+    integers mod the ring: (a p_0 + b p_1 + p_0 p_1) mod 2, or v p_0 mod 4.
+    `k8[r]` is that row's k mod 8, read off its Gauss sum (_gauss_k8)."""
+
+    ring: int
+    values: tuple
+    rows: tuple
+    k8: tuple
+
+    def counts(self, stack: np.ndarray) -> np.ndarray:
+        """counts[j, r]: the blocks of value r in row j of a (count, b1) stack."""
+        ids = 2 * stack[:, ::2] + stack[:, 1::2] if self.ring == 2 else stack // 2
+        return np.stack([np.count_nonzero(ids == r, axis=1) for r in range(len(self.rows))], 1)
+
+    def invariants(self, counts: np.ndarray) -> list:
+        """("arf", Arf) or ("abk", ABK) of each row of block counts: k / 4 mod
+        2 or k mod 8, for k the sum of its blocks' k8."""
+        name, unit, mod = ("arf", 4, 2) if self.ring == 2 else ("abk", 1, 8)
+        return [(name, k // unit % mod) for k in (counts @ self.k8).tolist()]
+
+
+# the block table of each surface kind, keyed by Surface.kind
+BLOCK_TABLES = {kind: BlockTable(ring, values, rows, tuple(_gauss_k8(row, ring) for row in rows))
+                for kind, ring, values, rows in (
+                    ("orientable", 2, ((0, 0), (0, 1), (1, 0), (1, 1)),
+                     ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1))),
+                    ("nonorientable", 4, ((1,), (3,)), ((0, 1), (0, 3))))}
+
+
+def _invariant(q: QuadraticRefinement) -> int:
+    table = BLOCK_TABLES[q.surface.kind]
+    return table.invariants(table.counts(np.array([q.values], dtype=np.int64)))[0][1]
 
 
 def arf(q: QuadraticRefinement) -> int:
@@ -215,7 +221,7 @@ def arf(q: QuadraticRefinement) -> int:
     2, read off each handle's Gauss sum 2 (-1)^(a_i b_i)."""
     if q.ring != 2:
         raise ValidationError("the Arf invariant needs a Z2 refinement")
-    return sum(_block_invariants(q)) // 4 % 2
+    return _invariant(q)
 
 
 def abk(q: QuadraticRefinement) -> int:
@@ -224,13 +230,12 @@ def abk(q: QuadraticRefinement) -> int:
     (k = 1 for v = 1, 7 for v = 3)."""
     if q.ring != 4:
         raise ValidationError("the Brown invariant needs a Z4 refinement")
-    return sum(_block_invariants(q)) % 8
+    return _invariant(q)
 
 
-def enumerate_structures(surface: Surface) -> list:
-    """All spin (orientable) or pin- (nonorientable) structures as refinements,
-    in lexicographic order of their basis values."""
-    choices = (0, 1) if surface.is_orientable else (1, 3)
-    return [QuadraticRefinement(surface, vals)
-            for vals in itertools.product(choices, repeat=surface.b1)]
-
+def enumerate_structures(surface: Surface) -> np.ndarray:
+    """All spin (orientable) or pin- (nonorientable) structures: the (2^b1,
+    b1) int64 array of their basis values, in lexicographic order."""
+    b1 = surface.b1
+    bits = np.arange(2 ** b1, dtype=np.int64)[:, None] >> np.arange(b1 - 1, -1, -1) & 1
+    return bits if surface.is_orientable else 2 * bits + 1

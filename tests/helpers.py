@@ -133,22 +133,24 @@ def gauss_invariant(values, kind: str) -> int:
 
 def brute_force_partition(table: np.ndarray, inverses: np.ndarray,
                           alpha_num: np.ndarray, denom: int, phi: np.ndarray, word,
-                          n_generators: int, values=None,
-                          kind: str | None = None) -> tuple[complex, int]:
+                          n_generators: int, structures=(None,),
+                          kind: str | None = None) -> list[tuple[complex, int]]:
     """(1/|G|) sum over every relator-satisfying assignment of its phase, by
-    full scan; returns (value, number of such assignments).
+    one full scan for all of `structures`; returns one (value, number of such
+    assignments) per entry of `structures`, in order.
 
     The phase is the cocycle collected letter by letter along the word (an
     inverse letter h^-1 adds alpha(cur, h^-1) - alpha(h, h^-1)), plus Q / ring
-    when a refinement is given by its basis `values` on a surface of `kind`:
-    Q is `quadratic_values` at x, the parity of each generator's image.
+    for an entry that gives a refinement by its basis values on a surface of
+    `kind` (an entry None adds nothing): Q is `quadratic_values` at x, the
+    parity of each generator's image. Each phase is reduced exactly, as an
+    integer over lcm(denom, ring), before its root of unity is taken.
     """
     n = table.shape[0]
     table, inverses, alpha, phi = (np.asarray(a).tolist()
                                    for a in (table, inverses, alpha_num, phi))
     ring = 2 if kind == "orientable" else 4
-    total = 0j
-    count = 0
+    nums, parities = [], []
     for assign in itertools.product(range(n), repeat=n_generators):
         cur = 0
         num = 0
@@ -161,15 +163,17 @@ def brute_force_partition(table: np.ndarray, inverses: np.ndarray,
                 hinv = inverses[h]
                 num += alpha[cur][hinv] - alpha[h][hinv]
                 cur = table[cur][hinv]
-        if cur != 0:
-            continue
-        count += 1
-        phase = Fraction(num, denom)
-        if values is not None:
-            q = quadratic_values(values, kind, [phi[a] for a in assign])[0]
-            phase += Fraction(int(q), ring)
-        total += cmath.exp(2j * math.pi * float(phase % 1))
-    return total / n, count
+        if cur == 0:
+            nums.append(num)
+            parities.append([phi[a] for a in assign])
+    scale = math.lcm(denom, ring)
+    base = np.array(nums, dtype=np.int64) * (scale // denom)
+    xs = np.array(parities, dtype=np.int64).reshape(len(nums), n_generators)
+    out = []
+    for values in structures:
+        k = base if values is None else base + quadratic_values(values, kind, xs) * (scale // ring)
+        out.append((complex(np.exp(2j * np.pi * (k % scale) / scale).sum()) / n, len(nums)))
+    return out
 
 
 def integrate_cocycle(assignment, word, n_generators: int, table, inverses,

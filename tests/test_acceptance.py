@@ -255,7 +255,7 @@ def test_criterion_08():
         bad.append(("torus", "structure-count"))
     for r in torus:
         if r.verdict != "PASS" or abs(r.lhs - (-1.0) ** r.invariant[1]) > 1e-6:
-            bad.append(("torus", r.structure.values))
+            bad.append(("torus", r.structure))
     t4 = Twist.from_fractions(catalog_group("z4"), [0, 1, 0, 1], [[0] * 4] * 4)
     gv = catalog_group("z2xz2")
     tv = Twist.zero(gv).with_phi(z2_homomorphisms(gv)[1])
@@ -265,7 +265,7 @@ def test_criterion_08():
             bad.append((name, "structure-count", len(reports)))
         for r in reports:
             if r.verdict != "PASS" or r.abs_diff > 1e-6:
-                bad.append((name, r.structure.values, r.abs_diff))
+                bad.append((name, r.structure, r.abs_diff))
     record_verdict(8, not bad, "spin torus tracks (-1)^Arf on 4 structures; "
                    "genus-2 crosschecks on all 16 structures for three "
                    "odd-graded theories"
@@ -295,7 +295,7 @@ def test_criterion_09():
                 bad.append((name, k, "structure-count"))
             for r in reports:
                 if r.verdict != "PASS" or r.abs_diff > 1e-6:
-                    bad.append((name, k, r.structure.values))
+                    bad.append((name, k, r.structure))
     record_verdict(9, not bad, "pin- projective plane gives (1±i)/2 at the two "
                    "structures; Klein bottle (4) and k=3 (8) agree for four "
                    "sign-twisted theories"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -251,12 +252,18 @@ def test_relabeling_invariance():
 
 
 def test_report_roundtrip():
-    # the report survives a trip through its JSON text
+    # the report survives a trip through its JSON text; its structure is its
+    # tuple of basis values, () on the sphere and None without a structure
     r = crosscheck(TheoryData(clifford_twist(1), "pin-"), nonorientable(1))[0]
     d = json.loads(json.dumps(report_to_dict(r)))
     assert d["family"] == r.family and d["surface"] == str(r.surface)
     assert complex(*d["lhs"]) == r.lhs and complex(*d["rhs"]) == r.rhs
-    assert tuple(d["structure"]) == r.structure.values
+    assert r.structure == (1,) and d["structure"] == [1]
+    sphere = crosscheck(TheoryData(clifford_twist(1), "spin"), orientable(0))
+    assert [x.structure for x in sphere] == [()]
+    assert report_to_dict(sphere[0])["structure"] == []
+    oriented = crosscheck(TheoryData(Twist.zero(cyclic(2)), "oriented"), orientable(0))[0]
+    assert oriented.structure is None and report_to_dict(oriented)["structure"] is None
     assert (d["invariant"]["name"], d["invariant"]["value"]) == r.invariant
     assert d["verdict"] == "PASS"
     assert {"family", "surface", "structure", "lhs", "rhs", "abs_diff",
@@ -268,6 +275,16 @@ def test_crosscheck_rejects_structures_for_oriented():
     th = TheoryData(Twist.zero(g), "oriented")
     with pytest.raises(ValidationError, match="structures"):
         crosscheck(th, orientable(1), structures=[QuadraticRefinement(orientable(1), [0, 0])])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_crosscheck_refuses_an_empty_structure_list(family):
+    # an empty list names no structure, with or without a family's structures
+    theory = TheoryData(clifford_twist(1) if family in ("spin", "pin-")
+                        else Twist.zero(cyclic(2)), family)
+    surface = orientable(1) if family in ("oriented", "spin") else nonorientable(1)
+    with pytest.raises(ValidationError, match="^no structures supplied$"):
+        crosscheck(theory, surface, structures=[])
 
 
 # ---------------------------------------------- transfer-matrix state sum
@@ -315,15 +332,14 @@ def test_partition_lhs_matches_brute_force(label, family):
     for surface in surfaces:
         pres = presentation(surface)
         if family in ("spin", "pin-"):
-            structures = enumerate_structures(surface)
+            structures = [QuadraticRefinement(surface, v) for v in enumerate_structures(surface)]
         else:
             structures = [None]
-        for q in structures:
+        oracle = brute_force_partition(
+            group.table, group.inverses, twist.alpha_num, twist.denom, twist.phi, pres.word,
+            pres.n_generators, [None if q is None else q.values for q in structures], surface.kind)
+        for q, (z_ref, count_ref) in zip(structures, oracle):
             z, count = partition_lhs(theory, surface, q)
-            kwargs = {} if q is None else {"values": q.values, "kind": surface.kind}
-            z_ref, count_ref = brute_force_partition(
-                group.table, group.inverses, twist.alpha_num, twist.denom,
-                twist.phi, pres.word, pres.n_generators, **kwargs)
             assert count == count_ref, (surface, q)
             assert abs(z - z_ref) < 1e-12 * max(1.0, abs(z_ref)), (surface, q, z, z_ref)
 
@@ -336,21 +352,20 @@ def test_state_sum_matches_brute_force_on_any_structure_list(label, family, surf
     # others gets, job by job, the full scan's value and hom count
     twist = next(t for name, t, _ in _oracle_theories() if name == label)
     group, pres = twist.group, presentation(surface)
-    every = enumerate_structures(surface)
+    every = [QuadraticRefinement(surface, v) for v in enumerate_structures(surface)]
     rng = np.random.default_rng(11)
     picks = np.concatenate([rng.permutation(len(every))[:len(every) // 2],
                             rng.integers(0, len(every), size=12)])
     given = [every[i] for i in rng.permutation(picks)]
     assert len(set(given)) < len(given) and given != sorted(given, key=lambda q: q.values)
     reports = crosscheck(TheoryData(twist, family), surface, structures=given)
-    assert [r.structure for r in reports] == given
-    oracle = {}
+    assert [r.structure for r in reports] == [q.values for q in given]
+    distinct = sorted({r.structure for r in reports})
+    oracle = dict(zip(distinct, brute_force_partition(
+        group.table, group.inverses, twist.alpha_num, twist.denom, twist.phi,
+        pres.word, pres.n_generators, distinct, surface.kind)))
     for r in reports:
         q = r.structure
-        if q not in oracle:
-            oracle[q] = brute_force_partition(
-                group.table, group.inverses, twist.alpha_num, twist.denom, twist.phi,
-                pres.word, pres.n_generators, values=q.values, kind=surface.kind)
         z_ref, count_ref = oracle[q]
         assert r.hom_count == count_ref, q
         assert abs(r.lhs - z_ref) < 1e-12 * max(1.0, abs(z_ref)), (q, r.lhs, z_ref)
@@ -364,31 +379,31 @@ STRUCTURE_CASES = [case for case in ORACLE_CASES if case[1] in ("spin", "pin-")]
 def test_a_structure_and_its_blocks_permuted_have_one_partition(label, family):
     # the state sum sees a structure only through its multiset of block
     # rows. The full scan, which knows nothing of blocks, gives one hom count
-    # and one value (to the rounding of its float sum, taken in assignment
-    # order) for a structure and for a random permutation of its blocks, and
-    # crosscheck gives that value to both
+    # and one value (to the rounding of its float sum) for a structure and
+    # for a random permutation of its blocks, and crosscheck gives that value
+    # to both
     twist = next(t for name, t, _ in _oracle_theories() if name == label)
     group = twist.group
     surface = orientable(2) if family == "spin" else nonorientable(4)
     pres, width = presentation(surface), surface.b1 // surface.param
     rng = np.random.default_rng(5)
-    every, pairs = enumerate_structures(surface), []
+    every, pairs = enumerate_structures(surface).tolist(), []
     for i in rng.permutation(len(every)):
-        q = every[i]
-        blocks = [q.values[j:j + width] for j in range(0, surface.b1, width)]
+        q = tuple(every[i])
+        blocks = [q[j:j + width] for j in range(0, surface.b1, width)]
         if len(set(blocks)) > 1 and len(pairs) < 8:
-            moved = q.values
-            while moved == q.values:
+            moved = q
+            while moved == q:
                 moved = sum((blocks[j] for j in rng.permutation(surface.param)), ())
-            pairs.append((q, QuadraticRefinement(surface, moved)))
+            pairs.append((q, moved))
     assert len(pairs) == 8
-    oracle = {}
-    for q in {q for pair in pairs for q in pair}:
-        oracle[q] = brute_force_partition(
-            group.table, group.inverses, twist.alpha_num, twist.denom, twist.phi,
-            pres.word, pres.n_generators, values=q.values, kind=surface.kind)
+    distinct = sorted({q for pair in pairs for q in pair})
+    oracle = dict(zip(distinct, brute_force_partition(
+        group.table, group.inverses, twist.alpha_num, twist.denom, twist.phi,
+        pres.word, pres.n_generators, distinct, surface.kind)))
     reports = crosscheck(TheoryData(twist, family), surface,
-                         structures=[q for pair in pairs for q in pair])
+                         structures=[QuadraticRefinement(surface, q)
+                                     for pair in pairs for q in pair])
     for (q, moved), (r, r_moved) in zip(pairs, zip(reports[::2], reports[1::2])):
         z_ref, count_ref = oracle[q]
         assert oracle[moved][1] == count_ref, (q, moved)
@@ -529,8 +544,9 @@ def test_sphere_state_sum_allocates_nothing_of_the_denominator(exponent):
 @pytest.mark.parametrize("family,surface", [("spin", orientable(2)),
                                             ("pin-", nonorientable(3))])
 def test_crosscheck_checks_each_structure_once(monkeypatch, family, surface):
-    # one admission per call, which compares each structure's surface with
-    # the requested one once, enumerated or given
+    # one admission per call, which compares each given structure's surface
+    # with the requested one once; enumerated structures are rows of basis
+    # values on that surface, so none is compared
     import superfs.gauge as gauge
 
     admitted, compared = [], []
@@ -540,9 +556,10 @@ def test_crosscheck_checks_each_structure_once(monkeypatch, family, surface):
     monkeypatch.setattr(Surface, "__eq__", lambda a, b: compared.append(1) or equal(a, b))
     theory = TheoryData(clifford_twist(1), family)
     reports = crosscheck(theory, surface)
-    assert admitted == [None] and len(compared) == len(reports) == 2 ** surface.b1
-    assert [r.structure for r in reports] == enumerate_structures(surface)
-    given = enumerate_structures(surface)[:3]
+    assert admitted == [None] and not compared and len(reports) == 2 ** surface.b1
+    assert [r.structure for r in reports] == list(map(tuple, enumerate_structures(surface)
+                                                      .tolist()))
+    given = [QuadraticRefinement(surface, v) for v in enumerate_structures(surface)[:3]]
     admitted.clear()
     compared.clear()
     crosscheck(theory, surface, structures=given)
@@ -577,26 +594,32 @@ def test_crosscheck_sums_the_rhs_once_per_invariant(monkeypatch, family, surface
     assert sorted(summed) == sorted({r.invariant for r in reports})
     assert len(summed) == (2 if family == "spin" else 4)
     for r in reports:
-        rhs, terms, invariant = partition_rhs(theory, surface, r.structure)
+        rhs, terms, invariant = partition_rhs(theory, surface,
+                                              QuadraticRefinement(surface, r.structure))
         assert (rhs, terms, invariant) == (r.rhs, r.rhs_terms, r.invariant)
 
 
 @pytest.mark.parametrize("family,surface", [("spin", orientable(3)),
                                             ("pin-", nonorientable(6))])
-def test_crosscheck_builds_one_block_table_per_structure(monkeypatch, family, surface):
-    # the state sum and the Arf or ABK invariant read one table per structure
-    built = []
-    table = QuadraticRefinement.block_table
-    original = table.func
+def test_enumerating_crosscheck_builds_no_refinement(monkeypatch, family, surface):
+    # an enumerating crosscheck reads the structures as rows of basis values
+    # and builds no QuadraticRefinement: with construction made to fail, it
+    # still gives every report, equal to the reports on the same structures
+    # given one by one as refinements
+    theory = TheoryData(clifford_twist(1), family)
+    given = [QuadraticRefinement(surface, v) for v in itertools.product(
+        (0, 1) if family == "spin" else (1, 3), repeat=surface.b1)]
+    want = [(q.values, r.lhs, r.hom_count, r.invariant, r.rhs, r.verdict)
+            for q, r in zip(given, crosscheck(theory, surface, structures=given))]
 
-    def counting(structure):
-        built.append(structure.values)
-        return original(structure)
+    def refuse(self):
+        raise AssertionError("a QuadraticRefinement was built")
 
-    monkeypatch.setattr(table, "func", counting)
-    reports = crosscheck(TheoryData(clifford_twist(1), family), surface)
-    assert len(reports) == 64
-    assert built == [r.structure.values for r in reports]
+    monkeypatch.setattr(QuadraticRefinement, "__post_init__", refuse)
+    reports = crosscheck(theory, surface)
+    assert len(reports) == 64 and [q.values for q in given] == [r.structure for r in reports]
+    assert [(r.structure, r.lhs, r.hom_count, r.invariant, r.rhs, r.verdict)
+            for r in reports] == want
 
 
 def test_state_sum_fourth_roots_are_exact():
@@ -637,9 +660,10 @@ def test_crosscheck_decomposes_once_per_theory(monkeypatch):
             reports = crosscheck(theory, surface)
             assert len(reports) == 2 ** surface.b1 and len(calls) == 1
             for r in reports:
-                rhs, terms, invariant = partition_rhs(theory, surface, r.structure)
+                q = QuadraticRefinement(surface, r.structure)
+                rhs, terms, invariant = partition_rhs(theory, surface, q)
                 assert (rhs, terms, invariant) == (r.rhs, r.rhs_terms, r.invariant)
-                assert partition_lhs(theory, surface, r.structure) == (r.lhs, r.hom_count)
+                assert partition_lhs(theory, surface, q) == (r.lhs, r.hom_count)
         assert len(calls) == 1 and len(walks) == 1
 
 
@@ -827,7 +851,7 @@ def test_given_structures_are_charged_like_enumerated_ones(monkeypatch):
     # 768 + 16 b1 bytes each, and all of them are refused with one message
     theory = TheoryData(Twist.zero(cyclic(2)).with_phi([0, 1]), "pin-")
     surface = nonorientable(10)
-    every = enumerate_structures(surface)
+    every = [QuadraticRefinement(surface, v) for v in enumerate_structures(surface)]
     monkeypatch.setenv("SUPERFS_BUDGET", "20000")
     message = ("^the 2\\^10 structures on nonorientable:10 and their reports need "
                "2\\^10 \\* 928 bytes, budget is 20000$")
@@ -915,12 +939,13 @@ def test_random_permutation_groups_match_the_brute_force_partition(degree, data,
         surfaces = [nonorientable(k) for k in range(1, 4 if group.order <= 12 else 3)]
     for surface in surfaces:
         pres = presentation(surface)
-        for report in crosscheck(theory, surface):
+        reports = crosscheck(theory, surface)
+        oracle = brute_force_partition(
+            group.table, group.inverses, theory.twist.alpha_num, theory.twist.denom,
+            theory.twist.phi, pres.word, pres.n_generators, [r.structure for r in reports],
+            surface.kind)
+        for report, (z_ref, count_ref) in zip(reports, oracle):
             q = report.structure
-            kwargs = {} if q is None else {"values": q.values, "kind": surface.kind}
-            z_ref, count_ref = brute_force_partition(
-                group.table, group.inverses, theory.twist.alpha_num, theory.twist.denom,
-                theory.twist.phi, pres.word, pres.n_generators, **kwargs)
             tol = max(1.0, abs(z_ref))
             assert report.hom_count == count_ref, (surface, q)
             assert abs(report.lhs - z_ref) < 1e-12 * tol, (surface, q, report.lhs, z_ref)

@@ -21,7 +21,12 @@ spin, and of 2^16000 and 2^20000 structures on the trivial group
 (trivial.group.json), whose counts are printed as powers, are those of the
 commit that made that charge; the two refusals of a 23-digit crosscap count
 and genus are those of the commit that stopped forming 2^b1 for them (its
-parent did not finish them). Non-float fields
+parent did not finish them). The refusals of bad --phi, --alpha, --group,
+--groups and --surface values and of a missing --group, and of a
+fractional SUPERFS_BUDGET (printed as set), were added with their stderr as
+printed when added; their inputs are no-field.twist.json ({"x": 1}, with
+neither a 'phi' nor an 'alpha' field) and the six *.group.json files named
+after what is wrong with them. Non-float fields
 must match exactly, types included; floats within 1e-12. To add a case, run
 its command at a trusted commit and save stdout (or, for a refusal, its exit
 code and stderr).
@@ -39,6 +44,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 TWIST = str(GOLDEN / "clifford2.twist.json")
 SHIFTED = str(GOLDEN / "d4-shifted.twist.json")
 TRIVIAL = str(GOLDEN / "trivial.group.json")
+NO_FIELD = str(GOLDEN / "no-field.twist.json")
 Z3XZ3 = ["--group", str(GOLDEN / "z3xz3.group.json"),
          "--alpha", str(GOLDEN / "z3xz3.twist.json")]
 
@@ -171,6 +177,40 @@ REFUSALS = {
     "z3xz3-overflow": (
         ["partition", *Z3XZ3, "--surface", "orientable:11"],
         None, 2, "error: hom counts up to 9^22 could overflow 64-bit integers\n"),
+    "budget-fractional": (
+        ["classify", "--group", "z2"],
+        "0.5", 2, "error: decomposing an algebra of order 2 with 2 irreducibles needs 19104 "
+                  "bytes, budget is 0.5\n"),
+    "phi-id-needs-order-2": (
+        ["classify", "--group", "d4", "--phi", "id"],
+        None, 2, "error: --phi id means the isomorphism to Z2 and needs a group of order 2\n"),
+    "phi-file-without-field": (
+        ["classify", "--group", "z2", "--phi", NO_FIELD],
+        None, 2, f"error: {NO_FIELD}: no 'phi' field\n"),
+    "alpha-file-without-field": (
+        ["classify", "--group", "z2", "--alpha", NO_FIELD],
+        None, 2, f"error: {NO_FIELD}: no 'alpha' field\n"),
+    "classify-without-group": (
+        ["classify"], None, 2, "error: classify needs --group or --clifford\n"),
+    "verify-without-group": (
+        ["verify"], None, 2, "error: verify needs --group or --clifford\n"),
+    "sweep-no-groups": (
+        ["sweep", "--groups", ","], None, 2, "error: no groups to sweep\n"),
+    **{f"group-{name}": (["classify", "--group", str(GOLDEN / f"{name}.group.json")],
+                         None, 2, f"error: {message}\n")
+       for name, message in (
+           ("not-object", "group record must be a JSON object"),
+           ("without-table", "group record needs a 'table' or 'generators' field"),
+           ("entry-out-of-range", "table entries must lie in 0..order-1"),
+           ("not-square", "table must be square, got shape (1, 2)"),
+           ("no-generators", "need at least one permutation generator"),
+           ("not-a-permutation", "generator (0, 0) is not a permutation of 0..1"))},
+    "surface-parameter-not-integer": (
+        ["partition", "--group", "z2", "--surface", "orientable:x"],
+        None, 2, "error: surface parameter 'x' is not an integer\n"),
+    "surface-kind-unknown": (
+        ["partition", "--group", "z2", "--surface", "torus:1"],
+        None, 2, "error: unknown surface kind 'torus'\n"),
 }
 
 

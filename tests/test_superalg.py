@@ -46,7 +46,7 @@ from superfs import (
 )
 import superfs.twists
 from superfs import superalg
-from superfs.superalg import _BW_CLASSES, _check_parity
+from superfs.superalg import _BW_CLASSES
 
 import helpers
 from helpers import (OracleError, average, average_by_einsum, block_matrices_by_element,
@@ -741,10 +741,6 @@ def test_check_grading_reports_the_first_bad_element(rank):
     check()
     with pytest.raises(OracleError, match=f"must vanish on odd {g1}$"):
         check(character=(g2, g1))
-    chi = sup_character.copy()
-    chi[[g2, g1]] = 0.5   # the library's own check of a stack of characters agrees
-    with pytest.raises(DecompositionError, match=f"must vanish on odd {g1}$"):
-        _check_parity(np.array([sup_character, chi]), np.array([odd, odd]))
     if p is None:
         return
     check(times_p=g1)

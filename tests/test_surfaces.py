@@ -1,6 +1,7 @@
 """Surface presentations, quadratic refinements, Arf/ABK, and the cocycle
 integration oracle of tests/helpers."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from superfs import (
+    BLOCK_TABLES,
     SnapError,
     Twist,
     ValidationError,
@@ -25,6 +27,7 @@ from superfs import (
     QuadraticRefinement,
 )
 from superfs.cli import main
+from superfs.surfaces import _gauss_k8
 
 from helpers import (all_classes, cup_form, gauss_invariant, integrate_cocycle,
                      quadratic_values, shift_by_coboundary)
@@ -71,12 +74,12 @@ def test_refinement_validation():
 
 
 def test_structure_carries_its_surface():
-    # ring and blocks are read off the surface, values are held as ints
+    # the ring is read off the surface, values are held as ints
     spin = QuadraticRefinement(orientable(2), [np.int64(1), 0, 1, 1])
     assert spin.values == (1, 0, 1, 1) and all(type(v) is int for v in spin.values)
-    assert spin.ring == 2 and spin.block_table == ((0, 1, 0, 0), (0, 1, 1, 1))
+    assert spin.ring == 2 == BLOCK_TABLES["orientable"].ring
     pin = QuadraticRefinement(nonorientable(3), (1, 3, 1))
-    assert pin.ring == 4 and pin.block_table == ((0, 1), (0, 3), (0, 1))
+    assert pin.ring == 4 == BLOCK_TABLES["nonorientable"].ring
     # equal surface and values: equal structures, one hash
     assert pin == QuadraticRefinement(nonorientable(3), [1, 3, 1])
     assert len({pin, QuadraticRefinement(nonorientable(3), [1, 3, 1])}) == 1
@@ -124,11 +127,12 @@ def test_refinement_refuses_values_outside_the_ring(surface, values, through_cli
 
 
 def test_quadratic_eval_torus():
-    # Q(x) = q . x + x1 x2, by the oracle; the torus's one handle is the same
-    # table in pattern order (bit j of p: generator j)
+    # Q(x) = q . x + x1 x2, by the oracle; a handle of value (0, 1) has the
+    # same row in pattern order (bit j of p: generator j)
     classes = [[0, 0], [1, 0], [0, 1], [1, 1]]
     assert quadratic_values([0, 1], "orientable", classes).tolist() == [0, 0, 1, 0]
-    assert QuadraticRefinement(orientable(1), [0, 1]).block_table == ((0, 0, 1, 0),)
+    handles = BLOCK_TABLES["orientable"]
+    assert handles.rows[handles.values.index((0, 1))] == (0, 0, 1, 0)
 
 
 def test_z4_refinement_law():
@@ -143,33 +147,60 @@ def test_z4_refinement_law():
             assert lhs % 4 == (2 * int(x @ cup @ y)) % 4
 
 
+@pytest.mark.parametrize("kind", ["orientable", "nonorientable"])
+def test_block_table_is_q_on_one_block(kind):
+    # each value a handle or crosscap can carry, in lexicographic order: its
+    # row, at pattern p, is the oracle's Q on the one-block surface at the
+    # class with bits p, and its k mod 8 is the oracle's full Gauss sum
+    table = BLOCK_TABLES[kind]
+    gens = 2 if kind == "orientable" else 1
+    choices = (0, 1) if kind == "orientable" else (1, 3)
+    assert table.values == tuple(itertools.product(choices, repeat=gens))
+    assert len(table.rows) == len(table.k8) == len(table.values)
+    patterns = (np.arange(2 ** gens)[:, None] >> np.arange(gens)) & 1
+    for value, row, k in zip(table.values, table.rows, table.k8):
+        assert row == tuple(quadratic_values(value, kind, patterns).tolist()), value
+        assert k == gauss_invariant(value, kind), value
+
+
 @pytest.mark.parametrize("surface", [orientable(g) for g in range(4)]
-                         + [nonorientable(k) for k in range(1, 5)])
-def test_block_table_is_q_on_each_block(surface):
-    # row i of the block table, at pattern p, is the oracle's Q of the class
-    # that carries p on block i's generators and is 0 elsewhere
+                         + [nonorientable(k) for k in range(1, 5)], ids=str)
+def test_block_counts_count_each_blocks_value(surface):
+    # block i of a structure carries the table value of its basis values,
+    # whose row, at pattern p, is the oracle's Q of the class that carries p
+    # on block i's generators and is 0 elsewhere; a structure's counts are
+    # how many of its blocks carry each value
+    table = BLOCK_TABLES[surface.kind]
     gens = 2 if surface.is_orientable else 1
-    for q in enumerate_structures(surface):
-        assert len(q.block_table) == surface.param
-        for i, row in enumerate(q.block_table):
-            assert len(row) == 2 ** gens
-            for p, value in enumerate(row):
+    stack = enumerate_structures(surface)
+    counts = table.counts(stack)
+    assert counts.shape == (2 ** surface.b1, len(table.values))
+    for values, row_counts in zip(stack.tolist(), counts.tolist()):
+        ids = [table.values.index(tuple(values[gens * i:gens * (i + 1)]))
+               for i in range(surface.param)]
+        assert row_counts == [ids.count(r) for r in range(len(table.values))], values
+        for i, r in enumerate(ids):
+            for p, value in enumerate(table.rows[r]):
                 x = np.zeros(surface.b1, dtype=np.int64)
                 x[gens * i:gens * (i + 1)] = (p >> np.arange(gens)) & 1
-                assert value == quadratic_values(q.values, surface.kind, x)[0], (q, i, p)
+                assert value == quadratic_values(values, surface.kind, x)[0], (values, i, p)
 
 
 @pytest.mark.parametrize("surface", [orientable(g) for g in range(6)]
                          + [nonorientable(k) for k in range(1, 11)], ids=str)
 def test_invariants_match_the_full_gauss_sum(surface):
     # every structure's Arf or ABK, summed over blocks, equals the invariant
-    # read off the full Gauss sum over all 2^b1 classes
-    for q in enumerate_structures(surface):
+    # read off the full Gauss sum over all 2^b1 classes, whether read off a
+    # refinement or off the block counts of the whole stack
+    table = BLOCK_TABLES[surface.kind]
+    stack = enumerate_structures(surface)
+    for values, named in zip(stack, table.invariants(table.counts(stack))):
+        q = QuadraticRefinement(surface, values)
         k = gauss_invariant(q.values, surface.kind)
         if surface.is_orientable:
-            assert k % 4 == 0 and arf(q) == k // 4, q
+            assert k % 4 == 0 and arf(q) == k // 4 and named == ("arf", k // 4), q
         else:
-            assert abk(q) == k, q
+            assert abk(q) == k and named == ("abk", k), q
 
 
 def test_arf_torus_and_genus2():
@@ -190,22 +221,25 @@ def test_abk_projective_plane_and_klein():
 
 
 def test_abk_detects_non_refinement():
-    # a value of the wrong parity, which QuadraticRefinement refuses, breaks
-    # the block's Gauss sum: 1 + i^0 has |z|^2 = 4, not 2
-    bad = QuadraticRefinement(nonorientable(1), [1])
-    object.__setattr__(bad, "values", (0,))
-    with pytest.raises(SnapError, match="magnitude"):
-        abk(bad)
+    # an even crosscap value, which QuadraticRefinement refuses, breaks the
+    # row's Gauss sum: 1 + i^0 has |z|^2 = 4 and 1 + i^2 has 0, not 2
+    for row, norm in (((0, 0), 4), ((0, 2), 0)):
+        with pytest.raises(SnapError, match=f"^Gauss sum magnitude\\^2 {norm} of block row "
+                           f"{re.escape(str(row))} is not 2; the form is not a refinement$"):
+            _gauss_k8(row, 4)
+    assert [_gauss_k8(row, 4) for row in BLOCK_TABLES["nonorientable"].rows] == [1, 7]
 
 
 def test_enumerate_structures():
+    # one (2^b1, b1) int64 array of basis values, in lexicographic order
     spins = enumerate_structures(orientable(2))
-    assert len(spins) == 16
-    assert [s.values for s in spins[:2]] == [(0, 0, 0, 0), (0, 0, 0, 1)]
+    assert spins.shape == (16, 4) and spins.dtype == np.int64
+    assert spins[:2].tolist() == [[0, 0, 0, 0], [0, 0, 0, 1]]
     pins = enumerate_structures(nonorientable(3))
-    assert len(pins) == 8
-    assert all(set(s.values) <= {1, 3} for s in pins)
-    assert sum(abk(s) for s in enumerate_structures(nonorientable(1))) == 8
+    assert list(map(tuple, pins.tolist())) == list(itertools.product((1, 3), repeat=3))
+    assert enumerate_structures(orientable(0)).shape == (1, 0)
+    assert sum(abk(QuadraticRefinement(nonorientable(1), v))
+               for v in enumerate_structures(nonorientable(1))) == 8
 
 
 def _integrate(assignment, pres, twist):
